@@ -4,19 +4,16 @@ band graphs with one universal vertex."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .families import FamilySpec, band_graph, make_family
+from .families import FamilySpec, make_family
 from .graph import (
     Graph,
     PreconditionError,
     TwinsError,
-    _bit_indices,
-    complement,
-    connected_component_masks,
-    find_isomorphism,
-    induced_subgraph,
+    _component_masks,
     is_connected,
+    is_twin_free,
     twin_pairs,
 )
 
@@ -66,48 +63,69 @@ class ClassificationResult:
 
 
 def recognize_band_graph(g: Graph) -> int | None:
-    """Return k when g is isomorphic to band_graph(k), else None.
+    """Return k when g is isomorphic to band_graph(k), else None, at any order."""
+    return _band_factor(g._nbr, (1 << g.n) - 1) if g.n else None
 
-    In a band graph the two endpoints have the unique minimum degree k - 1
-    and each of its neighbors has a distinct degree, so the natural vertex
-    order can be rebuilt from either endpoint: the endpoint, its neighbors
-    by ascending degree, then the rest by descending degree.  Both endpoint
-    choices are tried and the band edge rule verified exactly; a full
-    isomorphism search remains as a safety net.
+
+def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
+    """Return k when the vertex set ``comp`` induces a copy of band_graph(k)
+    in the graph with open-neighborhood masks ``nbr``, else None.
+
+    The rebuild is exact, with no isomorphism search, at any order.  In B_k
+    (vertices 0..2k-1) vertex i has degree k - 1 + min(i, 2k - 1 - i), so
+    the two endpoints alone have the minimum degree k - 1; endpoint 0's
+    neighbors 1..k-1 have the distinct degrees k..2k-2 and its
+    non-neighbors k..2k-1 the distinct degrees 2k-2..k-1.  The reflection
+    i -> 2k-1-i is an automorphism, so any copy of B_k is rebuilt from
+    either endpoint by placing each other vertex at the position its degree
+    and its adjacency to the endpoint give; one endpoint suffices.  Each
+    vertex's neighborhood is then compared with the band rule for its
+    position.  That check alone accepts, and a copy of B_k never fails it,
+    so the answer is exact.
     """
-    n = g.n
-    if n == 0 or n % 2:
+    size = comp.bit_count()
+    if size % 2:
         return None
-    k = n // 2
-    degs = g.degrees()
-    if sorted(degs) != sorted(list(range(k - 1, 2 * k - 1)) * 2):
+    k = size // 2
+    degs = {}
+    total = 0
+    rest = comp
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        v = b.bit_length() - 1
+        degs[v] = d = (nbr[v] & comp).bit_count()
+        total += d
+    # the band degree sequence {k-1..2k-2} twice sums to 3k(k-1)
+    if total != 3 * k * (k - 1):
         return None
-    endpoints = [v for v in range(n) if degs[v] == k - 1]
-    for x1 in endpoints:
-        nbrs = sorted(g.neighbors(x1), key=lambda v: (degs[v], v))
-        others = sorted(
-            (v for v in range(n) if v != x1 and not g.has_edge(x1, v)),
-            key=lambda v: (-degs[v], v),
-        )
-        order = [x1] + nbrs + others
-        if len(order) != n:
+    x = min(degs, key=degs.__getitem__)
+    if degs[x] != k - 1:
+        return None
+    order = [x] + [-1] * (size - 1)
+    near = nbr[x]
+    for v, d in degs.items():
+        if v == x:
             continue
-        if _matches_band_rule(g, order, k):
-            return k
-    if find_isomorphism(g, band_graph(k)) is not None:  # pragma: no cover - safety net
-        return k
-    return None
-
-
-def _matches_band_rule(g: Graph, order: list[int], k: int) -> bool:
-    pos = {v: i for i, v in enumerate(order)}
-    if len(pos) != g.n:
-        return False
-    for i, u in enumerate(order):
-        for j in range(i + 1, g.n):
-            if g.has_edge(u, order[j]) != (j - i <= k - 1):
-                return False
-    return True
+        if near >> v & 1:
+            i = d - k + 1
+            if not 1 <= i < k:
+                return None
+        else:
+            i = 3 * k - 2 - d
+            if not k <= i < size:
+                return None
+        if order[i] >= 0:
+            return None
+        order[i] = v
+    below = [0]
+    for v in order:
+        below.append(below[-1] | 1 << v)
+    for i, v in enumerate(order):
+        window = below[min(i + k, size)] & ~below[max(i - k + 1, 0)]
+        if nbr[v] & comp != window ^ 1 << v:
+            return None
+    return k
 
 
 def classify_extremal(g: Graph) -> ClassificationResult:
@@ -118,32 +136,33 @@ def classify_extremal(g: Graph) -> ClassificationResult:
     through the complement: join factors of g are exactly the connected
     components of the complement, so g belongs to the join family iff each
     component induces a band graph in g, with at most one single-vertex
-    component playing the universal-vertex role.
+    component playing the universal-vertex role.  All of it runs on the
+    adjacency masks; no subgraph is built.
     """
-    if g.n < 2:
+    n = g.n
+    if n < 2:
         raise PreconditionError("classification needs at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("classification is defined for connected graphs only")
-    twins = twin_pairs(g)
-    if twins:
+    if not is_twin_free(g):
+        twins = twin_pairs(g)
         raise TwinsError(
             f"vertices {twins[0][0]} and {twins[0][1]} are twins; no identifying code exists",
             twins[0],
         )
-    n = g.n
-    degs = g.degrees()
-    if n >= 3 and sorted(degs) == [1] * (n - 1) + [n - 1]:
+    nbr = g._nbr
+    full = (1 << n) - 1
+    # a connected graph with n - 1 edges is a tree; with a universal vertex, a star
+    if n >= 3 and full in g._cn and sum(m.bit_count() for m in nbr) == 2 * (n - 1):
         return ClassificationResult(STAR, star_t=n - 1, implied_gamma_id=n - 1)
 
-    comps = connected_component_masks(complement(g))
     factors: list[int] = []
     universal_seen = 0
-    for comp in comps:
-        members = _bit_indices(comp)
-        if len(members) == 1:
+    for comp in _component_masks([full & ~m for m in nbr], full):
+        if not comp & (comp - 1):
             universal_seen += 1
             continue
-        k = recognize_band_graph(induced_subgraph(g, members))
+        k = _band_factor(nbr, comp)
         if k is None:
             return ClassificationResult(NOT_EXTREMAL)
         factors.append(k)

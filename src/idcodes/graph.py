@@ -278,48 +278,41 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph._from_masks(len(vs), tuple(nbr))
 
 
+def _reach(cn, seen: int, within: int) -> int:
+    """Vertices of ``within`` reachable from the set ``seen`` (BFS over the
+    closed-neighborhood masks ``cn``, which may be any graph's)."""
+    frontier = seen
+    while frontier:
+        nxt = 0
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
+            nxt |= cn[b.bit_length() - 1]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _component_masks(cn, within: int) -> list[int]:
+    """Component bitmasks of the graph ``cn`` induced on ``within``, ordered
+    by least vertex."""
+    out = []
+    while within:
+        comp = _reach(cn, within & -within, within)
+        out.append(comp)
+        within &= ~comp
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     """True for graphs on at most one vertex and for connected graphs."""
-    if g.n <= 1:
-        return True
     full = (1 << g.n) - 1
-    seen = g._cn[0]
-    frontier = seen
-    while True:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= g._cn[b.bit_length() - 1]
-        nxt &= ~seen
-        if not nxt:
-            return seen == full
-        seen |= nxt
-        frontier = nxt
+    return g.n <= 1 or _reach(g._cn, g._cn[0], full) == full
 
 
 def connected_component_masks(g: Graph) -> list[int]:
     """Vertex bitmasks of the connected components, ordered by least vertex."""
-    out = []
-    remaining = (1 << g.n) - 1
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = g._cn[start] & remaining
-        frontier = seen
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= g._cn[b.bit_length() - 1]
-            nxt &= remaining & ~seen
-            seen |= nxt
-            frontier = nxt
-        out.append(seen)
-        remaining &= ~seen
-    return out
+    return _component_masks(g._cn, (1 << g.n) - 1)
 
 
 # -- enumeration, canonical form, isomorphism --------------------------

@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, classify_extremal
-from .graph import Graph, _iter_closed_masks, _pairs
+from .graph import Graph, _iter_closed_masks, _pairs, _reach
 
 DEFAULT_CAPS = {
     "thm12": 7,
@@ -69,20 +69,7 @@ def _require_cap(name: str, max_n: int, force: bool) -> None:
 
 
 def _connected_masks(cn: list[int], n: int, full: int) -> bool:
-    seen = cn[0]
-    frontier = seen
-    while True:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= cn[b.bit_length() - 1]
-        nxt &= ~seen
-        if not nxt:
-            return seen == full
-        seen |= nxt
-        frontier = nxt
+    return _reach(cn, cn[0], full) == full
 
 
 def _graph_of(cn: list[int], n: int) -> Graph:

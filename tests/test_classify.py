@@ -2,6 +2,7 @@
 complement decomposition, and exhaustive agreement with brute force."""
 
 import itertools
+import random
 
 import pytest
 
@@ -32,10 +33,19 @@ from idcodes.graph import (
     PreconditionError,
     TwinsError,
     enumerate_graphs,
+    find_isomorphism,
     is_connected,
     is_isomorphic,
     is_twin_free,
+    twin_pairs,
 )
+from idcodes.solve import solve_minimum
+
+
+def relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def test_recognize_band_graph_round_trip():
@@ -50,6 +60,42 @@ def test_recognize_band_graph_on_relabelings():
         for perm in itertools.permutations(range(n)):
             relabeled = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
             assert recognize_band_graph(relabeled) == k
+
+
+def test_recognize_band_graph_matches_isomorphism_oracle():
+    # every labeled graph on 2, 4 or 6 vertices with the degree sequence of B_k
+    for k in (1, 2, 3):
+        band = band_graph(k)
+        target = sorted(band.degrees())
+        for g in enumerate_graphs(2 * k, predicate=lambda h: sorted(h.degrees()) == target):
+            expected = k if find_isomorphism(g, band) is not None else None
+            assert recognize_band_graph(g) == expected
+
+
+def test_recognize_band_graph_on_seeded_relabelings():
+    rng = random.Random(20100426)
+    for k in range(1, 9):
+        for _ in range(10):
+            assert recognize_band_graph(relabel(band_graph(k), rng)) == k
+
+
+def test_recognize_band_graph_on_double_edge_swaps():
+    rng = random.Random(1004)
+    for k in (4, 5, 6):
+        band = band_graph(k)
+        checked = 0
+        while checked < 20:
+            edges = set(band.edges())
+            (a, b), (c, d) = rng.sample(sorted(edges), 2)
+            if rng.random() < 0.5:
+                c, d = d, c
+            new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+            if len({a, b, c, d}) < 4 or new & edges:
+                continue
+            g = relabel(Graph(band.n, edges - {(a, b), (c, d)} | new), rng)
+            expected = k if find_isomorphism(g, band) is not None else None
+            assert recognize_band_graph(g) == expected
+            checked += 1
 
 
 def test_recognize_band_graph_rejections():
@@ -94,12 +140,78 @@ def test_complete_minus_matching_classifies_as_all_ones():
 
 
 def test_classify_preconditions():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^classification needs at least 2 vertices$"):
         classify_extremal(Graph(1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match="^classification is defined for connected graphs only$"
+    ):
         classify_extremal(band_graph(1))  # disconnected
-    with pytest.raises(TwinsError):
+    with pytest.raises(
+        TwinsError, match="^vertices 0 and 1 are twins; no identifying code exists$"
+    ):
         classify_extremal(complete_graph(3))
+    # twins {2, 5} and {3, 4}: the reported pair is the first of twin_pairs
+    g = Graph(6, [(0, 1), (1, 2), (1, 5), (2, 5), (0, 3), (0, 4), (3, 4)])
+    assert twin_pairs(g) == [(2, 5), (3, 4)]
+    with pytest.raises(TwinsError, match="^vertices 2 and 5 are twins") as exc:
+        classify_extremal(g)
+    assert exc.value.pair == (2, 5)
+
+
+def test_band_degree_sequence_impostor_beyond_twelve_vertices():
+    # band_graph(7) with (0,1),(8,9) swapped for (0,9),(1,8)
+    edges = set(band_graph(7).edges()) - {(0, 1), (8, 9)} | {(0, 9), (1, 8)}
+    g = Graph(14, sorted(edges))
+    assert is_connected(g) and is_twin_free(g)
+    assert sorted(g.degrees()) == sorted(band_graph(7).degrees())
+    assert recognize_band_graph(g) is None
+    assert classify_extremal(g).outcome == NOT_EXTREMAL
+    assert solve_minimum(g, "identifying").minimum == 9
+
+
+def partitions(total, largest=None):
+    largest = total if largest is None else largest
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first,) + rest
+
+
+def family_members(n_range):
+    """(spec, outcome, factors, star_t) for family members with n in range."""
+    for n in n_range:
+        suffix, outcome = ("+u", JOIN_FAMILY_UNIVERSAL) if n % 2 else ("", JOIN_FAMILY)
+        for ks in partitions(n // 2):
+            yield "join:" + ",".join(map(str, ks)) + suffix, outcome, tuple(sorted(ks)), None
+        yield f"star:{n - 1}", STAR, (), n - 1
+        yield f"KminusM:{n}", outcome, (1,) * (n // 2), None
+
+
+def test_classify_relabeled_family_members_n8_to_12():
+    rng = random.Random(5230)
+    for text, outcome, factors, star_t in family_members(range(8, 13)):
+        g = make_family(parse_spec(text))
+        for _ in range(3):
+            result = classify_extremal(relabel(g, rng))
+            assert (result.outcome, result.factors, result.star_t) == (outcome, factors, star_t)
+            assert result.implied_gamma_id == g.n - 1
+
+
+def test_classify_one_edge_perturbations_against_brute_force():
+    rng = random.Random(12)
+    checked = 0
+    for text, _, _, _ in family_members(range(8, 11)):
+        g = make_family(parse_spec(text))
+        u, v = rng.sample(range(g.n), 2)
+        edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
+        h = relabel(Graph(g.n, edges), rng)
+        if not (is_connected(h) and is_twin_free(h)):
+            continue
+        checked += 1
+        expected = brute.naive_minimum(h, "identifying")[0] == h.n - 1
+        assert classify_extremal(h).is_extremal == expected
+    assert checked >= 10
 
 
 def test_reconstruction_is_isomorphic_to_input():

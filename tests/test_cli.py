@@ -8,7 +8,7 @@ import pytest
 from idcodes import codes, solve
 from idcodes.cli import main
 from idcodes.families import band_graph, cycle_graph, star_graph
-from idcodes.graph import format_edge_list, parse_edge_list, power
+from idcodes.graph import Graph, format_edge_list, parse_edge_list, power
 
 
 @pytest.fixture
@@ -105,6 +105,15 @@ def test_classify_command(run, graph_file):
     assert report["factors"] == [1, 1]
     assert report["implied_gamma_id"] == 3
     assert report["family_spec"] == "join:1,1"
+
+
+def test_classify_command_on_band_impostor(run, graph_file):
+    # band_graph(7) with (0,1),(8,9) swapped for (0,9),(1,8): the degree
+    # sequence of a band graph on 14 vertices, but not a band graph
+    edges = set(band_graph(7).edges()) - {(0, 1), (8, 9)} | {(0, 9), (1, 8)}
+    code, out, err = run("classify", "--graph", graph_file(Graph(14, sorted(edges))))
+    assert code == 0 and err == ""
+    assert json.loads(out)["outcome"] == "not-extremal"
 
 
 def test_bound_command(run, graph_file):
