@@ -7,7 +7,6 @@ from .bound import (
     BoundReport,
     ball_size_limit,
     code_from_independent_set,
-    conjecture_scan,
     constructive_upper_bound,
     greedy_independent_set,
     regular_constructive_bound,

@@ -11,14 +11,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import (
-    Graph,
-    PreconditionError,
-    _ball_mask,
-    _bit_indices,
-    is_connected,
-    power,
-)
+from .graph import Graph, PreconditionError, _ball_mask, _balls, is_connected
+from .solve import _separating_ok
 
 
 @dataclass(frozen=True)
@@ -70,27 +64,21 @@ def ball_size_limit(max_degree: int, radius: int) -> int:
     return total
 
 
-def _twin_free_without(balls: list[int], n: int, y: int) -> bool:
-    clear = ~(1 << y)
-    acc = set()
-    for u in range(n):
-        if u == y:
-            continue
-        s = balls[u] & clear
-        if s in acc:
-            return False
-        acc.add(s)
-    return True
-
-
 def _least_removable(balls: list[int], n: int, ball_of_x: int) -> int | None:
+    """Least y in ``ball_of_x`` whose deletion leaves the balls twin-free.
+
+    Callers pass twin-free balls.  Then the code "all vertices but y"
+    separates exactly when the balls minus y stay distinct, y's own trace
+    included: if B(u) - y = B(y) - y for some u != y, then u lies in B(y),
+    so y lies in B(u) and B(u) = B(y), a twin pair.
+    """
+    full = (1 << n) - 1
     m = ball_of_x
     while m:
         b = m & -m
         m ^= b
-        y = b.bit_length() - 1
-        if _twin_free_without(balls, n, y):
-            return y
+        if _separating_ok(balls, full ^ b):
+            return b.bit_length() - 1
     return None
 
 
@@ -102,7 +90,7 @@ def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     twin-free.
     """
     g._check_vertex(x)
-    balls = [_ball_mask(g._cn, v, radius) for v in range(g.n)]
+    balls = _balls(g._cn, radius)
     if len(set(balls)) != g.n:
         raise PreconditionError(
             f"the radius-{radius} power has twins; no identifying code exists"
@@ -184,7 +172,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
         raise PreconditionError("the pipeline needs at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("the pipeline is defined for connected graphs")
-    balls = [_ball_mask(g._cn, v, radius) for v in range(g.n)]
+    balls = _balls(g._cn, radius)
     if len(set(balls)) != g.n:
         raise PreconditionError(
             f"the radius-{radius} power has twins; no identifying code exists"
@@ -235,9 +223,3 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
         bound = g.n * (1 - Fraction(1, 1 + delta - delta * delta + delta**3))
     return BoundReport("thm15", 1, independent, independent, code, bound)
 
-
-def conjecture_scan(max_n: int, force: bool = False):
-    """Exhaustively test the conjectured ceil(n - n/D) ceiling for D >= 3."""
-    from .scans import scan_conjectured_degree_bound
-
-    return scan_conjectured_degree_bound(max_n, force=force)

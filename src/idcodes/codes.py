@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _ball_mask, _bit_indices
+from .graph import Graph, _ball_mask, _balls, _bit_indices
 
 KINDS = ("dominating", "separating", "identifying", "locating-dominating", "discriminating")
 
@@ -63,34 +63,43 @@ def _check_radius(radius: int) -> None:
         raise ValueError("radius must be >= 1 for code checks")
 
 
-def _balls(g: Graph, radius: int) -> list[int]:
-    if radius == 1:
-        return list(g._cn)
-    return [_ball_mask(g._cn, x, radius) for x in range(g.n)]
+def _certify(
+    kind: str, radius: int, balls: list[int], c: int, dominate: bool, separate: Iterable[int]
+) -> CodeCertificate:
+    """Verdict from the code-restricted balls ``b & c``.
 
-
-def _first_equal_signature_pair(
-    sigs: list[int], vertices: Iterable[int]
-) -> tuple[int, int] | None:
-    """Lexicographically first pair of listed vertices with equal signatures."""
+    With ``dominate`` the least vertex with an empty signature fails first;
+    then the lexicographically first pair among ``separate`` with equal
+    signatures fails.
+    """
+    sigs = [b & c for b in balls]
+    if dominate:
+        for x, s in enumerate(sigs):
+            if not s:
+                return CodeCertificate(kind, radius, False, witness_vertex=x)
     groups: dict[int, list[int]] = {}
-    for v in vertices:
+    for v in separate:
         groups.setdefault(sigs[v], []).append(v)
     best: tuple[int, int] | None = None
     for vs in groups.values():
         if len(vs) > 1 and (best is None or vs[0] < best[0]):
             best = (vs[0], vs[1])
-    return best
+    if best is None:
+        return CodeCertificate(kind, radius, True)
+    return CodeCertificate(
+        kind,
+        radius,
+        False,
+        witness_pair=best,
+        witness_signature=frozenset(_bit_indices(sigs[best[0]])),
+    )
 
 
 def is_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff every radius-r ball meets the code."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    for x, b in enumerate(_balls(g, radius)):
-        if not b & c:
-            return CodeCertificate("dominating", radius, False, witness_vertex=x)
-    return CodeCertificate("dominating", radius, True)
+    return _certify("dominating", radius, _balls(g._cn, radius), c, True, ())
 
 
 def separates(g: Graph, code: Iterable[int], x: int, y: int, radius: int = 1) -> bool:
@@ -108,58 +117,22 @@ def is_separating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertifi
     """Valid iff all vertex pairs get distinct code-restricted balls."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    sigs = [b & c for b in _balls(g, radius)]
-    pair = _first_equal_signature_pair(sigs, range(g.n))
-    if pair is None:
-        return CodeCertificate("separating", radius, True)
-    return CodeCertificate(
-        "separating",
-        radius,
-        False,
-        witness_pair=pair,
-        witness_signature=frozenset(_bit_indices(sigs[pair[0]])),
-    )
+    return _certify("separating", radius, _balls(g._cn, radius), c, False, range(g.n))
 
 
 def is_identifying(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff the code is both r-dominating and r-separating."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    sigs = [b & c for b in _balls(g, radius)]
-    for x, s in enumerate(sigs):
-        if not s:
-            return CodeCertificate("identifying", radius, False, witness_vertex=x)
-    pair = _first_equal_signature_pair(sigs, range(g.n))
-    if pair is None:
-        return CodeCertificate("identifying", radius, True)
-    return CodeCertificate(
-        "identifying",
-        radius,
-        False,
-        witness_pair=pair,
-        witness_signature=frozenset(_bit_indices(sigs[pair[0]])),
-    )
+    return _certify("identifying", radius, _balls(g._cn, radius), c, True, range(g.n))
 
 
 def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff the code dominates and separates all pairs outside the code."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    sigs = [b & c for b in _balls(g, radius)]
-    for x, s in enumerate(sigs):
-        if not s:
-            return CodeCertificate("locating-dominating", radius, False, witness_vertex=x)
     outside = [v for v in range(g.n) if not c >> v & 1]
-    pair = _first_equal_signature_pair(sigs, outside)
-    if pair is None:
-        return CodeCertificate("locating-dominating", radius, True)
-    return CodeCertificate(
-        "locating-dominating",
-        radius,
-        False,
-        witness_pair=pair,
-        witness_signature=frozenset(_bit_indices(sigs[pair[0]])),
-    )
+    return _certify("locating-dominating", radius, _balls(g._cn, radius), c, True, outside)
 
 
 def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> CodeCertificate:
@@ -193,12 +166,6 @@ class BipartiteMembershipGraph:
     def n(self) -> int:
         return len(self.balls)
 
-    def i_side(self) -> range:
-        return range(self.n)
-
-    def a_side(self) -> range:
-        return range(self.n)
-
 
 def membership_graph(g: Graph) -> BipartiteMembershipGraph:
     return BipartiteMembershipGraph(
@@ -214,22 +181,18 @@ def is_discriminating(
     ``chosen`` lists ball-node labels.  The witness signature, when present,
     holds ball-node labels rather than source vertices.
     """
-    picked = sorted(set(chosen))
-    for v in picked:
-        if not (0 <= v < bg.n):
-            raise ValueError(f"invalid ball node {v}: range is 0..{bg.n - 1}")
-    sigs: list[frozenset[int]] = [
-        frozenset(v for v in picked if u in bg.balls[v]) for u in range(bg.n)
-    ]
-    groups: dict[frozenset[int], list[int]] = {}
-    for u, s in enumerate(sigs):
-        groups.setdefault(s, []).append(u)
-    best: tuple[int, int] | None = None
-    for us in groups.values():
-        if len(us) > 1 and (best is None or us[0] < best[0]):
-            best = (us[0], us[1])
-    if best is None:
-        return CodeCertificate("discriminating", 1, True)
-    return CodeCertificate(
-        "discriminating", 1, False, witness_pair=best, witness_signature=sigs[best[0]]
-    )
+    n = bg.n
+    c = 0
+    for v in sorted(set(chosen)):
+        if not (0 <= v < n):
+            raise ValueError(f"invalid ball node {v}: range is 0..{n - 1}")
+        c |= 1 << v
+    # ball nodes holding each source vertex, as masks over ball-node labels;
+    # entries outside 0..n-1 name no source vertex
+    holders = [0] * n
+    for v, ball in enumerate(bg.balls):
+        bit = 1 << v
+        for u in ball:
+            if 0 <= u < n:
+                holders[u] |= bit
+    return _certify("discriminating", 1, holders, c, False, range(n))

@@ -12,6 +12,7 @@ import itertools
 from typing import Callable, Iterable, Iterator
 
 ENUMERATION_CAP = 7
+INPUT_VERTEX_CAP = 16384
 CANONICAL_CAP = 8
 ISOMORPHISM_CAP = 12
 
@@ -147,6 +148,13 @@ def _ball_mask(cn: tuple[int, ...] | list[int], x: int, r: int) -> int:
     return seen
 
 
+def _balls(cn: tuple[int, ...] | list[int], r: int) -> list[int]:
+    """Closed radius-r ball masks of every vertex."""
+    if r == 1:
+        return list(cn)
+    return [_ball_mask(cn, x, r) for x in range(len(cn))]
+
+
 def closed_ball(g: Graph, x: int, r: int) -> frozenset[int]:
     """Vertices at distance at most r from x; always contains x.
 
@@ -175,7 +183,7 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError("radius must be >= 1")
     if r == 1:
         return g
-    nbr = tuple(_ball_mask(g._cn, x, r) ^ (1 << x) for x in range(g.n))
+    nbr = tuple(b ^ (1 << x) for x, b in enumerate(_balls(g._cn, r)))
     return Graph._from_masks(g.n, nbr)
 
 
@@ -472,7 +480,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the text edge-list format.
 
     First data line is "n m", followed by m lines "u v" with 0-based
-    endpoints; '#' starts a comment, blank lines are skipped.
+    endpoints; '#' starts a comment, blank lines are skipped.  A header n
+    above ``INPUT_VERTEX_CAP`` is rejected before anything is allocated.
     """
     tokens: list[int] = []
     for line in text.splitlines():
@@ -487,6 +496,8 @@ def parse_edge_list(text: str) -> Graph:
     if len(tokens) < 2:
         raise ValueError("edge list must start with a header line 'n m'")
     n, m = tokens[0], tokens[1]
+    if n > INPUT_VERTEX_CAP:
+        raise ValueError(f"edge list declares {n} vertices; the limit is {INPUT_VERTEX_CAP}")
     rest = tokens[2:]
     if len(rest) != 2 * m:
         raise ValueError(f"expected {2 * m} endpoint numbers after the header, got {len(rest)}")

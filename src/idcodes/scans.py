@@ -17,6 +17,7 @@ from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, classify_extremal
 from .graph import Graph, _iter_closed_masks, _pairs, _reach
+from .solve import _identifying_ok, _locating_dominating_ok
 
 DEFAULT_CAPS = {
     "thm12": 7,
@@ -97,37 +98,6 @@ def _combo_masks(n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# Signature-distinctness kernels using an integer as the set of seen
-# signatures (valid because signatures are < 2^n with n small here).
-
-
-def _id_ok_small(balls: list[int], c: int) -> bool:
-    acc = 0
-    for b in balls:
-        s = b & c
-        if not s:
-            return False
-        sb = 1 << s
-        if acc & sb:
-            return False
-        acc |= sb
-    return True
-
-
-def _ld_ok_small(balls: list[int], c: int) -> bool:
-    acc = 0
-    for v, b in enumerate(balls):
-        s = b & c
-        if not s:
-            return False
-        if not c >> v & 1:
-            sb = 1 << s
-            if acc & sb:
-                return False
-            acc |= sb
-    return True
-
-
 def _gamma_id_level(cn: list[int], missing_two: list[int], missing_one: list[int]) -> int:
     """-1: a code misses two vertices; 0: exactly one; 1: none (needs all).
 
@@ -135,10 +105,10 @@ def _gamma_id_level(cn: list[int], missing_two: list[int], missing_one: list[int
     sizes sufficient to place the minimum relative to n - 1.
     """
     for c in missing_two:
-        if _id_ok_small(cn, c):
+        if _identifying_ok(cn, c):
             return -1
     for c in missing_one:
-        if _id_ok_small(cn, c):
+        if _identifying_ok(cn, c):
             return 0
     return 1
 
@@ -154,7 +124,7 @@ def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanRep
     for n in range(2, max_n + 1):
         pairs = _pairs(n)
         full = (1 << n) - 1
-        missing_two = [full ^ m for m in _combo_masks(n, 2)] if n >= 2 else []
+        missing_two = [full ^ m for m in _combo_masks(n, 2)]
         missing_one = [full ^ (1 << x) for x in range(n)]
         checked = extremal_count = 0
         for emask, cn in _iter_closed_masks(n):
@@ -204,7 +174,7 @@ def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:
             if max(b.bit_count() for b in cn) - 1 > n - 3:
                 continue
             report.graphs_checked += 1
-            if not any(_id_ok_small(cn, c) for c in missing_two):
+            if not any(_identifying_ok(cn, c) for c in missing_two):
                 report.counterexamples.append(
                     _entry(n, emask, pairs, max_degree=max(b.bit_count() for b in cn) - 1)
                 )
@@ -265,6 +235,8 @@ def scan_removable_vertex(
                     if len(set(balls)) != n:
                         continue
                 else:
+                    # built inline rather than by graph._balls: the loop stops
+                    # at the first repeated ball, and most squares repeat one
                     balls = []
                     distinct = True
                     seen = set()
@@ -312,10 +284,9 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
             if len(set(cn)) != n:
                 continue
             report.graphs_checked += 1
-            balls = list(cn)
-            forced = solve._forced_mask(balls, n)
-            gamma_s, _, _ = solve._search_minimum(balls, n, "separating", forced)
-            gamma_id, _, _ = solve._search_minimum(balls, n, "identifying", forced)
+            forced = solve._forced_mask(cn, n)
+            gamma_s, _, _ = solve._search_minimum(cn, n, "separating", forced)
+            gamma_id, _, _ = solve._search_minimum(cn, n, "identifying", forced)
             if not (gamma_s <= gamma_id <= gamma_s + 1):
                 report.counterexamples.append(
                     _entry(n, emask, pairs, reason="chain", gamma_s=gamma_s, gamma_id=gamma_id)
@@ -358,8 +329,8 @@ def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
             if not _connected_masks(cn, n, full):
                 continue
             report.graphs_checked += 1
-            has_small = any(_ld_ok_small(cn, c) for c in size_nm2)
-            extremal = not has_small and any(_ld_ok_small(cn, c) for c in size_nm1)
+            has_small = any(_locating_dominating_ok(cn, c) for c in size_nm2)
+            extremal = not has_small and any(_locating_dominating_ok(cn, c) for c in size_nm1)
             degrees = sorted(b.bit_count() - 1 for b in cn)
             is_complete = degrees[0] == n - 1
             is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
@@ -389,10 +360,8 @@ def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanRe
                 continue
             report.graphs_checked += 1
             target = n - n // delta  # = ceil(n - n/D) since n is an integer
-            if not any(_id_ok_small(cn, c) for c in _combo_masks(n, target)):
-                exact, _, _ = solve._search_minimum(
-                    list(cn), n, "identifying", solve._forced_mask(list(cn), n)
-                )
+            if not any(_identifying_ok(cn, c) for c in _combo_masks(n, target)):
+                exact, _, _ = solve._search_minimum(cn, n, "identifying", solve._forced_mask(cn, n))
                 report.counterexamples.append(
                     _entry(n, emask, pairs, max_degree=delta, bound=target, gamma_id=exact)
                 )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, TwinsError, _ball_mask, _bit_indices, induced_subgraph
+from .graph import Graph, PreconditionError, TwinsError, _balls, _bit_indices, induced_subgraph
 
 SOLVE_VERTEX_CAP = 24
 
@@ -42,8 +42,9 @@ class SolveReport:
 
 
 # -- validity kernels over ball-mask lists -------------------------------
-# These mirror the checks in ``codes`` but work on raw masks; the two
-# implementations are cross-tested against each other.
+# The package's one kernel family: the solver, the scans and the bound
+# pipelines all call these.  They mirror the certifying checks in ``codes``
+# but work on raw masks; the two implementations are cross-tested.
 
 
 def _identifying_ok(balls: list[int], c: int) -> bool:
@@ -97,9 +98,7 @@ _CHECKS = {
 def _radius_balls(g: Graph, radius: int) -> list[int]:
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    if radius == 1:
-        return list(g._cn)
-    return [_ball_mask(g._cn, x, radius) for x in range(g.n)]
+    return _balls(g._cn, radius)
 
 
 def _twin_pair_of(balls: list[int]) -> tuple[int, int] | None:

@@ -65,6 +65,19 @@ def test_removable_vertex_is_least_valid_choice():
                     assert ok
                     break
                 assert not ok
+    # radius 2: the returned vertex is the least one of the radius-2 ball
+    # whose deletion from the square leaves it twin-free
+    checked = 0
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, predicate=lambda h: is_twin_free(power(h, 2))):
+            square = power(g, 2)
+            for x in range(g.n):
+                expected = min(
+                    y for y in closed_ball(g, x, 2) if is_twin_free(delete_vertex(square, y)[0])
+                )
+                assert removable_vertex_in_ball(g, x, 2) == expected
+                checked += 1
+    assert checked > 0
 
 
 def test_removable_vertex_totality_small():

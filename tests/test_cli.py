@@ -163,6 +163,20 @@ def test_exit_status_usage(run, tmp_path):
     assert code == 2
 
 
+def test_solve_rejects_huge_vertex_header(run, tmp_path, monkeypatch):
+    import idcodes.graph
+
+    def refuse(n, edges=()):
+        raise AssertionError(f"Graph({n}, ...) was built from a header above the cap")
+
+    monkeypatch.setattr(idcodes.graph, "Graph", refuse)
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000 0\n")
+    code, out, err = run("solve", "--graph", str(path), "--kind", "identifying")
+    assert code == 2 and out == ""
+    assert "limit is 16384" in err and "Traceback" not in err
+
+
 def test_exit_status_precondition_on_twins(run, graph_file):
     from idcodes.families import complete_graph
 

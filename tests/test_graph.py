@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 import brute
+from idcodes import graph
 from idcodes.families import (
     band5_square_root,
     band_graph,
@@ -16,6 +17,7 @@ from idcodes.families import (
     star_graph,
 )
 from idcodes.graph import (
+    INPUT_VERTEX_CAP,
     Graph,
     ball_symmetric_difference,
     canonical_form,
@@ -300,6 +302,23 @@ def test_edge_list_parsing_details():
         parse_edge_list("3 1\n0 x\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
+
+
+def _refuse_graph(n, edges=()):
+    raise AssertionError(f"Graph({n}, ...) was built from a header above the cap")
+
+
+def test_edge_list_header_above_vertex_cap_is_rejected_before_allocating(monkeypatch):
+    monkeypatch.setattr(graph, "Graph", _refuse_graph)
+    with pytest.raises(ValueError, match="limit is 16384"):
+        parse_edge_list("1000000000 0")
+    with pytest.raises(ValueError):
+        parse_edge_list(f"{INPUT_VERTEX_CAP + 1} 0")
+
+
+def test_edge_list_header_at_vertex_cap_is_accepted():
+    g = parse_edge_list(f"{INPUT_VERTEX_CAP} 1\n0 {INPUT_VERTEX_CAP - 1}\n")
+    assert g.n == INPUT_VERTEX_CAP and g.edges() == [(0, INPUT_VERTEX_CAP - 1)]
 
 
 def test_format_edge_list_sorted_header():

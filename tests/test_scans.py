@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from idcodes import codes, scans
-from idcodes.graph import Graph
+from idcodes import codes, solve
+from idcodes.graph import Graph, _balls
 from idcodes.scans import (
     ScanReport,
     scan_conjectured_degree_bound,
@@ -21,15 +21,19 @@ from idcodes.scans import (
 
 
 def test_kernels_agree_with_certified_checkers():
+    # every solve kernel, which the scans and the bound pipelines call,
+    # against the certifying checker of the same kind
     rng = random.Random(31)
     for _ in range(80):
         n = rng.randrange(1, 8)
         g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
-        balls = list(g._cn)
-        c = rng.randrange(1 << n)
-        subset = [v for v in range(n) if c >> v & 1]
-        assert scans._id_ok_small(balls, c) == codes.is_identifying(g, subset).valid
-        assert scans._ld_ok_small(balls, c) == codes.is_locating_dominating(g, subset).valid
+        for radius in (1, 2):
+            balls = _balls(g._cn, radius)
+            for _ in range(4):
+                c = rng.randrange(1 << n)
+                subset = [v for v in range(n) if c >> v & 1]
+                for kind, ok in solve._CHECKS.items():
+                    assert ok(balls, c) == codes.check_code(g, subset, kind, radius).valid
 
 
 def test_extremal_scan_small():
@@ -75,10 +79,6 @@ def test_locating_dominating_scan_small():
 
 def test_conjecture_scan_small():
     assert scan_conjectured_degree_bound(5).ok
-    # the bound-module entry point delegates to the same scan
-    from idcodes.bound import conjecture_scan
-
-    assert conjecture_scan(4).ok
 
 
 def test_scan_caps_enforced():
