@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .graph import Graph, join
+from .graph import INPUT_VERTEX_CAP, Graph, join
 
 VARIANTS = ("A", "star", "join", "join+u", "KminusM")
 
@@ -22,6 +22,8 @@ class FamilySpec:
       join:<k1>,...    join of band graphs of the listed orders
       join:<...>+u     the same plus one universal vertex (variant "join+u")
       KminusM:<n>      complete graph minus a maximal matching
+
+    A member with more than ``graph.INPUT_VERTEX_CAP`` vertices is rejected.
     """
 
     variant: str
@@ -34,15 +36,22 @@ class FamilySpec:
         if self.variant == "A":
             if len(p) != 1 or p[0] < 1:
                 raise ValueError("band graph order must be a single integer >= 1")
+            order = 2 * p[0]
         elif self.variant == "star":
             if len(p) != 1 or p[0] < 2:
                 raise ValueError("star leaf count must be a single integer >= 2")
+            order = p[0] + 1
         elif self.variant in ("join", "join+u"):
             if not p or any(k < 1 for k in p):
                 raise ValueError("join factor list must be non-empty with entries >= 1")
-        elif self.variant == "KminusM":
+            order = 2 * sum(p) + (self.variant == "join+u")
+        else:
             if len(p) != 1 or p[0] < 2:
                 raise ValueError("complete-minus-matching order must be >= 2")
+            order = p[0]
+        # checked before any graph is built, like an edge-list header
+        if order > INPUT_VERTEX_CAP:
+            raise ValueError(f"family member has {order} vertices; the limit is {INPUT_VERTEX_CAP}")
 
     def spec_string(self) -> str:
         if self.variant == "join":

@@ -1,11 +1,11 @@
-"""Exact minimum solvers for every code kind, with forced-vertex pruning,
-enumeration of all minimum separating sets, and the incremental code
-extension procedure for vertex additions."""
+"""Exact minimum solvers for every code kind as a pruned hitting-set
+search with forced-vertex pruning, enumeration of all minimum separating
+sets, and the incremental code extension procedure for vertex additions."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable
 
 from . import codes
@@ -20,7 +20,11 @@ class SolveReport:
 
     ``example_code`` is the lexicographically least valid set of minimum
     size (guaranteed by the fixed search order); ``forced`` lies inside
-    every valid set of this kind; ``explored`` counts candidate sets tested.
+    every valid set of this kind; ``explored`` is the number of candidates
+    the ascending-size lexicographic order over supersets of ``forced``,
+    starting at the counting lower bound, reaches up to and including the
+    answer.  It is computed from the answer's rank, not from the nodes the
+    pruned search visits.
     """
 
     kind: str
@@ -157,24 +161,136 @@ def _lower_bound(kind: str, balls: list[int], n: int) -> int:
     return -(-n // delta)
 
 
+def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
+    """The hitting-set form of ``kind``: a set containing ``forced`` is a
+    valid code exactly when it meets every returned mask.
+
+    Dominating sets meet every ball B(x), separating sets every
+    B(x) Δ B(y), identifying codes both, and locating-dominating sets every
+    ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
+    distinct signatures).  Masks already met by ``forced`` are dropped, and
+    so is every mask containing another one, which meeting the smaller one
+    meets too.  Smallest masks first.
+    """
+    cons = set()
+    if kind != "separating":
+        cons.update(balls)
+    if kind != "dominating":
+        ld = kind == "locating-dominating"
+        for x in range(n):
+            bx = balls[x]
+            for y in range(x + 1, n):
+                d = bx ^ balls[y]
+                cons.add(d | 1 << x | 1 << y if ld else d)
+    minimal: list[int] = []
+    for c in sorted(cons, key=int.bit_count):
+        if c & forced:
+            continue
+        for m in minimal:
+            if not m & ~c:
+                break
+        else:
+            minimal.append(c)
+    return minimal
+
+
+def _hitting_sets(cons: list[int], free: int, forced: int, k: int, first_only: bool) -> list[int]:
+    """``forced`` plus each k-subset of ``free`` that meets every mask in
+    ``cons``, in lexicographic order; only the first when ``first_only``.
+
+    Depth-first over the free vertices in increasing order.  A node is cut
+    when an unmet mask has no vertex left in the suffix, or when a greedy
+    packing of pairwise disjoint unmet masks, restricted to the suffix,
+    outnumbers the remaining budget.  The next vertex never passes the
+    highest suffix vertex of any unmet mask, and the last one lies in all
+    of them.  Each cut removes only subtrees without a valid set, so the
+    leaves come out in the order the plain combination enumeration would
+    test them.
+    """
+    found: list[int] = []
+
+    def visit(chosen: int, unhit: list[int], suffix: int, k: int) -> bool:
+        if k == 0:
+            if unhit:
+                return False
+            found.append(chosen)
+            return first_only
+        if k == 1:  # the last vertex must lie in every unmet mask
+            last = suffix
+            for c in unhit:
+                last &= c
+            while last:
+                low = last & -last
+                found.append(chosen | low)
+                if first_only:
+                    return True
+                last ^= low
+            return False
+        cap = suffix
+        used = packed = 0
+        for c in unhit:
+            r = c & suffix
+            if not r:
+                return False
+            if not r & used:
+                used |= r
+                packed += 1
+                if packed > k:
+                    return False
+            cap &= (1 << r.bit_length()) - 1
+        while cap:
+            low = cap & -cap
+            rest = suffix & -(low << 1)
+            if rest.bit_count() < k - 1:
+                break
+            if visit(chosen | low, [c for c in unhit if not c & low], rest, k - 1):
+                return True
+            cap ^= low
+        return False
+
+    visit(forced, cons, free, k)
+    return found
+
+
+def _minimum_hitting_sets(
+    balls: list[int], n: int, kind: str, forced: int, first_only: bool
+) -> tuple[int, int, list[int]]:
+    """Smallest size from the lower bound up at which a valid code exists;
+    returns (first size tried, that size, the valid codes of that size)."""
+    cons = _constraints(balls, n, kind, forced)
+    free = ((1 << n) - 1) & ~forced
+    base = forced.bit_count()
+    start = max(base, _lower_bound(kind, balls, n))
+    for size in range(start, n + 1):
+        found = _hitting_sets(cons, free, forced, size - base, first_only)
+        if found:
+            return start, size, found
+    raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
+
+
+def _combination_rank(positions: list[int], f: int) -> int:
+    """Index of the increasing tuple ``positions`` in
+    ``itertools.combinations(range(f), len(positions))``: the tuples after
+    it, counted from the combinadic, subtracted from the last index."""
+    m = len(positions)
+    return comb(f, m) - 1 - sum(comb(f - 1 - p, m - i) for i, p in enumerate(positions))
+
+
 def _search_minimum(
     balls: list[int], n: int, kind: str, forced: int
 ) -> tuple[int, int, int]:
-    """Ascending-size lexicographic search; returns (size, mask, explored)."""
-    check = _CHECKS[kind]
+    """Lexicographically least minimum code; returns (size, mask, explored).
+
+    ``explored`` is the number of supersets of ``forced`` that the ascending
+    size, lexicographic enumeration from the lower bound tests up to and
+    including the answer, computed from the answer's rank.
+    """
+    start, size, (mask,) = _minimum_hitting_sets(balls, n, kind, forced, True)
     free = [v for v in range(n) if not forced >> v & 1]
-    base = forced.bit_count()
-    explored = 0
-    start = max(base, _lower_bound(kind, balls, n))
-    for size in range(start, n + 1):
-        for combo in itertools.combinations(free, size - base):
-            c = forced
-            for v in combo:
-                c |= 1 << v
-            explored += 1
-            if check(balls, c):
-                return size, c, explored
-    raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
+    base = n - len(free)
+    positions = [i for i, v in enumerate(free) if mask >> v & 1]
+    skipped = sum(comb(len(free), s - base) for s in range(start, size))
+    return size, mask, skipped + _combination_rank(positions, len(free)) + 1
 
 
 def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
@@ -236,17 +352,8 @@ def enumerate_minimum_separating_sets(g: Graph, radius: int = 1) -> list[frozens
     balls, forced = _prepare(g, "separating", radius)
     if g.n == 0:
         return [frozenset()]
-    size, _, _ = _search_minimum(balls, g.n, "separating", forced)
-    free = [v for v in range(g.n) if not forced >> v & 1]
-    base = forced.bit_count()
-    out = []
-    for combo in itertools.combinations(free, size - base):
-        c = forced
-        for v in combo:
-            c |= 1 << v
-        if _separating_ok(balls, c):
-            out.append(frozenset(_bit_indices(c)))
-    return sorted(out, key=sorted)
+    _, _, found = _minimum_hitting_sets(balls, g.n, "separating", forced, False)
+    return [frozenset(_bit_indices(c)) for c in found]
 
 
 # -- incremental code extension ------------------------------------------

@@ -39,26 +39,32 @@ def naive_signatures(g, code, r: int) -> list[frozenset[int]]:
     return [frozenset(naive_ball(g, x, r) & cset) for x in range(g.n)]
 
 
+def signatures_ok(kind: str, sigs, code) -> bool:
+    """Validity of ``code`` of the given kind from its per-vertex signatures."""
+    if kind != "separating" and not all(sigs):
+        return False
+    if kind == "dominating":
+        return True
+    if kind == "locating-dominating":
+        cset = set(code)
+        sigs = [s for v, s in enumerate(sigs) if v not in cset]
+    return len(set(sigs)) == len(sigs)
+
+
 def naive_is_dominating(g, code, r: int = 1) -> bool:
-    return all(sig for sig in naive_signatures(g, code, r))
+    return signatures_ok("dominating", naive_signatures(g, code, r), code)
 
 
 def naive_is_separating(g, code, r: int = 1) -> bool:
-    sigs = naive_signatures(g, code, r)
-    return len(set(sigs)) == g.n
+    return signatures_ok("separating", naive_signatures(g, code, r), code)
 
 
 def naive_is_identifying(g, code, r: int = 1) -> bool:
-    sigs = naive_signatures(g, code, r)
-    return all(sigs) and len(set(sigs)) == g.n
+    return signatures_ok("identifying", naive_signatures(g, code, r), code)
 
 
 def naive_is_locating_dominating(g, code, r: int = 1) -> bool:
-    sigs = naive_signatures(g, code, r)
-    if not all(sigs):
-        return False
-    outside = [sigs[v] for v in range(g.n) if v not in set(code)]
-    return len(set(outside)) == len(outside)
+    return signatures_ok("locating-dominating", naive_signatures(g, code, r), code)
 
 
 CHECKS = {
@@ -92,6 +98,56 @@ def naive_all_minimum(g, kind: str, r: int = 1) -> list[set[int]]:
         for combo in itertools.combinations(range(g.n), size)
         if CHECKS[kind](g, combo, r)
     ]
+
+
+def _lower_bound(kind: str, balls: list[set[int]], n: int) -> int:
+    """The solver's counting lower bound, where its search starts."""
+    if kind == "dominating":
+        return -(-n // max(len(b) for b in balls))
+    k = 0
+    while True:
+        if kind == "identifying" and 2**k - 1 >= n:
+            return k
+        if kind == "separating" and 2**k >= n:
+            return k
+        if kind == "locating-dominating" and 2**k - 1 >= n - k:
+            return k
+        k += 1
+
+
+def ascending_search(g, kind: str, r: int = 1):
+    """The exact solver's former search, kept as the reference for its
+    answers and its ``explored`` count.
+
+    Tests every superset of the forced vertices (the single-vertex ball
+    differences, for separating and identifying kinds) in ascending size
+    from the counting lower bound, each size in lexicographic order.
+    Returns (size, least code of that size, candidates tested up to and
+    including it, every valid code of that size in order), or None when
+    no code exists (twins present).  Needs n >= 1.
+    """
+    n = g.n
+    balls = [naive_ball(g, x, r) for x in range(n)]
+    forced: set[int] = set()
+    if kind in ("separating", "identifying"):
+        for x, y in itertools.combinations(range(n), 2):
+            diff = balls[x] ^ balls[y]
+            if len(diff) == 1:
+                forced |= diff
+    free = [v for v in range(n) if v not in forced]
+    start = max(len(forced), _lower_bound(kind, balls, n))
+    explored = 0
+    for size in range(start, n + 1):
+        valid = []
+        for combo in itertools.combinations(free, size - len(forced)):
+            code = forced | set(combo)
+            if signatures_ok(kind, [frozenset(b & code) for b in balls], code):
+                valid.append(code)
+            elif not valid:
+                explored += 1
+        if valid:
+            return size, valid[0], explored + 1, valid
+    return None
 
 
 def naive_twin_pairs(g) -> list[tuple[int, int]]:

@@ -177,6 +177,20 @@ def test_solve_rejects_huge_vertex_header(run, tmp_path, monkeypatch):
     assert "limit is 16384" in err and "Traceback" not in err
 
 
+def test_generate_rejects_family_above_vertex_cap(run, monkeypatch):
+    import idcodes.families
+    import idcodes.graph
+
+    def refuse(n, edges=()):
+        raise AssertionError(f"Graph({n}, ...) was built for a family above the cap")
+
+    monkeypatch.setattr(idcodes.graph, "Graph", refuse)
+    monkeypatch.setattr(idcodes.families, "Graph", refuse)
+    code, out, err = run("generate", "--family", "star:100000000")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "limit is 16384" in err and "Traceback" not in err
+
+
 def test_exit_status_precondition_on_twins(run, graph_file):
     from idcodes.families import complete_graph
 

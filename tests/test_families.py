@@ -96,6 +96,23 @@ def test_family_spec_validation_and_round_trip():
         FamilySpec("KminusM", (1,))
 
 
+def test_family_spec_above_vertex_cap_is_rejected_before_building(monkeypatch):
+    import idcodes.families
+    import idcodes.graph
+
+    def refuse(n, edges=()):
+        raise AssertionError(f"Graph({n}, ...) was built for a family spec")
+
+    monkeypatch.setattr(idcodes.graph, "Graph", refuse)
+    monkeypatch.setattr(idcodes.families, "Graph", refuse)
+    # one vertex over the cap in each variant: 2k, t + 1, 2 * sum, 2 * sum + 1, n
+    for text in ["A:8193", "star:16384", "join:4096,4097", "join:8192+u", "KminusM:16385", "star:100000000"]:
+        with pytest.raises(ValueError, match="the limit is 16384"):
+            parse_family_spec(text)
+    for text in ["A:8192", "star:16383", "join:4096,4096", "join:4095,4096+u", "KminusM:16384"]:
+        parse_family_spec(text)
+
+
 def test_square_root_fixture():
     fix = band5_square_root()
     assert fix.n == 10

@@ -1,5 +1,7 @@
 """Exact solvers: frozen minima, forced-vertex pruning, full agreement with
-the naive all-subsets oracle, minimum-set enumeration and code extension."""
+the naive all-subsets oracle and the ascending-combination oracle (answers
+and ``explored`` counts), pinned counts beyond the oracles' range,
+minimum-set enumeration and code extension."""
 
 import itertools
 import random
@@ -30,6 +32,7 @@ from idcodes.graph import (
     twin_pairs,
 )
 from idcodes.solve import (
+    _combination_rank,
     enumerate_minimum_separating_sets,
     extend_code,
     forced_vertices,
@@ -120,6 +123,93 @@ def test_solver_matches_oracle_on_random_5_and_6_vertex_graphs():
                     solve_minimum(g, kind)
             else:
                 assert solve_minimum(g, kind).minimum == expected[0]
+
+
+KINDS = ("dominating", "separating", "identifying", "locating-dominating")
+
+
+def _random_graphs(seed: int, count: int, max_n: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+
+
+def test_search_matches_ascending_oracle_on_random_graphs():
+    # same size, same lexicographically least code, same explored count
+    for g in _random_graphs(404, 90, 12):
+        for r in (1, 2):
+            for kind in KINDS:
+                expected = brute.ascending_search(g, kind, r)
+                if expected is None:
+                    with pytest.raises(TwinsError):
+                        solve_minimum(g, kind, r)
+                    continue
+                report = solve_minimum(g, kind, r)
+                got = (report.minimum, set(report.example_code), report.explored)
+                assert got == expected[:3], (g, kind, r)
+
+
+def test_enumerate_minimum_sets_matches_ascending_oracle():
+    for g in _random_graphs(405, 60, 12):
+        for r in (1, 2):
+            expected = brute.ascending_search(g, "separating", r)
+            if expected is None:
+                continue
+            assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+
+
+def test_combination_rank_is_the_index_in_combinations_order():
+    for f in range(11):
+        for m in range(f + 1):
+            for index, combo in enumerate(itertools.combinations(range(f), m)):
+                assert _combination_rank(list(combo), f) == index
+
+
+def _seeded_connected_twin_free_gnp(n: int, p: float, seed: int) -> Graph:
+    rng = random.Random(seed)
+    while True:
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        if is_connected(g) and is_twin_free(g):
+            return g
+
+
+# (kind, graph, edges, minimum, example code, explored), recorded with the
+# ascending-combination search; C20 took it about 1 s and C24 about 15 s
+PINNED_EXPLORED = [
+    ("identifying", lambda: cycle_graph(16), 16, 8, list(range(0, 16, 2)), 27_898),
+    ("identifying", lambda: cycle_graph(18), 18, 9, list(range(0, 18, 2)), 118_236),
+    ("identifying", lambda: cycle_graph(20), 20, 10, list(range(0, 20, 2)), 484_994),
+    ("identifying", lambda: cycle_graph(24), 24, 12, list(range(0, 24, 2)), 7_897_465),
+    (
+        "separating",
+        lambda: _seeded_connected_twin_free_gnp(22, 0.25, 22),
+        58,
+        7,
+        [0, 1, 3, 6, 7, 8, 11],
+        106_066,
+    ),
+    ("locating-dominating", lambda: cycle_graph(20), 20, 8, [0, 2, 5, 7, 10, 12, 15, 17], 158_760),
+    (
+        "locating-dominating",
+        lambda: _seeded_connected_twin_free_gnp(18, 0.2, 18),
+        30,
+        6,
+        [1, 4, 6, 9, 12, 15],
+        20_499,
+    ),
+]
+
+
+@pytest.mark.parametrize("kind, build, edges, minimum, code, explored", PINNED_EXPLORED)
+def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum, code, explored):
+    g = build()
+    assert g.edge_count == edges
+    report = solve_minimum(g, kind)
+    assert report.minimum == minimum
+    assert sorted(report.example_code) == code
+    assert report.explored == explored
 
 
 def test_radius_two_solving():
