@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, _ball_mask, _balls, is_connected
+from .graph import Graph, PreconditionError, _balls, _reach, is_connected
 from .solve import _separating_ok
 
 
@@ -110,7 +110,7 @@ def greedy_independent_set(g: Graph, min_distance: int) -> frozenset[int]:
     for v in range(g.n):
         if not forbidden >> v & 1:
             chosen.append(v)
-            forbidden |= _ball_mask(g._cn, v, min_distance - 1)
+            forbidden |= _reach(g._cn, 1 << v, radius=min_distance - 1)
     return frozenset(chosen)
 
 
@@ -129,7 +129,7 @@ def code_from_independent_set(
         g._check_vertex(v)
     spread = 3 * radius + 1
     for i, u in enumerate(members):
-        reach = _ball_mask(g._cn, u, spread - 1)
+        reach = _reach(g._cn, 1 << u, radius=spread - 1)
         for v in members[i + 1 :]:
             if reach >> v & 1:
                 raise PreconditionError(

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _ball_mask, _balls, _bit_indices
+from .graph import Graph, _balls, _bit_indices, _reach
 
 KINDS = ("dominating", "separating", "identifying", "locating-dominating", "discriminating")
 
@@ -110,7 +110,8 @@ def separates(g: Graph, code: Iterable[int], x: int, y: int, radius: int = 1) ->
     g._check_vertex(x)
     g._check_vertex(y)
     c = _code_mask(g, code)
-    return (_ball_mask(g._cn, x, radius) & c) != (_ball_mask(g._cn, y, radius) & c)
+    cn = g._cn
+    return (_reach(cn, 1 << x, radius=radius) & c) != (_reach(cn, 1 << y, radius=radius) & c)
 
 
 def is_separating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:

@@ -22,8 +22,6 @@ class FamilySpec:
       join:<k1>,...    join of band graphs of the listed orders
       join:<...>+u     the same plus one universal vertex (variant "join+u")
       KminusM:<n>      complete graph minus a maximal matching
-
-    A member with more than ``graph.INPUT_VERTEX_CAP`` vertices is rejected.
     """
 
     variant: str
@@ -36,22 +34,25 @@ class FamilySpec:
         if self.variant == "A":
             if len(p) != 1 or p[0] < 1:
                 raise ValueError("band graph order must be a single integer >= 1")
-            order = 2 * p[0]
         elif self.variant == "star":
             if len(p) != 1 or p[0] < 2:
                 raise ValueError("star leaf count must be a single integer >= 2")
-            order = p[0] + 1
         elif self.variant in ("join", "join+u"):
             if not p or any(k < 1 for k in p):
                 raise ValueError("join factor list must be non-empty with entries >= 1")
-            order = 2 * sum(p) + (self.variant == "join+u")
-        else:
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("complete-minus-matching order must be >= 2")
-            order = p[0]
-        # checked before any graph is built, like an edge-list header
-        if order > INPUT_VERTEX_CAP:
-            raise ValueError(f"family member has {order} vertices; the limit is {INPUT_VERTEX_CAP}")
+        elif len(p) != 1 or p[0] < 2:
+            raise ValueError("complete-minus-matching order must be >= 2")
+
+    @property
+    def order(self) -> int:
+        """Vertex count of the member, known without building it."""
+        if self.variant == "A":
+            return 2 * self.params[0]
+        if self.variant == "star":
+            return self.params[0] + 1
+        if self.variant in ("join", "join+u"):
+            return 2 * sum(self.params) + (self.variant == "join+u")
+        return self.params[0]
 
     def spec_string(self) -> str:
         if self.variant == "join":
@@ -62,20 +63,27 @@ class FamilySpec:
 
 
 def parse_family_spec(text: str) -> FamilySpec:
-    """Parse the CLI mini-grammar, e.g. 'A:3', 'star:4', 'join:1,2+u', 'KminusM:6'."""
+    """Parse the CLI mini-grammar, e.g. 'A:3', 'star:4', 'join:1,2+u', 'KminusM:6'.
+
+    A member with more than ``graph.INPUT_VERTEX_CAP`` vertices is rejected
+    before any graph is built, like an edge-list header.
+    """
     head, sep, tail = text.partition(":")
     if not sep or not tail:
         raise ValueError(f"malformed family spec {text!r}")
     if head in ("A", "star", "KminusM"):
-        return FamilySpec(head, (int(tail),))
-    if head == "join":
+        spec = FamilySpec(head, (int(tail),))
+    elif head == "join":
         variant = "join"
         if tail.endswith("+u"):
             variant = "join+u"
             tail = tail[:-2]
-        ks = tuple(int(tok) for tok in tail.split(","))
-        return FamilySpec(variant, ks)
-    raise ValueError(f"unknown family variant {head!r}")
+        spec = FamilySpec(variant, tuple(int(tok) for tok in tail.split(",")))
+    else:
+        raise ValueError(f"unknown family variant {head!r}")
+    if spec.order > INPUT_VERTEX_CAP:
+        raise ValueError(f"family member has {spec.order} vertices; the limit is {INPUT_VERTEX_CAP}")
+    return spec
 
 
 def band_graph(k: int) -> Graph:

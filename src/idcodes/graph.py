@@ -129,22 +129,22 @@ class Graph:
 # -- balls, powers, twins ----------------------------------------------
 
 
-def _ball_mask(cn: tuple[int, ...] | list[int], x: int, r: int) -> int:
-    """Bitmask of the closed ball of radius r around x (BFS over masks)."""
-    seen = 1 << x
+def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
+    """Vertices of ``within`` reachable from the set ``seen`` in at most
+    ``radius`` steps, or in any number when ``radius`` is negative (BFS over
+    the closed-neighborhood masks ``cn``, which may be any graph's).  The
+    package's one BFS: ``_reach(cn, 1 << x, radius=r)`` is the ball B_r(x).
+    """
     frontier = seen
-    for _ in range(r):
+    while frontier and radius:
+        radius -= 1
         nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
+        while frontier:
+            b = frontier & -frontier
+            frontier ^= b
             nxt |= cn[b.bit_length() - 1]
-        nxt &= ~seen
-        if not nxt:
-            break
-        seen |= nxt
-        frontier = nxt
+        frontier = nxt & within & ~seen
+        seen |= frontier
     return seen
 
 
@@ -152,7 +152,7 @@ def _balls(cn: tuple[int, ...] | list[int], r: int) -> list[int]:
     """Closed radius-r ball masks of every vertex."""
     if r == 1:
         return list(cn)
-    return [_ball_mask(cn, x, r) for x in range(len(cn))]
+    return [_reach(cn, 1 << x, radius=r) for x in range(len(cn))]
 
 
 def closed_ball(g: Graph, x: int, r: int) -> frozenset[int]:
@@ -163,7 +163,7 @@ def closed_ball(g: Graph, x: int, r: int) -> frozenset[int]:
     g._check_vertex(x)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return frozenset(_bit_indices(_ball_mask(g._cn, x, r)))
+    return frozenset(_bit_indices(_reach(g._cn, 1 << x, radius=r)))
 
 
 def ball_symmetric_difference(g: Graph, x: int, y: int, r: int) -> frozenset[int]:
@@ -174,7 +174,8 @@ def ball_symmetric_difference(g: Graph, x: int, y: int, r: int) -> frozenset[int
     g._check_vertex(y)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return frozenset(_bit_indices(_ball_mask(g._cn, x, r) ^ _ball_mask(g._cn, y, r)))
+    cn = g._cn
+    return frozenset(_bit_indices(_reach(cn, 1 << x, radius=r) ^ _reach(cn, 1 << y, radius=r)))
 
 
 def power(g: Graph, r: int) -> Graph:
@@ -191,23 +192,14 @@ def distances_from(g: Graph, x: int) -> list[int | None]:
     """BFS distances from x; None for vertices in other components."""
     g._check_vertex(x)
     dist: list[int | None] = [None] * g.n
-    dist[x] = 0
-    seen = 1 << x
-    frontier = seen
+    seen = frontier = 1 << x
     d = 0
     while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            f ^= b
-            nxt |= g._cn[b.bit_length() - 1]
-        nxt &= ~seen
-        d += 1
-        for v in _bit_indices(nxt):
+        for v in _bit_indices(frontier):
             dist[v] = d
-        seen |= nxt
-        frontier = nxt
+        d += 1
+        frontier = _reach(g._cn, frontier, radius=1) & ~seen
+        seen |= frontier
     return dist
 
 
@@ -286,21 +278,6 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     return Graph._from_masks(len(vs), tuple(nbr))
 
 
-def _reach(cn, seen: int, within: int) -> int:
-    """Vertices of ``within`` reachable from the set ``seen`` (BFS over the
-    closed-neighborhood masks ``cn``, which may be any graph's)."""
-    frontier = seen
-    while frontier:
-        nxt = 0
-        while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= cn[b.bit_length() - 1]
-        frontier = nxt & within & ~seen
-        seen |= frontier
-    return seen
-
-
 def _component_masks(cn, within: int) -> list[int]:
     """Component bitmasks of the graph ``cn`` induced on ``within``, ordered
     by least vertex."""
@@ -328,27 +305,6 @@ def connected_component_masks(g: Graph) -> list[int]:
 
 def _pairs(n: int) -> list[tuple[int, int]]:
     return list(itertools.combinations(range(n), 2))
-
-
-def _iter_closed_masks(n: int) -> Iterator[tuple[int, list[int]]]:
-    """Gray-code sweep over all labeled graphs on n vertices.
-
-    Yields (edge_mask, cn) where cn is a REUSED list of closed-neighborhood
-    masks; callers must copy it if they hold on to it.  Bit e of edge_mask
-    corresponds to the e-th pair of ``_pairs(n)``.
-    """
-    pairs = _pairs(n)
-    cn = [1 << v for v in range(n)]
-    yield 0, cn
-    gray_prev = 0
-    for i in range(1, 1 << len(pairs)):
-        gray = i ^ (i >> 1)
-        e = (gray ^ gray_prev).bit_length() - 1
-        gray_prev = gray
-        u, v = pairs[e]
-        cn[u] ^= 1 << v
-        cn[v] ^= 1 << u
-        yield gray, cn
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:

@@ -12,6 +12,7 @@ from . import codes
 from .graph import Graph, PreconditionError, TwinsError, _balls, _bit_indices, induced_subgraph
 
 SOLVE_VERTEX_CAP = 24
+_KINDS = ("identifying", "separating", "dominating", "locating-dominating")
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class SolveReport:
 
 
 # -- validity kernels over ball-mask lists -------------------------------
-# The package's one kernel family: the solver, the scans and the bound
-# pipelines all call these.  They mirror the certifying checks in ``codes``
-# but work on raw masks; the two implementations are cross-tested.
+# The package's one kernel family: the scans and the bound pipelines call
+# these (the solver works on hitting-set constraints instead).  They mirror
+# the certifying checks in ``codes`` but work on raw masks; the two
+# implementations are cross-tested.
 
 
 def _identifying_ok(balls: list[int], c: int) -> bool:
@@ -71,13 +73,6 @@ def _separating_ok(balls: list[int], c: int) -> bool:
     return True
 
 
-def _dominating_ok(balls: list[int], c: int) -> bool:
-    for b in balls:
-        if not b & c:
-            return False
-    return True
-
-
 def _locating_dominating_ok(balls: list[int], c: int) -> bool:
     seen = set()
     for v, b in enumerate(balls):
@@ -89,14 +84,6 @@ def _locating_dominating_ok(balls: list[int], c: int) -> bool:
                 return False
             seen.add(s)
     return True
-
-
-_CHECKS = {
-    "identifying": _identifying_ok,
-    "separating": _separating_ok,
-    "dominating": _dominating_ok,
-    "locating-dominating": _locating_dominating_ok,
-}
 
 
 def _radius_balls(g: Graph, radius: int) -> list[int]:
@@ -140,16 +127,10 @@ def _lower_bound(kind: str, balls: list[int], n: int) -> int:
         return 0
     if kind == "identifying":
         # k code vertices give at most 2^k - 1 distinct nonempty signatures
-        k = 0
-        while (1 << k) - 1 < n:
-            k += 1
-        return k
+        return n.bit_length()
     if kind == "separating":
         # the empty signature is allowed once, so n <= 2^k
-        k = 0
-        while (1 << k) < n:
-            k += 1
-        return k
+        return (n - 1).bit_length()
     if kind == "locating-dominating":
         # the n - k outside vertices need distinct nonempty signatures
         k = 0
@@ -294,8 +275,8 @@ def _search_minimum(
 
 
 def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
-    if kind not in _CHECKS:
-        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(_CHECKS)}")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(_KINDS)}")
     if g.n > SOLVE_VERTEX_CAP:
         raise PreconditionError(
             f"exact solving is limited to n <= {SOLVE_VERTEX_CAP}; "

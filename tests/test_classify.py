@@ -258,6 +258,12 @@ def test_low_degree_graphs_never_extremal_n5():
                 assert brute.naive_minimum(g, "identifying")[0] <= g.n - 2
 
 
+def test_to_dict_above_the_input_vertex_cap():
+    # the cap guards outside input; a classified library graph still reports its spec
+    d = classify_extremal(star_graph(16384)).to_dict()
+    assert d["outcome"] == STAR and d["family_spec"] == "star:16384"
+
+
 def test_petersen_not_extremal():
     assert classify_extremal(petersen_graph()).outcome == NOT_EXTREMAL
 

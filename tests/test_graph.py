@@ -2,6 +2,7 @@
 isomorphism and the edge-list format."""
 
 import itertools
+import random
 
 import pytest
 
@@ -197,6 +198,19 @@ def test_connectivity():
 def test_distances():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert distances_from(g, 0) == [0, 1, 2, None, None]
+
+
+def test_balls_and_distances_match_naive_bfs_on_random_graphs():
+    # sparse and dense, connected and not, against the dict-based BFS oracle
+    rng = random.Random(2010)
+    for _ in range(40):
+        n = rng.randrange(1, 10)
+        p = rng.choice((0.15, 0.3, 0.6))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for x in range(n):
+            for r in range(5):
+                assert closed_ball(g, x, r) == brute.naive_ball(g, x, r)
+            assert distances_from(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
 
 
 def test_enumerate_graphs_counts():

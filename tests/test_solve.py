@@ -33,6 +33,7 @@ from idcodes.graph import (
 )
 from idcodes.solve import (
     _combination_rank,
+    _lower_bound,
     enumerate_minimum_separating_sets,
     extend_code,
     forced_vertices,
@@ -361,6 +362,15 @@ def test_extend_code_preconditions():
         extend_code(path_graph(5), [2], [0, 1])
     with pytest.raises(PreconditionError):
         extend_code(path_graph(4), [3], [0])  # not a code of the 3-path
+
+
+def test_lower_bound_matches_brute_force():
+    rng = random.Random(64)
+    for n in range(1, 65):
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2])
+        balls = [brute.naive_ball(g, x, 1) for x in range(n)]
+        for kind in ("identifying", "separating", "dominating", "locating-dominating"):
+            assert _lower_bound(kind, list(g._cn), n) == brute._lower_bound(kind, balls, n), (kind, n)
 
 
 def test_zero_and_one_vertex_graphs():
