@@ -150,10 +150,17 @@ def classify_extremal(g: Graph) -> ClassificationResult:
             f"vertices {twins[0][0]} and {twins[0][1]} are twins; no identifying code exists",
             twins[0],
         )
-    nbr = g._nbr
+    return _classify_masks(g._nbr, n)
+
+
+def _classify_masks(nbr: tuple[int, ...], n: int) -> ClassificationResult:
+    """``classify_extremal`` on the open-neighborhood masks of a graph the
+    caller knows to be connected, twin-free and on n >= 2 vertices; the
+    preconditions are not checked again."""
     full = (1 << n) - 1
+    degrees = [m.bit_count() for m in nbr]
     # a connected graph with n - 1 edges is a tree; with a universal vertex, a star
-    if n >= 3 and full in g._cn and sum(m.bit_count() for m in nbr) == 2 * (n - 1):
+    if n >= 3 and max(degrees) == n - 1 and sum(degrees) == 2 * (n - 1):
         return ClassificationResult(STAR, star_t=n - 1, implied_gamma_id=n - 1)
 
     factors: list[int] = []
@@ -166,7 +173,7 @@ def classify_extremal(g: Graph) -> ClassificationResult:
         if k is None:
             return ClassificationResult(NOT_EXTREMAL)
         factors.append(k)
-    # two universal vertices would be twins, excluded above
+    # two universal vertices would be twins, which the precondition excludes
     assert universal_seen <= 1, "twin-free graph cannot have two universal vertices"
     if not factors:
         return ClassificationResult(NOT_EXTREMAL)
@@ -176,7 +183,7 @@ def classify_extremal(g: Graph) -> ClassificationResult:
             JOIN_FAMILY_UNIVERSAL, factors=tuple(factors), implied_gamma_id=n - 1
         )
     # a single order-1 factor alone would be the disconnected two-vertex
-    # graph, already rejected by the connectivity precondition
+    # graph, which the connectivity precondition excludes
     assert factors != [1]
     return ClassificationResult(JOIN_FAMILY, factors=tuple(factors), implied_gamma_id=n - 1)
 

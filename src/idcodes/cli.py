@@ -158,7 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--theorem", choices=sorted(scans.THEOREM_SCANS))
     p.add_argument("--conjecture", action="store_true", help="run the degree-bound conjecture scan")
-    p.add_argument("--unsafe-cap", action="store_true", help="override the per-scan vertex cap")
+    p.add_argument(
+        "--unsafe-cap",
+        action="store_true",
+        help="override the per-scan vertex cap; a scan visits every isomorphism class "
+        "(12,346 graphs on 8 vertices, 274,668 on 9)",
+    )
     p.set_defaults(func=_cmd_scan)
 
     return parser

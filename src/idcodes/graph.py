@@ -361,6 +361,168 @@ def enumerate_graphs(
         yield g
 
 
+def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
+    """Refine the ordered partition ``cells`` (vertex masks) in place until it
+    is equitable: every vertex of a cell has as many neighbors in each cell.
+
+    ``todo`` holds the splitter cells still to apply.  A cell splits by its
+    vertices' neighbor counts in the splitter, fragments in ascending count
+    order at the cell's place, so the result depends on cell positions and
+    counts alone and commutes with relabeling.
+    """
+    while todo:
+        w = todo.pop()
+        i = 0
+        while i < len(cells):
+            x = cells[i]
+            if x & (x - 1):
+                groups: dict[int, int] = {}
+                rest = x
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    c = (nbr[b.bit_length() - 1] & w).bit_count()
+                    groups[c] = groups.get(c, 0) | b
+                if len(groups) > 1:
+                    parts = [groups[c] for c in sorted(groups)]
+                    cells[i : i + 1] = parts
+                    i += len(parts)
+                    todo.extend(parts)
+                    continue
+            i += 1
+    return cells
+
+
+def _individualize(nbr, cells: list[int], t: int, b: int) -> list[int]:
+    """The equitable refinement of ``cells`` after the vertex bit ``b`` of
+    cell ``t`` is split off in front of the rest of its cell."""
+    return _refine(nbr, cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], [b])
+
+
+def _relabel(nbr, lab: list[int]) -> int:
+    """The masks of the graph relabeled so that ``lab[i]`` becomes vertex i,
+    packed into one integer, vertex 0's mask the most significant."""
+    n = len(lab)
+    pos = [0] * n
+    for i, v in enumerate(lab):
+        pos[v] = 1 << i
+    cert = 0
+    for v in lab:
+        m = 0
+        rest = nbr[v]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            m |= pos[b.bit_length() - 1]
+        cert = cert << n | m
+    return cert
+
+
+def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
+    """Canonical labeling of the graph with open-neighborhood masks ``nbr``
+    by colour refinement and individualization (McKay & Piperno, "Practical
+    graph isomorphism II", 2014), with automorphism pruning.
+
+    Returns ``(cert, lab, order, gens)``.  ``lab[i]`` is the vertex that the
+    canonical labeling numbers i, and ``cert`` is ``_relabel(nbr, lab)``; two
+    graphs are isomorphic exactly when their certificates are equal.
+    ``order`` is |Aut(G)| and ``gens`` generate Aut(G), each as the list of
+    vertex images.
+
+    The search tree individualizes each vertex of the first non-singleton
+    cell in turn; its leaves are labelings and the certificate is the
+    largest over them.  The first path takes the least vertex each time.
+    A leaf whose relabeled graph equals that of the first or the best leaf
+    so far gives an automorphism, and the search jumps back to the deepest
+    node the two paths share: the subtree it leaves is an image of one
+    already searched.  At each first-path node the children are searched
+    deepest level first, skipping a child already known to lie in the orbit
+    of an earlier one.  Every automorphism found there fixes the path above
+    the node, so once the level is done the orbit of the first-path vertex
+    is its orbit in that pointwise stabilizer.  |Aut(G)| is the product of
+    those orbit sizes (orbit-stabilizer along the first path); no group
+    element is ever listed.
+    """
+    n = len(nbr)
+    full = (1 << n) - 1
+    cells = _refine(nbr, [full], [full]) if n else []
+    path: list[tuple[list[int], int]] = []
+    trail: list[int] = []
+    while len(cells) < n:
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        b = cells[t] & -cells[t]
+        path.append((cells, t))
+        trail.append(b.bit_length() - 1)
+        cells = _individualize(nbr, cells, t, b)
+    first = [c.bit_length() - 1 for c in cells]
+    first_trail = trail
+    first_cert = _relabel(nbr, first)
+    best = (first_cert, first, first_trail)
+    gens: list[list[int]] = []
+    orbit = list(range(n))  # union-find; each root is the least vertex of its orbit
+
+    def find(x: int) -> int:
+        while orbit[x] != x:
+            orbit[x] = x = orbit[orbit[x]]
+        return x
+
+    def explore(cells: list[int], trail: list[int]) -> int:
+        """Search one subtree; returns the depth to resume at."""
+        nonlocal best
+        depth = len(trail)
+        if len(cells) == n:
+            lab = [c.bit_length() - 1 for c in cells]
+            cert = _relabel(nbr, lab)
+            if cert == first_cert:
+                ref, ref_trail = first, first_trail
+            elif cert == best[0]:
+                ref, ref_trail = best[1], best[2]
+            else:
+                if cert > best[0]:
+                    best = (cert, lab, trail[:])
+                return depth
+            gen = [0] * n
+            for a, b in zip(ref, lab):
+                gen[a] = b
+            gens.append(gen)
+            for a, b in enumerate(gen):
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    orbit[max(ra, rb)] = min(ra, rb)
+            shared = 0
+            while trail[shared] == ref_trail[shared]:
+                shared += 1
+            return shared
+        t = next(i for i, c in enumerate(cells) if c & (c - 1))
+        rest = cells[t]
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            trail.append(b.bit_length() - 1)
+            back = explore(_individualize(nbr, cells, t, b), trail)
+            trail.pop()
+            if back < depth:
+                return back
+        return depth
+
+    order = 1
+    for d in range(len(path) - 1, -1, -1):
+        cells, t = path[d]
+        v = first_trail[d]
+        trail = first_trail[:d]
+        rest = cells[t] & (cells[t] - 1)
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            w = b.bit_length() - 1
+            if find(w) == w:
+                trail.append(w)
+                explore(_individualize(nbr, cells, t, b), trail)
+                trail.pop()
+        order *= sum(find(u) == v for u in _bit_indices(cells[t]))
+    return best[0], best[1], order, gens
+
+
 def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> int:
     """Lexicographically minimal edge bitmask over all vertex relabelings.
 

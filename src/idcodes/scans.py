@@ -1,12 +1,16 @@
-"""Exhaustive desk-scale cross-checks over all labeled graphs.
+"""Exhaustive desk-scale cross-checks over all small graphs.
 
-All seven scans draw their graphs from one engine, ``_sweep``: every
-labeled graph up to a vertex cap in Gray-code order (one edge flipped per
-step), filtered inside the engine to the connected and/or twin-free class a
-scan asks for.  Each scan compares a structural claim on those graphs
-against brute-force search.  Reports are deterministic:
-counterexample lists are sorted by (n, edge bitmask) no matter the visit
-order, and are expected to be empty.
+All seven scans draw their graphs from one engine, ``_sweep``: one
+representative of every isomorphism class up to a vertex cap, generated by
+canonical augmentation and filtered inside the engine to the connected
+and/or twin-free classes a scan asks for.  Every claim a scan checks is
+invariant under relabeling, so each class stands for its n!/|Aut(G)|
+labelings: ``graphs_checked`` and every count in ``details`` are sums of
+these weights, and so count labeled graphs.  Each scan compares a
+structural claim on those graphs against brute-force search.  Reports are
+deterministic: a counterexample is one entry per class, with the
+representative's edge mask and edges and its number of ``labelings``;
+the lists are sorted by (n, edge bitmask) and are expected to be empty.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from typing import Iterator
 
 from . import codes, solve
 from .bound import _least_removable
-from .classify import JOIN_FAMILY, classify_extremal
-from .graph import Graph, _pairs, _reach
+from .classify import JOIN_FAMILY, _classify_masks
+from .graph import Graph, _canon, _pairs, _reach
 from .solve import _identifying_ok, _locating_dominating_ok
 
 DEFAULT_CAPS = {
@@ -60,55 +64,132 @@ class ScanReport:
         }
 
 
+# isomorphism classes of graphs on n = 0..11 vertices (OEIS A000088)
+_CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864)
+
+
 def _require_cap(name: str, max_n: int, force: bool) -> None:
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
     cap = DEFAULT_CAPS[name]
     if max_n > cap and not force:
+        classes = f"{_CLASSES[max_n]:,}" if max_n < len(_CLASSES) else f"over {_CLASSES[-1]:,}"
         raise ValueError(
-            f"scan {name!r} is capped at n <= {cap} "
-            f"(2^{max_n * (max_n - 1) // 2} labeled graphs otherwise); "
-            "pass force=True / --unsafe-cap to override"
+            f"scan {name!r} is capped at n <= {cap} ({classes} isomorphism classes "
+            f"on {max_n} vertices otherwise); pass force=True / --unsafe-cap to override"
         )
 
 
 def _sweep(
     first_n: int, max_n: int, connected: bool = False, twin_free: bool = False
-) -> Iterator[tuple[int, int, list[int]]]:
-    """Yield (n, edge_mask, cn) for every labeled graph on first_n..max_n
-    vertices that passes the requested filters.
+) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
+    """Yield (n, edge_mask, weight, cn) once per isomorphism class of graphs
+    on first_n..max_n vertices that passes the requested filters.
 
-    The one sweep engine of the scans: a Gray code over the edge masks of
-    each n, one edge flipped per step, with the filters applied before the
-    yield so a rejected graph costs no generator hop.  Bit e of edge_mask
-    stands for the e-th pair of ``_pairs(n)``.  ``cn`` is a REUSED list of
-    closed-neighborhood masks; callers must copy it to hold on to it.
+    The one sweep engine of the scans.  Each class is yielded as its
+    canonical representative (``graph._canon``): bit e of edge_mask stands
+    for the e-th pair of ``_pairs(n)`` and ``cn`` holds the representative's
+    closed-neighborhood masks.  ``weight`` = n!/|Aut(G)| is the number of
+    labeled graphs in the class, so a count over labeled graphs is the sum
+    of the weights of the classes it holds.
+
+    Level n grows from the level n - 1 representatives by canonical
+    augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a
+    new vertex joins one vertex set S per orbit of the parent's
+    automorphism group, only when it has the maximum degree of the child,
+    and a child whose certificate the level has already seen is dropped.
+    Every graph arises this way, from the graph left after deleting one of
+    its maximum-degree vertices.  Nothing is kept from one call to the next.
     """
-    for n in range(first_n, max_n + 1):
-        pairs = _pairs(n)
+    level = [((0,), [], 1)]  # the one-vertex graph: masks, generators, |Aut|
+    labelings = 1
+    for n in range(1, max_n + 1):
+        labelings *= n
+        if n > 1:
+            level = _augment(level, n - 1)
+        if n < first_n:
+            continue
         full = (1 << n) - 1
-        cn = [1 << v for v in range(n)]
-        if n <= 1 or not connected:  # the edgeless graph is twin-free
-            yield n, 0, cn
-        for i in range(1, 1 << len(pairs)):
-            u, v = pairs[(i & -i).bit_length() - 1]  # the bit where gray(i - 1) and gray(i) differ
-            cn[u] ^= 1 << v
-            cn[v] ^= 1 << u
+        pairs = list(enumerate(_pairs(n)))
+        for nbr, _, order in level:
+            cn = tuple(m | 1 << v for v, m in enumerate(nbr))
             if twin_free and len(set(cn)) != n:
                 continue
             if connected and _reach(cn, cn[0], full) != full:
                 continue
-            yield n, i ^ (i >> 1), cn
+            emask = sum(1 << e for e, (u, v) in pairs if nbr[u] >> v & 1)
+            yield n, emask, labelings // order, cn
 
 
-def _graph_of(cn: list[int], n: int) -> Graph:
-    return Graph._from_masks(n, tuple(cn[v] ^ (1 << v) for v in range(n)))
+def _augment(level, m: int) -> list[tuple[tuple[int, ...], list[list[int]], int]]:
+    """The classes on m + 1 vertices, each once, in canonical labeling, from
+    ``level``, one (masks, generators of Aut, |Aut|) per class on m vertices."""
+    n = m + 1
+    full = (1 << n) - 1
+    new = 1 << m
+    seen = set()
+    out = []
+    for nbr, gens, _ in level:
+        degrees = [x.bit_count() for x in nbr]
+        top_degree = max(degrees)
+        top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
+        # the new vertex, of degree |S|, must have the child's maximum degree
+        subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
+        for s in _orbit_representatives(subsets, gens, m):
+            child = [x | new if s >> u & 1 else x for u, x in enumerate(nbr)]
+            child.append(s)
+            cert, lab, order, child_gens = _canon(child)
+            if cert in seen:
+                continue
+            seen.add(cert)
+            canon = tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
+            pos = [0] * n
+            for i, v in enumerate(lab):
+                pos[v] = i
+            out.append((canon, [[pos[g[v]] for v in lab] for g in child_gens], order))
+    return out
 
 
-def _entry(n: int, emask: int, **extra) -> dict:
+def _orbit_representatives(subsets: list[int], gens: list[list[int]], m: int) -> list[int]:
+    """The least member of each orbit of the group generated by ``gens`` on
+    the vertex sets ``subsets`` (closed under the group), as masks."""
+    if not gens:
+        return subsets
+    images = []
+    for g in gens:
+        table = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            low = s & -s
+            table[s] = table[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(table)
+    seen = set()
+    reps = []
+    for s in subsets:
+        if s in seen:
+            continue
+        reps.append(s)
+        seen.add(s)
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            for table in images:
+                y = table[x]
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return reps
+
+
+def _open(cn: tuple[int, ...]) -> tuple[int, ...]:
+    """Open-neighborhood masks from closed ones."""
+    return tuple(m ^ 1 << v for v, m in enumerate(cn))
+
+
+def _entry(n: int, emask: int, weight: int, **extra) -> dict:
+    """A counterexample: one class, with its number of labelings."""
     pairs = _pairs(n)
     edges = [list(pairs[e]) for e in range(len(pairs)) if emask >> e & 1]
-    return {"n": n, "edge_mask": emask, "edges": edges, **extra}
+    return {"n": n, "edge_mask": emask, "edges": edges, "labelings": weight, **extra}
 
 
 @lru_cache(maxsize=None)
@@ -141,19 +222,21 @@ def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanRep
     per_n = dict.fromkeys(range(2, max_n + 1), 0)
     extremal_per_n = dict(per_n)
     gamma_n_count = 0
-    for n, emask, cn in _sweep(2, max_n, connected=True, twin_free=True):
-        per_n[n] += 1
+    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
+        per_n[n] += weight
         level = _gamma_id_level(cn, n)
         if level == 1:
-            gamma_n_count += 1
+            gamma_n_count += weight
         oracle_extremal = level == 0
-        result = classify_extremal(_graph_of(cn, n))
+        result = _classify_masks(_open(cn), n)
         if result.is_extremal != oracle_extremal:
             report.counterexamples.append(
-                _entry(n, emask, oracle_extremal=oracle_extremal, classified=result.to_dict())
+                _entry(
+                    n, emask, weight, oracle_extremal=oracle_extremal, classified=result.to_dict()
+                )
             )
         if oracle_extremal:
-            extremal_per_n[n] += 1
+            extremal_per_n[n] += weight
     report.graphs_checked = sum(per_n.values())
     report.details = {
         "connected_twin_free_per_n": per_n,
@@ -168,13 +251,13 @@ def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:
     identifying code missing two vertices."""
     _require_cap("cor13", max_n, force)
     report = ScanReport("cor13", max_n)
-    for n, emask, cn in _sweep(3, max_n, connected=True, twin_free=True):
+    for n, emask, weight, cn in _sweep(3, max_n, connected=True, twin_free=True):
         max_degree = max(b.bit_count() for b in cn) - 1
         if max_degree > n - 3:
             continue
-        report.graphs_checked += 1
+        report.graphs_checked += weight
         if _gamma_id_level(cn, n) != -1:
-            report.counterexamples.append(_entry(n, emask, max_degree=max_degree))
+            report.counterexamples.append(_entry(n, emask, weight, max_degree=max_degree))
     return report.finalize()
 
 
@@ -184,21 +267,21 @@ def scan_regular_odd(max_n: int = 7, force: bool = False) -> ScanReport:
     _require_cap("remark1", max_n, force)
     report = ScanReport("remark1", max_n)
     extremal_seen = 0
-    for n, emask, cn in _sweep(2, max_n, connected=True, twin_free=True):
-        report.graphs_checked += 1
+    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
+        report.graphs_checked += weight
         if _gamma_id_level(cn, n) != 0:
             continue
-        extremal_seen += 1
+        extremal_seen += weight
         degrees = [b.bit_count() - 1 for b in cn]
         if len(set(degrees)) == 1:
-            result = classify_extremal(_graph_of(cn, n))
+            result = _classify_masks(_open(cn), n)
             if not (result.outcome == JOIN_FAMILY and all(k == 1 for k in result.factors)):
                 report.counterexamples.append(
-                    _entry(n, emask, reason="regular", classified=result.to_dict())
+                    _entry(n, emask, weight, reason="regular", classified=result.to_dict())
                 )
         if n % 2 == 1 and max(degrees) != n - 1:
             report.counterexamples.append(
-                _entry(n, emask, reason="odd-order", max_degree=max(degrees))
+                _entry(n, emask, weight, reason="odd-order", max_degree=max(degrees))
             )
     report.details = {"extremal_seen": extremal_seen}
     return report.finalize()
@@ -217,7 +300,7 @@ def scan_removable_vertex(
         raise ValueError("radius must be >= 1")
     report = ScanReport("lemma7", max_n)
     report.details = {"radii": list(radii), "per_radius_checked": {r: 0 for r in radii}}
-    for n, emask, cn in _sweep(1, max_n, twin_free=True):
+    for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
         counted = False
         for r in radii:
             balls = cn
@@ -234,12 +317,12 @@ def scan_removable_vertex(
                 if len(balls) < n:
                     continue
             if not counted:
-                report.graphs_checked += 1
+                report.graphs_checked += weight
                 counted = True
-            report.details["per_radius_checked"][r] += 1
+            report.details["per_radius_checked"][r] += weight
             for x in range(n):
                 if _least_removable(balls, n, balls[x]) is None:
-                    report.counterexamples.append(_entry(n, emask, radius=r, vertex=x))
+                    report.counterexamples.append(_entry(n, emask, weight, radius=r, vertex=x))
     return report.finalize()
 
 
@@ -250,27 +333,28 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
     _require_cap("gamma-chain", max_n, force)
     report = ScanReport("gamma-chain", max_n)
     bridge_checked = 0
-    for n, emask, cn in _sweep(1, max_n, twin_free=True):
-        report.graphs_checked += 1
+    for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
+        report.graphs_checked += weight
         forced = solve._forced_mask(cn, n)
         gamma_s, _, _ = solve._search_minimum(cn, n, "separating", forced)
         gamma_id, _, _ = solve._search_minimum(cn, n, "identifying", forced)
         if not (gamma_s <= gamma_id <= gamma_s + 1):
             report.counterexamples.append(
-                _entry(n, emask, reason="chain", gamma_s=gamma_s, gamma_id=gamma_id)
+                _entry(n, emask, weight, reason="chain", gamma_s=gamma_s, gamma_id=gamma_id)
             )
-        g = _graph_of(cn, n)
+        g = Graph._from_masks(n, _open(cn))
         bg = codes.membership_graph(g)
         for cmask in range(1 << n):
             subset = [v for v in range(n) if cmask >> v & 1]
             sep = codes.is_separating(g, subset).valid
             disc = codes.is_discriminating(bg, subset).valid
-            bridge_checked += 1
+            bridge_checked += weight
             if sep != disc:
                 report.counterexamples.append(
                     _entry(
                         n,
                         emask,
+                        weight,
                         reason="bridge",
                         code=subset,
                         separating=sep,
@@ -287,8 +371,8 @@ def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
     _require_cap("ld", max_n, force)
     report = ScanReport("ld", max_n)
     extremal_seen = 0
-    for n, emask, cn in _sweep(2, max_n, connected=True):
-        report.graphs_checked += 1
+    for n, emask, weight, cn in _sweep(2, max_n, connected=True):
+        report.graphs_checked += weight
         has_small = any(_locating_dominating_ok(cn, c) for c in _all_but(n, 2))
         extremal = not has_small and any(_locating_dominating_ok(cn, c) for c in _all_but(n, 1))
         degrees = sorted(b.bit_count() - 1 for b in cn)
@@ -296,10 +380,10 @@ def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
         is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
         if extremal != (is_complete or is_star):
             report.counterexamples.append(
-                _entry(n, emask, extremal=extremal, star=is_star, complete=is_complete)
+                _entry(n, emask, weight, extremal=extremal, star=is_star, complete=is_complete)
             )
         if extremal:
-            extremal_seen += 1
+            extremal_seen += weight
     report.details = {"extremal_seen": extremal_seen}
     return report.finalize()
 
@@ -309,16 +393,16 @@ def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanRe
     identifying code of size at most ceil(n - n/D)."""
     _require_cap("conjecture", max_n, force)
     report = ScanReport("conjecture", max_n)
-    for n, emask, cn in _sweep(2, max_n, connected=True, twin_free=True):
+    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
         delta = max(b.bit_count() for b in cn) - 1
         if delta < 3:
             continue
-        report.graphs_checked += 1
+        report.graphs_checked += weight
         target = n - n // delta  # = ceil(n - n/D) since n is an integer
         if not any(_identifying_ok(cn, c) for c in _all_but(n, n // delta)):
             exact, _, _ = solve._search_minimum(cn, n, "identifying", solve._forced_mask(cn, n))
             report.counterexamples.append(
-                _entry(n, emask, max_degree=delta, bound=target, gamma_id=exact)
+                _entry(n, emask, weight, max_degree=delta, bound=target, gamma_id=exact)
             )
     return report.finalize()
 

@@ -182,3 +182,37 @@ def automorphism_count(g) -> int:
         if {frozenset((perm[u], perm[v])) for u, v in edges} == edges:
             count += 1
     return count
+
+
+def labeled_sweep(first_n: int, max_n: int, connected: bool = False, twin_free: bool = False):
+    """Yield (n, edge_mask, cn) for every labeled graph on first_n..max_n
+    vertices that passes the requested filters: the scans' former sweep
+    engine, kept as the reference for the isomorph-free one.
+
+    A Gray code over the edge masks of each n, one edge flipped per step;
+    bit e of edge_mask stands for the e-th pair of
+    ``itertools.combinations(range(n), 2)``.  ``cn`` holds the
+    closed-neighborhood masks and is reused from one graph to the next.
+    """
+    for n in range(first_n, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        full = (1 << n) - 1
+        cn = [1 << v for v in range(n)]
+        for i in range(1 << len(pairs)):
+            if i:
+                u, v = pairs[(i & -i).bit_length() - 1]  # where gray(i - 1) and gray(i) differ
+                cn[u] ^= 1 << v
+                cn[v] ^= 1 << u
+            if twin_free and len(set(cn)) != n:
+                continue
+            if connected:
+                seen, todo = 1, [0]
+                while todo:
+                    x = todo.pop()
+                    for w in range(n):
+                        if cn[x] >> w & 1 and not seen >> w & 1:
+                            seen |= 1 << w
+                            todo.append(w)
+                if seen != full:
+                    continue
+            yield n, i ^ (i >> 1), cn

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Every tolerance here is exact; the exhaustive checks run over all labeled
-graphs up to the stated vertex counts (run with ``pytest -s`` to watch the
-per-criterion lines).
+Every tolerance here is exact; the exhaustive checks cover all graphs up to
+the stated vertex counts, one isomorphism class at a time, and count them as
+labeled graphs (run with ``pytest -s`` to watch the per-criterion lines).
 """
 
 import itertools

@@ -12,6 +12,7 @@ from idcodes.classify import (
     JOIN_FAMILY_UNIVERSAL,
     NOT_EXTREMAL,
     STAR,
+    _classify_masks,
     classify_extremal,
     recognize_band_graph,
     reconstruct,
@@ -34,6 +35,7 @@ from idcodes.graph import (
     TwinsError,
     enumerate_graphs,
     find_isomorphism,
+    graph_from_edge_mask,
     is_connected,
     is_isomorphic,
     is_twin_free,
@@ -246,6 +248,16 @@ def test_classification_matches_oracle_exhaustively_n5():
         ):
             expected = brute.naive_minimum(g, "identifying")[0] == g.n - 1
             assert classify_extremal(g).is_extremal == expected
+
+
+def test_mask_level_entry_matches_classify_extremal():
+    # the scans' entry skips the preconditions they have already filtered on
+    count = 0
+    for n, emask, _ in brute.labeled_sweep(2, 6, connected=True, twin_free=True):
+        g = graph_from_edge_mask(n, emask)
+        assert _classify_masks(g._nbr, n) == classify_extremal(g)
+        count += 1
+    assert count == 3 + 19 + 462 + 18268
 
 
 def test_low_degree_graphs_never_extremal_n5():

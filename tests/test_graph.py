@@ -2,7 +2,9 @@
 isomorphism and the edge-list format."""
 
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -15,6 +17,7 @@ from idcodes.families import (
     cycle_graph,
     empty_graph,
     path_graph,
+    petersen_graph,
     star_graph,
 )
 from idcodes.graph import (
@@ -274,6 +277,80 @@ def test_isomorphism_witness_preserves_edges():
         assert g2.has_edge(mapping[u], mapping[v])
     with pytest.raises(ValueError):
         find_isomorphism(empty_graph(13), empty_graph(13))
+
+
+def test_canonical_labeling_of_symmetric_graphs_is_fast_and_exact():
+    # |Aut| comes from orbit sizes along one path of the search, so even
+    # 9! automorphisms take no time; none is listed
+    cases = [
+        (complete_graph(9), math.factorial(9)),
+        (empty_graph(9), math.factorial(9)),
+        (cycle_graph(9), 18),
+        (path_graph(9), 2),
+        (star_graph(8), math.factorial(8)),
+    ]
+    for g, order in cases:
+        start = time.process_time()
+        cert, lab, found, gens = graph._canon(g._nbr)
+        assert time.process_time() - start < 1.0
+        assert found == order
+        assert sorted(lab) == list(range(g.n))
+        assert cert == graph._relabel(g._nbr, lab)
+        for gen in gens:
+            assert Graph(g.n, [(gen[u], gen[v]) for u, v in g.edges()]) == g
+
+
+def _disjoint(*graphs):
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(u + base, v + base) for u, v in g.edges()]
+        base += g.n
+    return Graph(base, edges)
+
+
+def test_canonical_labeling_of_regular_graphs_refinement_cannot_split():
+    # colour refinement leaves every vertex of a regular graph in one cell,
+    # so the search tree alone tells these apart and counts their symmetries
+    cube = Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i])
+    cases = [
+        (cycle_graph(9), 18),
+        (_disjoint(cycle_graph(4), cycle_graph(5)), 8 * 10),
+        (_disjoint(cycle_graph(3), cycle_graph(6)), 6 * 12),
+        (_disjoint(*[complete_graph(3)] * 3), 6**3 * 6),
+        (_disjoint(cycle_graph(5), cycle_graph(5), empty_graph(1)), 10 * 10 * 2),
+        (cube, 48),
+        (_disjoint(cube, complete_graph(4)), 48 * 24),
+        (petersen_graph(), 120),
+        (complement(petersen_graph()), 120),
+        (join(cycle_graph(5), cycle_graph(6)), 10 * 12),
+    ]
+    rng = random.Random(59)
+    certs = set()
+    for g, order in cases:
+        cert, _, found, _ = graph._canon(g._nbr)
+        assert found == order
+        certs.add((g.n, cert))
+        for _ in range(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert graph._canon(h._nbr)[::2] == (cert, order)
+    assert len(certs) == len(cases)
+
+
+def test_canonical_certificate_ignores_labels():
+    rng = random.Random(53)
+    for _ in range(60):
+        n = rng.randrange(1, 13)
+        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        cert, _, order, _ = graph._canon(g._nbr)
+        assert graph._canon(h._nbr)[::2] == (cert, order)
+        # the certificate is the relabeled graph itself
+        masks = [cert >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
+        assert find_isomorphism(g, Graph._from_masks(n, tuple(masks))) is not None
 
 
 def test_band_graph_automorphism_count():

@@ -1,15 +1,19 @@
-"""Exhaustive scan engine at small sizes: the sweep against plain
-enumeration, zero counterexamples, count bookkeeping, kernel agreement with
+"""Exhaustive scan engine at small sizes: the isomorph-free sweep against
+the labeled one, zero counterexamples, count bookkeeping, kernel agreement with
 the certified checkers, and caps."""
 
+import functools
 import itertools
+import math
 import random
+from collections import Counter
 
 import pytest
 
 import brute
-from idcodes import codes, solve
-from idcodes.graph import Graph, _balls, edge_mask_of, enumerate_graphs, graph_from_edge_mask
+from idcodes import codes, scans, solve
+from idcodes.classify import classify_extremal
+from idcodes.graph import Graph, _balls, enumerate_graphs, graph_from_edge_mask
 from idcodes.scans import (
     ScanReport,
     _entry,
@@ -32,27 +36,83 @@ def _naive_twin_free(g) -> bool:
     return not brute.naive_twin_pairs(g)
 
 
-@pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
-def test_sweep_matches_filtered_enumeration(connected, twin_free):
-    # every filter pair the scans use, plus none, against plain enumeration
-    # filtered by the brute-force connectivity and twin oracles
-    def keep(g):
-        return (not connected or _naive_connected(g)) and (not twin_free or _naive_twin_free(g))
+@functools.lru_cache(maxsize=None)
+def _relabelings(n: int, emask: int) -> frozenset[int]:
+    """Edge masks of every relabeling of one labeled graph, by brute force."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: e for e, p in enumerate(pairs)}
+    edges = [pairs[e] for e in range(len(pairs)) if emask >> e & 1]
+    return frozenset(
+        sum(1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in edges)
+        for perm in itertools.permutations(range(n))
+    )
 
-    swept: dict[int, list[int]] = {n: [] for n in range(1, 6)}
-    for n, emask, cn in _sweep(1, 5, connected, twin_free):
+
+@pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
+def test_sweep_yields_each_class_once_with_its_labeled_count(connected, twin_free):
+    # every filter pair the scans use, plus none, against the labeled
+    # Gray-code sweep: the relabelings of the yielded representatives
+    # partition the labeled graphs the oracle keeps, class by class
+    labeled = {n: set() for n in range(1, 7)}
+    for n, emask, _ in brute.labeled_sweep(1, 6, connected, twin_free):
+        labeled[n].add(emask)
+    claimed = {n: set() for n in range(1, 7)}
+    for n, emask, weight, cn in _sweep(1, 6, connected, twin_free):
         assert tuple(cn) == graph_from_edge_mask(n, emask)._cn
-        swept[n].append(emask)
-    for n, masks in swept.items():
-        assert len(set(masks)) == len(masks)
-        assert sorted(masks) == [edge_mask_of(g) for g in enumerate_graphs(n, keep)]
+        orbit = _relabelings(n, emask)
+        assert len(orbit) == weight
+        assert not orbit & claimed[n]
+        claimed[n] |= orbit
+    assert claimed == labeled
+    assert {n for n, *_ in _sweep(3, 4, connected, twin_free)} == {3, 4}
+
+
+def test_sweep_class_counts_and_weights_to_eight_vertices():
+    # OEIS A000088 (all graphs) and A001349 (connected graphs); the
+    # weights of each order add up to the 2^C(n,2) labeled graphs
+    classes, connected, labeled = Counter(), Counter(), Counter()
+    for n, emask, weight, cn in _sweep(1, 8):
+        classes[n] += 1
+        labeled[n] += weight
+        g = graph_from_edge_mask(n, emask)
+        connected[n] += _naive_connected(g)
+    assert [classes[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert all(labeled[n] == 2 ** (n * (n - 1) // 2) for n in range(1, 9))
+
+
+def test_automorphism_orders_match_brute_force():
+    # every class on at most six vertices: weight = n!/|Aut|, with |Aut|
+    # counted over all vertex permutations
+    for n, emask, weight, _ in _sweep(1, 6):
+        g = graph_from_edge_mask(n, emask)
+        assert weight * brute.automorphism_count(g) == math.factorial(n)
+
+
+def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch):
+    # a brute-force level that never calls a graph extremal disagrees with
+    # the classifier on every extremal graph; each class is reported once
+    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn, n: 1)
+    first = scan_extremal_classification(4).to_dict()["counterexamples"]
+    assert first == scan_extremal_classification(4).to_dict()["counterexamples"]
+    assert first == sorted(first, key=lambda c: (c["n"], c["edge_mask"]))
+    affected = sum(
+        classify_extremal(graph_from_edge_mask(n, emask)).is_extremal
+        for n, emask, _ in brute.labeled_sweep(2, 4, connected=True, twin_free=True)
+    )
+    assert affected == 3 + 19
+    assert sum(c["labelings"] for c in first) == affected
+    assert len(first) == len({(c["n"], c["edge_mask"]) for c in first}) == 4
+    for c in first:
+        assert c["edges"] == [list(e) for e in graph_from_edge_mask(c["n"], c["edge_mask"]).edges()]
+        assert c["oracle_extremal"] is False and c["classified"]["implied_gamma_id"] == c["n"] - 1
 
 
 def test_entry_lists_the_edges_of_its_mask():
     for emask in range(1 << 10):
-        entry = _entry(5, emask, reason="x")
+        entry = _entry(5, emask, 3, reason="x")
         edges = [list(e) for e in graph_from_edge_mask(5, emask).edges()]
-        assert entry == {"n": 5, "edge_mask": emask, "edges": edges, "reason": "x"}
+        assert entry == {"n": 5, "edge_mask": emask, "edges": edges, "labelings": 3, "reason": "x"}
 
 
 def test_kernels_agree_with_certified_checkers():
@@ -87,8 +147,20 @@ def test_extremal_scan_small():
     assert report.details["graphs_needing_all_vertices"] == 0
 
 
+def _labeled_max_degrees(first_n, max_n):
+    """(n, max degree) of every connected twin-free labeled graph, by brute force."""
+    return [
+        (g.n, g.max_degree())
+        for n in range(first_n, max_n + 1)
+        for g in enumerate_graphs(n)
+        if _naive_connected(g) and _naive_twin_free(g)
+    ]
+
+
 def test_low_degree_scan_small():
-    assert scan_low_degree(5).ok
+    report = scan_low_degree(5)
+    assert report.ok
+    assert report.graphs_checked == sum(d <= n - 3 for n, d in _labeled_max_degrees(3, 5))
 
 
 def test_regular_odd_scan_small():
@@ -116,8 +188,10 @@ def test_removable_vertex_scan_small():
 def test_gamma_chain_scan_small():
     report = scan_gamma_chain(4)
     assert report.ok
-    assert report.graphs_checked == sum(_naive_twin_free(g) for n in range(1, 5) for g in enumerate_graphs(n))
-    assert report.details["bridge_checks"] > 0
+    twin_free = [g for n in range(1, 5) for g in enumerate_graphs(n) if _naive_twin_free(g)]
+    assert report.graphs_checked == len(twin_free)
+    # one bridge check per vertex subset of each labeled graph
+    assert report.details["bridge_checks"] == sum(2**g.n for g in twin_free)
 
 
 def test_locating_dominating_scan_small():
@@ -126,10 +200,15 @@ def test_locating_dominating_scan_small():
     # stars and complete graphs on 2..4 vertices, counted with labels:
     # n=2: 1; n=3: 3 + 1; n=4: 4 + 1
     assert report.details["extremal_seen"] == 1 + 4 + 5
+    assert report.graphs_checked == sum(
+        _naive_connected(g) for n in range(2, 5) for g in enumerate_graphs(n)
+    )
 
 
 def test_conjecture_scan_small():
-    assert scan_conjectured_degree_bound(5).ok
+    report = scan_conjectured_degree_bound(5)
+    assert report.ok
+    assert report.graphs_checked == sum(d >= 3 for _, d in _labeled_max_degrees(2, 5))
 
 
 def test_scan_caps_enforced():
