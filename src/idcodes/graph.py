@@ -13,8 +13,9 @@ from typing import Callable, Iterable, Iterator
 
 ENUMERATION_CAP = 7
 INPUT_VERTEX_CAP = 16384
-CANONICAL_CAP = 8
-ISOMORPHISM_CAP = 12
+# _canon takes about 0.1 s on the most symmetric 64-vertex graphs but
+# seconds from n ~ 200, and its search recursion nears Python's limit at 1000
+ISOMORPHISM_CAP = 64
 
 
 class PreconditionError(ValueError):
@@ -338,8 +339,8 @@ def enumerate_graphs(
 
     The order is fixed: ascending edge bitmask, where bit e stands for the
     e-th vertex pair in lexicographic order (0,1), (0,2), ..., (n-2,n-1).
-    With ``dedup`` only the first representative of each isomorphism class
-    (by minimal canonical edge mask) is yielded.
+    With ``dedup`` only the first graph of each isomorphism class in that
+    order is yielded.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
@@ -354,7 +355,7 @@ def enumerate_graphs(
         if predicate is not None and not predicate(g):
             continue
         if dedup:
-            c = canonical_form(g)
+            c = _canon(g._nbr)[0]
             if c in seen_canonical:
                 continue
             seen_canonical.add(c)
@@ -416,6 +417,12 @@ def _relabel(nbr, lab: list[int]) -> int:
             m |= pos[b.bit_length() - 1]
         cert = cert << n | m
     return cert
+
+
+def _unpack(cert: int, n: int) -> tuple[int, ...]:
+    """The n masks that ``_relabel`` packed into ``cert``, vertex 0's first."""
+    full = (1 << n) - 1
+    return tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
 
 
 def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
@@ -523,72 +530,47 @@ def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
     return best[0], best[1], order, gens
 
 
-def canonical_form(g: Graph, cap: int = CANONICAL_CAP) -> int:
-    """Lexicographically minimal edge bitmask over all vertex relabelings.
+def _labeling(g: Graph) -> tuple[int, list[int]]:
+    """``_canon``'s certificate and labeling of g, refused above the cap."""
+    if g.n > ISOMORPHISM_CAP:
+        raise ValueError(f"canonical labeling is limited to n <= {ISOMORPHISM_CAP}")
+    cert, lab, _, _ = _canon(g._nbr)
+    return cert, lab
 
-    Exact but factorial-time; refused above the cap.
+
+def canonical_form(g: Graph) -> int:
+    """Edge bitmask over ``_pairs(n)`` of g relabeled canonically.
+
+    Two graphs have equal forms exactly when they are isomorphic; the form
+    is the ``edge_mask`` the scans report for g's class.
     """
-    if g.n > cap:
-        raise ValueError(f"canonical form by permutation is limited to n <= {cap}")
-    index = {p: i for i, p in enumerate(_pairs(g.n))}
-    edges = g.edges()
-    best: int | None = None
-    for perm in itertools.permutations(range(g.n)):
-        m = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            m |= 1 << index[(a, b) if a < b else (b, a)]
-            if best is not None and m > best:
-                break
-        else:
-            if best is None or m < best:
-                best = m
-    return best if best is not None else 0
+    return edge_mask_of(Graph._from_masks(g.n, _unpack(_labeling(g)[0], g.n)))
 
 
-def find_isomorphism(g1: Graph, g2: Graph, cap: int = ISOMORPHISM_CAP) -> list[int] | None:
+def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     """Edge-preserving bijection as a list (image of each g1 vertex), or None.
 
-    Backtracking with degree pruning; intended for small graphs and refused
-    above the cap.
+    After the vertex count, edge count and degree sequence, compares the
+    two canonical labelings; the witness maps the vertex each numbers i in
+    g1 to the one it numbers i in g2.
     """
-    if max(g1.n, g2.n) > cap:
-        raise ValueError(f"isomorphism search is limited to n <= {cap}")
     n = g1.n
     if n != g2.n or g1.edge_count != g2.edge_count:
         return None
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
-    order = sorted(range(n), key=lambda v: (-g1.degree(v), v))
-    mapping = [-1] * n
-    deg2 = g2.degrees()
-
-    def backtrack(i: int, used: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        du = g1._nbr[u].bit_count()
-        for w in range(n):
-            if used >> w & 1 or deg2[w] != du:
-                continue
-            ok = True
-            for j in range(i):
-                a = order[j]
-                if (g1._nbr[u] >> a & 1) != (g2._nbr[w] >> mapping[a] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                if backtrack(i + 1, used | 1 << w):
-                    return True
-                mapping[u] = -1
-        return False
-
-    return list(mapping) if backtrack(0, 0) else None
+    cert1, lab1 = _labeling(g1)
+    cert2, lab2 = _labeling(g2)
+    if cert1 != cert2:
+        return None
+    mapping = [0] * n
+    for a, b in zip(lab1, lab2):
+        mapping[a] = b
+    return mapping
 
 
-def is_isomorphic(g1: Graph, g2: Graph, cap: int = ISOMORPHISM_CAP) -> bool:
-    return find_isomorphism(g1, g2, cap=cap) is not None
+def is_isomorphic(g1: Graph, g2: Graph) -> bool:
+    return find_isomorphism(g1, g2) is not None
 
 
 # -- edge-list text format ----------------------------------------------

@@ -23,17 +23,17 @@ from typing import Iterator
 from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, _classify_masks
-from .graph import Graph, _canon, _pairs, _reach
+from .graph import Graph, _canon, _pairs, _reach, _unpack
 from .solve import _identifying_ok, _locating_dominating_ok
 
 DEFAULT_CAPS = {
-    "thm12": 7,
-    "cor13": 7,
-    "remark1": 7,
-    "lemma7": 7,
-    "conjecture": 7,
-    "ld": 6,
-    "gamma-chain": 6,
+    "thm12": 8,
+    "cor13": 8,
+    "remark1": 8,
+    "lemma7": 8,
+    "conjecture": 8,
+    "ld": 7,
+    "gamma-chain": 7,
 }
 
 
@@ -125,7 +125,6 @@ def _augment(level, m: int) -> list[tuple[tuple[int, ...], list[list[int]], int]
     """The classes on m + 1 vertices, each once, in canonical labeling, from
     ``level``, one (masks, generators of Aut, |Aut|) per class on m vertices."""
     n = m + 1
-    full = (1 << n) - 1
     new = 1 << m
     seen = set()
     out = []
@@ -142,11 +141,10 @@ def _augment(level, m: int) -> list[tuple[tuple[int, ...], list[list[int]], int]
             if cert in seen:
                 continue
             seen.add(cert)
-            canon = tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
             pos = [0] * n
             for i, v in enumerate(lab):
                 pos[v] = i
-            out.append((canon, [[pos[g[v]] for v in lab] for g in child_gens], order))
+            out.append((_unpack(cert, n), [[pos[g[v]] for v in lab] for g in child_gens], order))
     return out
 
 

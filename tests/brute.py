@@ -184,6 +184,40 @@ def automorphism_count(g) -> int:
     return count
 
 
+def backtrack_isomorphism(g1, g2) -> list[int] | None:
+    """Edge-preserving bijection as a list (image of each g1 vertex), or None.
+
+    The package's former isomorphism search, kept as the reference for the
+    canonical labeling: g1's vertices in descending degree order are each
+    tried on every unused g2 vertex of equal degree that agrees on
+    adjacency with everything mapped so far, backtracking on failure.
+    """
+    n = g1.n
+    adj1, adj2 = adjacency(g1), adjacency(g2)
+    if n != g2.n or sorted(map(len, adj1.values())) != sorted(map(len, adj2.values())):
+        return None
+    order = sorted(range(n), key=lambda v: (-len(adj1[v]), v))
+    mapping = [-1] * n
+    used: set[int] = set()
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        u = order[i]
+        for w in range(n):
+            if w in used or len(adj2[w]) != len(adj1[u]):
+                continue
+            if all((a in adj1[u]) == (mapping[a] in adj2[w]) for a in order[:i]):
+                mapping[u] = w
+                used.add(w)
+                if extend(i + 1):
+                    return True
+                used.discard(w)
+        return False
+
+    return mapping if extend(0) else None
+
+
 def labeled_sweep(first_n: int, max_n: int, connected: bool = False, twin_free: bool = False):
     """Yield (n, edge_mask, cn) for every labeled graph on first_n..max_n
     vertices that passes the requested filters: the scans' former sweep

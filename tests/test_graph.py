@@ -43,6 +43,7 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
+from idcodes.scans import _CLASSES, _sweep
 
 
 def test_graph_construction_and_accessors():
@@ -235,9 +236,20 @@ def test_enumerate_graphs_order_is_lexicographic():
 
 
 def test_enumerate_graphs_dedup_matches_known_counts():
-    # numbers of isomorphism classes of simple graphs on 3 and 4 vertices
-    assert sum(1 for _ in enumerate_graphs(3, dedup=True)) == 4
-    assert sum(1 for _ in enumerate_graphs(4, dedup=True)) == 11
+    # numbers of isomorphism classes of simple graphs on 0..6 vertices
+    for n in range(7):
+        assert sum(1 for _ in enumerate_graphs(n, dedup=True)) == _CLASSES[n]
+
+
+def test_enumerate_graphs_dedup_yields_first_of_each_class():
+    # the first graph in mask order that the backtracking oracle finds
+    # non-isomorphic to every earlier one
+    for n in range(6):
+        expected = []
+        for g in enumerate_graphs(n):
+            if all(brute.backtrack_isomorphism(g, h) is None for h in expected):
+                expected.append(g)
+        assert list(enumerate_graphs(n, dedup=True)) == expected
 
 
 def test_enumerate_graphs_cap():
@@ -251,13 +263,21 @@ def test_canonical_form_invariant_under_relabeling():
     relabeled = Graph(4, [(2, 0), (0, 3), (3, 1)])
     assert canonical_form(g) == canonical_form(relabeled)
     assert canonical_form(g) != canonical_form(cycle_graph(4))
+    assert canonical_form(Graph(0)) == canonical_form(empty_graph(9)) == 0
+    assert canonical_form(empty_graph(64)) == 0
     with pytest.raises(ValueError):
-        canonical_form(empty_graph(9))
+        canonical_form(empty_graph(65))
+
+
+def test_canonical_form_is_the_scan_edge_mask():
+    for n, emask, _, _ in _sweep(1, 6):
+        assert canonical_form(graph_from_edge_mask(n, emask)) == emask
 
 
 def test_isomorphism():
     assert is_isomorphic(band_graph(2), path_graph(4))
     assert not is_isomorphic(cycle_graph(4), path_graph(4))
+    assert find_isomorphism(Graph(0), Graph(0)) == []
     # reversing the band order is an automorphism
     for k in range(1, 5):
         g = band_graph(k)
@@ -275,8 +295,44 @@ def test_isomorphism_witness_preserves_edges():
     assert mapping is not None
     for u, v in g1.edges():
         assert g2.has_edge(mapping[u], mapping[v])
+    assert find_isomorphism(empty_graph(13), empty_graph(13)) == list(range(13))
     with pytest.raises(ValueError):
-        find_isomorphism(empty_graph(13), empty_graph(13))
+        find_isomorphism(empty_graph(65), empty_graph(65))
+
+
+def test_isomorphism_witness_on_seeded_relabelings():
+    rng = random.Random(64)
+    cases = [
+        empty_graph(64),
+        _disjoint(*[complete_graph(3)] * 21),
+        _disjoint(*[cycle_graph(4)] * 16),
+    ]
+    for _ in range(40):
+        n = rng.randrange(1, 65)
+        p = rng.choice((0.1, 0.3, 0.5))
+        cases.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    for g in cases:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        mapping = find_isomorphism(g, h)
+        assert sorted(mapping) == list(range(g.n))
+        assert sorted(tuple(sorted((mapping[u], mapping[v]))) for u, v in g.edges()) == h.edges()
+        assert canonical_form(g) == canonical_form(h)
+
+
+def test_isomorphism_rejects_equal_degree_sequences():
+    cube = Graph(8, [(u, u ^ 1 << i) for u in range(8) for i in range(3) if u < u ^ 1 << i])
+    pairs = [
+        (cycle_graph(6), _disjoint(complete_graph(3), complete_graph(3))),
+        (cycle_graph(9), _disjoint(cycle_graph(4), cycle_graph(5))),
+        (cube, _disjoint(complete_graph(4), complete_graph(4))),
+    ]
+    for g1, g2 in pairs:
+        assert sorted(g1.degrees()) == sorted(g2.degrees())
+        assert find_isomorphism(g1, g2) is None and find_isomorphism(g2, g1) is None
+        assert not is_isomorphic(g1, g2)
+        assert canonical_form(g1) != canonical_form(g2)
 
 
 def test_canonical_labeling_of_symmetric_graphs_is_fast_and_exact():
@@ -349,8 +405,9 @@ def test_canonical_certificate_ignores_labels():
         cert, _, order, _ = graph._canon(g._nbr)
         assert graph._canon(h._nbr)[::2] == (cert, order)
         # the certificate is the relabeled graph itself
-        masks = [cert >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n)]
-        assert find_isomorphism(g, Graph._from_masks(n, tuple(masks))) is not None
+        masks = tuple(cert >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n))
+        assert graph._unpack(cert, n) == masks
+        assert brute.backtrack_isomorphism(g, Graph._from_masks(n, masks)) is not None
 
 
 def test_band_graph_automorphism_count():

@@ -213,11 +213,11 @@ def test_conjecture_scan_small():
 
 def test_scan_caps_enforced():
     with pytest.raises(ValueError):
-        scan_extremal_classification(8)
+        scan_extremal_classification(9)
     with pytest.raises(ValueError):
-        scan_gamma_chain(7)
+        scan_gamma_chain(8)
     with pytest.raises(ValueError):
-        scan_locating_dominating(9)
+        scan_locating_dominating(10)
 
 
 def test_scan_report_shape():
