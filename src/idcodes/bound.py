@@ -12,7 +12,6 @@ from typing import Iterable
 
 from . import codes
 from .graph import Graph, PreconditionError, _balls, _reach, is_connected
-from .solve import _separating_ok
 
 
 @dataclass(frozen=True)
@@ -64,21 +63,31 @@ def ball_size_limit(max_degree: int, radius: int) -> int:
     return total
 
 
-def _least_removable(balls: list[int], n: int, ball_of_x: int) -> int | None:
-    """Least y in ``ball_of_x`` whose deletion leaves the balls twin-free.
+def _least_removable(balls: list[int], index: set[int], ball_of_x: int) -> int | None:
+    """Least y in ``ball_of_x`` whose deletion leaves the balls twin-free,
+    that is, for which the code "all vertices but y" separates.
 
-    Callers pass twin-free balls.  Then the code "all vertices but y"
-    separates exactly when the balls minus y stay distinct, y's own trace
-    included: if B(u) - y = B(y) - y for some u != y, then u lies in B(y),
-    so y lies in B(u) and B(u) = B(y), a twin pair.
+    Callers pass twin-free, symmetric balls and ``index``, the set of them.
+    Two balls that agree off y differ in y alone, and y lies in the one that
+    holds it, whose owner u then lies in B(y).  So y is removable exactly
+    when no u in B(y) has B(u) ^ {y} in the index, and each probe costs
+    |B(y)| lookups instead of a pass over all n balls.  y's own trace is
+    covered too: B(u) - y = B(y) - y for some u != y would make B(u) ^ {y}
+    = B(y) for u in B(y).
     """
-    full = (1 << n) - 1
     m = ball_of_x
     while m:
         b = m & -m
         m ^= b
-        if _separating_ok(balls, full ^ b):
-            return b.bit_length() - 1
+        y = b.bit_length() - 1
+        rest = balls[y]
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            if (balls[u.bit_length() - 1] ^ b) in index:
+                break
+        else:
+            return y
     return None
 
 
@@ -89,13 +98,16 @@ def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     Such a vertex exists in every finite graph whose r-th power is
     twin-free.
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     g._check_vertex(x)
     balls = _balls(g._cn, radius)
-    if len(set(balls)) != g.n:
+    index = set(balls)
+    if len(index) != g.n:
         raise PreconditionError(
             f"the radius-{radius} power has twins; no identifying code exists"
         )
-    y = _least_removable(balls, g.n, balls[x])
+    y = _least_removable(balls, index, balls[x])
     if y is None:  # pragma: no cover - impossible for finite twin-free powers
         raise RuntimeError(f"no removable vertex found in the ball of {x}")
     return y
@@ -124,9 +136,27 @@ def code_from_independent_set(
     4-independent in the r-th power) and every member v leaves the full
     vertex set minus v a valid r-identifying code.
     """
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
     members = sorted(set(chosen))
     for v in members:
         g._check_vertex(v)
+    balls = _balls(g._cn, radius)
+    return _compose(g, balls, set(balls), members, radius)
+
+
+def _compose(
+    g: Graph, balls: list[int], index: set[int], members: list[int], radius: int
+) -> frozenset[int]:
+    """``code_from_independent_set`` on the radius-r ``balls`` and their set
+    ``index``, for sorted, valid ``members``.
+
+    On twin-free balls, V - v identifies exactly when B(v) != {v} (else v
+    goes undominated) and v is removable in ``_least_removable``'s sense, a
+    test local to B(v).  A member failing it, or any member when the balls
+    have twins, gets its verdict and witness from ``codes.is_identifying``;
+    the returned code is always certified by it.
+    """
     spread = 3 * radius + 1
     for i, u in enumerate(members):
         reach = _reach(g._cn, 1 << u, radius=spread - 1)
@@ -137,7 +167,11 @@ def code_from_independent_set(
                     f"the set is not {spread}-independent"
                 )
     everything = set(range(g.n))
+    twin_free = len(index) == len(balls)
     for v in members:
+        b = 1 << v
+        if twin_free and balls[v] != b and _least_removable(balls, index, b) is not None:
+            continue
         cert = codes.is_identifying(g, everything - {v}, radius)
         if not cert.valid:
             err = PreconditionError(
@@ -173,21 +207,22 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     if not is_connected(g):
         raise PreconditionError("the pipeline is defined for connected graphs")
     balls = _balls(g._cn, radius)
-    if len(set(balls)) != g.n:
+    index = set(balls)
+    if len(index) != g.n:
         raise PreconditionError(
             f"the radius-{radius} power has twins; no identifying code exists"
         )
     independent = greedy_independent_set(g, 5 * radius + 1)
     mapped = []
     for x in sorted(independent):
-        y = _least_removable(balls, g.n, balls[x])
+        y = _least_removable(balls, index, balls[x])
         if y is None:  # pragma: no cover
             raise RuntimeError(f"no removable vertex in the ball of {x}")
         mapped.append(y)
     # each image sits within distance r of its preimage, so images of a
     # (5r+1)-independent set stay (3r+1)-independent and distinct
     assert len(set(mapped)) == len(mapped), "mapped set lost injectivity"
-    code = code_from_independent_set(g, mapped, radius)
+    code = _compose(g, balls, index, sorted(mapped), radius)
     theorem = "thm14" if radius == 1 else "thm19"
     return BoundReport(
         theorem,
@@ -213,11 +248,12 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     degs = g.degrees()
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
-    if len(set(g._cn)) != g.n:
+    index = set(g._cn)
+    if len(index) != g.n:
         raise PreconditionError("the graph has twins; no identifying code exists")
     delta = degs[0]
     independent = greedy_independent_set(g, 4)
-    code = code_from_independent_set(g, independent, 1)
+    code = _compose(g, list(g._cn), index, sorted(independent), 1)
     bound = None
     if delta >= 3:
         bound = g.n * (1 - Fraction(1, 1 + delta - delta * delta + delta**3))

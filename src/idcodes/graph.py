@@ -150,10 +150,34 @@ def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
 
 
 def _balls(cn: tuple[int, ...] | list[int], r: int) -> list[int]:
-    """Closed radius-r ball masks of every vertex."""
+    """Closed radius-r ball masks of every vertex, r >= 0.
+
+    Built level by level rather than by one BFS per vertex: B_0(x) = {x} and
+    B_{k+1}(x) is the union of B_k(u) over u in N[x], so a level costs one
+    mask OR per pair (x, u) with u in N[x].  A level that changes no ball
+    leaves every later level unchanged, so the build stops there: the cost is
+    capped by the largest eccentricity, not by r.
+    """
     if r == 1:
         return list(cn)
-    return [_reach(cn, 1 << x, radius=r) for x in range(len(cn))]
+    if r < 0:
+        raise ValueError("radius must be >= 0")
+    if r == 0:
+        return [1 << x for x in range(len(cn))]
+    balls = list(cn)
+    for _ in range(r - 1):
+        nxt = []
+        for m in cn:
+            acc = 0
+            while m:
+                b = m & -m
+                m ^= b
+                acc |= balls[b.bit_length() - 1]
+            nxt.append(acc)
+        if nxt == balls:
+            break
+        balls = nxt
+    return balls
 
 
 def closed_ball(g: Graph, x: int, r: int) -> frozenset[int]:

@@ -301,17 +301,19 @@ def scan_removable_vertex(
     for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
         counted = False
         for r in radii:
-            balls = cn
-            if r > 1:
+            if r == 1:
+                balls, index = cn, set(cn)
+            else:
                 # not graph._balls: stopping at the first repeated ball pays,
                 # since most squares repeat one, and starting from N[v] saves
                 # a BFS level (from v alone, building balls timed ~16% slower)
-                balls = []
+                balls, index = [], set()
                 for v in range(n):
                     b = _reach(cn, cn[v], radius=r - 1)
-                    if b in balls:
+                    if b in index:
                         break
                     balls.append(b)
+                    index.add(b)
                 if len(balls) < n:
                     continue
             if not counted:
@@ -319,7 +321,7 @@ def scan_removable_vertex(
                 counted = True
             report.details["per_radius_checked"][r] += weight
             for x in range(n):
-                if _least_removable(balls, n, balls[x]) is None:
+                if _least_removable(balls, index, balls[x]) is None:
                     report.counterexamples.append(_entry(n, emask, weight, radius=r, vertex=x))
     return report.finalize()
 

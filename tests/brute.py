@@ -8,7 +8,9 @@ the two routes can disagree when either has a bug.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
+from fractions import Fraction
 
 
 def adjacency(g) -> dict[int, set[int]]:
@@ -19,8 +21,7 @@ def adjacency(g) -> dict[int, set[int]]:
     return adj
 
 
-def naive_ball(g, x: int, r: int) -> set[int]:
-    adj = adjacency(g)
+def adjacency_ball(adj: dict[int, set[int]], x: int, r: int) -> set[int]:
     dist = {x: 0}
     queue = deque([x])
     while queue:
@@ -32,6 +33,10 @@ def naive_ball(g, x: int, r: int) -> set[int]:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return set(dist)
+
+
+def naive_ball(g, x: int, r: int) -> set[int]:
+    return adjacency_ball(adjacency(g), x, r)
 
 
 def naive_signatures(g, code, r: int) -> list[frozenset[int]]:
@@ -148,6 +153,95 @@ def ascending_search(g, kind: str, r: int = 1):
         if valid:
             return size, valid[0], explored + 1, valid
     return None
+
+
+def naive_code_from_set(g, chosen, r: int = 1):
+    """The code composition's former per-member route on plain sets.
+
+    Returns ("spacing", u, v) for the first pair of members closer than
+    3r + 1, ("member", v) for the first member v whose removal alone does
+    not leave an r-identifying code, ("final",) when the complement of the
+    set fails, and ("ok", code) otherwise.
+    """
+    adj = adjacency(g)
+    members = sorted(set(chosen))
+    spread = 3 * r + 1
+    for i, u in enumerate(members):
+        near = adjacency_ball(adj, u, spread - 1)
+        for v in members[i + 1 :]:
+            if v in near:
+                return ("spacing", u, v)
+    balls = [adjacency_ball(adj, x, r) for x in range(g.n)]
+
+    def identifies(code: set[int]) -> bool:
+        return signatures_ok("identifying", [frozenset(b & code) for b in balls], code)
+
+    everything = set(range(g.n))
+    for v in members:
+        if not identifies(everything - {v}):
+            return ("member", v)
+    code = everything - set(members)
+    return ("ok", code) if identifies(code) else ("final",)
+
+
+def naive_constructive_bound(g, r: int = 1, regular: bool = False) -> dict | None:
+    """The Thm 14/19 pipeline (Thm 15 with ``regular``) on plain sets, as
+    a ``BoundReport.to_dict()``; None when a precondition fails.
+
+    A greedy (5r+1)-independent set by index (4-independent and radius 1
+    for the regular variant), each member x mapped to the least y of its
+    radius-r ball for which all vertices but y separate (the regular
+    variant keeps x), then the per-member composition.
+    """
+    n = g.n
+    adj = adjacency(g)
+    if n < 2 or len(adjacency_ball(adj, 0, n)) != n:
+        return None
+    degrees = [len(adj[v]) for v in range(n)]
+    delta = max(degrees)
+    if regular and len(set(degrees)) != 1:
+        return None
+    balls = [adjacency_ball(adj, x, r) for x in range(n)]
+    if len({frozenset(b) for b in balls}) != n:
+        return None
+    spread = 4 if regular else 5 * r + 1
+    chosen: list[int] = []
+    covered: set[int] = set()
+    for v in range(n):
+        if v not in covered:
+            chosen.append(v)
+            covered |= adjacency_ball(adj, v, spread - 1)
+    everything = set(range(n))
+    mapped = []
+    for x in chosen:
+        if regular:
+            mapped.append(x)
+            continue
+        for y in sorted(balls[x]):
+            rest = everything - {y}
+            if signatures_ok("separating", [frozenset(b & rest) for b in balls], rest):
+                mapped.append(y)
+                break
+    outcome = naive_code_from_set(g, mapped, r)
+    if outcome[0] != "ok":
+        return None
+    code = outcome[1]
+    value = None
+    if delta >= 3:
+        if regular:
+            value = n * (1 - Fraction(1, 1 + delta - delta**2 + delta**3))
+        else:
+            value = n * (1 - Fraction(delta - 2, delta * (delta - 1) ** (5 * r) - 2))
+    return {
+        "theorem": "thm15" if regular else ("thm14" if r == 1 else "thm19"),
+        "radius": r,
+        "independent_set": chosen,
+        "mapped_set": sorted(mapped),
+        "code": sorted(code),
+        "code_size": len(code),
+        "bound_value": None if value is None else [value.numerator, value.denominator],
+        "bound_ceiling": None if value is None else math.ceil(value),
+    }
 
 
 def naive_twin_pairs(g) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
-"""Deterministic pseudo-random connected twin-free test graphs with maximum
-degree between 3 and 5, built from random near-regular pairings."""
+"""Deterministic pseudo-random test graphs: connected twin-free ones with
+maximum degree between 3 and 5 (near-regular pairings, or rings of cubic
+blobs for a large diameter), and sparse ones under a degree cap."""
 
 from __future__ import annotations
 
@@ -21,8 +22,9 @@ def _random_regular(n: int, d: int, rng: random.Random) -> Graph | None:
     return Graph(n, edges)
 
 
-def random_bounded_degree_graph(seed: int) -> Graph:
-    """Connected twin-free graph, 20 <= n <= 60, max degree in {3, 4, 5}.
+def random_bounded_degree_graph(seed: int, min_n: int = 20, max_n: int = 60) -> Graph:
+    """Connected twin-free graph, min_n <= n <= max_n (one more when n * d
+    is odd), max degree in {3, 4, 5}.
 
     Even seeds give regular graphs; odd seeds drop one edge from a regular
     graph (keeping the maximum degree) for non-regular coverage.
@@ -30,7 +32,7 @@ def random_bounded_degree_graph(seed: int) -> Graph:
     rng = random.Random(seed)
     while True:
         d = rng.choice((3, 4, 5))
-        n = rng.randrange(20, 61)
+        n = rng.randrange(min_n, max_n + 1)
         if n * d % 2:
             n += 1
         g = _random_regular(n, d, rng)
@@ -43,4 +45,41 @@ def random_bounded_degree_graph(seed: int) -> Graph:
             if g.max_degree() != d:
                 continue
         if is_connected(g) and is_twin_free(g) and 3 <= g.max_degree() <= 5:
+            return g
+
+
+def random_sparse_graph(seed: int, n: int, max_degree: int) -> Graph:
+    """Graph on n vertices from about n random edge draws, skipping any that
+    would push a degree above ``max_degree``; often disconnected."""
+    rng = random.Random(seed)
+    degree = [0] * n
+    edges = set()
+    for _ in range(n):
+        u, v = rng.randrange(n), rng.randrange(n)
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and degree[u] < max_degree and degree[v] < max_degree:
+            edges.add(e)
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(n, edges)
+
+
+def random_blob_ring(seed: int, blobs: int, blob_size: int = 24) -> Graph:
+    """Connected twin-free graph of large diameter and maximum degree at
+    most 5: random cubic blobs in a ring, each joined to the next by one
+    edge between random members."""
+    rng = random.Random(seed)
+    while True:
+        edges = set()
+        for b in range(blobs):
+            blob = None
+            while blob is None:
+                blob = _random_regular(blob_size, 3, rng)
+            edges |= {(u + b * blob_size, v + b * blob_size) for u, v in blob.edges()}
+        for b in range(blobs):
+            u = b * blob_size + rng.randrange(blob_size)
+            v = (b + 1) % blobs * blob_size + rng.randrange(blob_size)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(blobs * blob_size, edges)
+        if is_connected(g) and is_twin_free(g):
             return g

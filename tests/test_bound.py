@@ -1,13 +1,15 @@
 """Constructive bound machinery: removable vertices, greedy independent
 sets, the code composition and the two degree pipelines."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import brute
-from randgraphs import random_bounded_degree_graph
+from randgraphs import random_blob_ring, random_bounded_degree_graph
 from idcodes.bound import (
     ball_size_limit,
     code_from_independent_set,
@@ -26,6 +28,7 @@ from idcodes.families import (
     star_graph,
 )
 from idcodes.graph import (
+    Graph,
     PreconditionError,
     closed_ball,
     delete_vertex,
@@ -244,3 +247,131 @@ def test_pipeline_on_seeded_random_graphs():
         biggest_ball = max(len(closed_ball(g, x, 5)) for x in range(g.n))
         assert len(chosen) * biggest_ball >= g.n
         assert biggest_ball <= ball_size_limit(delta, 5)
+
+
+def test_radius_below_one_rejected_before_any_work():
+    for radius in (0, -1):
+        with pytest.raises(ValueError, match="^radius must be >= 1$") as exc:
+            removable_vertex_in_ball(path_graph(4), 0, radius)
+        assert exc.type is ValueError
+        with pytest.raises(ValueError, match="^radius must be >= 1$") as exc:
+            code_from_independent_set(cycle_graph(9), [0, 4], radius)
+        assert exc.type is ValueError
+        # the radius is checked before the vertices
+        with pytest.raises(ValueError, match="^radius must be >= 1$"):
+            removable_vertex_in_ball(path_graph(4), 9, radius)
+        with pytest.raises(ValueError, match="^radius must be >= 1$"):
+            code_from_independent_set(path_graph(4), [9], radius)
+
+
+def test_removable_vertex_matches_naive_oracle():
+    # every labeled graph on up to 5 vertices, and every class on 6 under a
+    # seeded relabeling, at radii 1-3 wherever the power is twin-free: the
+    # answer is the least y of the naive ball for which all vertices but y
+    # separate in the naive sense
+    rng = random.Random(7)
+    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    for g in enumerate_graphs(6, dedup=True):
+        perm = list(range(6))
+        rng.shuffle(perm)
+        graphs.append(Graph(6, [(perm[u], perm[v]) for u, v in g.edges()]))
+    checked = 0
+    for g in graphs:
+        everything = set(range(g.n))
+        for r in (1, 2, 3):
+            balls = [brute.naive_ball(g, x, r) for x in range(g.n)]
+            if len({frozenset(b) for b in balls}) != g.n:
+                with pytest.raises(PreconditionError):
+                    removable_vertex_in_ball(g, 0, r)
+                continue
+            for x in range(g.n):
+                expected = next(
+                    y
+                    for y in sorted(balls[x])
+                    if brute.naive_is_separating(g, everything - {y}, r)
+                )
+                assert removable_vertex_in_ball(g, x, r) == expected, (g, x, r)
+                checked += 1
+    assert checked > 3000
+
+
+def _composition_outcome(g, chosen, r):
+    try:
+        return ("ok", set(code_from_independent_set(g, chosen, r)))
+    except PreconditionError as err:
+        return ("error", str(err), getattr(err, "certificate", None))
+
+
+def _expected_outcome(g, chosen, r):
+    """What the per-member route says, with the message and certificate
+    that ``codes.is_identifying`` gives on the first failing member."""
+    naive = brute.naive_code_from_set(g, chosen, r)
+    everything = set(range(g.n))
+    if naive[0] == "ok":
+        return naive
+    if naive[0] == "spacing":
+        u, v = naive[1:]
+        spread = 3 * r + 1
+        msg = f"vertices {u} and {v} are closer than {spread}; the set is not {spread}-independent"
+        return ("error", msg, None)
+    if naive[0] == "member":
+        v = naive[1]
+        cert = is_identifying(g, everything - {v}, r)
+        msg = f"removing vertex {v} alone does not leave an identifying code: {cert.to_dict()['witness']}"
+        return ("error", msg, cert)
+    cert = is_identifying(g, everything - set(chosen), r)
+    return ("error", f"the complement of the set fails to identify: {cert.to_dict()['witness']}", cert)
+
+
+def test_code_from_independent_set_matches_per_member_oracle():
+    twins = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)])  # 0 and 1 are twins
+    isolated = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)])  # 5 is isolated
+    cases = [
+        (twins, [4], 1),
+        (twins, [], 1),
+        (isolated, [5], 1),
+        (isolated, [0, 5], 1),
+        (path_graph(5), [2], 1),  # the middle of a 5-path is not removable
+        (path_graph(9), [0, 4], 1),
+        (cycle_graph(9), [0, 4], 1),
+        (path_graph(12), [0, 11], 2),
+        (path_graph(4), [0, 3], 1),
+        (star_graph(4), [0], 1),
+    ]
+    rng = random.Random(14)
+    for _ in range(600):
+        n = rng.randrange(1, 12)
+        p = rng.choice((0.1, 0.2, 0.35, 0.6))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        chosen = rng.sample(range(n), rng.randrange(0, min(n, 3) + 1))
+        cases.append((g, chosen, rng.choice((1, 1, 2, 3))))
+    kinds = set()
+    for g, chosen, r in cases:
+        expected = _expected_outcome(g, chosen, r)
+        assert _composition_outcome(g, chosen, r) == expected, (g, chosen, r)
+        kinds.add(expected[1].split()[0] if expected[0] == "error" else "ok")
+    # the oracle saw codes, spacing failures, member failures and a twin graph
+    assert kinds == {"ok", "vertices", "removing", "the"}
+    assert _expected_outcome(isolated, [5], 1)[2].witness_vertex == 5
+    assert _expected_outcome(twins, [4], 1)[2].witness_pair == (0, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pipelines_match_naive_route_on_larger_graphs(seed):
+    # 100-400 vertices: random near-regular graphs (small diameter, so one
+    # or two members at radius 2 and 3) and rings of cubic blobs (large
+    # diameter, several members at every radius)
+    graphs = [random_bounded_degree_graph(seed, 100, 400), random_blob_ring(seed, 5 + 2 * seed)]
+    compared = 0
+    for g in graphs:
+        regular = len(set(g.degrees())) == 1
+        for r, variant in [(1, False), (2, False), (3, False)] + [(1, True)] * regular:
+            expected = brute.naive_constructive_bound(g, r, variant)
+            try:
+                report = regular_constructive_bound(g) if variant else constructive_upper_bound(g, r)
+                got = report.to_dict()
+            except PreconditionError:
+                got = None
+            assert got == expected, (seed, g.n, r, variant)
+            compared += expected is not None
+    assert compared >= 4

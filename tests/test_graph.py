@@ -9,6 +9,7 @@ import time
 import pytest
 
 import brute
+from randgraphs import random_sparse_graph
 from idcodes import graph
 from idcodes.families import (
     band5_square_root,
@@ -215,6 +216,44 @@ def test_balls_and_distances_match_naive_bfs_on_random_graphs():
             for r in range(5):
                 assert closed_ball(g, x, r) == brute.naive_ball(g, x, r)
             assert distances_from(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
+
+
+def test_ball_builder_and_power_match_naive_bfs():
+    # graph._balls builds level by level; check every level against the
+    # dict-based BFS, on small dense or sparse graphs (connected or not) and
+    # on sparse 200-vertex ones
+    rng = random.Random(1004)
+    graphs = []
+    for _ in range(30):
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.1, 0.25, 0.5))
+        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+    graphs += [random_sparse_graph(seed, 200, 5) for seed in range(3)]
+    assert not all(graph.is_connected(g) for g in graphs)
+    for g in graphs:
+        adj = brute.adjacency(g)
+        for r in range(7):
+            expected = [brute.adjacency_ball(adj, x, r) for x in range(g.n)]
+            assert [set(graph._bit_indices(b)) for b in graph._balls(g._cn, r)] == expected
+            if r:
+                pg = power(g, r)
+                assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
+    with pytest.raises(ValueError):
+        graph._balls((1, 2), -1)
+
+
+def test_ball_builder_stops_once_balls_stop_growing():
+    # a radius far beyond the diameter must cost no more than the diameter
+    cases = [(path_graph(9), 10**9), (complete_graph(6), 10**9),
+             (Graph(7, [(0, 1), (1, 2), (4, 5)]), 10**9), (cycle_graph(8), 4)]
+    start = time.process_time()
+    for g, r in cases:
+        adj = brute.adjacency(g)
+        expected = [brute.adjacency_ball(adj, x, r) for x in range(g.n)]
+        assert [set(graph._bit_indices(b)) for b in graph._balls(g._cn, r)] == expected
+        pg = power(g, r)
+        assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
+    assert time.process_time() - start < 5
 
 
 def test_enumerate_graphs_counts():
