@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, _balls, _reach, is_connected
+from .graph import Graph, PreconditionError, _balls, _reach, is_connected, is_twin_free
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,17 @@ def _least_removable(balls: list[int], index: set[int], ball_of_x: int) -> int |
     return None
 
 
+def _twin_free_balls(g: Graph, radius: int) -> tuple[list[int], set[int]]:
+    """The radius-r balls and their set, refusing a power with twins."""
+    balls = _balls(g._cn, radius)
+    index = set(balls)
+    if len(index) != g.n:
+        raise PreconditionError(
+            f"the radius-{radius} power has twins; no identifying code exists"
+        )
+    return balls, index
+
+
 def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     """Least y within distance r of x whose removal from the r-th power
     leaves it twin-free.
@@ -101,12 +112,7 @@ def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     if radius < 1:
         raise ValueError("radius must be >= 1")
     g._check_vertex(x)
-    balls = _balls(g._cn, radius)
-    index = set(balls)
-    if len(index) != g.n:
-        raise PreconditionError(
-            f"the radius-{radius} power has twins; no identifying code exists"
-        )
+    balls, index = _twin_free_balls(g, radius)
     y = _least_removable(balls, index, balls[x])
     if y is None:  # pragma: no cover - impossible for finite twin-free powers
         raise RuntimeError(f"no removable vertex found in the ball of {x}")
@@ -132,31 +138,21 @@ def code_from_independent_set(
     """All vertices minus a (3r+1)-independent set of individually removable
     vertices, verified as an r-identifying code before returning.
 
-    Preconditions checked: the set is (3r+1)-independent (equivalently
-    4-independent in the r-th power) and every member v leaves the full
-    vertex set minus v a valid r-identifying code.
+    Preconditions checked, in this order: the set is (3r+1)-independent
+    (equivalently 4-independent in the r-th power), and every member v, in
+    increasing order, leaves the full vertex set minus v a valid
+    r-identifying code.  On twin-free balls that member test is local to
+    B(v): V - v identifies exactly when B(v) != {v} (else v goes
+    undominated) and v is removable in ``_least_removable``'s sense.  A
+    member failing it, or any member when the balls have twins, gets its
+    verdict and witness from ``codes.is_identifying``; the returned code is
+    always certified by it.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     members = sorted(set(chosen))
     for v in members:
         g._check_vertex(v)
-    balls = _balls(g._cn, radius)
-    return _compose(g, balls, set(balls), members, radius)
-
-
-def _compose(
-    g: Graph, balls: list[int], index: set[int], members: list[int], radius: int
-) -> frozenset[int]:
-    """``code_from_independent_set`` on the radius-r ``balls`` and their set
-    ``index``, for sorted, valid ``members``.
-
-    On twin-free balls, V - v identifies exactly when B(v) != {v} (else v
-    goes undominated) and v is removable in ``_least_removable``'s sense, a
-    test local to B(v).  A member failing it, or any member when the balls
-    have twins, gets its verdict and witness from ``codes.is_identifying``;
-    the returned code is always certified by it.
-    """
     spread = 3 * radius + 1
     for i, u in enumerate(members):
         reach = _reach(g._cn, 1 << u, radius=spread - 1)
@@ -166,29 +162,28 @@ def _compose(
                     f"vertices {u} and {v} are closer than {spread}; "
                     f"the set is not {spread}-independent"
                 )
+    balls = _balls(g._cn, radius)
+    index = set(balls)
+    twin_free = len(index) == g.n
     everything = set(range(g.n))
-    twin_free = len(index) == len(balls)
     for v in members:
         b = 1 << v
         if twin_free and balls[v] != b and _least_removable(balls, index, b) is not None:
             continue
-        cert = codes.is_identifying(g, everything - {v}, radius)
-        if not cert.valid:
-            err = PreconditionError(
-                f"removing vertex {v} alone does not leave an identifying code: "
-                f"{cert.to_dict()['witness']}"
-            )
-            err.certificate = cert
-            raise err
-    result = frozenset(everything - set(members))
-    final = codes.is_identifying(g, result, radius)
-    if not final.valid:
-        err = PreconditionError(
-            f"the complement of the set fails to identify: {final.to_dict()['witness']}"
+        codes._require_identifying(
+            g,
+            everything - {v},
+            radius,
+            f"removing vertex {v} alone does not leave an identifying code",
         )
-        err.certificate = final
-        raise err
-    return result
+    return _certified_complement(g, members, radius)
+
+
+def _certified_complement(g: Graph, removed: Iterable[int], radius: int) -> frozenset[int]:
+    """V minus ``removed``, once ``codes.is_identifying`` accepts it."""
+    code = frozenset(range(g.n)).difference(removed)
+    codes._require_identifying(g, code, radius, "the complement of the set fails to identify")
+    return code
 
 
 def _degree_bound(n: int, delta: int, radius: int) -> Fraction | None:
@@ -199,19 +194,28 @@ def _degree_bound(n: int, delta: int, radius: int) -> Fraction | None:
 
 def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     """Greedy (5r+1)-independent set, one removable vertex inside each ball,
-    and the complement of the mapped set as the resulting code."""
+    and the complement of the mapped set as the resulting code.
+
+    The code is built as the proof builds it, then certified once by
+    ``codes.is_identifying``.  The per-member checks of
+    ``code_from_independent_set`` would add nothing:
+
+    - each image lies within r of its preimage, so the images of a
+      (5r+1)-independent set are distinct and (3r+1)-apart;
+    - each image y passed ``_least_removable`` when it was chosen, and
+      B(y) != {y} in a connected graph on two or more vertices, so V - y
+      identifies;
+    - a subset of a non-code is not a code, so if some V - y failed, the
+      code V - M would fail too, and the final certificate covers every
+      per-member verdict.
+    """
     if radius < 1:
         raise ValueError("radius must be >= 1")
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("the pipeline is defined for connected graphs")
-    balls = _balls(g._cn, radius)
-    index = set(balls)
-    if len(index) != g.n:
-        raise PreconditionError(
-            f"the radius-{radius} power has twins; no identifying code exists"
-        )
+    balls, index = _twin_free_balls(g, radius)
     independent = greedy_independent_set(g, 5 * radius + 1)
     mapped = []
     for x in sorted(independent):
@@ -219,10 +223,8 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
         if y is None:  # pragma: no cover
             raise RuntimeError(f"no removable vertex in the ball of {x}")
         mapped.append(y)
-    # each image sits within distance r of its preimage, so images of a
-    # (5r+1)-independent set stay (3r+1)-independent and distinct
     assert len(set(mapped)) == len(mapped), "mapped set lost injectivity"
-    code = _compose(g, balls, index, sorted(mapped), radius)
+    code = _certified_complement(g, mapped, radius)
     theorem = "thm14" if radius == 1 else "thm19"
     return BoundReport(
         theorem,
@@ -237,9 +239,13 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
 def regular_constructive_bound(g: Graph) -> BoundReport:
     """Regular-graph variant: the greedy 4-independent set itself is removed.
 
-    In a regular twin-free graph every single-vertex deletion keeps the
-    graph identifiable, so no removable-vertex mapping step is needed and
-    the denominator improves to 1 + D - D^2 + D^3.
+    In a regular twin-free graph all unit balls have the same size, so no
+    B(x) ^ B(y) is a single vertex and every single-vertex deletion keeps
+    the graph identifiable; no removable-vertex mapping step is needed and
+    the denominator improves to 1 + D - D^2 + D^3.  The set is
+    4-independent, the (3r+1) spacing at r = 1, and as in
+    ``constructive_upper_bound`` its complement is certified once by
+    ``codes.is_identifying``, which covers every per-member verdict.
     """
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
@@ -248,14 +254,12 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     degs = g.degrees()
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
-    index = set(g._cn)
-    if len(index) != g.n:
+    if not is_twin_free(g):
         raise PreconditionError("the graph has twins; no identifying code exists")
     delta = degs[0]
     independent = greedy_independent_set(g, 4)
-    code = _compose(g, list(g._cn), index, sorted(independent), 1)
+    code = _certified_complement(g, independent, 1)
     bound = None
     if delta >= 3:
         bound = g.n * (1 - Fraction(1, 1 + delta - delta * delta + delta**3))
     return BoundReport("thm15", 1, independent, independent, code, bound)
-

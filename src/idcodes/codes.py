@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graph import Graph, _balls, _bit_indices, _reach
+from .graph import Graph, PreconditionError, _balls, _bit_indices, _reach
 
 KINDS = ("dominating", "separating", "identifying", "locating-dominating", "discriminating")
 
@@ -126,6 +126,16 @@ def is_identifying(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertif
     _check_radius(radius)
     c = _code_mask(g, code)
     return _certify("identifying", radius, _balls(g._cn, radius), c, True, range(g.n))
+
+
+def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: str) -> None:
+    """Raise ``PreconditionError(f"{failure}: {witness}")``, carrying the
+    certificate as ``.certificate``, unless ``code`` is r-identifying."""
+    cert = is_identifying(g, code, radius)
+    if not cert.valid:
+        err = PreconditionError(f"{failure}: {cert.to_dict()['witness']}")
+        err.certificate = cert
+        raise err
 
 
 def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:

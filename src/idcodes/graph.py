@@ -270,17 +270,7 @@ def delete_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
     """New graph without x, reindexed densely, plus the old->new index map."""
     g._check_vertex(x)
     keep = [v for v in range(g.n) if v != x]
-    mapping = {old: new for new, old in enumerate(keep)}
-    nbr = []
-    for old in keep:
-        m = 0
-        rest = g._nbr[old] & ~(1 << x)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            m |= 1 << mapping[b.bit_length() - 1]
-        nbr.append(m)
-    return Graph._from_masks(g.n - 1, tuple(nbr)), mapping
+    return induced_subgraph(g, keep), {old: new for new, old in enumerate(keep)}
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:

@@ -47,10 +47,10 @@ class SolveReport:
 
 
 # -- validity kernels over ball-mask lists -------------------------------
-# The package's one kernel family: the scans and the bound pipelines call
-# these (the solver works on hitting-set constraints instead).  They mirror
-# the certifying checks in ``codes`` but work on raw masks; the two
-# implementations are cross-tested.
+# The package's one kernel family: the scans call these (the solver works
+# on hitting-set constraints instead).  They mirror the certifying checks
+# in ``codes`` but work on raw masks; the two implementations are
+# cross-tested.
 
 
 def _identifying_ok(balls: list[int], c: int) -> bool:
@@ -58,16 +58,6 @@ def _identifying_ok(balls: list[int], c: int) -> bool:
     for b in balls:
         s = b & c
         if not s or s in seen:
-            return False
-        seen.add(s)
-    return True
-
-
-def _separating_ok(balls: list[int], c: int) -> bool:
-    seen = set()
-    for b in balls:
-        s = b & c
-        if s in seen:
             return False
         seen.add(s)
     return True
@@ -367,14 +357,9 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
         raise TwinsError(
             f"removing {removed_set} leaves twins {pair[0]} and {pair[1]}", pair
         )
-    cert = codes.is_identifying(sub, base_code)
-    if not cert.valid:
-        err = PreconditionError(
-            "base_code is not an identifying code of the reduced graph: "
-            f"{cert.to_dict()['witness']}"
-        )
-        err.certificate = cert
-        raise err
+    codes._require_identifying(
+        sub, base_code, 1, "base_code is not an identifying code of the reduced graph"
+    )
 
     current = 0
     for v in base_code:

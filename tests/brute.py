@@ -40,8 +40,9 @@ def naive_ball(g, x: int, r: int) -> set[int]:
 
 
 def naive_signatures(g, code, r: int) -> list[frozenset[int]]:
+    adj = adjacency(g)
     cset = set(code)
-    return [frozenset(naive_ball(g, x, r) & cset) for x in range(g.n)]
+    return [frozenset(adjacency_ball(adj, x, r) & cset) for x in range(g.n)]
 
 
 def signatures_ok(kind: str, sigs, code) -> bool:

@@ -10,6 +10,7 @@ import pytest
 
 import brute
 from randgraphs import random_blob_ring, random_bounded_degree_graph
+from idcodes import bound
 from idcodes.bound import (
     ball_size_limit,
     code_from_independent_set,
@@ -373,5 +374,43 @@ def test_pipelines_match_naive_route_on_larger_graphs(seed):
             except PreconditionError:
                 got = None
             assert got == expected, (seed, g.n, r, variant)
-            compared += expected is not None
+            if got is None:
+                continue
+            compared += 1
+            # what the construction guarantees without a per-member check:
+            # the images are (3r+1)-apart, each lies within r of its own
+            # preimage, and all vertices but any one image identify
+            # (dict BFS balls: a naive_distance call per pair takes seconds
+            # at 400 vertices)
+            adj = brute.adjacency(g)
+            everything = set(range(g.n))
+            owners = []
+            for y in report.mapped_set:
+                assert brute.adjacency_ball(adj, y, 3 * r) & report.mapped_set == {y}
+                near = brute.adjacency_ball(adj, y, r) & report.independent_set
+                assert len(near) == 1
+                owners += near
+                assert brute.naive_is_identifying(g, everything - {y}, r)
+            assert sorted(owners) == sorted(report.independent_set)
     assert compared >= 4
+
+
+def test_pipelines_certify_the_code_they_return(monkeypatch):
+    # with the mapping step or the greedy set broken, only the final
+    # certification stands between the pipelines and a non-code
+    g = path_graph(5)
+    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x: 2)
+    with pytest.raises(PreconditionError) as exc:
+        constructive_upper_bound(g)
+    cert = is_identifying(g, {0, 1, 3, 4})
+    assert not cert.valid and exc.value.certificate == cert
+    assert str(exc.value) == (
+        f"the complement of the set fails to identify: {cert.to_dict()['witness']}"
+    )
+    c9 = cycle_graph(9)
+    monkeypatch.setattr(bound, "greedy_independent_set", lambda h, d: frozenset({0, 1, 2}))
+    with pytest.raises(PreconditionError) as exc:
+        regular_constructive_bound(c9)
+    cert = is_identifying(c9, set(range(3, 9)))
+    assert cert.witness_vertex == 1 and exc.value.certificate == cert
+    assert str(exc.value) == "the complement of the set fails to identify: {'undominated': 1}"

@@ -183,6 +183,18 @@ def test_delete_vertex_reindexes_and_reports_mapping():
     assert h.edges() == [(0, 1), (2, 3), (3, 0)] or h.edges() == sorted([(0, 1), (2, 3), (0, 3)])
     # original graph untouched
     assert g.n == 5 and g.edge_count == 5
+    # seeded graphs, edge by edge against a plain relabelling
+    rng = random.Random(269)
+    for _ in range(40):
+        n = rng.randrange(1, 12)
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        g = Graph(n, edges)
+        for x in range(n):
+            h, mapping = delete_vertex(g, x)
+            relabel = {v: v - (v > x) for v in range(n) if v != x}
+            assert h.n == n - 1 and mapping == relabel
+            expected = sorted((relabel[u], relabel[v]) for u, v in edges if x not in (u, v))
+            assert sorted(tuple(sorted(e)) for e in h.edges()) == expected
 
 
 def test_induced_subgraph():

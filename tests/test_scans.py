@@ -116,11 +116,10 @@ def test_entry_lists_the_edges_of_its_mask():
 
 
 def test_kernels_agree_with_certified_checkers():
-    # every solve kernel, which the scans and the bound pipelines call,
-    # against the certifying checker of the same kind
+    # every solve kernel, which the scans call, against the certifying
+    # checker of the same kind
     kernels = {
         "identifying": solve._identifying_ok,
-        "separating": solve._separating_ok,
         "locating-dominating": solve._locating_dominating_ok,
     }
     rng = random.Random(31)

@@ -9,6 +9,7 @@ import random
 import pytest
 
 import brute
+from idcodes.codes import is_identifying
 from idcodes.families import (
     band_graph,
     complete_graph,
@@ -360,8 +361,15 @@ def test_extend_code_preconditions():
     # removing the middle of the 5-path leaves a twin pair
     with pytest.raises(TwinsError):
         extend_code(path_graph(5), [2], [0, 1])
-    with pytest.raises(PreconditionError):
-        extend_code(path_graph(4), [3], [0])  # not a code of the 3-path
+    # not a code of the 3-path: the message and certificate name the
+    # reduced graph's undominated vertex 2
+    with pytest.raises(PreconditionError) as exc:
+        extend_code(path_graph(4), [3], [0])
+    assert str(exc.value) == (
+        "base_code is not an identifying code of the reduced graph: {'undominated': 2}"
+    )
+    assert exc.value.certificate == is_identifying(path_graph(3), [0])
+    assert exc.value.certificate.witness_vertex == 2
 
 
 def test_lower_bound_matches_brute_force():
