@@ -93,7 +93,7 @@ def _least_removable(balls: list[int], index: set[int], ball_of_x: int) -> int |
 
 def _twin_free_balls(g: Graph, radius: int) -> tuple[list[int], set[int]]:
     """The radius-r balls and their set, refusing a power with twins."""
-    balls = _balls(g._cn, radius)
+    balls = _balls(g, radius)
     index = set(balls)
     if len(index) != g.n:
         raise PreconditionError(
@@ -162,7 +162,7 @@ def code_from_independent_set(
                     f"vertices {u} and {v} are closer than {spread}; "
                     f"the set is not {spread}-independent"
                 )
-    balls = _balls(g._cn, radius)
+    balls = _balls(g, radius)
     index = set(balls)
     twin_free = len(index) == g.n
     everything = set(range(g.n))

@@ -5,7 +5,7 @@ separating sets to discriminating codes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Graph, PreconditionError, _balls, _bit_indices, _reach
 
@@ -50,9 +50,11 @@ class CodeCertificate:
 
 
 def _code_mask(g: Graph, code: Iterable[int]) -> int:
+    n = g.n
     m = 0
     for v in code:
-        g._check_vertex(v)
+        if not 0 <= v < n:
+            g._check_vertex(v)  # raises with the package's message
         m |= 1 << v
     return m
 
@@ -64,28 +66,31 @@ def _check_radius(radius: int) -> None:
 
 
 def _certify(
-    kind: str, radius: int, balls: list[int], c: int, dominate: bool, separate: Iterable[int]
+    kind: str, radius: int, balls: list[int], c: int, dominate: bool, separate: Sequence[int]
 ) -> CodeCertificate:
     """Verdict from the code-restricted balls ``b & c``.
 
     With ``dominate`` the least vertex with an empty signature fails first;
     then the lexicographically first pair among ``separate`` with equal
-    signatures fails.
+    signatures fails.  ``separate`` lists distinct vertices in increasing
+    order.  A valid code is recognised from the signatures alone; the
+    witness search runs only on failure.
     """
     sigs = [b & c for b in balls]
-    if dominate:
-        for x, s in enumerate(sigs):
-            if not s:
-                return CodeCertificate(kind, radius, False, witness_vertex=x)
-    groups: dict[int, list[int]] = {}
-    for v in separate:
-        groups.setdefault(sigs[v], []).append(v)
-    best: tuple[int, int] | None = None
-    for vs in groups.values():
-        if len(vs) > 1 and (best is None or vs[0] < best[0]):
-            best = (vs[0], vs[1])
-    if best is None:
+    if dominate and not all(sigs):
+        return CodeCertificate(kind, radius, False, witness_vertex=sigs.index(0))
+    # distinct vertices: at full length, separate is every vertex
+    pool = sigs if len(separate) == len(sigs) else [sigs[v] for v in separate]
+    if len(set(pool)) == len(pool):
         return CodeCertificate(kind, radius, True)
+    # the pair is (x, y) for the least x sharing its signature with a later
+    # vertex, and the least such y
+    first: dict[int, int] = {}
+    best = (len(sigs), 0)
+    for v in separate:
+        x = first.setdefault(sigs[v], v)
+        if x != v and x < best[0]:
+            best = (x, v)
     return CodeCertificate(
         kind,
         radius,
@@ -99,7 +104,7 @@ def is_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertifi
     """Valid iff every radius-r ball meets the code."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    return _certify("dominating", radius, _balls(g._cn, radius), c, True, ())
+    return _certify("dominating", radius, _balls(g, radius), c, True, ())
 
 
 def separates(g: Graph, code: Iterable[int], x: int, y: int, radius: int = 1) -> bool:
@@ -118,14 +123,14 @@ def is_separating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertifi
     """Valid iff all vertex pairs get distinct code-restricted balls."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    return _certify("separating", radius, _balls(g._cn, radius), c, False, range(g.n))
+    return _certify("separating", radius, _balls(g, radius), c, False, range(g.n))
 
 
 def is_identifying(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff the code is both r-dominating and r-separating."""
     _check_radius(radius)
     c = _code_mask(g, code)
-    return _certify("identifying", radius, _balls(g._cn, radius), c, True, range(g.n))
+    return _certify("identifying", radius, _balls(g, radius), c, True, range(g.n))
 
 
 def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: str) -> None:
@@ -143,7 +148,7 @@ def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> Co
     _check_radius(radius)
     c = _code_mask(g, code)
     outside = [v for v in range(g.n) if not c >> v & 1]
-    return _certify("locating-dominating", radius, _balls(g._cn, radius), c, True, outside)
+    return _certify("locating-dominating", radius, _balls(g, radius), c, True, outside)
 
 
 def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> CodeCertificate:

@@ -1,14 +1,18 @@
 """Finite simple graphs on dense 0-based vertices, with bitmask adjacency.
 
-Adjacency is stored as one integer bitmask per vertex, which makes balls,
-symmetric differences and twin detection word-parallel; the exhaustive
-scans in this package spend nearly all their time in these operations.
+Adjacency is stored as one integer bitmask per vertex, which makes
+symmetric differences, ball signatures and twin detection word-parallel;
+the exhaustive scans in this package spend nearly all their time in these
+operations.  Each graph also keeps its closed-neighbour index lists, which
+drive the radius-r ball builder without pulling bits out of wide masks.
 Graphs are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterable, Iterator
 
 ENUMERATION_CAP = 7
@@ -44,15 +48,20 @@ class Graph:
 
     ``_nbr[v]`` is the open-neighborhood bitmask of v, ``_cn[v]`` the closed
     one (v included).  Other modules in this package read the mask tuples
-    directly in hot loops.
+    directly in hot loops.  ``_adj[v]`` lists v and its neighbours, each
+    once, in no fixed order: ``Graph(n, edges)`` fills it while it builds
+    the masks, and a graph built from masks leaves it ``None`` until
+    ``_balls`` first needs it.  It is derived from ``_nbr``, so equality and
+    hashing ignore it.
     """
 
-    __slots__ = ("n", "_nbr", "_cn")
+    __slots__ = ("n", "_nbr", "_cn", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         nbr = [0] * n
+        adj = [[v] for v in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"invalid vertex in edge ({u}, {v}): range is 0..{n - 1}")
@@ -60,9 +69,15 @@ class Graph:
                 raise ValueError(f"loop edge ({u}, {u}) not allowed in a simple graph")
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
+            adj[u].append(v)
+            adj[v].append(u)
+        for v, m in enumerate(nbr):
+            if len(adj[v]) != m.bit_count() + 1:  # a repeated edge
+                adj[v] = [v, *dict.fromkeys(adj[v][1:])]
         self.n = n
         self._nbr = tuple(nbr)
         self._cn = tuple(m | (1 << v) for v, m in enumerate(nbr))
+        self._adj = adj
 
     @classmethod
     def _from_masks(cls, n: int, nbr: tuple[int, ...]) -> "Graph":
@@ -71,6 +86,7 @@ class Graph:
         g.n = n
         g._nbr = nbr
         g._cn = tuple(m | (1 << v) for v, m in enumerate(nbr))
+        g._adj = None
         return g
 
     # -- basic accessors ------------------------------------------------
@@ -149,31 +165,30 @@ def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
     return seen
 
 
-def _balls(cn: tuple[int, ...] | list[int], r: int) -> list[int]:
-    """Closed radius-r ball masks of every vertex, r >= 0.
+def _balls(g: Graph, r: int) -> list[int]:
+    """Closed radius-r ball masks of every vertex of g, r >= 0.
 
     Built level by level rather than by one BFS per vertex: B_0(x) = {x} and
     B_{k+1}(x) is the union of B_k(u) over u in N[x], so a level costs one
-    mask OR per pair (x, u) with u in N[x].  A level that changes no ball
-    leaves every later level unchanged, so the build stops there: the cost is
-    capped by the largest eccentricity, not by r.
+    mask OR per pair (x, u) with u in N[x].  The pairs come from the index
+    lists ``g._adj``, filled here from the masks the first time a graph
+    built from masks needs them; no level extracts bits from a mask.  A
+    level that changes no ball leaves every later level unchanged, so the
+    build stops there: the cost is capped by the largest eccentricity, not
+    by r.
     """
     if r == 1:
-        return list(cn)
+        return list(g._cn)
     if r < 0:
         raise ValueError("radius must be >= 0")
     if r == 0:
-        return [1 << x for x in range(len(cn))]
-    balls = list(cn)
+        return [1 << x for x in range(g.n)]
+    adj = g._adj
+    if adj is None:
+        adj = g._adj = [_bit_indices(m) for m in g._cn]
+    balls = list(g._cn)
     for _ in range(r - 1):
-        nxt = []
-        for m in cn:
-            acc = 0
-            while m:
-                b = m & -m
-                m ^= b
-                acc |= balls[b.bit_length() - 1]
-            nxt.append(acc)
+        nxt = [reduce(or_, map(balls.__getitem__, ix)) for ix in adj]
         if nxt == balls:
             break
         balls = nxt
@@ -209,7 +224,7 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError("radius must be >= 1")
     if r == 1:
         return g
-    nbr = tuple(b ^ (1 << x) for x, b in enumerate(_balls(g._cn, r)))
+    nbr = tuple(b ^ (1 << x) for x, b in enumerate(_balls(g, r)))
     return Graph._from_masks(g.n, nbr)
 
 

@@ -79,7 +79,7 @@ def _locating_dominating_ok(balls: list[int], c: int) -> bool:
 def _radius_balls(g: Graph, radius: int) -> list[int]:
     if radius < 1:
         raise ValueError("radius must be >= 1")
-    return _balls(g._cn, radius)
+    return _balls(g, radius)
 
 
 def _twin_pair_of(balls: list[int]) -> tuple[int, int] | None:

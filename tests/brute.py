@@ -57,6 +57,25 @@ def signatures_ok(kind: str, sigs, code) -> bool:
     return len(set(sigs)) == len(sigs)
 
 
+def naive_witness(kind: str, sigs, code) -> dict | None:
+    """The certificate's witness field for an invalid ``code`` of the given
+    kind, None for a valid one: the least undominated vertex, else the
+    lexicographically first pair (outside the code for locating-dominating)
+    with equal signatures."""
+    if kind != "separating":
+        for x, s in enumerate(sigs):
+            if not s:
+                return {"undominated": x}
+    if kind == "dominating":
+        return None
+    pool = [v for v in range(len(sigs)) if kind != "locating-dominating" or v not in code]
+    for i, x in enumerate(pool):
+        for y in pool[i + 1 :]:
+            if sigs[x] == sigs[y]:
+                return {"pair": [x, y], "signature": sorted(sigs[x])}
+    return None
+
+
 def naive_is_dominating(g, code, r: int = 1) -> bool:
     return signatures_ok("dominating", naive_signatures(g, code, r), code)
 

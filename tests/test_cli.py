@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from idcodes import codes, solve
+from idcodes import cli, codes, solve
 from idcodes.cli import main
 from idcodes.families import band_graph, cycle_graph, star_graph
 from idcodes.graph import Graph, format_edge_list, parse_edge_list, power
@@ -227,3 +227,40 @@ def test_verify_radius_two(run, graph_file):
     )
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_repeated_main_matches_fresh_parser(capsys, graph_file, monkeypatch):
+    # main keeps one parser for the process; a run of mixed subcommands,
+    # --plain and usage errors must print and exit as on a fresh parser
+    path = graph_file(band5_square_root_graph())
+    argvs = [
+        ["solve", "--graph", path, "--kind", "identifying"],
+        ["--plain", "verify", "--graph", path, "--code", "0,1", "--kind", "separating"],
+        ["solve", "--graph", path],  # missing --kind: argparse exits 2
+        ["--plain", "solve", "--graph", path, "--kind", "locating-dominating", "--radius", "2"],
+        ["scan", "--max-n", "4"],  # neither mode: main returns 2
+        ["bound", "--graph", path, "--radius", "1"],
+        ["generate", "--family", "A:3"],
+        ["verify", "--graph", path, "--code", "", "--kind", "dominating"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    shared = [outcome(argv) for argv in argvs]
+    parser = cli._PARSER
+    assert parser is not None
+    shared += [outcome(argv) for argv in reversed(argvs)]
+    assert cli._PARSER is parser
+    fresh = []
+    for argv in argvs + argvs[::-1]:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(outcome(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared[: len(argvs)]] == [0, 0, 2, 0, 2, 0, 0, 0]
+    assert cli.build_parser() is not cli.build_parser()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 import brute
+from randgraphs import random_bounded_degree_graph, random_sparse_graph
 from idcodes.codes import (
     check_code,
     is_discriminating,
@@ -159,8 +160,9 @@ def test_radius_zero_rejected():
 
 
 def test_code_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        is_identifying(path_graph(3), [5])
+    for bad in (5, 3, -1):
+        with pytest.raises(ValueError, match=rf"^invalid vertex {bad}: range is 0\.\.2$"):
+            is_identifying(path_graph(3), [0, bad])
 
 
 def test_check_code_dispatch():
@@ -212,3 +214,39 @@ def test_certificate_serialization():
     }
     ok = is_identifying(band_graph(2), [0, 1, 2]).to_dict()
     assert ok["valid"] is True and ok["witness"] is None
+
+
+def test_certificates_match_oracle_on_large_near_complete_codes():
+    # V minus a few vertices, or minus a whole ball, on graphs of up to 300
+    # vertices: the valid verdicts come from the signature fast path, the
+    # invalid ones from the witness search, and both must match the oracle
+    checkers = {
+        "dominating": is_dominating,
+        "identifying": is_identifying,
+        "separating": is_separating,
+        "locating-dominating": is_locating_dominating,
+    }
+    rng = random.Random(1005)
+    graphs = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
+    graphs += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
+    verdicts = set()
+    for g in graphs:
+        for r in (1, 2, 3):
+            for k in (0, 1, 2, 3, -1):
+                if k < 0:
+                    removed = closed_ball(g, rng.randrange(g.n), 1)
+                else:
+                    removed = set(rng.sample(range(g.n), k))
+                code = set(range(g.n)) - removed
+                sigs = brute.naive_signatures(g, code, r)
+                for kind, check in checkers.items():
+                    cert = check(g, code, r)
+                    valid = brute.signatures_ok(kind, sigs, code)
+                    assert cert.to_dict() == {
+                        "kind": kind,
+                        "radius": r,
+                        "valid": valid,
+                        "witness": None if valid else brute.naive_witness(kind, sigs, code),
+                    }, (g.n, r, kind, sorted(removed))
+                    verdicts.add((kind, valid))
+    assert verdicts == {(kind, v) for kind in checkers for v in (True, False)}

@@ -232,26 +232,62 @@ def test_balls_and_distances_match_naive_bfs_on_random_graphs():
 
 def test_ball_builder_and_power_match_naive_bfs():
     # graph._balls builds level by level; check every level against the
-    # dict-based BFS, on small dense or sparse graphs (connected or not) and
-    # on sparse 200-vertex ones
+    # dict-based BFS, on small dense or sparse graphs (connected or not), on
+    # sparse 200-vertex ones whose masks span several machine words, and on
+    # both construction routes: Graph(n, edges), here also given repeated
+    # and reversed edges, fills the closed-neighbour lists, and a graph
+    # built from masks gets them from _balls on first use
     rng = random.Random(1004)
-    graphs = []
+    listed = []
     for _ in range(30):
         n = rng.randrange(1, 13)
         p = rng.choice((0.1, 0.25, 0.5))
-        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
-    graphs += [random_sparse_graph(seed, 200, 5) for seed in range(3)]
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        listed.append(Graph(n, edges))
+        listed.append(Graph(n, edges + [(v, u) for u, v in edges[::2]] + edges[1::3]))
+    sparse = [random_sparse_graph(seed, 200, 5) for seed in range(3)]
+    listed += sparse
+    masked = [graph_from_edge_mask(n, rng.getrandbits(n * (n - 1) // 2)) for n in (1, 5, 9, 12)]
+    masked += [induced_subgraph(g, rng.sample(range(g.n), 150)) for g in sparse]
+    masked += [complement(g) for g in listed[:20:2]]
+    masked += [join(listed[i], listed[i + 2]) for i in range(0, 12, 4)]
+    masked += [power(g, 2) for g in sparse[:2]]
+    assert all(g._adj is not None for g in listed) and all(g._adj is None for g in masked)
+    graphs = listed + masked
     assert not all(graph.is_connected(g) for g in graphs)
     for g in graphs:
         adj = brute.adjacency(g)
         for r in range(7):
             expected = [brute.adjacency_ball(adj, x, r) for x in range(g.n)]
-            assert [set(graph._bit_indices(b)) for b in graph._balls(g._cn, r)] == expected
+            assert [set(graph._bit_indices(b)) for b in graph._balls(g, r)] == expected
             if r:
                 pg = power(g, r)
                 assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
+        # each list holds its vertex and the vertex's neighbours, each once
+        assert [sorted(ix) for ix in g._adj] == [
+            sorted(brute.adjacency_ball(adj, x, 1)) for x in range(g.n)
+        ]
     with pytest.raises(ValueError):
-        graph._balls((1, 2), -1)
+        graph._balls(Graph(2), -1)
+
+
+def test_both_construction_routes_give_equal_graphs():
+    # the closed-neighbour lists are derived from the masks: a graph built
+    # from an edge list and the same graph built from masks compare and hash
+    # equal, before and after _balls fills the lists of the second
+    for seed in range(3):
+        g = random_sparse_graph(seed, 200, 5)
+        edges = g.edges()
+        routes = [
+            graph_from_edge_mask(g.n, edge_mask_of(g)),
+            induced_subgraph(g, range(g.n)),
+            complement(complement(g)),
+            Graph(g.n, [(v, u) for u, v in edges] + edges),
+        ]
+        for h in routes:
+            assert h == g and hash(h) == hash(g)
+            assert graph._balls(h, 3) == graph._balls(g, 3)
+            assert h == g and hash(h) == hash(g) and len({g, h}) == 1
 
 
 def test_ball_builder_stops_once_balls_stop_growing():
@@ -262,7 +298,7 @@ def test_ball_builder_stops_once_balls_stop_growing():
     for g, r in cases:
         adj = brute.adjacency(g)
         expected = [brute.adjacency_ball(adj, x, r) for x in range(g.n)]
-        assert [set(graph._bit_indices(b)) for b in graph._balls(g._cn, r)] == expected
+        assert [set(graph._bit_indices(b)) for b in graph._balls(g, r)] == expected
         pg = power(g, r)
         assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
     assert time.process_time() - start < 5

@@ -127,7 +127,7 @@ def test_kernels_agree_with_certified_checkers():
         n = rng.randrange(1, 8)
         g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
         for radius in (1, 2):
-            balls = _balls(g._cn, radius)
+            balls = _balls(g, radius)
             for _ in range(4):
                 c = rng.randrange(1 << n)
                 subset = [v for v in range(n) if c >> v & 1]
