@@ -17,8 +17,9 @@ from typing import Callable, Iterable, Iterator
 
 ENUMERATION_CAP = 7
 INPUT_VERTEX_CAP = 16384
-# _canon takes about 0.1 s on the most symmetric 64-vertex graphs but
-# seconds from n ~ 200, and its search recursion nears Python's limit at 1000
+# _canon takes about 0.1 s on the most symmetric 64-vertex graphs (empty,
+# complete, four 16-vertex strongly regular graphs) but 1.5-3 s at n = 200,
+# and its search recursion nears Python's limit at 1000
 ISOMORPHISM_CAP = 64
 
 
@@ -325,11 +326,6 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _reach(g._cn, g._cn[0], full) == full
 
 
-def connected_component_masks(g: Graph) -> list[int]:
-    """Vertex bitmasks of the connected components, ordered by least vertex."""
-    return _component_masks(g._cn, (1 << g.n) - 1)
-
-
 # -- enumeration, canonical form, isomorphism --------------------------
 
 
@@ -358,37 +354,24 @@ def edge_mask_of(g: Graph) -> int:
     return m
 
 
-def enumerate_graphs(
-    n: int,
-    predicate: Callable[[Graph], bool] | None = None,
-    dedup: bool = False,
-    cap: int = ENUMERATION_CAP,
-) -> Iterator[Graph]:
+def enumerate_graphs(n: int, predicate: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
     """Yield every labeled simple graph on n vertices passing the filter.
 
     The order is fixed: ascending edge bitmask, where bit e stands for the
     e-th vertex pair in lexicographic order (0,1), (0,2), ..., (n-2,n-1).
-    With ``dedup`` only the first graph of each isomorphism class in that
-    order is yielded.
+    One graph per isomorphism class is ``scans._sweep``'s job.
     """
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise ValueError(
             f"refusing to enumerate 2^{n * (n - 1) // 2} labeled graphs on {n} "
-            f"vertices (cap is {cap}); pass a larger cap explicitly if intended"
+            f"vertices (cap is {ENUMERATION_CAP})"
         )
-    seen_canonical: set[int] = set()
     for mask in range(1 << (n * (n - 1) // 2)):
         g = graph_from_edge_mask(n, mask)
-        if predicate is not None and not predicate(g):
-            continue
-        if dedup:
-            c = _canon(g._nbr)[0]
-            if c in seen_canonical:
-                continue
-            seen_canonical.add(c)
-        yield g
+        if predicate is None or predicate(g):
+            yield g
 
 
 def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
@@ -454,6 +437,20 @@ def _unpack(cert: int, n: int) -> tuple[int, ...]:
     return tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
 
 
+def _orbit(mask: int, gens: list[list[int]]) -> int:
+    """The union of the orbits of the vertices of ``mask`` under the group
+    generated by ``gens`` (each the list of vertex images), as a mask."""
+    frontier = mask if gens else 0
+    while frontier:
+        images = 0
+        for v in _bit_indices(frontier):
+            for g in gens:
+                images |= 1 << g[v]
+        frontier = images & ~mask
+        mask |= frontier
+    return mask
+
+
 def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
     """Canonical labeling of the graph with open-neighborhood masks ``nbr``
     by colour refinement and individualization (McKay & Piperno, "Practical
@@ -467,96 +464,71 @@ def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
 
     The search tree individualizes each vertex of the first non-singleton
     cell in turn; its leaves are labelings and the certificate is the
-    largest over them.  The first path takes the least vertex each time.
-    A leaf whose relabeled graph equals that of the first or the best leaf
-    so far gives an automorphism, and the search jumps back to the deepest
-    node the two paths share: the subtree it leaves is an image of one
-    already searched.  At each first-path node the children are searched
-    deepest level first, skipping a child already known to lie in the orbit
-    of an earlier one.  Every automorphism found there fixes the path above
-    the node, so once the level is done the orbit of the first-path vertex
-    is its orbit in that pointwise stabilizer.  |Aut(G)| is the product of
-    those orbit sizes (orbit-stabilizer along the first path); no group
-    element is ever listed.
+    largest over them.  One depth-first search walks it, children in
+    ascending vertex order, so its first descent, the first path, takes the
+    least vertex each time.  Each leaf's relabeled graph goes into a table;
+    a leaf whose relabeled graph is already there gives an automorphism,
+    and the search jumps back to the deepest node its path shares with the
+    earlier leaf's: the subtree it leaves is an image of one already
+    searched.  Every earlier leaf shares a first-path node's prefix, so no
+    jump passes a first-path node.  At every node a child is skipped when
+    it lies in the orbit of an explored sibling under the automorphisms
+    found so far that fix the node's prefix pointwise: its subtree is an
+    image of the sibling's.  Once a first-path node's children are done,
+    those automorphisms give the orbit of its first-path vertex in the
+    stabilizer of the prefix, and |Aut(G)| is the product of these orbit
+    sizes (orbit-stabilizer along the first path); no group element is ever
+    listed.  Matching every earlier leaf, not just the first and the best,
+    keeps unions of different equal-parameter graphs fast: a subtree that
+    holds neither of those two would otherwise find no automorphism.
     """
     n = len(nbr)
-    full = (1 << n) - 1
-    cells = _refine(nbr, [full], [full]) if n else []
-    path: list[tuple[list[int], int]] = []
-    trail: list[int] = []
-    while len(cells) < n:
-        t = next(i for i, c in enumerate(cells) if c & (c - 1))
-        b = cells[t] & -cells[t]
-        path.append((cells, t))
-        trail.append(b.bit_length() - 1)
-        cells = _individualize(nbr, cells, t, b)
-    first = [c.bit_length() - 1 for c in cells]
-    first_trail = trail
-    first_cert = _relabel(nbr, first)
-    best = (first_cert, first, first_trail)
     gens: list[list[int]] = []
-    orbit = list(range(n))  # union-find; each root is the least vertex of its orbit
+    leaves: dict[int, tuple[list[int], list[int]]] = {}  # cert: (lab, trail)
+    order = 1
 
-    def find(x: int) -> int:
-        while orbit[x] != x:
-            orbit[x] = x = orbit[orbit[x]]
-        return x
-
-    def explore(cells: list[int], trail: list[int]) -> int:
+    def search(cells: list[int], trail: list[int]) -> int:
         """Search one subtree; returns the depth to resume at."""
-        nonlocal best
+        nonlocal order
         depth = len(trail)
         if len(cells) == n:
             lab = [c.bit_length() - 1 for c in cells]
             cert = _relabel(nbr, lab)
-            if cert == first_cert:
-                ref, ref_trail = first, first_trail
-            elif cert == best[0]:
-                ref, ref_trail = best[1], best[2]
-            else:
-                if cert > best[0]:
-                    best = (cert, lab, trail[:])
+            ref = leaves.get(cert)
+            if ref is None:
+                leaves[cert] = (lab, trail[:])
                 return depth
             gen = [0] * n
-            for a, b in zip(ref, lab):
+            for a, b in zip(ref[0], lab):
                 gen[a] = b
             gens.append(gen)
-            for a, b in enumerate(gen):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    orbit[max(ra, rb)] = min(ra, rb)
             shared = 0
-            while trail[shared] == ref_trail[shared]:
+            while trail[shared] == ref[1][shared]:
                 shared += 1
             return shared
+        on_first_path = not leaves
         t = next(i for i, c in enumerate(cells) if c & (c - 1))
         rest = cells[t]
+        done = 0  # the orbits of the children explored so far
         while rest:
             b = rest & -rest
             rest ^= b
+            if b & done:
+                continue
             trail.append(b.bit_length() - 1)
-            back = explore(_individualize(nbr, cells, t, b), trail)
+            back = search(_individualize(nbr, cells, t, b), trail)
             trail.pop()
             if back < depth:
                 return back
+            fixing = [g for g in gens if all(g[v] == v for v in trail)]
+            done = _orbit(done | b, fixing)
+        if on_first_path:
+            order *= _orbit(cells[t] & -cells[t], fixing).bit_count()
         return depth
 
-    order = 1
-    for d in range(len(path) - 1, -1, -1):
-        cells, t = path[d]
-        v = first_trail[d]
-        trail = first_trail[:d]
-        rest = cells[t] & (cells[t] - 1)
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            w = b.bit_length() - 1
-            if find(w) == w:
-                trail.append(w)
-                explore(_individualize(nbr, cells, t, b), trail)
-                trail.pop()
-        order *= sum(find(u) == v for u in _bit_indices(cells[t]))
-    return best[0], best[1], order, gens
+    search(_refine(nbr, [(1 << n) - 1], [(1 << n) - 1]) if n else [], [])
+    cert = max(leaves)
+    return cert, leaves[cert][0], order, gens
 
 
 def _labeling(g: Graph) -> tuple[int, list[int]]:

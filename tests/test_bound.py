@@ -35,11 +35,13 @@ from idcodes.graph import (
     delete_vertex,
     distances_from,
     enumerate_graphs,
+    graph_from_edge_mask,
     is_connected,
     is_twin_free,
     power,
     twin_pairs,
 )
+from idcodes.scans import _sweep
 
 
 def test_removable_vertex_examples():
@@ -266,13 +268,14 @@ def test_radius_below_one_rejected_before_any_work():
 
 
 def test_removable_vertex_matches_naive_oracle():
-    # every labeled graph on up to 5 vertices, and every class on 6 under a
-    # seeded relabeling, at radii 1-3 wherever the power is twin-free: the
-    # answer is the least y of the naive ball for which all vertices but y
-    # separate in the naive sense
+    # every labeled graph on up to 5 vertices, and every class on 6 from the
+    # scans' class generator under a seeded relabeling, at radii 1-3
+    # wherever the power is twin-free: the answer is the least y of the
+    # naive ball for which all vertices but y separate in the naive sense
     rng = random.Random(7)
     graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
-    for g in enumerate_graphs(6, dedup=True):
+    for _, emask, _, _ in _sweep(6, 6):
+        g = graph_from_edge_mask(6, emask)
         perm = list(range(6))
         rng.shuffle(perm)
         graphs.append(Graph(6, [(perm[u], perm[v]) for u, v in g.edges()]))
