@@ -2,7 +2,8 @@
 
 All seven scans draw their graphs from one engine, ``_sweep``: one
 representative of every isomorphism class up to a vertex cap, generated by
-canonical augmentation and filtered inside the engine to the connected
+canonical deletion in a depth-first walk that keeps no record of the
+classes already seen, and filtered inside the engine to the connected
 and/or twin-free classes a scan asks for.  Every claim a scan checks is
 invariant under relabeling, so each class stands for its n!/|Aut(G)|
 labelings: ``graphs_checked`` and every count in ``details`` are sums of
@@ -18,12 +19,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial
 from typing import Iterator
 
 from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, _classify_masks
-from .graph import Graph, _canon, _pairs, _reach, _unpack
+from .graph import Graph, _canon, _orbit, _pairs, _reach, _unpack
 from .solve import _identifying_ok, _locating_dominating_ok
 
 DEFAULT_CAPS = {
@@ -93,59 +95,53 @@ def _sweep(
     labeled graphs in the class, so a count over labeled graphs is the sum
     of the weights of the classes it holds.
 
-    Level n grows from the level n - 1 representatives by canonical
-    augmentation (McKay, "Isomorph-free exhaustive generation", 1998): a
-    new vertex joins one vertex set S per orbit of the parent's
-    automorphism group, only when it has the maximum degree of the child,
-    and a child whose certificate the level has already seen is dropped.
-    Every graph arises this way, from the graph left after deleting one of
-    its maximum-degree vertices.  Nothing is kept from one call to the next.
+    The classes form a tree (McKay, "Isomorph-free exhaustive generation",
+    1998): a graph's parent is the graph left after deleting its canonical
+    deletion vertex, the maximum-degree vertex that the canonical labeling
+    numbers last, up to automorphism.  Every class has one place in the
+    tree, so no set of classes seen is kept: the walk is depth first, and
+    only the pending children of the nodes on the current path, each a
+    few masks and generators of Aut, are alive.
     """
-    level = [((0,), [], 1)]  # the one-vertex graph: masks, generators, |Aut|
-    labelings = 1
-    for n in range(1, max_n + 1):
-        labelings *= n
-        if n > 1:
-            level = _augment(level, n - 1)
+    stack = [((0,), 0, 1, [])]  # the one-vertex graph: masks, cert, |Aut|, generators
+    while stack:
+        nbr, cert, order, gens = stack.pop()
+        n = len(nbr)
+        if n < max_n:
+            stack.extend(_children(nbr, gens))
         if n < first_n:
             continue
+        cn = tuple(m | 1 << v for v, m in enumerate(_unpack(cert, n)))
         full = (1 << n) - 1
-        pairs = list(enumerate(_pairs(n)))
-        for nbr, _, order in level:
-            cn = tuple(m | 1 << v for v, m in enumerate(nbr))
-            if twin_free and len(set(cn)) != n:
-                continue
-            if connected and _reach(cn, cn[0], full) != full:
-                continue
-            emask = sum(1 << e for e, (u, v) in pairs if nbr[u] >> v & 1)
-            yield n, emask, labelings // order, cn
+        if twin_free and len(set(cn)) != n:
+            continue
+        if connected and _reach(cn, cn[0], full) != full:
+            continue
+        emask = sum(1 << e for e, (u, v) in enumerate(_pairs(n)) if cn[u] >> v & 1)
+        yield n, emask, factorial(n) // order, cn
 
 
-def _augment(level, m: int) -> list[tuple[tuple[int, ...], list[list[int]], int]]:
-    """The classes on m + 1 vertices, each once, in canonical labeling, from
-    ``level``, one (masks, generators of Aut, |Aut|) per class on m vertices."""
-    n = m + 1
+def _children(nbr, gens: list[list[int]]) -> Iterator[tuple[list[int], int, int, list[list[int]]]]:
+    """The children in the canonical deletion tree of the graph with masks
+    ``nbr`` and Aut generators ``gens``, as (masks, cert, |Aut|, gens).
+
+    A new vertex joins one vertex set S per orbit of Aut(parent), only when
+    it has the child's maximum degree; the child is kept when the new
+    vertex lies in the Aut(child) orbit of its canonical deletion vertex."""
+    m = len(nbr)
     new = 1 << m
-    seen = set()
-    out = []
-    for nbr, gens, _ in level:
-        degrees = [x.bit_count() for x in nbr]
-        top_degree = max(degrees)
-        top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
-        # the new vertex, of degree |S|, must have the child's maximum degree
-        subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
-        for s in _orbit_representatives(subsets, gens, m):
-            child = [x | new if s >> u & 1 else x for u, x in enumerate(nbr)]
-            child.append(s)
-            cert, lab, order, child_gens = _canon(child)
-            if cert in seen:
-                continue
-            seen.add(cert)
-            pos = [0] * n
-            for i, v in enumerate(lab):
-                pos[v] = i
-            out.append((_unpack(cert, n), [[pos[g[v]] for v in lab] for g in child_gens], order))
-    return out
+    degrees = [x.bit_count() for x in nbr]
+    top_degree = max(degrees)
+    top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
+    # the new vertex, of degree |S|, must have the child's maximum degree
+    subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
+    for s in _orbit_representatives(subsets, gens, m):
+        child = [x | new if s >> u & 1 else x for u, x in enumerate(nbr)]
+        child.append(s)
+        cert, lab, order, child_gens = _canon(child)
+        last = next(v for v in reversed(lab) if child[v].bit_count() == s.bit_count())
+        if last == m or _orbit(1 << last, child_gens) >> m & 1:
+            yield child, cert, order, child_gens
 
 
 def _orbit_representatives(subsets: list[int], gens: list[list[int]], m: int) -> list[int]:
@@ -160,20 +156,20 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]], m: int) ->
             low = s & -s
             table[s] = table[s ^ low] | 1 << g[low.bit_length() - 1]
         images.append(table)
-    seen = set()
+    reached = set()
     reps = []
     for s in subsets:
-        if s in seen:
+        if s in reached:
             continue
         reps.append(s)
-        seen.add(s)
+        reached.add(s)
         stack = [s]
         while stack:
             x = stack.pop()
             for table in images:
                 y = table[x]
-                if y not in seen:
-                    seen.add(y)
+                if y not in reached:
+                    reached.add(y)
                     stack.append(y)
     return reps
 

@@ -357,6 +357,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
         raise TwinsError(
             f"removing {removed_set} leaves twins {pair[0]} and {pair[1]}", pair
         )
+    base_code = list(base_code)
     codes._require_identifying(
         sub, base_code, 1, "base_code is not an identifying code of the reduced graph"
     )

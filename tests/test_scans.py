@@ -6,6 +6,7 @@ import functools
 import itertools
 import math
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -13,7 +14,13 @@ import pytest
 import brute
 from idcodes import codes, scans, solve
 from idcodes.classify import classify_extremal
-from idcodes.graph import Graph, _balls, enumerate_graphs, graph_from_edge_mask
+from idcodes.graph import (
+    Graph,
+    _balls,
+    canonical_form,
+    enumerate_graphs,
+    graph_from_edge_mask,
+)
 from idcodes.scans import (
     ScanReport,
     _entry,
@@ -79,6 +86,18 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
     assert [classes[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
     assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
     assert all(labeled[n] == 2 ** (n * (n - 1) // 2) for n in range(1, 9))
+
+
+def test_sweep_streams_classes_depth_first():
+    # the walk holds no level of classes: the first classes on nine
+    # vertices (274,668 in all, over 30 s to generate) arrive at once,
+    # each as its canonical representative
+    start = time.process_time()
+    first = list(itertools.islice(_sweep(9, 9), 100))
+    assert time.process_time() - start < 1.0
+    assert len({emask for _, emask, _, _ in first}) == 100
+    for n, emask, _, _ in first:
+        assert n == 9 and canonical_form(graph_from_edge_mask(9, emask)) == emask
 
 
 def test_automorphism_orders_match_brute_force():

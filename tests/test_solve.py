@@ -333,6 +333,14 @@ def test_extend_code_traced_example():
     assert extend_code(path_graph(4), [3], [0, 2]) == {0, 1, 2}
 
 
+def test_extend_code_reads_a_one_shot_base_code_once():
+    # the precondition check and the extension both see a generator's
+    # vertices: it gives the same code as the list
+    g = band_graph(3)
+    one_shot = extend_code(g, [5], iter([0, 1, 3, 4]))
+    assert one_shot == extend_code(g, [5], [0, 1, 3, 4]) == {0, 1, 2, 3, 4}
+
+
 def test_extend_code_size_bound_randomized():
     rng = random.Random(5)
     done = 0
