@@ -70,12 +70,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.all_minimum and args.kind != "separating":
+        print("--all-minimum is only available for kind 'separating'", file=sys.stderr)
+        return EXIT_USAGE
     g = _load_graph(args.graph)
     report = solve.solve_minimum(g, args.kind, args.radius).to_dict()
     if args.all_minimum:
-        if args.kind != "separating":
-            print("--all-minimum is only available for kind 'separating'", file=sys.stderr)
-            return EXIT_USAGE
         sets = solve.enumerate_minimum_separating_sets(g, args.radius)
         report["all_minimum_sets"] = [sorted(s) for s in sets]
     _emit(report, args.plain)

@@ -104,7 +104,10 @@ class Graph:
         return [m.bit_count() for m in self._nbr]
 
     def max_degree(self) -> int:
-        return max((m.bit_count() for m in self._nbr), default=0)
+        # each index list, once built, holds its vertex and each neighbour once
+        if self._adj is not None:
+            return max(map(len, self._adj), default=1) - 1
+        return max(map(int.bit_count, self._nbr), default=0)
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)

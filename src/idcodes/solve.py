@@ -165,7 +165,60 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
     return minimal
 
 
-def _hitting_sets(cons: list[int], free: int, forced: int, k: int, first_only: bool) -> list[int]:
+def _split_classes(
+    classes: list[int], undominated: int, ball: int, empty_extra: int
+) -> tuple[list[int], int, int]:
+    """The signature classes after one more code vertex, and the fewest
+    further code vertices they need.
+
+    Vertices x with the same signature B(x) ∩ chosen form a class.  Each
+    further code vertex splits a class in at most two, so a class of m
+    vertices needs ⌈log₂ m⌉ more, and the undominated one, whose signature
+    is empty, ⌈log₂(m + empty_extra)⌉: ``empty_extra`` is 1 for identifying
+    codes, whose vertices all need a nonempty signature, and 0 for
+    separating sets.  ``classes`` holds the classes with a nonempty
+    signature and five or more members, ``undominated`` the empty one, and
+    the new vertex, whose ball is ``ball``, splits each by its ball.  A
+    smaller part needs at most two vertices, which no node the search
+    checks (two or more left) falls short of, so it is dropped once its
+    need has counted.  Returns (classes, undominated, largest need).
+    """
+    parts = []
+    most = 1
+    for c in classes:
+        a = c & ball
+        m = a.bit_count()
+        if m > 4:
+            parts.append(a)
+        if m > most:
+            most = m
+        a ^= c
+        m = a.bit_count()
+        if m > 4:
+            parts.append(a)
+        if m > most:
+            most = m
+    a = undominated & ball
+    m = a.bit_count()
+    if m > 4:
+        parts.append(a)
+    if m > most:
+        most = m
+    undominated ^= a
+    m = undominated.bit_count() + empty_extra
+    if m > most:
+        most = m
+    return parts, undominated, (most - 1).bit_length()
+
+
+def _hitting_sets(
+    cons: list[int],
+    free: int,
+    forced: int,
+    k: int,
+    first_only: bool,
+    split: tuple[list[int], list[int], int, int] | None = None,
+) -> list[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, in lexicographic order; only the first when ``first_only``.
 
@@ -174,13 +227,25 @@ def _hitting_sets(cons: list[int], free: int, forced: int, k: int, first_only: b
     packing of pairwise disjoint unmet masks, restricted to the suffix,
     outnumbers the remaining budget.  The next vertex never passes the
     highest suffix vertex of any unmet mask, and the last one lies in all
-    of them.  Each cut removes only subtrees without a valid set, so the
-    leaves come out in the order the plain combination enumeration would
-    test them.
+    of them.  Given ``split`` = (balls, classes, undominated, empty_extra)
+    with the signature classes of ``forced`` as in ``_split_classes`` (for
+    identifying codes and separating sets), the search also carries the
+    classes down the tree, each child splitting its parent's by the ball
+    of its new vertex, and cuts a child whose largest class needs more
+    vertices than its budget.  Each cut removes only subtrees without a
+    valid set, so the leaves come out in the order the plain combination
+    enumeration would test them.
     """
     found: list[int] = []
 
-    def visit(chosen: int, unhit: list[int], suffix: int, k: int) -> bool:
+    def visit(
+        chosen: int,
+        unhit: list[int],
+        suffix: int,
+        k: int,
+        classes: list[int] | None,
+        undominated: int,
+    ) -> bool:
         if k == 0:
             if unhit:
                 return False
@@ -209,17 +274,32 @@ def _hitting_sets(cons: list[int], free: int, forced: int, k: int, first_only: b
                 if packed > k:
                     return False
             cap &= (1 << r.bit_length()) - 1
+        # a child with one vertex left is decided exactly, without classes
+        splitting = classes is not None and k > 2
+        parts, rest_undominated = classes, undominated
         while cap:
             low = cap & -cap
             rest = suffix & -(low << 1)
             if rest.bit_count() < k - 1:
                 break
-            if visit(chosen | low, [c for c in unhit if not c & low], rest, k - 1):
+            if splitting:
+                parts, rest_undominated, need = _split_classes(
+                    classes, undominated, balls[low.bit_length() - 1], empty_extra
+                )
+                if need > k - 1:
+                    cap ^= low
+                    continue
+                if need < 3:  # no node below with two or more left can be cut
+                    parts = None
+            if visit(
+                chosen | low, [c for c in unhit if not c & low], rest, k - 1, parts, rest_undominated
+            ):
                 return True
             cap ^= low
         return False
 
-    visit(forced, cons, free, k)
+    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
+    visit(forced, cons, free, k, classes, undominated)
     return found
 
 
@@ -232,8 +312,16 @@ def _minimum_hitting_sets(
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
     start = max(base, _lower_bound(kind, balls, n))
+    split = None
+    if kind in ("identifying", "separating"):
+        empty_extra = int(kind == "identifying")
+        classes: list[int] = []
+        undominated = (1 << n) - 1
+        for v in _bit_indices(forced):
+            classes, undominated, _ = _split_classes(classes, undominated, balls[v], empty_extra)
+        split = (balls, classes, undominated, empty_extra)
     for size in range(start, n + 1):
-        found = _hitting_sets(cons, free, forced, size - base, first_only)
+        found = _hitting_sets(cons, free, forced, size - base, first_only, split)
         if found:
             return start, size, found
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover

@@ -96,6 +96,21 @@ def test_solve_all_minimum(run, graph_file):
     assert code == 2 and "all-minimum" in err
 
 
+def test_solve_all_minimum_kind_is_a_usage_error_before_any_solve(run, graph_file):
+    # the flag is checked before the graph is read: on a graph above the
+    # solver's vertex cap the answer is still the usage error, with no
+    # report, and so is a file that does not exist
+    path = graph_file(cycle_graph(solve.SOLVE_VERTEX_CAP + 6))
+    for kind in ("identifying", "locating-dominating", "dominating"):
+        code, out, err = run("solve", "--graph", path, "--kind", kind, "--all-minimum")
+        assert (code, out) == (2, "") and "all-minimum" in err, kind
+    code, out, err = run("solve", "--graph", path + ".missing", "--kind", "identifying", "--all-minimum")
+    assert (code, out) == (2, "") and "all-minimum" in err
+    # without the flag the same graph fails the solver's precondition
+    code, out, _ = run("solve", "--graph", path, "--kind", "identifying")
+    assert (code, out) == (3, "")
+
+
 def test_classify_command(run, graph_file):
     path = graph_file(cycle_graph(4))
     code, out, _ = run("classify", "--graph", path)

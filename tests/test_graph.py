@@ -72,6 +72,28 @@ def test_duplicate_edges_collapse():
     assert g.edge_count == 1
 
 
+def test_max_degree_agrees_across_construction_routes():
+    # Graph(n, edges) answers from its closed-neighbour lists, a graph
+    # built from masks from the masks until _balls fills its lists; every
+    # route gives the largest degree counted from the edge list
+    rng = random.Random(1013)
+    for n in (0, 1, 2, 5, 9, 70):
+        for p in (0.0, 0.2, 0.6, 1.0):
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            degree = [0] * n
+            for u, v in edges:  # distinct pairs, so a plain count
+                degree[u] += 1
+                degree[v] += 1
+            expected = max(degree, default=0)
+            repeated = Graph(n, edges + [(v, u) for u, v in edges] + edges[::3])
+            masked = Graph._from_masks(n, Graph(n, edges)._nbr)
+            assert masked._adj is None
+            routes = [Graph(n, edges), repeated, masked]
+            assert [g.max_degree() for g in routes] == [expected] * 3, (n, p)
+            graph._balls(masked, 2)  # fills the lists of the mask-built graph
+            assert masked._adj is not None and masked.max_degree() == expected
+
+
 def test_closed_ball_band_graphs():
     # ball of the first vertex in the order-2 band graph (the 4-path)
     assert closed_ball(band_graph(2), 0, 1) == {0, 1}

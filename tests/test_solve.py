@@ -4,6 +4,7 @@ and ``explored`` counts), pinned counts beyond the oracles' range,
 minimum-set enumeration and code extension."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from idcodes.graph import (
 from idcodes.solve import (
     _combination_rank,
     _lower_bound,
+    _split_classes,
     enumerate_minimum_separating_sets,
     extend_code,
     forced_vertices,
@@ -160,6 +162,95 @@ def test_enumerate_minimum_sets_matches_ascending_oracle():
             if expected is None:
                 continue
             assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+
+
+def _ceil_log2(m: int) -> int:
+    return math.ceil(math.log2(m)) if m > 1 else 0
+
+
+def _fold_split(balls: list[int], chosen, empty_extra: int):
+    """``_split_classes`` over the vertices of ``chosen`` in order, from the
+    state before any code vertex: one class, every vertex undominated."""
+    classes, undominated, need = [], (1 << len(balls)) - 1, 0
+    for v in chosen:
+        classes, undominated, need = _split_classes(classes, undominated, balls[v], empty_extra)
+    return classes, undominated, need
+
+
+def test_split_need_never_exceeds_the_least_completion():
+    # soundness of the signature-split cut: for every chosen prefix the
+    # classes are those of five or more members in a direct grouping by
+    # signature, the need is that of the grouping wherever it could cut a
+    # node (three or more), and it is at most the fewest further vertices,
+    # drawn from anywhere outside the prefix, that make a valid set; a
+    # completion restricted to a suffix of the search order is never
+    # smaller
+    for g in _random_graphs(406, 40, 8):
+        n = g.n
+        for r in (1, 2):
+            ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
+            balls = [sum(1 << v for v in b) for b in ball_sets]
+            for kind in ("identifying", "separating"):
+                extra = int(kind == "identifying")
+                least = [math.inf] * (1 << n)
+                for code in reversed(range(1 << n)):
+                    members = {v for v in range(n) if code >> v & 1}
+                    if brute.signatures_ok(kind, [frozenset(b & members) for b in ball_sets], members):
+                        least[code] = 0
+                    else:
+                        least[code] = min(
+                            (least[code | 1 << v] + 1 for v in range(n) if not code >> v & 1),
+                            default=math.inf,
+                        )
+                for code in range(1, 1 << n):
+                    chosen = [v for v in range(n) if code >> v & 1]
+                    classes, undominated, need = _fold_split(balls, chosen, extra)
+                    groups: dict[frozenset, set] = {}
+                    for x in range(n):
+                        groups.setdefault(frozenset(ball_sets[x] & set(chosen)), set()).add(x)
+                    empty = groups.pop(frozenset(), set())
+                    assert undominated == sum(1 << x for x in empty)
+                    expected = [sum(1 << x for x in c) for c in groups.values() if len(c) > 4]
+                    assert sorted(classes) == sorted(expected)
+                    grouped = max(
+                        [_ceil_log2(len(c)) for c in groups.values()]
+                        + [_ceil_log2(len(empty) + extra)]
+                    )
+                    assert need == grouped if grouped > 2 else need <= grouped
+                    assert need <= least[code], (g, r, kind, chosen)
+
+
+def test_split_need_after_one_vertex():
+    # strength of the signature-split cut: after one code vertex w the
+    # classes are B(w) and the undominated rest, so the need is
+    # max(⌈log₂|B(w)|⌉, ⌈log₂(|V ∖ B(w)| + 1)⌉) for identifying codes and
+    # max(⌈log₂|B(w)|⌉, ⌈log₂|V ∖ B(w)|⌉) for separating sets.  A cut that
+    # dropped either part of a split would fall short of these.
+    hand = [
+        # (graph, chosen, identifying need, separating need)
+        (star_graph(7), [0], 3, 3),  # B(0) is all 8 vertices; none left over
+        (path_graph(7), [1], 3, 2),  # B(1) = {0, 1, 2}; 4 left over: ⌈log₂ 5⌉, ⌈log₂ 4⌉
+        (cycle_graph(8), [0], 3, 3),  # 3 in the ball; 5 left over: ⌈log₂ 6⌉, ⌈log₂ 5⌉
+        (empty_graph(5), [2], 3, 2),  # B(2) = {2} needs nothing; 4 left over
+        (band_graph(3), [2], 3, 3),  # B(2) = {0, ..., 4}: ⌈log₂ 5⌉; {5} left over: 1, 0
+        (star_graph(3), [1], 2, 1),  # B(1) = {0, 1}: 1; {2, 3} left over: ⌈log₂ 3⌉, 1
+        # a second vertex splits the class {0, ..., 7} of signature {0}
+        # into {0, 1} and {2, ..., 7}: ⌈log₂ 6⌉
+        (star_graph(7), [0, 1], 3, 3),
+    ]
+    for g, chosen, need_id, need_sep in hand:
+        balls = list(g._cn)
+        assert _fold_split(balls, chosen, 1)[2] == need_id, (g, chosen)
+        assert _fold_split(balls, chosen, 0)[2] == need_sep, (g, chosen)
+    for g in _random_graphs(407, 30, 12):
+        for r in (1, 2):
+            ball_sets = [brute.naive_ball(g, x, r) for x in range(g.n)]
+            balls = [sum(1 << v for v in b) for b in ball_sets]
+            for w in range(g.n):
+                inside, outside = len(ball_sets[w]), g.n - len(ball_sets[w])
+                for extra in (0, 1):
+                    expected = max(_ceil_log2(inside), _ceil_log2(outside + extra))
+                    assert _fold_split(balls, [w], extra)[2] == expected, (g, r, w, extra)
 
 
 def test_combination_rank_is_the_index_in_combinations_order():
