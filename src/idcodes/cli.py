@@ -105,10 +105,7 @@ def _cmd_scan(args) -> int:
     if args.conjecture == (args.theorem is not None):
         print("pass exactly one of --theorem or --conjecture", file=sys.stderr)
         return EXIT_USAGE
-    if args.conjecture:
-        report = scans.scan_conjectured_degree_bound(args.max_n, force=args.unsafe_cap)
-    else:
-        report = scans.THEOREM_SCANS[args.theorem](args.max_n, force=args.unsafe_cap)
+    report = scans.THEOREM_SCANS[args.theorem or "conjecture"](args.max_n, force=args.unsafe_cap)
     _emit(report.to_dict(), args.plain)
     return EXIT_OK if report.ok else EXIT_INTERNAL
 

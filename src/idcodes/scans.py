@@ -25,8 +25,8 @@ from typing import Iterator
 from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, _classify_masks
+from .codes import _identifying_ok, _locating_dominating_ok
 from .graph import Graph, _canon, _orbit, _pairs, _reach, _unpack
-from .solve import _identifying_ok, _locating_dominating_ok
 
 DEFAULT_CAPS = {
     "thm12": 8,
@@ -292,6 +292,8 @@ def scan_removable_vertex(
     _require_cap("lemma7", max_n, force)
     if min(radii, default=1) < 1:
         raise ValueError("radius must be >= 1")
+    if len(set(radii)) < len(radii):
+        raise ValueError("radii must be distinct")
     report = ScanReport("lemma7", max_n)
     report.details = {"radii": list(radii), "per_radius_checked": {r: 0 for r in radii}}
     for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
@@ -408,6 +410,7 @@ THEOREM_SCANS = {
     "cor13": scan_low_degree,
     "remark1": scan_regular_odd,
     "lemma7": scan_removable_vertex,
+    "conjecture": scan_conjectured_degree_bound,
     "ld": scan_locating_dominating,
     "gamma-chain": scan_gamma_chain,
 }

@@ -5,8 +5,9 @@ sets, and the incremental code extension procedure for vertex additions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import codes
 from .graph import Graph, PreconditionError, TwinsError, _balls, _bit_indices, induced_subgraph
@@ -46,42 +47,6 @@ class SolveReport:
         }
 
 
-# -- validity kernels over ball-mask lists -------------------------------
-# The package's one kernel family: the scans call these (the solver works
-# on hitting-set constraints instead).  They mirror the certifying checks
-# in ``codes`` but work on raw masks; the two implementations are
-# cross-tested.
-
-
-def _identifying_ok(balls: list[int], c: int) -> bool:
-    seen = set()
-    for b in balls:
-        s = b & c
-        if not s or s in seen:
-            return False
-        seen.add(s)
-    return True
-
-
-def _locating_dominating_ok(balls: list[int], c: int) -> bool:
-    seen = set()
-    for v, b in enumerate(balls):
-        s = b & c
-        if not s:
-            return False
-        if not c >> v & 1:
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
-
-
-def _radius_balls(g: Graph, radius: int) -> list[int]:
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    return _balls(g, radius)
-
-
 def _twin_pair_of(balls: list[int]) -> tuple[int, int] | None:
     seen: dict[int, int] = {}
     for v, b in enumerate(balls):
@@ -108,8 +73,9 @@ def forced_vertices(g: Graph, radius: int = 1) -> frozenset[int]:
     A pair separated by a single vertex forces that vertex into every
     r-separating set (and hence every r-identifying code).
     """
-    balls = _radius_balls(g, radius)
-    return frozenset(_bit_indices(_forced_mask(balls, g.n)))
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    return frozenset(_bit_indices(_forced_mask(_balls(g, radius), g.n)))
 
 
 def _lower_bound(kind: str, balls: list[int], n: int) -> int:
@@ -139,9 +105,10 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
     Dominating sets meet every ball B(x), separating sets every
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
-    distinct signatures).  Masks already met by ``forced`` are dropped, and
-    so is every mask containing another one, which meeting the smaller one
-    meets too.  Smallest masks first.
+    distinct signatures).  Each mask comes once, masks already met by
+    ``forced`` are dropped, and the smallest come first.  A mask containing
+    another stays: it changes no step of ``_hitting_sets``, and finding it
+    costs more than it saves.
     """
     cons = set()
     if kind != "separating":
@@ -153,16 +120,7 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
             for y in range(x + 1, n):
                 d = bx ^ balls[y]
                 cons.add(d | 1 << x | 1 << y if ld else d)
-    minimal: list[int] = []
-    for c in sorted(cons, key=int.bit_count):
-        if c & forced:
-            continue
-        for m in minimal:
-            if not m & ~c:
-                break
-        else:
-            minimal.append(c)
-    return minimal
+    return sorted((c for c in cons if not c & forced), key=int.bit_count)
 
 
 def _split_classes(
@@ -216,27 +174,26 @@ def _hitting_sets(
     free: int,
     forced: int,
     k: int,
-    first_only: bool,
     split: tuple[list[int], list[int], int, int] | None = None,
-) -> list[int]:
+) -> Iterator[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
-    ``cons``, in lexicographic order; only the first when ``first_only``.
+    ``cons``, as masks in lexicographic order, generated lazily.
 
     Depth-first over the free vertices in increasing order.  A node is cut
     when an unmet mask has no vertex left in the suffix, or when a greedy
-    packing of pairwise disjoint unmet masks, restricted to the suffix,
-    outnumbers the remaining budget.  The next vertex never passes the
-    highest suffix vertex of any unmet mask, and the last one lies in all
-    of them.  Given ``split`` = (balls, classes, undominated, empty_extra)
-    with the signature classes of ``forced`` as in ``_split_classes`` (for
-    identifying codes and separating sets), the search also carries the
-    classes down the tree, each child splitting its parent's by the ball
-    of its new vertex, and cuts a child whose largest class needs more
-    vertices than its budget.  Each cut removes only subtrees without a
-    valid set, so the leaves come out in the order the plain combination
-    enumeration would test them.
+    packing of pairwise disjoint unmet masks, restricted to the suffix and
+    taken in list order, outnumbers the remaining budget.  The next vertex
+    never passes the highest suffix vertex of any unmet mask, and the last
+    one lies in all of them.  A mask that contains an earlier one changes
+    none of these steps.  Given ``split`` = (balls, classes, undominated,
+    empty_extra) with the signature classes of ``forced`` as in
+    ``_split_classes`` (for identifying codes and separating sets), the
+    search also carries the classes down the tree, each child splitting its
+    parent's by the ball of its new vertex, and cuts a child whose largest
+    class needs more vertices than its budget.  Each cut removes only
+    subtrees without a valid set, so the sets come out in the order the
+    plain combination enumeration would test them.
     """
-    found: list[int] = []
 
     def visit(
         chosen: int,
@@ -245,69 +202,65 @@ def _hitting_sets(
         k: int,
         classes: list[int] | None,
         undominated: int,
-    ) -> bool:
-        if k == 0:
-            if unhit:
-                return False
-            found.append(chosen)
-            return first_only
+    ) -> Iterator[int]:
         if k == 1:  # the last vertex must lie in every unmet mask
             last = suffix
             for c in unhit:
                 last &= c
             while last:
                 low = last & -last
-                found.append(chosen | low)
-                if first_only:
-                    return True
+                yield chosen | low
                 last ^= low
-            return False
+            return
         cap = suffix
         used = packed = 0
         for c in unhit:
             r = c & suffix
             if not r:
-                return False
+                return
             if not r & used:
                 used |= r
                 packed += 1
                 if packed > k:
-                    return False
+                    return
             cap &= (1 << r.bit_length()) - 1
         # a child with one vertex left is decided exactly, without classes
         splitting = classes is not None and k > 2
         parts, rest_undominated = classes, undominated
         while cap:
             low = cap & -cap
-            rest = suffix & -(low << 1)
-            if rest.bit_count() < k - 1:
-                break
+            cap ^= low
             if splitting:
                 parts, rest_undominated, need = _split_classes(
                     classes, undominated, balls[low.bit_length() - 1], empty_extra
                 )
                 if need > k - 1:
-                    cap ^= low
                     continue
                 if need < 3:  # no node below with two or more left can be cut
                     parts = None
-            if visit(
-                chosen | low, [c for c in unhit if not c & low], rest, k - 1, parts, rest_undominated
-            ):
-                return True
-            cap ^= low
-        return False
+            yield from visit(
+                chosen | low,
+                [c for c in unhit if not c & low],
+                suffix & -(low << 1),
+                k - 1,
+                parts,
+                rest_undominated,
+            )
 
+    if k == 0:
+        if not cons:
+            yield forced
+        return
     balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    visit(forced, cons, free, k, classes, undominated)
-    return found
+    yield from visit(forced, cons, free, k, classes, undominated)
 
 
 def _minimum_hitting_sets(
-    balls: list[int], n: int, kind: str, forced: int, first_only: bool
-) -> tuple[int, int, list[int]]:
+    balls: list[int], n: int, kind: str, forced: int
+) -> tuple[int, int, Iterator[int]]:
     """Smallest size from the lower bound up at which a valid code exists;
-    returns (first size tried, that size, the valid codes of that size)."""
+    returns (first size tried, that size, the valid codes of that size in
+    lexicographic order)."""
     cons = _constraints(balls, n, kind, forced)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
@@ -321,9 +274,10 @@ def _minimum_hitting_sets(
             classes, undominated, _ = _split_classes(classes, undominated, balls[v], empty_extra)
         split = (balls, classes, undominated, empty_extra)
     for size in range(start, n + 1):
-        found = _hitting_sets(cons, free, forced, size - base, first_only, split)
-        if found:
-            return start, size, found
+        sets = _hitting_sets(cons, free, forced, size - base, split)
+        first = next(sets, None)
+        if first is not None:
+            return start, size, chain((first,), sets)
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
 
 
@@ -344,7 +298,8 @@ def _search_minimum(
     size, lexicographic enumeration from the lower bound tests up to and
     including the answer, computed from the answer's rank.
     """
-    start, size, (mask,) = _minimum_hitting_sets(balls, n, kind, forced, True)
+    start, size, sets = _minimum_hitting_sets(balls, n, kind, forced)
+    mask = next(sets)
     free = [v for v in range(n) if not forced >> v & 1]
     base = n - len(free)
     positions = [i for i, v in enumerate(free) if mask >> v & 1]
@@ -360,7 +315,9 @@ def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
             f"exact solving is limited to n <= {SOLVE_VERTEX_CAP}; "
             "use the constructive bound pipeline for larger graphs"
         )
-    balls = _radius_balls(g, radius)
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    balls = _balls(g, radius)
     forced = 0
     if kind in ("identifying", "separating"):
         twins = _twin_pair_of(balls)
@@ -411,8 +368,8 @@ def enumerate_minimum_separating_sets(g: Graph, radius: int = 1) -> list[frozens
     balls, forced = _prepare(g, "separating", radius)
     if g.n == 0:
         return [frozenset()]
-    _, _, found = _minimum_hitting_sets(balls, g.n, "separating", forced, False)
-    return [frozenset(_bit_indices(c)) for c in found]
+    _, _, sets = _minimum_hitting_sets(balls, g.n, "separating", forced)
+    return [frozenset(_bit_indices(c)) for c in sets]
 
 
 # -- incremental code extension ------------------------------------------

@@ -156,6 +156,14 @@ def test_scan_command(run):
     assert json.loads(out)["ok"] is True
 
 
+def test_scan_conjecture_is_a_theorem_table_entry(run):
+    code, by_flag, _ = run("scan", "--max-n", "5", "--conjecture")
+    assert code == 0
+    code, by_name, _ = run("scan", "--max-n", "5", "--theorem", "conjecture")
+    assert code == 0
+    assert by_name == by_flag and json.loads(by_name)["scan"] == "conjecture"
+
+
 def test_scan_requires_exactly_one_mode(run):
     code, _, err = run("scan", "--max-n", "4")
     assert code == 2

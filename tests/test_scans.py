@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import brute
-from idcodes import codes, scans, solve
+from idcodes import codes, scans
 from idcodes.classify import classify_extremal
 from idcodes.graph import (
     Graph,
@@ -135,11 +135,11 @@ def test_entry_lists_the_edges_of_its_mask():
 
 
 def test_kernels_agree_with_certified_checkers():
-    # every solve kernel, which the scans call, against the certifying
+    # every accept-only kernel, which the scans call, against the certifying
     # checker of the same kind
     kernels = {
-        "identifying": solve._identifying_ok,
-        "locating-dominating": solve._locating_dominating_ok,
+        "identifying": codes._identifying_ok,
+        "locating-dominating": codes._locating_dominating_ok,
     }
     rng = random.Random(31)
     for _ in range(80):
@@ -201,6 +201,19 @@ def test_removable_vertex_scan_small():
         assert report.details["per_radius_checked"][r] == expected
     with pytest.raises(ValueError, match="radius"):
         scan_removable_vertex(3, radii=(1, 0))
+
+
+def test_removable_vertex_scan_rejects_a_repeated_radius():
+    # a repeated radius would count each graph twice per radius and list
+    # each counterexample twice
+    for radii in ((1, 1), (2, 1, 2)):
+        with pytest.raises(ValueError, match="distinct"):
+            scan_removable_vertex(3, radii=radii)
+    # distinct radii in any order count as the default pair does
+    report = scan_removable_vertex(3, radii=(2, 1))
+    default = scan_removable_vertex(3)
+    assert report.details["per_radius_checked"] == default.details["per_radius_checked"]
+    assert report.graphs_checked == default.graphs_checked
 
 
 def test_gamma_chain_scan_small():

@@ -6,6 +6,7 @@ minimum-set enumeration and code extension."""
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from idcodes.graph import (
     Graph,
     PreconditionError,
     TwinsError,
+    _balls,
     closed_ball,
     delete_vertex,
     enumerate_graphs,
@@ -35,6 +37,9 @@ from idcodes.graph import (
 )
 from idcodes.solve import (
     _combination_rank,
+    _constraints,
+    _forced_mask,
+    _hitting_sets,
     _lower_bound,
     _split_classes,
     enumerate_minimum_separating_sets,
@@ -251,6 +256,72 @@ def test_split_need_after_one_vertex():
                 for extra in (0, 1):
                     expected = max(_ceil_log2(inside), _ceil_log2(outside + extra))
                     assert _fold_split(balls, [w], extra)[2] == expected, (g, r, w, extra)
+
+
+def _search_trace(masks, free: int, forced: int, k: int, split):
+    """The sets ``_hitting_sets`` generates, and the nodes of its search in
+    the order it enters them, as (chosen, budget) at every call or resume."""
+    visit = next(c for c in _hitting_sets.__code__.co_consts if getattr(c, "co_name", "") == "visit")
+    nodes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is visit:
+            nodes.append((frame.f_locals["chosen"], frame.f_locals["k"]))
+
+    stream = _hitting_sets(masks, free, forced, k, split)
+    sys.setprofile(profile)
+    try:
+        sets = list(stream)
+    finally:
+        sys.setprofile(None)
+    return sets, nodes
+
+
+def test_redundant_masks_never_change_the_search():
+    # a union of two constraint masks is met whenever either one is, so
+    # appending every such union may not change the search: at each size
+    # from the counting bound to one past the minimum, the plain and the
+    # padded list give the same nodes in the same order, and the same
+    # stream, the lexicographic list of k-sets that meet every plain mask.
+    # A packing, a cap or a last-vertex step that let a containing mask cut
+    # would lose sets; one that let it widen the search would add nodes.
+    for g in _random_graphs(408, 150, 9):
+        n = g.n
+        for r in (1, 2):
+            balls = _balls(g, r)
+            for kind in KINDS:
+                splits = kind in ("identifying", "separating")
+                if splits and len(set(balls)) < n:
+                    continue
+                forced = _forced_mask(balls, n) if splits else 0
+                cons = _constraints(balls, n, kind, forced)
+                # a stable sort keeps the plain masks in their order: the
+                # greedy packing depends on the order of equal-size masks
+                unions = {a | b for a, b in itertools.combinations(cons, 2)}
+                padded = sorted(cons + sorted(unions - set(cons)), key=int.bit_count)
+                split = None
+                if splits:
+                    extra = int(kind == "identifying")
+                    classes, undominated, _ = _fold_split(
+                        balls, [v for v in range(n) if forced >> v & 1], extra
+                    )
+                    split = (balls, classes, undominated, extra)
+                free = [v for v in range(n) if not forced >> v & 1]
+                free_mask = sum(1 << v for v in free)
+                base = n - len(free)
+                minimum = solve_minimum(g, kind, r).minimum
+                start = max(base, _lower_bound(kind, balls, n))
+                for size in range(start, min(minimum + 1, n) + 1):
+                    expected = [
+                        forced | sum(1 << v for v in combo)
+                        for combo in itertools.combinations(free, size - base)
+                    ]
+                    expected = [c for c in expected if all(c & m for m in cons)]
+                    assert bool(expected) == (size >= minimum)
+                    plain = _search_trace(cons, free_mask, forced, size - base, split)
+                    assert plain[0] == expected, (g, r, kind, size)
+                    assert plain[1] or size == base  # the profiler sees the search
+                    assert _search_trace(padded, free_mask, forced, size - base, split) == plain
 
 
 def test_combination_rank_is_the_index_in_combinations_order():
