@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, _balls, _reach, is_connected, is_twin_free
+from .graph import Graph, PreconditionError, TwinsError, _balls, _reach, _twin_pair, is_connected
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ def _twin_free_balls(g: Graph, radius: int) -> tuple[list[int], set[int]]:
     balls = _balls(g, radius)
     index = set(balls)
     if len(index) != g.n:
-        raise PreconditionError(
-            f"the radius-{radius} power has twins; no identifying code exists"
+        x, y = pair = _twin_pair(balls)
+        raise TwinsError(
+            f"the radius-{radius} power has twins {x} and {y}; no identifying code exists", pair
         )
     return balls, index
 
@@ -141,12 +142,11 @@ def code_from_independent_set(
     Preconditions checked, in this order: the set is (3r+1)-independent
     (equivalently 4-independent in the r-th power), and every member v, in
     increasing order, leaves the full vertex set minus v a valid
-    r-identifying code.  On twin-free balls that member test is local to
-    B(v): V - v identifies exactly when B(v) != {v} (else v goes
-    undominated) and v is removable in ``_least_removable``'s sense.  A
-    member failing it, or any member when the balls have twins, gets its
-    verdict and witness from ``codes.is_identifying``; the returned code is
-    always certified by it.
+    r-identifying code.  ``codes.is_identifying`` decides once, on V - M
+    right after the spacing check: a superset of an identifying code
+    identifies, so when it accepts, every V - v does too.  Only when it
+    refuses are the V - v certified in increasing order, the first failure
+    raising with its witness, and the complement's refusal raised last.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -162,21 +162,13 @@ def code_from_independent_set(
                     f"vertices {u} and {v} are closer than {spread}; "
                     f"the set is not {spread}-independent"
                 )
-    balls = _balls(g, radius)
-    index = set(balls)
-    twin_free = len(index) == g.n
-    everything = set(range(g.n))
-    for v in members:
-        b = 1 << v
-        if twin_free and balls[v] != b and _least_removable(balls, index, b) is not None:
-            continue
-        codes._require_identifying(
-            g,
-            everything - {v},
-            radius,
-            f"removing vertex {v} alone does not leave an identifying code",
-        )
-    return _certified_complement(g, members, radius)
+    try:
+        return _certified_complement(g, members, radius)
+    except PreconditionError:
+        for v in members:
+            failure = f"removing vertex {v} alone does not leave an identifying code"
+            codes._require_identifying(g, set(range(g.n)) - {v}, radius, failure)
+        raise
 
 
 def _certified_complement(g: Graph, removed: Iterable[int], radius: int) -> frozenset[int]:
@@ -254,8 +246,7 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     degs = g.degrees()
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
-    if not is_twin_free(g):
-        raise PreconditionError("the graph has twins; no identifying code exists")
+    _twin_free_balls(g, 1)
     delta = degs[0]
     independent = greedy_independent_set(g, 4)
     code = _certified_complement(g, independent, 1)

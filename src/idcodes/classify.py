@@ -7,15 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import FamilySpec, make_family
-from .graph import (
-    Graph,
-    PreconditionError,
-    TwinsError,
-    _component_masks,
-    is_connected,
-    is_twin_free,
-    twin_pairs,
-)
+from .graph import Graph, PreconditionError, TwinsError, _component_masks, _twin_pair, is_connected
 
 STAR = "star"
 JOIN_FAMILY = "join-family"
@@ -144,11 +136,10 @@ def classify_extremal(g: Graph) -> ClassificationResult:
         raise PreconditionError("classification needs at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("classification is defined for connected graphs only")
-    if not is_twin_free(g):
-        twins = twin_pairs(g)
+    twins = _twin_pair(g._cn)
+    if twins is not None:
         raise TwinsError(
-            f"vertices {twins[0][0]} and {twins[0][1]} are twins; no identifying code exists",
-            twins[0],
+            f"vertices {twins[0]} and {twins[1]} are twins; no identifying code exists", twins
         )
     return _classify_masks(g._nbr, n)
 

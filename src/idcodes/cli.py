@@ -3,7 +3,8 @@
 Reports are JSON by default (stable key order, sorted vertex lists) so runs
 are byte-reproducible; ``--plain`` switches to flat key/value lines.  Exit
 statuses: 0 success, 2 usage or input errors, 3 failed structural
-preconditions (e.g. twins present), 4 internal assertion failures.
+preconditions (e.g. twins present), 4 internal assertion failures or
+failed scans.
 """
 
 from __future__ import annotations

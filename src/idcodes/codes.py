@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, PreconditionError, _balls, _bit_indices, _reach
+from .graph import Graph, PreconditionError, _balls, _bit_indices, _reach, _twin_pair
 
 KINDS = ("dominating", "separating", "identifying", "locating-dominating", "discriminating")
 
@@ -71,32 +71,23 @@ def _certify(
     """Verdict from the code-restricted balls ``b & c``.
 
     With ``dominate`` the least vertex with an empty signature fails first;
-    then the lexicographically first pair among ``separate`` with equal
-    signatures fails.  ``separate`` lists distinct vertices in increasing
-    order.  A valid code is recognised from the signatures alone; the
-    witness search runs only on failure.
+    then the least pair of ``separate`` (distinct vertices in increasing
+    order) with equal signatures, picked by ``graph._twin_pair`` as every
+    twin refusal is.  A valid code is recognised from the signatures alone;
+    the witness search runs only on failure.
     """
     sigs = [b & c for b in balls]
     if dominate and not all(sigs):
         return CodeCertificate(kind, radius, False, witness_vertex=sigs.index(0))
-    # distinct vertices: at full length, separate is every vertex
-    pool = sigs if len(separate) == len(sigs) else [sigs[v] for v in separate]
-    if len(set(pool)) == len(pool):
+    pair = _twin_pair(sigs, separate)
+    if pair is None:
         return CodeCertificate(kind, radius, True)
-    # the pair is (x, y) for the least x sharing its signature with a later
-    # vertex, and the least such y
-    first: dict[int, int] = {}
-    best = (len(sigs), 0)
-    for v in separate:
-        x = first.setdefault(sigs[v], v)
-        if x != v and x < best[0]:
-            best = (x, v)
     return CodeCertificate(
         kind,
         radius,
         False,
-        witness_pair=best,
-        witness_signature=frozenset(_bit_indices(sigs[best[0]])),
+        witness_pair=pair,
+        witness_signature=frozenset(_bit_indices(sigs[pair[0]])),
     )
 
 
@@ -237,12 +228,17 @@ def is_discriminating(
         if not (0 <= v < n):
             raise ValueError(f"invalid ball node {v}: range is 0..{n - 1}")
         c |= 1 << v
-    # ball nodes holding each source vertex, as masks over ball-node labels;
-    # entries outside 0..n-1 name no source vertex
+    return _certify("discriminating", 1, _holders(bg), c, False, range(n))
+
+
+def _holders(bg: BipartiteMembershipGraph) -> list[int]:
+    """The ball nodes holding each source vertex, as masks over ball-node
+    labels; entries outside 0..n-1 name no source vertex."""
+    n = bg.n
     holders = [0] * n
     for v, ball in enumerate(bg.balls):
         bit = 1 << v
         for u in ball:
             if 0 <= u < n:
                 holders[u] |= bit
-    return _certify("discriminating", 1, holders, c, False, range(n))
+    return holders

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 ENUMERATION_CAP = 7
 INPUT_VERTEX_CAP = 16384
@@ -28,7 +28,9 @@ class PreconditionError(ValueError):
 
 
 class TwinsError(PreconditionError):
-    """The graph (or the relevant power) has a pair of twin vertices."""
+    """The graph (or the relevant power) has twin vertices; ``pair`` is the
+    least pair, ``twin_pairs(g)[0]`` at radius 1 and the witness of
+    ``is_identifying(g, range(g.n))``."""
 
     def __init__(self, message: str, pair: tuple[int, int]):
         super().__init__(message)
@@ -245,6 +247,22 @@ def distances_from(g: Graph, x: int) -> list[int | None]:
         frontier = _reach(g._cn, frontier, radius=1) & ~seen
         seen |= frontier
     return dist
+
+
+def _twin_pair(masks: Sequence[int], among: Sequence[int] | None = None) -> tuple[int, int] | None:
+    """The lexicographically least x < y in ``among`` (distinct indices in
+    increasing order; by default every index) with ``masks[x] == masks[y]``,
+    or None.  The package's one rule for naming a witness or a twin pair."""
+    if among is None or len(among) == len(masks):  # distinct: every index
+        among, pool = range(len(masks)), masks
+    else:
+        pool = [masks[v] for v in among]
+    if len(set(pool)) == len(pool):
+        return None
+    # each v paired with the first index holding its mask
+    first: dict[int, int] = {}
+    pairs = ((first.setdefault(masks[v], v), v) for v in among)
+    return min(p for p in pairs if p[0] != p[1])
 
 
 def twin_pairs(g: Graph) -> list[tuple[int, int]]:

@@ -26,7 +26,7 @@ from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, _classify_masks
 from .codes import _identifying_ok, _locating_dominating_ok
-from .graph import Graph, _canon, _orbit, _pairs, _reach, _unpack
+from .graph import Graph, _bit_indices, _canon, _orbit, _pairs, _reach, _unpack
 
 DEFAULT_CAPS = {
     "thm12": 8,
@@ -340,13 +340,10 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
             report.counterexamples.append(
                 _entry(n, emask, weight, reason="chain", gamma_s=gamma_s, gamma_id=gamma_id)
             )
-        g = Graph._from_masks(n, _open(cn))
-        bg = codes.membership_graph(g)
+        holders = codes._holders(codes.membership_graph(Graph._from_masks(n, _open(cn))))
         for cmask in range(1 << n):
-            subset = [v for v in range(n) if cmask >> v & 1]
-            sep = codes.is_separating(g, subset).valid
-            disc = codes.is_discriminating(bg, subset).valid
-            bridge_checked += weight
+            sep = codes._certify("separating", 1, cn, cmask, False, range(n)).valid
+            disc = codes._certify("discriminating", 1, holders, cmask, False, range(n)).valid
             if sep != disc:
                 report.counterexamples.append(
                     _entry(
@@ -354,11 +351,12 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
                         emask,
                         weight,
                         reason="bridge",
-                        code=subset,
+                        code=_bit_indices(cmask),
                         separating=sep,
                         discriminating=disc,
                     )
                 )
+        bridge_checked += weight << n
     report.details = {"bridge_checks": bridge_checked}
     return report.finalize()
 

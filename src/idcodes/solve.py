@@ -10,7 +10,15 @@ from math import comb
 from typing import Iterable, Iterator
 
 from . import codes
-from .graph import Graph, PreconditionError, TwinsError, _balls, _bit_indices, induced_subgraph
+from .graph import (
+    Graph,
+    PreconditionError,
+    TwinsError,
+    _balls,
+    _bit_indices,
+    _twin_pair,
+    induced_subgraph,
+)
 
 SOLVE_VERTEX_CAP = 24
 _KINDS = ("identifying", "separating", "dominating", "locating-dominating")
@@ -45,15 +53,6 @@ class SolveReport:
             "forced": sorted(self.forced),
             "explored": self.explored,
         }
-
-
-def _twin_pair_of(balls: list[int]) -> tuple[int, int] | None:
-    seen: dict[int, int] = {}
-    for v, b in enumerate(balls):
-        if b in seen:
-            return (seen[b], v)
-        seen[b] = v
-    return None
 
 
 def _forced_mask(balls: list[int], n: int) -> int:
@@ -107,8 +106,10 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
     distinct signatures).  Each mask comes once, masks already met by
     ``forced`` are dropped, and the smallest come first.  A mask containing
-    another stays: it changes no step of ``_hitting_sets``, and finding it
-    costs more than it saves.
+    another changes no step of ``_hitting_sets``.  A locating-dominating
+    pair mask whose balls meet only in {x, y} contains B(x), so it is
+    skipped by an O(1) test; other containing masks stay, since finding
+    them costs more than it saves.
     """
     cons = set()
     if kind != "separating":
@@ -118,8 +119,11 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
         for x in range(n):
             bx = balls[x]
             for y in range(x + 1, n):
-                d = bx ^ balls[y]
-                cons.add(d | 1 << x | 1 << y if ld else d)
+                by = balls[y]
+                if not ld:
+                    cons.add(bx ^ by)
+                elif bx & by & ~(1 << x | 1 << y):
+                    cons.add(bx ^ by | 1 << x | 1 << y)
     return sorted((c for c in cons if not c & forced), key=int.bit_count)
 
 
@@ -320,7 +324,7 @@ def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
     balls = _balls(g, radius)
     forced = 0
     if kind in ("identifying", "separating"):
-        twins = _twin_pair_of(balls)
+        twins = _twin_pair(balls)
         if twins is not None:
             raise TwinsError(
                 f"no {kind} set exists at radius {radius}: vertices {twins[0]} and "
@@ -388,7 +392,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     removed_set = sorted(set(removed))
     for v in removed_set:
         g._check_vertex(v)
-    twins = _twin_pair_of(list(g._cn))
+    twins = _twin_pair(g._cn)
     if twins is not None:
         raise TwinsError(
             f"the host graph has twins {twins[0]} and {twins[1]}; no identifying code exists",
@@ -396,7 +400,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
         )
     rest = [v for v in range(g.n) if v not in removed_set]
     sub = induced_subgraph(g, rest)
-    sub_twins = _twin_pair_of(list(sub._cn))
+    sub_twins = _twin_pair(sub._cn)
     if sub_twins is not None:
         pair = (rest[sub_twins[0]], rest[sub_twins[1]])
         raise TwinsError(

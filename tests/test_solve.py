@@ -11,6 +11,8 @@ import sys
 import pytest
 
 import brute
+from idcodes.bound import constructive_upper_bound, regular_constructive_bound
+from idcodes.classify import classify_extremal
 from idcodes.codes import is_identifying
 from idcodes.families import (
     band_graph,
@@ -19,6 +21,7 @@ from idcodes.families import (
     empty_graph,
     join_family,
     path_graph,
+    petersen_graph,
     star_graph,
 )
 from idcodes.graph import (
@@ -26,6 +29,7 @@ from idcodes.graph import (
     PreconditionError,
     TwinsError,
     _balls,
+    _bit_indices,
     closed_ball,
     delete_vertex,
     enumerate_graphs,
@@ -376,6 +380,79 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
     assert report.explored == explored
 
 
+# the nodes the search enters while it generates every set of the minimum
+# size: graph -> {(kind, with the split cut): (minimum, sets, nodes)}.
+# ``explored`` comes from the answer's rank, so only these counts see a cut
+# made weaker.  Identifying and separating searches also run without the
+# split, which pins the packing, the cap and the last-vertex step alone.
+PINNED_NODES = {
+    "cycle14": (
+        lambda: cycle_graph(14),
+        {
+            ("dominating", False): (5, 14, 134),
+            ("separating", True): (7, 2, 69),
+            ("separating", False): (7, 2, 84),
+            ("identifying", True): (7, 2, 42),
+            ("identifying", False): (7, 2, 51),
+            ("locating-dominating", False): (6, 35, 436),
+        },
+    ),
+    "band6": (
+        lambda: band_graph(6),
+        {
+            ("dominating", False): (2, 36, 79),
+            ("separating", True): (11, 2, 3),
+            ("separating", False): (11, 2, 3),
+            ("identifying", True): (11, 2, 3),
+            ("identifying", False): (11, 2, 3),
+            ("locating-dominating", False): (6, 222, 1738),
+        },
+    ),
+    "petersen": (
+        petersen_graph,
+        {
+            ("dominating", False): (3, 10, 59),
+            ("separating", True): (4, 125, 601),
+            ("separating", False): (4, 125, 601),
+            ("identifying", True): (4, 5, 64),
+            ("identifying", False): (4, 5, 89),
+            ("locating-dominating", False): (4, 65, 343),
+        },
+    ),
+    "gnp16": (
+        lambda: _seeded_connected_twin_free_gnp(16, 0.25, 16),
+        {
+            ("dominating", False): (4, 26, 256),
+            ("separating", True): (5, 1, 102),
+            ("separating", False): (5, 1, 301),
+            ("identifying", True): (6, 46, 600),
+            ("identifying", False): (6, 46, 767),
+            ("locating-dominating", False): (5, 5, 271),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_NODES))
+def test_search_nodes_pinned(name):
+    build, pinned = PINNED_NODES[name]
+    g = build()
+    n, balls = g.n, list(g._cn)
+    for (kind, split_cut), expected in pinned.items():
+        splits = kind in ("identifying", "separating")
+        forced = _forced_mask(balls, n) if splits else 0
+        minimum = solve_minimum(g, kind).minimum
+        split = None
+        if split_cut:
+            extra = int(kind == "identifying")
+            classes, undominated, _ = _fold_split(balls, _bit_indices(forced), extra)
+            split = (balls, classes, undominated, extra)
+        cons = _constraints(balls, n, kind, forced)
+        free = ((1 << n) - 1) & ~forced
+        sets, nodes = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
+        assert (minimum, len(sets), len(nodes)) == expected, (name, kind, split_cut)
+
+
 def test_radius_two_solving():
     g = path_graph(6)
     expected = brute.naive_minimum(g, "identifying", 2)
@@ -390,6 +467,32 @@ def test_twins_error_carries_pair():
         min_identifying_code(complete_graph(3))
     pair = exc.value.pair
     assert twin_pairs(complete_graph(3))[0] == pair
+    # one witness rule: with two twin pairs, every refusal names the least
+    # one, the pair the identifying certificate of all vertices names; a
+    # scan for the first repeated ball would name the other
+    two_pairs = Graph(6, [(0, 1), (1, 2), (1, 5), (2, 5), (0, 3), (0, 4), (3, 4)])
+    regular = Graph(
+        7,
+        [(0, 3), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6)]
+        + [(2, 3), (2, 4), (2, 5), (2, 6), (3, 6), (4, 5)],
+    )
+    for g, least in ((two_pairs, (2, 5)), (regular, (3, 6))):
+        assert twin_pairs(g)[0] == least
+        assert is_identifying(g, range(g.n)).witness_pair == least
+        refusals = [
+            lambda: solve_minimum(g, "identifying"),
+            lambda: solve_minimum(g, "separating"),
+            lambda: enumerate_minimum_separating_sets(g),
+            lambda: extend_code(g, [], range(g.n)),
+            lambda: classify_extremal(g),
+            lambda: constructive_upper_bound(g),
+        ]
+        if g is regular:
+            refusals.append(lambda: regular_constructive_bound(g))
+        for refuse in refusals:
+            with pytest.raises(TwinsError) as exc:
+                refuse()
+            assert exc.value.pair == least
 
 
 def test_solver_cap():
