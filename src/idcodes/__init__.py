@@ -23,7 +23,6 @@ from .codes import (
     is_locating_dominating,
     is_separating,
     membership_graph,
-    separates,
 )
 from .families import (
     FamilySpec,
@@ -40,13 +39,9 @@ from .graph import (
     Graph,
     PreconditionError,
     TwinsError,
-    ball_symmetric_difference,
     canonical_form,
-    closed_ball,
     complement,
     delete_vertex,
-    distances_from,
-    enumerate_graphs,
     find_isomorphism,
     format_edge_list,
     induced_subgraph,
@@ -63,10 +58,6 @@ from .solve import (
     enumerate_minimum_separating_sets,
     extend_code,
     forced_vertices,
-    min_dominating,
-    min_identifying_code,
-    min_locating_dominating,
-    min_separating_set,
     solve_minimum,
 )
 

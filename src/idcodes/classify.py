@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import FamilySpec, make_family
+from .families import FamilySpec
 from .graph import Graph, PreconditionError, TwinsError, _component_masks, _twin_pair, is_connected
 
 STAR = "star"
@@ -177,9 +177,3 @@ def _classify_masks(nbr: tuple[int, ...], n: int) -> ClassificationResult:
     # graph, which the connectivity precondition excludes
     assert factors != [1]
     return ClassificationResult(JOIN_FAMILY, factors=tuple(factors), implied_gamma_id=n - 1)
-
-
-def reconstruct(result: ClassificationResult) -> Graph | None:
-    """Build a graph isomorphic to the classified input, if extremal."""
-    spec = result.family_spec()
-    return make_family(spec) if spec else None

@@ -131,13 +131,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a code and print the certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--code", required=True, help="comma-separated vertex list (may be empty)")
-    p.add_argument("--kind", required=True, choices=list(codes.KINDS[:4]))
+    p.add_argument("--kind", required=True, choices=list(codes.KINDS))
     p.add_argument("--radius", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="exact minimum code of a kind")
     p.add_argument("--graph", required=True)
-    p.add_argument("--kind", required=True, choices=list(codes.KINDS[:4]))
+    p.add_argument("--kind", required=True, choices=list(codes.KINDS))
     p.add_argument("--radius", type=int, default=1)
     p.add_argument("--all-minimum", action="store_true", help="also list every minimum separating set")
     p.set_defaults(func=_cmd_solve)

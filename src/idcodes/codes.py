@@ -7,9 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, PreconditionError, _balls, _bit_indices, _reach, _twin_pair
+from .graph import Graph, PreconditionError, _balls, _bit_indices, _twin_pair
 
-KINDS = ("dominating", "separating", "identifying", "locating-dominating", "discriminating")
+# the four kinds of code in a graph; discriminating codes live on the
+# membership graph and are checked by ``is_discriminating`` alone
+KINDS = ("dominating", "separating", "identifying", "locating-dominating")
 
 
 @dataclass(frozen=True)
@@ -125,37 +127,44 @@ def _locating_dominating_ok(balls: list[int], c: int) -> bool:
     return True
 
 
+def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> CodeCertificate:
+    """Verdict on ``code`` as a radius-r code of ``kind``, one of ``KINDS``.
+
+    Every kind but separating dominates; separating sets and identifying
+    codes separate every pair, locating-dominating sets every pair outside
+    the code.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(KINDS)}")
+    _check_radius(radius)
+    c = _code_mask(g, code)
+    if kind == "dominating":
+        separate = ()
+    elif kind == "locating-dominating":
+        separate = [v for v in range(g.n) if not c >> v & 1]
+    else:
+        separate = range(g.n)
+    return _certify(kind, radius, _balls(g, radius), c, kind != "separating", separate)
+
+
 def is_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff every radius-r ball meets the code."""
-    _check_radius(radius)
-    c = _code_mask(g, code)
-    return _certify("dominating", radius, _balls(g, radius), c, True, ())
-
-
-def separates(g: Graph, code: Iterable[int], x: int, y: int, radius: int = 1) -> bool:
-    """True iff the code-restricted radius-r balls of x and y differ."""
-    _check_radius(radius)
-    if x == y:
-        raise ValueError("invalid pair: the two vertices must be distinct")
-    g._check_vertex(x)
-    g._check_vertex(y)
-    c = _code_mask(g, code)
-    cn = g._cn
-    return (_reach(cn, 1 << x, radius=radius) & c) != (_reach(cn, 1 << y, radius=radius) & c)
+    return check_code(g, code, "dominating", radius)
 
 
 def is_separating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff all vertex pairs get distinct code-restricted balls."""
-    _check_radius(radius)
-    c = _code_mask(g, code)
-    return _certify("separating", radius, _balls(g, radius), c, False, range(g.n))
+    return check_code(g, code, "separating", radius)
 
 
 def is_identifying(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
     """Valid iff the code is both r-dominating and r-separating."""
-    _check_radius(radius)
-    c = _code_mask(g, code)
-    return _certify("identifying", radius, _balls(g, radius), c, True, range(g.n))
+    return check_code(g, code, "identifying", radius)
+
+
+def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
+    """Valid iff the code dominates and separates all pairs outside the code."""
+    return check_code(g, code, "locating-dominating", radius)
 
 
 def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: str) -> None:
@@ -166,27 +175,6 @@ def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: st
         err = PreconditionError(f"{failure}: {cert.to_dict()['witness']}")
         err.certificate = cert
         raise err
-
-
-def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
-    """Valid iff the code dominates and separates all pairs outside the code."""
-    _check_radius(radius)
-    c = _code_mask(g, code)
-    outside = [v for v in range(g.n) if not c >> v & 1]
-    return _certify("locating-dominating", radius, _balls(g, radius), c, True, outside)
-
-
-def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> CodeCertificate:
-    """Dispatch by kind name (the CLI entry point)."""
-    checkers = {
-        "dominating": is_dominating,
-        "separating": is_separating,
-        "identifying": is_identifying,
-        "locating-dominating": is_locating_dominating,
-    }
-    if kind not in checkers:
-        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(checkers)}")
-    return checkers[kind](g, code, radius)
 
 
 # -- membership graph and discriminating codes --------------------------

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
-ENUMERATION_CAP = 7
 INPUT_VERTEX_CAP = 16384
 # _canon takes about 0.1 s on the most symmetric 64-vertex graphs (empty,
 # complete, four 16-vertex strongly regular graphs) but 1.5-3 s at n = 200,
@@ -201,29 +200,6 @@ def _balls(g: Graph, r: int) -> list[int]:
     return balls
 
 
-def closed_ball(g: Graph, x: int, r: int) -> frozenset[int]:
-    """Vertices at distance at most r from x; always contains x.
-
-    r = 0 is accepted as a degenerate convenience and gives {x}.
-    """
-    g._check_vertex(x)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    return frozenset(_bit_indices(_reach(g._cn, 1 << x, radius=r)))
-
-
-def ball_symmetric_difference(g: Graph, x: int, y: int, r: int) -> frozenset[int]:
-    """Symmetric difference of the radius-r balls around x and y."""
-    if x == y:
-        raise ValueError("invalid pair: the two vertices must be distinct")
-    g._check_vertex(x)
-    g._check_vertex(y)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    cn = g._cn
-    return frozenset(_bit_indices(_reach(cn, 1 << x, radius=r) ^ _reach(cn, 1 << y, radius=r)))
-
-
 def power(g: Graph, r: int) -> Graph:
     """Graph on the same vertices joining every pair at distance 1..r."""
     if r < 1:
@@ -232,21 +208,6 @@ def power(g: Graph, r: int) -> Graph:
         return g
     nbr = tuple(b ^ (1 << x) for x, b in enumerate(_balls(g, r)))
     return Graph._from_masks(g.n, nbr)
-
-
-def distances_from(g: Graph, x: int) -> list[int | None]:
-    """BFS distances from x; None for vertices in other components."""
-    g._check_vertex(x)
-    dist: list[int | None] = [None] * g.n
-    seen = frontier = 1 << x
-    d = 0
-    while frontier:
-        for v in _bit_indices(frontier):
-            dist[v] = d
-        d += 1
-        frontier = _reach(g._cn, frontier, radius=1) & ~seen
-        seen |= frontier
-    return dist
 
 
 def _twin_pair(masks: Sequence[int], among: Sequence[int] | None = None) -> tuple[int, int] | None:
@@ -347,15 +308,18 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _reach(g._cn, g._cn[0], full) == full
 
 
-# -- enumeration, canonical form, isomorphism --------------------------
+# -- edge masks, canonical form, isomorphism --------------------------
 
 
 def _pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs u < v of n vertices in lexicographic order; bit e of an
+    edge mask stands for the e-th."""
     return list(itertools.combinations(range(n), 2))
 
 
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """Graph whose edge set is the bitmask over ``_pairs(n)`` positions."""
+    """Graph whose edge set is the bitmask over ``_pairs(n)`` positions; the
+    inverse of ``_edge_mask``."""
     pairs = _pairs(n)
     nbr = [0] * n
     while mask:
@@ -367,32 +331,18 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     return Graph._from_masks(n, tuple(nbr))
 
 
-def edge_mask_of(g: Graph) -> int:
-    index = {p: i for i, p in enumerate(_pairs(g.n))}
-    m = 0
-    for e in g.edges():
-        m |= 1 << index[e]
-    return m
+def _edge_mask(masks: Sequence[int]) -> int:
+    """Edge bitmask over ``_pairs(n)`` positions of the graph whose open or
+    closed neighborhood masks are ``masks``.
 
-
-def enumerate_graphs(n: int, predicate: Callable[[Graph], bool] | None = None) -> Iterator[Graph]:
-    """Yield every labeled simple graph on n vertices passing the filter.
-
-    The order is fixed: ascending edge bitmask, where bit e stands for the
-    e-th vertex pair in lexicographic order (0,1), (0,2), ..., (n-2,n-1).
-    One graph per isomorphism class is ``scans._sweep``'s job.
-    """
-    if n < 0:
-        raise ValueError("vertex count must be non-negative")
-    if n > ENUMERATION_CAP:
-        raise ValueError(
-            f"refusing to enumerate 2^{n * (n - 1) // 2} labeled graphs on {n} "
-            f"vertices (cap is {ENUMERATION_CAP})"
-        )
-    for mask in range(1 << (n * (n - 1) // 2)):
-        g = graph_from_edge_mask(n, mask)
-        if predicate is None or predicate(g):
-            yield g
+    The pairs of one least vertex u are consecutive, so u's higher
+    neighbors go in as one shifted block."""
+    n = len(masks)
+    mask = offset = 0
+    for u, m in enumerate(masks):
+        mask |= m >> (u + 1) << offset
+        offset += n - 1 - u
+    return mask
 
 
 def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
@@ -566,7 +516,7 @@ def canonical_form(g: Graph) -> int:
     Two graphs have equal forms exactly when they are isomorphic; the form
     is the ``edge_mask`` the scans report for g's class.
     """
-    return edge_mask_of(Graph._from_masks(g.n, _unpack(_labeling(g)[0], g.n)))
+    return _edge_mask(_unpack(_labeling(g)[0], g.n))
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:

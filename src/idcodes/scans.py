@@ -26,7 +26,16 @@ from . import codes, solve
 from .bound import _least_removable
 from .classify import JOIN_FAMILY, _classify_masks
 from .codes import _identifying_ok, _locating_dominating_ok
-from .graph import Graph, _bit_indices, _canon, _orbit, _pairs, _reach, _unpack
+from .graph import (
+    Graph,
+    _bit_indices,
+    _canon,
+    _edge_mask,
+    _orbit,
+    _reach,
+    _unpack,
+    graph_from_edge_mask,
+)
 
 DEFAULT_CAPS = {
     "thm12": 8,
@@ -89,8 +98,8 @@ def _sweep(
     on first_n..max_n vertices that passes the requested filters.
 
     The one sweep engine of the scans.  Each class is yielded as its
-    canonical representative (``graph._canon``): bit e of edge_mask stands
-    for the e-th pair of ``_pairs(n)`` and ``cn`` holds the representative's
+    canonical representative (``graph._canon``): edge_mask is its
+    ``graph._edge_mask`` and ``cn`` holds the representative's
     closed-neighborhood masks.  ``weight`` = n!/|Aut(G)| is the number of
     labeled graphs in the class, so a count over labeled graphs is the sum
     of the weights of the classes it holds.
@@ -117,8 +126,7 @@ def _sweep(
             continue
         if connected and _reach(cn, cn[0], full) != full:
             continue
-        emask = sum(1 << e for e, (u, v) in enumerate(_pairs(n)) if cn[u] >> v & 1)
-        yield n, emask, factorial(n) // order, cn
+        yield n, _edge_mask(cn), factorial(n) // order, cn
 
 
 def _children(nbr, gens: list[list[int]]) -> Iterator[tuple[list[int], int, int, list[list[int]]]]:
@@ -181,8 +189,7 @@ def _open(cn: tuple[int, ...]) -> tuple[int, ...]:
 
 def _entry(n: int, emask: int, weight: int, **extra) -> dict:
     """A counterexample: one class, with its number of labelings."""
-    pairs = _pairs(n)
-    edges = [list(pairs[e]) for e in range(len(pairs)) if emask >> e & 1]
+    edges = [list(e) for e in graph_from_edge_mask(n, emask).edges()]
     return {"n": n, "edge_mask": emask, "edges": edges, "labelings": weight, **extra}
 
 

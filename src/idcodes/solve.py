@@ -21,7 +21,6 @@ from .graph import (
 )
 
 SOLVE_VERTEX_CAP = 24
-_KINDS = ("identifying", "separating", "dominating", "locating-dominating")
 
 
 @dataclass(frozen=True)
@@ -105,11 +104,13 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
     distinct signatures).  Each mask comes once, masks already met by
-    ``forced`` are dropped, and the smallest come first.  A mask containing
-    another changes no step of ``_hitting_sets``.  A locating-dominating
-    pair mask whose balls meet only in {x, y} contains B(x), so it is
-    skipped by an O(1) test; other containing masks stay, since finding
-    them costs more than it saves.
+    ``forced`` are dropped, and the rest are sorted by size, then by value:
+    the greedy packing in ``_hitting_sets`` reads the list in order, so no
+    set iteration order may reach it.  A mask containing another changes
+    no step of ``_hitting_sets``.  A locating-dominating pair mask whose
+    balls meet only in {x, y} contains B(x), so it is skipped by an O(1)
+    test; other containing masks stay, since finding them costs more than
+    it saves.
     """
     cons = set()
     if kind != "separating":
@@ -124,7 +125,7 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
                     cons.add(bx ^ by)
                 elif bx & by & ~(1 << x | 1 << y):
                     cons.add(bx ^ by | 1 << x | 1 << y)
-    return sorted((c for c in cons if not c & forced), key=int.bit_count)
+    return sorted((c for c in cons if not c & forced), key=lambda c: (c.bit_count(), c))
 
 
 def _split_classes(
@@ -312,8 +313,8 @@ def _search_minimum(
 
 
 def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(_KINDS)}")
+    if kind not in codes.KINDS:
+        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(codes.KINDS)}")
     if g.n > SOLVE_VERTEX_CAP:
         raise PreconditionError(
             f"exact solving is limited to n <= {SOLVE_VERTEX_CAP}; "
@@ -349,22 +350,6 @@ def solve_minimum(g: Graph, kind: str, radius: int = 1) -> SolveReport:
         frozenset(_bit_indices(forced)),
         explored,
     )
-
-
-def min_identifying_code(g: Graph, radius: int = 1) -> SolveReport:
-    return solve_minimum(g, "identifying", radius)
-
-
-def min_separating_set(g: Graph, radius: int = 1) -> SolveReport:
-    return solve_minimum(g, "separating", radius)
-
-
-def min_locating_dominating(g: Graph, radius: int = 1) -> SolveReport:
-    return solve_minimum(g, "locating-dominating", radius)
-
-
-def min_dominating(g: Graph, radius: int = 1) -> SolveReport:
-    return solve_minimum(g, "dominating", radius)
 
 
 def enumerate_minimum_separating_sets(g: Graph, radius: int = 1) -> list[frozenset[int]]:

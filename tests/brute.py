@@ -2,7 +2,8 @@
 
 Everything here recomputes from first principles with plain Python sets and
 dict-based BFS, deliberately avoiding the package's bitmask machinery, so
-the two routes can disagree when either has a bug.
+the two routes can disagree when either has a bug.  The one exception is
+``labeled_graphs``, which only lists inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,13 @@ import itertools
 import math
 from collections import deque
 from fractions import Fraction
+
+from idcodes.graph import graph_from_edge_mask
+
+
+def labeled_graphs(n: int):
+    """Every labeled graph on n vertices, by ascending edge mask."""
+    return (graph_from_edge_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
 
 
 def adjacency(g) -> dict[int, set[int]]:

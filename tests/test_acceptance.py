@@ -9,6 +9,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import brute
 from randgraphs import random_bounded_degree_graph
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
 from idcodes.codes import is_identifying
@@ -22,7 +23,6 @@ from idcodes.families import (
 )
 from idcodes.graph import (
     PreconditionError,
-    closed_ball,
     is_twin_free,
     join,
     power,
@@ -36,11 +36,7 @@ from idcodes.scans import (
     scan_regular_odd,
     scan_removable_vertex,
 )
-from idcodes.solve import (
-    enumerate_minimum_separating_sets,
-    min_identifying_code,
-    min_separating_set,
-)
+from idcodes.solve import enumerate_minimum_separating_sets, solve_minimum
 
 
 def _criterion(number: int, ok: bool, detail: str) -> None:
@@ -52,19 +48,19 @@ def test_c01_band_graph_exact_minima():
     ok = True
     for k in range(2, 6):
         g = band_graph(k)
-        ok &= min_separating_set(g).minimum == 2 * k - 1
-        ok &= min_identifying_code(g).minimum == 2 * k - 1
+        ok &= solve_minimum(g, "separating").minimum == 2 * k - 1
+        ok &= solve_minimum(g, "identifying").minimum == 2 * k - 1
     for k in range(2, 5):
         g = band_graph(k)
         expected = sorted(
-            [closed_ball(g, k - 1, 1), closed_ball(g, k, 1)], key=sorted
+            [brute.naive_ball(g, k - 1, 1), brute.naive_ball(g, k, 1)], key=sorted
         )
         ok &= enumerate_minimum_separating_sets(g) == expected
     _criterion(1, ok, "band graphs: both minima 2k-1; the two middle balls are the only minimum separating sets")
 
 
 def test_c02_star_minima():
-    ok = all(min_identifying_code(star_graph(t)).minimum == t for t in range(2, 7))
+    ok = all(solve_minimum(star_graph(t), "identifying").minimum == t for t in range(2, 7))
     _criterion(2, ok, "stars with t leaves need exactly t code vertices (t = 2..6)")
 
 
@@ -100,7 +96,7 @@ def test_c06_join_additivity():
     for j, k in itertools.product(range(1, 4), repeat=2):
         g = join(band_graph(j), band_graph(k))
         ok &= is_twin_free(g)
-        ok &= min_separating_set(g).minimum == (2 * j - 1) + (2 * k - 1) + 1
+        ok &= solve_minimum(g, "separating").minimum == (2 * j - 1) + (2 * k - 1) + 1
     _criterion(6, ok, "separating minima add plus one under joins of band graphs (orders <= 3)")
 
 
@@ -158,8 +154,8 @@ def test_c10_square_root_fixture():
     fix = band5_square_root()
     ok = power(fix, 2) == band_graph(5)
     ok &= any(abs(u - v) > 2 for u, v in fix.edges())
-    gamma2 = min_identifying_code(fix, 2).minimum
-    gamma_band = min_identifying_code(band_graph(5)).minimum
+    gamma2 = solve_minimum(fix, "identifying", 2).minimum
+    gamma_band = solve_minimum(band_graph(5), "identifying").minimum
     ok &= gamma2 == 9 == gamma_band
     _criterion(
         10,

@@ -31,10 +31,7 @@ from idcodes.families import (
 from idcodes.graph import (
     Graph,
     PreconditionError,
-    closed_ball,
     delete_vertex,
-    distances_from,
-    enumerate_graphs,
     graph_from_edge_mask,
     is_connected,
     is_twin_free,
@@ -55,16 +52,16 @@ def test_removable_vertex_examples():
                 continue
             for x in range(g.n):
                 y = removable_vertex_in_ball(g, x, r)
-                assert y in closed_ball(g, x, r)
+                assert y in brute.naive_ball(g, x, r)
                 reduced, _ = delete_vertex(pg, y)
                 assert is_twin_free(reduced)
 
 
 def test_removable_vertex_is_least_valid_choice():
-    for g in enumerate_graphs(5, predicate=is_twin_free):
+    for g in filter(is_twin_free, brute.labeled_graphs(5)):
         for x in range(g.n):
             y = removable_vertex_in_ball(g, x)
-            for candidate in sorted(closed_ball(g, x, 1)):
+            for candidate in sorted(brute.naive_ball(g, x, 1)):
                 reduced, _ = delete_vertex(g, candidate)
                 ok = is_twin_free(reduced)
                 if candidate == y:
@@ -75,11 +72,11 @@ def test_removable_vertex_is_least_valid_choice():
     # whose deletion from the square leaves it twin-free
     checked = 0
     for n in range(1, 6):
-        for g in enumerate_graphs(n, predicate=lambda h: is_twin_free(power(h, 2))):
+        for g in filter(lambda h: is_twin_free(power(h, 2)), brute.labeled_graphs(n)):
             square = power(g, 2)
             for x in range(g.n):
                 expected = min(
-                    y for y in closed_ball(g, x, 2) if is_twin_free(delete_vertex(square, y)[0])
+                    y for y in brute.naive_ball(g, x, 2) if is_twin_free(delete_vertex(square, y)[0])
                 )
                 assert removable_vertex_in_ball(g, x, 2) == expected
                 checked += 1
@@ -88,7 +85,7 @@ def test_removable_vertex_is_least_valid_choice():
 
 def test_removable_vertex_totality_small():
     for n in (1, 2, 3, 4, 5):
-        for g in enumerate_graphs(n, predicate=is_twin_free):
+        for g in filter(is_twin_free, brute.labeled_graphs(n)):
             for x in range(g.n):
                 removable_vertex_in_ball(g, x)
 
@@ -244,10 +241,9 @@ def test_pipeline_on_seeded_random_graphs():
         chosen = sorted(report.independent_set)
         cover = set()
         for u in chosen:
-            dist = distances_from(g, u)
-            cover |= {v for v in range(g.n) if dist[v] is not None and dist[v] <= 5}
+            cover |= brute.naive_ball(g, u, 5)
         assert cover == set(range(g.n))
-        biggest_ball = max(len(closed_ball(g, x, 5)) for x in range(g.n))
+        biggest_ball = max(len(brute.naive_ball(g, x, 5)) for x in range(g.n))
         assert len(chosen) * biggest_ball >= g.n
         assert biggest_ball <= ball_size_limit(delta, 5)
 
@@ -273,7 +269,7 @@ def test_removable_vertex_matches_naive_oracle():
     # wherever the power is twin-free: the answer is the least y of the
     # naive ball for which all vertices but y separate in the naive sense
     rng = random.Random(7)
-    graphs = [g for n in range(1, 6) for g in enumerate_graphs(n)]
+    graphs = [g for n in range(1, 6) for g in brute.labeled_graphs(n)]
     for _, emask, _, _ in _sweep(6, 6):
         g = graph_from_edge_mask(6, emask)
         perm = list(range(6))

@@ -236,7 +236,7 @@ def test_byte_identical_output(run, graph_file):
 def test_verify_radius_two(run, graph_file):
     fix = band5_square_root_graph()
     path = graph_file(fix)
-    report = solve.min_identifying_code(fix, 2)
+    report = solve.solve_minimum(fix, "identifying", 2)
     code, out, _ = run(
         "verify",
         "--graph",

@@ -8,6 +8,7 @@ import pytest
 
 import brute
 from randgraphs import random_bounded_degree_graph, random_sparse_graph
+from idcodes import codes, graph
 from idcodes.codes import (
     check_code,
     is_discriminating,
@@ -16,7 +17,6 @@ from idcodes.codes import (
     is_locating_dominating,
     is_separating,
     membership_graph,
-    separates,
 )
 from idcodes.families import (
     band_graph,
@@ -26,7 +26,7 @@ from idcodes.families import (
     path_graph,
     star_graph,
 )
-from idcodes.graph import Graph, closed_ball, enumerate_graphs, is_twin_free, power, twin_pairs
+from idcodes.graph import Graph, power, twin_pairs
 
 
 def test_dominating_examples():
@@ -34,10 +34,15 @@ def test_dominating_examples():
     cert = is_dominating(empty_graph(2), [0])
     assert not cert.valid and cert.witness_vertex == 1
     g = band_graph(3)
-    assert is_dominating(g, closed_ball(g, 2, 1)).valid
+    assert is_dominating(g, brute.naive_ball(g, 2, 1)).valid
 
 
 def test_separates_examples():
+    # the certificate kernel restricted to the one pair (x, y)
+    def separates(g, code, x, y):
+        c = sum(1 << v for v in code)
+        return codes._certify("separating", 1, graph._balls(g, 1), c, False, (x, y)).valid
+
     for k in range(2, 5):
         g = band_graph(k)
         for i in range(k - 1):
@@ -45,8 +50,6 @@ def test_separates_examples():
     g = path_graph(4)
     assert not separates(g, [], 0, 1)
     assert not separates(g, [1, 2], 1, 2)
-    with pytest.raises(ValueError):
-        separates(g, [0], 1, 1)
 
 
 def test_identifying_examples():
@@ -75,7 +78,7 @@ def test_locating_dominating_examples():
 
 
 def test_whole_vertex_set_identifies_iff_twin_free():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         assert is_identifying(g, range(g.n)).valid == (not twin_pairs(g))
 
 
@@ -105,7 +108,7 @@ def test_monotonicity_under_supersets():
 
 
 def test_all_kinds_match_naive_oracle_exhaustively():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         for size in range(5):
             for combo in itertools.combinations(range(4), size):
                 assert is_dominating(g, combo).valid == brute.naive_is_dominating(g, combo)
@@ -137,11 +140,11 @@ def test_invalid_witness_reverifies():
         if cert.valid:
             continue
         if cert.witness_vertex is not None:
-            assert closed_ball(g, cert.witness_vertex, 1) & set(code) == set()
+            assert brute.naive_ball(g, cert.witness_vertex, 1) & set(code) == set()
         else:
             x, y = cert.witness_pair
-            bx = closed_ball(g, x, 1) & set(code)
-            by = closed_ball(g, y, 1) & set(code)
+            bx = brute.naive_ball(g, x, 1) & set(code)
+            by = brute.naive_ball(g, y, 1) & set(code)
             assert bx == by == cert.witness_signature
 
 
@@ -168,8 +171,10 @@ def test_code_out_of_range_rejected():
 def test_check_code_dispatch():
     g = path_graph(4)
     assert check_code(g, [0, 1, 2], "identifying").kind == "identifying"
-    with pytest.raises(ValueError):
+    expected = "['dominating', 'identifying', 'locating-dominating', 'separating']"
+    with pytest.raises(ValueError) as err:
         check_code(g, [0], "nonsense")
+    assert str(err.value) == f"unknown code kind 'nonsense'; expected one of {expected}"
 
 
 def test_membership_graph_structure():
@@ -193,7 +198,7 @@ def test_discriminating_examples():
 
 
 def test_discriminating_bridge_exhaustive_small():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         bg = membership_graph(g)
         for size in range(5):
             for combo in itertools.combinations(range(4), size):
@@ -234,7 +239,7 @@ def test_certificates_match_oracle_on_large_near_complete_codes():
         for r in (1, 2, 3):
             for k in (0, 1, 2, 3, -1):
                 if k < 0:
-                    removed = closed_ball(g, rng.randrange(g.n), 1)
+                    removed = brute.naive_ball(g, rng.randrange(g.n), 1)
                 else:
                     removed = set(rng.sample(range(g.n), k))
                 code = set(range(g.n)) - removed

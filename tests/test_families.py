@@ -22,7 +22,7 @@ from idcodes.families import (
     star_graph,
 )
 from idcodes.graph import is_connected, is_isomorphic, is_twin_free, power
-from idcodes.solve import enumerate_minimum_separating_sets, min_identifying_code
+from idcodes.solve import enumerate_minimum_separating_sets, solve_minimum
 
 
 def test_band_graph_small_orders():
@@ -128,13 +128,13 @@ def test_join_family_minima_are_order_minus_one():
         g = join_family(ks)
         if g.n == 2:
             continue  # the single order-1 block is the disconnected pair
-        assert min_identifying_code(g).minimum == g.n - 1
+        assert solve_minimum(g, "identifying").minimum == g.n - 1
 
 
 def test_join_family_plus_universal_minima():
     for ks in ([1], [2], [1, 1]):
         g = join_family_plus_universal(ks)
-        assert min_identifying_code(g).minimum == g.n - 1
+        assert solve_minimum(g, "identifying").minimum == g.n - 1
 
 
 def test_minimum_separating_sets_have_universal_vertex():

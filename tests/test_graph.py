@@ -24,14 +24,9 @@ from idcodes.families import (
 from idcodes.graph import (
     INPUT_VERTEX_CAP,
     Graph,
-    ball_symmetric_difference,
     canonical_form,
-    closed_ball,
     complement,
     delete_vertex,
-    distances_from,
-    edge_mask_of,
-    enumerate_graphs,
     find_isomorphism,
     format_edge_list,
     graph_from_edge_mask,
@@ -45,6 +40,22 @@ from idcodes.graph import (
     twin_pairs,
 )
 from idcodes.scans import _sweep
+
+
+def ball(g, x, r):
+    """B_r(x) by the package's one BFS."""
+    return set(graph._bit_indices(graph._reach(g._cn, 1 << x, radius=r)))
+
+
+def distances(g, x):
+    """Distance from x to each vertex, None where unreachable: the least
+    radius whose ball holds it."""
+    dist = [None] * g.n
+    for d in range(g.n):
+        for v in ball(g, x, d):
+            if dist[v] is None:
+                dist[v] = d
+    return dist
 
 
 def test_graph_construction_and_accessors():
@@ -96,23 +107,43 @@ def test_max_degree_agrees_across_construction_routes():
 
 def test_closed_ball_band_graphs():
     # ball of the first vertex in the order-2 band graph (the 4-path)
-    assert closed_ball(band_graph(2), 0, 1) == {0, 1}
+    assert ball(band_graph(2), 0, 1) == {0, 1}
     # ball of radius zero
-    assert closed_ball(band_graph(2), 3, 0) == {3}
+    assert ball(band_graph(2), 3, 0) == {3}
     # middle vertex of the order-3 band graph reaches five vertices
-    assert closed_ball(band_graph(3), 2, 1) == {0, 1, 2, 3, 4}
+    assert ball(band_graph(3), 2, 1) == {0, 1, 2, 3, 4}
 
 
 def test_closed_ball_matches_naive_bfs():
     for g in [band_graph(3), cycle_graph(7), star_graph(4), band5_square_root()]:
         for r in range(4):
             for x in range(g.n):
-                assert closed_ball(g, x, r) == brute.naive_ball(g, x, r)
+                assert ball(g, x, r) == brute.naive_ball(g, x, r)
 
 
-def test_closed_ball_rejects_bad_vertex():
-    with pytest.raises(ValueError):
-        closed_ball(band_graph(2), 7, 1)
+def test_vertex_queries_reject_bad_vertex():
+    g = band_graph(2)
+    queries = (g.neighbors, g.degree, lambda v: g.has_edge(0, v), lambda v: delete_vertex(g, v))
+    for query in queries:
+        with pytest.raises(ValueError, match=r"^invalid vertex 7: range is 0\.\.3$"):
+            query(7)
+
+
+def test_reach_balls_match_naive_bfs_on_every_small_graph():
+    # every labeled graph on at most 5 vertices, radii 0 to 3
+    for n in range(6):
+        for g in brute.labeled_graphs(n):
+            for x in range(n):
+                for r in range(4):
+                    assert ball(g, x, r) == brute.naive_ball(g, x, r)
+
+
+def test_reach_levels_match_naive_distances_on_every_small_graph():
+    # each BFS step adds exactly the vertices one step further away
+    for n in range(6):
+        for g in brute.labeled_graphs(n):
+            for x in range(n):
+                assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
 
 
 def test_ball_symmetric_difference():
@@ -120,16 +151,11 @@ def test_ball_symmetric_difference():
     for k in range(2, 5):
         g = band_graph(k)
         for i in range(k - 1):
-            assert ball_symmetric_difference(g, i, i + 1, 1) == {i + k}
+            assert ball(g, i, 1) ^ ball(g, i + 1, 1) == {i + k}
     # twins have equal balls
-    assert ball_symmetric_difference(complete_graph(3), 0, 1, 1) == frozenset()
+    assert ball(complete_graph(3), 0, 1) ^ ball(complete_graph(3), 1, 1) == set()
     # inner pair of the 4-path
-    assert ball_symmetric_difference(path_graph(4), 1, 2, 1) == {0, 3}
-
-
-def test_ball_symmetric_difference_rejects_equal_pair():
-    with pytest.raises(ValueError):
-        ball_symmetric_difference(path_graph(4), 2, 2, 1)
+    assert ball(path_graph(4), 1, 1) ^ ball(path_graph(4), 2, 1) == {0, 3}
 
 
 def test_power_identity_and_idempotence():
@@ -171,7 +197,7 @@ def test_twin_pairs():
 
 
 def test_twin_pairs_match_naive():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         assert twin_pairs(g) == brute.naive_twin_pairs(g)
 
 
@@ -236,7 +262,7 @@ def test_connectivity():
 
 def test_distances():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    assert distances_from(g, 0) == [0, 1, 2, None, None]
+    assert distances(g, 0) == [0, 1, 2, None, None]
 
 
 def test_balls_and_distances_match_naive_bfs_on_random_graphs():
@@ -248,8 +274,8 @@ def test_balls_and_distances_match_naive_bfs_on_random_graphs():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         for x in range(n):
             for r in range(5):
-                assert closed_ball(g, x, r) == brute.naive_ball(g, x, r)
-            assert distances_from(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
+                assert ball(g, x, r) == brute.naive_ball(g, x, r)
+            assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
 
 
 def test_ball_builder_and_power_match_naive_bfs():
@@ -301,7 +327,7 @@ def test_both_construction_routes_give_equal_graphs():
         g = random_sparse_graph(seed, 200, 5)
         edges = g.edges()
         routes = [
-            graph_from_edge_mask(g.n, edge_mask_of(g)),
+            graph_from_edge_mask(g.n, graph._edge_mask(g._nbr)),
             induced_subgraph(g, range(g.n)),
             complement(complement(g)),
             Graph(g.n, [(v, u) for u, v in edges] + edges),
@@ -327,26 +353,25 @@ def test_ball_builder_stops_once_balls_stop_growing():
 
 
 def test_enumerate_graphs_counts():
-    assert sum(1 for _ in enumerate_graphs(1)) == 1
-    assert sum(1 for _ in enumerate_graphs(3)) == 8
-    connected_twin_free = list(
-        enumerate_graphs(3, predicate=lambda g: is_connected(g) and is_twin_free(g))
-    )
+    assert sum(1 for _ in brute.labeled_graphs(1)) == 1
+    assert sum(1 for _ in brute.labeled_graphs(3)) == 8
+    connected_twin_free = [
+        g for g in brute.labeled_graphs(3) if is_connected(g) and is_twin_free(g)
+    ]
     assert len(connected_twin_free) == 3
     assert all(is_isomorphic(g, path_graph(3)) for g in connected_twin_free)
 
 
 def test_enumerate_graphs_order_is_lexicographic():
-    first_four = list(itertools.islice(enumerate_graphs(3), 4))
+    # bit e stands for the e-th pair (0,1), (0,2), ..., (n-2,n-1); the
+    # encoder reads open and closed masks alike and inverts the decoder
+    first_four = list(itertools.islice(brute.labeled_graphs(3), 4))
     assert [g.edges() for g in first_four] == [[], [(0, 1)], [(0, 2)], [(0, 1), (0, 2)]]
-    for mask, g in enumerate(enumerate_graphs(3)):
-        assert edge_mask_of(g) == mask
-        assert graph_from_edge_mask(3, mask) == g
-
-
-def test_enumerate_graphs_cap():
-    with pytest.raises(ValueError):
-        next(enumerate_graphs(8))
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask, g in enumerate(brute.labeled_graphs(n)):
+            assert graph._edge_mask(g._nbr) == graph._edge_mask(g._cn) == mask
+            assert g.edges() == [p for e, p in enumerate(pairs) if mask >> e & 1]
 
 
 def test_canonical_form_invariant_under_relabeling():
@@ -610,13 +635,13 @@ def test_band_graph_automorphism_count():
 
 
 def test_empty_symmetric_difference_means_twins_in_power():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         for r in (1, 2):
             pg = power(g, r)
             twins = set(twin_pairs(pg))
             for x in range(g.n):
                 for y in range(x + 1, g.n):
-                    empty = not ball_symmetric_difference(g, x, y, r)
+                    empty = ball(g, x, r) == ball(g, y, r)
                     assert empty == ((x, y) in twins)
 
 
@@ -625,7 +650,7 @@ def test_ball_equals_power_ball():
         for r in (1, 2, 3):
             pg = power(g, r)
             for x in range(g.n):
-                assert closed_ball(g, x, r) == closed_ball(pg, x, 1)
+                assert ball(g, x, r) == ball(pg, x, 1)
 
 
 def test_edge_list_round_trip():

@@ -18,7 +18,6 @@ from idcodes.graph import (
     Graph,
     _balls,
     canonical_form,
-    enumerate_graphs,
     graph_from_edge_mask,
 )
 from idcodes.scans import (
@@ -170,7 +169,7 @@ def _labeled_max_degrees(first_n, max_n):
     return [
         (g.n, g.max_degree())
         for n in range(first_n, max_n + 1)
-        for g in enumerate_graphs(n)
+        for g in brute.labeled_graphs(n)
         if _naive_connected(g) and _naive_twin_free(g)
     ]
 
@@ -196,7 +195,7 @@ def test_removable_vertex_scan_small():
         expected = sum(
             len({frozenset(brute.naive_ball(g, x, r)) for x in range(n)}) == n
             for n in range(1, 5)
-            for g in enumerate_graphs(n)
+            for g in brute.labeled_graphs(n)
         )
         assert report.details["per_radius_checked"][r] == expected
     with pytest.raises(ValueError, match="radius"):
@@ -219,7 +218,7 @@ def test_removable_vertex_scan_rejects_a_repeated_radius():
 def test_gamma_chain_scan_small():
     report = scan_gamma_chain(4)
     assert report.ok
-    twin_free = [g for n in range(1, 5) for g in enumerate_graphs(n) if _naive_twin_free(g)]
+    twin_free = [g for n in range(1, 5) for g in brute.labeled_graphs(n) if _naive_twin_free(g)]
     assert report.graphs_checked == len(twin_free)
     # one bridge check per vertex subset of each labeled graph
     assert report.details["bridge_checks"] == sum(2**g.n for g in twin_free)
@@ -232,7 +231,7 @@ def test_locating_dominating_scan_small():
     # n=2: 1; n=3: 3 + 1; n=4: 4 + 1
     assert report.details["extremal_seen"] == 1 + 4 + 5
     assert report.graphs_checked == sum(
-        _naive_connected(g) for n in range(2, 5) for g in enumerate_graphs(n)
+        _naive_connected(g) for n in range(2, 5) for g in brute.labeled_graphs(n)
     )
 
 

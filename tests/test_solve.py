@@ -30,9 +30,7 @@ from idcodes.graph import (
     TwinsError,
     _balls,
     _bit_indices,
-    closed_ball,
     delete_vertex,
-    enumerate_graphs,
     induced_subgraph,
     is_connected,
     is_twin_free,
@@ -49,10 +47,6 @@ from idcodes.solve import (
     enumerate_minimum_separating_sets,
     extend_code,
     forced_vertices,
-    min_dominating,
-    min_identifying_code,
-    min_locating_dominating,
-    min_separating_set,
     solve_minimum,
 )
 
@@ -66,14 +60,14 @@ def test_forced_vertices_examples():
 
 
 def test_min_identifying_frozen_values():
-    assert min_identifying_code(band_graph(3)).minimum == 5
-    assert min_identifying_code(star_graph(4)).minimum == 4
-    assert min_identifying_code(cycle_graph(4)).minimum == 3
-    assert min_identifying_code(path_graph(5)).minimum == 3
+    assert solve_minimum(band_graph(3), "identifying").minimum == 5
+    assert solve_minimum(star_graph(4), "identifying").minimum == 4
+    assert solve_minimum(cycle_graph(4), "identifying").minimum == 3
+    assert solve_minimum(path_graph(5), "identifying").minimum == 3
 
 
 def test_min_identifying_report_contract():
-    r = min_identifying_code(band_graph(3))
+    r = solve_minimum(band_graph(3), "identifying")
     assert r.kind == "identifying" and r.radius == 1
     assert r.forced <= r.example_code
     assert brute.naive_is_identifying(band_graph(3), r.example_code)
@@ -82,7 +76,7 @@ def test_min_identifying_report_contract():
 
 def test_example_code_is_lexicographically_least():
     for g in [path_graph(5), cycle_graph(5), star_graph(3), band_graph(2)]:
-        report = min_identifying_code(g)
+        report = solve_minimum(g, "identifying")
         best = min(
             (sorted(c) for c in brute.naive_all_minimum(g, "identifying")),
         )
@@ -91,21 +85,21 @@ def test_example_code_is_lexicographically_least():
 
 def test_separating_values():
     one = band_graph(1)  # two isolated vertices
-    assert min_separating_set(one).minimum == 1
-    assert min_identifying_code(one).minimum == 2
+    assert solve_minimum(one, "separating").minimum == 1
+    assert solve_minimum(one, "identifying").minimum == 2
     for k in range(1, 5):
-        assert min_separating_set(band_graph(k)).minimum == 2 * k - 1
+        assert solve_minimum(band_graph(k), "separating").minimum == 2 * k - 1
 
 
 def test_locating_dominating_and_dominating():
-    assert min_locating_dominating(star_graph(3)).minimum == 3
-    assert min_dominating(star_graph(5)).minimum == 1
-    assert min_dominating(path_graph(6)).minimum == 2
-    assert min_locating_dominating(complete_graph(4)).minimum == 3
+    assert solve_minimum(star_graph(3), "locating-dominating").minimum == 3
+    assert solve_minimum(star_graph(5), "dominating").minimum == 1
+    assert solve_minimum(path_graph(6), "dominating").minimum == 2
+    assert solve_minimum(complete_graph(4), "locating-dominating").minimum == 3
 
 
 def test_all_kinds_match_naive_oracle_exhaustively():
-    for g in enumerate_graphs(4):
+    for g in brute.labeled_graphs(4):
         twin_free = is_twin_free(g)
         for kind in ("dominating", "locating-dominating"):
             expected = brute.naive_minimum(g, kind)
@@ -385,16 +379,17 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
 # ``explored`` comes from the answer's rank, so only these counts see a cut
 # made weaker.  Identifying and separating searches also run without the
 # split, which pins the packing, the cap and the last-vertex step alone.
+# The counts depend on the order of ``_constraints`` (size, then value).
 PINNED_NODES = {
     "cycle14": (
         lambda: cycle_graph(14),
         {
-            ("dominating", False): (5, 14, 134),
-            ("separating", True): (7, 2, 69),
-            ("separating", False): (7, 2, 84),
-            ("identifying", True): (7, 2, 42),
-            ("identifying", False): (7, 2, 51),
-            ("locating-dominating", False): (6, 35, 436),
+            ("dominating", False): (5, 14, 128),
+            ("separating", True): (7, 2, 41),
+            ("separating", False): (7, 2, 41),
+            ("identifying", True): (7, 2, 37),
+            ("identifying", False): (7, 2, 39),
+            ("locating-dominating", False): (6, 35, 409),
         },
     ),
     "band6": (
@@ -405,29 +400,29 @@ PINNED_NODES = {
             ("separating", False): (11, 2, 3),
             ("identifying", True): (11, 2, 3),
             ("identifying", False): (11, 2, 3),
-            ("locating-dominating", False): (6, 222, 1738),
+            ("locating-dominating", False): (6, 222, 1718),
         },
     ),
     "petersen": (
         petersen_graph,
         {
-            ("dominating", False): (3, 10, 59),
+            ("dominating", False): (3, 10, 58),
             ("separating", True): (4, 125, 601),
             ("separating", False): (4, 125, 601),
-            ("identifying", True): (4, 5, 64),
-            ("identifying", False): (4, 5, 89),
+            ("identifying", True): (4, 5, 59),
+            ("identifying", False): (4, 5, 83),
             ("locating-dominating", False): (4, 65, 343),
         },
     ),
     "gnp16": (
         lambda: _seeded_connected_twin_free_gnp(16, 0.25, 16),
         {
-            ("dominating", False): (4, 26, 256),
-            ("separating", True): (5, 1, 102),
-            ("separating", False): (5, 1, 301),
-            ("identifying", True): (6, 46, 600),
-            ("identifying", False): (6, 46, 767),
-            ("locating-dominating", False): (5, 5, 271),
+            ("dominating", False): (4, 26, 249),
+            ("separating", True): (5, 1, 97),
+            ("separating", False): (5, 1, 291),
+            ("identifying", True): (6, 46, 594),
+            ("identifying", False): (6, 46, 765),
+            ("locating-dominating", False): (5, 5, 262),
         },
     ),
 }
@@ -456,15 +451,15 @@ def test_search_nodes_pinned(name):
 def test_radius_two_solving():
     g = path_graph(6)
     expected = brute.naive_minimum(g, "identifying", 2)
-    assert min_identifying_code(g, 2).minimum == expected[0]
+    assert solve_minimum(g, "identifying", 2).minimum == expected[0]
     # the square of the 4-path is complete, so radius 2 has no code there
     with pytest.raises(TwinsError):
-        min_identifying_code(path_graph(4), 2)
+        solve_minimum(path_graph(4), "identifying", 2)
 
 
 def test_twins_error_carries_pair():
     with pytest.raises(TwinsError) as exc:
-        min_identifying_code(complete_graph(3))
+        solve_minimum(complete_graph(3), "identifying")
     pair = exc.value.pair
     assert twin_pairs(complete_graph(3))[0] == pair
     # one witness rule: with two twin pairs, every refusal names the least
@@ -497,7 +492,7 @@ def test_twins_error_carries_pair():
 
 def test_solver_cap():
     with pytest.raises(PreconditionError):
-        min_dominating(empty_graph(25))
+        solve_minimum(empty_graph(25), "dominating")
 
 
 def test_enumerate_minimum_separating_sets():
@@ -508,27 +503,27 @@ def test_enumerate_minimum_separating_sets():
     ]
     g3 = band_graph(3)
     assert enumerate_minimum_separating_sets(g3) == [
-        closed_ball(g3, 2, 1),
-        closed_ball(g3, 3, 1),
+        brute.naive_ball(g3, 2, 1),
+        brute.naive_ball(g3, 3, 1),
     ]
     g4 = band_graph(4)
     assert enumerate_minimum_separating_sets(g4) == [
-        closed_ball(g4, 3, 1),
-        closed_ball(g4, 4, 1),
+        brute.naive_ball(g4, 3, 1),
+        brute.naive_ball(g4, 4, 1),
     ]
     assert enumerate_minimum_separating_sets(star_graph(2)) == [frozenset({1, 2})]
 
 
 def test_enumerate_minimum_sets_matches_naive():
-    for g in enumerate_graphs(4, predicate=is_twin_free):
+    for g in filter(is_twin_free, brute.labeled_graphs(4)):
         expected = sorted((frozenset(s) for s in brute.naive_all_minimum(g, "separating")), key=sorted)
         assert enumerate_minimum_separating_sets(g) == expected
 
 
 def test_chain_inequality_small():
-    for g in enumerate_graphs(5, predicate=is_twin_free):
-        s = min_separating_set(g).minimum
-        i = min_identifying_code(g).minimum
+    for g in filter(is_twin_free, brute.labeled_graphs(5)):
+        s = solve_minimum(g, "separating").minimum
+        i = solve_minimum(g, "identifying").minimum
         assert s <= i <= s + 1
 
 
@@ -537,12 +532,12 @@ def test_join_additivity_of_separation():
     for j, k in itertools.product(range(1, 4), repeat=2):
         g = join(band_graph(j), band_graph(k))
         assert is_twin_free(g)
-        assert min_separating_set(g).minimum == (2 * j - 1) + (2 * k - 1) + 1
+        assert solve_minimum(g, "separating").minimum == (2 * j - 1) + (2 * k - 1) + 1
 
 
 def test_twins_created_by_deletions_involve_the_deleted_vertex():
     # if x,y become twins after removing v, any twins of g - x involve v
-    for g in enumerate_graphs(5, predicate=is_twin_free):
+    for g in filter(is_twin_free, brute.labeled_graphs(5)):
         for v in range(g.n):
             gv, map_v = delete_vertex(g, v)
             inv_v = {new: old for old, new in map_v.items()}
@@ -559,10 +554,8 @@ def test_extremal_graphs_keep_a_removable_extremal_vertex():
     # connected graphs needing n-1 code vertices (other than the two-leaf
     # star) contain a vertex whose deletion stays connected and extremal
     for n in range(3, 7):
-        for g in enumerate_graphs(
-            n, predicate=lambda h: is_twin_free(h) and is_connected(h)
-        ):
-            if min_identifying_code(g).minimum != g.n - 1:
+        for g in filter(lambda h: is_twin_free(h) and is_connected(h), brute.labeled_graphs(n)):
+            if solve_minimum(g, "identifying").minimum != g.n - 1:
                 continue
             if g.n == 3 and sorted(g.degrees()) == [1, 1, 2]:
                 continue  # the two-leaf star itself
@@ -571,7 +564,7 @@ def test_extremal_graphs_keep_a_removable_extremal_vertex():
                 gx, _ = delete_vertex(g, x)
                 if not is_connected(gx) or not is_twin_free(gx):
                     continue
-                if min_identifying_code(gx).minimum == gx.n - 1:
+                if solve_minimum(gx, "identifying").minimum == gx.n - 1:
                     found = True
                     break
             assert found, f"no removable extremal vertex in {g}"
@@ -580,11 +573,11 @@ def test_extremal_graphs_keep_a_removable_extremal_vertex():
 def test_twin_free_graphs_with_an_edge_never_need_all_vertices():
     # including disconnected ones: an edge somewhere caps the minimum
     for n in range(2, 6):
-        for g in enumerate_graphs(n, predicate=is_twin_free):
+        for g in filter(is_twin_free, brute.labeled_graphs(n)):
             if g.edge_count == 0:
-                assert min_identifying_code(g).minimum == g.n
+                assert solve_minimum(g, "identifying").minimum == g.n
             else:
-                assert min_identifying_code(g).minimum <= g.n - 1
+                assert solve_minimum(g, "identifying").minimum <= g.n - 1
 
 
 def test_extend_code_identity_on_empty_removal():
@@ -655,6 +648,6 @@ def test_lower_bound_matches_brute_force():
 
 
 def test_zero_and_one_vertex_graphs():
-    assert min_dominating(empty_graph(0)).minimum == 0
-    assert min_identifying_code(Graph(1)).minimum == 1
-    assert min_separating_set(Graph(1)).minimum == 0
+    assert solve_minimum(empty_graph(0), "dominating").minimum == 0
+    assert solve_minimum(Graph(1), "identifying").minimum == 1
+    assert solve_minimum(Graph(1), "separating").minimum == 0
