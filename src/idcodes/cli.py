@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--unsafe-cap",
         action="store_true",
-        help="override the per-scan vertex cap; a scan visits every isomorphism class "
-        "(274,668 graphs on 9 vertices, 12,005,168 on 10)",
+        help=f"override the scans' vertex cap (n <= {scans.SCAN_CAP}); a scan visits every "
+        "isomorphism class (274,668 graphs on 9 vertices, 12,005,168 on 10)",
     )
     p.set_defaults(func=_cmd_scan)
 

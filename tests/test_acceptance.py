@@ -165,22 +165,22 @@ def test_c10_square_root_fixture():
 
 
 def test_c11_chain_and_membership_bridge():
-    report = scan_gamma_chain(6)
+    report = scan_gamma_chain(7)
     _criterion(
         11,
         report.ok,
         f"separating/identifying minima differ by at most one and the membership bridge holds "
-        f"({report.graphs_checked} twin-free graphs, {report.details['bridge_checks']} bridge checks, n <= 6)",
+        f"({report.graphs_checked} twin-free graphs, {report.details['bridge_checks']} bridge checks, n <= 7)",
     )
 
 
 def test_c12_locating_dominating_extremal():
-    report = scan_locating_dominating(6)
+    report = scan_locating_dominating(7)
     _criterion(
         12,
         report.ok,
         f"locating-domination needs n-1 vertices exactly for stars and complete graphs "
-        f"({report.graphs_checked} connected graphs, n <= 6)",
+        f"({report.graphs_checked} connected graphs, n <= 7)",
     )
 
 

@@ -224,6 +224,27 @@ def test_gamma_chain_scan_small():
     assert report.details["bridge_checks"] == sum(2**g.n for g in twin_free)
 
 
+def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
+    # holders that differ from the closed balls from vertex n // 2 on: the
+    # bridge must report each twin-free class once, at that least vertex
+    real = codes._holders
+
+    def flipped(bg):
+        holders = real(bg)
+        for u in range(bg.n // 2, bg.n):
+            holders[u] ^= 1
+        return holders
+
+    monkeypatch.setattr(codes, "_holders", flipped)
+    report = scan_gamma_chain(4)
+    classes = [(n, emask) for n, emask, _, _ in _sweep(1, 4, twin_free=True)]
+    entries = report.counterexamples
+    assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(classes)
+    assert all(c["reason"] == "bridge" and c["vertex"] == c["n"] // 2 for c in entries)
+    twin_free = [g for n in range(1, 5) for g in brute.labeled_graphs(n) if _naive_twin_free(g)]
+    assert sum(c["labelings"] for c in entries) == len(twin_free)
+
+
 def test_locating_dominating_scan_small():
     report = scan_locating_dominating(4)
     assert report.ok
@@ -242,12 +263,10 @@ def test_conjecture_scan_small():
 
 
 def test_scan_caps_enforced():
-    with pytest.raises(ValueError):
-        scan_extremal_classification(9)
-    with pytest.raises(ValueError):
-        scan_gamma_chain(8)
-    with pytest.raises(ValueError):
-        scan_locating_dominating(10)
+    # one cap for all seven scans; the refusal is raised before any sweep
+    for name, scan in scans.THEOREM_SCANS.items():
+        with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= 8 "):
+            scan(9)
 
 
 def test_scan_report_shape():
