@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, TwinsError, _balls, _reach, _twin_pair, is_connected
+from .graph import Graph, PreconditionError, _balls, _reach, _refuse_twins, is_connected
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,9 @@ def _twin_free_balls(g: Graph, radius: int) -> tuple[list[int], set[int]]:
     """The radius-r balls and their set, refusing a power with twins."""
     balls = _balls(g, radius)
     index = set(balls)
-    if len(index) != g.n:
-        x, y = pair = _twin_pair(balls)
-        raise TwinsError(
-            f"the radius-{radius} power has twins {x} and {y}; no identifying code exists", pair
+    if len(index) != g.n:  # tested on the index: _twin_pair would build the set again
+        _refuse_twins(
+            balls, f"the radius-{radius} power has twins {{x}} and {{y}}; no identifying code exists"
         )
     return balls, index
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .families import FamilySpec
-from .graph import Graph, PreconditionError, TwinsError, _component_masks, _twin_pair, is_connected
+from .graph import Graph, PreconditionError, _component_masks, _refuse_twins, is_connected
 
 STAR = "star"
 JOIN_FAMILY = "join-family"
@@ -136,11 +136,7 @@ def classify_extremal(g: Graph) -> ClassificationResult:
         raise PreconditionError("classification needs at least 2 vertices")
     if not is_connected(g):
         raise PreconditionError("classification is defined for connected graphs only")
-    twins = _twin_pair(g._cn)
-    if twins is not None:
-        raise TwinsError(
-            f"vertices {twins[0]} and {twins[1]} are twins; no identifying code exists", twins
-        )
+    _refuse_twins(g._cn, "vertices {x} and {y} are twins; no identifying code exists")
     return _classify_masks(g._nbr, n)
 
 

@@ -226,6 +226,14 @@ def _twin_pair(masks: Sequence[int], among: Sequence[int] | None = None) -> tupl
     return min(p for p in pairs if p[0] != p[1])
 
 
+def _refuse_twins(masks: Sequence[int], message: str, among: Sequence[int] | None = None) -> None:
+    """Raise ``TwinsError`` with ``_twin_pair(masks, among)`` when there is
+    one, its two vertices filling ``{x}`` and ``{y}`` of ``message``."""
+    pair = _twin_pair(masks, among)
+    if pair is not None:
+        raise TwinsError(message.format(x=pair[0], y=pair[1]), pair)
+
+
 def twin_pairs(g: Graph) -> list[tuple[int, int]]:
     """All unordered pairs with identical closed neighborhoods."""
     groups: dict[int, list[int]] = {}

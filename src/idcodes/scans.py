@@ -1,11 +1,12 @@
 """Exhaustive desk-scale cross-checks over all small graphs.
 
-All seven scans draw their graphs from one engine, ``_sweep``: one
+All seven scans run one loop, ``_scan``, over one engine, ``_sweep``: one
 representative of every isomorphism class up to a vertex cap, generated by
 canonical deletion in a depth-first walk that keeps no record of the
 classes already seen, and filtered inside the engine to the connected
-and/or twin-free classes a scan asks for.  Every claim a scan checks is
-invariant under relabeling, so each class stands for its n!/|Aut(G)|
+and/or twin-free classes a scan asks for.  A scan supplies only those
+filters, its ``details`` and a check per class.  Every claim a scan checks
+is invariant under relabeling, so each class stands for its n!/|Aut(G)|
 labelings: ``graphs_checked`` and every count in ``details`` are sums of
 these weights, and so count labeled graphs.  Each scan compares a
 structural claim on those graphs against brute-force search, except
@@ -25,7 +26,7 @@ from typing import Iterator
 
 from . import codes, solve
 from .bound import _least_removable
-from .classify import JOIN_FAMILY, _classify_masks
+from .classify import _classify_masks
 from .codes import _identifying_ok, _locating_dominating_ok
 from .graph import (
     Graph,
@@ -69,17 +70,6 @@ class ScanReport:
 
 # isomorphism classes of graphs on n = 0..11 vertices (OEIS A000088)
 _CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864)
-
-
-def _require_cap(name: str, max_n: int, force: bool) -> None:
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    if max_n > SCAN_CAP and not force:
-        classes = f"{_CLASSES[max_n]:,}" if max_n < len(_CLASSES) else f"over {_CLASSES[-1]:,}"
-        raise ValueError(
-            f"scan {name!r} is capped at n <= {SCAN_CAP} ({classes} isomorphism classes "
-            f"on {max_n} vertices otherwise); pass force=True / --unsafe-cap to override"
-        )
 
 
 def _sweep(
@@ -191,92 +181,102 @@ def _all_but(n: int, k: int) -> tuple[int, ...]:
     return tuple(full ^ sum(1 << v for v in out) for out in itertools.combinations(range(n), k))
 
 
-def _gamma_id_level(cn: list[int], n: int) -> int:
-    """-1: a code misses two vertices; 0: exactly one; 1: none (needs all).
+def _misses(cn: tuple[int, ...], n: int, k: int, ok=_identifying_ok) -> bool:
+    """Whether a code that the accept-only kernel ``ok`` accepts misses k of the n vertices."""
+    return any(ok(cn, c) for c in _all_but(n, k))
 
-    Monotonicity of identifying codes under supersets makes the two fixed
-    sizes sufficient to place the minimum relative to n - 1.
-    """
-    for c in _all_but(n, 2):
-        if _identifying_ok(cn, c):
-            return -1
-    for c in _all_but(n, 1):
-        if _identifying_ok(cn, c):
-            return 0
-    return 1
+
+def _gamma_id_level(cn: tuple[int, ...], n: int, ok=_identifying_ok) -> int:
+    """-1: a code misses two vertices; 0: exactly one; 1: none (needs all).
+    Supersets of codes are codes, so the two sizes place the minimum
+    relative to n - 1."""
+    if _misses(cn, n, 2, ok):
+        return -1
+    return 0 if _misses(cn, n, 1, ok) else 1
+
+
+def _scan(
+    name: str, max_n: int, force: bool, check, details=None, connected=False, twin_free=False
+) -> ScanReport:
+    """The one loop of the seven scans.  ``check(n, cn, weight)`` returns
+    None for a class outside the claim, else the extra fields of each
+    counterexample in it; only classes in the claim are ``graphs_checked``.
+    Connected sweeps start at 2 vertices, the others at 1."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    if max_n > SCAN_CAP and not force:
+        classes = f"{_CLASSES[max_n]:,}" if max_n < len(_CLASSES) else f"over {_CLASSES[-1]:,}"
+        raise ValueError(
+            f"scan {name!r} is capped at n <= {SCAN_CAP} ({classes} isomorphism classes "
+            f"on {max_n} vertices otherwise); pass force=True / --unsafe-cap to override"
+        )
+    report = ScanReport(name, max_n, details=details or {})
+    for n, emask, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free):
+        found = check(n, cn, weight)
+        if found is not None:
+            report.graphs_checked += weight
+            report.counterexamples += (_entry(n, emask, weight, **extra) for extra in found)
+    return report.finalize()
 
 
 def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanReport:
     """Structural recognizer vs brute force on every connected twin-free
     graph: the extremal outcomes must coincide exactly."""
-    _require_cap("thm12", max_n, force)
-    report = ScanReport("thm12", max_n)
     per_n = dict.fromkeys(range(2, max_n + 1), 0)
-    extremal_per_n = dict(per_n)
-    gamma_n_count = 0
-    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
+    details = {
+        "connected_twin_free_per_n": per_n,
+        "extremal_per_n": dict(per_n),
+        "graphs_needing_all_vertices": 0,
+    }
+
+    def check(n, cn, weight):
         per_n[n] += weight
         level = _gamma_id_level(cn, n)
         if level == 1:
-            gamma_n_count += weight
-        oracle_extremal = level == 0
+            details["graphs_needing_all_vertices"] += weight
+        if level == 0:
+            details["extremal_per_n"][n] += weight
         result = _classify_masks(_open(cn), n)
-        if result.is_extremal != oracle_extremal:
-            report.counterexamples.append(
-                _entry(
-                    n, emask, weight, oracle_extremal=oracle_extremal, classified=result.to_dict()
-                )
-            )
-        if oracle_extremal:
-            extremal_per_n[n] += weight
-    report.graphs_checked = sum(per_n.values())
-    report.details = {
-        "connected_twin_free_per_n": per_n,
-        "extremal_per_n": extremal_per_n,
-        "graphs_needing_all_vertices": gamma_n_count,
-    }
-    return report.finalize()
+        if result.is_extremal == (level == 0):
+            return []
+        return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
+
+    return _scan("thm12", max_n, force, check, details, connected=True, twin_free=True)
 
 
 def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:
     """Connected twin-free graphs with max degree <= n - 3 must admit an
     identifying code missing two vertices."""
-    _require_cap("cor13", max_n, force)
-    report = ScanReport("cor13", max_n)
-    for n, emask, weight, cn in _sweep(3, max_n, connected=True, twin_free=True):
+
+    def check(n, cn, weight):
         max_degree = max(b.bit_count() for b in cn) - 1
         if max_degree > n - 3:
-            continue
-        report.graphs_checked += weight
-        if _gamma_id_level(cn, n) != -1:
-            report.counterexamples.append(_entry(n, emask, weight, max_degree=max_degree))
-    return report.finalize()
+            return None
+        return [] if _misses(cn, n, 2) else [{"max_degree": max_degree}]
+
+    return _scan("cor13", max_n, force, check, connected=True, twin_free=True)
 
 
 def scan_regular_odd(max_n: int = 7, force: bool = False) -> ScanReport:
     """Every regular extremal graph is a complete graph minus a perfect
     matching; every odd-order extremal graph has a universal vertex."""
-    _require_cap("remark1", max_n, force)
-    report = ScanReport("remark1", max_n)
-    extremal_seen = 0
-    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
-        report.graphs_checked += weight
+    details = {"extremal_seen": 0}
+
+    def check(n, cn, weight):
         if _gamma_id_level(cn, n) != 0:
-            continue
-        extremal_seen += weight
+            return []
+        details["extremal_seen"] += weight
         degrees = [b.bit_count() - 1 for b in cn]
-        if len(set(degrees)) == 1:
-            result = _classify_masks(_open(cn), n)
-            if not (result.outcome == JOIN_FAMILY and all(k == 1 for k in result.factors)):
-                report.counterexamples.append(
-                    _entry(n, emask, weight, reason="regular", classified=result.to_dict())
-                )
+        found = []
+        # K_n minus a perfect matching is (n - 2)-regular, and an
+        # (n - 2)-regular graph is one: its complement is 1-regular
+        if len(set(degrees)) == 1 and degrees[0] != n - 2:
+            found.append({"reason": "regular", "degree": degrees[0]})
         if n % 2 == 1 and max(degrees) != n - 1:
-            report.counterexamples.append(
-                _entry(n, emask, weight, reason="odd-order", max_degree=max(degrees))
-            )
-    report.details = {"extremal_seen": extremal_seen}
-    return report.finalize()
+            found.append({"reason": "odd-order", "max_degree": max(degrees)})
+        return found
+
+    return _scan("remark1", max_n, force, check, details, connected=True, twin_free=True)
 
 
 def scan_removable_vertex(
@@ -287,15 +287,14 @@ def scan_removable_vertex(
 
     Only twin-free graphs are swept: twins of G stay twins in every power.
     """
-    _require_cap("lemma7", max_n, force)
     if min(radii, default=1) < 1:
         raise ValueError("radius must be >= 1")
     if len(set(radii)) < len(radii):
         raise ValueError("radii must be distinct")
-    report = ScanReport("lemma7", max_n)
-    report.details = {"radii": list(radii), "per_radius_checked": {r: 0 for r in radii}}
-    for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
-        counted = False
+    per_radius = {r: 0 for r in radii}
+
+    def check(n, cn, weight):
+        found = None
         for r in radii:
             if r == 1:
                 balls, index = cn, set(cn)
@@ -312,14 +311,13 @@ def scan_removable_vertex(
                     index.add(b)
                 if len(balls) < n:
                     continue
-            if not counted:
-                report.graphs_checked += weight
-                counted = True
-            report.details["per_radius_checked"][r] += weight
-            for x in range(n):
-                if _least_removable(balls, index, balls[x]) is None:
-                    report.counterexamples.append(_entry(n, emask, weight, radius=r, vertex=x))
-    return report.finalize()
+            per_radius[r] += weight
+            stuck = [x for x in range(n) if _least_removable(balls, index, balls[x]) is None]
+            found = (found or []) + [{"radius": r, "vertex": x} for x in stuck]
+        return found
+
+    details = {"radii": list(radii), "per_radius_checked": per_radius}
+    return _scan("lemma7", max_n, force, check, details, twin_free=True)
 
 
 def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
@@ -331,67 +329,58 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
     balls, and of the ball nodes holding each vertex.  As u is in B(v) iff
     v is in B(u), the lists are equal, so one comparison per class settles
     all 2^n subsets; a mismatch is reported once, at its least vertex."""
-    _require_cap("gamma-chain", max_n, force)
-    report = ScanReport("gamma-chain", max_n)
-    bridge_checked = 0
-    for n, emask, weight, cn in _sweep(1, max_n, twin_free=True):
-        report.graphs_checked += weight
+    details = {"bridge_checks": 0}
+
+    def check(n, cn, weight):
+        found = []
         forced = solve._forced_mask(cn, n)
         gamma_s, _, _ = solve._search_minimum(cn, n, "separating", forced)
         gamma_id, _, _ = solve._search_minimum(cn, n, "identifying", forced)
         if not (gamma_s <= gamma_id <= gamma_s + 1):
-            report.counterexamples.append(
-                _entry(n, emask, weight, reason="chain", gamma_s=gamma_s, gamma_id=gamma_id)
-            )
+            found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
         holders = codes._holders(codes.membership_graph(Graph._from_masks(n, _open(cn))))
         if holders != list(cn):
             u = next(u for u in range(n) if holders[u] != cn[u])
-            report.counterexamples.append(_entry(n, emask, weight, reason="bridge", vertex=u))
-        bridge_checked += weight << n
-    report.details = {"bridge_checks": bridge_checked}
-    return report.finalize()
+            found.append({"reason": "bridge", "vertex": u})
+        details["bridge_checks"] += weight << n
+        return found
+
+    return _scan("gamma-chain", max_n, force, check, details, twin_free=True)
 
 
 def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
     """A connected graph needs all but one vertex for locating-domination
     exactly when it is a star or a complete graph (n >= 2)."""
-    _require_cap("ld", max_n, force)
-    report = ScanReport("ld", max_n)
-    extremal_seen = 0
-    for n, emask, weight, cn in _sweep(2, max_n, connected=True):
-        report.graphs_checked += weight
-        has_small = any(_locating_dominating_ok(cn, c) for c in _all_but(n, 2))
-        extremal = not has_small and any(_locating_dominating_ok(cn, c) for c in _all_but(n, 1))
+    details = {"extremal_seen": 0}
+
+    def check(n, cn, weight):
+        extremal = _gamma_id_level(cn, n, _locating_dominating_ok) == 0
         degrees = sorted(b.bit_count() - 1 for b in cn)
         is_complete = degrees[0] == n - 1
         is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
-        if extremal != (is_complete or is_star):
-            report.counterexamples.append(
-                _entry(n, emask, weight, extremal=extremal, star=is_star, complete=is_complete)
-            )
         if extremal:
-            extremal_seen += weight
-    report.details = {"extremal_seen": extremal_seen}
-    return report.finalize()
+            details["extremal_seen"] += weight
+        if extremal == (is_complete or is_star):
+            return []
+        return [{"extremal": extremal, "star": is_star, "complete": is_complete}]
+
+    return _scan("ld", max_n, force, check, details, connected=True)
 
 
 def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanReport:
     """Every connected twin-free graph of max degree D >= 3 admits an
     identifying code of size at most ceil(n - n/D)."""
-    _require_cap("conjecture", max_n, force)
-    report = ScanReport("conjecture", max_n)
-    for n, emask, weight, cn in _sweep(2, max_n, connected=True, twin_free=True):
+
+    def check(n, cn, weight):
         delta = max(b.bit_count() for b in cn) - 1
         if delta < 3:
-            continue
-        report.graphs_checked += weight
-        target = n - n // delta  # = ceil(n - n/D) since n is an integer
-        if not any(_identifying_ok(cn, c) for c in _all_but(n, n // delta)):
-            exact, _, _ = solve._search_minimum(cn, n, "identifying", solve._forced_mask(cn, n))
-            report.counterexamples.append(
-                _entry(n, emask, weight, max_degree=delta, bound=target, gamma_id=exact)
-            )
-    return report.finalize()
+            return None
+        if _misses(cn, n, n // delta):  # n - n // D = ceil(n - n/D), n an integer
+            return []
+        exact, _, _ = solve._search_minimum(cn, n, "identifying", solve._forced_mask(cn, n))
+        return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]
+
+    return _scan("conjecture", max_n, force, check, connected=True, twin_free=True)
 
 
 THEOREM_SCANS = {

@@ -13,10 +13,9 @@ from . import codes
 from .graph import (
     Graph,
     PreconditionError,
-    TwinsError,
     _balls,
     _bit_indices,
-    _twin_pair,
+    _refuse_twins,
     induced_subgraph,
 )
 
@@ -325,13 +324,11 @@ def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
     balls = _balls(g, radius)
     forced = 0
     if kind in ("identifying", "separating"):
-        twins = _twin_pair(balls)
-        if twins is not None:
-            raise TwinsError(
-                f"no {kind} set exists at radius {radius}: vertices {twins[0]} and "
-                f"{twins[1]} have identical radius-{radius} balls",
-                twins,
-            )
+        _refuse_twins(
+            balls,
+            f"no {kind} set exists at radius {radius}: vertices {{x}} and {{y}} "
+            f"have identical radius-{radius} balls",
+        )
         forced = _forced_mask(balls, g.n)
     return balls, forced
 
@@ -377,20 +374,12 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     removed_set = sorted(set(removed))
     for v in removed_set:
         g._check_vertex(v)
-    twins = _twin_pair(g._cn)
-    if twins is not None:
-        raise TwinsError(
-            f"the host graph has twins {twins[0]} and {twins[1]}; no identifying code exists",
-            twins,
-        )
+    _refuse_twins(g._cn, "the host graph has twins {x} and {y}; no identifying code exists")
     rest = [v for v in range(g.n) if v not in removed_set]
+    placed = sum(1 << v for v in rest)
+    message = f"removing {removed_set} leaves twins {{x}} and {{y}}"
+    _refuse_twins([m & placed for m in g._cn], message, among=rest)
     sub = induced_subgraph(g, rest)
-    sub_twins = _twin_pair(sub._cn)
-    if sub_twins is not None:
-        pair = (rest[sub_twins[0]], rest[sub_twins[1]])
-        raise TwinsError(
-            f"removing {removed_set} leaves twins {pair[0]} and {pair[1]}", pair
-        )
     base_code = list(base_code)
     codes._require_identifying(
         sub, base_code, 1, "base_code is not an identifying code of the reduced graph"
@@ -399,9 +388,6 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     current = 0
     for v in base_code:
         current |= 1 << rest[v]
-    placed = 0
-    for v in rest:
-        placed |= 1 << v
 
     for x in removed_set:
         placed |= 1 << x

@@ -66,6 +66,9 @@ def test_c02_star_minima():
 
 def test_c03_extremal_classification_equivalence():
     report = scan_extremal_classification(7)
+    # labeled connected twin-free graphs on 2..7 vertices; 3,892 extremal ones on 7
+    assert report.graphs_checked == 1_429_146
+    assert report.details["extremal_per_n"][7] == 3_892
     _criterion(
         3,
         report.ok,
@@ -75,6 +78,7 @@ def test_c03_extremal_classification_equivalence():
 
 def test_c04_low_degree_never_extremal():
     report = scan_low_degree(7)
+    assert report.graphs_checked == 700_257
     _criterion(
         4,
         report.ok,
@@ -84,6 +88,8 @@ def test_c04_low_degree_never_extremal():
 
 def test_c05_regular_and_odd_extremal_structure():
     report = scan_regular_odd(7)
+    assert report.graphs_checked == 1_429_146
+    assert report.details["extremal_seen"] == 4_555
     _criterion(
         5,
         report.ok,
@@ -102,6 +108,8 @@ def test_c06_join_additivity():
 
 def test_c07_removable_vertex_totality():
     report = scan_removable_vertex(7, radii=(1, 2))
+    assert report.graphs_checked == 1_573_470
+    assert report.details["per_radius_checked"] == {1: 1_573_470, 2: 37_687}
     _criterion(
         7,
         report.ok,
@@ -166,6 +174,8 @@ def test_c10_square_root_fixture():
 
 def test_c11_chain_and_membership_bridge():
     report = scan_gamma_chain(7)
+    assert report.graphs_checked == 1_573_470
+    assert report.details["bridge_checks"] == 199_968_934
     _criterion(
         11,
         report.ok,
@@ -176,6 +186,8 @@ def test_c11_chain_and_membership_bridge():
 
 def test_c12_locating_dominating_extremal():
     report = scan_locating_dominating(7)
+    assert report.graphs_checked == 1_893_731
+    assert report.details["extremal_seen"] == 31
     _criterion(
         12,
         report.ok,
@@ -186,6 +198,7 @@ def test_c12_locating_dominating_extremal():
 
 def test_c13_conjectured_degree_bound():
     report = scan_conjectured_degree_bound(7)
+    assert report.graphs_checked == 1_425_756
     _criterion(
         13,
         report.ok,

@@ -186,6 +186,20 @@ def test_regular_odd_scan_small():
     assert report.details["extremal_seen"] == 3 + 19 + 80
 
 
+def test_regular_odd_scan_does_not_ask_the_classifier(monkeypatch):
+    # Remark 1 is checked by its definition, independently of the thm12 classifier
+    def refuse(nbr, n):
+        raise AssertionError("remark1 must not call the classifier")
+
+    monkeypatch.setattr(scans, "_classify_masks", refuse)
+    assert scan_regular_odd(6).ok
+    # a level that calls every class extremal: the one regular class on at
+    # most five vertices that is not complete minus a matching is C5
+    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn, n: 0)
+    regular = [c for c in scan_regular_odd(5).counterexamples if c["reason"] == "regular"]
+    assert [(c["n"], c["degree"], c["labelings"]) for c in regular] == [(5, 2, 12)]
+
+
 def test_removable_vertex_scan_small():
     report = scan_removable_vertex(4)
     assert report.ok

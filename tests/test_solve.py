@@ -490,6 +490,43 @@ def test_twins_error_carries_pair():
             assert exc.value.pair == least
 
 
+def test_twin_refusal_messages_and_pairs():
+    # every refusal site, its exact message and its pair in the caller's labels
+    reduced = Graph(5, [(0, 2), (2, 3)])  # twin-free; without 0, vertices 2 and 3 are twins
+    cases = [
+        (
+            lambda: solve_minimum(complete_graph(3), "identifying"),
+            "no identifying set exists at radius 1: vertices 0 and 1 have identical radius-1 balls",
+            (0, 1),
+        ),
+        (
+            lambda: enumerate_minimum_separating_sets(path_graph(4), 2),
+            "no separating set exists at radius 2: vertices 1 and 2 have identical radius-2 balls",
+            (1, 2),
+        ),
+        (
+            lambda: extend_code(complete_graph(3), [], range(3)),
+            "the host graph has twins 0 and 1; no identifying code exists",
+            (0, 1),
+        ),
+        (lambda: extend_code(reduced, [0], []), "removing [0] leaves twins 2 and 3", (2, 3)),
+        (
+            lambda: constructive_upper_bound(path_graph(4), 2),
+            "the radius-2 power has twins 1 and 2; no identifying code exists",
+            (1, 2),
+        ),
+        (
+            lambda: classify_extremal(complete_graph(3)),
+            "vertices 0 and 1 are twins; no identifying code exists",
+            (0, 1),
+        ),
+    ]
+    for refuse, message, pair in cases:
+        with pytest.raises(TwinsError) as exc:
+            refuse()
+        assert str(exc.value) == message and exc.value.pair == pair
+
+
 def test_solver_cap():
     with pytest.raises(PreconditionError):
         solve_minimum(empty_graph(25), "dominating")
