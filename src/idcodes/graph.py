@@ -430,7 +430,7 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
+def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, list[list[int]]]:
     """Canonical labeling of the graph with open-neighborhood masks ``nbr``
     by colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism II", 2014), with automorphism pruning.
@@ -443,7 +443,9 @@ def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
 
     The search tree individualizes each vertex of the first non-singleton
     cell in turn; its leaves are labelings and the certificate is the
-    largest over them.  One depth-first search walks it, children in
+    largest over them; its root is the equitable refinement of the unit
+    partition, or ``cells`` when a caller has already computed that
+    refinement.  One depth-first search walks it, children in
     ascending vertex order, so its first descent, the first path, takes the
     least vertex each time.  Each leaf's relabeled graph goes into a table;
     a leaf whose relabeled graph is already there gives an automorphism,
@@ -505,7 +507,9 @@ def _canon(nbr) -> tuple[int, list[int], int, list[list[int]]]:
             order *= _orbit(cells[t] & -cells[t], fixing).bit_count()
         return depth
 
-    search(_refine(nbr, [(1 << n) - 1], [(1 << n) - 1]) if n else [], [])
+    if cells is None:
+        cells = _refine(nbr, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+    search(cells, [])
     cert = max(leaves)
     return cert, leaves[cert][0], order, gens
 

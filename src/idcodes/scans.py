@@ -1,19 +1,24 @@
 """Exhaustive desk-scale cross-checks over all small graphs.
 
 All seven scans run one loop, ``_scan``, over one engine, ``_sweep``: one
-representative of every isomorphism class up to a vertex cap, generated by
+graph of every isomorphism class up to a vertex cap, generated by
 canonical deletion in a depth-first walk that keeps no record of the
 classes already seen, and filtered inside the engine to the connected
-and/or twin-free classes a scan asks for.  A scan supplies only those
+and/or twin-free classes a scan asks for.  The engine hands each class
+over in the labeling it was generated in; a child's root equitable
+partition settles most canonical deletion tests, and on the last level
+most children get no canonical labeling at all.  A scan supplies only its
 filters, its ``details`` and a check per class.  Every claim a scan checks
 is invariant under relabeling, so each class stands for its n!/|Aut(G)|
 labelings: ``graphs_checked`` and every count in ``details`` are sums of
 these weights, and so count labeled graphs.  Each scan compares a
 structural claim on those graphs against brute-force search, except
 gamma-chain's bridge: an identity of masks settles it.  Reports are
-deterministic: a counterexample is one entry per class, with the
-representative's edge mask and edges and its number of ``labelings``;
-the lists are sorted by (n, edge bitmask) and are expected to be empty.
+deterministic: a counterexample is one entry per class, with its
+canonical representative's edge mask and edges (``_representative``,
+computed only for a class with a counterexample) and its number of
+``labelings``; the lists are sorted by (n, edge bitmask) and are expected
+to be empty.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .graph import (
     _edge_mask,
     _orbit,
     _reach,
+    _refine,
     _unpack,
     graph_from_edge_mask,
 )
@@ -74,16 +80,17 @@ _CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864)
 
 def _sweep(
     first_n: int, max_n: int, connected: bool = False, twin_free: bool = False
-) -> Iterator[tuple[int, int, int, tuple[int, ...]]]:
-    """Yield (n, edge_mask, weight, cn) once per isomorphism class of graphs
-    on first_n..max_n vertices that passes the requested filters.
+) -> Iterator[tuple[int, int, tuple[int, ...]]]:
+    """Yield (n, weight, cn) once per isomorphism class of graphs on
+    first_n..max_n vertices that passes the requested filters.
 
-    The one sweep engine of the scans.  Each class is yielded as its
-    canonical representative (``graph._canon``): edge_mask is its
-    ``graph._edge_mask`` and ``cn`` holds the representative's
-    closed-neighborhood masks.  ``weight`` = n!/|Aut(G)| is the number of
-    labeled graphs in the class, so a count over labeled graphs is the sum
-    of the weights of the classes it holds.
+    The one sweep engine of the scans.  ``cn`` holds the closed-neighborhood
+    masks of one graph of the class, in the labeling it was generated in,
+    not a canonical one; ``_representative(cn)`` names the class, and
+    ``_scan`` calls it only for a class with a counterexample.
+    ``weight`` = n!/|Aut(G)| is the number of labeled graphs in the class,
+    so a count over labeled graphs is the sum of the weights of the classes
+    it holds.
 
     The classes form a tree (McKay, "Isomorph-free exhaustive generation",
     1998): a graph's parent is the graph left after deleting its canonical
@@ -91,53 +98,76 @@ def _sweep(
     numbers last, up to automorphism.  Every class has one place in the
     tree, so no set of classes seen is kept: the walk is depth first, and
     only the pending children of the nodes on the current path, each a
-    few masks and generators of Aut, are alive.
+    few masks and generators of Aut, are alive.  The root equitable
+    partition of a child settles most deletion tests without ``_canon``
+    (see ``_children``).
     """
-    stack = [((0,), 0, 1, [])]  # the one-vertex graph: masks, cert, |Aut|, generators
+    stack = [([0], 1, [])]  # the one-vertex graph: masks, |Aut|, generators
     while stack:
-        nbr, cert, order, gens = stack.pop()
+        nbr, order, gens = stack.pop()
         n = len(nbr)
         if n < max_n:
-            stack.extend(_children(nbr, gens))
+            stack.extend(_children(nbr, order, gens, n + 1 == max_n))
         if n < first_n:
             continue
-        cn = tuple(m | 1 << v for v, m in enumerate(_unpack(cert, n)))
+        cn = tuple(m | 1 << v for v, m in enumerate(nbr))
         full = (1 << n) - 1
         if twin_free and len(set(cn)) != n:
             continue
         if connected and _reach(cn, cn[0], full) != full:
             continue
-        yield n, _edge_mask(cn), factorial(n) // order, cn
+        yield n, factorial(n) // order, cn
 
 
-def _children(nbr, gens: list[list[int]]) -> Iterator[tuple[list[int], int, int, list[list[int]]]]:
+def _children(
+    nbr: list[int], order: int, gens: list[list[int]], last: bool
+) -> Iterator[tuple[list[int], int, list[list[int]] | None]]:
     """The children in the canonical deletion tree of the graph with masks
-    ``nbr`` and Aut generators ``gens``, as (masks, cert, |Aut|, gens).
+    ``nbr``, |Aut| ``order`` and Aut generators ``gens``, as (masks, |Aut|,
+    gens); ``last``: the children are leaves of the walk, and their
+    generators, never used, may be None.
 
-    A new vertex joins one vertex set S per orbit of Aut(parent), only when
-    it has the child's maximum degree; the child is kept when the new
-    vertex lies in the Aut(child) orbit of its canonical deletion vertex."""
+    A new vertex m joins one vertex set S per orbit of Aut(parent), only
+    when it has the child's maximum degree; the child is kept when m lies
+    in the Aut(child) orbit of its canonical deletion vertex.  The child's
+    root equitable partition settles most children before ``_canon``.
+    Refinement and individualization only split cells in place, so the
+    canonical labeling numbers last a vertex of C, the last root cell, a
+    union of Aut(child) orbits: m outside C is rejected.  When C = {m}, m
+    is kept, and on the last level no labeling is computed: Aut(child)
+    fixes m, so it is the stabilizer of S in Aut(parent), of order
+    |Aut(parent)| / |orbit of S|.  Any other child is settled by
+    ``_canon``, which starts from the partition already refined."""
     m = len(nbr)
     new = 1 << m
+    full = (new << 1) - 1
     degrees = [x.bit_count() for x in nbr]
     top_degree = max(degrees)
     top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
-    for s in _orbit_representatives(subsets, gens, m):
+    for s, size in _orbit_representatives(subsets, gens, m):
         child = [x | new if s >> u & 1 else x for u, x in enumerate(nbr)]
         child.append(s)
-        cert, lab, order, child_gens = _canon(child)
-        last = next(v for v in reversed(lab) if child[v].bit_count() == s.bit_count())
-        if last == m or _orbit(1 << last, child_gens) >> m & 1:
-            yield child, cert, order, child_gens
+        cells = _refine(child, [full], [full])
+        if not cells[-1] & new:
+            continue
+        if last and cells[-1] == new:
+            yield child, order // size, None
+            continue
+        _, lab, child_order, child_gens = _canon(child, cells)
+        if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:
+            yield child, child_order, child_gens
 
 
-def _orbit_representatives(subsets: list[int], gens: list[list[int]], m: int) -> list[int]:
+def _orbit_representatives(
+    subsets: list[int], gens: list[list[int]], m: int
+) -> list[tuple[int, int]]:
     """The least member of each orbit of the group generated by ``gens`` on
-    the vertex sets ``subsets`` (closed under the group), as masks."""
+    the vertex sets ``subsets`` (closed under the group), as a mask, with
+    the orbit's size."""
     if not gens:
-        return subsets
+        return [(s, 1) for s in subsets]
     images = []
     for g in gens:
         table = [0] * (1 << m)
@@ -150,17 +180,27 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]], m: int) ->
     for s in subsets:
         if s in reached:
             continue
-        reps.append(s)
         reached.add(s)
         stack = [s]
+        size = 0
         while stack:
             x = stack.pop()
+            size += 1
             for table in images:
                 y = table[x]
                 if y not in reached:
                     reached.add(y)
                     stack.append(y)
+        reps.append((s, size))
     return reps
+
+
+def _representative(cn: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(edge mask, closed masks) of the canonical representative of the
+    class of ``cn``: the one ``_canon`` call that names a class."""
+    n = len(cn)
+    rep = tuple(m | 1 << v for v, m in enumerate(_unpack(_canon(_open(cn))[0], n)))
+    return _edge_mask(rep), rep
 
 
 def _open(cn: tuple[int, ...]) -> tuple[int, ...]:
@@ -201,6 +241,9 @@ def _scan(
     """The one loop of the seven scans.  ``check(n, cn, weight)`` returns
     None for a class outside the claim, else the extra fields of each
     counterexample in it; only classes in the claim are ``graphs_checked``.
+    A class with counterexamples is checked again on its canonical
+    representative with weight 0, so that the entries' vertex fields refer
+    to the reported edge mask; every tally of a check is a sum of weights.
     Connected sweeps start at 2 vertices, the others at 1."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -211,11 +254,16 @@ def _scan(
             f"on {max_n} vertices otherwise); pass force=True / --unsafe-cap to override"
         )
     report = ScanReport(name, max_n, details=details or {})
-    for n, emask, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free):
+    for n, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free):
         found = check(n, cn, weight)
-        if found is not None:
-            report.graphs_checked += weight
-            report.counterexamples += (_entry(n, emask, weight, **extra) for extra in found)
+        if found is None:
+            continue
+        report.graphs_checked += weight
+        if found:
+            # entries name the canonical representative, so the check runs
+            # again there for its vertex fields; weight 0 adds to no tally
+            emask, rep = _representative(cn)
+            report.counterexamples += (_entry(n, emask, weight, **extra) for extra in check(n, rep, 0))
     return report.finalize()
 
 

@@ -38,7 +38,7 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
-from idcodes.scans import _sweep
+from idcodes.scans import _representative, _sweep
 
 
 def test_removable_vertex_examples():
@@ -270,8 +270,8 @@ def test_removable_vertex_matches_naive_oracle():
     # naive ball for which all vertices but y separate in the naive sense
     rng = random.Random(7)
     graphs = [g for n in range(1, 6) for g in brute.labeled_graphs(n)]
-    for _, emask, _, _ in _sweep(6, 6):
-        g = graph_from_edge_mask(6, emask)
+    for _, _, cn in _sweep(6, 6):
+        g = graph_from_edge_mask(6, _representative(cn)[0])
         perm = list(range(6))
         rng.shuffle(perm)
         graphs.append(Graph(6, [(perm[u], perm[v]) for u, v in g.edges()]))

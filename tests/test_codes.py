@@ -27,7 +27,7 @@ from idcodes.families import (
     star_graph,
 )
 from idcodes.graph import Graph, graph_from_edge_mask, power, twin_pairs
-from idcodes.scans import _sweep
+from idcodes.scans import _representative, _sweep
 
 
 def test_dominating_examples():
@@ -202,8 +202,8 @@ def test_discriminating_bridge_exhaustive_small():
     # every vertex subset of one graph per isomorphism class on <= 6
     # vertices, twins included, through the public checkers: the scan
     # settles the bridge by an identity of masks, this checks the verdicts
-    for n, emask, _, _ in _sweep(1, 6):
-        g = graph_from_edge_mask(n, emask)
+    for n, _, cn in _sweep(1, 6):
+        g = graph_from_edge_mask(n, _representative(cn)[0])
         bg = membership_graph(g)
         for cmask in range(1 << n):
             code = [v for v in range(n) if cmask >> v & 1]

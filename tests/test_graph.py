@@ -39,7 +39,7 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
-from idcodes.scans import _sweep
+from idcodes.scans import _open, _representative, _sweep
 
 
 def ball(g, x, r):
@@ -386,8 +386,13 @@ def test_canonical_form_invariant_under_relabeling():
 
 
 def test_canonical_form_is_the_scan_edge_mask():
-    for n, emask, _, _ in _sweep(1, 6):
+    # the class a sweep graph stands for is named by its representative's
+    # edge mask: a fixed point of canonical_form, and the graph's own form
+    for n, _, cn in _sweep(1, 6):
+        emask, rep = _representative(cn)
+        assert rep == graph_from_edge_mask(n, emask)._cn
         assert canonical_form(graph_from_edge_mask(n, emask)) == emask
+        assert canonical_form(Graph._from_masks(n, _open(cn))) == emask
 
 
 def test_isomorphism():

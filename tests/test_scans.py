@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 import brute
-from idcodes import codes, scans
+from idcodes import codes, graph, scans
 from idcodes.classify import classify_extremal
 from idcodes.graph import (
     Graph,
@@ -23,6 +23,8 @@ from idcodes.graph import (
 from idcodes.scans import (
     ScanReport,
     _entry,
+    _open,
+    _representative,
     _sweep,
     scan_conjectured_degree_bound,
     scan_extremal_classification,
@@ -40,6 +42,15 @@ def _naive_connected(g) -> bool:
 
 def _naive_twin_free(g) -> bool:
     return not brute.naive_twin_pairs(g)
+
+
+def _named(n: int, cn) -> int:
+    """The edge mask of the class of a graph the sweep yields: that of its
+    canonical representative, checked to be isomorphic to it."""
+    emask, rep = _representative(cn)
+    assert rep == graph_from_edge_mask(n, emask)._cn
+    assert canonical_form(Graph._from_masks(n, _open(cn))) == emask
+    return emask
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,8 +74,8 @@ def test_sweep_yields_each_class_once_with_its_labeled_count(connected, twin_fre
     for n, emask, _ in brute.labeled_sweep(1, 6, connected, twin_free):
         labeled[n].add(emask)
     claimed = {n: set() for n in range(1, 7)}
-    for n, emask, weight, cn in _sweep(1, 6, connected, twin_free):
-        assert tuple(cn) == graph_from_edge_mask(n, emask)._cn
+    for n, weight, cn in _sweep(1, 6, connected, twin_free):
+        emask = _named(n, cn)
         orbit = _relabelings(n, emask)
         assert len(orbit) == weight
         assert not orbit & claimed[n]
@@ -77,34 +88,99 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
     # OEIS A000088 (all graphs) and A001349 (connected graphs); the
     # weights of each order add up to the 2^C(n,2) labeled graphs
     classes, connected, labeled = Counter(), Counter(), Counter()
-    for n, emask, weight, cn in _sweep(1, 8):
+    names = set()
+    for n, weight, cn in _sweep(1, 8):
         classes[n] += 1
         labeled[n] += weight
+        emask = _representative(cn)[0]
+        names.add((n, emask))
         g = graph_from_edge_mask(n, emask)
         connected[n] += _naive_connected(g)
     assert [classes[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert len(names) == sum(classes.values())
     assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
     assert all(labeled[n] == 2 ** (n * (n - 1) // 2) for n in range(1, 9))
 
 
 def test_sweep_streams_classes_depth_first():
     # the walk holds no level of classes: the first classes on nine
-    # vertices (274,668 in all, over 30 s to generate) arrive at once,
-    # each as its canonical representative
+    # vertices (274,668 in all, about 13 s to generate) arrive at once,
+    # each isomorphic to its canonical representative
     start = time.process_time()
     first = list(itertools.islice(_sweep(9, 9), 100))
     assert time.process_time() - start < 1.0
-    assert len({emask for _, emask, _, _ in first}) == 100
-    for n, emask, _, _ in first:
-        assert n == 9 and canonical_form(graph_from_edge_mask(9, emask)) == emask
+    assert {n for n, _, _ in first} == {9}
+    assert len({_named(n, cn) for n, _, cn in first}) == 100
 
 
 def test_automorphism_orders_match_brute_force():
     # every class on at most six vertices: weight = n!/|Aut|, with |Aut|
     # counted over all vertex permutations
-    for n, emask, weight, _ in _sweep(1, 6):
-        g = graph_from_edge_mask(n, emask)
+    for n, weight, cn in _sweep(1, 6):
+        g = graph_from_edge_mask(n, _representative(cn)[0])
         assert weight * brute.automorphism_count(g) == math.factorial(n)
+
+
+def _orbit_test(child: list[int]) -> bool:
+    """Canonical deletion decided by the full labeling: the new vertex m,
+    the last, has the maximum degree and lies in the Aut orbit of the
+    maximum-degree vertex that ``_canon`` numbers last."""
+    m = len(child) - 1
+    top = max(x.bit_count() for x in child)
+    _, lab, _, gens = graph._canon(child)
+    last = next(v for v in reversed(lab) if child[v].bit_count() == top)
+    return child[m].bit_count() == top and (last == m or graph._orbit(1 << last, gens) >> m & 1 == 1)
+
+
+def test_root_partition_settles_children_as_the_orbit_test_does():
+    # every child _children builds from every class on at most six
+    # vertices, as an inner and as a last level, against the orbit test on
+    # every vertex set the new vertex may join: a kept child passes it and
+    # has _canon's |Aut|, and the kept children name each class that
+    # passes it once, so no child the root partition rejects is one the
+    # test keeps; on the last level some children are kept unlabeled
+    alone = 0
+    for n, _, cn in _sweep(1, 6):
+        nbr = list(_open(cn))
+        _, _, order, gens = graph._canon(nbr)
+        passing = set()
+        for s in range(1 << n):
+            child = [x | 1 << n if s >> u & 1 else x for u, x in enumerate(nbr)] + [s]
+            if _orbit_test(child):
+                passing.add(canonical_form(Graph._from_masks(n + 1, tuple(child))))
+        for last in (False, True):
+            kept = []
+            for child, child_order, child_gens in scans._children(nbr, order, gens, last):
+                s = child[n]
+                assert child == [x | 1 << n if s >> u & 1 else x for u, x in enumerate(nbr)] + [s]
+                assert _orbit_test(child)
+                assert child_order == graph._canon(child)[2]
+                assert child_gens is not None or last
+                alone += child_gens is None
+                kept.append(canonical_form(Graph._from_masks(n + 1, tuple(child))))
+            assert len(kept) == len(set(kept)) and set(kept) == passing
+    assert alone > 0
+
+
+def test_counterexamples_name_the_canonical_representative(monkeypatch):
+    # a stuck-vertex rule that depends on the labeling (a vertex is stuck
+    # whenever its ball holds vertex 0): each entry's vertices are those
+    # the rule gives on the graph of the reported edge mask itself
+    real = scans._least_removable
+
+    def patched(balls, index, ball):
+        return None if ball & 1 else real(balls, index, ball)
+
+    monkeypatch.setattr(scans, "_least_removable", patched)
+    entries = scan_removable_vertex(5).counterexamples
+    assert entries
+    stuck = {}
+    for c in entries:
+        stuck.setdefault((c["n"], c["edge_mask"], c["radius"]), []).append(c["vertex"])
+    for (n, emask, r), vertices in stuck.items():
+        g = graph_from_edge_mask(n, emask)
+        balls = [sum(1 << y for y in brute.naive_ball(g, x, r)) for x in range(n)]
+        assert vertices == [x for x in range(n) if patched(balls, set(balls), balls[x]) is None]
 
 
 def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch):
@@ -251,7 +327,7 @@ def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
 
     monkeypatch.setattr(codes, "_holders", flipped)
     report = scan_gamma_chain(4)
-    classes = [(n, emask) for n, emask, _, _ in _sweep(1, 4, twin_free=True)]
+    classes = [(n, _representative(cn)[0]) for n, _, cn in _sweep(1, 4, twin_free=True)]
     entries = report.counterexamples
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(classes)
     assert all(c["reason"] == "bridge" and c["vertex"] == c["n"] // 2 for c in entries)
