@@ -56,12 +56,12 @@ class ClassificationResult:
 
 def recognize_band_graph(g: Graph) -> int | None:
     """Return k when g is isomorphic to band_graph(k), else None, at any order."""
-    return _band_factor(g._nbr, (1 << g.n) - 1) if g.n else None
+    return _band_factor(g._cn, (1 << g.n) - 1) if g.n else None
 
 
-def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
+def _band_factor(cn: tuple[int, ...], comp: int) -> int | None:
     """Return k when the vertex set ``comp`` induces a copy of band_graph(k)
-    in the graph with open-neighborhood masks ``nbr``, else None.
+    in the graph with closed-neighborhood masks ``cn``, else None.
 
     The rebuild is exact, with no isomorphism search, at any order.  In B_k
     (vertices 0..2k-1) vertex i has degree k - 1 + min(i, 2k - 1 - i), so
@@ -72,8 +72,9 @@ def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
     either endpoint by placing each other vertex at the position its degree
     and its adjacency to the endpoint give; one endpoint suffices.  Each
     vertex's neighborhood is then compared with the band rule for its
-    position.  That check alone accepts, and a copy of B_k never fails it,
-    so the answer is exact.
+    position: its closed neighborhood in ``comp`` must be the window of
+    positions within distance k - 1 of its own.  That check alone accepts,
+    and a copy of B_k never fails it, so the answer is exact.
     """
     size = comp.bit_count()
     if size % 2:
@@ -86,7 +87,7 @@ def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
         b = rest & -rest
         rest ^= b
         v = b.bit_length() - 1
-        degs[v] = d = (nbr[v] & comp).bit_count()
+        degs[v] = d = (cn[v] & comp).bit_count() - 1
         total += d
     # the band degree sequence {k-1..2k-2} twice sums to 3k(k-1)
     if total != 3 * k * (k - 1):
@@ -95,7 +96,7 @@ def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
     if degs[x] != k - 1:
         return None
     order = [x] + [-1] * (size - 1)
-    near = nbr[x]
+    near = cn[x]
     for v, d in degs.items():
         if v == x:
             continue
@@ -115,7 +116,7 @@ def _band_factor(nbr: tuple[int, ...], comp: int) -> int | None:
         below.append(below[-1] | 1 << v)
     for i, v in enumerate(order):
         window = below[min(i + k, size)] & ~below[max(i - k + 1, 0)]
-        if nbr[v] & comp != window ^ 1 << v:
+        if cn[v] & comp != window:
             return None
     return k
 
@@ -137,26 +138,26 @@ def classify_extremal(g: Graph) -> ClassificationResult:
     if not is_connected(g):
         raise PreconditionError("classification is defined for connected graphs only")
     _refuse_twins(g._cn, "vertices {x} and {y} are twins; no identifying code exists")
-    return _classify_masks(g._nbr, n)
+    return _classify_masks(g._cn, n)
 
 
-def _classify_masks(nbr: tuple[int, ...], n: int) -> ClassificationResult:
-    """``classify_extremal`` on the open-neighborhood masks of a graph the
+def _classify_masks(cn: tuple[int, ...], n: int) -> ClassificationResult:
+    """``classify_extremal`` on the closed-neighborhood masks of a graph the
     caller knows to be connected, twin-free and on n >= 2 vertices; the
     preconditions are not checked again."""
     full = (1 << n) - 1
-    degrees = [m.bit_count() for m in nbr]
+    degrees = [m.bit_count() - 1 for m in cn]
     # a connected graph with n - 1 edges is a tree; with a universal vertex, a star
     if n >= 3 and max(degrees) == n - 1 and sum(degrees) == 2 * (n - 1):
         return ClassificationResult(STAR, star_t=n - 1, implied_gamma_id=n - 1)
 
     factors: list[int] = []
     universal_seen = 0
-    for comp in _component_masks([full & ~m for m in nbr], full):
+    for comp in _component_masks([full ^ m | 1 << v for v, m in enumerate(cn)], full):
         if not comp & (comp - 1):
             universal_seen += 1
             continue
-        k = _band_factor(nbr, comp)
+        k = _band_factor(cn, comp)
         if k is None:
             return ClassificationResult(NOT_EXTREMAL)
         factors.append(k)

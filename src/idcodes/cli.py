@@ -103,10 +103,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    if args.conjecture == (args.theorem is not None):
-        print("pass exactly one of --theorem or --conjecture", file=sys.stderr)
-        return EXIT_USAGE
-    report = scans.THEOREM_SCANS[args.theorem or "conjecture"](args.max_n, force=args.unsafe_cap)
+    report = scans.THEOREM_SCANS[args.theorem](args.max_n, force=args.unsafe_cap)
     _emit(report.to_dict(), args.plain)
     return EXIT_OK if report.ok else EXIT_INTERNAL
 
@@ -154,8 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="exhaustive cross-check over all small graphs")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--theorem", choices=sorted(scans.THEOREM_SCANS))
-    p.add_argument("--conjecture", action="store_true", help="run the degree-bound conjecture scan")
+    p.add_argument("--theorem", choices=sorted(scans.THEOREM_SCANS), required=True)
     p.add_argument(
         "--unsafe-cap",
         action="store_true",

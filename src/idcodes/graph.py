@@ -1,11 +1,14 @@
 """Finite simple graphs on dense 0-based vertices, with bitmask adjacency.
 
-Adjacency is stored as one integer bitmask per vertex, which makes
-symmetric differences, ball signatures and twin detection word-parallel;
-the exhaustive scans in this package spend nearly all their time in these
-operations.  Each graph also keeps its closed-neighbour index lists, which
-drive the radius-r ball builder without pulling bits out of wide masks.
-Graphs are immutable after construction and safe to share.
+Adjacency is stored in one format: the closed-neighbourhood bitmask
+N[v] = B(v) of each vertex, v's own bit included.  Identifying codes,
+separating sets, twins and balls all read closed balls, so signatures,
+symmetric differences and twin detection are word-parallel on the stored
+masks; the exhaustive scans in this package spend nearly all their time in
+these operations.  The canonical labeller refines on the same masks.  Each
+graph also keeps its closed-neighbour index lists, which drive the radius-r
+ball builder without pulling bits out of wide masks.  Graphs are immutable
+after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -48,46 +51,47 @@ def _bit_indices(mask: int) -> list[int]:
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    ``_nbr[v]`` is the open-neighborhood bitmask of v, ``_cn[v]`` the closed
-    one (v included).  Other modules in this package read the mask tuples
+    ``_cn[v]`` is the closed-neighborhood bitmask of v (v included), the
+    package's one adjacency format; the open neighborhood is
+    ``_cn[v] ^ 1 << v``.  Other modules in this package read the mask tuple
     directly in hot loops.  ``_adj[v]`` lists v and its neighbours, each
     once, in no fixed order: ``Graph(n, edges)`` fills it while it builds
     the masks, and a graph built from masks leaves it ``None`` until
-    ``_balls`` first needs it.  It is derived from ``_nbr``, so equality and
+    ``_balls`` first needs it.  It is derived from ``_cn``, so equality and
     hashing ignore it.
     """
 
-    __slots__ = ("n", "_nbr", "_cn", "_adj")
+    __slots__ = ("n", "_cn", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        nbr = [0] * n
+        cn = [1 << v for v in range(n)]
         adj = [[v] for v in range(n)]
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"invalid vertex in edge ({u}, {v}): range is 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop edge ({u}, {u}) not allowed in a simple graph")
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+            cn[u] |= 1 << v
+            cn[v] |= 1 << u
             adj[u].append(v)
             adj[v].append(u)
-        for v, m in enumerate(nbr):
-            if len(adj[v]) != m.bit_count() + 1:  # a repeated edge
+        for v, m in enumerate(cn):
+            if len(adj[v]) != m.bit_count():  # a repeated edge
                 adj[v] = [v, *dict.fromkeys(adj[v][1:])]
         self.n = n
-        self._nbr = tuple(nbr)
-        self._cn = tuple(m | (1 << v) for v, m in enumerate(nbr))
+        self._cn = tuple(cn)
         self._adj = adj
 
     @classmethod
-    def _from_masks(cls, n: int, nbr: tuple[int, ...]) -> "Graph":
-        """Internal fast path; masks must already be symmetric and loop-free."""
+    def _from_masks(cls, n: int, cn: tuple[int, ...]) -> "Graph":
+        """Internal fast path, storing the closed-neighborhood masks ``cn``
+        as given; they must already be symmetric, each holding its own
+        vertex."""
         g = object.__new__(cls)
         g.n = n
-        g._nbr = nbr
-        g._cn = tuple(m | (1 << v) for v, m in enumerate(nbr))
+        g._cn = cn
         g._adj = None
         return g
 
@@ -95,31 +99,31 @@ class Graph:
 
     def neighbors(self, v: int) -> list[int]:
         self._check_vertex(v)
-        return _bit_indices(self._nbr[v])
+        return _bit_indices(self._cn[v] ^ 1 << v)
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return self._nbr[v].bit_count()
+        return self._cn[v].bit_count() - 1
 
     def degrees(self) -> list[int]:
-        return [m.bit_count() for m in self._nbr]
+        return [m.bit_count() - 1 for m in self._cn]
 
     def max_degree(self) -> int:
         # each index list, once built, holds its vertex and each neighbour once
         if self._adj is not None:
             return max(map(len, self._adj), default=1) - 1
-        return max(map(int.bit_count, self._nbr), default=0)
+        return max(map(int.bit_count, self._cn), default=1) - 1
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return bool(self._nbr[u] >> v & 1)
+        return u != v and bool(self._cn[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         out = []
         for u in range(self.n):
-            rest = self._nbr[u] >> (u + 1)
+            rest = self._cn[u] >> (u + 1)
             v = u + 1
             while rest:
                 if rest & 1:
@@ -130,17 +134,17 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self._nbr) // 2
+        return (sum(m.bit_count() for m in self._cn) - self.n) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
             raise ValueError(f"invalid vertex {v}: range is 0..{self.n - 1}")
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self._nbr == other._nbr
+        return isinstance(other, Graph) and self.n == other.n and self._cn == other._cn
 
     def __hash__(self) -> int:
-        return hash((self.n, self._nbr))
+        return hash((self.n, self._cn))
 
     def __repr__(self) -> str:
         es = self.edges()
@@ -206,8 +210,7 @@ def power(g: Graph, r: int) -> Graph:
         raise ValueError("radius must be >= 1")
     if r == 1:
         return g
-    nbr = tuple(b ^ (1 << x) for x, b in enumerate(_balls(g, r)))
-    return Graph._from_masks(g.n, nbr)
+    return Graph._from_masks(g.n, tuple(_balls(g, r)))
 
 
 def _twin_pair(masks: Sequence[int], among: Sequence[int] | None = None) -> tuple[int, int] | None:
@@ -261,15 +264,14 @@ def join(g1: Graph, g2: Graph) -> Graph:
     n1, n2 = g1.n, g2.n
     low = (1 << n1) - 1
     high = ((1 << n2) - 1) << n1
-    nbr = [g1._nbr[v] | high for v in range(n1)]
-    nbr += [(g2._nbr[v] << n1) | low for v in range(n2)]
-    return Graph._from_masks(n1 + n2, tuple(nbr))
+    cn = [m | high for m in g1._cn]
+    cn += [m << n1 | low for m in g2._cn]
+    return Graph._from_masks(n1 + n2, tuple(cn))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    nbr = tuple(full & ~g._cn[v] for v in range(g.n))
-    return Graph._from_masks(g.n, nbr)
+    return Graph._from_masks(g.n, tuple(full ^ m | 1 << v for v, m in enumerate(g._cn)))
 
 
 def delete_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
@@ -285,18 +287,18 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     for v in vs:
         g._check_vertex(v)
     mapping = {old: new for new, old in enumerate(vs)}
-    nbr = []
+    cn = []
     for old in vs:
         m = 0
-        rest = g._nbr[old]
+        rest = g._cn[old]
         while rest:
             b = rest & -rest
             rest ^= b
             w = b.bit_length() - 1
             if w in mapping:
                 m |= 1 << mapping[w]
-        nbr.append(m)
-    return Graph._from_masks(len(vs), tuple(nbr))
+        cn.append(m)
+    return Graph._from_masks(len(vs), tuple(cn))
 
 
 def _component_masks(cn, within: int) -> list[int]:
@@ -329,19 +331,20 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the bitmask over ``_pairs(n)`` positions; the
     inverse of ``_edge_mask``."""
     pairs = _pairs(n)
-    nbr = [0] * n
+    cn = [1 << v for v in range(n)]
     while mask:
         b = mask & -mask
         mask ^= b
         u, v = pairs[b.bit_length() - 1]
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return Graph._from_masks(n, tuple(nbr))
+        cn[u] |= 1 << v
+        cn[v] |= 1 << u
+    return Graph._from_masks(n, tuple(cn))
 
 
 def _edge_mask(masks: Sequence[int]) -> int:
-    """Edge bitmask over ``_pairs(n)`` positions of the graph whose open or
-    closed neighborhood masks are ``masks``.
+    """Edge bitmask over ``_pairs(n)`` positions of the graph whose
+    neighborhood masks are ``masks``; a vertex's own bit, if present, is
+    dropped.
 
     The pairs of one least vertex u are consecutive, so u's higher
     neighbors go in as one shifted block."""
@@ -353,14 +356,18 @@ def _edge_mask(masks: Sequence[int]) -> int:
     return mask
 
 
-def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
+def _refine(cn, cells: list[int], todo: list[int]) -> list[int]:
     """Refine the ordered partition ``cells`` (vertex masks) in place until it
     is equitable: every vertex of a cell has as many neighbors in each cell.
 
     ``todo`` holds the splitter cells still to apply.  A cell splits by its
     vertices' neighbor counts in the splitter, fragments in ascending count
     order at the cell's place, so the result depends on cell positions and
-    counts alone and commutes with relabeling.
+    counts alone and commutes with relabeling.  The counts are read from
+    the closed-neighborhood masks ``cn``, and that splits exactly as open
+    counts would: every splitter was once a cell and cells only split, so a
+    cell being split lies inside the splitter or misses it, and each of its
+    vertices' own bit adds the same 1 or 0 to its count.
     """
     while todo:
         w = todo.pop()
@@ -373,7 +380,7 @@ def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
                 while rest:
                     b = rest & -rest
                     rest ^= b
-                    c = (nbr[b.bit_length() - 1] & w).bit_count()
+                    c = (cn[b.bit_length() - 1] & w).bit_count()
                     groups[c] = groups.get(c, 0) | b
                 if len(groups) > 1:
                     parts = [groups[c] for c in sorted(groups)]
@@ -385,15 +392,16 @@ def _refine(nbr, cells: list[int], todo: list[int]) -> list[int]:
     return cells
 
 
-def _individualize(nbr, cells: list[int], t: int, b: int) -> list[int]:
+def _individualize(cn, cells: list[int], t: int, b: int) -> list[int]:
     """The equitable refinement of ``cells`` after the vertex bit ``b`` of
     cell ``t`` is split off in front of the rest of its cell."""
-    return _refine(nbr, cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], [b])
+    return _refine(cn, cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], [b])
 
 
-def _relabel(nbr, lab: list[int]) -> int:
-    """The masks of the graph relabeled so that ``lab[i]`` becomes vertex i,
-    packed into one integer, vertex 0's mask the most significant."""
+def _relabel(cn, lab: list[int]) -> int:
+    """The closed masks ``cn`` of the graph relabeled so that ``lab[i]``
+    becomes vertex i, packed into one integer, vertex 0's mask the most
+    significant."""
     n = len(lab)
     pos = [0] * n
     for i, v in enumerate(lab):
@@ -401,7 +409,7 @@ def _relabel(nbr, lab: list[int]) -> int:
     cert = 0
     for v in lab:
         m = 0
-        rest = nbr[v]
+        rest = cn[v]
         while rest:
             b = rest & -rest
             rest ^= b
@@ -411,7 +419,8 @@ def _relabel(nbr, lab: list[int]) -> int:
 
 
 def _unpack(cert: int, n: int) -> tuple[int, ...]:
-    """The n masks that ``_relabel`` packed into ``cert``, vertex 0's first."""
+    """The n closed masks that ``_relabel`` packed into ``cert``, vertex 0's
+    first."""
     full = (1 << n) - 1
     return tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
 
@@ -430,14 +439,18 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, list[list[int]]]:
-    """Canonical labeling of the graph with open-neighborhood masks ``nbr``
+def _canon(cn, cells: list[int] | None = None) -> tuple[int, list[int], int, list[list[int]]]:
+    """Canonical labeling of the graph with closed-neighborhood masks ``cn``
     by colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism II", 2014), with automorphism pruning.
 
     Returns ``(cert, lab, order, gens)``.  ``lab[i]`` is the vertex that the
-    canonical labeling numbers i, and ``cert`` is ``_relabel(nbr, lab)``; two
+    canonical labeling numbers i, and ``cert`` is ``_relabel(cn, lab)``; two
     graphs are isomorphic exactly when their certificates are equal.
+    Refinement splits closed and open masks alike (see ``_refine``), and
+    every labeling's closed certificate is its open one plus the same
+    diagonal, so ``lab``, ``order`` and ``gens`` are those of the open
+    masks.
     ``order`` is |Aut(G)| and ``gens`` generate Aut(G), each as the list of
     vertex images.
 
@@ -463,7 +476,7 @@ def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, li
     keeps unions of different equal-parameter graphs fast: a subtree that
     holds neither of those two would otherwise find no automorphism.
     """
-    n = len(nbr)
+    n = len(cn)
     gens: list[list[int]] = []
     leaves: dict[int, tuple[list[int], list[int]]] = {}  # cert: (lab, trail)
     order = 1
@@ -474,7 +487,7 @@ def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, li
         depth = len(trail)
         if len(cells) == n:
             lab = [c.bit_length() - 1 for c in cells]
-            cert = _relabel(nbr, lab)
+            cert = _relabel(cn, lab)
             ref = leaves.get(cert)
             if ref is None:
                 leaves[cert] = (lab, trail[:])
@@ -497,7 +510,7 @@ def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, li
             if b & done:
                 continue
             trail.append(b.bit_length() - 1)
-            back = search(_individualize(nbr, cells, t, b), trail)
+            back = search(_individualize(cn, cells, t, b), trail)
             trail.pop()
             if back < depth:
                 return back
@@ -508,7 +521,7 @@ def _canon(nbr, cells: list[int] | None = None) -> tuple[int, list[int], int, li
         return depth
 
     if cells is None:
-        cells = _refine(nbr, [(1 << n) - 1], [(1 << n) - 1]) if n else []
+        cells = _refine(cn, [(1 << n) - 1], [(1 << n) - 1]) if n else []
     search(cells, [])
     cert = max(leaves)
     return cert, leaves[cert][0], order, gens
@@ -518,7 +531,7 @@ def _labeling(g: Graph) -> tuple[int, list[int]]:
     """``_canon``'s certificate and labeling of g, refused above the cap."""
     if g.n > ISOMORPHISM_CAP:
         raise ValueError(f"canonical labeling is limited to n <= {ISOMORPHISM_CAP}")
-    cert, lab, _, _ = _canon(g._nbr)
+    cert, lab, _, _ = _canon(g._cn)
     return cert, lab
 
 

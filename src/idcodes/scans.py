@@ -45,6 +45,7 @@ from .graph import (
 )
 
 SCAN_CAP = 8  # every scan's vertex cap; each scan takes seconds at n = 8
+_LEMMA7_RADII = (1, 2)  # the radii at which the lemma7 scan checks Lemma 7
 
 
 @dataclass
@@ -85,9 +86,10 @@ def _sweep(
     first_n..max_n vertices that passes the requested filters.
 
     The one sweep engine of the scans.  ``cn`` holds the closed-neighborhood
-    masks of one graph of the class, in the labeling it was generated in,
-    not a canonical one; ``_representative(cn)`` names the class, and
-    ``_scan`` calls it only for a class with a counterexample.
+    masks of one graph of the class, the masks the walk itself keeps, in
+    the labeling it was generated in, not a canonical one;
+    ``_representative(cn)`` names the class, and ``_scan`` calls it only
+    for a class with a counterexample.
     ``weight`` = n!/|Aut(G)| is the number of labeled graphs in the class,
     so a count over labeled graphs is the sum of the weights of the classes
     it holds.
@@ -102,15 +104,14 @@ def _sweep(
     partition of a child settles most deletion tests without ``_canon``
     (see ``_children``).
     """
-    stack = [([0], 1, [])]  # the one-vertex graph: masks, |Aut|, generators
+    stack = [((1,), 1, [])]  # the one-vertex graph: masks, |Aut|, generators
     while stack:
-        nbr, order, gens = stack.pop()
-        n = len(nbr)
+        cn, order, gens = stack.pop()
+        n = len(cn)
         if n < max_n:
-            stack.extend(_children(nbr, order, gens, n + 1 == max_n))
+            stack.extend(_children(cn, order, gens, n + 1 == max_n))
         if n < first_n:
             continue
-        cn = tuple(m | 1 << v for v, m in enumerate(nbr))
         full = (1 << n) - 1
         if twin_free and len(set(cn)) != n:
             continue
@@ -120,12 +121,12 @@ def _sweep(
 
 
 def _children(
-    nbr: list[int], order: int, gens: list[list[int]], last: bool
-) -> Iterator[tuple[list[int], int, list[list[int]] | None]]:
-    """The children in the canonical deletion tree of the graph with masks
-    ``nbr``, |Aut| ``order`` and Aut generators ``gens``, as (masks, |Aut|,
-    gens); ``last``: the children are leaves of the walk, and their
-    generators, never used, may be None.
+    cn: tuple[int, ...], order: int, gens: list[list[int]], last: bool
+) -> Iterator[tuple[tuple[int, ...], int, list[list[int]] | None]]:
+    """The children in the canonical deletion tree of the graph with closed
+    masks ``cn``, |Aut| ``order`` and Aut generators ``gens``, as (closed
+    masks, |Aut|, gens); ``last``: the children are leaves of the walk, and
+    their generators, never used, may be None.
 
     A new vertex m joins one vertex set S per orbit of Aut(parent), only
     when it has the child's maximum degree; the child is kept when m lies
@@ -138,17 +139,16 @@ def _children(
     fixes m, so it is the stabilizer of S in Aut(parent), of order
     |Aut(parent)| / |orbit of S|.  Any other child is settled by
     ``_canon``, which starts from the partition already refined."""
-    m = len(nbr)
+    m = len(cn)
     new = 1 << m
     full = (new << 1) - 1
-    degrees = [x.bit_count() for x in nbr]
+    degrees = [x.bit_count() - 1 for x in cn]
     top_degree = max(degrees)
     top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
     for s, size in _orbit_representatives(subsets, gens, m):
-        child = [x | new if s >> u & 1 else x for u, x in enumerate(nbr)]
-        child.append(s)
+        child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
         cells = _refine(child, [full], [full])
         if not cells[-1] & new:
             continue
@@ -198,14 +198,8 @@ def _orbit_representatives(
 def _representative(cn: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(edge mask, closed masks) of the canonical representative of the
     class of ``cn``: the one ``_canon`` call that names a class."""
-    n = len(cn)
-    rep = tuple(m | 1 << v for v, m in enumerate(_unpack(_canon(_open(cn))[0], n)))
+    rep = _unpack(_canon(cn)[0], len(cn))
     return _edge_mask(rep), rep
-
-
-def _open(cn: tuple[int, ...]) -> tuple[int, ...]:
-    """Open-neighborhood masks from closed ones."""
-    return tuple(m ^ 1 << v for v, m in enumerate(cn))
 
 
 def _entry(n: int, emask: int, weight: int, **extra) -> dict:
@@ -284,7 +278,7 @@ def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanRep
             details["graphs_needing_all_vertices"] += weight
         if level == 0:
             details["extremal_per_n"][n] += weight
-        result = _classify_masks(_open(cn), n)
+        result = _classify_masks(cn, n)
         if result.is_extremal == (level == 0):
             return []
         return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
@@ -327,23 +321,17 @@ def scan_regular_odd(max_n: int = 7, force: bool = False) -> ScanReport:
     return _scan("remark1", max_n, force, check, details, connected=True, twin_free=True)
 
 
-def scan_removable_vertex(
-    max_n: int = 7, radii: tuple[int, ...] = (1, 2), force: bool = False
-) -> ScanReport:
-    """Every vertex of every graph with a twin-free r-th power has a
-    removable vertex inside its radius-r ball.
+def scan_removable_vertex(max_n: int = 7, force: bool = False) -> ScanReport:
+    """Every vertex of every graph with a twin-free r-th power, r in
+    ``_LEMMA7_RADII``, has a removable vertex inside its radius-r ball.
 
     Only twin-free graphs are swept: twins of G stay twins in every power.
     """
-    if min(radii, default=1) < 1:
-        raise ValueError("radius must be >= 1")
-    if len(set(radii)) < len(radii):
-        raise ValueError("radii must be distinct")
-    per_radius = {r: 0 for r in radii}
+    per_radius = {r: 0 for r in _LEMMA7_RADII}
 
     def check(n, cn, weight):
         found = None
-        for r in radii:
+        for r in _LEMMA7_RADII:
             if r == 1:
                 balls, index = cn, set(cn)
             else:
@@ -364,7 +352,7 @@ def scan_removable_vertex(
             found = (found or []) + [{"radius": r, "vertex": x} for x in stuck]
         return found
 
-    details = {"radii": list(radii), "per_radius_checked": per_radius}
+    details = {"radii": list(_LEMMA7_RADII), "per_radius_checked": per_radius}
     return _scan("lemma7", max_n, force, check, details, twin_free=True)
 
 
@@ -386,7 +374,7 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
         gamma_id, _, _ = solve._search_minimum(cn, n, "identifying", forced)
         if not (gamma_s <= gamma_id <= gamma_s + 1):
             found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
-        holders = codes._holders(codes.membership_graph(Graph._from_masks(n, _open(cn))))
+        holders = codes._holders(codes.membership_graph(Graph._from_masks(n, cn)))
         if holders != list(cn):
             u = next(u for u in range(n) if holders[u] != cn[u])
             found.append({"reason": "bridge", "vertex": u})

@@ -107,7 +107,7 @@ def test_c06_join_additivity():
 
 
 def test_c07_removable_vertex_totality():
-    report = scan_removable_vertex(7, radii=(1, 2))
+    report = scan_removable_vertex(7)
     assert report.graphs_checked == 1_573_470
     assert report.details["per_radius_checked"] == {1: 1_573_470, 2: 37_687}
     _criterion(

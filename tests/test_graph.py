@@ -39,7 +39,7 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
-from idcodes.scans import _open, _representative, _sweep
+from idcodes.scans import _representative, _sweep
 
 
 def ball(g, x, r):
@@ -97,7 +97,7 @@ def test_max_degree_agrees_across_construction_routes():
                 degree[v] += 1
             expected = max(degree, default=0)
             repeated = Graph(n, edges + [(v, u) for u, v in edges] + edges[::3])
-            masked = Graph._from_masks(n, Graph(n, edges)._nbr)
+            masked = Graph._from_masks(n, Graph(n, edges)._cn)
             assert masked._adj is None
             routes = [Graph(n, edges), repeated, masked]
             assert [g.max_degree() for g in routes] == [expected] * 3, (n, p)
@@ -320,22 +320,55 @@ def test_ball_builder_and_power_match_naive_bfs():
 
 
 def test_both_construction_routes_give_equal_graphs():
-    # the closed-neighbour lists are derived from the masks: a graph built
-    # from an edge list and the same graph built from masks compare and hash
-    # equal, before and after _balls fills the lists of the second
-    for seed in range(3):
-        g = random_sparse_graph(seed, 200, 5)
-        edges = g.edges()
-        routes = [
-            graph_from_edge_mask(g.n, graph._edge_mask(g._nbr)),
-            induced_subgraph(g, range(g.n)),
+    # every route that builds a graph, from an edge list, from masks or
+    # through a construction, against the edge list it stands for: equal
+    # masks and hashes, before and after _balls fills the closed-neighbour
+    # lists of a mask-built graph, and every accessor as the brute-force
+    # adjacency gives it, with no vertex adjacent to itself
+    def check(h, n, edges):
+        g = Graph(n, edges)
+        assert h == g and hash(h) == hash(g)
+        assert h.edges() == edges and h.edge_count == len(edges)
+        adj = brute.adjacency(h)
+        assert h.degrees() == [len(adj[v]) for v in range(n)]
+        assert h.max_degree() == max(map(len, adj.values()), default=0)
+        for u in range(n):
+            assert h.neighbors(u) == sorted(adj[u]) and h.degree(u) == len(adj[u])
+            assert [h.has_edge(u, v) for v in range(n)] == [v in adj[u] for v in range(n)]
+            assert not h.has_edge(u, u)
+        assert graph._balls(h, 3) == graph._balls(g, 3)
+        assert h == g and hash(h) == hash(g) and len({g, h}) == 1
+
+    rng = random.Random(20)
+    cases = [(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+             for n in (0, 1, 2, 5, 12)]
+    cases += [(g.n, g.edges()) for g in (random_sparse_graph(seed, 200, 5) for seed in range(3))]
+    path = Graph(3, [(0, 1), (1, 2)])
+
+    def joined(n1, edges1, n2, edges2):
+        across = [(u, v) for u in range(n1) for v in range(n1, n1 + n2)]
+        return sorted(edges1 + across + [(u + n1, v + n1) for u, v in edges2])
+
+    for n, edges in cases:
+        g = Graph(n, edges)
+        pairs = list(itertools.combinations(range(n), 2))
+        for h in (
+            Graph(n, [(v, u) for u, v in edges] + edges),
+            Graph._from_masks(n, g._cn),
+            graph_from_edge_mask(n, graph._edge_mask(g._cn)),
+            induced_subgraph(g, range(n)),
             complement(complement(g)),
-            Graph(g.n, [(v, u) for u, v in edges] + edges),
-        ]
-        for h in routes:
-            assert h == g and hash(h) == hash(g)
-            assert graph._balls(h, 3) == graph._balls(g, 3)
-            assert h == g and hash(h) == hash(g) and len({g, h}) == 1
+        ):
+            check(h, n, edges)
+        check(complement(g), n, sorted(set(pairs) - set(edges)))
+        dist2 = [brute.naive_ball(g, u, 2) for u in range(n)]
+        check(power(g, 2), n, [(u, v) for u, v in pairs if v in dist2[u]])
+        for x in {0, n // 2, n - 1} if n else ():
+            moved = [(u - (u > x), v - (v > x)) for u, v in edges if x not in (u, v)]
+            check(delete_vertex(g, x)[0], n - 1, moved)
+        if n <= 12:
+            check(join(g, path), n + 3, joined(n, edges, 3, path.edges()))
+            check(join(path, g), n + 3, joined(3, path.edges(), n, edges))
 
 
 def test_ball_builder_stops_once_balls_stop_growing():
@@ -370,7 +403,8 @@ def test_enumerate_graphs_order_is_lexicographic():
     for n in range(6):
         pairs = list(itertools.combinations(range(n), 2))
         for mask, g in enumerate(brute.labeled_graphs(n)):
-            assert graph._edge_mask(g._nbr) == graph._edge_mask(g._cn) == mask
+            open_masks = [m ^ 1 << v for v, m in enumerate(g._cn)]
+            assert graph._edge_mask(open_masks) == graph._edge_mask(g._cn) == mask
             assert g.edges() == [p for e, p in enumerate(pairs) if mask >> e & 1]
 
 
@@ -392,7 +426,7 @@ def test_canonical_form_is_the_scan_edge_mask():
         emask, rep = _representative(cn)
         assert rep == graph_from_edge_mask(n, emask)._cn
         assert canonical_form(graph_from_edge_mask(n, emask)) == emask
-        assert canonical_form(Graph._from_masks(n, _open(cn))) == emask
+        assert canonical_form(Graph._from_masks(n, cn)) == emask
 
 
 def test_isomorphism():
@@ -468,11 +502,11 @@ def test_canonical_labeling_of_symmetric_graphs_is_fast_and_exact():
     ]
     for g, order in cases:
         start = time.process_time()
-        cert, lab, found, gens = graph._canon(g._nbr)
+        cert, lab, found, gens = graph._canon(g._cn)
         assert time.process_time() - start < 1.0
         assert found == order
         assert sorted(lab) == list(range(g.n))
-        assert cert == graph._relabel(g._nbr, lab)
+        assert cert == graph._relabel(g._cn, lab)
         for gen in gens:
             assert Graph(g.n, [(gen[u], gen[v]) for u, v in g.edges()]) == g
 
@@ -504,14 +538,14 @@ def test_canonical_labeling_of_regular_graphs_refinement_cannot_split():
     rng = random.Random(59)
     certs = set()
     for g, order in cases:
-        cert, _, found, _ = graph._canon(g._nbr)
+        cert, _, found, _ = graph._canon(g._cn)
         assert found == order
         certs.add((g.n, cert))
         for _ in range(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
             h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-            assert graph._canon(h._nbr)[::2] == (cert, order)
+            assert graph._canon(h._cn)[::2] == (cert, order)
     assert len(certs) == len(cases)
 
 
@@ -523,8 +557,8 @@ def test_canonical_certificate_ignores_labels():
         perm = list(range(n))
         rng.shuffle(perm)
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-        cert, _, order, _ = graph._canon(g._nbr)
-        assert graph._canon(h._nbr)[::2] == (cert, order)
+        cert, _, order, _ = graph._canon(g._cn)
+        assert graph._canon(h._cn)[::2] == (cert, order)
         # the certificate is the relabeled graph itself
         masks = tuple(cert >> (n * (n - 1 - i)) & ((1 << n) - 1) for i in range(n))
         assert graph._unpack(cert, n) == masks
@@ -603,10 +637,10 @@ def test_canonical_labeling_of_hard_instances(name, g, order):
     # unions of equal srgs made the labeller exponential when it pruned by
     # orbits on its first path only (4 Shrikhande copies took minutes)
     start = time.process_time()
-    cert, lab, found, gens = graph._canon(g._nbr)
+    cert, lab, found, gens = graph._canon(g._cn)
     assert time.process_time() - start < 1.0
     assert found == order
-    assert cert == graph._relabel(g._nbr, lab)
+    assert cert == graph._relabel(g._cn, lab)
     edges = set(g.edges())
     for gen in gens:
         assert {tuple(sorted((gen[u], gen[v]))) for u, v in edges} == edges
@@ -616,12 +650,12 @@ def test_canonical_labeling_of_hard_instances(name, g, order):
         rng.shuffle(perm)
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in edges])
         start = time.process_time()
-        assert graph._canon(h._nbr)[::2] == (cert, order)
+        assert graph._canon(h._cn)[::2] == (cert, order)
         assert time.process_time() - start < 1.0
 
 
 def test_hard_instances_told_apart():
-    certs = {(g.n, graph._canon(g._nbr)[0]) for _, g, _ in HARD_INSTANCES}
+    certs = {(g.n, graph._canon(g._cn)[0]) for _, g, _ in HARD_INSTANCES}
     assert len(certs) == len(HARD_INSTANCES)
     pairs = [
         (SHRIKHANDE, ROOK_4X4),

@@ -3,7 +3,9 @@ the labeled one, zero counterexamples, count bookkeeping, kernel agreement with
 the certified checkers, and caps."""
 
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -23,7 +25,6 @@ from idcodes.graph import (
 from idcodes.scans import (
     ScanReport,
     _entry,
-    _open,
     _representative,
     _sweep,
     scan_conjectured_degree_bound,
@@ -49,7 +50,7 @@ def _named(n: int, cn) -> int:
     canonical representative, checked to be isomorphic to it."""
     emask, rep = _representative(cn)
     assert rep == graph_from_edge_mask(n, emask)._cn
-    assert canonical_form(Graph._from_masks(n, _open(cn))) == emask
+    assert canonical_form(Graph._from_masks(n, cn)) == emask
     return emask
 
 
@@ -121,10 +122,11 @@ def test_automorphism_orders_match_brute_force():
         assert weight * brute.automorphism_count(g) == math.factorial(n)
 
 
-def _orbit_test(child: list[int]) -> bool:
-    """Canonical deletion decided by the full labeling: the new vertex m,
-    the last, has the maximum degree and lies in the Aut orbit of the
-    maximum-degree vertex that ``_canon`` numbers last."""
+def _orbit_test(child: tuple[int, ...]) -> bool:
+    """Canonical deletion decided by the full labeling of the closed masks
+    ``child``: the new vertex m, the last, has the maximum degree and lies
+    in the Aut orbit of the maximum-degree vertex that ``_canon`` numbers
+    last.  A closed mask counts its vertex's degree plus one."""
     m = len(child) - 1
     top = max(x.bit_count() for x in child)
     _, lab, _, gens = graph._canon(child)
@@ -141,23 +143,22 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
     # test keeps; on the last level some children are kept unlabeled
     alone = 0
     for n, _, cn in _sweep(1, 6):
-        nbr = list(_open(cn))
-        _, _, order, gens = graph._canon(nbr)
+        _, _, order, gens = graph._canon(cn)
         passing = set()
         for s in range(1 << n):
-            child = [x | 1 << n if s >> u & 1 else x for u, x in enumerate(nbr)] + [s]
+            child = (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
             if _orbit_test(child):
-                passing.add(canonical_form(Graph._from_masks(n + 1, tuple(child))))
+                passing.add(canonical_form(Graph._from_masks(n + 1, child)))
         for last in (False, True):
             kept = []
-            for child, child_order, child_gens in scans._children(nbr, order, gens, last):
-                s = child[n]
-                assert child == [x | 1 << n if s >> u & 1 else x for u, x in enumerate(nbr)] + [s]
+            for child, child_order, child_gens in scans._children(cn, order, gens, last):
+                s = child[n] ^ 1 << n
+                assert child == (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
                 assert _orbit_test(child)
                 assert child_order == graph._canon(child)[2]
                 assert child_gens is not None or last
                 alone += child_gens is None
-                kept.append(canonical_form(Graph._from_masks(n + 1, tuple(child))))
+                kept.append(canonical_form(Graph._from_masks(n + 1, child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
     assert alone > 0
 
@@ -264,7 +265,7 @@ def test_regular_odd_scan_small():
 
 def test_regular_odd_scan_does_not_ask_the_classifier(monkeypatch):
     # Remark 1 is checked by its definition, independently of the thm12 classifier
-    def refuse(nbr, n):
+    def refuse(cn, n):
         raise AssertionError("remark1 must not call the classifier")
 
     monkeypatch.setattr(scans, "_classify_masks", refuse)
@@ -288,21 +289,7 @@ def test_removable_vertex_scan_small():
             for g in brute.labeled_graphs(n)
         )
         assert report.details["per_radius_checked"][r] == expected
-    with pytest.raises(ValueError, match="radius"):
-        scan_removable_vertex(3, radii=(1, 0))
-
-
-def test_removable_vertex_scan_rejects_a_repeated_radius():
-    # a repeated radius would count each graph twice per radius and list
-    # each counterexample twice
-    for radii in ((1, 1), (2, 1, 2)):
-        with pytest.raises(ValueError, match="distinct"):
-            scan_removable_vertex(3, radii=radii)
-    # distinct radii in any order count as the default pair does
-    report = scan_removable_vertex(3, radii=(2, 1))
-    default = scan_removable_vertex(3)
-    assert report.details["per_radius_checked"] == default.details["per_radius_checked"]
-    assert report.graphs_checked == default.graphs_checked
+    assert report.to_dict()["details"]["radii"] == [1, 2]
 
 
 def test_gamma_chain_scan_small():
@@ -367,3 +354,21 @@ def test_scan_report_shape():
     bad = ScanReport("x", 3)
     bad.counterexamples.append({"n": 3, "edge_mask": 5, "edges": []})
     assert not bad.ok
+
+
+def test_reports_and_class_representatives_are_pinned():
+    # byte identity of every scan's report and of every class's canonical
+    # representative, against digests of the reference implementation
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    pinned = {
+        6: "1f98c069351014e8f9e93fc59581da65f142626712367cca1fc280195b379341",
+        7: "4242e8fc9c6d66a37b5485d9ce26d49620ebd51712831a3d3a70c2a283c52184",
+    }
+    for max_n, expected in pinned.items():
+        reports = {name: scan(max_n).to_dict() for name, scan in scans.THEOREM_SCANS.items()}
+        assert digest(json.dumps(reports, sort_keys=True)) == expected
+    names = sorted((n, _representative(cn)[0], w) for n, w, cn in _sweep(1, 7))
+    assert len(names) == 1252
+    assert digest(repr(names)) == "3adb22fc22bb852945dcc440cf5b5fefb78f84110e0e72f8cfca00bffcce6024"
