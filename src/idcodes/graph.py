@@ -367,11 +367,27 @@ def _refine(cn, cells: list[int], todo: list[int]) -> list[int]:
     the closed-neighborhood masks ``cn``, and that splits exactly as open
     counts would: every splitter was once a cell and cells only split, so a
     cell being split lies inside the splitter or misses it, and each of its
-    vertices' own bit adds the same 1 or 0 to its count.
+    vertices' own bit adds the same 1 or 0 to its count.  A one-vertex
+    splitter {v}, as every individualization makes, counts 1 on N[v] and 0
+    off it, so a cell splits by one mask into its part off N[v], then its
+    part on N[v].
     """
     while todo:
         w = todo.pop()
         i = 0
+        if not w & (w - 1):
+            near = cn[w.bit_length() - 1]
+            while i < len(cells):
+                x = cells[i]
+                hit = x & near
+                if hit and hit != x:
+                    parts = [x ^ hit, hit]
+                    cells[i : i + 1] = parts
+                    todo.extend(parts)
+                    i += 2
+                    continue
+                i += 1
+            continue
         while i < len(cells):
             x = cells[i]
             if x & (x - 1):

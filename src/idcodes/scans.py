@@ -7,8 +7,9 @@ classes already seen, and filtered inside the engine to the connected
 and/or twin-free classes a scan asks for.  The engine hands each class
 over in the labeling it was generated in; a child's root equitable
 partition settles most canonical deletion tests, and on the last level
-most children get no canonical labeling at all.  A scan supplies only its
-filters, its ``details`` and a check per class.  Every claim a scan checks
+the new vertex's twin class settles most children, which get no
+canonical labeling, and many no refinement, at all.  A scan supplies only
+its filters, its ``details`` and a check per class.  Every claim a scan checks
 is invariant under relabeling, so each class stands for its n!/|Aut(G)|
 labelings: ``graphs_checked`` and every count in ``details`` are sums of
 these weights, and so count labeled graphs.  Each scan compares a
@@ -101,8 +102,10 @@ def _sweep(
     tree, so no set of classes seen is kept: the walk is depth first, and
     only the pending children of the nodes on the current path, each a
     few masks and generators of Aut, are alive.  The root equitable
-    partition of a child settles most deletion tests without ``_canon``
-    (see ``_children``).
+    partition of a child settles most deletion tests without ``_canon``,
+    and on the last level, where no generators are needed, the twin class
+    of the new vertex settles most of the rest, often before any
+    refinement (see ``_children``).
     """
     stack = [((1,), 1, [])]  # the one-vertex graph: masks, |Aut|, generators
     while stack:
@@ -130,13 +133,21 @@ def _children(
 
     A new vertex m joins one vertex set S per orbit of Aut(parent), only
     when it has the child's maximum degree; the child is kept when m lies
-    in the Aut(child) orbit of its canonical deletion vertex.  The child's
-    root equitable partition settles most children before ``_canon``.
-    Refinement and individualization only split cells in place, so the
-    canonical labeling numbers last a vertex of C, the last root cell, a
-    union of Aut(child) orbits: m outside C is rejected.  When C = {m}, m
-    is kept, and on the last level no labeling is computed: Aut(child)
-    fixes m, so it is the stabilizer of S in Aut(parent), of order
+    in the Aut(child) orbit of its canonical deletion vertex.  Refinement
+    and individualization only split cells in place, so the canonical
+    labeling numbers last a vertex of C, the last cell of the child's root
+    equitable partition: a union of Aut(child) orbits inside the union of
+    orbits that the top-degree vertices form.  m outside C is rejected.
+
+    On the last level, twins settle most children without a labeling (the
+    cheap invariant first: McKay, "Isomorph-free exhaustive generation",
+    1998).  Let T be m with its closed twins (equal closed masks) and its
+    open twins (equal open masks); no vertex is a closed twin of m while
+    another is an open one, so T is one twin class, each transposition
+    (m v) in it an automorphism, and T lies in orbit(m).  When T holds
+    every top-degree vertex, before any refinement, or else holds C, then
+    that set is orbit(m): m is kept, and |Aut(child)| = |T| times the order
+    of the stabilizer of m, which is the stabilizer of S in Aut(parent),
     |Aut(parent)| / |orbit of S|.  Any other child is settled by
     ``_canon``, which starts from the partition already refined."""
     m = len(cn)
@@ -149,11 +160,20 @@ def _children(
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
     for s, size in _orbit_representatives(subsets, gens, m):
         child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
+        if last:
+            # T: the masks of m's closed twins equal m's, those of its open
+            # twins are S plus their own bit
+            twins = sum(1 << u for u, x in enumerate(child) if x == s | new or x ^ 1 << u == s)
+            twin_order = twins.bit_count() * (order // size)
+            degree = s.bit_count()  # the child's maximum degree, m's
+            if twins == sum(1 << u for u, x in enumerate(child) if x.bit_count() == degree + 1):
+                yield child, twin_order, None
+                continue
         cells = _refine(child, [full], [full])
         if not cells[-1] & new:
             continue
-        if last and cells[-1] == new:
-            yield child, order // size, None
+        if last and not cells[-1] & ~twins:
+            yield child, twin_order, None
             continue
         _, lab, child_order, child_gens = _canon(child, cells)
         if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:

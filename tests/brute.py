@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 from idcodes.graph import graph_from_edge_mask
@@ -295,6 +295,25 @@ def naive_distance(g, x: int, y: int) -> int | None:
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist.get(y)
+
+
+def equitable_partition(g, cells) -> set[frozenset[int]]:
+    """The coarsest equitable partition finer than ``cells`` (vertex sets),
+    by naive colour refinement: every round recolours each vertex by its
+    colour and the multiset of its neighbours' colours, until the number of
+    colours stops growing."""
+    adj = adjacency(g)
+    colour = {v: i for i, cell in enumerate(cells) for v in cell}
+    while True:
+        signature = {v: (colour[v], tuple(sorted(Counter(colour[w] for w in adj[v]).items()))) for v in adj}
+        names = {s: i for i, s in enumerate(set(signature.values()))}
+        if len(names) == len(set(colour.values())):
+            break
+        colour = {v: names[signature[v]] for v in adj}
+    classes: dict[int, set[int]] = {}
+    for v, c in colour.items():
+        classes.setdefault(c, set()).add(v)
+    return {frozenset(c) for c in classes.values()}
 
 
 def automorphism_count(g) -> int:

@@ -565,6 +565,50 @@ def test_canonical_certificate_ignores_labels():
         assert brute.backtrack_isomorphism(g, Graph._from_masks(n, masks)) is not None
 
 
+def test_refinement_matches_naive_colour_refinement():
+    # _refine from a random ordered partition, with every cell a splitter,
+    # and _individualize after it, on seeded graphs of up to 12 vertices:
+    # each result is equitable, equals the naive fixpoint as a set
+    # partition, and relabeling the input relabels the ordered result
+    rng = random.Random(71)
+
+    def sets(cells):
+        return [set(graph._bit_indices(c)) for c in cells]
+
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        p = rng.choice((0.2, 0.5, 0.8))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        adj = brute.adjacency(g)
+        colours = list(range(rng.randrange(1, 4)))
+        rng.shuffle(colours)
+        colour = [rng.choice(colours) for _ in range(n)]
+        start = [sum(1 << v for v in range(n) if colour[v] == c) for c in colours]
+        start = [c for c in start if c]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+        def image(cells):
+            return [sum(1 << perm[v] for v in graph._bit_indices(c)) for c in cells]
+
+        cells = graph._refine(g._cn, start[:], start[:])
+        assert graph._refine(h._cn, image(start), image(start)) == image(cells)
+        steps = [(start, cells)]
+        splittable = [t for t, c in enumerate(cells) if c & (c - 1)]
+        if splittable:
+            t = rng.choice(splittable)
+            b = 1 << rng.choice(graph._bit_indices(cells[t]))
+            split = graph._individualize(g._cn, cells, t, b)
+            assert graph._individualize(h._cn, image(cells), t, image([b])[0]) == image(split)
+            steps.append((cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], split))
+        for before, after in steps:
+            parts = sets(after)
+            assert sorted(v for x in parts for v in x) == list(range(n))
+            assert all(len({len(adj[v] & y) for v in x}) == 1 for x in parts for y in parts)
+            assert set(map(frozenset, parts)) == brute.equitable_partition(g, sets(before))
+
+
 def _cayley_z4z4(steps):
     # the Cayley graph of Z4 x Z4 whose steps are ``steps`` and their negatives
     return Graph(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)

@@ -105,7 +105,7 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
 
 def test_sweep_streams_classes_depth_first():
     # the walk holds no level of classes: the first classes on nine
-    # vertices (274,668 in all, about 13 s to generate) arrive at once,
+    # vertices (274,668 in all, about 16 s to generate) arrive at once,
     # each isomorphic to its canonical representative
     start = time.process_time()
     first = list(itertools.islice(_sweep(9, 9), 100))
@@ -161,6 +161,44 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
                 kept.append(canonical_form(Graph._from_masks(n + 1, child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
     assert alone > 0
+
+
+def test_unlabeled_children_have_brute_force_orders():
+    # every last-level child kept without a labeling, from every class on
+    # at most five vertices: |Aut| counted over all vertex permutations;
+    # some are settled through a new vertex with a twin, whose orbit is its
+    # twin class, not {m}
+    twinned = 0
+    for n, _, cn in _sweep(1, 5):
+        _, _, order, gens = graph._canon(cn)
+        for child, child_order, child_gens in scans._children(cn, order, gens, True):
+            if child_gens is None:
+                g = Graph._from_masks(n + 1, child)
+                assert child_order == brute.automorphism_count(g)
+                adj = brute.adjacency(g)
+                twinned += any(adj[v] - {n} == adj[n] - {v} for v in range(n))
+    assert twinned > 0
+
+
+def test_last_level_labelings_are_pinned(monkeypatch):
+    # _canon and root _refine calls per child size in _sweep(1, 7); size 7
+    # is the last level, where twins of the new vertex settle most children
+    calls = {"canon": Counter(), "refine": Counter()}
+    real_canon, real_refine = scans._canon, scans._refine
+
+    def canon(cn, cells=None):
+        calls["canon"][len(cn)] += 1
+        return real_canon(cn, cells)
+
+    def refine(cn, cells, todo):
+        calls["refine"][len(cn)] += 1
+        return real_refine(cn, cells, todo)
+
+    monkeypatch.setattr(scans, "_canon", canon)
+    monkeypatch.setattr(scans, "_refine", refine)
+    assert sum(1 for _ in _sweep(1, 7)) == 1252
+    assert calls["canon"] == {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 144}
+    assert calls["refine"] == {2: 2, 3: 4, 4: 11, 5: 37, 6: 184, 7: 754}
 
 
 def test_counterexamples_name_the_canonical_representative(monkeypatch):
