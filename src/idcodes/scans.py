@@ -4,11 +4,13 @@ All seven scans run one loop, ``_scan``, over one engine, ``_sweep``: one
 graph of every isomorphism class up to a vertex cap, generated by
 canonical deletion in a depth-first walk that keeps no record of the
 classes already seen, and filtered inside the engine to the connected
-and/or twin-free classes a scan asks for.  The engine hands each class
-over in the labeling it was generated in; a child's root equitable
-partition settles most canonical deletion tests, and on the last level
-the new vertex's twin class settles most children, which get no
-canonical labeling, and many no refinement, at all.  A scan supplies only
+and/or twin-free classes a scan asks for: on the last level, a leaf the
+filters refuse is never built.  The engine hands each class over in the
+labeling it was generated in.  On every level the new vertex's twin
+class settles most children, which get no canonical labeling, and many
+no refinement, at all; their automorphism groups come from the parent's,
+by Schreier's lemma, and the child's root equitable partition settles
+most of the remaining canonical deletion tests.  A scan supplies only
 its filters, its ``details`` and a check per class.  Every claim a scan checks
 is invariant under relabeling, so each class stands for its n!/|Aut(G)|
 labelings: ``graphs_checked`` and every count in ``details`` are sums of
@@ -36,7 +38,9 @@ from .classify import _classify_masks
 from .codes import _identifying_ok, _locating_dominating_ok
 from .graph import (
     Graph,
+    _bit_indices,
     _canon,
+    _component_masks,
     _edge_mask,
     _orbit,
     _reach,
@@ -101,55 +105,70 @@ def _sweep(
     numbers last, up to automorphism.  Every class has one place in the
     tree, so no set of classes seen is kept: the walk is depth first, and
     only the pending children of the nodes on the current path, each a
-    few masks and generators of Aut, are alive.  The root equitable
-    partition of a child settles most deletion tests without ``_canon``,
-    and on the last level, where no generators are needed, the twin class
-    of the new vertex settles most of the rest, often before any
-    refinement (see ``_children``).
+    few masks and generators of Aut, are alive.  Cheap tests come first
+    (see ``_children``): the leaves the filters refuse are never built,
+    the twin class of the new vertex settles most children without a
+    canonical labeling, often before any refinement, and the child's root
+    equitable partition settles most of the rest.  The filters are applied
+    here only to the inner levels the walk yields.
     """
     stack = [((1,), 1, [])]  # the one-vertex graph: masks, |Aut|, generators
     while stack:
         cn, order, gens = stack.pop()
         n = len(cn)
         if n < max_n:
-            stack.extend(_children(cn, order, gens, n + 1 == max_n))
-        if n < first_n:
-            continue
-        full = (1 << n) - 1
-        if twin_free and len(set(cn)) != n:
-            continue
-        if connected and _reach(cn, cn[0], full) != full:
-            continue
-        yield n, factorial(n) // order, cn
+            stack.extend(_children(cn, order, gens, n + 1 == max_n, connected, twin_free))
+            full = (1 << n) - 1
+            if twin_free and len(set(cn)) != n:
+                continue
+            if connected and _reach(cn, cn[0], full) != full:
+                continue
+        if n >= first_n:
+            yield n, factorial(n) // order, cn
 
 
 def _children(
-    cn: tuple[int, ...], order: int, gens: list[list[int]], last: bool
+    cn: tuple[int, ...],
+    order: int,
+    gens: list[list[int]],
+    last: bool,
+    connected: bool = False,
+    twin_free: bool = False,
 ) -> Iterator[tuple[tuple[int, ...], int, list[list[int]] | None]]:
     """The children in the canonical deletion tree of the graph with closed
     masks ``cn``, |Aut| ``order`` and Aut generators ``gens``, as (closed
     masks, |Aut|, gens); ``last``: the children are leaves of the walk, and
-    their generators, never used, may be None.
+    their generators, never used, may be None, and only the leaves that are
+    ``connected`` and/or ``twin_free``, as asked, are built.
 
     A new vertex m joins one vertex set S per orbit of Aut(parent), only
     when it has the child's maximum degree; the child is kept when m lies
-    in the Aut(child) orbit of its canonical deletion vertex.  Refinement
-    and individualization only split cells in place, so the canonical
-    labeling numbers last a vertex of C, the last cell of the child's root
-    equitable partition: a union of Aut(child) orbits inside the union of
-    orbits that the top-degree vertices form.  m outside C is rejected.
+    in the Aut(child) orbit of its canonical deletion vertex.
 
-    On the last level, twins settle most children without a labeling (the
-    cheap invariant first: McKay, "Isomorph-free exhaustive generation",
-    1998).  Let T be m with its closed twins (equal closed masks) and its
-    open twins (equal open masks); no vertex is a closed twin of m while
-    another is an open one, so T is one twin class, each transposition
-    (m v) in it an automorphism, and T lies in orbit(m).  When T holds
+    The leaf filter: on the last level, S is dropped before the orbits are
+    formed when the leaf would fail a filter.  The leaf is twin-free when S
+    is no parent's closed mask (else m has a closed twin) and holds exactly
+    one vertex of every pair of closed twins of the parent (the only pairs
+    S can part); it is connected when S meets every parent component.
+    Both tests are invariant under Aut(parent), so the kept sets are a
+    union of orbits, with the same representatives and orbit sizes.
+
+    Twins settle most children without a labeling (the cheap invariant
+    first: McKay, 1998).  Let T be m with its closed twins (equal closed
+    masks) and its open twins (equal open masks); no vertex is a closed
+    twin of m while another is an open one, so T is one twin class, each
+    transposition (m v) in it an automorphism, and T lies in orbit(m).
+    Refinement and individualization only split cells in place, so the
+    canonical labeling numbers last a vertex of C, the last cell of the
+    child's root equitable partition: a union of Aut(child) orbits inside
+    the union of orbits that the top-degree vertices form.  When T holds
     every top-degree vertex, before any refinement, or else holds C, then
-    that set is orbit(m): m is kept, and |Aut(child)| = |T| times the order
-    of the stabilizer of m, which is the stabilizer of S in Aut(parent),
-    |Aut(parent)| / |orbit of S|.  Any other child is settled by
-    ``_canon``, which starts from the partition already refined."""
+    that set is orbit(m) and m is kept.  Aut(child) is then generated by
+    the transpositions (m v), v in T - {m}, and the stabilizer of m, which
+    is the stabilizer of S in Aut(parent) (``_stabilizer``), so |Aut(child)|
+    = |T| |Aut(parent)| / |orbit of S|.  Otherwise m outside C is rejected,
+    and any other child is settled by ``_canon``, which starts from the
+    partition already refined."""
     m = len(cn)
     new = 1 << m
     full = (new << 1) - 1
@@ -158,22 +177,39 @@ def _children(
     top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
+    if last and twin_free:
+        masks = set(cn)
+        subsets = [s for s in subsets if s not in masks]
+        for v, x in enumerate(cn):
+            for u in range(v):
+                if cn[u] == x:  # S must part the twins u and v
+                    pair = 1 << u | 1 << v
+                    subsets = [s for s in subsets if 0 < s & pair < pair]
+    if last and connected:
+        for part in _component_masks(cn, new - 1):
+            subsets = [s for s in subsets if s & part]
     for s, size in _orbit_representatives(subsets, gens, m):
         child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
-        if last:
-            # T: the masks of m's closed twins equal m's, those of its open
-            # twins are S plus their own bit
-            twins = sum(1 << u for u, x in enumerate(child) if x == s | new or x ^ 1 << u == s)
-            twin_order = twins.bit_count() * (order // size)
-            degree = s.bit_count()  # the child's maximum degree, m's
-            if twins == sum(1 << u for u, x in enumerate(child) if x.bit_count() == degree + 1):
-                yield child, twin_order, None
+        # T: the masks of m's closed twins equal m's, those of its open twins
+        # are S plus their own bit
+        twins = sum(1 << u for u, x in enumerate(child) if x == s | new or x ^ 1 << u == s)
+        degree = s.bit_count()  # the child's maximum degree, m's
+        settled = twins == sum(1 << u for u, x in enumerate(child) if x.bit_count() == degree + 1)
+        if not settled:
+            cells = _refine(child, [full], [full])
+            if not cells[-1] & new:
                 continue
-        cells = _refine(child, [full], [full])
-        if not cells[-1] & new:
-            continue
-        if last and not cells[-1] & ~twins:
-            yield child, twin_order, None
+            settled = not cells[-1] & ~twins
+        if settled:
+            child_gens = None
+            if not last:
+                # the stabilizer of S, of order |Aut(parent)| / size, and (m v)
+                child_gens = [g + [m] for g in _stabilizer(s, gens, m)] if size < order else []
+                for v in _bit_indices(twins ^ new):
+                    swap = list(range(m + 1))
+                    swap[v], swap[m] = m, v
+                    child_gens.append(swap)
+            yield child, twins.bit_count() * (order // size), child_gens
             continue
         _, lab, child_order, child_gens = _canon(child, cells)
         if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:
@@ -185,7 +221,13 @@ def _orbit_representatives(
 ) -> list[tuple[int, int]]:
     """The least member of each orbit of the group generated by ``gens`` on
     the vertex sets ``subsets`` (closed under the group), as a mask, with
-    the orbit's size."""
+    the orbit's size.
+
+    On the last level ``subsets`` holds only the sets the leaf filter
+    keeps, a union of orbits.  The walk records no transversal: only the
+    children that twins settle on an inner level need one, and
+    ``_stabilizer`` walks their sets' orbits again, which measured faster
+    than recording a Schreier tree for every orbit here."""
     if not gens:
         return [(s, 1) for s in subsets]
     images = []
@@ -213,6 +255,58 @@ def _orbit_representatives(
                     stack.append(y)
         reps.append((s, size))
     return reps
+
+
+def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
+    """Generators of the stabilizer of the vertex set ``s`` in the group on
+    m points generated by ``gens``.
+
+    Schreier's lemma (Seress, "Permutation Group Algorithms", 2003): a walk
+    of the orbit of s fixes, for each member y, an element u_y mapping s to
+    y; then the elements u_g(y)^-1 g u_y, over every member y and generator
+    g, generate the stabilizer.  They pass through a Sims filter, which
+    keeps at most one element per first moved point i and its image j, so
+    at most C(m, 2) remain: an element that meets a kept one at (i, j) is
+    replaced by their quotient, which fixes i and every point before it,
+    and sifted on.  The filter keeps the inverse of each element it files,
+    which generates the same group."""
+    points = range(m)
+    members = [v for v in points if s >> v & 1]
+    transversal = {s: list(points)}
+    inverses: dict[int, list[int]] = {}
+    kept: dict[tuple[int, int], list[int]] = {}
+    stack = [s]
+    while stack:
+        u = transversal[stack.pop()]
+        for g in gens:
+            w = [g[x] for x in u]  # g u_y, which maps s to g(y)
+            z = sum(1 << w[v] for v in members)
+            if z not in transversal:
+                transversal[z] = w
+                stack.append(z)
+                continue
+            back = inverses.get(z)
+            if back is None:
+                back = inverses[z] = _inverse(transversal[z])
+            h = [back[x] for x in w]
+            while True:
+                i = next((v for v in points if h[v] != v), None)
+                if i is None:
+                    break
+                filed = kept.get((i, h[i]))
+                if filed is None:
+                    kept[i, h[i]] = _inverse(h)
+                    break
+                h = [filed[x] for x in h]
+    return list(kept.values())
+
+
+def _inverse(p: list[int]) -> list[int]:
+    """The inverse of the permutation ``p``, a list of images."""
+    inv = [0] * len(p)
+    for v, x in enumerate(p):
+        inv[x] = v
+    return inv
 
 
 def _representative(cn: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:

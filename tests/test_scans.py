@@ -87,7 +87,14 @@ def test_sweep_yields_each_class_once_with_its_labeled_count(connected, twin_fre
 
 def test_sweep_class_counts_and_weights_to_eight_vertices():
     # OEIS A000088 (all graphs) and A001349 (connected graphs); the
-    # weights of each order add up to the 2^C(n,2) labeled graphs
+    # weights of each order add up to the 2^C(n,2) labeled graphs, and
+    # those of the connected sweep to the connected labeled graphs (A001187)
+    kept, kept_labeled = Counter(), Counter()
+    for n, weight, _ in _sweep(1, 8, connected=True):
+        kept[n] += 1
+        kept_labeled[n] += weight
+    assert [kept[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
+    assert [kept_labeled[n] for n in range(1, 9)] == [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
     classes, connected, labeled = Counter(), Counter(), Counter()
     names = set()
     for n, weight, cn in _sweep(1, 8):
@@ -105,7 +112,7 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
 
 def test_sweep_streams_classes_depth_first():
     # the walk holds no level of classes: the first classes on nine
-    # vertices (274,668 in all, about 16 s to generate) arrive at once,
+    # vertices (274,668 in all, about 15 s to generate) arrive at once,
     # each isomorphic to its canonical representative
     start = time.process_time()
     first = list(itertools.islice(_sweep(9, 9), 100))
@@ -180,9 +187,92 @@ def test_unlabeled_children_have_brute_force_orders():
     assert twinned > 0
 
 
-def test_last_level_labelings_are_pinned(monkeypatch):
-    # _canon and root _refine calls per child size in _sweep(1, 7); size 7
-    # is the last level, where twins of the new vertex settle most children
+@pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
+def test_leaf_filter_drops_only_the_leaves_the_filters_refuse(connected, twin_free):
+    # every class on at most six vertices: the filtered last level is the
+    # unfiltered one less the leaves with twins or several components, in
+    # the same order and with the same orders
+    for n, _, cn in _sweep(1, 6):
+        _, _, order, gens = graph._canon(cn)
+        full = (1 << n + 1) - 1
+        unfiltered = [
+            (child, child_order, child_gens)
+            for child, child_order, child_gens in scans._children(cn, order, gens, True)
+            if (not twin_free or len(set(child)) == n + 1)
+            and (not connected or scans._reach(child, child[0], full) == full)
+        ]
+        assert list(scans._children(cn, order, gens, True, connected, twin_free)) == unfiltered
+
+
+def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypatch):
+    # the deletion tree to six vertices, built with inner children only, so
+    # that every class on at most five vertices is a parent: each child kept
+    # without a labeling gets generators that are automorphisms of it, at
+    # most C(n, 2) of them, and they generate a group of its order, which
+    # is |Aut| counted over all vertex permutations
+    labeled = set()
+    real = scans._canon
+
+    def canon(cn, cells=None):
+        labeled.add(cn)
+        return real(cn, cells)
+
+    monkeypatch.setattr(scans, "_canon", canon)
+    settled = 0
+    stack = [((1,), 1, [])]
+    while stack:
+        cn, order, gens = stack.pop()
+        if len(cn) == 6:
+            continue
+        for child, child_order, child_gens in scans._children(cn, order, gens, False):
+            stack.append((child, child_order, child_gens))
+            if child in labeled:
+                continue
+            settled += 1
+            n = len(child)
+            assert len(child_gens) <= n * (n - 1) // 2
+            for g in child_gens:
+                assert sorted(g) == list(range(n))
+                assert all(child[g[v]] == sum(1 << g[u] for u in range(n) if child[v] >> u & 1) for v in range(n))
+            assert len(_closure(child_gens, n)) == child_order
+            assert child_order == brute.automorphism_count(Graph._from_masks(n, child))
+    assert settled > 0
+
+
+def _closure(gens, n: int) -> set[tuple[int, ...]]:
+    """Every element of the permutation group on n points that ``gens`` generate."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
+
+def test_stabilizer_generates_the_set_stabilizer():
+    # seeded groups on up to six points, against the elements of the group
+    # that fix the set, listed by brute force; the Sims filter must sift an
+    # element that meets a kept one, not drop it: (0 1) and (0 1)(2 3) both
+    # move 0 to 1 first, and together generate a group of order 4
+    assert len(_closure(scans._stabilizer(0, [[1, 0, 2, 3], [1, 0, 3, 2]], 4), 4)) == 4
+    rng = random.Random(7)
+    for _ in range(24):
+        m = rng.randrange(1, 7)
+        gens = [rng.sample(range(m), m) for _ in range(rng.randrange(1, 4))]
+        group = _closure(gens, m)
+        for s in range(1 << m):
+            kept = scans._stabilizer(s, gens, m)
+            assert len(kept) <= m * (m - 1) // 2
+            fixing = {p for p in group if sum(1 << p[v] for v in range(m) if s >> v & 1) == s}
+            assert _closure(kept, m) == fixing
+
+
+def _calls(monkeypatch, *args) -> dict[str, Counter]:
+    """_canon and root _refine calls per child size in ``_sweep(*args)``."""
     calls = {"canon": Counter(), "refine": Counter()}
     real_canon, real_refine = scans._canon, scans._refine
 
@@ -196,9 +286,22 @@ def test_last_level_labelings_are_pinned(monkeypatch):
 
     monkeypatch.setattr(scans, "_canon", canon)
     monkeypatch.setattr(scans, "_refine", refine)
-    assert sum(1 for _ in _sweep(1, 7)) == 1252
-    assert calls["canon"] == {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 144}
-    assert calls["refine"] == {2: 2, 3: 4, 4: 11, 5: 37, 6: 184, 7: 754}
+    calls["classes"] = sum(1 for _ in _sweep(*args))
+    return calls
+
+
+def test_last_level_labelings_are_pinned(monkeypatch):
+    # size 7 is the last level, where the leaf filter drops the leaves that
+    # connected twin-free sweeps refuse; on every level twins of the new
+    # vertex settle most children, so a size below 4 needs no call at all
+    calls = _calls(monkeypatch, 1, 7)
+    assert calls["classes"] == 1252
+    assert calls["canon"] == {4: 3, 5: 6, 6: 37, 7: 144}
+    assert calls["refine"] == {4: 3, 5: 12, 6: 87, 7: 754}
+    calls = _calls(monkeypatch, 2, 7, True, True)
+    assert calls["classes"] == 583
+    assert calls["canon"] == {4: 3, 5: 6, 6: 37, 7: 82}
+    assert calls["refine"] == {4: 3, 5: 12, 6: 87, 7: 424}
 
 
 def test_counterexamples_name_the_canonical_representative(monkeypatch):
