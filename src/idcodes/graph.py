@@ -120,17 +120,9 @@ class Graph:
         return u != v and bool(self._cn[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted."""
-        out = []
-        for u in range(self.n):
-            rest = self._cn[u] >> (u + 1)
-            v = u + 1
-            while rest:
-                if rest & 1:
-                    out.append((u, v))
-                rest >>= 1
-                v += 1
-        return out
+        """All edges as (u, v) with u < v, sorted: each u's higher
+        neighbours in one walk of its mask's bits above u."""
+        return [(u, v) for u, m in enumerate(self._cn) for v in _bit_indices(m >> u + 1 << u + 1)]
 
     @property
     def edge_count(self) -> int:
@@ -286,19 +278,10 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     vs = sorted(set(keep))
     for v in vs:
         g._check_vertex(v)
-    mapping = {old: new for new, old in enumerate(vs)}
-    cn = []
-    for old in vs:
-        m = 0
-        rest = g._cn[old]
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            w = b.bit_length() - 1
-            if w in mapping:
-                m |= 1 << mapping[w]
-        cn.append(m)
-    return Graph._from_masks(len(vs), tuple(cn))
+    kept = sum(1 << v for v in vs)
+    bit = {old: 1 << new for new, old in enumerate(vs)}
+    cn = tuple(sum(map(bit.__getitem__, _bit_indices(g._cn[old] & kept))) for old in vs)
+    return Graph._from_masks(len(vs), cn)
 
 
 def _component_masks(cn, within: int) -> list[int]:
@@ -321,33 +304,34 @@ def is_connected(g: Graph) -> bool:
 # -- edge masks, canonical form, isomorphism --------------------------
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    """The pairs u < v of n vertices in lexicographic order; bit e of an
-    edge mask stands for the e-th."""
-    return list(itertools.combinations(range(n), 2))
-
-
 def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    """Graph whose edge set is the bitmask over ``_pairs(n)`` positions; the
-    inverse of ``_edge_mask``."""
-    pairs = _pairs(n)
+    """Graph whose edge set is the edge bitmask ``mask``; the inverse of
+    ``_edge_mask``, whose layout it reads block by block: u's pairs
+    (u, u + 1), ..., (u, n - 1) are the n - 1 - u bits after those of the
+    vertices before it.  A bit at or past position C(n, 2) or a negative
+    mask stands for no pair and raises ``ValueError``."""
+    pairs = n * (n - 1) // 2
+    if mask < 0 or mask >> pairs:
+        raise ValueError(f"an edge mask on {n} vertices must lie in 0..2**{pairs} - 1")
     cn = [1 << v for v in range(n)]
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        u, v = pairs[b.bit_length() - 1]
+    u, end = 0, n - 1  # end: the position just past u's pairs
+    for e in _bit_indices(mask):
+        while e >= end:
+            u += 1
+            end += n - 1 - u
+        v = e - end + n
         cn[u] |= 1 << v
         cn[v] |= 1 << u
     return Graph._from_masks(n, tuple(cn))
 
 
 def _edge_mask(masks: Sequence[int]) -> int:
-    """Edge bitmask over ``_pairs(n)`` positions of the graph whose
-    neighborhood masks are ``masks``; a vertex's own bit, if present, is
-    dropped.
+    """Edge bitmask of the graph whose neighborhood masks are ``masks``; a
+    vertex's own bit, if present, is dropped.
 
-    The pairs of one least vertex u are consecutive, so u's higher
-    neighbors go in as one shifted block."""
+    Bit e stands for the e-th pair u < v in lexicographic order, so the
+    pairs of one least vertex u are consecutive and u's higher neighbors
+    go in as one shifted block."""
     n = len(masks)
     mask = offset = 0
     for u, m in enumerate(masks):
@@ -552,7 +536,7 @@ def _labeling(g: Graph) -> tuple[int, list[int]]:
 
 
 def canonical_form(g: Graph) -> int:
-    """Edge bitmask over ``_pairs(n)`` of g relabeled canonically.
+    """Edge bitmask (``_edge_mask``'s layout) of g relabeled canonically.
 
     Two graphs have equal forms exactly when they are isomorphic; the form
     is the ``edge_mask`` the scans report for g's class.

@@ -2,8 +2,9 @@
 
 Everything here recomputes from first principles with plain Python sets and
 dict-based BFS, deliberately avoiding the package's bitmask machinery, so
-the two routes can disagree when either has a bug.  The one exception is
-``labeled_graphs``, which only lists inputs.
+the two routes can disagree when either has a bug.  The graphs that
+``labeled_graphs`` lists come from ``Graph(n, edges)`` on a plain pair
+list, not from the package's edge-mask decoder.
 """
 
 from __future__ import annotations
@@ -13,12 +14,19 @@ import math
 from collections import Counter, deque
 from fractions import Fraction
 
-from idcodes.graph import graph_from_edge_mask
+from idcodes.graph import Graph
+
+
+def naive_graph_from_edge_mask(n: int, mask: int):
+    """Graph whose edges are the pairs of ``itertools.combinations(range(n),
+    2)`` at the set bits of ``mask``."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
 
 
 def labeled_graphs(n: int):
     """Every labeled graph on n vertices, by ascending edge mask."""
-    return (graph_from_edge_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
+    return (naive_graph_from_edge_mask(n, m) for m in range(1 << (n * (n - 1) // 2)))
 
 
 def adjacency(g) -> dict[int, set[int]]:

@@ -408,6 +408,76 @@ def test_enumerate_graphs_order_is_lexicographic():
             assert g.edges() == [p for e, p in enumerate(pairs) if mask >> e & 1]
 
 
+def test_edge_mask_decoder_matches_the_naive_decoder():
+    # the block-by-block decoder against the oracle's pair list: every mask
+    # up to five vertices, seeded random masks on wider layouts, and the
+    # encoder taking each decoded graph back to its mask
+    rng = random.Random(23)
+    cases = [(n, m) for n in range(6) for m in range(1 << n * (n - 1) // 2)]
+    cases += [(n, rng.getrandbits(n * (n - 1) // 2)) for n in (9, 40) for _ in range(30)]
+    cases += [(40, (1 << 780) - 1), (40, 1 << 779)]
+    for n, m in cases:
+        g = graph_from_edge_mask(n, m)
+        assert g == brute.naive_graph_from_edge_mask(n, m)
+        assert graph._edge_mask(g._cn) == m
+
+
+def test_edge_mask_decoder_rejects_bits_outside_the_pairs():
+    # C(n, 2) pairs take bits 0..C(n, 2) - 1; a bit past them, or a negative
+    # mask, stands for no pair
+    for n, m in ((0, 1), (0, -1), (1, 1), (1, 2), (3, 8), (3, 1 << 40), (3, -1), (3, -8)):
+        with pytest.raises(ValueError, match="edge mask"):
+            graph_from_edge_mask(n, m)
+    assert graph_from_edge_mask(0, 0) == Graph(0)
+    assert graph_from_edge_mask(1, 0) == Graph(1)
+    assert graph_from_edge_mask(3, 7) == complete_graph(3)
+
+
+def _shuffled_sparse(seed, n):
+    """A seeded sparse graph on n vertices under a random relabelling, as
+    (graph, edge list with u < v), so its edges span the whole label range."""
+    rng = random.Random(seed)
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [tuple(sorted((label[u], label[v]))) for u, v in random_sparse_graph(seed, n, 5).edges()]
+    return Graph(n, edges), edges
+
+
+def _naive_adjacency(n, edges):
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+@pytest.mark.parametrize("n", [300, 2000])
+def test_edges_subgraphs_and_edge_lists_at_scale(n):
+    # wide masks with labels spread over the whole range, where a walk
+    # shifting one bit at a time is quadratic: the edge list, induced
+    # subgraphs and the text round trip against plain sets of pairs
+    g, edges = _shuffled_sparse(n, n)
+    rng = random.Random(n)
+    adj = _naive_adjacency(n, edges)
+    assert g.edges() == sorted(edges) and g.edge_count == len(edges)
+    assert brute.adjacency(g) == adj
+    assert all(g.has_edge(u, v) and g.has_edge(v, u) for u, v in edges)
+    for _ in range(2 * len(edges)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        assert g.has_edge(u, v) == (v in adj[u])
+    for keep in ([], [rng.randrange(n)], range(n), *(rng.sample(range(n), k) for k in (2, n // 3, n - 1))):
+        vs = sorted(keep)
+        new = {old: i for i, old in enumerate(vs)}
+        expected = sorted((new[u], new[v]) for u, v in edges if u in new and v in new)
+        h = induced_subgraph(g, keep)
+        assert h.n == len(vs) and h.edges() == expected
+        sub_adj = _naive_adjacency(len(vs), expected)
+        assert [set(h.neighbors(v)) for v in range(h.n)] == [sub_adj[v] for v in range(h.n)]
+    text = format_edge_list(g)
+    assert text.splitlines() == [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in sorted(edges)]
+    assert parse_edge_list(text) == g
+
+
 def test_canonical_form_invariant_under_relabeling():
     g = path_graph(4)
     relabeled = Graph(4, [(2, 0), (0, 3), (3, 1)])
