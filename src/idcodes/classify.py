@@ -66,15 +66,15 @@ def _band_factor(cn: tuple[int, ...], comp: int) -> int | None:
     The rebuild is exact, with no isomorphism search, at any order.  In B_k
     (vertices 0..2k-1) vertex i has degree k - 1 + min(i, 2k - 1 - i), so
     the two endpoints alone have the minimum degree k - 1; endpoint 0's
-    neighbors 1..k-1 have the distinct degrees k..2k-2 and its
-    non-neighbors k..2k-1 the distinct degrees 2k-2..k-1.  The reflection
-    i -> 2k-1-i is an automorphism, so any copy of B_k is rebuilt from
-    either endpoint by placing each other vertex at the position its degree
-    and its adjacency to the endpoint give; one endpoint suffices.  Each
-    vertex's neighborhood is then compared with the band rule for its
-    position: its closed neighborhood in ``comp`` must be the window of
-    positions within distance k - 1 of its own.  That check alone accepts,
-    and a copy of B_k never fails it, so the answer is exact.
+    neighbors 1..k-1 have the distinct degrees k..2k-2 and its non-neighbors
+    k..2k-1 the distinct degrees 2k-2..k-1.  The reflection i -> 2k-1-i is
+    an automorphism, so a vertex x of minimum degree k - 1 is rebuilt as
+    endpoint 0, and each other vertex goes to the position its degree and
+    its adjacency to x give: a neighbor to 0..k, a non-neighbor to k..2k-1.
+    A taken position, x's own 0 among them, rejects; then each closed
+    neighborhood in ``comp`` must be the window of positions within distance
+    k - 1 of its own, which a neighbor of x at k fails.  That check alone
+    accepts, and a copy of B_k never fails it, so the answer is exact.
     """
     size = comp.bit_count()
     if size % 2:
@@ -100,14 +100,7 @@ def _band_factor(cn: tuple[int, ...], comp: int) -> int | None:
     for v, d in degs.items():
         if v == x:
             continue
-        if near >> v & 1:
-            i = d - k + 1
-            if not 1 <= i < k:
-                return None
-        else:
-            i = 3 * k - 2 - d
-            if not k <= i < size:
-                return None
+        i = d - k + 1 if near >> v & 1 else 3 * k - 2 - d
         if order[i] >= 0:
             return None
         order[i] = v
@@ -161,10 +154,8 @@ def _classify_masks(cn: tuple[int, ...], n: int) -> ClassificationResult:
         if k is None:
             return ClassificationResult(NOT_EXTREMAL)
         factors.append(k)
-    # two universal vertices would be twins, which the precondition excludes
+    # twin-free: at most one universal vertex, so n >= 2 leaves a band factor
     assert universal_seen <= 1, "twin-free graph cannot have two universal vertices"
-    if not factors:
-        return ClassificationResult(NOT_EXTREMAL)
     factors.sort()
     if universal_seen:
         return ClassificationResult(

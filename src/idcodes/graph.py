@@ -42,9 +42,9 @@ class TwinsError(PreconditionError):
 def _bit_indices(mask: int) -> list[int]:
     out = []
     while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
+        out.append(v := mask.bit_length() - 1)
+        mask ^= 1 << v  # the int shrinks, so a step costs the bits left
+    out.reverse()
     return out
 
 

@@ -32,7 +32,7 @@ class SolveReport:
     the ascending-size lexicographic order over supersets of ``forced``,
     starting at the counting lower bound, reaches up to and including the
     answer.  It is computed from the answer's rank, not from the nodes the
-    pruned search visits.
+    pruned search visits, so the empty graph's one candidate counts too.
     """
 
     kind: str
@@ -183,14 +183,15 @@ def _hitting_sets(
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, as masks in lexicographic order, generated lazily.
 
-    Depth-first over the free vertices in increasing order.  A node is cut
-    when an unmet mask has no vertex left in the suffix, or when a greedy
-    packing of pairwise disjoint unmet masks, restricted to the suffix and
-    taken in list order, outnumbers the remaining budget.  The next vertex
-    never passes the highest suffix vertex of any unmet mask, and the last
-    one lies in all of them.  A mask that contains an earlier one changes
-    none of these steps.  Given ``split`` = (balls, classes, undominated,
-    empty_extra) with the signature classes of ``forced`` as in
+    Each mask of ``cons`` must meet ``free``.  Depth-first over the free
+    vertices in increasing order.  A node is cut when a greedy packing of
+    pairwise disjoint unmet masks, restricted to the suffix and taken in
+    list order, outnumbers the remaining budget.  The next vertex never
+    passes the highest suffix vertex of any unmet mask (the cap, which a
+    mask with no suffix vertex left would empty), so every unmet mask keeps
+    one, and the last lies in all of them.  A mask that contains an earlier
+    one changes none of these steps.  Given ``split`` = (balls, classes,
+    undominated, empty_extra) with the signature classes of ``forced`` as in
     ``_split_classes`` (for identifying codes and separating sets), the
     search also carries the classes down the tree, each child splitting its
     parent's by the ball of its new vertex, and cuts a child whose largest
@@ -220,8 +221,6 @@ def _hitting_sets(
         used = packed = 0
         for c in unhit:
             r = c & suffix
-            if not r:
-                return
             if not r & used:
                 used |= r
                 packed += 1
@@ -336,8 +335,6 @@ def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
 def solve_minimum(g: Graph, kind: str, radius: int = 1) -> SolveReport:
     """Exact minimum code of the given kind; deterministic example code."""
     balls, forced = _prepare(g, kind, radius)
-    if g.n == 0:
-        return SolveReport(kind, radius, 0, frozenset(), frozenset(), 0)
     size, mask, explored = _search_minimum(balls, g.n, kind, forced)
     return SolveReport(
         kind,
@@ -352,8 +349,6 @@ def solve_minimum(g: Graph, kind: str, radius: int = 1) -> SolveReport:
 def enumerate_minimum_separating_sets(g: Graph, radius: int = 1) -> list[frozenset[int]]:
     """All separating sets of minimum size, sorted lexicographically."""
     balls, forced = _prepare(g, "separating", radius)
-    if g.n == 0:
-        return [frozenset()]
     _, _, sets = _minimum_hitting_sets(balls, g.n, "separating", forced)
     return [frozenset(_bit_indices(c)) for c in sets]
 

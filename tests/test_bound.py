@@ -164,6 +164,8 @@ def test_ball_size_limit():
     assert ball_size_limit(2, 4) == 9  # a path ball: defined where the
     assert ball_size_limit(0, 3) == 1  # closed form would divide by zero
     assert ball_size_limit(1, 5) == 2  # a single matching edge
+    with pytest.raises(ValueError, match="^arguments must be non-negative$"):
+        ball_size_limit(-1, 1)
     # agrees with the closed form whenever that form is defined
     for delta in (3, 4, 5):
         for radius in (1, 2, 5):

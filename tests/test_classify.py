@@ -12,6 +12,7 @@ from idcodes.classify import (
     JOIN_FAMILY_UNIVERSAL,
     NOT_EXTREMAL,
     STAR,
+    _band_factor,
     _classify_masks,
     classify_extremal,
     recognize_band_graph,
@@ -69,6 +70,31 @@ def test_recognize_band_graph_matches_isomorphism_oracle():
         for g in filter(lambda h: sorted(h.degrees()) == target, brute.labeled_graphs(2 * k)):
             expected = k if brute.backtrack_isomorphism(g, band) is not None else None
             assert recognize_band_graph(g) == expected
+
+
+def test_band_factor_on_every_even_vertex_subset_matches_isomorphism_oracle():
+    # the classifier calls _band_factor on complement components, not whole
+    # graphs: every graph on 2, 4 or 6 vertices is placed on every vertex
+    # subset of a 6-vertex host, once with no other edge and once with
+    # every edge that has an end outside the subset, which _band_factor
+    # must ignore; so every input it can read on at most 6 vertices is met
+    full = (1 << 6) - 1
+    found = 0
+    for k in (1, 2, 3):
+        band = band_graph(k)
+        for h in brute.labeled_graphs(2 * k):
+            expected = k if brute.backtrack_isomorphism(h, band) is not None else None
+            found += expected is not None
+            for vs in itertools.combinations(range(6), 2 * k):
+                comp = sum(1 << v for v in vs)
+                for outside in (0, full ^ comp):
+                    cn = [1 << v | (full if outside >> v & 1 else outside) for v in range(6)]
+                    for u, v in h.edges():
+                        cn[vs[u]] |= 1 << vs[v]
+                        cn[vs[v]] |= 1 << vs[u]
+                    assert _band_factor(tuple(cn), comp) == expected, (h.edges(), vs, outside)
+    # labeled copies of B_1, B_2 (the 4-path) and B_3: 1 + 12 + 360
+    assert found == 1 + 12 + 360
 
 
 def test_recognize_band_graph_on_seeded_relabelings():

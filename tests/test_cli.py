@@ -169,6 +169,43 @@ def test_scan_cap_is_usage_error(run):
     assert code == 2 and "cap" in err
 
 
+_C9 = format_edge_list(cycle_graph(9))
+_TWO_C4 = format_edge_list(Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)]))
+
+
+@pytest.mark.parametrize(
+    "argv, text, status, expected",
+    [
+        (["bound", "--regular", "--radius", "2"], _C9, 2, "defined for radius 1 only"),
+        (["scan", "--max-n", "0", "--theorem", "thm12"], None, 2, "max_n must be >= 1"),
+        (["power", "--radius", "0"], _C9, 2, "radius must be >= 1"),
+        (["bound", "--radius", "0"], _C9, 2, "radius must be >= 1"),
+        (["bound"], "1 0\n", 3, "needs at least 2 vertices"),
+        (["bound", "--regular"], "1 0\n", 3, "needs at least 2 vertices"),
+        (["bound", "--regular"], _TWO_C4, 3, "defined for connected graphs"),
+        (
+            ["solve", "--kind", "separating", "--all-minimum"],
+            "0 0\n",
+            0,
+            {"minimum": 0, "example_code": [], "explored": 1, "all_minimum_sets": [[]]},
+        ),
+    ],
+)
+def test_exit_status_on_rarely_taken_paths(run, tmp_path, argv, text, status, expected):
+    # the exit-code contract on usage and precondition paths, and the empty
+    # graph, which goes through the one search like any other
+    if text is not None:
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        argv = [*argv, "--graph", str(path)]
+    code, out, err = run(*argv)
+    assert code == status
+    if status:
+        assert out == "" and expected in err and "Traceback" not in err
+    else:
+        assert err == "" and expected.items() <= json.loads(out).items()
+
+
 def test_exit_status_usage(run, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--graph", "x.txt"])  # missing --kind

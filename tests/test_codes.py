@@ -198,6 +198,18 @@ def test_discriminating_examples():
         is_discriminating(bg, [9])
 
 
+def test_discriminating_ignores_ball_entries_outside_the_source_vertices():
+    # a hand-built membership graph whose balls also name -1, 4 and 9: those
+    # entries name no source vertex, so every verdict is the clean graph's
+    clean = membership_graph(path_graph(4))
+    noisy = codes.BipartiteMembershipGraph(
+        tuple(ball | {-1, 4, 9} if v % 2 else ball | {4} for v, ball in enumerate(clean.balls))
+    )
+    for cmask in range(1 << 4):
+        code = [v for v in range(4) if cmask >> v & 1]
+        assert is_discriminating(noisy, code) == is_discriminating(clean, code)
+
+
 def test_discriminating_bridge_exhaustive_small():
     # every vertex subset of one graph per isomorphism class on <= 6
     # vertices, twins included, through the public checkers: the scan

@@ -94,6 +94,15 @@ def test_family_spec_validation_and_round_trip():
         FamilySpec("join", ())
     with pytest.raises(ValueError):
         FamilySpec("KminusM", (1,))
+    with pytest.raises(ValueError, match="^unknown family variant 'bogus'$"):
+        FamilySpec("bogus", (1,))
+    # the generators refuse on their own, without a spec
+    with pytest.raises(ValueError, match="^star needs at least one leaf$"):
+        star_graph(0)
+    with pytest.raises(ValueError, match="^join factor list must be non-empty$"):
+        join_family([])
+    with pytest.raises(ValueError, match="^complete-minus-matching needs n >= 2$"):
+        complete_minus_matching(1)
 
 
 def test_family_spec_above_vertex_cap_is_rejected_before_building(monkeypatch):

@@ -503,6 +503,8 @@ def test_isomorphism():
     assert is_isomorphic(band_graph(2), path_graph(4))
     assert not is_isomorphic(cycle_graph(4), path_graph(4))
     assert find_isomorphism(Graph(0), Graph(0)) == []
+    # equal order and size, decided by the degree sequence alone
+    assert find_isomorphism(path_graph(4), star_graph(3)) is None
     # reversing the band order is an automorphism
     for k in range(1, 5):
         g = band_graph(k)

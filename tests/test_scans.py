@@ -14,8 +14,9 @@ from collections import Counter
 import pytest
 
 import brute
-from idcodes import codes, graph, scans
+from idcodes import cli, codes, graph, scans, solve
 from idcodes.classify import classify_extremal
+from idcodes.families import complete_graph, star_graph
 from idcodes.graph import (
     Graph,
     _balls,
@@ -461,6 +462,84 @@ def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
     assert all(c["reason"] == "bridge" and c["vertex"] == c["n"] // 2 for c in entries)
     twin_free = [g for n in range(1, 5) for g in brute.labeled_graphs(n) if _naive_twin_free(g)]
     assert sum(c["labelings"] for c in entries) == len(twin_free)
+
+
+def _failed_scan(capsys, report, theorem: str) -> list[dict]:
+    """The counterexample entries of a failed ``report``, after checking
+    their order and that ``idcodes scan`` prints the same report as JSON on
+    stdout and exits 4, with no traceback."""
+    assert not report.ok
+    entries = report.counterexamples
+    assert [(c["n"], c["edge_mask"]) for c in entries] == sorted({(c["n"], c["edge_mask"]) for c in entries})
+    for c in entries:
+        assert c["edges"] == [list(e) for e in graph_from_edge_mask(c["n"], c["edge_mask"]).edges()]
+    assert cli.main(["scan", "--max-n", str(report.max_n), "--theorem", theorem]) == 4
+    out, err = capsys.readouterr()
+    assert out == json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n" and err == ""
+    return entries
+
+
+def test_gamma_chain_chain_entry(monkeypatch, capsys):
+    # an identifying minimum two above the separating one on 4 vertices:
+    # every twin-free class there is one chain entry with both minima
+    real = solve._search_minimum
+
+    def skewed(balls, n, kind, forced):
+        size, mask, explored = real(balls, n, kind, forced)
+        return size + 2 * (kind == "identifying" and n == 4), mask, explored
+
+    monkeypatch.setattr(solve, "_search_minimum", skewed)
+    entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")
+    assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(
+        (n, _representative(cn)[0]) for n, _, cn in _sweep(4, 4, twin_free=True)
+    )
+    for c in entries:
+        g = graph_from_edge_mask(c["n"], c["edge_mask"])
+        assert c["reason"] == "chain"
+        assert c["gamma_s"] == brute.naive_minimum(g, "separating")[0]
+        assert c["gamma_id"] == brute.naive_minimum(g, "identifying")[0] + 2
+    assert sum(c["labelings"] for c in entries) == sum(map(_naive_twin_free, brute.labeled_graphs(4)))
+
+
+def test_locating_dominating_entry(monkeypatch, capsys):
+    # a kernel that accepts no code calls no graph extremal, so the stars
+    # and complete graphs on 2..4 vertices are the entries
+    monkeypatch.setattr(scans, "_locating_dominating_ok", lambda cn, c: False)
+    report = scan_locating_dominating(4)
+    entries = _failed_scan(capsys, report, "ld")
+    assert report.details["extremal_seen"] == 0
+    expected = {
+        (g.n, canonical_form(g)): (is_star, labelings)
+        for g, is_star, labelings in [
+            (complete_graph(2), False, 1),
+            (star_graph(2), True, 3),
+            (complete_graph(3), False, 1),
+            (star_graph(3), True, 4),
+            (complete_graph(4), False, 1),
+        ]
+    }
+    assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(expected)
+    for c in entries:
+        is_star, labelings = expected[c["n"], c["edge_mask"]]
+        assert c["extremal"] is False
+        assert (c["star"], c["complete"]) == (is_star, not is_star)
+        assert c["labelings"] == labelings
+
+
+def test_conjecture_entry_carries_the_exact_minimum(monkeypatch, capsys):
+    # no code within the bound: every connected twin-free graph of maximum
+    # degree at least 3 is an entry, with its exact identifying minimum
+    monkeypatch.setattr(scans, "_misses", lambda cn, n, k, ok=None: False)
+    report = scan_conjectured_degree_bound(5)
+    entries = _failed_scan(capsys, report, "conjecture")
+    assert len(entries) > 1
+    for c in entries:
+        g = graph_from_edge_mask(c["n"], c["edge_mask"])
+        assert c["max_degree"] == g.max_degree() >= 3
+        assert c["bound"] == c["n"] - c["n"] // c["max_degree"]
+        assert c["gamma_id"] == brute.naive_minimum(g, "identifying")[0]
+    assert sum(c["labelings"] for c in entries) == report.graphs_checked
+    assert report.graphs_checked == sum(d >= 3 for _, d in _labeled_max_degrees(2, 5))
 
 
 def test_locating_dominating_scan_small():

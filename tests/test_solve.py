@@ -57,6 +57,10 @@ def test_forced_vertices_examples():
     for t in range(3, 6):
         assert forced_vertices(star_graph(t)) == set()
     assert forced_vertices(star_graph(2)) == {1, 2}
+    with pytest.raises(ValueError, match="^radius must be >= 1$"):
+        forced_vertices(path_graph(4), 0)
+    with pytest.raises(ValueError, match="^unknown code kind 'bogus'"):
+        solve_minimum(path_graph(4), "bogus")
 
 
 def test_min_identifying_frozen_values():
@@ -685,6 +689,19 @@ def test_lower_bound_matches_brute_force():
 
 
 def test_zero_and_one_vertex_graphs():
-    assert solve_minimum(empty_graph(0), "dominating").minimum == 0
+    # the empty graph goes through the one search: it tests one candidate,
+    # the empty set, which is the answer, as Graph(1)'s separating solve does
+    for kind in ("identifying", "separating", "dominating", "locating-dominating"):
+        report = solve_minimum(empty_graph(0), kind)
+        assert report.to_dict() == {
+            "kind": kind,
+            "radius": 1,
+            "minimum": 0,
+            "example_code": [],
+            "forced": [],
+            "explored": 1,
+        }
+    assert enumerate_minimum_separating_sets(empty_graph(0)) == [frozenset()]
+    assert solve_minimum(Graph(1), "separating").explored == 1
     assert solve_minimum(Graph(1), "identifying").minimum == 1
     assert solve_minimum(Graph(1), "separating").minimum == 0
