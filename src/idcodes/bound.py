@@ -141,11 +141,12 @@ def code_from_independent_set(
     Preconditions checked, in this order: the set is (3r+1)-independent
     (equivalently 4-independent in the r-th power), and every member v, in
     increasing order, leaves the full vertex set minus v a valid
-    r-identifying code.  ``codes.is_identifying`` decides once, on V - M
-    right after the spacing check: a superset of an identifying code
-    identifies, so when it accepts, every V - v does too.  Only when it
-    refuses are the V - v certified in increasing order, the first failure
-    raising with its witness, and the complement's refusal raised last.
+    r-identifying code.  The radius-r balls are built once, after the
+    spacing check, and ``codes._certify`` decides on them once, on V - M: a
+    superset of an identifying code identifies, so when it accepts, every
+    V - v does too.  Only when it refuses are the V - v certified in
+    increasing order on the same balls, the first failure raising with its
+    witness, and the complement's refusal raised last.
     """
     if radius < 1:
         raise ValueError("radius must be >= 1")
@@ -161,20 +162,28 @@ def code_from_independent_set(
                     f"vertices {u} and {v} are closer than {spread}; "
                     f"the set is not {spread}-independent"
                 )
+    balls = _balls(g, radius)
     try:
-        return _certified_complement(g, members, radius)
+        return _certified_complement(balls, members, radius)
     except PreconditionError:
+        everything = (1 << g.n) - 1
         for v in members:
             failure = f"removing vertex {v} alone does not leave an identifying code"
-            codes._require_identifying(g, set(range(g.n)) - {v}, radius, failure)
+            codes._require_identifying_on(balls, everything ^ 1 << v, radius, failure)
         raise
 
 
-def _certified_complement(g: Graph, removed: Iterable[int], radius: int) -> frozenset[int]:
-    """V minus ``removed``, once ``codes.is_identifying`` accepts it."""
-    code = frozenset(range(g.n)).difference(removed)
-    codes._require_identifying(g, code, radius, "the complement of the set fails to identify")
-    return code
+def _certified_complement(balls: list[int], removed: Iterable[int], radius: int) -> frozenset[int]:
+    """V minus the distinct vertices ``removed``, once ``codes._certify``
+    accepts it as a code on the graph's radius-r ``balls``."""
+    mask = 0
+    for v in removed:
+        mask |= 1 << v
+    n = len(balls)
+    codes._require_identifying_on(
+        balls, ((1 << n) - 1) ^ mask, radius, "the complement of the set fails to identify"
+    )
+    return frozenset(range(n)).difference(removed)
 
 
 def _degree_bound(n: int, delta: int, radius: int) -> Fraction | None:
@@ -188,8 +197,8 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     and the complement of the mapped set as the resulting code.
 
     The code is built as the proof builds it, then certified once by
-    ``codes.is_identifying``.  The per-member checks of
-    ``code_from_independent_set`` would add nothing:
+    ``codes._certify`` on the balls the mapping step used.  The per-member
+    checks of ``code_from_independent_set`` would add nothing:
 
     - each image lies within r of its preimage, so the images of a
       (5r+1)-independent set are distinct and (3r+1)-apart;
@@ -215,7 +224,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
             raise RuntimeError(f"no removable vertex in the ball of {x}")
         mapped.append(y)
     assert len(set(mapped)) == len(mapped), "mapped set lost injectivity"
-    code = _certified_complement(g, mapped, radius)
+    code = _certified_complement(balls, mapped, radius)
     theorem = "thm14" if radius == 1 else "thm19"
     return BoundReport(
         theorem,
@@ -236,7 +245,8 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     the denominator improves to 1 + D - D^2 + D^3.  The set is
     4-independent, the (3r+1) spacing at r = 1, and as in
     ``constructive_upper_bound`` its complement is certified once by
-    ``codes.is_identifying``, which covers every per-member verdict.
+    ``codes._certify`` on the unit balls the twin check built, which covers
+    every per-member verdict.
     """
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
@@ -245,10 +255,10 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     degs = g.degrees()
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
-    _twin_free_balls(g, 1)
+    balls, _ = _twin_free_balls(g, 1)
     delta = degs[0]
     independent = greedy_independent_set(g, 4)
-    code = _certified_complement(g, independent, 1)
+    code = _certified_complement(balls, independent, 1)
     bound = None
     if delta >= 3:
         bound = g.n * (1 - Fraction(1, 1 + delta - delta * delta + delta**3))

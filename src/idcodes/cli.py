@@ -35,6 +35,12 @@ def _parse_code(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
 
+def _require_radius(radius: int) -> None:
+    # flag-only refusals come before the graph file is read
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+
+
 def _emit(report: dict, plain: bool) -> None:
     if not plain:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -58,6 +64,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_power(args) -> int:
+    _require_radius(args.radius)
     g = _load_graph(args.graph)
     sys.stdout.write(format_edge_list(power(g, args.radius)))
     return EXIT_OK
@@ -90,11 +97,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.regular and args.radius != 1:
+        print("the regular variant is defined for radius 1 only", file=sys.stderr)
+        return EXIT_USAGE
+    _require_radius(args.radius)
     g = _load_graph(args.graph)
     if args.regular:
-        if args.radius != 1:
-            print("the regular variant is defined for radius 1 only", file=sys.stderr)
-            return EXIT_USAGE
         report = bound.regular_constructive_bound(g)
     else:
         report = bound.constructive_upper_bound(g, args.radius)

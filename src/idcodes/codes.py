@@ -170,7 +170,16 @@ def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> Co
 def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: str) -> None:
     """Raise ``PreconditionError(f"{failure}: {witness}")``, carrying the
     certificate as ``.certificate``, unless ``code`` is r-identifying."""
-    cert = is_identifying(g, code, radius)
+    _check_radius(radius)
+    c = _code_mask(g, code)
+    _require_identifying_on(_balls(g, radius), c, radius, failure)
+
+
+def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str) -> None:
+    """``_require_identifying`` on a graph's radius-r ``balls`` and the code
+    mask ``c``, for callers that already hold both; the verdict is
+    ``is_identifying``'s."""
+    cert = _certify("identifying", radius, balls, c, True, range(len(balls)))
     if not cert.valid:
         err = PreconditionError(f"{failure}: {cert.to_dict()['witness']}")
         err.certificate = cert

@@ -408,6 +408,20 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     assert str(exc.value) == (
         f"the complement of the set fails to identify: {cert.to_dict()['witness']}"
     )
+    # at r >= 2 the pipeline's balls are not the closed neighbourhoods, and
+    # the certificate on them is the one the public checker builds afresh;
+    # the path on 2r + 1 vertices has a twin-free r-th power in which
+    # B(0) and B(1) differ in r + 1 alone
+    for r in (2, 3):
+        g = path_graph(2 * r + 1)
+        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x, y=r + 1: y)
+        with pytest.raises(PreconditionError) as exc:
+            constructive_upper_bound(g, r)
+        cert = is_identifying(g, set(range(g.n)) - {r + 1}, r)
+        assert cert.witness_pair == (0, 1) and exc.value.certificate == cert
+        assert str(exc.value) == (
+            f"the complement of the set fails to identify: {cert.to_dict()['witness']}"
+        )
     c9 = cycle_graph(9)
     monkeypatch.setattr(bound, "greedy_independent_set", lambda h, d: frozenset({0, 1, 2}))
     with pytest.raises(PreconditionError) as exc:
@@ -415,3 +429,34 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     cert = is_identifying(c9, set(range(3, 9)))
     assert cert.witness_vertex == 1 and exc.value.certificate == cert
     assert str(exc.value) == "the complement of the set fails to identify: {'undominated': 1}"
+
+
+def test_each_pipeline_builds_its_balls_once(monkeypatch):
+    # the final certificate runs on the pipeline's own balls; count builds
+    # through both names the certificate path could reach them by
+    from idcodes import codes, graph
+
+    calls = []
+
+    def counting(g, r):
+        calls.append(r)
+        return graph._balls(g, r)
+
+    monkeypatch.setattr(bound, "_balls", counting)
+    monkeypatch.setattr(codes, "_balls", counting)
+    g = random_blob_ring(3, 9)
+    for r in (2, 3):
+        calls.clear()
+        report = constructive_upper_bound(g, r)
+        assert calls == [r] and len(report.mapped_set) >= 2
+    # 0 and 12 hang off vertex 1, so their radius-2 balls agree: the
+    # complement fails, and the members are certified on the same balls
+    pendant = Graph(13, [(i, i + 1) for i in range(11)] + [(1, 12)])
+    calls.clear()
+    with pytest.raises(PreconditionError, match="^removing vertex 2 alone"):
+        code_from_independent_set(pendant, [2, 9], 2)
+    assert calls == [2]
+    for h in (cycle_graph(40), petersen_graph()):
+        calls.clear()
+        regular_constructive_bound(h)
+        assert len(calls) <= 1

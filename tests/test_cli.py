@@ -206,6 +206,21 @@ def test_exit_status_on_rarely_taken_paths(run, tmp_path, argv, text, status, ex
         assert err == "" and expected.items() <= json.loads(out).items()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--regular", "--radius", "2"], "the regular variant is defined for radius 1 only\n"),
+        (["bound", "--regular", "--radius", "0"], "the regular variant is defined for radius 1 only\n"),
+        (["bound", "--radius", "0"], "error: radius must be >= 1\n"),
+        (["power", "--radius", "0"], "error: radius must be >= 1\n"),
+    ],
+)
+def test_flag_refusals_come_before_the_graph_is_read(run, tmp_path, argv, message):
+    # a missing file would exit 2 too, but naming the file, not the flag
+    code, out, err = run(*argv, "--graph", str(tmp_path / "missing.txt"))
+    assert (code, out, err) == (2, "", message)
+
+
 def test_exit_status_usage(run, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--graph", "x.txt"])  # missing --kind
