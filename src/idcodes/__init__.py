@@ -1,7 +1,7 @@
 """Identifying, separating, dominating and locating-dominating codes in
-finite graphs: verification at any radius, exact brute-force minimization,
-generators and structural classification of the extremal families, and
-constructive degree-based upper bounds."""
+finite graphs: verification at any radius, exact minimization by pruned
+hitting-set search, generators and structural classification of the
+extremal families, and constructive degree-based upper bounds."""
 
 from .bound import (
     BoundReport,

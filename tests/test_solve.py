@@ -1,6 +1,7 @@
 """Exact solvers: frozen minima, forced-vertex pruning, full agreement with
 the naive all-subsets oracle and the ascending-combination oracle (answers
-and ``explored`` counts), pinned counts beyond the oracles' range,
+and ``explored`` counts), the order-free proof's verdicts against every
+subset, pinned counts and closed forms beyond the oracles' range,
 minimum-set enumeration and code extension."""
 
 import itertools
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 import brute
+from idcodes import solve
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
 from idcodes.classify import classify_extremal
 from idcodes.codes import is_identifying
@@ -41,6 +43,7 @@ from idcodes.solve import (
     _combination_rank,
     _constraints,
     _forced_mask,
+    _has_hitting_set,
     _hitting_sets,
     _lower_bound,
     _split_classes,
@@ -162,6 +165,25 @@ def test_search_matches_ascending_oracle_on_random_graphs():
                 assert got == expected[:3], (g, kind, r)
 
 
+def test_proof_at_every_size_keeps_the_answers(monkeypatch):
+    # the oracle graphs above have at most 924 subsets a size, so the
+    # solver leaves every one to the lexicographic search; with the proof
+    # put before every size, the answers, the least codes, the explored
+    # counts and the enumerated sets must stay those of the ascending oracle
+    monkeypatch.setattr(solve, "PROOF_MIN_SUBSETS", 0)
+    for g in _random_graphs(410, 30, 12):
+        for r in (1, 2):
+            for kind in KINDS:
+                expected = brute.ascending_search(g, kind, r)
+                if expected is None:
+                    continue
+                report = solve_minimum(g, kind, r)
+                got = (report.minimum, set(report.example_code), report.explored)
+                assert got == expected[:3], (g, kind, r)
+                if kind == "separating":
+                    assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+
+
 def test_enumerate_minimum_sets_matches_ascending_oracle():
     for g in _random_graphs(405, 60, 12):
         for r in (1, 2):
@@ -260,23 +282,47 @@ def test_split_need_after_one_vertex():
                     assert _fold_split(balls, [w], extra)[2] == expected, (g, r, w, extra)
 
 
+def _solver_split(balls: list[int], kind: str, forced: int):
+    """The ``split`` argument the solver passes for ``kind``: the signature
+    classes of ``forced`` for identifying codes and separating sets."""
+    if kind not in ("identifying", "separating"):
+        return None
+    extra = int(kind == "identifying")
+    classes, undominated, _ = _fold_split(balls, _bit_indices(forced), extra)
+    return balls, classes, undominated, extra
+
+
+def _nested_calls(outer, name: str, fields: tuple[str, ...], run):
+    """``run()``, and the named locals of each call or resume of the function
+    ``name`` nested in ``outer``, in order, as tuples."""
+    inner = next(c for c in outer.__code__.co_consts if getattr(c, "co_name", "") == name)
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is inner:
+            calls.append(tuple(frame.f_locals[f] for f in fields))
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
 def _search_trace(masks, free: int, forced: int, k: int, split):
     """The sets ``_hitting_sets`` generates, and the nodes of its search in
     the order it enters them, as (chosen, budget) at every call or resume."""
-    visit = next(c for c in _hitting_sets.__code__.co_consts if getattr(c, "co_name", "") == "visit")
-    nodes = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code is visit:
-            nodes.append((frame.f_locals["chosen"], frame.f_locals["k"]))
-
     stream = _hitting_sets(masks, free, forced, k, split)
-    sys.setprofile(profile)
-    try:
-        sets = list(stream)
-    finally:
-        sys.setprofile(None)
-    return sets, nodes
+    return _nested_calls(_hitting_sets, "visit", ("chosen", "k"), lambda: list(stream))
+
+
+def _proof_trace(masks, free: int, k: int, split):
+    """The verdict of ``_has_hitting_set`` and the budgets of the nodes its
+    search enters, in order."""
+    return _nested_calls(
+        _has_hitting_set, "feasible", ("k",), lambda: _has_hitting_set(masks, free, k, split)
+    )
 
 
 def test_redundant_masks_never_change_the_search():
@@ -301,13 +347,7 @@ def test_redundant_masks_never_change_the_search():
                 # greedy packing depends on the order of equal-size masks
                 unions = {a | b for a, b in itertools.combinations(cons, 2)}
                 padded = sorted(cons + sorted(unions - set(cons)), key=int.bit_count)
-                split = None
-                if splits:
-                    extra = int(kind == "identifying")
-                    classes, undominated, _ = _fold_split(
-                        balls, [v for v in range(n) if forced >> v & 1], extra
-                    )
-                    split = (balls, classes, undominated, extra)
+                split = _solver_split(balls, kind, forced)
                 free = [v for v in range(n) if not forced >> v & 1]
                 free_mask = sum(1 << v for v in free)
                 base = n - len(free)
@@ -324,6 +364,37 @@ def test_redundant_masks_never_change_the_search():
                     assert plain[0] == expected, (g, r, kind, size)
                     assert plain[1] or size == base  # the profiler sees the search
                     assert _search_trace(padded, free_mask, forced, size - base, split) == plain
+
+
+def test_proof_verdict_matches_brute_force():
+    # the order-free proof against every subset: for every budget k it says
+    # yes exactly when some k-subset of the free vertices completes the
+    # forced ones to a valid code.  Graphs with twins stay in: their empty
+    # masks must refute every size.  Identifying and separating proofs also
+    # run without the split cut, which checks the other cuts alone.
+    for g in _random_graphs(409, 60, 10):
+        n = g.n
+        for r in (1, 2):
+            ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
+            balls = [sum(1 << v for v in b) for b in ball_sets]
+            for kind in KINDS:
+                forced = _forced_mask(balls, n) if kind in ("identifying", "separating") else 0
+                base = forced.bit_count()
+                sizes = set()
+                for code in range(1 << n):
+                    if code & forced == forced:
+                        members = {v for v in range(n) if code >> v & 1}
+                        sigs = [frozenset(b & members) for b in ball_sets]
+                        if brute.signatures_ok(kind, sigs, members):
+                            sizes.add(len(members))
+                cons = _constraints(balls, n, kind, forced)
+                free = ((1 << n) - 1) & ~forced
+                solver_split = _solver_split(balls, kind, forced)
+                splits = (None, solver_split) if solver_split else (None,)
+                for k in range(n - base + 1):
+                    for split in splits:
+                        got = _has_hitting_set(cons, free, k, split)
+                        assert got == (base + k in sizes), (g, r, kind, k, split is None)
 
 
 def test_combination_rank_is_the_index_in_combinations_order():
@@ -450,6 +521,77 @@ def test_search_nodes_pinned(name):
         free = ((1 << n) - 1) & ~forced
         sets, nodes = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
         assert (minimum, len(sets), len(nodes)) == expected, (name, kind, split_cut)
+
+
+# the nodes the order-free proof enters at each size it refutes, from the
+# first size tried to one below the minimum: graph -> {kind: (first size,
+# minimum, nodes per size)}.  The proof runs as the solver runs it, with the
+# split cut for identifying codes and separating sets.  Its verdicts do not
+# show a cut made weaker; these counts do.  They depend on the order of
+# ``_constraints`` (size, then value), which picks the mask branched on.
+PINNED_PROOF_NODES = {
+    "band6": {
+        "dominating": (2, 2, []),
+        "separating": (10, 11, [0]),
+        "identifying": (10, 11, [0]),
+        "locating-dominating": (4, 6, [27, 75]),
+    },
+    "cycle14": {
+        "dominating": (5, 5, []),
+        "separating": (4, 7, [1, 1, 6]),
+        "identifying": (4, 7, [1, 1, 3]),
+        "locating-dominating": (4, 6, [4, 24]),
+    },
+    "gnp16": {
+        "dominating": (2, 4, [1, 9]),
+        "separating": (4, 5, [1]),
+        "identifying": (5, 6, [14]),
+        "locating-dominating": (4, 5, [23]),
+    },
+    "petersen": {
+        "dominating": (3, 3, []),
+        "separating": (4, 4, []),
+        "identifying": (4, 4, []),
+        "locating-dominating": (3, 4, [16]),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PROOF_NODES))
+def test_proof_nodes_pinned(name):
+    build, _ = PINNED_NODES[name]
+    g = build()
+    n, balls = g.n, list(g._cn)
+    for kind, expected in PINNED_PROOF_NODES[name].items():
+        forced = _forced_mask(balls, n) if kind in ("identifying", "separating") else 0
+        base = forced.bit_count()
+        start = max(base, _lower_bound(kind, balls, n))
+        minimum = solve_minimum(g, kind).minimum
+        cons = _constraints(balls, n, kind, forced)
+        free = ((1 << n) - 1) & ~forced
+        split = _solver_split(balls, kind, forced)
+        counts = []
+        for size in range(start, minimum):
+            has_code, nodes = _proof_trace(cons, free, size - base, split)
+            assert not has_code, (name, kind, size)
+            counts.append(len(nodes))
+        assert _has_hitting_set(cons, free, minimum - base, split), (name, kind)
+        assert (start, minimum, counts) == expected, (name, kind)
+
+
+# gamma_ID of paths and cycles (Bertrand, Charon, Hudry & Lobstein, EJC
+# 2004; Gravier, Moncel & Semri, 2006), far past the oracles' range
+def test_identifying_minima_of_paths_and_cycles():
+    for n in range(3, 25):
+        assert solve_minimum(path_graph(n), "identifying").minimum == (n + 2) // 2, n
+    for n in range(4, 25):
+        if n < 6:
+            expected = 3
+        elif n % 2 == 0:
+            expected = n // 2
+        else:
+            expected = (n + 3) // 2
+        assert solve_minimum(cycle_graph(n), "identifying").minimum == expected, n
 
 
 def test_radius_two_solving():
