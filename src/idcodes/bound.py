@@ -11,7 +11,15 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
-from .graph import Graph, PreconditionError, _balls, _reach, _refuse_twins, is_connected
+from .graph import (
+    Graph,
+    PreconditionError,
+    _balls,
+    _check_radius,
+    _reach,
+    _refuse_twins,
+    is_connected,
+)
 
 
 @dataclass(frozen=True)
@@ -109,8 +117,7 @@ def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     Such a vertex exists in every finite graph whose r-th power is
     twin-free.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_radius(radius)
     g._check_vertex(x)
     balls, index = _twin_free_balls(g, radius)
     y = _least_removable(balls, index, balls[x])
@@ -148,8 +155,7 @@ def code_from_independent_set(
     increasing order on the same balls, the first failure raising with its
     witness, and the complement's refusal raised last.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_radius(radius)
     members = sorted(set(chosen))
     for v in members:
         g._check_vertex(v)
@@ -209,8 +215,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
       code V - M would fail too, and the final certificate covers every
       per-member verdict.
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_radius(radius)
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
     if not is_connected(g):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bound, classify, codes, scans, solve
 from .families import make_family, parse_family_spec
-from .graph import Graph, PreconditionError, format_edge_list, parse_edge_list, power
+from .graph import Graph, PreconditionError, _check_radius, format_edge_list, parse_edge_list, power
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,12 +33,6 @@ def _parse_code(text: str) -> list[int]:
     if not text:
         return []
     return [int(tok) for tok in text.split(",")]
-
-
-def _require_radius(radius: int) -> None:
-    # flag-only refusals come before the graph file is read
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
 
 
 def _emit(report: dict, plain: bool) -> None:
@@ -64,7 +58,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    _require_radius(args.radius)
+    _check_radius(args.radius)  # flag-only refusals come before the graph file is read
     g = _load_graph(args.graph)
     sys.stdout.write(format_edge_list(power(g, args.radius)))
     return EXIT_OK
@@ -82,10 +76,10 @@ def _cmd_solve(args) -> int:
         print("--all-minimum is only available for kind 'separating'", file=sys.stderr)
         return EXIT_USAGE
     g = _load_graph(args.graph)
-    report = solve.solve_minimum(g, args.kind, args.radius).to_dict()
+    solved, sets = solve._solve_graph(g, args.kind, args.radius)
+    report = solved.to_dict()
     if args.all_minimum:
-        sets = solve.enumerate_minimum_separating_sets(g, args.radius)
-        report["all_minimum_sets"] = [sorted(s) for s in sets]
+        report["all_minimum_sets"] = list(sets)
     _emit(report, args.plain)
     return EXIT_OK
 
@@ -100,7 +94,7 @@ def _cmd_bound(args) -> int:
     if args.regular and args.radius != 1:
         print("the regular variant is defined for radius 1 only", file=sys.stderr)
         return EXIT_USAGE
-    _require_radius(args.radius)
+    _check_radius(args.radius)
     g = _load_graph(args.graph)
     if args.regular:
         report = bound.regular_constructive_bound(g)

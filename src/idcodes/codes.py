@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, PreconditionError, _balls, _bit_indices, _twin_pair
+from .graph import Graph, PreconditionError, _balls, _bit_indices, _check_radius, _twin_pair
 
 # the four kinds of code in a graph; discriminating codes live on the
 # membership graph and are checked by ``is_discriminating`` alone
@@ -59,12 +59,6 @@ def _code_mask(g: Graph, code: Iterable[int]) -> int:
             g._check_vertex(v)  # raises with the package's message
         m |= 1 << v
     return m
-
-
-def _check_radius(radius: int) -> None:
-    # code definitions start at radius 1; 0 is rejected on purpose
-    if radius < 1:
-        raise ValueError("radius must be >= 1 for code checks")
 
 
 def _certify(
@@ -167,17 +161,10 @@ def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> Co
     return check_code(g, code, "locating-dominating", radius)
 
 
-def _require_identifying(g: Graph, code: Iterable[int], radius: int, failure: str) -> None:
-    """Raise ``PreconditionError(f"{failure}: {witness}")``, carrying the
-    certificate as ``.certificate``, unless ``code`` is r-identifying."""
-    _check_radius(radius)
-    c = _code_mask(g, code)
-    _require_identifying_on(_balls(g, radius), c, radius, failure)
-
-
 def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str) -> None:
-    """``_require_identifying`` on a graph's radius-r ``balls`` and the code
-    mask ``c``, for callers that already hold both; the verdict is
+    """Raise ``PreconditionError(f"{failure}: {witness}")``, carrying the
+    certificate as ``.certificate``, unless the code mask ``c`` is
+    r-identifying on a graph's radius-r ``balls``; the verdict is
     ``is_identifying``'s."""
     cert = _certify("identifying", radius, balls, c, True, range(len(balls)))
     if not cert.valid:

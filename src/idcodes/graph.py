@@ -196,10 +196,16 @@ def _balls(g: Graph, r: int) -> list[int]:
     return balls
 
 
+def _check_radius(radius: int) -> None:
+    # codes, powers and the bound pipeline start at radius 1; 0 is rejected
+    # on purpose
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+
+
 def power(g: Graph, r: int) -> Graph:
     """Graph on the same vertices joining every pair at distance 1..r."""
-    if r < 1:
-        raise ValueError("radius must be >= 1")
+    _check_radius(r)
     if r == 1:
         return g
     return Graph._from_masks(g.n, tuple(_balls(g, r)))

@@ -17,6 +17,7 @@ from .graph import (
     PreconditionError,
     _balls,
     _bit_indices,
+    _check_radius,
     _refuse_twins,
     induced_subgraph,
 )
@@ -66,26 +67,14 @@ class SolveReport:
         }
 
 
-def _forced_mask(balls: list[int], n: int) -> int:
-    m = 0
-    for x in range(n):
-        bx = balls[x]
-        for y in range(x + 1, n):
-            d = bx ^ balls[y]
-            if d and d & (d - 1) == 0:  # exactly one bit set
-                m |= d
-    return m
-
-
 def forced_vertices(g: Graph, radius: int = 1) -> frozenset[int]:
     """Union of all singleton ball symmetric differences.
 
     A pair separated by a single vertex forces that vertex into every
     r-separating set (and hence every r-identifying code).
     """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    return frozenset(_bit_indices(_forced_mask(_balls(g, radius), g.n)))
+    _check_radius(radius)
+    return frozenset(_bit_indices(_constraints(_balls(g, radius), g.n, "separating")[1]))
 
 
 def _lower_bound(kind: str, balls: list[int], n: int) -> int:
@@ -108,15 +97,20 @@ def _lower_bound(kind: str, balls: list[int], n: int) -> int:
     return -(-n // delta)
 
 
-def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
-    """The hitting-set form of ``kind``: a set containing ``forced`` is a
-    valid code exactly when it meets every returned mask.
+def _constraints(balls: list[int], n: int, kind: str) -> tuple[list[int], int]:
+    """The hitting-set form of ``kind``: returns (masks, forced), where a
+    set containing ``forced`` is a valid code exactly when it meets every
+    mask.
 
     Dominating sets meet every ball B(x), separating sets every
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
-    distinct signatures).  Each mask comes once, masks already met by
-    ``forced`` are dropped, and the rest are sorted by size, then by value:
+    distinct signatures).  For identifying codes and separating sets,
+    ``forced`` holds the vertices of the single-vertex masks B(x) Δ B(y),
+    which every valid set contains; for the other kinds it is empty, so
+    ``explored`` counts the same candidates for them as a plain search.
+    Each mask comes once, masks already met by ``forced`` are dropped, and
+    the rest are sorted by size, then by value:
     the greedy packing in ``_hitting_sets`` reads the list in order, so no
     set iteration order may reach it.  A mask containing another changes
     no step of ``_hitting_sets``.  A locating-dominating pair mask whose
@@ -125,8 +119,7 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
     it saves.
     """
     cons = set()
-    if kind != "separating":
-        cons.update(balls)
+    forced = 0
     if kind != "dominating":
         ld = kind == "locating-dominating"
         for x in range(n):
@@ -137,14 +130,21 @@ def _constraints(balls: list[int], n: int, kind: str, forced: int) -> list[int]:
                     cons.add(bx ^ by)
                 elif bx & by & ~(1 << x | 1 << y):
                     cons.add(bx ^ by | 1 << x | 1 << y)
-    return sorted((c for c in cons if not c & forced), key=lambda c: (c.bit_count(), c))
+        if not ld:  # the pair masks alone, before the balls join
+            for c in cons:
+                if not c & (c - 1):  # at most one bit set
+                    forced |= c
+    if kind != "separating":
+        cons.update(balls)
+    masks = sorted((c for c in cons if not c & forced), key=lambda c: (c.bit_count(), c))
+    return masks, forced
 
 
 def _split_classes(
-    classes: list[int], undominated: int, ball: int, empty_extra: int
-) -> tuple[list[int], int, int]:
-    """The signature classes after one more code vertex, and the fewest
-    further code vertices they need.
+    classes: list[int], undominated: int, ball: int, empty_extra: int, budget: int
+) -> tuple[list[int] | None, int] | None:
+    """The signature classes after one more code vertex, or None when they
+    need more further code vertices than ``budget``.
 
     Vertices x with the same signature B(x) ∩ chosen form a class.  Each
     further code vertex splits a class in at most two, so a class of m
@@ -156,7 +156,9 @@ def _split_classes(
     the new vertex, whose ball is ``ball``, splits each by its ball.  A
     smaller part needs at most two vertices, which no node the search
     checks (two or more left) falls short of, so it is dropped once its
-    need has counted.  Returns (classes, undominated, largest need).
+    need has counted.  Returns (classes, undominated), with classes None
+    once the largest need is below 3: a class only splits further, so no
+    node below with two or more left can be cut.
     """
     parts = []
     most = 1
@@ -183,7 +185,10 @@ def _split_classes(
     m = undominated.bit_count() + empty_extra
     if m > most:
         most = m
-    return parts, undominated, (most - 1).bit_length()
+    need = (most - 1).bit_length()
+    if need > budget:
+        return None
+    return (parts if need > 2 else None), undominated
 
 
 def _hitting_sets(
@@ -247,13 +252,12 @@ def _hitting_sets(
             low = cap & -cap
             cap ^= low
             if splitting:
-                parts, rest_undominated, need = _split_classes(
-                    classes, undominated, balls[low.bit_length() - 1], empty_extra
+                child = _split_classes(
+                    classes, undominated, balls[low.bit_length() - 1], empty_extra, k - 1
                 )
-                if need > k - 1:
+                if child is None:
                     continue
-                if need < 3:  # no node below with two or more left can be cut
-                    parts = None
+                parts, rest_undominated = child
             yield from visit(
                 chosen | low,
                 [c for c in unhit if not c & low],
@@ -324,13 +328,12 @@ def _has_hitting_set(
             branch ^= low
             avail ^= low
             if splitting:
-                parts, rest_undominated, need = _split_classes(
-                    classes, undominated, balls[low.bit_length() - 1], empty_extra
+                child = _split_classes(
+                    classes, undominated, balls[low.bit_length() - 1], empty_extra, k - 1
                 )
-                if need > k - 1:
+                if child is None:
                     continue
-                if need < 3:
-                    parts = None
+                parts, rest_undominated = child
             if feasible([c for c in unhit if not c & low], avail, k - 1, parts, rest_undominated):
                 return True
         return False
@@ -341,31 +344,35 @@ def _has_hitting_set(
     return feasible(cons, free, k, classes, undominated)
 
 
-def _minimum_hitting_sets(
-    balls: list[int], n: int, kind: str, forced: int
-) -> tuple[int, int, Iterator[int]]:
-    """Smallest size from the lower bound up at which a valid code exists;
-    returns (first size tried, that size, the valid codes of that size in
-    lexicographic order).
+def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator[int]]:
+    """Exact minimum of ``kind`` on the radius-r ``balls`` of a graph on n
+    vertices, twin-free for identifying codes and separating sets; returns
+    (minimum, forced, explored, the minimum codes as masks in lexicographic
+    order, generated lazily, the least first).
 
-    Each size is first put to ``_has_hitting_set``, which refutes a size
-    without a code far faster than the lexicographic search, whose pruning
-    depends on its order; ``_hitting_sets`` runs only at the first size the
-    proof cannot refute, where it must find a code.  Sizes with fewer than
-    ``PROOF_MIN_SUBSETS`` candidates skip the proof, and the lexicographic
-    search decides them alone."""
-    cons = _constraints(balls, n, kind, forced)
+    From the counting lower bound up, each size is first put to
+    ``_has_hitting_set``, which refutes a size without a code far faster
+    than the lexicographic search, whose pruning depends on its order;
+    ``_hitting_sets`` runs only at the first size the proof cannot refute,
+    where it must find a code.  Sizes with fewer than ``PROOF_MIN_SUBSETS``
+    candidates skip the proof, and the lexicographic search decides them
+    alone.  ``explored`` is the number of supersets of ``forced`` that the
+    ascending size, lexicographic enumeration from the lower bound tests up
+    to and including the least code, computed from its rank.
+    """
+    cons, forced = _constraints(balls, n, kind)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
     start = max(base, _lower_bound(kind, balls, n))
     split = None
     if kind in ("identifying", "separating"):
         empty_extra = int(kind == "identifying")
-        classes: list[int] = []
-        undominated = (1 << n) - 1
+        state = [], (1 << n) - 1
         for v in _bit_indices(forced):
-            classes, undominated, _ = _split_classes(classes, undominated, balls[v], empty_extra)
-        split = (balls, classes, undominated, empty_extra)
+            state = _split_classes(*state, balls[v], empty_extra, n)  # n cuts nothing
+            if state[0] is None:
+                break
+        split = (balls, *state, empty_extra)
     for size in range(start, n + 1):
         k = size - base
         if comb(n - base, k) >= PROOF_MIN_SUBSETS and not _has_hitting_set(cons, free, k, split):
@@ -373,7 +380,10 @@ def _minimum_hitting_sets(
         sets = _hitting_sets(cons, free, forced, k, split)
         first = next(sets, None)
         if first is not None:
-            return start, size, chain((first,), sets)
+            positions = [i for i, v in enumerate(_bit_indices(free)) if first >> v & 1]
+            skipped = sum(comb(n - base, s - base) for s in range(start, size))
+            explored = skipped + _combination_rank(positions, n - base) + 1
+            return size, forced, explored, chain((first,), sets)
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
 
 
@@ -385,25 +395,10 @@ def _combination_rank(positions: list[int], f: int) -> int:
     return comb(f, m) - 1 - sum(comb(f - 1 - p, m - i) for i, p in enumerate(positions))
 
 
-def _search_minimum(
-    balls: list[int], n: int, kind: str, forced: int
-) -> tuple[int, int, int]:
-    """Lexicographically least minimum code; returns (size, mask, explored).
-
-    ``explored`` is the number of supersets of ``forced`` that the ascending
-    size, lexicographic enumeration from the lower bound tests up to and
-    including the answer, computed from the answer's rank.
-    """
-    start, size, sets = _minimum_hitting_sets(balls, n, kind, forced)
-    mask = next(sets)
-    free = [v for v in range(n) if not forced >> v & 1]
-    base = n - len(free)
-    positions = [i for i, v in enumerate(free) if mask >> v & 1]
-    skipped = sum(comb(len(free), s - base) for s in range(start, size))
-    return size, mask, skipped + _combination_rank(positions, len(free)) + 1
-
-
-def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
+def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterator[list[int]]]:
+    """``_solve`` on g's radius-r balls, after the checks every solve
+    makes; returns the report and the minimum codes as sorted vertex
+    lists, in lexicographic order, generated lazily, the example first."""
     if kind not in codes.KINDS:
         raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(codes.KINDS)}")
     if g.n > SOLVE_VERTEX_CAP:
@@ -411,39 +406,35 @@ def _prepare(g: Graph, kind: str, radius: int) -> tuple[list[int], int]:
             f"exact solving is limited to n <= {SOLVE_VERTEX_CAP}; "
             "use the constructive bound pipeline for larger graphs"
         )
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
+    _check_radius(radius)
     balls = _balls(g, radius)
-    forced = 0
     if kind in ("identifying", "separating"):
         _refuse_twins(
             balls,
             f"no {kind} set exists at radius {radius}: vertices {{x}} and {{y}} "
             f"have identical radius-{radius} balls",
         )
-        forced = _forced_mask(balls, g.n)
-    return balls, forced
+    minimum, forced, explored, sets = _solve(balls, g.n, kind)
+    example = next(sets)
+    report = SolveReport(
+        kind,
+        radius,
+        minimum,
+        frozenset(_bit_indices(example)),
+        frozenset(_bit_indices(forced)),
+        explored,
+    )
+    return report, map(_bit_indices, chain((example,), sets))
 
 
 def solve_minimum(g: Graph, kind: str, radius: int = 1) -> SolveReport:
     """Exact minimum code of the given kind; deterministic example code."""
-    balls, forced = _prepare(g, kind, radius)
-    size, mask, explored = _search_minimum(balls, g.n, kind, forced)
-    return SolveReport(
-        kind,
-        radius,
-        size,
-        frozenset(_bit_indices(mask)),
-        frozenset(_bit_indices(forced)),
-        explored,
-    )
+    return _solve_graph(g, kind, radius)[0]
 
 
 def enumerate_minimum_separating_sets(g: Graph, radius: int = 1) -> list[frozenset[int]]:
     """All separating sets of minimum size, sorted lexicographically."""
-    balls, forced = _prepare(g, "separating", radius)
-    _, _, sets = _minimum_hitting_sets(balls, g.n, "separating", forced)
-    return [frozenset(_bit_indices(c)) for c in sets]
+    return [frozenset(c) for c in _solve_graph(g, "separating", radius)[1]]
 
 
 # -- incremental code extension ------------------------------------------
@@ -469,9 +460,8 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     _refuse_twins([m & placed for m in g._cn], message, among=rest)
     sub = induced_subgraph(g, rest)
     base_code = list(base_code)
-    codes._require_identifying(
-        sub, base_code, 1, "base_code is not an identifying code of the reduced graph"
-    )
+    failure = "base_code is not an identifying code of the reduced graph"
+    codes._require_identifying_on(sub._cn, codes._code_mask(sub, base_code), 1, failure)
 
     current = 0
     for v in base_code:

@@ -1,10 +1,13 @@
 """Command-line surface: every subcommand, exit statuses, determinism, and
 re-verification of emitted reports against the input graph."""
 
+import itertools
 import json
+import random
 
 import pytest
 
+import brute
 from idcodes import cli, codes, solve
 from idcodes.cli import main
 from idcodes.families import band_graph, cycle_graph, star_graph
@@ -109,6 +112,42 @@ def test_solve_all_minimum_kind_is_a_usage_error_before_any_solve(run, graph_fil
     # without the flag the same graph fails the solver's precondition
     code, out, _ = run("solve", "--graph", path, "--kind", "identifying")
     assert (code, out) == (3, "")
+
+
+def test_solve_all_minimum_is_one_solve(run, graph_file, monkeypatch):
+    # on seeded random twin-free graphs the flag prints the solve report
+    # plus every minimum separating set, as the naive oracle lists them,
+    # from a single call of the solver
+    calls = []
+    real = solve._solve
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(solve, "_solve", counted)
+    rng = random.Random(87)
+    checked = 0
+    for _ in range(100):
+        n = rng.randint(1, 10)
+        p = rng.choice((0.2, 0.35, 0.5, 0.65))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        path = graph_file(g)
+        for r in (1, 2):
+            sets = brute.naive_all_minimum(g, "separating", r)
+            if not sets:  # twins at radius r
+                continue
+            expected = solve.solve_minimum(g, "separating", r).to_dict()
+            expected["all_minimum_sets"] = [sorted(c) for c in sets]
+            calls.clear()
+            code, out, err = run(
+                "solve", "--graph", path, "--kind", "separating", "--radius", str(r), "--all-minimum"
+            )
+            assert (code, err) == (0, "")
+            assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n", (g, r)
+            assert calls == ["separating"]
+            checked += 1
+    assert checked > 40, checked
 
 
 def test_classify_command(run, graph_file):

@@ -482,13 +482,13 @@ def _failed_scan(capsys, report, theorem: str) -> list[dict]:
 def test_gamma_chain_chain_entry(monkeypatch, capsys):
     # an identifying minimum two above the separating one on 4 vertices:
     # every twin-free class there is one chain entry with both minima
-    real = solve._search_minimum
+    real = solve._solve
 
-    def skewed(balls, n, kind, forced):
-        size, mask, explored = real(balls, n, kind, forced)
-        return size + 2 * (kind == "identifying" and n == 4), mask, explored
+    def skewed(balls, n, kind):
+        size, forced, explored, sets = real(balls, n, kind)
+        return size + 2 * (kind == "identifying" and n == 4), forced, explored, sets
 
-    monkeypatch.setattr(solve, "_search_minimum", skewed)
+    monkeypatch.setattr(solve, "_solve", skewed)
     entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(
         (n, _representative(cn)[0]) for n, _, cn in _sweep(4, 4, twin_free=True)

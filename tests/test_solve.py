@@ -42,7 +42,6 @@ from idcodes.graph import (
 from idcodes.solve import (
     _combination_rank,
     _constraints,
-    _forced_mask,
     _has_hitting_set,
     _hitting_sets,
     _lower_bound,
@@ -199,21 +198,43 @@ def _ceil_log2(m: int) -> int:
 
 def _fold_split(balls: list[int], chosen, empty_extra: int):
     """``_split_classes`` over the vertices of ``chosen`` in order, from the
-    state before any code vertex: one class, every vertex undominated."""
-    classes, undominated, need = [], (1 << len(balls)) - 1, 0
+    state before any code vertex (no class of five or more with a nonempty
+    signature, every vertex undominated), at a budget no step falls short
+    of, as the solver folds its forced vertices: (classes, undominated),
+    with classes None once a step drops them."""
+    state = [], (1 << len(balls)) - 1
     for v in chosen:
-        classes, undominated, need = _split_classes(classes, undominated, balls[v], empty_extra)
-    return classes, undominated, need
+        state = _split_classes(*state, balls[v], empty_extra, len(balls))
+        if state[0] is None:
+            break
+    return state
+
+
+def _split_need(balls: list[int], chosen, empty_extra: int):
+    """The least budget at which ``_split_classes`` keeps the last vertex
+    of ``chosen`` as a child of the others, or None when the others have
+    dropped the classes, so no child of theirs is split."""
+    classes, undominated = _fold_split(balls, chosen[:-1], empty_extra)
+    if classes is None:
+        return None
+    ball = balls[chosen[-1]]
+    return next(
+        b
+        for b in range(len(balls) + 1)
+        if _split_classes(classes, undominated, ball, empty_extra, b) is not None
+    )
 
 
 def test_split_need_never_exceeds_the_least_completion():
     # soundness of the signature-split cut: for every chosen prefix the
     # classes are those of five or more members in a direct grouping by
-    # signature, the need is that of the grouping wherever it could cut a
-    # node (three or more), and it is at most the fewest further vertices,
-    # drawn from anywhere outside the prefix, that make a valid set; a
-    # completion restricted to a suffix of the search order is never
-    # smaller
+    # signature while the need is three or more, and dropped below that;
+    # the least budget that keeps the last vertex is the grouping's need
+    # wherever it could cut a node (three or more), and a budget of the
+    # fewest further vertices, drawn from anywhere outside the prefix,
+    # that make a valid set never cuts it; a completion restricted to a
+    # suffix of the search order is never smaller.  Once the classes are
+    # dropped, no later prefix needs three or more.
     for g in _random_graphs(406, 40, 8):
         n = g.n
         for r in (1, 2):
@@ -233,18 +254,25 @@ def test_split_need_never_exceeds_the_least_completion():
                         )
                 for code in range(1, 1 << n):
                     chosen = [v for v in range(n) if code >> v & 1]
-                    classes, undominated, need = _fold_split(balls, chosen, extra)
                     groups: dict[frozenset, set] = {}
                     for x in range(n):
                         groups.setdefault(frozenset(ball_sets[x] & set(chosen)), set()).add(x)
                     empty = groups.pop(frozenset(), set())
-                    assert undominated == sum(1 << x for x in empty)
-                    expected = [sum(1 << x for x in c) for c in groups.values() if len(c) > 4]
-                    assert sorted(classes) == sorted(expected)
                     grouped = max(
                         [_ceil_log2(len(c)) for c in groups.values()]
                         + [_ceil_log2(len(empty) + extra)]
                     )
+                    need = _split_need(balls, chosen, extra)
+                    if need is None:
+                        assert grouped <= 2, (g, r, kind, chosen)
+                        continue
+                    classes, undominated = _fold_split(balls, chosen, extra)
+                    if grouped > 2:
+                        assert undominated == sum(1 << x for x in empty)
+                        expected = [sum(1 << x for x in c) for c in groups.values() if len(c) > 4]
+                        assert sorted(classes) == sorted(expected)
+                    else:
+                        assert classes is None
                     assert need == grouped if grouped > 2 else need <= grouped
                     assert need <= least[code], (g, r, kind, chosen)
 
@@ -269,8 +297,8 @@ def test_split_need_after_one_vertex():
     ]
     for g, chosen, need_id, need_sep in hand:
         balls = list(g._cn)
-        assert _fold_split(balls, chosen, 1)[2] == need_id, (g, chosen)
-        assert _fold_split(balls, chosen, 0)[2] == need_sep, (g, chosen)
+        assert _split_need(balls, chosen, 1) == need_id, (g, chosen)
+        assert _split_need(balls, chosen, 0) == need_sep, (g, chosen)
     for g in _random_graphs(407, 30, 12):
         for r in (1, 2):
             ball_sets = [brute.naive_ball(g, x, r) for x in range(g.n)]
@@ -279,7 +307,7 @@ def test_split_need_after_one_vertex():
                 inside, outside = len(ball_sets[w]), g.n - len(ball_sets[w])
                 for extra in (0, 1):
                     expected = max(_ceil_log2(inside), _ceil_log2(outside + extra))
-                    assert _fold_split(balls, [w], extra)[2] == expected, (g, r, w, extra)
+                    assert _split_need(balls, [w], extra) == expected, (g, r, w, extra)
 
 
 def _solver_split(balls: list[int], kind: str, forced: int):
@@ -288,8 +316,7 @@ def _solver_split(balls: list[int], kind: str, forced: int):
     if kind not in ("identifying", "separating"):
         return None
     extra = int(kind == "identifying")
-    classes, undominated, _ = _fold_split(balls, _bit_indices(forced), extra)
-    return balls, classes, undominated, extra
+    return balls, *_fold_split(balls, _bit_indices(forced), extra), extra
 
 
 def _nested_calls(outer, name: str, fields: tuple[str, ...], run):
@@ -338,11 +365,9 @@ def test_redundant_masks_never_change_the_search():
         for r in (1, 2):
             balls = _balls(g, r)
             for kind in KINDS:
-                splits = kind in ("identifying", "separating")
-                if splits and len(set(balls)) < n:
+                if kind in ("identifying", "separating") and len(set(balls)) < n:
                     continue
-                forced = _forced_mask(balls, n) if splits else 0
-                cons = _constraints(balls, n, kind, forced)
+                cons, forced = _constraints(balls, n, kind)
                 # a stable sort keeps the plain masks in their order: the
                 # greedy packing depends on the order of equal-size masks
                 unions = {a | b for a, b in itertools.combinations(cons, 2)}
@@ -378,7 +403,7 @@ def test_proof_verdict_matches_brute_force():
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                forced = _forced_mask(balls, n) if kind in ("identifying", "separating") else 0
+                cons, forced = _constraints(balls, n, kind)
                 base = forced.bit_count()
                 sizes = set()
                 for code in range(1 << n):
@@ -387,7 +412,6 @@ def test_proof_verdict_matches_brute_force():
                         sigs = [frozenset(b & members) for b in ball_sets]
                         if brute.signatures_ok(kind, sigs, members):
                             sizes.add(len(members))
-                cons = _constraints(balls, n, kind, forced)
                 free = ((1 << n) - 1) & ~forced
                 solver_split = _solver_split(balls, kind, forced)
                 splits = (None, solver_split) if solver_split else (None,)
@@ -509,15 +533,9 @@ def test_search_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for (kind, split_cut), expected in pinned.items():
-        splits = kind in ("identifying", "separating")
-        forced = _forced_mask(balls, n) if splits else 0
+        cons, forced = _constraints(balls, n, kind)
         minimum = solve_minimum(g, kind).minimum
-        split = None
-        if split_cut:
-            extra = int(kind == "identifying")
-            classes, undominated, _ = _fold_split(balls, _bit_indices(forced), extra)
-            split = (balls, classes, undominated, extra)
-        cons = _constraints(balls, n, kind, forced)
+        split = _solver_split(balls, kind, forced) if split_cut else None
         free = ((1 << n) - 1) & ~forced
         sets, nodes = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
         assert (minimum, len(sets), len(nodes)) == expected, (name, kind, split_cut)
@@ -563,11 +581,10 @@ def test_proof_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for kind, expected in PINNED_PROOF_NODES[name].items():
-        forced = _forced_mask(balls, n) if kind in ("identifying", "separating") else 0
+        cons, forced = _constraints(balls, n, kind)
         base = forced.bit_count()
         start = max(base, _lower_bound(kind, balls, n))
         minimum = solve_minimum(g, kind).minimum
-        cons = _constraints(balls, n, kind, forced)
         free = ((1 << n) - 1) & ~forced
         split = _solver_split(balls, kind, forced)
         counts = []
