@@ -1,13 +1,15 @@
 """Exact minimum solvers for every code kind as hitting-set searches with
 forced-vertex pruning: an order-free search refutes the sizes below the
-minimum, and a pruned lexicographic search yields the codes of the minimum
-size in order.  Also enumeration of all minimum separating sets, and the
-incremental code extension procedure for vertex additions."""
+minimum and finds a code at the minimum, a walk from that code fixes the
+least code one position at a time, and a pruned lexicographic search yields
+the further codes of the minimum size in order.  Also enumeration of all
+minimum separating sets, and the incremental code extension procedure for
+vertex additions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from math import comb
 from typing import Iterable, Iterator
 
@@ -25,14 +27,16 @@ from .graph import (
 SOLVE_VERTEX_CAP = 24
 # The order-free proof runs at a size only when the free vertices have at
 # least this many subsets of that size; smaller sizes are left to the
-# lexicographic search, which refutes them too.  At the size that has a code
-# the proof is pure overhead, and on small searches it does not pay for
-# itself: run at every size, it made the gamma-chain scan's solves on the
-# 8,738 twin-free graphs of up to 8 vertices (at most 70 subsets a size)
-# 19% slower.  Over the bench solve pool, against the lexicographic search
-# alone, thresholds of 100 and 300 raised the median instance's search time
-# by 9-21% and 1000 by 4-8%, and 3000 left the tail (11th slowest) 7-14%
-# above 1000's (in-process, interleaved, 2-core host, CPython 3.11).
+# lexicographic search, which refutes them and finds the least code too.  At
+# the size that has a code the proof's witness seeds the walk to the least
+# code.  On small searches the proof does not pay for itself: run at every
+# size, it made the gamma-chain scan's solves on the 8,738 twin-free graphs
+# of up to 8 vertices (at most 70 subsets a size) 19% slower.  Over the
+# bench solve pool, against the lexicographic search alone, thresholds of
+# 100 and 300 raised the median instance's search time by 9-21% and 1000 by
+# 4-8%, and 3000 left the tail (11th slowest) 7-14% above 1000's (measured
+# while the lexicographic search still found the least code at every size;
+# in-process, interleaved, 2-core host, CPython 3.11).
 PROOF_MIN_SUBSETS = 1000
 
 
@@ -280,44 +284,46 @@ def _has_hitting_set(
     free: int,
     k: int,
     split: tuple[list[int], list[int], int, int] | None = None,
-) -> bool:
-    """Whether some k-subset of ``free`` meets every mask in ``cons``, for k
+) -> int | None:
+    """A subset of ``free`` with at most k vertices that meets every mask in
+    ``cons``, as a mask, or None when no k-subset of ``free`` does, for k
     at most the size of ``free``; ``split`` as in ``_hitting_sets``.
 
     A superset of a hitting set hits too, so a node succeeds once no mask
-    is unmet.  The search is free of any order on the sets: it branches on
-    the unmet mask with the fewest available vertices (the first in list
-    order among equals), tries its vertices in increasing order and makes
-    each tried vertex unavailable to its later siblings, so the children
-    split the sets that meet the mask by their least vertex in it.  A node
-    fails when an unmet mask has no available vertex, when a greedy packing
-    of pairwise disjoint unmet masks, restricted to the available vertices
+    is unmet, and the witness is the vertices chosen on the way to it.
+    The search is free of any order on the sets: it branches on the unmet
+    mask with the fewest available vertices (the first in list order among
+    equals), tries its vertices in increasing order and makes each tried
+    vertex unavailable to its later siblings, so the children split the
+    sets that meet the mask by their least vertex in it.  A node fails
+    when an unmet mask has no available vertex, when a greedy packing of
+    pairwise disjoint unmet masks, restricted to the available vertices
     and taken in list order, outnumbers the budget, or when a child's
     largest signature class needs more vertices than its budget; with one
     vertex left it is decided by whether the unmet masks meet in an
-    available vertex.
+    available vertex, and takes the least such vertex.
     """
 
     def feasible(
         unhit: list[int], avail: int, k: int, classes: list[int] | None, undominated: int
-    ) -> bool:
+    ) -> int | None:
         if not unhit:
-            return True
+            return 0
         if k == 1:
             for c in unhit:
                 avail &= c
-            return avail != 0
+            return avail & -avail if avail else None
         used = packed = 0
         fewest, branch = avail.bit_count() + 1, 0
         for c in unhit:
             r = c & avail
             if not r:
-                return False
+                return None
             if not r & used:
                 used |= r
                 packed += 1
                 if packed > k:
-                    return False
+                    return None
             m = r.bit_count()
             if m < fewest:
                 fewest, branch = m, r
@@ -334,14 +340,75 @@ def _has_hitting_set(
                 if child is None:
                     continue
                 parts, rest_undominated = child
-            if feasible([c for c in unhit if not c & low], avail, k - 1, parts, rest_undominated):
-                return True
-        return False
+            left = [c for c in unhit if not c & low]
+            found = feasible(left, avail, k - 1, parts, rest_undominated)
+            if found is not None:
+                return found | low
+        return None
 
     if k == 0:
-        return not cons
+        return None if cons else 0
     balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
     return feasible(cons, free, k, classes, undominated)
+
+
+def _least_hitting_set(
+    cons: list[int],
+    free: int,
+    forced: int,
+    k: int,
+    split: tuple[list[int], list[int], int, int] | None,
+    witness: int,
+) -> int:
+    """``forced`` plus the lexicographically least k-subset of ``free`` that
+    meets every mask in ``cons``, the first set ``_hitting_sets`` would
+    generate, given ``witness``, a subset of ``free`` with at most k
+    vertices that meets them all (as ``_has_hitting_set`` returns it).
+
+    The walk fixes the code one position at a time.  Padded with the least
+    available vertices to the budget, the witness completes the prefix, so
+    its least vertex ``top`` is a feasible next position; only the
+    available vertices v below ``top`` are put to ``_has_hitting_set``, on
+    the masks v leaves unmet, the vertices above v, one vertex less and
+    v's signature split.  The first v that succeeds replaces ``top``, and
+    the witness the call returns replaces the old one.  As v < ``top``,
+    the vertices above v hold the whole padded witness, one more than the
+    budget of the call, so the proof's precondition that the budget is at
+    most the size of its vertex set always holds.
+    """
+    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
+    chosen, unhit, avail = forced, cons, free
+    while k:
+        for _ in range(k - witness.bit_count()):
+            rest = avail & ~witness
+            witness |= rest & -rest
+        top = witness & -witness
+        below = avail & ((top << 1) - 1)  # up to and including top
+        splitting = classes is not None and k > 2
+        parts, rest_undominated = classes, undominated
+        while True:
+            v = below & -below
+            below ^= v
+            if splitting:
+                child = _split_classes(
+                    classes, undominated, balls[v.bit_length() - 1], empty_extra, k - 1
+                )
+                if child is None:  # never top, which lies in a code
+                    continue
+                parts, rest_undominated = child
+            left = [c for c in unhit if not c & v]
+            above = avail & -(v << 1)
+            if v == top:
+                found = witness ^ top
+                break
+            child_split = (balls, parts, rest_undominated, empty_extra)
+            found = _has_hitting_set(left, above, k - 1, child_split)
+            if found is not None:
+                break
+        chosen |= v
+        unhit, avail, witness, k = left, above, found, k - 1
+        classes, undominated = parts, rest_undominated
+    return chosen
 
 
 def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator[int]]:
@@ -352,13 +419,15 @@ def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator
 
     From the counting lower bound up, each size is first put to
     ``_has_hitting_set``, which refutes a size without a code far faster
-    than the lexicographic search, whose pruning depends on its order;
-    ``_hitting_sets`` runs only at the first size the proof cannot refute,
-    where it must find a code.  Sizes with fewer than ``PROOF_MIN_SUBSETS``
-    candidates skip the proof, and the lexicographic search decides them
-    alone.  ``explored`` is the number of supersets of ``forced`` that the
-    ascending size, lexicographic enumeration from the lower bound tests up
-    to and including the least code, computed from its rank.
+    than the lexicographic search, whose pruning depends on its order.  At
+    the first size it cannot refute, its witness seeds
+    ``_least_hitting_set``, which gives the least code; ``_hitting_sets``
+    starts only when a caller reads past it, and skips its first set.
+    Sizes with fewer than ``PROOF_MIN_SUBSETS`` candidates skip the proof,
+    and the lexicographic search decides them alone.  ``explored`` is the
+    number of supersets of ``forced`` that the ascending size,
+    lexicographic enumeration from the lower bound tests up to and
+    including the least code, computed from its rank.
     """
     cons, forced = _constraints(balls, n, kind)
     free = ((1 << n) - 1) & ~forced
@@ -375,10 +444,16 @@ def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator
         split = (balls, *state, empty_extra)
     for size in range(start, n + 1):
         k = size - base
-        if comb(n - base, k) >= PROOF_MIN_SUBSETS and not _has_hitting_set(cons, free, k, split):
-            continue
-        sets = _hitting_sets(cons, free, forced, k, split)
-        first = next(sets, None)
+        if comb(n - base, k) >= PROOF_MIN_SUBSETS:
+            witness = _has_hitting_set(cons, free, k, split)
+            if witness is None:
+                continue
+            first = _least_hitting_set(cons, free, forced, k, split, witness)
+            # a generator runs nothing until read: most callers stop at first
+            sets = islice(_hitting_sets(cons, free, forced, k, split), 1, None)
+        else:
+            sets = _hitting_sets(cons, free, forced, k, split)
+            first = next(sets, None)
         if first is not None:
             positions = [i for i, v in enumerate(_bit_indices(free)) if first >> v & 1]
             skipped = sum(comb(n - base, s - base) for s in range(start, size))

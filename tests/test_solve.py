@@ -44,6 +44,7 @@ from idcodes.solve import (
     _constraints,
     _has_hitting_set,
     _hitting_sets,
+    _least_hitting_set,
     _lower_bound,
     _split_classes,
     enumerate_minimum_separating_sets,
@@ -345,8 +346,8 @@ def _search_trace(masks, free: int, forced: int, k: int, split):
 
 
 def _proof_trace(masks, free: int, k: int, split):
-    """The verdict of ``_has_hitting_set`` and the budgets of the nodes its
-    search enters, in order."""
+    """The witness of ``_has_hitting_set`` (None for a refuted size) and the
+    budgets of the nodes its search enters, in order."""
     return _nested_calls(
         _has_hitting_set, "feasible", ("k",), lambda: _has_hitting_set(masks, free, k, split)
     )
@@ -392,11 +393,13 @@ def test_redundant_masks_never_change_the_search():
 
 
 def test_proof_verdict_matches_brute_force():
-    # the order-free proof against every subset: for every budget k it says
-    # yes exactly when some k-subset of the free vertices completes the
-    # forced ones to a valid code.  Graphs with twins stay in: their empty
-    # masks must refute every size.  Identifying and separating proofs also
-    # run without the split cut, which checks the other cuts alone.
+    # the order-free proof against every subset: for every budget k it
+    # returns None exactly when no k-subset of the free vertices completes
+    # the forced ones to a valid code, and otherwise a witness of at most k
+    # free vertices that meets every mask and completes them to a valid
+    # code.  Graphs with twins stay in: their empty masks must refute every
+    # size.  Identifying and separating proofs also run without the split
+    # cut, which checks the other cuts alone.
     for g in _random_graphs(409, 60, 10):
         n = g.n
         for r in (1, 2):
@@ -406,19 +409,26 @@ def test_proof_verdict_matches_brute_force():
                 cons, forced = _constraints(balls, n, kind)
                 base = forced.bit_count()
                 sizes = set()
+                valid = set()
                 for code in range(1 << n):
                     if code & forced == forced:
                         members = {v for v in range(n) if code >> v & 1}
                         sigs = [frozenset(b & members) for b in ball_sets]
                         if brute.signatures_ok(kind, sigs, members):
                             sizes.add(len(members))
+                            valid.add(code)
                 free = ((1 << n) - 1) & ~forced
                 solver_split = _solver_split(balls, kind, forced)
                 splits = (None, solver_split) if solver_split else (None,)
                 for k in range(n - base + 1):
                     for split in splits:
                         got = _has_hitting_set(cons, free, k, split)
-                        assert got == (base + k in sizes), (g, r, kind, k, split is None)
+                        where = (g, r, kind, k, split is None)
+                        assert (got is None) == (base + k not in sizes), where
+                        if got is not None:
+                            assert got & ~free == 0 and got.bit_count() <= k, where
+                            assert all(c & got for c in cons), where
+                            assert forced | got in valid, where
 
 
 def test_combination_rank_is_the_index_in_combinations_order():
@@ -589,11 +599,85 @@ def test_proof_nodes_pinned(name):
         split = _solver_split(balls, kind, forced)
         counts = []
         for size in range(start, minimum):
-            has_code, nodes = _proof_trace(cons, free, size - base, split)
-            assert not has_code, (name, kind, size)
+            witness, nodes = _proof_trace(cons, free, size - base, split)
+            assert witness is None, (name, kind, size)
             counts.append(len(nodes))
-        assert _has_hitting_set(cons, free, minimum - base, split), (name, kind)
+        assert _has_hitting_set(cons, free, minimum - base, split) is not None, (name, kind)
         assert (start, minimum, counts) == expected, (name, kind)
+
+
+def test_walk_from_the_witness_finds_the_least_code():
+    # the code ``_solve`` gives first is the first set of the lexicographic
+    # search at the minimum, whichever path it takes there; the walk is also
+    # run from the proof's witness where the solver leaves the size to the
+    # lexicographic search, so small sizes check it too
+    rng = random.Random(411)
+    for n in range(12, 23):
+        for p in (0.15, 0.25, 0.4):
+            for _ in range(6):
+                g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+                for r in (1, 2):
+                    balls = _balls(g, r)
+                    twins = len(set(balls)) < n
+                    for kind in KINDS:
+                        if twins and kind in ("identifying", "separating"):
+                            continue
+                        minimum, forced, _, sets = solve._solve(balls, n, kind)
+                        cons, _ = _constraints(balls, n, kind)
+                        free = ((1 << n) - 1) & ~forced
+                        k = minimum - forced.bit_count()
+                        split = _solver_split(balls, kind, forced)
+                        least = next(_hitting_sets(cons, free, forced, k, split))
+                        assert next(sets) == least, (g, r, kind)
+                        witness = _has_hitting_set(cons, free, k, split)
+                        assert _least_hitting_set(cons, free, forced, k, split, witness) == least
+
+
+# the calls the walk makes to the order-free proof on the seeded G(22, 0.25)
+# of PINNED_EXPLORED, where every size ``_solve`` tries has at least
+# PROOF_MIN_SUBSETS candidates: kind -> (minimum, least code, walk calls).
+# ``_solve`` calls the proof once for each size from the counting bound to
+# the minimum, and the walk makes the other calls, only for the vertices
+# below its witness's least one; a walk that put every vertex to the proof
+# would make more.
+PINNED_WALK_CALLS = {
+    "dominating": (5, [0, 1, 6, 7, 12], 11),
+    "separating": (7, [0, 1, 3, 6, 7, 8, 11], 6),
+    "identifying": (7, [0, 1, 5, 7, 8, 11, 12], 7),
+    "locating-dominating": (6, [0, 1, 7, 8, 12, 13], 9),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_WALK_CALLS))
+def test_walk_calls_pinned(kind, monkeypatch):
+    g = _seeded_connected_twin_free_gnp(22, 0.25, 22)
+    balls = list(g._cn)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _has_hitting_set(*args)
+
+    monkeypatch.setattr(solve, "_has_hitting_set", counted)
+    minimum, forced, _, sets = solve._solve(balls, g.n, kind)
+    base = forced.bit_count()
+    start = max(base, _lower_bound(kind, balls, g.n))
+    assert math.comb(g.n - base, start - base) >= solve.PROOF_MIN_SUBSETS
+    proofs = minimum - start + 1
+    assert [args[2] for args in calls[:proofs]] == list(range(start - base, minimum - base + 1))
+    got = (minimum, _bit_indices(next(sets)), len(calls) - proofs)
+    assert got == PINNED_WALK_CALLS[kind], kind
+
+
+# gamma_ID of the rook graph K_q □ K_q is ⌊3q/2⌋ (Gravier, Moncel & Semri,
+# EJC 2008); q = 6 has 36 vertices, past SOLVE_VERTEX_CAP, so the balls go
+# to ``_solve`` directly
+@pytest.mark.parametrize("q", [4, 5, 6])
+def test_identifying_minimum_of_the_rook_graph(q):
+    n = q * q
+    pairs = itertools.combinations(range(n), 2)
+    g = Graph(n, [(u, v) for u, v in pairs if u // q == v // q or u % q == v % q])
+    assert solve._solve(list(g._cn), n, "identifying")[0] == 3 * q // 2
 
 
 # gamma_ID of paths and cycles (Bertrand, Charon, Hudry & Lobstein, EJC
