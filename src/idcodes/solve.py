@@ -1,15 +1,14 @@
 """Exact minimum solvers for every code kind as hitting-set searches with
 forced-vertex pruning: an order-free search refutes the sizes below the
-minimum and finds a code at the minimum, a walk from that code fixes the
-least code one position at a time, and a pruned lexicographic search yields
-the further codes of the minimum size in order.  Also enumeration of all
-minimum separating sets, and the incremental code extension procedure for
-vertex additions."""
+minimum and finds a code at the minimum, and a walk from that code, led by
+the same search, yields the codes of the minimum size in lexicographic
+order, the least first.  Also enumeration of all minimum separating sets,
+and the incremental code extension procedure for vertex additions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator
 
@@ -25,19 +24,6 @@ from .graph import (
 )
 
 SOLVE_VERTEX_CAP = 24
-# The order-free proof runs at a size only when the free vertices have at
-# least this many subsets of that size; smaller sizes are left to the
-# lexicographic search, which refutes them and finds the least code too.  At
-# the size that has a code the proof's witness seeds the walk to the least
-# code.  On small searches the proof does not pay for itself: run at every
-# size, it made the gamma-chain scan's solves on the 8,738 twin-free graphs
-# of up to 8 vertices (at most 70 subsets a size) 19% slower.  Over the
-# bench solve pool, against the lexicographic search alone, thresholds of
-# 100 and 300 raised the median instance's search time by 9-21% and 1000 by
-# 4-8%, and 3000 left the tail (11th slowest) 7-14% above 1000's (measured
-# while the lexicographic search still found the least code at every size;
-# in-process, interleaved, 2-core host, CPython 3.11).
-PROOF_MIN_SUBSETS = 1000
 
 
 @dataclass(frozen=True)
@@ -45,12 +31,12 @@ class SolveReport:
     """Result of an exact minimization.
 
     ``example_code`` is the lexicographically least valid set of minimum
-    size (guaranteed by the fixed search order); ``forced`` lies inside
+    size (the first the walk yields); ``forced`` lies inside
     every valid set of this kind; ``explored`` is the number of candidates
     the ascending-size lexicographic order over supersets of ``forced``,
     starting at the counting lower bound, reaches up to and including the
     answer.  It is computed from the answer's rank, not from the nodes the
-    pruned search visits, so the empty graph's one candidate counts too.
+    search visits, so the empty graph's one candidate counts too.
     """
 
     kind: str
@@ -114,10 +100,10 @@ def _constraints(balls: list[int], n: int, kind: str) -> tuple[list[int], int]:
     which every valid set contains; for the other kinds it is empty, so
     ``explored`` counts the same candidates for them as a plain search.
     Each mask comes once, masks already met by ``forced`` are dropped, and
-    the rest are sorted by size, then by value:
-    the greedy packing in ``_hitting_sets`` reads the list in order, so no
-    set iteration order may reach it.  A mask containing another changes
-    no step of ``_hitting_sets``.  A locating-dominating pair mask whose
+    the rest are sorted by size, then by value: the greedy packing and the
+    choice of the mask to branch on in ``_has_hitting_set`` read the list
+    in order, so no set iteration order may reach them.  A mask containing another changes no
+    step of ``_has_hitting_set``.  A locating-dominating pair mask whose
     balls meet only in {x, y} contains B(x), so it is skipped by an O(1)
     test; other containing masks stay, since finding them costs more than
     it saves.
@@ -140,7 +126,7 @@ def _constraints(balls: list[int], n: int, kind: str) -> tuple[list[int], int]:
                     forced |= c
     if kind != "separating":
         cons.update(balls)
-    masks = sorted((c for c in cons if not c & forced), key=lambda c: (c.bit_count(), c))
+    masks = sorted(sorted(c for c in cons if not c & forced), key=int.bit_count)
     return masks, forced
 
 
@@ -195,90 +181,6 @@ def _split_classes(
     return (parts if need > 2 else None), undominated
 
 
-def _hitting_sets(
-    cons: list[int],
-    free: int,
-    forced: int,
-    k: int,
-    split: tuple[list[int], list[int], int, int] | None = None,
-) -> Iterator[int]:
-    """``forced`` plus each k-subset of ``free`` that meets every mask in
-    ``cons``, as masks in lexicographic order, generated lazily.
-
-    Each mask of ``cons`` must meet ``free``.  Depth-first over the free
-    vertices in increasing order.  A node is cut when a greedy packing of
-    pairwise disjoint unmet masks, restricted to the suffix and taken in
-    list order, outnumbers the remaining budget.  The next vertex never
-    passes the highest suffix vertex of any unmet mask (the cap, which a
-    mask with no suffix vertex left would empty), so every unmet mask keeps
-    one, and the last lies in all of them.  A mask that contains an earlier
-    one changes none of these steps.  Given ``split`` = (balls, classes,
-    undominated, empty_extra) with the signature classes of ``forced`` as in
-    ``_split_classes`` (for identifying codes and separating sets), the
-    search also carries the classes down the tree, each child splitting its
-    parent's by the ball of its new vertex, and cuts a child whose largest
-    class needs more vertices than its budget.  Each cut removes only
-    subtrees without a valid set, so the sets come out in the order the
-    plain combination enumeration would test them.
-    """
-
-    def visit(
-        chosen: int,
-        unhit: list[int],
-        suffix: int,
-        k: int,
-        classes: list[int] | None,
-        undominated: int,
-    ) -> Iterator[int]:
-        if k == 1:  # the last vertex must lie in every unmet mask
-            last = suffix
-            for c in unhit:
-                last &= c
-            while last:
-                low = last & -last
-                yield chosen | low
-                last ^= low
-            return
-        cap = suffix
-        used = packed = 0
-        for c in unhit:
-            r = c & suffix
-            if not r & used:
-                used |= r
-                packed += 1
-                if packed > k:
-                    return
-            cap &= (1 << r.bit_length()) - 1
-        # a child with one vertex left is decided exactly, without classes
-        splitting = classes is not None and k > 2
-        parts, rest_undominated = classes, undominated
-        while cap:
-            low = cap & -cap
-            cap ^= low
-            if splitting:
-                child = _split_classes(
-                    classes, undominated, balls[low.bit_length() - 1], empty_extra, k - 1
-                )
-                if child is None:
-                    continue
-                parts, rest_undominated = child
-            yield from visit(
-                chosen | low,
-                [c for c in unhit if not c & low],
-                suffix & -(low << 1),
-                k - 1,
-                parts,
-                rest_undominated,
-            )
-
-    if k == 0:
-        if not cons:
-            yield forced
-        return
-    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    yield from visit(forced, cons, free, k, classes, undominated)
-
-
 def _has_hitting_set(
     cons: list[int],
     free: int,
@@ -287,7 +189,7 @@ def _has_hitting_set(
 ) -> int | None:
     """A subset of ``free`` with at most k vertices that meets every mask in
     ``cons``, as a mask, or None when no k-subset of ``free`` does, for k
-    at most the size of ``free``; ``split`` as in ``_hitting_sets``.
+    at most the size of ``free``.
 
     A superset of a hitting set hits too, so a node succeeds once no mask
     is unmet, and the witness is the vertices chosen on the way to it.
@@ -301,7 +203,13 @@ def _has_hitting_set(
     and taken in list order, outnumbers the budget, or when a child's
     largest signature class needs more vertices than its budget; with one
     vertex left it is decided by whether the unmet masks meet in an
-    available vertex, and takes the least such vertex.
+    available vertex, and takes the least such vertex.  The split cut runs
+    given ``split`` = (balls, classes, undominated, empty_extra), with the
+    signature classes of the vertices already chosen as in
+    ``_split_classes`` (for identifying codes and separating sets): each
+    child splits its parent's classes by the ball of its new vertex.  A
+    mask that contains an earlier one changes none of these steps, and
+    each cut removes only subtrees without a hitting set.
     """
 
     def feasible(
@@ -352,63 +260,86 @@ def _has_hitting_set(
     return feasible(cons, free, k, classes, undominated)
 
 
-def _least_hitting_set(
+def _hitting_sets(
     cons: list[int],
     free: int,
     forced: int,
     k: int,
-    split: tuple[list[int], list[int], int, int] | None,
-    witness: int,
-) -> int:
-    """``forced`` plus the lexicographically least k-subset of ``free`` that
-    meets every mask in ``cons``, the first set ``_hitting_sets`` would
-    generate, given ``witness``, a subset of ``free`` with at most k
-    vertices that meets them all (as ``_has_hitting_set`` returns it).
+    split: tuple[list[int], list[int], int, int] | None = None,
+) -> Iterator[int]:
+    """``forced`` plus each k-subset of ``free`` that meets every mask in
+    ``cons``, as masks in lexicographic order, generated lazily, for k at
+    most the size of ``free``; ``split`` as in ``_has_hitting_set``.
 
-    The walk fixes the code one position at a time.  Padded with the least
-    available vertices to the budget, the witness completes the prefix, so
-    its least vertex ``top`` is a feasible next position; only the
-    available vertices v below ``top`` are put to ``_has_hitting_set``, on
-    the masks v leaves unmet, the vertices above v, one vertex less and
-    v's signature split.  The first v that succeeds replaces ``top``, and
-    the witness the call returns replaces the old one.  As v < ``top``,
-    the vertices above v hold the whole padded witness, one more than the
-    budget of the call, so the proof's precondition that the budget is at
-    most the size of its vertex set always holds.
+    The walk makes no cut of its own: it enters only the prefixes of the
+    sets, and ``_has_hitting_set`` tells them apart.  At the root the proof
+    either refutes k or returns a witness.  At each node the witness,
+    padded with the least available vertices to the budget, completes the
+    prefix, so its least vertex ``top`` is a feasible next vertex.  The
+    available vertices v are taken in increasing order, each child
+    extending the prefix by v with the vertices above v still available:
+    at v = ``top`` the rest of the witness serves the child, and every
+    other v is put to ``_has_hitting_set`` on the masks v leaves unmet, the
+    vertices above v, one vertex less and v's signature split; the child is
+    entered when it succeeds, with the witness it returns.  The walk stops
+    once fewer vertices than the child's budget lie above v (never at
+    ``top``, above which the rest of the witness lies, so the proof's
+    precondition always holds).  With one vertex left, each available
+    vertex in every unmet mask completes a set.
     """
-    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    chosen, unhit, avail = forced, cons, free
-    while k:
+
+    def visit(
+        chosen: int,
+        unhit: list[int],
+        avail: int,
+        k: int,
+        witness: int,
+        classes: list[int] | None,
+        undominated: int,
+    ) -> Iterator[int]:
+        if k == 0:
+            yield chosen
+            return
+        if k == 1:  # the last vertex must lie in every unmet mask
+            for c in unhit:
+                avail &= c
+            while avail:
+                low = avail & -avail
+                yield chosen | low
+                avail ^= low
+            return
         for _ in range(k - witness.bit_count()):
             rest = avail & ~witness
             witness |= rest & -rest
         top = witness & -witness
-        below = avail & ((top << 1) - 1)  # up to and including top
+        # a child with one vertex left is decided exactly, without classes
         splitting = classes is not None and k > 2
         parts, rest_undominated = classes, undominated
-        while True:
-            v = below & -below
-            below ^= v
+        above = avail
+        while above.bit_count() >= k:
+            v = above & -above
+            above ^= v
             if splitting:
                 child = _split_classes(
                     classes, undominated, balls[v.bit_length() - 1], empty_extra, k - 1
                 )
-                if child is None:  # never top, which lies in a code
+                if child is None:  # never top, which lies in a set
                     continue
                 parts, rest_undominated = child
             left = [c for c in unhit if not c & v]
-            above = avail & -(v << 1)
             if v == top:
                 found = witness ^ top
-                break
-            child_split = (balls, parts, rest_undominated, empty_extra)
-            found = _has_hitting_set(left, above, k - 1, child_split)
-            if found is not None:
-                break
-        chosen |= v
-        unhit, avail, witness, k = left, above, found, k - 1
-        classes, undominated = parts, rest_undominated
-    return chosen
+            else:
+                child_split = (balls, parts, rest_undominated, empty_extra)
+                found = _has_hitting_set(left, above, k - 1, child_split)
+                if found is None:
+                    continue
+            yield from visit(chosen | v, left, above, k - 1, found, parts, rest_undominated)
+
+    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
+    witness = _has_hitting_set(cons, free, k, split)
+    if witness is not None:
+        yield from visit(forced, cons, free, k, witness, classes, undominated)
 
 
 def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator[int]]:
@@ -417,17 +348,14 @@ def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator
     (minimum, forced, explored, the minimum codes as masks in lexicographic
     order, generated lazily, the least first).
 
-    From the counting lower bound up, each size is first put to
-    ``_has_hitting_set``, which refutes a size without a code far faster
-    than the lexicographic search, whose pruning depends on its order.  At
-    the first size it cannot refute, its witness seeds
-    ``_least_hitting_set``, which gives the least code; ``_hitting_sets``
-    starts only when a caller reads past it, and skips its first set.
-    Sizes with fewer than ``PROOF_MIN_SUBSETS`` candidates skip the proof,
-    and the lexicographic search decides them alone.  ``explored`` is the
-    number of supersets of ``forced`` that the ascending size,
-    lexicographic enumeration from the lower bound tests up to and
-    including the least code, computed from its rank.
+    From the counting lower bound up, each size is put to
+    ``_hitting_sets``, whose order-free proof refutes a size without a
+    code; at the first size it cannot refute, the walk from its witness
+    gives the least code, and goes on to the further codes only when a
+    caller reads past it.  ``explored`` is the number of supersets of
+    ``forced`` that the ascending size, lexicographic enumeration from the
+    lower bound tests up to and including the least code, computed from
+    its rank.
     """
     cons, forced = _constraints(balls, n, kind)
     free = ((1 << n) - 1) & ~forced
@@ -443,22 +371,14 @@ def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator
                 break
         split = (balls, *state, empty_extra)
     for size in range(start, n + 1):
-        k = size - base
-        if comb(n - base, k) >= PROOF_MIN_SUBSETS:
-            witness = _has_hitting_set(cons, free, k, split)
-            if witness is None:
-                continue
-            first = _least_hitting_set(cons, free, forced, k, split, witness)
-            # a generator runs nothing until read: most callers stop at first
-            sets = islice(_hitting_sets(cons, free, forced, k, split), 1, None)
-        else:
-            sets = _hitting_sets(cons, free, forced, k, split)
-            first = next(sets, None)
-        if first is not None:
-            positions = [i for i, v in enumerate(_bit_indices(free)) if first >> v & 1]
-            skipped = sum(comb(n - base, s - base) for s in range(start, size))
-            explored = skipped + _combination_rank(positions, n - base) + 1
-            return size, forced, explored, chain((first,), sets)
+        sets = _hitting_sets(cons, free, forced, size - base, split)
+        first = next(sets, None)
+        if first is None:
+            continue
+        positions = [i for i, v in enumerate(_bit_indices(free)) if first >> v & 1]
+        skipped = sum(comb(n - base, s - base) for s in range(start, size))
+        explored = skipped + _combination_rank(positions, n - base) + 1
+        return size, forced, explored, chain((first,), sets)
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
 
 

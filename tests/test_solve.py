@@ -44,7 +44,6 @@ from idcodes.solve import (
     _constraints,
     _has_hitting_set,
     _hitting_sets,
-    _least_hitting_set,
     _lower_bound,
     _split_classes,
     enumerate_minimum_separating_sets,
@@ -165,23 +164,28 @@ def test_search_matches_ascending_oracle_on_random_graphs():
                 assert got == expected[:3], (g, kind, r)
 
 
-def test_proof_at_every_size_keeps_the_answers(monkeypatch):
-    # the oracle graphs above have at most 924 subsets a size, so the
-    # solver leaves every one to the lexicographic search; with the proof
-    # put before every size, the answers, the least codes, the explored
-    # counts and the enumerated sets must stay those of the ascending oracle
-    monkeypatch.setattr(solve, "PROOF_MIN_SUBSETS", 0)
-    for g in _random_graphs(410, 30, 12):
-        for r in (1, 2):
-            for kind in KINDS:
-                expected = brute.ascending_search(g, kind, r)
-                if expected is None:
-                    continue
-                report = solve_minimum(g, kind, r)
-                got = (report.minimum, set(report.example_code), report.explored)
-                assert got == expected[:3], (g, kind, r)
-                if kind == "separating":
-                    assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+def test_search_matches_ascending_oracle_past_a_thousand_subsets():
+    # the same agreement, with every minimum set, on graphs large enough
+    # that some of the sizes the solver decides have 1000 or more candidate
+    # subsets, so no threshold on the size of a search can hide from it
+    rng = random.Random(412)
+    largest = 0
+    for n in range(13, 17):
+        for p in (0.15, 0.25, 0.4):
+            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            for r in (1, 2):
+                balls = _balls(g, r)
+                for kind in KINDS:
+                    expected = brute.ascending_search(g, kind, r)
+                    if expected is None:
+                        continue
+                    minimum, forced, explored, sets = solve._solve(balls, n, kind)
+                    got = (minimum, _bit_indices(next(sets)), explored)
+                    assert got == (expected[0], sorted(expected[1]), expected[2]), (g, kind, r)
+                    assert [_bit_indices(c) for c in sets] == [sorted(c) for c in expected[3][1:]]
+                    base = forced.bit_count()
+                    largest = max(largest, math.comb(n - base, minimum - base))
+    assert largest >= 1000
 
 
 def test_enumerate_minimum_sets_matches_ascending_oracle():
@@ -320,14 +324,18 @@ def _solver_split(balls: list[int], kind: str, forced: int):
     return balls, *_fold_split(balls, _bit_indices(forced), extra), extra
 
 
-def _nested_calls(outer, name: str, fields: tuple[str, ...], run):
-    """``run()``, and the named locals of each call or resume of the function
-    ``name`` nested in ``outer``, in order, as tuples."""
-    inner = next(c for c in outer.__code__.co_consts if getattr(c, "co_name", "") == name)
-    calls = []
+def _nested_calls(run, *watched):
+    """``run()``, and for each watched function, given as (outer, name,
+    fields) for the function ``name`` nested in ``outer``, the named locals
+    of each of its calls or resumes, in order, as a list of tuples."""
+    traces = {}
+    for outer, name, fields in watched:
+        inner = next(c for c in outer.__code__.co_consts if getattr(c, "co_name", "") == name)
+        traces[inner] = (fields, [])
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is inner:
+        if event == "call" and frame.f_code in traces:
+            fields, calls = traces[frame.f_code]
             calls.append(tuple(frame.f_locals[f] for f in fields))
 
     sys.setprofile(profile)
@@ -335,22 +343,25 @@ def _nested_calls(outer, name: str, fields: tuple[str, ...], run):
         result = run()
     finally:
         sys.setprofile(None)
-    return result, calls
+    return (result, *(calls for _, calls in traces.values()))
+
+
+_WALK = (_hitting_sets, "visit", ("chosen", "k"))
+_PROOF = (_has_hitting_set, "feasible", ("avail", "k"))
 
 
 def _search_trace(masks, free: int, forced: int, k: int, split):
-    """The sets ``_hitting_sets`` generates, and the nodes of its search in
-    the order it enters them, as (chosen, budget) at every call or resume."""
+    """The sets ``_hitting_sets`` generates, the nodes its walk enters as
+    (chosen, budget) at every call or resume, and the nodes the proofs it
+    calls enter as (available, budget), each in the order entered."""
     stream = _hitting_sets(masks, free, forced, k, split)
-    return _nested_calls(_hitting_sets, "visit", ("chosen", "k"), lambda: list(stream))
+    return _nested_calls(lambda: list(stream), _WALK, _PROOF)
 
 
 def _proof_trace(masks, free: int, k: int, split):
     """The witness of ``_has_hitting_set`` (None for a refuted size) and the
-    budgets of the nodes its search enters, in order."""
-    return _nested_calls(
-        _has_hitting_set, "feasible", ("k",), lambda: _has_hitting_set(masks, free, k, split)
-    )
+    nodes its search enters, in order."""
+    return _nested_calls(lambda: _has_hitting_set(masks, free, k, split), _PROOF)
 
 
 def test_redundant_masks_never_change_the_search():
@@ -358,9 +369,10 @@ def test_redundant_masks_never_change_the_search():
     # appending every such union may not change the search: at each size
     # from the counting bound to one past the minimum, the plain and the
     # padded list give the same nodes in the same order, and the same
-    # stream, the lexicographic list of k-sets that meet every plain mask.
-    # A packing, a cap or a last-vertex step that let a containing mask cut
-    # would lose sets; one that let it widen the search would add nodes.
+    # stream, the lexicographic list of k-sets that meet every plain mask,
+    # in the walk and in every proof it calls.  A packing, a branching or a
+    # last-vertex step that let a containing mask cut would lose sets; one
+    # that let it widen or reorder the search would change the nodes.
     for g in _random_graphs(408, 150, 9):
         n = g.n
         for r in (1, 2):
@@ -370,7 +382,8 @@ def test_redundant_masks_never_change_the_search():
                     continue
                 cons, forced = _constraints(balls, n, kind)
                 # a stable sort keeps the plain masks in their order: the
-                # greedy packing depends on the order of equal-size masks
+                # greedy packing and the mask branched on depend on the order
+                # of equal-size masks
                 unions = {a | b for a, b in itertools.combinations(cons, 2)}
                 padded = sorted(cons + sorted(unions - set(cons)), key=int.bit_count)
                 split = _solver_split(balls, kind, forced)
@@ -388,7 +401,10 @@ def test_redundant_masks_never_change_the_search():
                     assert bool(expected) == (size >= minimum)
                     plain = _search_trace(cons, free_mask, forced, size - base, split)
                     assert plain[0] == expected, (g, r, kind, size)
-                    assert plain[1] or size == base  # the profiler sees the search
+                    # the walk starts only at a size with a set, and the
+                    # profiler sees the root proof at every nonzero budget
+                    assert bool(plain[1]) == bool(expected)
+                    assert plain[2] or size == base
                     assert _search_trace(padded, free_mask, forced, size - base, split) == plain
 
 
@@ -483,55 +499,58 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
     assert report.explored == explored
 
 
-# the nodes the search enters while it generates every set of the minimum
-# size: graph -> {(kind, with the split cut): (minimum, sets, nodes)}.
-# ``explored`` comes from the answer's rank, so only these counts see a cut
-# made weaker.  Identifying and separating searches also run without the
-# split, which pins the packing, the cap and the last-vertex step alone.
-# The counts depend on the order of ``_constraints`` (size, then value).
+# the nodes entered while every set of the minimum size is generated:
+# graph -> {(kind, with the split cut): (minimum, sets, walk nodes, proof
+# nodes)}.  The walk enters only the prefixes of the sets, so its count is
+# the same with or without the split; the proofs it calls make the cuts.
+# ``explored`` comes from the answer's rank, so only the proof counts see a
+# cut made weaker.  Identifying and separating searches also run without
+# the split, which pins the packing, the branching and the last-vertex step
+# alone.  The proof counts depend on the order of ``_constraints`` (size,
+# then value).
 PINNED_NODES = {
     "cycle14": (
         lambda: cycle_graph(14),
         {
-            ("dominating", False): (5, 14, 128),
-            ("separating", True): (7, 2, 41),
-            ("separating", False): (7, 2, 41),
-            ("identifying", True): (7, 2, 37),
-            ("identifying", False): (7, 2, 39),
-            ("locating-dominating", False): (6, 35, 409),
+            ("dominating", False): (5, 14, 101, 151),
+            ("separating", True): (7, 2, 27, 68),
+            ("separating", False): (7, 2, 27, 69),
+            ("identifying", True): (7, 2, 27, 66),
+            ("identifying", False): (7, 2, 27, 69),
+            ("locating-dominating", False): (6, 35, 284, 380),
         },
     ),
     "band6": (
         lambda: band_graph(6),
         {
-            ("dominating", False): (2, 36, 79),
-            ("separating", True): (11, 2, 3),
-            ("separating", False): (11, 2, 3),
-            ("identifying", True): (11, 2, 3),
-            ("identifying", False): (11, 2, 3),
-            ("locating-dominating", False): (6, 222, 1718),
+            ("dominating", False): (2, 36, 79, 12),
+            ("separating", True): (11, 2, 3, 1),
+            ("separating", False): (11, 2, 3, 1),
+            ("identifying", True): (11, 2, 3, 1),
+            ("identifying", False): (11, 2, 3, 1),
+            ("locating-dominating", False): (6, 222, 1679, 586),
         },
     ),
     "petersen": (
         petersen_graph,
         {
-            ("dominating", False): (3, 10, 58),
-            ("separating", True): (4, 125, 601),
-            ("separating", False): (4, 125, 601),
-            ("identifying", True): (4, 5, 59),
-            ("identifying", False): (4, 5, 83),
-            ("locating-dominating", False): (4, 65, 343),
+            ("dominating", False): (3, 10, 46, 40),
+            ("separating", True): (4, 125, 597, 117),
+            ("separating", False): (4, 125, 597, 117),
+            ("identifying", True): (4, 5, 34, 56),
+            ("identifying", False): (4, 5, 34, 73),
+            ("locating-dominating", False): (4, 65, 327, 103),
         },
     ),
     "gnp16": (
         lambda: _seeded_connected_twin_free_gnp(16, 0.25, 16),
         {
-            ("dominating", False): (4, 26, 249),
-            ("separating", True): (5, 1, 97),
-            ("separating", False): (5, 1, 291),
-            ("identifying", True): (6, 46, 594),
-            ("identifying", False): (6, 46, 765),
-            ("locating-dominating", False): (5, 5, 262),
+            ("dominating", False): (4, 26, 146, 169),
+            ("separating", True): (5, 1, 10, 82),
+            ("separating", False): (5, 1, 10, 172),
+            ("identifying", True): (6, 46, 407, 585),
+            ("identifying", False): (6, 46, 407, 694),
+            ("locating-dominating", False): (5, 5, 44, 181),
         },
     ),
 }
@@ -547,8 +566,9 @@ def test_search_nodes_pinned(name):
         minimum = solve_minimum(g, kind).minimum
         split = _solver_split(balls, kind, forced) if split_cut else None
         free = ((1 << n) - 1) & ~forced
-        sets, nodes = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
-        assert (minimum, len(sets), len(nodes)) == expected, (name, kind, split_cut)
+        sets, walk, proofs = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
+        got = (minimum, len(sets), len(walk), len(proofs))
+        assert got == expected, (name, kind, split_cut)
 
 
 # the nodes the order-free proof enters at each size it refutes, from the
@@ -606,43 +626,16 @@ def test_proof_nodes_pinned(name):
         assert (start, minimum, counts) == expected, (name, kind)
 
 
-def test_walk_from_the_witness_finds_the_least_code():
-    # the code ``_solve`` gives first is the first set of the lexicographic
-    # search at the minimum, whichever path it takes there; the walk is also
-    # run from the proof's witness where the solver leaves the size to the
-    # lexicographic search, so small sizes check it too
-    rng = random.Random(411)
-    for n in range(12, 23):
-        for p in (0.15, 0.25, 0.4):
-            for _ in range(6):
-                g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
-                for r in (1, 2):
-                    balls = _balls(g, r)
-                    twins = len(set(balls)) < n
-                    for kind in KINDS:
-                        if twins and kind in ("identifying", "separating"):
-                            continue
-                        minimum, forced, _, sets = solve._solve(balls, n, kind)
-                        cons, _ = _constraints(balls, n, kind)
-                        free = ((1 << n) - 1) & ~forced
-                        k = minimum - forced.bit_count()
-                        split = _solver_split(balls, kind, forced)
-                        least = next(_hitting_sets(cons, free, forced, k, split))
-                        assert next(sets) == least, (g, r, kind)
-                        witness = _has_hitting_set(cons, free, k, split)
-                        assert _least_hitting_set(cons, free, forced, k, split, witness) == least
-
-
 # the calls the walk makes to the order-free proof on the seeded G(22, 0.25)
-# of PINNED_EXPLORED, where every size ``_solve`` tries has at least
-# PROOF_MIN_SUBSETS candidates: kind -> (minimum, least code, walk calls).
-# ``_solve`` calls the proof once for each size from the counting bound to
-# the minimum, and the walk makes the other calls, only for the vertices
-# below its witness's least one; a walk that put every vertex to the proof
-# would make more.
+# of PINNED_EXPLORED up to the least code: kind -> (minimum, least code,
+# walk calls).  ``_solve`` calls the proof once at the root of each size
+# from the counting bound to the minimum, and the walk makes the other
+# calls, only for the vertices below its witness's least one and never
+# with one vertex left; a walk that put every vertex to the proof would
+# make more.
 PINNED_WALK_CALLS = {
-    "dominating": (5, [0, 1, 6, 7, 12], 11),
-    "separating": (7, [0, 1, 3, 6, 7, 8, 11], 6),
+    "dominating": (5, [0, 1, 6, 7, 12], 7),
+    "separating": (7, [0, 1, 3, 6, 7, 8, 11], 4),
     "identifying": (7, [0, 1, 5, 7, 8, 11, 12], 7),
     "locating-dominating": (6, [0, 1, 7, 8, 12, 13], 9),
 }
@@ -662,7 +655,6 @@ def test_walk_calls_pinned(kind, monkeypatch):
     minimum, forced, _, sets = solve._solve(balls, g.n, kind)
     base = forced.bit_count()
     start = max(base, _lower_bound(kind, balls, g.n))
-    assert math.comb(g.n - base, start - base) >= solve.PROOF_MIN_SUBSETS
     proofs = minimum - start + 1
     assert [args[2] for args in calls[:proofs]] == list(range(start - base, minimum - base + 1))
     got = (minimum, _bit_indices(next(sets)), len(calls) - proofs)
