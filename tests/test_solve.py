@@ -164,6 +164,23 @@ def test_search_matches_ascending_oracle_on_random_graphs():
                 assert got == expected[:3], (g, kind, r)
 
 
+def test_proof_at_every_size_keeps_the_answers():
+    # the order-free proof decides every size, however few its candidate
+    # subsets; the answers, the least codes, the explored counts and the
+    # enumerated sets must stay those of the ascending oracle
+    for g in _random_graphs(410, 30, 12):
+        for r in (1, 2):
+            for kind in KINDS:
+                expected = brute.ascending_search(g, kind, r)
+                if expected is None:
+                    continue
+                report = solve_minimum(g, kind, r)
+                got = (report.minimum, set(report.example_code), report.explored)
+                assert got == expected[:3], (g, kind, r)
+                if kind == "separating":
+                    assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+
+
 def test_search_matches_ascending_oracle_past_a_thousand_subsets():
     # the same agreement, with every minimum set, on graphs large enough
     # that some of the sizes the solver decides have 1000 or more candidate
@@ -624,6 +641,60 @@ def test_proof_nodes_pinned(name):
             counts.append(len(nodes))
         assert _has_hitting_set(cons, free, minimum - base, split) is not None, (name, kind)
         assert (start, minimum, counts) == expected, (name, kind)
+
+
+def _first_hitting_set(cons: list[int], free: int, k: int) -> int | None:
+    """The lexicographically least k-subset of ``free`` meeting every mask
+    of ``cons``, by a plain depth-first search over the vertices in
+    increasing order that only drops a prefix once some unmet mask has no
+    vertex left above it, or too few vertices are left: no proof, witness
+    or split takes part."""
+
+    def visit(chosen: int, unhit: list[int], avail: int, k: int) -> int | None:
+        if not unhit:
+            # any k of the vertices left complete the prefix; the least do
+            while k:
+                low = avail & -avail
+                chosen |= low
+                avail ^= low
+                k -= 1
+            return chosen
+        if k == 0 or any(not m & avail for m in unhit) or avail.bit_count() < k:
+            return None
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            found = visit(chosen | low, [m for m in unhit if not m & low], avail, k - 1)
+            if found is not None:
+                return found
+        return None
+
+    return visit(0, cons, free, k)
+
+
+def test_walk_from_the_witness_finds_the_least_code():
+    # the code ``_solve`` gives first, which the walk reaches from the
+    # proof's witness, is the least k-subset in lexicographic order that
+    # meets every mask, by a plain depth-first search with no proof in it
+    rng = random.Random(411)
+    for n in range(12, 23):
+        for p in (0.15, 0.25, 0.4):
+            for _ in range(6):
+                g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+                for r in (1, 2):
+                    balls = _balls(g, r)
+                    twins = len(set(balls)) < n
+                    for kind in KINDS:
+                        if twins and kind in ("identifying", "separating"):
+                            continue
+                        minimum, forced, _, sets = solve._solve(balls, n, kind)
+                        cons, _ = _constraints(balls, n, kind)
+                        free = ((1 << n) - 1) & ~forced
+                        k = minimum - forced.bit_count()
+                        least = _first_hitting_set(cons, free, k)
+                        split = _solver_split(balls, kind, forced)
+                        assert next(_hitting_sets(cons, free, forced, k, split)) == forced | least
+                        assert next(sets) == forced | least, (g, r, kind)
 
 
 # the calls the walk makes to the order-free proof on the seeded G(22, 0.25)
