@@ -65,6 +65,7 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_radius(args.radius)
     g = _load_graph(args.graph)
     cert = codes.check_code(g, _parse_code(args.code), args.kind, args.radius)
     _emit(cert.to_dict(), args.plain)
@@ -75,6 +76,7 @@ def _cmd_solve(args) -> int:
     if args.all_minimum and args.kind != "separating":
         print("--all-minimum is only available for kind 'separating'", file=sys.stderr)
         return EXIT_USAGE
+    _check_radius(args.radius)
     g = _load_graph(args.graph)
     solved, sets = solve._solve_graph(g, args.kind, args.radius)
     report = solved.to_dict()

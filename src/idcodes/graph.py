@@ -601,6 +601,8 @@ def parse_edge_list(text: str) -> Graph:
     n, m = tokens[0], tokens[1]
     if n > INPUT_VERTEX_CAP:
         raise ValueError(f"edge list declares {n} vertices; the limit is {INPUT_VERTEX_CAP}")
+    if m < 0:
+        raise ValueError(f"edge list declares {m} edges; the count must be >= 0")
     rest = tokens[2:]
     if len(rest) != 2 * m:
         raise ValueError(f"expected {2 * m} endpoint numbers after the header, got {len(rest)}")

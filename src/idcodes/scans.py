@@ -483,8 +483,8 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
 
     def check(n, cn, weight):
         found = []
-        gamma_s = solve._solve(cn, n, "separating")[0]
-        gamma_id = solve._solve(cn, n, "identifying")[0]
+        gamma_s = solve._solve(cn, "separating")[0]
+        gamma_id = solve._solve(cn, "identifying")[0]
         if not (gamma_s <= gamma_id <= gamma_s + 1):
             found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
         holders = codes._holders(codes.membership_graph(Graph._from_masks(n, cn)))
@@ -526,7 +526,7 @@ def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanRe
             return None
         if _misses(cn, n, n // delta):  # n - n // D = ceil(n - n/D), n an integer
             return []
-        exact = solve._solve(cn, n, "identifying")[0]
+        exact = solve._solve(cn, "identifying")[0]
         return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]
 
     return _scan("conjecture", max_n, force, check, connected=True, twin_free=True)

@@ -1,9 +1,10 @@
 """Exact minimum solvers for every code kind as hitting-set searches with
 forced-vertex pruning: an order-free search refutes the sizes below the
-minimum and finds a code at the minimum, and a walk from that code, led by
-the same search, yields the codes of the minimum size in lexicographic
-order, the least first.  Also enumeration of all minimum separating sets,
-and the incremental code extension procedure for vertex additions."""
+minimum and finds a code at the minimum, which settles the minimum, and a
+walk from that code, led by the same search, yields the codes of the
+minimum size in lexicographic order, the least first, only when a caller
+reads them.  Also enumeration of all minimum separating sets, and the
+incremental code extension procedure for vertex additions."""
 
 from __future__ import annotations
 
@@ -35,8 +36,9 @@ class SolveReport:
     every valid set of this kind; ``explored`` is the number of candidates
     the ascending-size lexicographic order over supersets of ``forced``,
     starting at the counting lower bound, reaches up to and including the
-    answer.  It is computed from the answer's rank, not from the nodes the
-    search visits, so the empty graph's one candidate counts too.
+    answer.  ``_solve_graph`` computes it from the answer's rank, not from
+    the nodes the search visits, so the empty graph's one candidate counts
+    too; callers of ``_solve`` that read only the minimum never rank.
     """
 
     kind: str
@@ -265,17 +267,19 @@ def _hitting_sets(
     free: int,
     forced: int,
     k: int,
-    split: tuple[list[int], list[int], int, int] | None = None,
+    witness: int,
+    split: tuple[list[int], list[int], int, int] | None,
 ) -> Iterator[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, as masks in lexicographic order, generated lazily, for k at
-    most the size of ``free``; ``split`` as in ``_has_hitting_set``.
+    most the size of ``free``; ``witness`` is a subset of ``free`` with at
+    most k vertices that meets every mask, as ``_has_hitting_set`` returns
+    it, and ``split`` is as there.  No node is entered before a set is read.
 
     The walk makes no cut of its own: it enters only the prefixes of the
-    sets, and ``_has_hitting_set`` tells them apart.  At the root the proof
-    either refutes k or returns a witness.  At each node the witness,
-    padded with the least available vertices to the budget, completes the
-    prefix, so its least vertex ``top`` is a feasible next vertex.  The
+    sets, and ``_has_hitting_set`` tells them apart.  At each node the
+    witness, padded with the least available vertices to the budget,
+    completes the prefix, so its least vertex ``top`` is feasible next.  The
     available vertices v are taken in increasing order, each child
     extending the prefix by v with the vertices above v still available:
     at v = ``top`` the rest of the witness serves the child, and every
@@ -337,30 +341,24 @@ def _hitting_sets(
             yield from visit(chosen | v, left, above, k - 1, found, parts, rest_undominated)
 
     balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    witness = _has_hitting_set(cons, free, k, split)
-    if witness is not None:
-        yield from visit(forced, cons, free, k, witness, classes, undominated)
+    return visit(forced, cons, free, k, witness, classes, undominated)
 
 
-def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator[int]]:
-    """Exact minimum of ``kind`` on the radius-r ``balls`` of a graph on n
-    vertices, twin-free for identifying codes and separating sets; returns
-    (minimum, forced, explored, the minimum codes as masks in lexicographic
-    order, generated lazily, the least first).
+def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:
+    """Exact minimum of ``kind`` on the radius-r ``balls`` of a graph,
+    twin-free for identifying codes and separating sets; returns (minimum,
+    forced, the minimum codes as masks in lexicographic order, generated
+    lazily, the least first).
 
-    From the counting lower bound up, each size is put to
-    ``_hitting_sets``, whose order-free proof refutes a size without a
-    code; at the first size it cannot refute, the walk from its witness
-    gives the least code, and goes on to the further codes only when a
-    caller reads past it.  ``explored`` is the number of supersets of
-    ``forced`` that the ascending size, lexicographic enumeration from the
-    lower bound tests up to and including the least code, computed from
-    its rank.
+    From the counting lower bound up, ``_has_hitting_set`` refutes each
+    size without a code; the first size it cannot refute is the minimum,
+    and the walk from its witness is returned unstarted, so a caller that
+    reads only the minimum never walks.
     """
+    n = len(balls)
     cons, forced = _constraints(balls, n, kind)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
-    start = max(base, _lower_bound(kind, balls, n))
     split = None
     if kind in ("identifying", "separating"):
         empty_extra = int(kind == "identifying")
@@ -370,15 +368,10 @@ def _solve(balls: list[int], n: int, kind: str) -> tuple[int, int, int, Iterator
             if state[0] is None:
                 break
         split = (balls, *state, empty_extra)
-    for size in range(start, n + 1):
-        sets = _hitting_sets(cons, free, forced, size - base, split)
-        first = next(sets, None)
-        if first is None:
-            continue
-        positions = [i for i, v in enumerate(_bit_indices(free)) if first >> v & 1]
-        skipped = sum(comb(n - base, s - base) for s in range(start, size))
-        explored = skipped + _combination_rank(positions, n - base) + 1
-        return size, forced, explored, chain((first,), sets)
+    for size in range(max(base, _lower_bound(kind, balls, n)), n + 1):
+        witness = _has_hitting_set(cons, free, size - base, split)
+        if witness is not None:
+            return size, forced, _hitting_sets(cons, free, forced, size - base, witness, split)
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
 
 
@@ -393,7 +386,8 @@ def _combination_rank(positions: list[int], f: int) -> int:
 def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterator[list[int]]]:
     """``_solve`` on g's radius-r balls, after the checks every solve
     makes; returns the report and the minimum codes as sorted vertex
-    lists, in lexicographic order, generated lazily, the example first."""
+    lists, in lexicographic order, generated lazily, the example first.
+    ``explored`` is ranked here, where it is reported."""
     if kind not in codes.KINDS:
         raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(codes.KINDS)}")
     if g.n > SOLVE_VERTEX_CAP:
@@ -409,8 +403,14 @@ def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterato
             f"no {kind} set exists at radius {radius}: vertices {{x}} and {{y}} "
             f"have identical radius-{radius} balls",
         )
-    minimum, forced, explored, sets = _solve(balls, g.n, kind)
+    minimum, forced, sets = _solve(balls, kind)
     example = next(sets)
+    n, base = g.n, forced.bit_count()
+    start = max(base, _lower_bound(kind, balls, n))
+    free = ((1 << n) - 1) & ~forced
+    positions = [i for i, v in enumerate(_bit_indices(free)) if example >> v & 1]
+    skipped = sum(comb(n - base, s - base) for s in range(start, minimum))
+    explored = skipped + _combination_rank(positions, n - base) + 1
     report = SolveReport(
         kind,
         radius,

@@ -121,9 +121,9 @@ def test_solve_all_minimum_is_one_solve(run, graph_file, monkeypatch):
     calls = []
     real = solve._solve
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(balls, kind):
+        calls.append(kind)
+        return real(balls, kind)
 
     monkeypatch.setattr(solve, "_solve", counted)
     rng = random.Random(87)
@@ -252,6 +252,8 @@ def test_exit_status_on_rarely_taken_paths(run, tmp_path, argv, text, status, ex
         (["bound", "--regular", "--radius", "0"], "the regular variant is defined for radius 1 only\n"),
         (["bound", "--radius", "0"], "error: radius must be >= 1\n"),
         (["power", "--radius", "0"], "error: radius must be >= 1\n"),
+        (["solve", "--kind", "identifying", "--radius", "0"], "error: radius must be >= 1\n"),
+        (["verify", "--kind", "identifying", "--code", "0", "--radius", "0"], "error: radius must be >= 1\n"),
     ],
 )
 def test_flag_refusals_come_before_the_graph_is_read(run, tmp_path, argv, message):

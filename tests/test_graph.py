@@ -10,7 +10,7 @@ import pytest
 
 import brute
 from randgraphs import random_sparse_graph
-from idcodes import graph
+from idcodes import cli, graph
 from idcodes.families import (
     band5_square_root,
     band_graph,
@@ -823,6 +823,18 @@ def test_edge_list_parsing_details():
         parse_edge_list("3 1\n0 x\n")
     with pytest.raises(ValueError):
         parse_edge_list("")
+
+
+def test_edge_list_negative_edge_count_is_refused(tmp_path, capsys):
+    # a plain message, not a count of -2 endpoint numbers, and exit 2
+    # through the CLI like any other malformed edge list
+    with pytest.raises(ValueError, match="^edge list declares -1 edges; the count must be >= 0$"):
+        parse_edge_list("2 -1\n")
+    path = tmp_path / "g.txt"
+    path.write_text("2 -1\n")
+    assert cli.main(["classify", "--graph", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: edge list declares -1 edges; the count must be >= 0\n")
 
 
 def _refuse_graph(n, edges=()):

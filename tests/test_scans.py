@@ -484,9 +484,9 @@ def test_gamma_chain_chain_entry(monkeypatch, capsys):
     # every twin-free class there is one chain entry with both minima
     real = solve._solve
 
-    def skewed(balls, n, kind):
-        size, forced, explored, sets = real(balls, n, kind)
-        return size + 2 * (kind == "identifying" and n == 4), forced, explored, sets
+    def skewed(balls, kind):
+        size, forced, sets = real(balls, kind)
+        return size + 2 * (kind == "identifying" and len(balls) == 4), forced, sets
 
     monkeypatch.setattr(solve, "_solve", skewed)
     entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")

@@ -39,6 +39,7 @@ from idcodes.graph import (
     join,
     twin_pairs,
 )
+from idcodes.scans import scan_gamma_chain
 from idcodes.solve import (
     _combination_rank,
     _constraints,
@@ -191,17 +192,16 @@ def test_search_matches_ascending_oracle_past_a_thousand_subsets():
         for p in (0.15, 0.25, 0.4):
             g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
             for r in (1, 2):
-                balls = _balls(g, r)
                 for kind in KINDS:
                     expected = brute.ascending_search(g, kind, r)
                     if expected is None:
                         continue
-                    minimum, forced, explored, sets = solve._solve(balls, n, kind)
-                    got = (minimum, _bit_indices(next(sets)), explored)
+                    report, sets = solve._solve_graph(g, kind, r)
+                    got = (report.minimum, next(sets), report.explored)
                     assert got == (expected[0], sorted(expected[1]), expected[2]), (g, kind, r)
-                    assert [_bit_indices(c) for c in sets] == [sorted(c) for c in expected[3][1:]]
-                    base = forced.bit_count()
-                    largest = max(largest, math.comb(n - base, minimum - base))
+                    assert list(sets) == [sorted(c) for c in expected[3][1:]]
+                    base = len(report.forced)
+                    largest = max(largest, math.comb(n - base, report.minimum - base))
     assert largest >= 1000
 
 
@@ -368,11 +368,19 @@ _PROOF = (_has_hitting_set, "feasible", ("avail", "k"))
 
 
 def _search_trace(masks, free: int, forced: int, k: int, split):
-    """The sets ``_hitting_sets`` generates, the nodes its walk enters as
-    (chosen, budget) at every call or resume, and the nodes the proofs it
-    calls enter as (available, budget), each in the order entered."""
-    stream = _hitting_sets(masks, free, forced, k, split)
-    return _nested_calls(lambda: list(stream), _WALK, _PROOF)
+    """The k-sets the solver generates at one size, as ``_solve`` does: the
+    proof at the root, then, unless it refutes k, every set of the walk
+    from its witness; with the nodes the walk enters as (chosen, budget) at
+    every call or resume, and the nodes the proofs enter as (available,
+    budget), the root proof's first, each in the order entered."""
+
+    def search():
+        witness = _has_hitting_set(masks, free, k, split)
+        if witness is None:
+            return []
+        return list(_hitting_sets(masks, free, forced, k, witness, split))
+
+    return _nested_calls(search, _WALK, _PROOF)
 
 
 def _proof_trace(masks, free: int, k: int, split):
@@ -687,23 +695,21 @@ def test_walk_from_the_witness_finds_the_least_code():
                     for kind in KINDS:
                         if twins and kind in ("identifying", "separating"):
                             continue
-                        minimum, forced, _, sets = solve._solve(balls, n, kind)
+                        minimum, forced, sets = solve._solve(balls, kind)
                         cons, _ = _constraints(balls, n, kind)
                         free = ((1 << n) - 1) & ~forced
                         k = minimum - forced.bit_count()
                         least = _first_hitting_set(cons, free, k)
-                        split = _solver_split(balls, kind, forced)
-                        assert next(_hitting_sets(cons, free, forced, k, split)) == forced | least
                         assert next(sets) == forced | least, (g, r, kind)
 
 
 # the calls the walk makes to the order-free proof on the seeded G(22, 0.25)
 # of PINNED_EXPLORED up to the least code: kind -> (minimum, least code,
-# walk calls).  ``_solve`` calls the proof once at the root of each size
-# from the counting bound to the minimum, and the walk makes the other
-# calls, only for the vertices below its witness's least one and never
-# with one vertex left; a walk that put every vertex to the proof would
-# make more.
+# walk calls).  ``_solve``'s size loop calls the proof once for each size
+# from the counting bound to the minimum and returns before the walk
+# starts; the walk makes the other calls once the least code is read, only
+# for the vertices below its witness's least one and never with one
+# vertex left; a walk that put every vertex to the proof would make more.
 PINNED_WALK_CALLS = {
     "dominating": (5, [0, 1, 6, 7, 12], 7),
     "separating": (7, [0, 1, 3, 6, 7, 8, 11], 4),
@@ -723,13 +729,39 @@ def test_walk_calls_pinned(kind, monkeypatch):
         return _has_hitting_set(*args)
 
     monkeypatch.setattr(solve, "_has_hitting_set", counted)
-    minimum, forced, _, sets = solve._solve(balls, g.n, kind)
+    minimum, forced, sets = solve._solve(balls, kind)
     base = forced.bit_count()
     start = max(base, _lower_bound(kind, balls, g.n))
-    proofs = minimum - start + 1
-    assert [args[2] for args in calls[:proofs]] == list(range(start - base, minimum - base + 1))
+    # one proof per size tried, and none yet from the walk
+    assert [args[2] for args in calls] == list(range(start - base, minimum - base + 1))
+    proofs = len(calls)
     got = (minimum, _bit_indices(next(sets)), len(calls) - proofs)
     assert got == PINNED_WALK_CALLS[kind], kind
+
+
+def test_minimum_only_solves_never_walk():
+    # gamma-chain reads only the two minima of each class, so the proofs of
+    # the size loop decide them and no line of the walk runs.  Lines, not
+    # calls: an unread walk that is dropped may still be closed, which a
+    # profiler sees as a call of ``visit`` that runs none of it
+    names = {_WALK[1], _PROOF[1]}
+    lines = dict.fromkeys(names, 0)
+
+    def count(frame, event, arg):
+        if event == "line":
+            lines[frame.f_code.co_name] += 1
+        return count
+
+    def trace(frame, event, arg):
+        return count if frame.f_code.co_name in names else None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        report = scan_gamma_chain(5)
+    finally:
+        sys.settrace(previous)
+    assert report.ok and lines[_PROOF[1]] and not lines[_WALK[1]], lines
 
 
 # gamma_ID of the rook graph K_q □ K_q is ⌊3q/2⌋ (Gravier, Moncel & Semri,
@@ -740,7 +772,7 @@ def test_identifying_minimum_of_the_rook_graph(q):
     n = q * q
     pairs = itertools.combinations(range(n), 2)
     g = Graph(n, [(u, v) for u, v in pairs if u // q == v // q or u % q == v % q])
-    assert solve._solve(list(g._cn), n, "identifying")[0] == 3 * q // 2
+    assert solve._solve(list(g._cn), "identifying")[0] == 3 * q // 2
 
 
 # gamma_ID of paths and cycles (Bertrand, Charon, Hudry & Lobstein, EJC
