@@ -32,7 +32,15 @@ def _parse_code(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    return [int(tok) for tok in text.split(",")]
+    code = []
+    for tok in text.split(","):
+        if not tok.strip():
+            raise ValueError(f"--code has an empty entry: {text!r}")
+        try:
+            code.append(int(tok))
+        except ValueError:
+            raise ValueError(f"--code entry {tok.strip()!r} is not a vertex number") from None
+    return code
 
 
 def _emit(report: dict, plain: bool) -> None:
@@ -66,8 +74,9 @@ def _cmd_power(args) -> int:
 
 def _cmd_verify(args) -> int:
     _check_radius(args.radius)
+    code = _parse_code(args.code)
     g = _load_graph(args.graph)
-    cert = codes.check_code(g, _parse_code(args.code), args.kind, args.radius)
+    cert = codes.check_code(g, code, args.kind, args.radius)
     _emit(cert.to_dict(), args.plain)
     return EXIT_OK
 

@@ -203,9 +203,12 @@ def _has_hitting_set(
     when an unmet mask has no available vertex, when a greedy packing of
     pairwise disjoint unmet masks, restricted to the available vertices
     and taken in list order, outnumbers the budget, or when a child's
-    largest signature class needs more vertices than its budget; with one
-    vertex left it is decided by whether the unmet masks meet in an
-    available vertex, and takes the least such vertex.  The split cut runs
+    largest signature class needs more vertices than its budget.  A node
+    with two vertices left is decided in place, without a child node: each
+    vertex of the branch mask, tried as above, succeeds alone when it meets
+    every unmet mask, and otherwise with the least available vertex in every
+    mask it misses, when there is one.  So a node with one vertex left is
+    only ever the root, decided the same way.  The split cut runs
     given ``split`` = (balls, classes, undominated, empty_extra), with the
     signature classes of the vertices already chosen as in
     ``_split_classes`` (for identifying codes and separating sets): each
@@ -219,7 +222,7 @@ def _has_hitting_set(
     ) -> int | None:
         if not unhit:
             return 0
-        if k == 1:
+        if k == 1:  # only at the root: a node with two left decides in place
             for c in unhit:
                 avail &= c
             return avail & -avail if avail else None
@@ -237,7 +240,23 @@ def _has_hitting_set(
             m = r.bit_count()
             if m < fewest:
                 fewest, branch = m, r
-        splitting = classes is not None and k > 2
+        if k == 2:  # the last vertex must lie in every mask low misses
+            while branch:
+                low = branch & -branch
+                branch ^= low
+                last = avail  # holds low, which every mask low misses drops
+                avail ^= low
+                for c in unhit:
+                    if not c & low:
+                        last &= c
+                        if not last:
+                            break
+                if last & low:  # low meets every mask
+                    return low
+                if last:
+                    return low | last & -last
+            return None
+        splitting = classes is not None
         parts, rest_undominated = classes, undominated
         while branch:
             low = branch & -branch

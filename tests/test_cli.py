@@ -254,6 +254,7 @@ def test_exit_status_on_rarely_taken_paths(run, tmp_path, argv, text, status, ex
         (["power", "--radius", "0"], "error: radius must be >= 1\n"),
         (["solve", "--kind", "identifying", "--radius", "0"], "error: radius must be >= 1\n"),
         (["verify", "--kind", "identifying", "--code", "0", "--radius", "0"], "error: radius must be >= 1\n"),
+        (["verify", "--kind", "identifying", "--code", "a,b"], "error: --code entry 'a' is not a vertex number\n"),
     ],
 )
 def test_flag_refusals_come_before_the_graph_is_read(run, tmp_path, argv, message):
@@ -317,6 +318,14 @@ def test_byte_identical_output(run, graph_file):
     assert out1 == out2
     _, plain, _ = run("--plain", "solve", "--graph", path, "--kind", "identifying")
     assert "minimum\t4" in plain
+
+
+def test_verify_refuses_an_empty_code_entry(run, graph_file):
+    # an empty entry is refused as such, with the flag and the whole list,
+    # before any vertex is checked
+    path = graph_file(band_graph(2))
+    code, out, err = run("verify", "--graph", path, "--code", "0,,1", "--kind", "identifying")
+    assert (code, out, err) == (2, "", "error: --code has an empty entry: '0,,1'\n")
 
 
 def test_verify_radius_two(run, graph_file):

@@ -532,50 +532,51 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
 # cut made weaker.  Identifying and separating searches also run without
 # the split, which pins the packing, the branching and the last-vertex step
 # alone.  The proof counts depend on the order of ``_constraints`` (size,
-# then value).
+# then value).  A proof node with two vertices left decides in place, so
+# they count no node with one vertex left except the root of a budget-1 call.
 PINNED_NODES = {
     "cycle14": (
         lambda: cycle_graph(14),
         {
-            ("dominating", False): (5, 14, 101, 151),
-            ("separating", True): (7, 2, 27, 68),
-            ("separating", False): (7, 2, 27, 69),
-            ("identifying", True): (7, 2, 27, 66),
-            ("identifying", False): (7, 2, 27, 69),
-            ("locating-dominating", False): (6, 35, 284, 380),
+            ("dominating", False): (5, 14, 101, 131),
+            ("separating", True): (7, 2, 27, 64),
+            ("separating", False): (7, 2, 27, 65),
+            ("identifying", True): (7, 2, 27, 62),
+            ("identifying", False): (7, 2, 27, 65),
+            ("locating-dominating", False): (6, 35, 284, 274),
         },
     ),
     "band6": (
         lambda: band_graph(6),
         {
-            ("dominating", False): (2, 36, 79, 12),
+            ("dominating", False): (2, 36, 79, 11),
             ("separating", True): (11, 2, 3, 1),
             ("separating", False): (11, 2, 3, 1),
             ("identifying", True): (11, 2, 3, 1),
             ("identifying", False): (11, 2, 3, 1),
-            ("locating-dominating", False): (6, 222, 1679, 586),
+            ("locating-dominating", False): (6, 222, 1679, 484),
         },
     ),
     "petersen": (
         petersen_graph,
         {
-            ("dominating", False): (3, 10, 46, 40),
-            ("separating", True): (4, 125, 597, 117),
-            ("separating", False): (4, 125, 597, 117),
-            ("identifying", True): (4, 5, 34, 56),
-            ("identifying", False): (4, 5, 34, 73),
-            ("locating-dominating", False): (4, 65, 327, 103),
+            ("dominating", False): (3, 10, 46, 34),
+            ("separating", True): (4, 125, 597, 92),
+            ("separating", False): (4, 125, 597, 92),
+            ("identifying", True): (4, 5, 34, 40),
+            ("identifying", False): (4, 5, 34, 47),
+            ("locating-dominating", False): (4, 65, 327, 83),
         },
     ),
     "gnp16": (
         lambda: _seeded_connected_twin_free_gnp(16, 0.25, 16),
         {
-            ("dominating", False): (4, 26, 146, 169),
-            ("separating", True): (5, 1, 10, 82),
-            ("separating", False): (5, 1, 10, 172),
-            ("identifying", True): (6, 46, 407, 585),
-            ("identifying", False): (6, 46, 407, 694),
-            ("locating-dominating", False): (5, 5, 44, 181),
+            ("dominating", False): (4, 26, 146, 136),
+            ("separating", True): (5, 1, 10, 51),
+            ("separating", False): (5, 1, 10, 80),
+            ("identifying", True): (6, 46, 407, 500),
+            ("identifying", False): (6, 46, 407, 562),
+            ("locating-dominating", False): (5, 5, 44, 127),
         },
     ),
 }
@@ -607,25 +608,25 @@ PINNED_PROOF_NODES = {
         "dominating": (2, 2, []),
         "separating": (10, 11, [0]),
         "identifying": (10, 11, [0]),
-        "locating-dominating": (4, 6, [27, 75]),
+        "locating-dominating": (4, 6, [12, 31]),
     },
     "cycle14": {
         "dominating": (5, 5, []),
         "separating": (4, 7, [1, 1, 6]),
         "identifying": (4, 7, [1, 1, 3]),
-        "locating-dominating": (4, 6, [4, 24]),
+        "locating-dominating": (4, 6, [4, 22]),
     },
     "gnp16": {
-        "dominating": (2, 4, [1, 9]),
+        "dominating": (2, 4, [1, 3]),
         "separating": (4, 5, [1]),
-        "identifying": (5, 6, [14]),
-        "locating-dominating": (4, 5, [23]),
+        "identifying": (5, 6, [9]),
+        "locating-dominating": (4, 5, [9]),
     },
     "petersen": {
         "dominating": (3, 3, []),
         "separating": (4, 4, []),
         "identifying": (4, 4, []),
-        "locating-dominating": (3, 4, [16]),
+        "locating-dominating": (3, 4, [5]),
     },
 }
 
@@ -649,6 +650,29 @@ def test_proof_nodes_pinned(name):
             counts.append(len(nodes))
         assert _has_hitting_set(cons, free, minimum - base, split) is not None, (name, kind)
         assert (start, minimum, counts) == expected, (name, kind)
+
+
+def test_no_proof_node_below_the_root_has_one_vertex_left():
+    # a node with two vertices left decides each vertex of its branch mask
+    # in place, so the proof recurses only from budgets of 3 or more and a
+    # node with one vertex left is only ever the root of a call; at every
+    # budget, on the pinned graphs, with and without the split cut
+    below = set()
+    for name, (build, _) in sorted(PINNED_NODES.items()):
+        g = build()
+        n, balls = g.n, list(g._cn)
+        for kind in KINDS:
+            cons, forced = _constraints(balls, n, kind)
+            free = ((1 << n) - 1) & ~forced
+            solver_split = _solver_split(balls, kind, forced)
+            for split in (None, solver_split) if solver_split else (None,):
+                for k in range(1, free.bit_count() + 1):
+                    nodes = _proof_trace(cons, free, k, split)[1]
+                    assert not nodes or nodes[0][1] == k, (name, kind, k)
+                    budgets = {budget for _, budget in nodes[1:]}
+                    assert 1 not in budgets, (name, kind, k, split is None)
+                    below |= budgets
+    assert 2 in below
 
 
 def _first_hitting_set(cons: list[int], free: int, k: int) -> int | None:
@@ -788,6 +812,17 @@ def test_identifying_minima_of_paths_and_cycles():
         else:
             expected = (n + 3) // 2
         assert solve_minimum(cycle_graph(n), "identifying").minimum == expected, n
+
+
+# gamma_LD of paths and cycles is ⌈2n/5⌉ (Slater, "Dominating and reference
+# sets in a graph", 1988) and their domination number ⌈n/3⌉, pinned past
+# SOLVE_VERTEX_CAP through ``_solve``
+def test_locating_dominating_and_dominating_minima_of_paths_and_cycles():
+    for n in range(3, 33):
+        for g in (path_graph(n), cycle_graph(n)):
+            balls = list(g._cn)
+            assert solve._solve(balls, "locating-dominating")[0] == -(-2 * n // 5), (g, n)
+            assert solve._solve(balls, "dominating")[0] == -(-n // 3), (g, n)
 
 
 def test_radius_two_solving():
