@@ -18,10 +18,6 @@ from .codes import (
     CodeCertificate,
     check_code,
     is_discriminating,
-    is_dominating,
-    is_identifying,
-    is_locating_dominating,
-    is_separating,
     membership_graph,
 )
 from .families import (
@@ -41,12 +37,10 @@ from .graph import (
     TwinsError,
     canonical_form,
     complement,
-    delete_vertex,
     find_isomorphism,
     format_edge_list,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     is_twin_free,
     join,
     parse_edge_list,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bound, classify, codes, scans, solve
 from .families import make_family, parse_family_spec
-from .graph import Graph, PreconditionError, _check_radius, format_edge_list, parse_edge_list, power
+from .graph import Graph, PreconditionError, _check_radius, _int_token, format_edge_list, parse_edge_list, power
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -36,10 +36,7 @@ def _parse_code(text: str) -> list[int]:
     for tok in text.split(","):
         if not tok.strip():
             raise ValueError(f"--code has an empty entry: {text!r}")
-        try:
-            code.append(int(tok))
-        except ValueError:
-            raise ValueError(f"--code entry {tok.strip()!r} is not a vertex number") from None
+        code.append(_int_token(tok.strip(), "--code entry {tok!r} is not a vertex number"))
     return code
 
 

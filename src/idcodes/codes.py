@@ -141,31 +141,11 @@ def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> Cod
     return _certify(kind, radius, _balls(g, radius), c, kind != "separating", separate)
 
 
-def is_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
-    """Valid iff every radius-r ball meets the code."""
-    return check_code(g, code, "dominating", radius)
-
-
-def is_separating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
-    """Valid iff all vertex pairs get distinct code-restricted balls."""
-    return check_code(g, code, "separating", radius)
-
-
-def is_identifying(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
-    """Valid iff the code is both r-dominating and r-separating."""
-    return check_code(g, code, "identifying", radius)
-
-
-def is_locating_dominating(g: Graph, code: Iterable[int], radius: int = 1) -> CodeCertificate:
-    """Valid iff the code dominates and separates all pairs outside the code."""
-    return check_code(g, code, "locating-dominating", radius)
-
-
 def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str) -> None:
     """Raise ``PreconditionError(f"{failure}: {witness}")``, carrying the
     certificate as ``.certificate``, unless the code mask ``c`` is
     r-identifying on a graph's radius-r ``balls``; the verdict is
-    ``is_identifying``'s."""
+    ``check_code``'s for kind identifying."""
     cert = _certify("identifying", radius, balls, c, True, range(len(balls)))
     if not cert.valid:
         err = PreconditionError(f"{failure}: {cert.to_dict()['witness']}")

@@ -14,6 +14,7 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -32,7 +33,7 @@ class PreconditionError(ValueError):
 class TwinsError(PreconditionError):
     """The graph (or the relevant power) has twin vertices; ``pair`` is the
     least pair, ``twin_pairs(g)[0]`` at radius 1 and the witness of
-    ``is_identifying(g, range(g.n))``."""
+    ``check_code(g, range(g.n), "identifying")``."""
 
     def __init__(self, message: str, pair: tuple[int, int]):
         super().__init__(message)
@@ -272,13 +273,6 @@ def complement(g: Graph) -> Graph:
     return Graph._from_masks(g.n, tuple(full ^ m | 1 << v for v, m in enumerate(g._cn)))
 
 
-def delete_vertex(g: Graph, x: int) -> tuple[Graph, dict[int, int]]:
-    """New graph without x, reindexed densely, plus the old->new index map."""
-    g._check_vertex(x)
-    keep = [v for v in range(g.n) if v != x]
-    return induced_subgraph(g, keep), {old: new for new, old in enumerate(keep)}
-
-
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by ``keep``; new labels follow sorted old labels."""
     vs = sorted(set(keep))
@@ -404,15 +398,12 @@ def _individualize(cn, cells: list[int], t: int, b: int) -> list[int]:
     return _refine(cn, cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], [b])
 
 
-def _relabel(cn, lab: list[int]) -> int:
-    """The closed masks ``cn`` of the graph relabeled so that ``lab[i]``
-    becomes vertex i, packed into one integer, vertex 0's mask the most
-    significant."""
-    n = len(lab)
-    pos = [0] * n
-    for i, v in enumerate(lab):
-        pos[v] = 1 << i
-    cert = 0
+def _relabel(cn, lab: list[int]) -> tuple[int, ...]:
+    """The closed masks ``cn`` relabeled so that ``lab[i]`` becomes vertex i,
+    vertex 0's first; each is below 2**n, so these tuples compare as the
+    masks packed into one integer, vertex 0's most significant, would."""
+    pos = [1 << i for i in _permutation(lab, range(len(lab)))]
+    masks = []
     for v in lab:
         m = 0
         rest = cn[v]
@@ -420,15 +411,17 @@ def _relabel(cn, lab: list[int]) -> int:
             b = rest & -rest
             rest ^= b
             m |= pos[b.bit_length() - 1]
-        cert = cert << n | m
-    return cert
+        masks.append(m)
+    return tuple(masks)
 
 
-def _unpack(cert: int, n: int) -> tuple[int, ...]:
-    """The n closed masks that ``_relabel`` packed into ``cert``, vertex 0's
-    first."""
-    full = (1 << n) - 1
-    return tuple(cert >> (n * (n - 1 - i)) & full for i in range(n))
+def _permutation(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The permutation taking ``a[i]`` to ``b[i]`` for each i, as the list of
+    images; ``_permutation(p, range(len(p)))`` is the inverse of ``p``."""
+    p = [0] * len(a)
+    for x, y in zip(a, b):
+        p[x] = y
+    return p
 
 
 def _orbit(mask: int, gens: list[list[int]]) -> int:
@@ -445,14 +438,15 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canon(cn, cells: list[int] | None = None) -> tuple[int, list[int], int, list[list[int]]]:
+def _canon(cn, cells: list[int] | None = None) -> tuple[tuple[int, ...], list[int], int, list[list[int]]]:
     """Canonical labeling of the graph with closed-neighborhood masks ``cn``
     by colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism II", 2014), with automorphism pruning.
 
     Returns ``(cert, lab, order, gens)``.  ``lab[i]`` is the vertex that the
-    canonical labeling numbers i, and ``cert`` is ``_relabel(cn, lab)``; two
-    graphs are isomorphic exactly when their certificates are equal.
+    canonical labeling numbers i, and ``cert`` is ``_relabel(cn, lab)``, the
+    relabeled graph itself; two graphs are isomorphic exactly when their
+    certificates are equal.
     Refinement splits closed and open masks alike (see ``_refine``), and
     every labeling's closed certificate is its open one plus the same
     diagonal, so ``lab``, ``order`` and ``gens`` are those of the open
@@ -484,7 +478,7 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[int, list[int], int, lis
     """
     n = len(cn)
     gens: list[list[int]] = []
-    leaves: dict[int, tuple[list[int], list[int]]] = {}  # cert: (lab, trail)
+    leaves: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}  # cert: (lab, trail)
     order = 1
 
     def search(cells: list[int], trail: list[int]) -> int:
@@ -498,10 +492,7 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[int, list[int], int, lis
             if ref is None:
                 leaves[cert] = (lab, trail[:])
                 return depth
-            gen = [0] * n
-            for a, b in zip(ref[0], lab):
-                gen[a] = b
-            gens.append(gen)
+            gens.append(_permutation(ref[0], lab))
             shared = 0
             while trail[shared] == ref[1][shared]:
                 shared += 1
@@ -533,12 +524,11 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[int, list[int], int, lis
     return cert, leaves[cert][0], order, gens
 
 
-def _labeling(g: Graph) -> tuple[int, list[int]]:
+def _labeling(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     """``_canon``'s certificate and labeling of g, refused above the cap."""
     if g.n > ISOMORPHISM_CAP:
         raise ValueError(f"canonical labeling is limited to n <= {ISOMORPHISM_CAP}")
-    cert, lab, _, _ = _canon(g._cn)
-    return cert, lab
+    return _canon(g._cn)[:2]
 
 
 def canonical_form(g: Graph) -> int:
@@ -547,7 +537,7 @@ def canonical_form(g: Graph) -> int:
     Two graphs have equal forms exactly when they are isomorphic; the form
     is the ``edge_mask`` the scans report for g's class.
     """
-    return _edge_mask(_unpack(_labeling(g)[0], g.n))
+    return _edge_mask(_labeling(g)[0])
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
@@ -557,8 +547,7 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     two canonical labelings; the witness maps the vertex each numbers i in
     g1 to the one it numbers i in g2.
     """
-    n = g1.n
-    if n != g2.n or g1.edge_count != g2.edge_count:
+    if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
@@ -566,17 +555,28 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
     cert2, lab2 = _labeling(g2)
     if cert1 != cert2:
         return None
-    mapping = [0] * n
-    for a, b in zip(lab1, lab2):
-        mapping[a] = b
-    return mapping
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    return find_isomorphism(g1, g2) is not None
+    return _permutation(lab1, lab2)
 
 
 # -- edge-list text format ----------------------------------------------
+
+
+# a number in the text formats: ASCII digits after an optional '-' (int()
+# alone would also read '+1', '1_0' as 10, and non-ASCII digits)
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+_INT_TOKENS = re.compile(rf"(?:\s*{_INT_TOKEN.pattern}(?!\S))*\s*")  # whitespace-separated
+
+
+def _int_token(tok: str, message: str) -> int:
+    """``tok`` as an int when ``_INT_TOKEN`` matches it and ``int`` can read
+    it (a digit limit applies), else ``ValueError`` with ``message``, ``tok``
+    filling its ``{tok}``."""
+    try:
+        if _INT_TOKEN.fullmatch(tok):
+            return int(tok)
+    except ValueError:
+        pass
+    raise ValueError(message.format(tok=tok))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -586,16 +586,13 @@ def parse_edge_list(text: str) -> Graph:
     endpoints; '#' starts a comment, blank lines are skipped.  A header n
     above ``INPUT_VERTEX_CAP`` is rejected before anything is allocated.
     """
-    tokens: list[int] = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        for tok in body.split():
-            try:
-                tokens.append(int(tok))
-            except ValueError:
-                raise ValueError(f"invalid token {tok!r} in edge list") from None
+    body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    try:  # one match over the text, then token by token to name a refused one
+        if not _INT_TOKENS.fullmatch(body):
+            raise ValueError
+        tokens = list(map(int, body.split()))
+    except ValueError:
+        tokens = [_int_token(tok, "invalid token {tok!r} in edge list") for tok in body.split()]
     if len(tokens) < 2:
         raise ValueError("edge list must start with a header line 'n m'")
     n, m = tokens[0], tokens[1]

@@ -43,9 +43,9 @@ from .graph import (
     _component_masks,
     _edge_mask,
     _orbit,
+    _permutation,
     _reach,
     _refine,
-    _unpack,
     graph_from_edge_mask,
 )
 
@@ -287,7 +287,7 @@ def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
                 continue
             back = inverses.get(z)
             if back is None:
-                back = inverses[z] = _inverse(transversal[z])
+                back = inverses[z] = _permutation(transversal[z], points)
             h = [back[x] for x in w]
             while True:
                 i = next((v for v in points if h[v] != v), None)
@@ -295,24 +295,16 @@ def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
                     break
                 filed = kept.get((i, h[i]))
                 if filed is None:
-                    kept[i, h[i]] = _inverse(h)
+                    kept[i, h[i]] = _permutation(h, points)
                     break
                 h = [filed[x] for x in h]
     return list(kept.values())
 
 
-def _inverse(p: list[int]) -> list[int]:
-    """The inverse of the permutation ``p``, a list of images."""
-    inv = [0] * len(p)
-    for v, x in enumerate(p):
-        inv[x] = v
-    return inv
-
-
 def _representative(cn: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """(edge mask, closed masks) of the canonical representative of the
     class of ``cn``: the one ``_canon`` call that names a class."""
-    rep = _unpack(_canon(cn)[0], len(cn))
+    rep = _canon(cn)[0]
     return _edge_mask(rep), rep
 
 

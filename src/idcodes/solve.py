@@ -468,7 +468,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     for v in removed_set:
         g._check_vertex(v)
     _refuse_twins(g._cn, "the host graph has twins {x} and {y}; no identifying code exists")
-    rest = [v for v in range(g.n) if v not in removed_set]
+    rest = sorted(set(range(g.n)).difference(removed_set))
     placed = sum(1 << v for v in rest)
     message = f"removing {removed_set} leaves twins {{x}} and {{y}}"
     _refuse_twins([m & placed for m in g._cn], message, among=rest)
@@ -501,7 +501,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
         current |= separator_pool & -separator_pool
 
     result = frozenset(_bit_indices(current))
-    final = codes.is_identifying(g, result)
+    final = codes.check_code(g, result, "identifying")
     if not final.valid:  # pragma: no cover - guaranteed by construction
         raise RuntimeError(f"extension produced an invalid code: {final.to_dict()}")
     return result

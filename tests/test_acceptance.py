@@ -12,7 +12,7 @@ from fractions import Fraction
 import brute
 from randgraphs import random_bounded_degree_graph
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
-from idcodes.codes import is_identifying
+from idcodes.codes import check_code
 from idcodes.families import (
     band5_square_root,
     band_graph,
@@ -126,7 +126,7 @@ def test_c08_distance_three_pair_is_sharp():
         code_from_independent_set(g, [0, 3])
     except PreconditionError:
         rejected = True
-    invalid = not is_identifying(g, {1, 2}).valid
+    invalid = not check_code(g, {1, 2}, "identifying").valid
     _criterion(
         8,
         rejected and invalid,
@@ -141,13 +141,13 @@ def test_c09_constructive_pipelines():
     for g in graphs:
         delta = g.max_degree()
         report = constructive_upper_bound(g)
-        ok &= is_identifying(g, report.code).valid
+        ok &= check_code(g, report.code, "identifying").valid
         if delta >= 3:
             limit = math.ceil(g.n * (1 - Fraction(delta - 2, delta * (delta - 1) ** 5 - 2)))
             ok &= len(report.code) <= limit
         if len(set(g.degrees())) == 1:
             reg = regular_constructive_bound(g)
-            ok &= is_identifying(g, reg.code).valid
+            ok &= check_code(g, reg.code, "identifying").valid
             if delta >= 3:
                 reg_limit = math.ceil(g.n * (1 - Fraction(1, 1 + delta - delta**2 + delta**3)))
                 ok &= len(reg.code) <= reg_limit

@@ -19,7 +19,7 @@ from idcodes.bound import (
     regular_constructive_bound,
     removable_vertex_in_ball,
 )
-from idcodes.codes import is_identifying
+from idcodes.codes import check_code
 from idcodes.families import (
     band_graph,
     complete_graph,
@@ -31,8 +31,8 @@ from idcodes.families import (
 from idcodes.graph import (
     Graph,
     PreconditionError,
-    delete_vertex,
     graph_from_edge_mask,
+    induced_subgraph,
     is_connected,
     is_twin_free,
     power,
@@ -53,7 +53,7 @@ def test_removable_vertex_examples():
             for x in range(g.n):
                 y = removable_vertex_in_ball(g, x, r)
                 assert y in brute.naive_ball(g, x, r)
-                reduced, _ = delete_vertex(pg, y)
+                reduced = induced_subgraph(pg, set(range(pg.n)) - {y})
                 assert is_twin_free(reduced)
 
 
@@ -62,7 +62,7 @@ def test_removable_vertex_is_least_valid_choice():
         for x in range(g.n):
             y = removable_vertex_in_ball(g, x)
             for candidate in sorted(brute.naive_ball(g, x, 1)):
-                reduced, _ = delete_vertex(g, candidate)
+                reduced = induced_subgraph(g, set(range(g.n)) - {candidate})
                 ok = is_twin_free(reduced)
                 if candidate == y:
                     assert ok
@@ -76,7 +76,9 @@ def test_removable_vertex_is_least_valid_choice():
             square = power(g, 2)
             for x in range(g.n):
                 expected = min(
-                    y for y in brute.naive_ball(g, x, 2) if is_twin_free(delete_vertex(square, y)[0])
+                    y
+                    for y in brute.naive_ball(g, x, 2)
+                    if is_twin_free(induced_subgraph(square, set(range(g.n)) - {y}))
                 )
                 assert removable_vertex_in_ball(g, x, 2) == expected
                 checked += 1
@@ -178,7 +180,7 @@ def test_constructive_upper_bound_on_cycles():
     assert report.theorem == "thm14" and report.radius == 1
     assert report.bound_value is None  # max degree 2
     assert len(report.code) <= 49
-    assert is_identifying(cycle_graph(50), report.code).valid
+    assert check_code(cycle_graph(50), report.code, "identifying").valid
     assert len(report.code) == 50 - len(report.mapped_set)
     assert len(report.mapped_set) == len(report.independent_set)
 
@@ -188,7 +190,7 @@ def test_constructive_upper_bound_small_diameter():
     report = constructive_upper_bound(petersen_graph())
     assert len(report.independent_set) == 1
     assert len(report.code) == 9
-    assert is_identifying(petersen_graph(), report.code).valid
+    assert check_code(petersen_graph(), report.code, "identifying").valid
     assert report.bound_value == Fraction(10 * 93, 94)
     assert report.bound_ceiling() == 10
 
@@ -206,7 +208,7 @@ def test_constructive_upper_bound_radius_two():
     g = cycle_graph(40)
     report = constructive_upper_bound(g, 2)
     assert report.theorem == "thm19"
-    assert is_identifying(g, report.code, 2).valid
+    assert check_code(g, report.code, "identifying", 2).valid
     assert report.bound_value is None
 
 
@@ -226,7 +228,7 @@ def test_regular_variant():
     assert pet.bound_value == Fraction(10 * 21, 22)
     assert pet.bound_ceiling() == 10
     assert len(pet.code) <= 10
-    assert is_identifying(petersen_graph(), pet.code).valid
+    assert check_code(petersen_graph(), pet.code, "identifying").valid
     assert pet.mapped_set == pet.independent_set
     with pytest.raises(PreconditionError):
         regular_constructive_bound(path_graph(4))  # not regular
@@ -237,7 +239,7 @@ def test_pipeline_on_seeded_random_graphs():
         g = random_bounded_degree_graph(seed)
         delta = g.max_degree()
         report = constructive_upper_bound(g)
-        assert is_identifying(g, report.code).valid
+        assert check_code(g, report.code, "identifying").valid
         assert len(report.code) <= report.bound_ceiling()
         # size guarantee steps: maximality coverage and the two inequalities
         chosen = sorted(report.independent_set)
@@ -306,7 +308,7 @@ def _composition_outcome(g, chosen, r):
 
 def _expected_outcome(g, chosen, r):
     """What the per-member route says, with the message and certificate
-    that ``codes.is_identifying`` gives on the first failing member."""
+    that ``codes.check_code`` gives on the first failing member."""
     naive = brute.naive_code_from_set(g, chosen, r)
     everything = set(range(g.n))
     if naive[0] == "ok":
@@ -318,10 +320,10 @@ def _expected_outcome(g, chosen, r):
         return ("error", msg, None)
     if naive[0] == "member":
         v = naive[1]
-        cert = is_identifying(g, everything - {v}, r)
+        cert = check_code(g, everything - {v}, "identifying", r)
         msg = f"removing vertex {v} alone does not leave an identifying code: {cert.to_dict()['witness']}"
         return ("error", msg, cert)
-    cert = is_identifying(g, everything - set(chosen), r)
+    cert = check_code(g, everything - set(chosen), "identifying", r)
     return ("error", f"the complement of the set fails to identify: {cert.to_dict()['witness']}", cert)
 
 
@@ -403,7 +405,7 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x: 2)
     with pytest.raises(PreconditionError) as exc:
         constructive_upper_bound(g)
-    cert = is_identifying(g, {0, 1, 3, 4})
+    cert = check_code(g, {0, 1, 3, 4}, "identifying")
     assert not cert.valid and exc.value.certificate == cert
     assert str(exc.value) == (
         f"the complement of the set fails to identify: {cert.to_dict()['witness']}"
@@ -417,7 +419,7 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
         monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x, y=r + 1: y)
         with pytest.raises(PreconditionError) as exc:
             constructive_upper_bound(g, r)
-        cert = is_identifying(g, set(range(g.n)) - {r + 1}, r)
+        cert = check_code(g, set(range(g.n)) - {r + 1}, "identifying", r)
         assert cert.witness_pair == (0, 1) and exc.value.certificate == cert
         assert str(exc.value) == (
             f"the complement of the set fails to identify: {cert.to_dict()['witness']}"
@@ -426,7 +428,7 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     monkeypatch.setattr(bound, "greedy_independent_set", lambda h, d: frozenset({0, 1, 2}))
     with pytest.raises(PreconditionError) as exc:
         regular_constructive_bound(c9)
-    cert = is_identifying(c9, set(range(3, 9)))
+    cert = check_code(c9, set(range(3, 9)), "identifying")
     assert cert.witness_vertex == 1 and exc.value.certificate == cert
     assert str(exc.value) == "the complement of the set fails to identify: {'undominated': 1}"
 

@@ -33,9 +33,9 @@ from idcodes.graph import (
     Graph,
     PreconditionError,
     TwinsError,
+    find_isomorphism,
     graph_from_edge_mask,
     is_connected,
-    is_isomorphic,
     is_twin_free,
     twin_pairs,
 )
@@ -248,7 +248,7 @@ def test_reconstruction_is_isomorphic_to_input():
         result = classify_extremal(g)
         assert result.is_extremal
         rebuilt = make_family(result.family_spec())
-        assert is_isomorphic(g, rebuilt)
+        assert find_isomorphism(g, rebuilt) is not None
     assert classify_extremal(path_graph(5)).family_spec() is None
 
 

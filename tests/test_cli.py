@@ -84,7 +84,7 @@ def test_solve_command(run, graph_file):
     assert report["minimum"] == 5
     # the emitted example re-verifies against the input graph
     g = parse_edge_list(format_edge_list(band_graph(3)))
-    assert codes.is_identifying(g, report["example_code"]).valid
+    assert codes.check_code(g, report["example_code"], "identifying").valid
 
 
 def test_solve_all_minimum(run, graph_file):
@@ -176,12 +176,12 @@ def test_bound_command(run, graph_file):
     assert code == 0
     report = json.loads(out)
     g = cycle_graph(9)
-    assert codes.is_identifying(g, report["code"]).valid
+    assert codes.check_code(g, report["code"], "identifying").valid
     assert report["bound_value"] is None
 
     code, out, _ = run("bound", "--graph", path, "--radius", "1")
     report = json.loads(out)
-    assert codes.is_identifying(g, report["code"]).valid
+    assert codes.check_code(g, report["code"], "identifying").valid
 
 
 def test_scan_command(run):
@@ -326,6 +326,20 @@ def test_verify_refuses_an_empty_code_entry(run, graph_file):
     path = graph_file(band_graph(2))
     code, out, err = run("verify", "--graph", path, "--code", "0,,1", "--kind", "identifying")
     assert (code, out, err) == (2, "", "error: --code has an empty entry: '0,,1'\n")
+
+
+@pytest.mark.parametrize("entry", ["1_0", "+1", "\u0661", "\uff11", "1" * 5000])
+def test_verify_reads_code_entries_strictly(run, graph_file, entry):
+    # the edge list's token rule: int() alone would verify '1_0' as vertex
+    # 10 and take '+1', Arabic-Indic and full-width digits
+    path = graph_file(band_graph(2))
+    code, out, err = run("verify", "--graph", path, "--code", f"0, {entry}", "--kind", "identifying")
+    assert (code, out, err) == (2, "", f"error: --code entry {entry!r} is not a vertex number\n")
+    # a '-' still reaches the vertex check, and spaces around entries stay
+    code, out, err = run("verify", "--graph", path, "--code", "-1", "--kind", "identifying")
+    assert (code, out, err) == (2, "", "error: invalid vertex -1: range is 0..3\n")
+    code, out, err = run("verify", "--graph", path, "--code", " 0 , 1 ,2", "--kind", "identifying")
+    assert code == 0 and json.loads(out)["valid"]
 
 
 def test_verify_radius_two(run, graph_file):

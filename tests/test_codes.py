@@ -10,12 +10,9 @@ import brute
 from randgraphs import random_bounded_degree_graph, random_sparse_graph
 from idcodes import codes, graph
 from idcodes.codes import (
+    KINDS,
     check_code,
     is_discriminating,
-    is_dominating,
-    is_identifying,
-    is_locating_dominating,
-    is_separating,
     membership_graph,
 )
 from idcodes.families import (
@@ -31,11 +28,11 @@ from idcodes.scans import _representative, _sweep
 
 
 def test_dominating_examples():
-    assert is_dominating(star_graph(3), [0]).valid
-    cert = is_dominating(empty_graph(2), [0])
+    assert check_code(star_graph(3), [0], "dominating").valid
+    cert = check_code(empty_graph(2), [0], "dominating")
     assert not cert.valid and cert.witness_vertex == 1
     g = band_graph(3)
-    assert is_dominating(g, brute.naive_ball(g, 2, 1)).valid
+    assert check_code(g, brute.naive_ball(g, 2, 1), "dominating").valid
 
 
 def test_separates_examples():
@@ -55,17 +52,17 @@ def test_separates_examples():
 
 def test_identifying_examples():
     # the ball of the second vertex identifies the 4-path
-    assert is_identifying(band_graph(2), [0, 1, 2]).valid
+    assert check_code(band_graph(2), [0, 1, 2], "identifying").valid
     # two leaves identify the two-leaf star
-    assert is_identifying(star_graph(2), [1, 2]).valid
-    cert = is_identifying(path_graph(4), [1, 2])
+    assert check_code(star_graph(2), [1, 2], "identifying").valid
+    cert = check_code(path_graph(4), [1, 2], "identifying")
     assert not cert.valid
     assert cert.witness_pair == (1, 2)
     assert cert.witness_signature == {1, 2}
 
 
 def test_identifying_undominated_witness_takes_precedence():
-    cert = is_identifying(path_graph(4), [0])
+    cert = check_code(path_graph(4), [0], "identifying")
     assert not cert.valid and cert.witness_vertex == 2
 
 
@@ -73,14 +70,14 @@ def test_locating_dominating_examples():
     for n in range(3, 6):
         g = complete_graph(n)
         for combo in itertools.combinations(range(n), n - 1):
-            assert is_locating_dominating(g, combo).valid
-    assert is_locating_dominating(star_graph(4), [1, 2, 3, 4]).valid
-    assert not is_locating_dominating(path_graph(4), [1]).valid
+            assert check_code(g, combo, "locating-dominating").valid
+    assert check_code(star_graph(4), [1, 2, 3, 4], "locating-dominating").valid
+    assert not check_code(path_graph(4), [1], "locating-dominating").valid
 
 
 def test_whole_vertex_set_identifies_iff_twin_free():
     for g in brute.labeled_graphs(4):
-        assert is_identifying(g, range(g.n)).valid == (not twin_pairs(g))
+        assert check_code(g, range(g.n), "identifying").valid == (not twin_pairs(g))
 
 
 def test_radius_transfer_to_power():
@@ -91,8 +88,8 @@ def test_radius_transfer_to_power():
         r = rng.choice((2, 3))
         code = [v for v in range(n) if rng.random() < 0.5]
         assert (
-            is_identifying(g, code, r).valid
-            == is_identifying(power(g, r), code, 1).valid
+            check_code(g, code, "identifying", r).valid
+            == check_code(power(g, r), code, "identifying", 1).valid
         )
 
 
@@ -112,11 +109,11 @@ def test_all_kinds_match_naive_oracle_exhaustively():
     for g in brute.labeled_graphs(4):
         for size in range(5):
             for combo in itertools.combinations(range(4), size):
-                assert is_dominating(g, combo).valid == brute.naive_is_dominating(g, combo)
-                assert is_separating(g, combo).valid == brute.naive_is_separating(g, combo)
-                assert is_identifying(g, combo).valid == brute.naive_is_identifying(g, combo)
+                assert check_code(g, combo, "dominating").valid == brute.naive_is_dominating(g, combo)
+                assert check_code(g, combo, "separating").valid == brute.naive_is_separating(g, combo)
+                assert check_code(g, combo, "identifying").valid == brute.naive_is_identifying(g, combo)
                 assert (
-                    is_locating_dominating(g, combo).valid
+                    check_code(g, combo, "locating-dominating").valid
                     == brute.naive_is_locating_dominating(g, combo)
                 )
 
@@ -127,8 +124,8 @@ def test_radius_two_matches_naive_oracle():
         n = rng.randrange(2, 7)
         g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.35])
         code = [v for v in range(n) if rng.random() < 0.5]
-        assert is_identifying(g, code, 2).valid == brute.naive_is_identifying(g, code, 2)
-        assert is_dominating(g, code, 2).valid == brute.naive_is_dominating(g, code, 2)
+        assert check_code(g, code, "identifying", 2).valid == brute.naive_is_identifying(g, code, 2)
+        assert check_code(g, code, "dominating", 2).valid == brute.naive_is_dominating(g, code, 2)
 
 
 def test_invalid_witness_reverifies():
@@ -137,7 +134,7 @@ def test_invalid_witness_reverifies():
         n = rng.randrange(2, 8)
         g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
         code = [v for v in range(n) if rng.random() < 0.4]
-        cert = is_identifying(g, code)
+        cert = check_code(g, code, "identifying")
         if cert.valid:
             continue
         if cert.witness_vertex is not None:
@@ -152,21 +149,21 @@ def test_invalid_witness_reverifies():
 def test_witness_pair_is_lexicographically_first():
     # both (0,1) and (2,3) fail; the report must name (0,1)
     g = Graph(4, [(0, 1), (2, 3)])
-    cert = is_separating(g, [])
+    cert = check_code(g, [], "separating")
     assert not cert.valid and cert.witness_pair == (0, 1)
 
 
 def test_radius_zero_rejected():
     with pytest.raises(ValueError):
-        is_identifying(path_graph(3), [0], 0)
+        check_code(path_graph(3), [0], "identifying", 0)
     with pytest.raises(ValueError):
-        is_dominating(path_graph(3), [0], 0)
+        check_code(path_graph(3), [0], "dominating", 0)
 
 
 def test_code_out_of_range_rejected():
     for bad in (5, 3, -1):
         with pytest.raises(ValueError, match=rf"^invalid vertex {bad}: range is 0\.\.2$"):
-            is_identifying(path_graph(3), [0, bad])
+            check_code(path_graph(3), [0, bad], "identifying")
 
 
 def test_check_code_dispatch():
@@ -219,11 +216,11 @@ def test_discriminating_bridge_exhaustive_small():
         bg = membership_graph(g)
         for cmask in range(1 << n):
             code = [v for v in range(n) if cmask >> v & 1]
-            assert is_separating(g, code).valid == is_discriminating(bg, code).valid
+            assert check_code(g, code, "separating").valid == is_discriminating(bg, code).valid
 
 
 def test_certificate_serialization():
-    cert = is_identifying(path_graph(4), [1, 2])
+    cert = check_code(path_graph(4), [1, 2], "identifying")
     d = cert.to_dict()
     assert d == {
         "kind": "identifying",
@@ -231,7 +228,7 @@ def test_certificate_serialization():
         "valid": False,
         "witness": {"pair": [1, 2], "signature": [1, 2]},
     }
-    ok = is_identifying(band_graph(2), [0, 1, 2]).to_dict()
+    ok = check_code(band_graph(2), [0, 1, 2], "identifying").to_dict()
     assert ok["valid"] is True and ok["witness"] is None
 
 
@@ -239,12 +236,6 @@ def test_certificates_match_oracle_on_large_near_complete_codes():
     # V minus a few vertices, or minus a whole ball, on graphs of up to 300
     # vertices: the valid verdicts come from the signature fast path, the
     # invalid ones from the witness search, and both must match the oracle
-    checkers = {
-        "dominating": is_dominating,
-        "identifying": is_identifying,
-        "separating": is_separating,
-        "locating-dominating": is_locating_dominating,
-    }
     rng = random.Random(1005)
     graphs = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
     graphs += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
@@ -258,8 +249,8 @@ def test_certificates_match_oracle_on_large_near_complete_codes():
                     removed = set(rng.sample(range(g.n), k))
                 code = set(range(g.n)) - removed
                 sigs = brute.naive_signatures(g, code, r)
-                for kind, check in checkers.items():
-                    cert = check(g, code, r)
+                for kind in KINDS:
+                    cert = check_code(g, code, kind, r)
                     valid = brute.signatures_ok(kind, sigs, code)
                     assert cert.to_dict() == {
                         "kind": kind,
@@ -268,4 +259,4 @@ def test_certificates_match_oracle_on_large_near_complete_codes():
                         "witness": None if valid else brute.naive_witness(kind, sigs, code),
                     }, (g.n, r, kind, sorted(removed))
                     verdicts.add((kind, valid))
-    assert verdicts == {(kind, v) for kind in checkers for v in (True, False)}
+    assert verdicts == {(kind, v) for kind in KINDS for v in (True, False)}

@@ -21,7 +21,7 @@ from idcodes.families import (
     petersen_graph,
     star_graph,
 )
-from idcodes.graph import is_connected, is_isomorphic, is_twin_free, power
+from idcodes.graph import find_isomorphism, is_connected, is_twin_free, power
 from idcodes.solve import enumerate_minimum_separating_sets, solve_minimum
 
 
@@ -51,11 +51,11 @@ def test_band_graphs_twin_free():
 def test_star_graph():
     g = star_graph(4)
     assert g.degrees() == [4, 1, 1, 1, 1]
-    assert is_isomorphic(g, complete_bipartite_graph(1, 4))
+    assert find_isomorphism(g, complete_bipartite_graph(1, 4)) is not None
 
 
 def test_join_family_constructions():
-    assert is_isomorphic(join_family([1, 1]), cycle_graph(4))
+    assert find_isomorphism(join_family([1, 1]), cycle_graph(4)) is not None
     assert join_family([2]).n == 4
     plus = join_family_plus_universal([2])
     assert plus.n == 5
@@ -73,7 +73,7 @@ def test_complete_minus_matching():
     # odd case: even construction plus a universal vertex
     g7 = complete_minus_matching(7)
     assert g7.edge_count == 21 - 3
-    assert is_isomorphic(complete_minus_matching(3), path_graph(3))
+    assert find_isomorphism(complete_minus_matching(3), path_graph(3)) is not None
     assert complete_minus_matching(2) == empty_graph(2)
 
 
