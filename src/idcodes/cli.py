@@ -2,9 +2,9 @@
 
 Reports are JSON by default (stable key order, sorted vertex lists) so runs
 are byte-reproducible; ``--plain`` switches to flat key/value lines.  Exit
-statuses: 0 success, 2 usage or input errors, 3 failed structural
-preconditions (e.g. twins present), 4 internal assertion failures or
-failed scans.
+statuses: 0 success, 2 usage or input errors (out of memory too), 3 failed
+structural preconditions (e.g. twins present), 4 internal assertion
+failures or failed scans.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from . import bound, classify, codes, scans, solve
-from .families import make_family, parse_family_spec
-from .graph import Graph, PreconditionError, _check_radius, _int_token, format_edge_list, parse_edge_list, power
+from .families import band5_square_root, make_family, parse_family_spec
+from .graph import Graph, PreconditionError, _check_radius, _ints, format_edge_list, parse_edge_list, power
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,12 +32,18 @@ def _parse_code(text: str) -> list[int]:
     text = text.strip()
     if not text:
         return []
-    code = []
-    for tok in text.split(","):
-        if not tok.strip():
-            raise ValueError(f"--code has an empty entry: {text!r}")
-        code.append(_int_token(tok.strip(), "--code entry {tok!r} is not a vertex number"))
-    return code
+    entries = [tok.strip() for tok in text.split(",")]
+    if "" in entries:
+        raise ValueError(f"--code has an empty entry: {text!r}")
+    return _ints(entries, "--code entry {tok!r} is not a vertex number")
+
+
+def _int_arg(text: str) -> int:
+    """argparse ``type`` of the integer flags: the edge lists' number rule."""
+    try:
+        return _ints([text], "{tok!r} is not an integer")[0]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _emit(report: dict, plain: bool) -> None:
@@ -53,8 +59,6 @@ def _emit(report: dict, plain: bool) -> None:
 
 def _cmd_generate(args) -> int:
     if args.family == "fig4":
-        from .families import band5_square_root
-
         g = band5_square_root()
     else:
         g = make_family(parse_family_spec(args.family))
@@ -132,20 +136,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("power", help="emit the r-th power of a graph")
     p.add_argument("--graph", required=True)
-    p.add_argument("--radius", type=int, required=True)
+    p.add_argument("--radius", type=_int_arg, required=True)
     p.set_defaults(func=_cmd_power)
 
     p = sub.add_parser("verify", help="check a code and print the certificate")
     p.add_argument("--graph", required=True)
     p.add_argument("--code", required=True, help="comma-separated vertex list (may be empty)")
     p.add_argument("--kind", required=True, choices=list(codes.KINDS))
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=_int_arg, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("solve", help="exact minimum code of a kind")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", required=True, choices=list(codes.KINDS))
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=_int_arg, default=1)
     p.add_argument("--all-minimum", action="store_true", help="also list every minimum separating set")
     p.set_defaults(func=_cmd_solve)
 
@@ -155,12 +159,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="constructive upper-bound pipeline")
     p.add_argument("--graph", required=True)
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=_int_arg, default=1)
     p.add_argument("--regular", action="store_true", help="use the regular-graph variant")
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("scan", help="exhaustive cross-check over all small graphs")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=_int_arg, required=True)
     p.add_argument("--theorem", choices=sorted(scans.THEOREM_SCANS), required=True)
     p.add_argument(
         "--unsafe-cap",
@@ -190,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PRECONDITION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
     except (AssertionError, RuntimeError) as exc:  # pragma: no cover
         print(f"internal error: {exc}", file=sys.stderr)

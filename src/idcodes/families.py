@@ -1,13 +1,14 @@
 """Generators for the concrete graph families used throughout the package:
 band graphs, stars, join families, complete graphs minus a matching, the
-10-vertex square-root fixture, and assorted standard graphs."""
+10-vertex square-root fixture, and assorted standard graphs for tests and
+the benchmark."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
 
-from .graph import INPUT_VERTEX_CAP, Graph, join
+from .graph import INPUT_VERTEX_CAP, Graph, _ints, join
 
 VARIANTS = ("A", "star", "join", "join+u", "KminusM")
 
@@ -71,16 +72,12 @@ def parse_family_spec(text: str) -> FamilySpec:
     head, sep, tail = text.partition(":")
     if not sep or not tail:
         raise ValueError(f"malformed family spec {text!r}")
-    if head in ("A", "star", "KminusM"):
-        spec = FamilySpec(head, (int(tail),))
-    elif head == "join":
-        variant = "join"
-        if tail.endswith("+u"):
-            variant = "join+u"
-            tail = tail[:-2]
-        spec = FamilySpec(variant, tuple(int(tok) for tok in tail.split(",")))
-    else:
+    if head not in VARIANTS or head == "join+u":
         raise ValueError(f"unknown family variant {head!r}")
+    variant = head
+    if head == "join" and tail.endswith("+u"):
+        variant, tail = "join+u", tail[:-2]
+    spec = FamilySpec(variant, tuple(_ints(tail.split(","), "family parameter {tok!r} is not an integer")))
     if spec.order > INPUT_VERTEX_CAP:
         raise ValueError(f"family member has {spec.order} vertices; the limit is {INPUT_VERTEX_CAP}")
     return spec
@@ -157,7 +154,7 @@ def band5_square_root() -> Graph:
     return Graph(10, path + chords)
 
 
-# -- assorted standard graphs (mostly for tests and the CLI) -------------
+# -- assorted standard graphs (for tests and the benchmark) -----------
 
 
 def path_graph(n: int) -> Graph:

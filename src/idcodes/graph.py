@@ -14,7 +14,6 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
@@ -561,22 +560,21 @@ def find_isomorphism(g1: Graph, g2: Graph) -> list[int] | None:
 # -- edge-list text format ----------------------------------------------
 
 
-# a number in the text formats: ASCII digits after an optional '-' (int()
-# alone would also read '+1', '1_0' as 10, and non-ASCII digits)
-_INT_TOKEN = re.compile(r"-?[0-9]+")
-_INT_TOKENS = re.compile(rf"(?:\s*{_INT_TOKEN.pattern}(?!\S))*\s*")  # whitespace-separated
-
-
-def _int_token(tok: str, message: str) -> int:
-    """``tok`` as an int when ``_INT_TOKEN`` matches it and ``int`` can read
-    it (a digit limit applies), else ``ValueError`` with ``message``, ``tok``
-    filling its ``{tok}``."""
-    try:
-        if _INT_TOKEN.fullmatch(tok):
-            return int(tok)
-    except ValueError:
+def _ints(tokens: list[str], message: str) -> list[int]:
+    """``tokens`` as ints when each is ASCII digits after an optional '-'
+    (int() alone would also read '+1', '1_0' as 10, and non-ASCII digits),
+    else ``ValueError`` with ``message``, the first refused token filling
+    its ``{tok}``.  The package's one rule for a number it reads from text."""
+    digits = "".join(tokens).replace("-", "")
+    try:  # all tokens at once, then token by token to name a refused one
+        if digits.isascii() and digits.isdigit() or not tokens:
+            return list(map(int, tokens))
+    except ValueError:  # a '-' past the front, or past int()'s digit limit
         pass
-    raise ValueError(message.format(tok=tok))
+    if len(tokens) > 1:
+        for tok in tokens:
+            _ints([tok], message)
+    raise ValueError(message.format(tok=tokens[0]))
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -587,12 +585,7 @@ def parse_edge_list(text: str) -> Graph:
     above ``INPUT_VERTEX_CAP`` is rejected before anything is allocated.
     """
     body = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
-    try:  # one match over the text, then token by token to name a refused one
-        if not _INT_TOKENS.fullmatch(body):
-            raise ValueError
-        tokens = list(map(int, body.split()))
-    except ValueError:
-        tokens = [_int_token(tok, "invalid token {tok!r} in edge list") for tok in body.split()]
+    tokens = _ints(body.split(), "invalid token {tok!r} in edge list")
     if len(tokens) < 2:
         raise ValueError("edge list must start with a header line 'n m'")
     n, m = tokens[0], tokens[1]

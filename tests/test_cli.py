@@ -301,6 +301,50 @@ def test_generate_rejects_family_above_vertex_cap(run, monkeypatch):
     assert err.count("\n") == 1 and "limit is 16384" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("A:1_0", "family parameter '1_0' is not an integer"),
+        ("star:\u0663", "family parameter '\u0663' is not an integer"),
+        ("A: 2", "family parameter ' 2' is not an integer"),
+        ("join:1,,2", "family parameter '' is not an integer"),
+        ("KminusM:0x4", "family parameter '0x4' is not an integer"),
+        ("A:1,2", "band graph order must be a single integer >= 1"),
+    ],
+)
+def test_generate_reads_family_parameters_strictly(run, spec, message):
+    # the edge lists' number rule: int() alone would build A_10 from '1_0',
+    # take Arabic-Indic digits and spaces, and refuse the rest in its own words
+    assert run("generate", "--family", spec) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--radius", "--max-n"])
+@pytest.mark.parametrize("value", ["1_0", "+1", "\u0662"])
+def test_integer_flags_are_read_strictly(capsys, graph_file, flag, value):
+    argv = {
+        "--radius": ["power", "--graph", graph_file(band_graph(2))],
+        "--max-n": ["scan", "--theorem", "thm12"],
+    }[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, value])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.endswith(f"error: argument {flag}: {value!r} is not an integer\n")
+    assert "Traceback" not in err
+
+
+def test_out_of_memory_is_a_usage_error(run, monkeypatch):
+    # one line and exit 2, as for any input the machine cannot hold; the
+    # builder raises at once, so the test allocates nothing
+    import idcodes.families
+
+    def exhausted(k):
+        raise MemoryError
+
+    monkeypatch.setattr(idcodes.families, "band_graph", exhausted)
+    assert run("generate", "--family", "A:3000") == (2, "", "error: out of memory\n")
+
+
 def test_exit_status_precondition_on_twins(run, graph_file):
     from idcodes.families import complete_graph
 

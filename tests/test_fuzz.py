@@ -1,6 +1,7 @@
 """Hostile-input fuzzing: arbitrary edge-list text never gets past
-``parse_edge_list`` as anything but ``ValueError``, and the CLI keeps its
-exit-code contract (0, 2, 3, 4) with no traceback on any of it."""
+``parse_edge_list`` as anything but ``ValueError``, nor arbitrary family
+text past ``parse_family_spec``, and the CLI keeps its exit-code contract
+(0, 2, 3, 4) with no traceback on any of it."""
 
 import contextlib
 import io
@@ -11,7 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from idcodes import families, graph  # noqa: E402
 from idcodes.cli import main  # noqa: E402
+from idcodes.families import FamilySpec, parse_family_spec  # noqa: E402
 from idcodes.graph import Graph, parse_edge_list  # noqa: E402
 
 KINDS = ("identifying", "separating", "locating-dominating", "dominating")
@@ -56,6 +59,35 @@ def test_parse_edge_list_raises_only_value_error(text):
     assert isinstance(g, Graph)
 
 
+# family specs: a known head or junk, a ':', then numbers and junk tokens
+# joined by ',', sometimes with the '+u' suffix; or free text
+FAMILY_TEXTS = st.one_of(
+    st.builds(
+        "{}:{}{}".format,
+        st.sampled_from(["A", "star", "join", "KminusM", "join+u", "fig4", ""]),
+        st.lists(TOKENS, max_size=4).map(",".join),
+        st.sampled_from(["", "+u"]),
+    ),
+    st.text(max_size=20),
+)
+
+
+def _refuse(*args):
+    raise AssertionError("a graph was built while reading a family spec")
+
+
+@given(FAMILY_TEXTS)
+def test_parse_family_spec_raises_only_value_error(text):
+    with pytest.MonkeyPatch.context() as mp:  # the spec is read, no member built
+        mp.setattr(families, "Graph", _refuse)
+        mp.setattr(graph, "Graph", _refuse)
+        try:
+            spec = parse_family_spec(text)
+        except ValueError:
+            return
+    assert isinstance(spec, FamilySpec)
+
+
 def _run_cli(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -76,7 +108,7 @@ def graph_path(tmp_path_factory):
     text=TEXTS,
     command=st.sampled_from(["solve", "classify", "verify"]),
     kind=st.sampled_from(KINDS),
-    radius=st.sampled_from(["0", "1", "2"]),
+    radius=st.one_of(st.sampled_from(["0", "1", "2"]), JUNK, st.text(max_size=4)),
     code=st.one_of(
         st.lists(st.integers(-1, 42), max_size=6).map(lambda vs: ",".join(map(str, vs))),
         st.text(max_size=8),

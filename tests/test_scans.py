@@ -383,6 +383,39 @@ def test_extremal_scan_small():
     assert report.details["graphs_needing_all_vertices"] == 0
 
 
+def _partitions(m: int, largest: int = 0):
+    """The partitions of m into parts of at most ``largest`` (any size when
+    0), parts in non-increasing order."""
+    if m == 0:
+        yield ()
+        return
+    for k in range(min(m, largest or m), 0, -1):
+        for rest in _partitions(m - k, k):
+            yield (k, *rest)
+
+
+def test_extremal_census_matches_theorem_12():
+    # Theorem 12: the extremal connected twin-free graphs are the stars
+    # K_{1,n-1} (n labelings; for n = 3 the star is the join below) and the
+    # joins of band graphs A_k over a partition p of n // 2, plus one
+    # universal vertex for odd n (A_1 alone is disconnected).  A_k has two
+    # automorphisms and equal factors permute, so such a join has
+    # n! / prod_k 2^(m_k) m_k! labelings, m_k the multiplicity of k in p
+    def closed_form(n: int) -> int:
+        total = n if n >= 4 else 0
+        for p in _partitions(n // 2):
+            if n % 2 == 0 and p == (1,):
+                continue
+            aut = math.prod(2**m * math.factorial(m) for m in Counter(p).values())
+            total += math.factorial(n) // aut
+        return total
+
+    report = scan_extremal_classification(8)
+    assert report.ok
+    assert report.details["extremal_per_n"] == {n: closed_form(n) for n in range(2, 9)}
+    assert [closed_form(n) for n in range(2, 9)] == [0, 3, 19, 80, 561, 3_892, 37_913]
+
+
 def _labeled_max_degrees(first_n, max_n):
     """(n, max degree) of every connected twin-free labeled graph, by brute force."""
     return [

@@ -829,23 +829,25 @@ def test_minimum_does_not_move_under_relabelling():
     # a differently ordered refutation beside each minimum; the minimum must
     # stay, while the example code and the explored count may move
     rng = random.Random(616)
+    inputs = [(n, p, (1, 2)) for n in range(6, 17) for p in (0.15, 0.25, 0.35, 0.45, 0.55, 0.65)]
+    # past SOLVE_VERTEX_CAP, through ``_solve``, at radius 1
+    inputs += [(n, p, (1,)) for n in (26, 30, 34) for p in (0.25, 0.4, 0.55)]
     cases = 0
-    for n in range(6, 17):
-        for p in (0.15, 0.25, 0.35, 0.45, 0.55, 0.65):
-            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
-            perm = list(range(n))
-            rng.shuffle(perm)
-            h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
-            for r in (1, 2):
-                balls = _balls(g, r)
-                twins = len(set(balls)) < n
-                for kind in KINDS:
-                    if twins and kind in ("identifying", "separating"):
-                        continue
-                    expected = solve._solve(balls, kind)[0]
-                    assert solve._solve(_balls(h, r), kind)[0] == expected, (g, perm, r, kind)
-                    cases += 1
-    assert cases == 386
+    for n, p, radii in inputs:
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        perm = list(range(n))
+        rng.shuffle(perm)
+        h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+        for r in radii:
+            balls = _balls(g, r)
+            twins = len(set(balls)) < n
+            for kind in KINDS:
+                if twins and kind in ("identifying", "separating"):
+                    continue
+                expected = solve._solve(balls, kind)[0]
+                assert solve._solve(_balls(h, r), kind)[0] == expected, (g, perm, r, kind)
+                cases += 1
+    assert cases == 386 + 36
 
 
 def test_radius_two_solving():
