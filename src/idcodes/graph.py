@@ -14,8 +14,6 @@ after construction and safe to share.
 from __future__ import annotations
 
 import itertools
-from functools import reduce
-from operator import or_
 from typing import Iterable, Sequence
 
 INPUT_VERTEX_CAP = 16384
@@ -152,15 +150,16 @@ def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
     ``radius`` steps, or in any number when ``radius`` is negative (BFS over
     the closed-neighborhood masks ``cn``, which may be any graph's).  The
     package's one BFS: ``_reach(cn, 1 << x, radius=r)`` is the ball B_r(x).
+    A level pops its frontier from the top, so the int shrinks as it empties.
     """
     frontier = seen
     while frontier and radius:
         radius -= 1
         nxt = 0
         while frontier:
-            b = frontier & -frontier
-            frontier ^= b
-            nxt |= cn[b.bit_length() - 1]
+            v = frontier.bit_length() - 1
+            frontier ^= 1 << v
+            nxt |= cn[v]
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen
@@ -171,9 +170,9 @@ def _balls(g: Graph, r: int) -> list[int]:
 
     Built level by level rather than by one BFS per vertex: B_0(x) = {x} and
     B_{k+1}(x) is the union of B_k(u) over u in N[x], so a level costs one
-    mask OR per pair (x, u) with u in N[x].  The pairs come from the index
-    lists ``g._adj``, filled here from the masks the first time a graph
-    built from masks needs them; no level extracts bits from a mask.  A
+    mask OR per pair (x, u) with u in N[x], in a plain loop.  The pairs come
+    from the index lists ``g._adj``, filled here from the masks the first
+    time a graph built from masks needs them; no level extracts bits.  A
     level that changes no ball leaves every later level unchanged, so the
     build stops there: the cost is capped by the largest eccentricity, not
     by r.
@@ -189,7 +188,12 @@ def _balls(g: Graph, r: int) -> list[int]:
         adj = g._adj = [_bit_indices(m) for m in g._cn]
     balls = list(g._cn)
     for _ in range(r - 1):
-        nxt = [reduce(or_, map(balls.__getitem__, ix)) for ix in adj]
+        nxt = []
+        for ix in adj:
+            m = 0
+            for u in ix:
+                m |= balls[u]
+            nxt.append(m)
         if nxt == balls:
             break
         balls = nxt

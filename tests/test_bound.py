@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import brute
-from randgraphs import random_blob_ring, random_bounded_degree_graph
+from randgraphs import random_blob_ring, random_bounded_degree_graph, random_sparse_graph
 from idcodes import bound
 from idcodes.bound import (
     ball_size_limit,
@@ -31,6 +31,7 @@ from idcodes.families import (
 from idcodes.graph import (
     Graph,
     PreconditionError,
+    TwinsError,
     graph_from_edge_mask,
     induced_subgraph,
     is_connected,
@@ -125,6 +126,25 @@ def test_greedy_independent_set_is_maximal_and_spread():
                 )
 
 
+def test_greedy_independent_set_matches_naive_greedy_on_wide_graphs():
+    # 216 to 1,920 vertices, against the greedy in index order over dict BFS
+    # balls: a vertex joins when no member lies within distance d - 1.  The
+    # sparse graph has many components, and each adds its least vertex,
+    # which nothing in another component can cover
+    graphs = [random_blob_ring(0, 9), random_blob_ring(2, 20), random_sparse_graph(3, 1920, 3)]
+    for g in graphs:
+        adj = brute.adjacency(g)
+        for d in (1, 2, 4, 6, 11, 16):
+            chosen, covered = [], set()
+            for v in range(g.n):
+                if v not in covered:
+                    chosen.append(v)
+                    covered |= brute.adjacency_ball(adj, v, d - 1)
+            assert greedy_independent_set(g, d) == set(chosen), (g.n, d)
+    components = {min(brute.adjacency_ball(adj, v, -1)) for v in range(g.n)}
+    assert len(components) > 100 and components <= greedy_independent_set(g, 16)
+
+
 def test_code_from_independent_set_examples():
     assert code_from_independent_set(path_graph(4), [0]) == {1, 2, 3}
     c9 = code_from_independent_set(cycle_graph(9), [0, 4])
@@ -217,6 +237,55 @@ def test_constructive_upper_bound_preconditions():
         constructive_upper_bound(complete_graph(4))  # twins
     with pytest.raises(PreconditionError):
         constructive_upper_bound(band_graph(1))  # disconnected
+    # the greedy set comes before the connectivity check, and each component
+    # gives it a member, so every radius still refuses a disconnected graph,
+    # before the twins that K2's balls have at every radius
+    c7 = cycle_graph(7).edges()
+    two_c7 = Graph(14, c7 + [(u + 7, v + 7) for u, v in c7])
+    c7_and_k1 = Graph(8, c7)
+    c7_and_k2 = Graph(9, c7 + [(7, 8)])
+    assert twin_pairs(power(c7_and_k2, 2)) == [(7, 8)]
+    for g in (two_c7, c7_and_k1, c7_and_k2, Graph(2)):
+        for r in (1, 2, 3):
+            with pytest.raises(PreconditionError, match="^the pipeline is defined for connected graphs$") as exc:
+                constructive_upper_bound(g, r)
+            assert not isinstance(exc.value, TwinsError)
+    with pytest.raises(PreconditionError, match="^the pipeline needs at least 2 vertices$"):
+        constructive_upper_bound(Graph(1))
+
+
+def test_pipeline_tests_connectivity_only_past_one_greedy_member(monkeypatch):
+    # a greedy set {0} means B_5r(0) = V, which already shows g connected;
+    # with two or more members the pipeline asks is_connected once, and the
+    # regular variant always does
+    calls = []
+
+    def counting(g, real=bound.is_connected):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(bound, "is_connected", counting)
+    cases = [
+        (petersen_graph(), 1, 1),
+        (cycle_graph(20), 2, 1),
+        (cycle_graph(30), 3, 1),
+        (cycle_graph(40), 1, 6),
+        (cycle_graph(40), 2, 3),
+        (random_blob_ring(3, 9), 3, 3),
+    ]
+    for g, r, members in cases:
+        calls.clear()
+        report = constructive_upper_bound(g, r)
+        assert len(report.independent_set) == members, (g.n, r)
+        assert calls == ([] if members == 1 else [g.n])
+    c7 = cycle_graph(7).edges()
+    calls.clear()
+    with pytest.raises(PreconditionError, match="connected graphs"):
+        constructive_upper_bound(Graph(14, c7 + [(u + 7, v + 7) for u, v in c7]))
+    assert calls == [14]
+    calls.clear()
+    regular_constructive_bound(petersen_graph())
+    assert calls == [10]
 
 
 def test_regular_variant():

@@ -10,7 +10,7 @@ import time
 import pytest
 
 import brute
-from randgraphs import random_sparse_graph
+from randgraphs import random_blob_ring, random_sparse_graph
 from idcodes import cli, graph
 from idcodes.families import (
     band5_square_root,
@@ -143,6 +143,43 @@ def test_reach_levels_match_naive_distances_on_every_small_graph():
         for g in brute.labeled_graphs(n):
             for x in range(n):
                 assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
+
+
+def test_reach_matches_naive_bfs_on_wide_masks():
+    # 312 to 2,000 vertices, so every frontier spans many machine words and
+    # a pop that took the wrong bit or left one behind would show: a ring of
+    # cubic blobs, a sparse graph threaded by a path through shuffled labels
+    # (both connected), and two sparse graphs with many components; radius 0
+    # to 6 and unbounded, one-vertex and multi-vertex seeds, and seeds inside
+    # a ``within`` mask (the component path) against the dict BFS on the
+    # adjacency restricted to that mask
+    rng = random.Random(3510)
+    order = rng.sample(range(2000), 2000)
+    threaded = Graph(2000, random_sparse_graph(2, 2000, 3).edges() + list(zip(order, order[1:])))
+    graphs = [random_blob_ring(0, 13), threaded]
+    graphs += [random_sparse_graph(seed, n, 3) for seed, n in ((0, 2000), (1, 600))]
+    assert [is_connected(g) for g in graphs] == [True, True, False, False]
+    for g in graphs:
+        adj = brute.adjacency(g)
+        kept = set(rng.sample(range(g.n), g.n // 2))
+        inside = {v: adj[v] & kept for v in kept}
+        within = sum(1 << v for v in kept)
+        for r in [*range(7), -1]:
+            for size in (1, 1, 2, 5, 40):
+                seeds = rng.sample(range(g.n), size)
+                got = graph._reach(g._cn, sum(1 << x for x in seeds), radius=r)
+                assert set(graph._bit_indices(got)) == set().union(
+                    *(brute.adjacency_ball(adj, x, r) for x in seeds)
+                )
+                seeds = rng.sample(sorted(kept), size)
+                got = graph._reach(g._cn, sum(1 << x for x in seeds), within, r)
+                assert set(graph._bit_indices(got)) == set().union(
+                    *(brute.adjacency_ball(inside, x, r) for x in seeds)
+                )
+        components = {frozenset(brute.adjacency_ball(inside, x, -1)) for x in kept}
+        masks = graph._component_masks(g._cn, within)
+        assert {frozenset(graph._bit_indices(m)) for m in masks} == components
+        assert len(masks) == len(components) and masks == sorted(masks, key=lambda m: m & -m)
 
 
 def test_ball_symmetric_difference():
