@@ -171,10 +171,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
 def complete_bipartite_graph(a: int, b: int) -> Graph:
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 

@@ -17,9 +17,9 @@ labelings: ``graphs_checked`` and every count in ``details`` are sums of
 these weights, and so count labeled graphs.  Each scan compares a
 structural claim on those graphs against brute-force search, except
 gamma-chain's bridge: an identity of masks settles it.  Reports are
-deterministic: a counterexample is one entry per class, with its
-canonical representative's edge mask and edges (``_representative``,
-computed only for a class with a counterexample) and its number of
+deterministic: ``_scan`` names a class by its canonical labelling,
+computed only for a class with a counterexample, and reports it as one
+entry with that labelling's edge mask and edges and the class's number of
 ``labelings``; the lists are sorted by (n, edge bitmask) and are expected
 to be empty.
 """
@@ -46,7 +46,6 @@ from .graph import (
     _permutation,
     _reach,
     _refine,
-    graph_from_edge_mask,
 )
 
 SCAN_CAP = 8  # every scan's vertex cap; each scan takes seconds at n = 8
@@ -64,10 +63,6 @@ class ScanReport:
     @property
     def ok(self) -> bool:
         return not self.counterexamples
-
-    def finalize(self) -> "ScanReport":
-        self.counterexamples.sort(key=lambda c: (c["n"], c["edge_mask"]))
-        return self
 
     def to_dict(self) -> dict:
         return {
@@ -92,9 +87,9 @@ def _sweep(
 
     The one sweep engine of the scans.  ``cn`` holds the closed-neighborhood
     masks of one graph of the class, the masks the walk itself keeps, in
-    the labeling it was generated in, not a canonical one;
-    ``_representative(cn)`` names the class, and ``_scan`` calls it only
-    for a class with a counterexample.
+    the labeling it was generated in, not a canonical one; ``_scan`` names
+    the class by its canonical labelling, computed only for a class with a
+    counterexample.
     ``weight`` = n!/|Aut(G)| is the number of labeled graphs in the class,
     so a count over labeled graphs is the sum of the weights of the classes
     it holds.
@@ -301,19 +296,6 @@ def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
     return list(kept.values())
 
 
-def _representative(cn: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(edge mask, closed masks) of the canonical representative of the
-    class of ``cn``: the one ``_canon`` call that names a class."""
-    rep = _canon(cn)[0]
-    return _edge_mask(rep), rep
-
-
-def _entry(n: int, emask: int, weight: int, **extra) -> dict:
-    """A counterexample: one class, with its number of labelings."""
-    edges = [list(e) for e in graph_from_edge_mask(n, emask).edges()]
-    return {"n": n, "edge_mask": emask, "edges": edges, "labelings": weight, **extra}
-
-
 @lru_cache(maxsize=None)
 def _all_but(n: int, k: int) -> tuple[int, ...]:
     """Masks of all n vertices but k, the left-out k-sets in combination order."""
@@ -341,9 +323,10 @@ def _scan(
     """The one loop of the seven scans.  ``check(n, cn, weight)`` returns
     None for a class outside the claim, else the extra fields of each
     counterexample in it; only classes in the claim are ``graphs_checked``.
-    A class with counterexamples is checked again on its canonical
-    representative with weight 0, so that the entries' vertex fields refer
-    to the reported edge mask; every tally of a check is a sum of weights.
+    A class with counterexamples, and only such a class, is named by its
+    canonical labelling and checked again on it with weight 0, so that the
+    entries' vertex fields refer to the reported edge mask; every tally of
+    a check is a sum of weights.
     Connected sweeps start at 2 vertices, the others at 1."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
@@ -360,11 +343,12 @@ def _scan(
             continue
         report.graphs_checked += weight
         if found:
-            # entries name the canonical representative, so the check runs
-            # again there for its vertex fields; weight 0 adds to no tally
-            emask, rep = _representative(cn)
-            report.counterexamples += (_entry(n, emask, weight, **extra) for extra in check(n, rep, 0))
-    return report.finalize()
+            rep = _canon(cn)[0]
+            edges = [list(e) for e in Graph._from_masks(n, rep).edges()]
+            entry = {"n": n, "edge_mask": _edge_mask(rep), "edges": edges, "labelings": weight}
+            report.counterexamples += ({**entry, **extra} for extra in check(n, rep, 0))
+    report.counterexamples.sort(key=lambda c: (c["n"], c["edge_mask"]))
+    return report
 
 
 def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanReport:

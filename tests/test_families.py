@@ -12,7 +12,6 @@ from idcodes.families import (
     complete_graph,
     complete_minus_matching,
     cycle_graph,
-    empty_graph,
     join_family,
     join_family_plus_universal,
     make_family,
@@ -21,12 +20,12 @@ from idcodes.families import (
     petersen_graph,
     star_graph,
 )
-from idcodes.graph import find_isomorphism, is_connected, is_twin_free, power
+from idcodes.graph import Graph, find_isomorphism, is_connected, is_twin_free, power
 from idcodes.solve import enumerate_minimum_separating_sets, solve_minimum
 
 
 def test_band_graph_small_orders():
-    assert band_graph(1) == empty_graph(2)
+    assert band_graph(1) == Graph(2)
     assert band_graph(2) == path_graph(4)
     g3 = band_graph(3)
     assert g3.n == 6
@@ -74,7 +73,7 @@ def test_complete_minus_matching():
     g7 = complete_minus_matching(7)
     assert g7.edge_count == 21 - 3
     assert find_isomorphism(complete_minus_matching(3), path_graph(3)) is not None
-    assert complete_minus_matching(2) == empty_graph(2)
+    assert complete_minus_matching(2) == Graph(2)
 
 
 def test_family_spec_validation_and_round_trip():

@@ -17,7 +17,6 @@ from idcodes.families import (
     band_graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     path_graph,
     petersen_graph,
     star_graph,
@@ -38,7 +37,6 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
-from idcodes.scans import _representative, _sweep
 
 
 def ball(g, x, r):
@@ -224,7 +222,7 @@ def test_power_disconnected_pairs_never_joined():
 
 def test_twin_pairs():
     assert twin_pairs(complete_graph(2)) == [(0, 1)]
-    assert twin_pairs(empty_graph(2)) == []
+    assert twin_pairs(Graph(2)) == []
     for k in range(1, 6):
         assert twin_pairs(band_graph(k)) == []
     assert twin_pairs(complete_graph(4)) == list(itertools.combinations(range(4), 2))
@@ -241,7 +239,7 @@ def test_join():
     c4 = join(band_graph(1), band_graph(1))
     assert find_isomorphism(c4, cycle_graph(4)) is not None
     assert c4.edge_count == 4
-    star = join(Graph(1), empty_graph(3))
+    star = join(Graph(1), Graph(3))
     assert find_isomorphism(star, star_graph(3)) is not None
     # edge count grows by the product of the part sizes
     g1, g2 = path_graph(3), cycle_graph(5)
@@ -295,9 +293,9 @@ def test_induced_subgraph():
 
 def test_connectivity():
     assert is_connected(path_graph(1))
-    assert is_connected(empty_graph(0))
+    assert is_connected(Graph(0))
     assert is_connected(cycle_graph(5))
-    assert not is_connected(empty_graph(2))
+    assert not is_connected(Graph(2))
     assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
 
 
@@ -524,20 +522,10 @@ def test_canonical_form_invariant_under_relabeling():
     relabeled = Graph(4, [(2, 0), (0, 3), (3, 1)])
     assert canonical_form(g) == canonical_form(relabeled)
     assert canonical_form(g) != canonical_form(cycle_graph(4))
-    assert canonical_form(Graph(0)) == canonical_form(empty_graph(9)) == 0
-    assert canonical_form(empty_graph(64)) == 0
+    assert canonical_form(Graph(0)) == canonical_form(Graph(9)) == 0
+    assert canonical_form(Graph(64)) == 0
     with pytest.raises(ValueError):
-        canonical_form(empty_graph(65))
-
-
-def test_canonical_form_is_the_scan_edge_mask():
-    # the class a sweep graph stands for is named by its representative's
-    # edge mask: a fixed point of canonical_form, and the graph's own form
-    for n, _, cn in _sweep(1, 6):
-        emask, rep = _representative(cn)
-        assert rep == graph_from_edge_mask(n, emask)._cn
-        assert canonical_form(graph_from_edge_mask(n, emask)) == emask
-        assert canonical_form(Graph._from_masks(n, cn)) == emask
+        canonical_form(Graph(65))
 
 
 def test_isomorphism():
@@ -563,15 +551,15 @@ def test_isomorphism_witness_preserves_edges():
     assert mapping is not None
     for u, v in g1.edges():
         assert g2.has_edge(mapping[u], mapping[v])
-    assert find_isomorphism(empty_graph(13), empty_graph(13)) == list(range(13))
+    assert find_isomorphism(Graph(13), Graph(13)) == list(range(13))
     with pytest.raises(ValueError):
-        find_isomorphism(empty_graph(65), empty_graph(65))
+        find_isomorphism(Graph(65), Graph(65))
 
 
 def test_isomorphism_witness_on_seeded_relabelings():
     rng = random.Random(64)
     cases = [
-        empty_graph(64),
+        Graph(64),
         _disjoint(*[complete_graph(3)] * 21),
         _disjoint(*[cycle_graph(4)] * 16),
     ]
@@ -607,7 +595,7 @@ def test_canonical_labeling_of_symmetric_graphs_is_fast_and_exact():
     # 9! automorphisms take no time; none is listed
     cases = [
         (complete_graph(9), math.factorial(9)),
-        (empty_graph(9), math.factorial(9)),
+        (Graph(9), math.factorial(9)),
         (cycle_graph(9), 18),
         (path_graph(9), 2),
         (star_graph(8), math.factorial(8)),
@@ -640,7 +628,7 @@ def test_canonical_labeling_of_regular_graphs_refinement_cannot_split():
         (_disjoint(cycle_graph(4), cycle_graph(5)), 8 * 10),
         (_disjoint(cycle_graph(3), cycle_graph(6)), 6 * 12),
         (_disjoint(*[complete_graph(3)] * 3), 6**3 * 6),
-        (_disjoint(cycle_graph(5), cycle_graph(5), empty_graph(1)), 10 * 10 * 2),
+        (_disjoint(cycle_graph(5), cycle_graph(5), Graph(1)), 10 * 10 * 2),
         (cube, 48),
         (_disjoint(cube, complete_graph(4)), 48 * 24),
         (petersen_graph(), 120),
@@ -872,7 +860,7 @@ def test_ball_equals_power_ball():
 
 
 def test_edge_list_round_trip():
-    for g in [band_graph(3), star_graph(4), empty_graph(2), Graph(1)]:
+    for g in [band_graph(3), star_graph(4), Graph(2), Graph(1)]:
         assert parse_edge_list(format_edge_list(g)) == g
 
 

@@ -25,8 +25,7 @@ from idcodes.graph import (
 )
 from idcodes.scans import (
     ScanReport,
-    _entry,
-    _representative,
+    _scan,
     _sweep,
     scan_conjectured_degree_bound,
     scan_extremal_classification,
@@ -47,11 +46,10 @@ def _naive_twin_free(g) -> bool:
 
 
 def _named(n: int, cn) -> int:
-    """The edge mask of the class of a graph the sweep yields: that of its
-    canonical representative, checked to be isomorphic to it."""
-    emask, rep = _representative(cn)
-    assert rep == graph_from_edge_mask(n, emask)._cn
-    assert canonical_form(Graph._from_masks(n, cn)) == emask
+    """The edge mask of the class of a graph the sweep yields: its
+    canonical form, checked to be that of its canonical labelling."""
+    emask = canonical_form(Graph._from_masks(n, cn))
+    assert graph_from_edge_mask(n, emask) == Graph._from_masks(n, graph._canon(cn)[0])
     return emask
 
 
@@ -101,7 +99,7 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
     for n, weight, cn in _sweep(1, 8):
         classes[n] += 1
         labeled[n] += weight
-        emask = _representative(cn)[0]
+        emask = canonical_form(Graph._from_masks(n, cn))
         names.add((n, emask))
         g = graph_from_edge_mask(n, emask)
         connected[n] += _naive_connected(g)
@@ -126,7 +124,7 @@ def test_automorphism_orders_match_brute_force():
     # every class on at most six vertices: weight = n!/|Aut|, with |Aut|
     # counted over all vertex permutations
     for n, weight, cn in _sweep(1, 6):
-        g = graph_from_edge_mask(n, _representative(cn)[0])
+        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(n, cn)))
         assert weight * brute.automorphism_count(g) == math.factorial(n)
 
 
@@ -345,11 +343,31 @@ def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch)
         assert c["oracle_extremal"] is False and c["classified"]["implied_gamma_id"] == c["n"] - 1
 
 
-def test_entry_lists_the_edges_of_its_mask():
-    for emask in range(1 << 10):
-        entry = _entry(5, emask, 3, reason="x")
-        edges = [list(e) for e in graph_from_edge_mask(5, emask).edges()]
-        assert entry == {"n": 5, "edge_mask": emask, "edges": edges, "labelings": 3, "reason": "x"}
+def test_scan_entries_name_each_class_by_its_canonical_form():
+    # a check that fails every class on 1-6 vertices: one entry per class
+    # (OEIS A000088), sorted, named by the class's canonical form, which is
+    # its own form, listing the edges of that mask, keeping the check's
+    # fields, and with labelings adding up to the labeled graphs per order
+    seen = {}
+
+    def check(n, cn, weight):
+        if weight:
+            seen[n, canonical_form(Graph._from_masks(n, cn))] = weight
+        return [{"tag": 1}]
+
+    entries = _scan("x", 6, False, check).counterexamples
+    assert len(entries) == len(seen) == 208
+    assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(seen)
+    labeled = Counter()
+    for c in entries:
+        n, emask = c["n"], c["edge_mask"]
+        g = graph_from_edge_mask(n, emask)
+        assert canonical_form(g) == emask
+        edges = [list(e) for e in g.edges()]
+        assert c == {"n": n, "edge_mask": emask, "edges": edges, "labelings": seen[n, emask], "tag": 1}
+        assert list(c) == ["n", "edge_mask", "edges", "labelings", "tag"]
+        labeled[n] += c["labelings"]
+    assert labeled == {n: 2 ** (n * (n - 1) // 2) for n in range(1, 7)}
 
 
 def test_kernels_agree_with_certified_checkers():
@@ -489,7 +507,7 @@ def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
 
     monkeypatch.setattr(codes, "_holders", flipped)
     report = scan_gamma_chain(4)
-    classes = [(n, _representative(cn)[0]) for n, _, cn in _sweep(1, 4, twin_free=True)]
+    classes = [(n, canonical_form(Graph._from_masks(n, cn))) for n, _, cn in _sweep(1, 4, twin_free=True)]
     entries = report.counterexamples
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(classes)
     assert all(c["reason"] == "bridge" and c["vertex"] == c["n"] // 2 for c in entries)
@@ -524,7 +542,7 @@ def test_gamma_chain_chain_entry(monkeypatch, capsys):
     monkeypatch.setattr(solve, "_solve", skewed)
     entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(
-        (n, _representative(cn)[0]) for n, _, cn in _sweep(4, 4, twin_free=True)
+        (n, canonical_form(Graph._from_masks(n, cn))) for n, _, cn in _sweep(4, 4, twin_free=True)
     )
     for c in entries:
         g = graph_from_edge_mask(c["n"], c["edge_mask"])
@@ -622,6 +640,6 @@ def test_reports_and_class_representatives_are_pinned():
     for max_n, expected in pinned.items():
         reports = {name: scan(max_n).to_dict() for name, scan in scans.THEOREM_SCANS.items()}
         assert digest(json.dumps(reports, sort_keys=True)) == expected
-    names = sorted((n, _representative(cn)[0], w) for n, w, cn in _sweep(1, 7))
+    names = sorted((n, canonical_form(Graph._from_masks(n, cn)), w) for n, w, cn in _sweep(1, 7))
     assert len(names) == 1252
     assert digest(repr(names)) == "3adb22fc22bb852945dcc440cf5b5fefb78f84110e0e72f8cfca00bffcce6024"

@@ -20,7 +20,6 @@ from idcodes.families import (
     band_graph,
     complete_graph,
     cycle_graph,
-    empty_graph,
     join_family,
     path_graph,
     petersen_graph,
@@ -309,7 +308,7 @@ def test_split_need_after_one_vertex():
         (star_graph(7), [0], 3, 3),  # B(0) is all 8 vertices; none left over
         (path_graph(7), [1], 3, 2),  # B(1) = {0, 1, 2}; 4 left over: ⌈log₂ 5⌉, ⌈log₂ 4⌉
         (cycle_graph(8), [0], 3, 3),  # 3 in the ball; 5 left over: ⌈log₂ 6⌉, ⌈log₂ 5⌉
-        (empty_graph(5), [2], 3, 2),  # B(2) = {2} needs nothing; 4 left over
+        (Graph(5), [2], 3, 2),  # B(2) = {2} needs nothing; 4 left over
         (band_graph(3), [2], 3, 3),  # B(2) = {0, ..., 4}: ⌈log₂ 5⌉; {5} left over: 1, 0
         (star_graph(3), [1], 2, 1),  # B(1) = {0, 1}: 1; {2, 3} left over: ⌈log₂ 3⌉, 1
         # a second vertex splits the class {0, ..., 7} of signature {0}
@@ -931,7 +930,7 @@ def test_twin_refusal_messages_and_pairs():
 
 def test_solver_cap():
     with pytest.raises(PreconditionError):
-        solve_minimum(empty_graph(25), "dominating")
+        solve_minimum(Graph(25), "dominating")
 
 
 def test_enumerate_minimum_separating_sets():
@@ -1088,7 +1087,7 @@ def test_zero_and_one_vertex_graphs():
     # the empty graph goes through the one search: it tests one candidate,
     # the empty set, which is the answer, as Graph(1)'s separating solve does
     for kind in ("identifying", "separating", "dominating", "locating-dominating"):
-        report = solve_minimum(empty_graph(0), kind)
+        report = solve_minimum(Graph(0), kind)
         assert report.to_dict() == {
             "kind": kind,
             "radius": 1,
@@ -1097,7 +1096,7 @@ def test_zero_and_one_vertex_graphs():
             "forced": [],
             "explored": 1,
         }
-    assert enumerate_minimum_separating_sets(empty_graph(0)) == [frozenset()]
+    assert enumerate_minimum_separating_sets(Graph(0)) == [frozenset()]
     assert solve_minimum(Graph(1), "separating").explored == 1
     assert solve_minimum(Graph(1), "identifying").minimum == 1
     assert solve_minimum(Graph(1), "separating").minimum == 0
