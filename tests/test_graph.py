@@ -37,6 +37,7 @@ from idcodes.graph import (
     power,
     twin_pairs,
 )
+from idcodes.scans import _sweep
 
 
 def ball(g, x, r):
@@ -526,6 +527,18 @@ def test_canonical_form_invariant_under_relabeling():
     assert canonical_form(Graph(64)) == 0
     with pytest.raises(ValueError):
         canonical_form(Graph(65))
+
+
+def test_canonical_form_is_the_scan_edge_mask():
+    # the class a sweep graph stands for is named by the edge mask of its
+    # canonical labelling, as the scans name it: a fixed point of
+    # canonical_form, and the graph's own form
+    for n, _, cn in _sweep(1, 6):
+        rep = graph._canon(cn)[0]
+        emask = graph._edge_mask(rep)
+        assert rep == graph_from_edge_mask(n, emask)._cn
+        assert canonical_form(graph_from_edge_mask(n, emask)) == emask
+        assert canonical_form(Graph._from_masks(n, cn)) == emask
 
 
 def test_isomorphism():

@@ -343,11 +343,10 @@ def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch)
         assert c["oracle_extremal"] is False and c["classified"]["implied_gamma_id"] == c["n"] - 1
 
 
-def test_scan_entries_name_each_class_by_its_canonical_form():
-    # a check that fails every class on 1-6 vertices: one entry per class
-    # (OEIS A000088), sorted, named by the class's canonical form, which is
-    # its own form, listing the edges of that mask, keeping the check's
-    # fields, and with labelings adding up to the labeled graphs per order
+@functools.lru_cache(maxsize=None)
+def _every_class_failing() -> tuple[dict, list[dict]]:
+    """The entries of a scan whose check fails every class on 1-6
+    vertices, and the weight the check saw for each class name."""
     seen = {}
 
     def check(n, cn, weight):
@@ -355,19 +354,33 @@ def test_scan_entries_name_each_class_by_its_canonical_form():
             seen[n, canonical_form(Graph._from_masks(n, cn))] = weight
         return [{"tag": 1}]
 
-    entries = _scan("x", 6, False, check).counterexamples
+    return seen, _scan("x", 6, False, check).counterexamples
+
+
+def test_scan_entries_name_each_class_by_its_canonical_form():
+    # one entry per class (OEIS A000088), sorted, named by the class's
+    # canonical form, which is its own form, with labelings adding up to
+    # the labeled graphs per order
+    seen, entries = _every_class_failing()
     assert len(entries) == len(seen) == 208
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(seen)
     labeled = Counter()
     for c in entries:
+        assert canonical_form(graph_from_edge_mask(c["n"], c["edge_mask"])) == c["edge_mask"]
+        assert c["labelings"] == seen[c["n"], c["edge_mask"]]
+        labeled[c["n"]] += c["labelings"]
+    assert labeled == {n: 2 ** (n * (n - 1) // 2) for n in range(1, 7)}
+
+
+def test_entry_lists_the_edges_of_its_mask():
+    # each entry lists the edges of its own mask and keeps the check's
+    # fields after its own, in that key order
+    seen, entries = _every_class_failing()
+    for c in entries:
         n, emask = c["n"], c["edge_mask"]
-        g = graph_from_edge_mask(n, emask)
-        assert canonical_form(g) == emask
-        edges = [list(e) for e in g.edges()]
+        edges = [list(e) for e in graph_from_edge_mask(n, emask).edges()]
         assert c == {"n": n, "edge_mask": emask, "edges": edges, "labelings": seen[n, emask], "tag": 1}
         assert list(c) == ["n", "edge_mask", "edges", "labelings", "tag"]
-        labeled[n] += c["labelings"]
-    assert labeled == {n: 2 ** (n * (n - 1) // 2) for n in range(1, 7)}
 
 
 def test_kernels_agree_with_certified_checkers():
