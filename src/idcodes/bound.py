@@ -27,8 +27,9 @@ class BoundReport:
     """Outcome of one constructive bound run.
 
     ``code`` = all vertices minus ``mapped_set`` and verifies as a valid
-    r-identifying code; ``bound_value`` is the exact rational ceiling from
-    the degree formula, absent when the maximum degree is below 3.
+    r-identifying code; ``bound_value`` is the exact rational ceiling
+    n - n / ``ball_size_limit(D, R)``, R = 5r for Theorems 14 and 19 and R = 3
+    for Theorem 15, absent when the maximum degree D is below 3.
     """
 
     theorem: str
@@ -56,7 +57,7 @@ class BoundReport:
 
 
 def ball_size_limit(max_degree: int, radius: int) -> int:
-    """Largest possible ball size in a graph of the given maximum degree.
+    """Largest possible ball size in a graph of the given maximum degree (the Moore bound).
 
     Computed as the explicit sum 1 + D * sum_{j<radius} (D-1)^j, which stays
     defined at D = 2 where the usual closed form divides by zero.
@@ -192,10 +193,11 @@ def _certified_complement(balls: list[int], removed: Iterable[int], radius: int)
     return frozenset(range(n)).difference(removed)
 
 
-def _degree_bound(n: int, delta: int, radius: int) -> Fraction | None:
+def _ceiling(n: int, delta: int, spacing: int) -> Fraction | None:
+    """A greedy set ``spacing`` apart has >= n / ball_size_limit(delta, spacing - 1) members."""
     if delta < 3:
         return None
-    return n * (1 - Fraction(delta - 2, delta * (delta - 1) ** (5 * radius) - 2))
+    return n * (1 - Fraction(1, ball_size_limit(delta, spacing - 1)))
 
 
 def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
@@ -219,7 +221,8 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     _check_radius(radius)
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
-    independent = greedy_independent_set(g, 5 * radius + 1)
+    spacing = 5 * radius + 1
+    independent = greedy_independent_set(g, spacing)
     if len(independent) > 1 and not is_connected(g):
         raise PreconditionError("the pipeline is defined for connected graphs")
     balls, index = _twin_free_balls(g, radius)
@@ -238,7 +241,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
         independent,
         frozenset(mapped),
         code,
-        _degree_bound(g.n, g.max_degree(), radius),
+        _ceiling(g.n, g.max_degree(), spacing),
     )
 
 
@@ -248,8 +251,8 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     In a regular twin-free graph all unit balls have the same size, so no
     B(x) ^ B(y) is a single vertex and every single-vertex deletion keeps
     the graph identifiable; no removable-vertex mapping step is needed and
-    the denominator improves to 1 + D - D^2 + D^3.  The set is
-    4-independent, the (3r+1) spacing at r = 1, and as in
+    the ceiling's ball shrinks to ``ball_size_limit(D, 3)`` = 1 + D - D^2 +
+    D^3.  The set is 4-independent, the (3r+1) spacing at r = 1, and as in
     ``constructive_upper_bound`` its complement is certified once by
     ``codes._certify`` on the unit balls the twin check built, which covers
     every per-member verdict.
@@ -262,10 +265,7 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
     balls, _ = _twin_free_balls(g, 1)
-    delta = degs[0]
-    independent = greedy_independent_set(g, 4)
+    spacing = 4
+    independent = greedy_independent_set(g, spacing)
     code = _certified_complement(balls, independent, 1)
-    bound = None
-    if delta >= 3:
-        bound = g.n * (1 - Fraction(1, 1 + delta - delta * delta + delta**3))
-    return BoundReport("thm15", 1, independent, independent, code, bound)
+    return BoundReport("thm15", 1, independent, independent, code, _ceiling(g.n, degs[0], spacing))

@@ -47,14 +47,25 @@ def _int_arg(text: str) -> int:
 
 
 def _emit(report: dict, plain: bool) -> None:
-    if not plain:
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return
-    for key in sorted(report):
-        value = report[key]
-        if isinstance(value, (list, dict)):
-            value = json.dumps(value, sort_keys=True)
-        print(f"{key}\t{value}")
+    # an exact bound_value can pass Python's int-to-string digit limit, so it
+    # is lifted while a report is written and no longer: graph._ints relies on
+    # it to refuse over-long input tokens (Python before 3.10.7 has no limit)
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        limit = sys.get_int_max_str_digits()
+        set_digits(0)
+    try:
+        if not plain:
+            print(json.dumps(report, indent=2, sort_keys=True))
+            return
+        for key in sorted(report):
+            value = report[key]
+            if isinstance(value, (list, dict)):
+                value = json.dumps(value, sort_keys=True)
+            print(f"{key}\t{value}")
+    finally:
+        if set_digits is not None:
+            set_digits(limit)
 
 
 def _cmd_generate(args) -> int:

@@ -322,6 +322,31 @@ def test_pipeline_on_seeded_random_graphs():
         assert biggest_ball <= ball_size_limit(delta, 5)
 
 
+def test_greedy_set_packs_at_most_one_ball_per_member():
+    # why the ceilings hold: a greedy set whose members lie `spacing` apart
+    # excludes one radius-(spacing - 1) ball per member, so it has at least
+    # n / ball_size_limit(D, spacing - 1) members, and the code at most
+    # n - n / ball_size_limit(D, spacing - 1) vertices; the c09 graphs
+    graphs = [random_bounded_degree_graph(seed) for seed in range(20)]
+    graphs += [cycle_graph(9), cycle_graph(50), petersen_graph()]
+    for g in graphs:
+        delta = g.max_degree()
+        reports = []
+        for radius in (1, 2):
+            try:
+                reports.append((constructive_upper_bound(g, radius), 5 * radius + 1))
+            except TwinsError:  # the radius-2 power of some seeded graphs has twins
+                assert radius == 2
+        if len(set(g.degrees())) == 1:
+            reports.append((regular_constructive_bound(g), 4))
+        for report, spacing in reports:
+            assert len(report.independent_set) * ball_size_limit(delta, spacing - 1) >= g.n
+            if delta >= 3:
+                assert len(report.code) <= report.bound_value
+            else:
+                assert report.bound_value is None
+
+
 def test_radius_below_one_rejected_before_any_work():
     for radius in (0, -1):
         with pytest.raises(ValueError, match="^radius must be >= 1$") as exc:

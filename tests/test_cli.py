@@ -4,13 +4,14 @@ re-verification of emitted reports against the input graph."""
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 import brute
-from idcodes import cli, codes, solve
+from idcodes import bound, cli, codes, solve
 from idcodes.cli import main
-from idcodes.families import band_graph, cycle_graph, star_graph
+from idcodes.families import band_graph, cycle_graph, petersen_graph, star_graph
 from idcodes.graph import Graph, format_edge_list, parse_edge_list, power
 
 
@@ -182,6 +183,29 @@ def test_bound_command(run, graph_file):
     code, out, _ = run("bound", "--graph", path, "--radius", "1")
     report = json.loads(out)
     assert codes.check_code(g, report["code"], "identifying").valid
+
+
+def test_bound_prints_a_ceiling_past_the_digit_limit(run, graph_file, monkeypatch):
+    # the report is written with Python's int-to-string digit limit (4,300 by
+    # default) lifted, and the limit holds again for the next input; the
+    # 5,000-digit terms are compared as text, since int() would refuse them
+    big = 10**5000 + 1
+    monkeypatch.setattr(bound, "ball_size_limit", lambda max_degree, radius: big)
+    expected = 10 * (1 - Fraction(1, big))
+    assert (expected.numerator, expected.denominator) == (10**5001, big)
+    terms = ["1" + "0" * 5001, "1" + "0" * 4999 + "1"]
+    path = graph_file(petersen_graph())
+    code, out, err = run("bound", "--graph", path)
+    assert (code, err) == (0, "")
+    report = json.loads(out, parse_int=str)
+    assert (report["bound_value"], report["bound_ceiling"]) == (terms, "10")
+    code, out, err = run("--plain", "bound", "--graph", path)
+    assert (code, err) == (0, "")
+    lines = dict(line.split("\t") for line in out.splitlines())
+    assert json.loads(lines["bound_value"], parse_int=str) == terms
+    code, out, err = run("verify", "--graph", path, "--kind", "identifying", "--code", "1" * 5000)
+    assert code == 2 and out == ""
+    assert "is not a vertex number" in err
 
 
 def test_scan_command(run):

@@ -67,6 +67,16 @@ def test_graph_construction_and_accessors():
     assert g.has_edge(1, 2) and not g.has_edge(0, 3)
 
 
+def test_graph_repr_shows_at_most_eight_edges():
+    assert repr(Graph(0)) == "Graph(n=0, m=0, edges=[])"
+    assert repr(cycle_graph(8)) == (
+        "Graph(n=8, m=8, edges=[(0, 1), (0, 7), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)])"
+    )
+    assert repr(petersen_graph()) == (
+        "Graph(n=10, m=15, edges=[(0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 7), (3, 4), ...])"
+    )
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
