@@ -150,9 +150,9 @@ def code_from_independent_set(
     (equivalently 4-independent in the r-th power), and every member v, in
     increasing order, leaves the full vertex set minus v a valid
     r-identifying code.  The radius-r balls are built once, after the
-    spacing check, and ``codes._certify`` decides on them once, on V - M: a
-    superset of an identifying code identifies, so when it accepts, every
-    V - v does too.  Only when it refuses are the V - v certified in
+    spacing check, and ``_certified_complement`` decides on them once, on
+    V - M: a superset of an identifying code identifies, so when it accepts,
+    every V - v does too.  Only when it refuses are the V - v certified in
     increasing order on the same balls, the first failure raising with its
     witness, and the complement's refusal raised last.
     """
@@ -161,17 +161,21 @@ def code_from_independent_set(
     for v in members:
         g._check_vertex(v)
     spread = 3 * radius + 1
-    for i, u in enumerate(members):
-        reach = _reach(g._cn, 1 << u, radius=spread - 1)
-        for v in members[i + 1 :]:
-            if reach >> v & 1:
-                raise PreconditionError(
-                    f"vertices {u} and {v} are closer than {spread}; "
-                    f"the set is not {spread}-independent"
-                )
+    later = 0
+    for v in members:
+        later |= 1 << v
+    for u in members:
+        later ^= 1 << u
+        close = _reach(g._cn, 1 << u, radius=spread - 1) & later
+        if close:
+            v = (close & -close).bit_length() - 1
+            raise PreconditionError(
+                f"vertices {u} and {v} are closer than {spread}; "
+                f"the set is not {spread}-independent"
+            )
     balls = _balls(g, radius)
     try:
-        return _certified_complement(balls, members, radius)
+        return _certified_complement(balls, set(balls), members, radius)
     except PreconditionError:
         everything = (1 << g.n) - 1
         for v in members:
@@ -180,16 +184,23 @@ def code_from_independent_set(
         raise
 
 
-def _certified_complement(balls: list[int], removed: Iterable[int], radius: int) -> frozenset[int]:
-    """V minus the distinct vertices ``removed``, once ``codes._certify``
-    accepts it as a code on the graph's radius-r ``balls``."""
+def _certified_complement(
+    balls: list[int], index: set[int], removed: Iterable[int], radius: int
+) -> frozenset[int]:
+    """V minus the distinct vertices ``removed``, once it is accepted as a
+    code on the graph's radius-r ``balls``, whose set is ``index``.
+
+    ``codes._complement_identifies`` checks the signatures within r of the
+    removed set; ``codes._certify`` runs only when it refuses, to name the
+    witness."""
     mask = 0
     for v in removed:
         mask |= 1 << v
     n = len(balls)
-    codes._require_identifying_on(
-        balls, ((1 << n) - 1) ^ mask, radius, "the complement of the set fails to identify"
-    )
+    if not codes._complement_identifies(balls, index, mask):
+        codes._require_identifying_on(
+            balls, ((1 << n) - 1) ^ mask, radius, "the complement of the set fails to identify"
+        )
     return frozenset(range(n)).difference(removed)
 
 
@@ -205,8 +216,8 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     and the complement of the mapped set as the resulting code.
 
     The code is built as the proof builds it, then certified once by
-    ``codes._certify`` on the balls the mapping step used.  The per-member
-    checks of ``code_from_independent_set`` would add nothing:
+    ``_certified_complement`` on the balls the mapping step used.  The
+    per-member checks of ``code_from_independent_set`` would add nothing:
 
     - each image lies within r of its preimage, so the images of a
       (5r+1)-independent set are distinct and (3r+1)-apart;
@@ -233,7 +244,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
             raise RuntimeError(f"no removable vertex in the ball of {x}")
         mapped.append(y)
     assert len(set(mapped)) == len(mapped), "mapped set lost injectivity"
-    code = _certified_complement(balls, mapped, radius)
+    code = _certified_complement(balls, index, mapped, radius)
     theorem = "thm14" if radius == 1 else "thm19"
     return BoundReport(
         theorem,
@@ -254,8 +265,8 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     the ceiling's ball shrinks to ``ball_size_limit(D, 3)`` = 1 + D - D^2 +
     D^3.  The set is 4-independent, the (3r+1) spacing at r = 1, and as in
     ``constructive_upper_bound`` its complement is certified once by
-    ``codes._certify`` on the unit balls the twin check built, which covers
-    every per-member verdict.
+    ``_certified_complement`` on the unit balls the twin check built, which
+    covers every per-member verdict.
     """
     if g.n < 2:
         raise PreconditionError("the pipeline needs at least 2 vertices")
@@ -264,8 +275,8 @@ def regular_constructive_bound(g: Graph) -> BoundReport:
     degs = g.degrees()
     if len(set(degs)) != 1:
         raise PreconditionError("this variant needs a regular graph")
-    balls, _ = _twin_free_balls(g, 1)
+    balls, index = _twin_free_balls(g, 1)
     spacing = 4
     independent = greedy_independent_set(g, spacing)
-    code = _certified_complement(balls, independent, 1)
+    code = _certified_complement(balls, index, independent, 1)
     return BoundReport("thm15", 1, independent, independent, code, _ceiling(g.n, degs[0], spacing))

@@ -165,6 +165,17 @@ def test_code_from_independent_set_distance_three_fails():
     assert not brute.naive_is_identifying(g, {1, 2})
 
 
+def test_code_from_independent_set_names_the_first_close_pair():
+    # on the 20-path at r = 1, 0-3 and 9-11 are both closer than 4; the
+    # refusal names the pair of the least member, with its least partner
+    with pytest.raises(PreconditionError) as exc:
+        code_from_independent_set(path_graph(20), [19, 11, 3, 9, 0])
+    assert str(exc.value) == "vertices 0 and 3 are closer than 4; the set is not 4-independent"
+    with pytest.raises(PreconditionError) as exc:
+        code_from_independent_set(path_graph(20), [19, 11, 9, 4])
+    assert str(exc.value) == "vertices 9 and 11 are closer than 4; the set is not 4-independent"
+
+
 def test_code_from_independent_set_rejects_bad_member():
     # the middle of a 5-path is not individually removable
     with pytest.raises(PreconditionError) as exc:
@@ -526,6 +537,56 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     cert = check_code(c9, set(range(3, 9)), "identifying")
     assert cert.witness_vertex == 1 and exc.value.certificate == cert
     assert str(exc.value) == "the complement of the set fails to identify: {'undominated': 1}"
+
+
+def test_pipelines_certify_only_to_name_a_witness(monkeypatch):
+    # a returned code is accepted on the signatures the removed set changes,
+    # without the certifier; each refusal runs it once, to name the witness
+    from idcodes import codes
+
+    calls = []
+    certify = codes._certify
+
+    def counting(*args):
+        calls.append(args[0])
+        return certify(*args)
+
+    monkeypatch.setattr(codes, "_certify", counting)
+    graphs = [random_blob_ring(seed, 4) for seed in range(2)]
+    graphs += [random_bounded_degree_graph(seed) for seed in range(20)]
+    graphs += [cycle_graph(9), cycle_graph(50), petersen_graph()]
+    returned = 0
+    for g in graphs:
+        reports = []
+        for r in (1, 2, 3):
+            try:
+                reports.append(constructive_upper_bound(g, r))
+            except TwinsError:  # some small graphs have twins past r = 1
+                assert r > 1
+        if len(set(g.degrees())) == 1:
+            reports.append(regular_constructive_bound(g))
+        for report in reports:
+            code = code_from_independent_set(g, report.mapped_set, report.radius)
+            assert code == report.code
+            returned += 2
+        assert calls == [], g
+    assert returned > 100
+    g = path_graph(5)
+    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x: 2)
+    with pytest.raises(PreconditionError):
+        constructive_upper_bound(g)
+    assert calls == ["identifying"]
+    for r in (2, 3):
+        calls.clear()
+        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x, y=r + 1: y)
+        with pytest.raises(PreconditionError):
+            constructive_upper_bound(path_graph(2 * r + 1), r)
+        assert calls == ["identifying"]
+    calls.clear()
+    monkeypatch.setattr(bound, "greedy_independent_set", lambda h, d: frozenset({0, 1, 2}))
+    with pytest.raises(PreconditionError):
+        regular_constructive_bound(cycle_graph(9))
+    assert calls == ["identifying"]
 
 
 def test_each_pipeline_builds_its_balls_once(monkeypatch):

@@ -259,3 +259,24 @@ def test_certificates_match_oracle_on_large_near_complete_codes():
                     }, (g.n, r, kind, sorted(removed))
                     verdicts.add((kind, valid))
     assert verdicts == {(kind, v) for kind in KINDS for v in (True, False)}
+
+
+def test_complement_kernel_agrees_with_certify():
+    # the bound pipelines' accept path, which reads only the signatures
+    # within r of the removed set, against the full certificate on V - M;
+    # each outcome, and balls with twins, occur in the thousands
+    rng = random.Random(39)
+    outcomes = {"identifies": 0, "fails": 0, "twins": 0}
+    for _ in range(5000):
+        n = rng.randrange(1, 15)
+        p = rng.choice((0.1, 0.2, 0.3, 0.5))
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        radius = rng.choice((1, 1, 2, 3))
+        balls = graph._balls(g, radius)
+        index = set(balls)
+        removed = sum(1 << v for v in rng.sample(range(n), rng.randrange(0, min(n, 4) + 1)))
+        ok = codes._complement_identifies(balls, index, removed)
+        code = ((1 << n) - 1) ^ removed
+        assert ok == codes._certify("identifying", radius, balls, code, True, range(n)).valid
+        outcomes["twins" if len(index) != n else "identifies" if ok else "fails"] += 1
+    assert min(outcomes.values()) >= 1000, outcomes
