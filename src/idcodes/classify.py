@@ -131,13 +131,14 @@ def classify_extremal(g: Graph) -> ClassificationResult:
     if not is_connected(g):
         raise PreconditionError("classification is defined for connected graphs only")
     _refuse_twins(g._cn, "vertices {x} and {y} are twins; no identifying code exists")
-    return _classify_masks(g._cn, n)
+    return _classify_masks(g._cn)
 
 
-def _classify_masks(cn: tuple[int, ...], n: int) -> ClassificationResult:
+def _classify_masks(cn: tuple[int, ...]) -> ClassificationResult:
     """``classify_extremal`` on the closed-neighborhood masks of a graph the
-    caller knows to be connected, twin-free and on n >= 2 vertices; the
-    preconditions are not checked again."""
+    caller knows to be connected, twin-free and on n = len(cn) >= 2
+    vertices; the preconditions are not checked again."""
+    n = len(cn)
     full = (1 << n) - 1
     degrees = [m.bit_count() - 1 for m in cn]
     # a connected graph with n - 1 edges is a tree; with a universal vertex, a star
@@ -146,7 +147,7 @@ def _classify_masks(cn: tuple[int, ...], n: int) -> ClassificationResult:
 
     factors: list[int] = []
     universal_seen = 0
-    for comp in _component_masks([full ^ m | 1 << v for v, m in enumerate(cn)], full):
+    for comp in _component_masks([full ^ m | 1 << v for v, m in enumerate(cn)]):
         if not comp & (comp - 1):
             universal_seen += 1
             continue

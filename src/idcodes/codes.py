@@ -5,7 +5,7 @@ separating sets to discriminating codes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graph import (
     Graph,
@@ -69,21 +69,25 @@ def _code_mask(g: Graph, code: Iterable[int]) -> int:
     return m
 
 
-def _certify(
-    kind: str, radius: int, balls: list[int], c: int, dominate: bool, separate: Sequence[int]
-) -> CodeCertificate:
-    """Verdict from the code-restricted balls ``b & c``.
+def _certify(kind: str, radius: int, balls: list[int], c: int) -> CodeCertificate:
+    """Verdict from the code-restricted balls ``b & c`` as a code of
+    ``kind`` (one of ``KINDS``, or discriminating), which fixes the rule.
 
-    With ``dominate`` the least vertex with an empty signature fails first;
-    then the least pair of ``separate`` (distinct vertices in increasing
-    order) with equal signatures, picked by ``graph._twin_pair`` as every
-    twin refusal is.  A valid code is recognised from the signatures alone;
-    the witness search runs only on failure.
+    Every kind but separating and discriminating dominates: the least
+    vertex with an empty signature fails first.  Then the least pair with
+    equal signatures fails, picked by ``graph._twin_pair`` as every twin
+    refusal is: of no pair for dominating, of the pairs outside ``c`` for
+    locating-dominating, of all pairs otherwise.  A valid code is
+    recognised from the signatures alone; the witness search runs only on
+    failure.
     """
     sigs = [b & c for b in balls]
-    if dominate and not all(sigs):
+    if kind not in ("separating", "discriminating") and not all(sigs):
         return CodeCertificate(kind, radius, False, witness_vertex=sigs.index(0))
-    pair = _twin_pair(sigs, separate)
+    if kind == "dominating":
+        return CodeCertificate(kind, radius, True)
+    outside = _bit_indices(~c & (1 << len(sigs)) - 1) if kind == "locating-dominating" else None
+    pair = _twin_pair(sigs, outside)
     if pair is None:
         return CodeCertificate(kind, radius, True)
     return CodeCertificate(
@@ -170,13 +174,7 @@ def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> Cod
         raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(KINDS)}")
     _check_radius(radius)
     c = _code_mask(g, code)
-    if kind == "dominating":
-        separate = ()
-    elif kind == "locating-dominating":
-        separate = [v for v in range(g.n) if not c >> v & 1]
-    else:
-        separate = range(g.n)
-    return _certify(kind, radius, _balls(g, radius), c, kind != "separating", separate)
+    return _certify(kind, radius, _balls(g, radius), c)
 
 
 def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str) -> None:
@@ -184,7 +182,7 @@ def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str)
     certificate as ``.certificate``, unless the code mask ``c`` is
     r-identifying on a graph's radius-r ``balls``; the verdict is
     ``check_code``'s for kind identifying."""
-    cert = _certify("identifying", radius, balls, c, True, range(len(balls)))
+    cert = _certify("identifying", radius, balls, c)
     if not cert.valid:
         err = PreconditionError(f"{failure}: {cert.to_dict()['witness']}")
         err.certificate = cert
@@ -230,7 +228,7 @@ def is_discriminating(
         if not (0 <= v < n):
             raise ValueError(f"invalid ball node {v}: range is 0..{n - 1}")
         c |= 1 << v
-    return _certify("discriminating", 1, _holders(bg), c, False, range(n))
+    return _certify("discriminating", 1, _holders(bg), c)
 
 
 def _holders(bg: BipartiteMembershipGraph) -> list[int]:

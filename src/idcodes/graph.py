@@ -83,12 +83,12 @@ class Graph:
         self._adj = adj
 
     @classmethod
-    def _from_masks(cls, n: int, cn: tuple[int, ...]) -> "Graph":
+    def _from_masks(cls, cn: tuple[int, ...]) -> "Graph":
         """Internal fast path, storing the closed-neighborhood masks ``cn``
-        as given; they must already be symmetric, each holding its own
-        vertex."""
+        as given, one per vertex; they must already be symmetric, each
+        holding its own vertex."""
         g = object.__new__(cls)
-        g.n = n
+        g.n = len(cn)
         g._cn = cn
         g._adj = None
         return g
@@ -145,8 +145,8 @@ class Graph:
 # -- balls, powers, twins ----------------------------------------------
 
 
-def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
-    """Vertices of ``within`` reachable from the set ``seen`` in at most
+def _reach(cn, seen: int, radius: int = -1) -> int:
+    """Vertices of ``cn`` reachable from the set ``seen`` in at most
     ``radius`` steps, or in any number when ``radius`` is negative (BFS over
     the closed-neighborhood masks ``cn``, which may be any graph's).  The
     package's one BFS: ``_reach(cn, 1 << x, radius=r)`` is the ball B_r(x).
@@ -160,7 +160,7 @@ def _reach(cn, seen: int, within: int = -1, radius: int = -1) -> int:
             v = frontier.bit_length() - 1
             frontier ^= 1 << v
             nxt |= cn[v]
-        frontier = nxt & within & ~seen
+        frontier = nxt & ~seen
         seen |= frontier
     return seen
 
@@ -212,7 +212,7 @@ def power(g: Graph, r: int) -> Graph:
     _check_radius(r)
     if r == 1:
         return g
-    return Graph._from_masks(g.n, tuple(_balls(g, r)))
+    return Graph._from_masks(tuple(_balls(g, r)))
 
 
 def _twin_pair(masks: Sequence[int], among: Sequence[int] | None = None) -> tuple[int, int] | None:
@@ -268,12 +268,12 @@ def join(g1: Graph, g2: Graph) -> Graph:
     high = ((1 << n2) - 1) << n1
     cn = [m | high for m in g1._cn]
     cn += [m << n1 | low for m in g2._cn]
-    return Graph._from_masks(n1 + n2, tuple(cn))
+    return Graph._from_masks(tuple(cn))
 
 
 def complement(g: Graph) -> Graph:
     full = (1 << g.n) - 1
-    return Graph._from_masks(g.n, tuple(full ^ m | 1 << v for v, m in enumerate(g._cn)))
+    return Graph._from_masks(tuple(full ^ m | 1 << v for v, m in enumerate(g._cn)))
 
 
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
@@ -284,24 +284,25 @@ def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     kept = sum(1 << v for v in vs)
     bit = {old: 1 << new for new, old in enumerate(vs)}
     cn = tuple(sum(map(bit.__getitem__, _bit_indices(g._cn[old] & kept))) for old in vs)
-    return Graph._from_masks(len(vs), cn)
+    return Graph._from_masks(cn)
 
 
-def _component_masks(cn, within: int) -> list[int]:
-    """Component bitmasks of the graph ``cn`` induced on ``within``, ordered
-    by least vertex."""
+def _component_masks(cn) -> list[int]:
+    """Component bitmasks of the graph with closed masks ``cn``, ordered by
+    least vertex, over all ``len(cn)`` vertices: a component is closed, so
+    the reach of the least vertex not yet placed stays in the rest."""
     out = []
-    while within:
-        comp = _reach(cn, within & -within, within)
+    rest = (1 << len(cn)) - 1
+    while rest:
+        comp = _reach(cn, rest & -rest)
         out.append(comp)
-        within &= ~comp
+        rest &= ~comp
     return out
 
 
 def is_connected(g: Graph) -> bool:
     """True for graphs on at most one vertex and for connected graphs."""
-    full = (1 << g.n) - 1
-    return g.n <= 1 or _reach(g._cn, g._cn[0], full) == full
+    return g.n <= 1 or _reach(g._cn, g._cn[0]) == (1 << g.n) - 1
 
 
 # -- edge masks, canonical form, isomorphism --------------------------
@@ -325,7 +326,7 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
         v = e - end + n
         cn[u] |= 1 << v
         cn[v] |= 1 << u
-    return Graph._from_masks(n, tuple(cn))
+    return Graph._from_masks(tuple(cn))
 
 
 def _edge_mask(masks: Sequence[int]) -> int:

@@ -116,7 +116,7 @@ def _sweep(
             full = (1 << n) - 1
             if twin_free and len(set(cn)) != n:
                 continue
-            if connected and _reach(cn, cn[0], full) != full:
+            if connected and _reach(cn, cn[0]) != full:
                 continue
         if n >= first_n:
             yield n, factorial(n) // order, cn
@@ -181,9 +181,9 @@ def _children(
                     pair = 1 << u | 1 << v
                     subsets = [s for s in subsets if 0 < s & pair < pair]
     if last and connected:
-        for part in _component_masks(cn, new - 1):
+        for part in _component_masks(cn):
             subsets = [s for s in subsets if s & part]
-    for s, size in _orbit_representatives(subsets, gens, m):
+    for s, size in _orbit_representatives(subsets, gens):
         child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
         # T: the masks of m's closed twins equal m's, those of its open twins
         # are S plus their own bit
@@ -199,7 +199,7 @@ def _children(
             child_gens = None
             if not last:
                 # the stabilizer of S, of order |Aut(parent)| / size, and (m v)
-                child_gens = [g + [m] for g in _stabilizer(s, gens, m)] if size < order else []
+                child_gens = [g + [m] for g in _stabilizer(s, gens)] if size < order else []
                 for v in _bit_indices(twins ^ new):
                     swap = list(range(m + 1))
                     swap[v], swap[m] = m, v
@@ -211,12 +211,10 @@ def _children(
             yield child, child_order, child_gens
 
 
-def _orbit_representatives(
-    subsets: list[int], gens: list[list[int]], m: int
-) -> list[tuple[int, int]]:
+def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tuple[int, int]]:
     """The least member of each orbit of the group generated by ``gens`` on
     the vertex sets ``subsets`` (closed under the group), as a mask, with
-    the orbit's size.
+    the orbit's size; each generator lists the images of all the points.
 
     On the last level ``subsets`` holds only the sets the leaf filter
     keeps, a union of orbits.  The walk records no transversal: only the
@@ -227,8 +225,8 @@ def _orbit_representatives(
         return [(s, 1) for s in subsets]
     images = []
     for g in gens:
-        table = [0] * (1 << m)
-        for s in range(1, 1 << m):
+        table = [0] * (1 << len(g))
+        for s in range(1, len(table)):
             low = s & -s
             table[s] = table[s ^ low] | 1 << g[low.bit_length() - 1]
         images.append(table)
@@ -252,9 +250,10 @@ def _orbit_representatives(
     return reps
 
 
-def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
+def _stabilizer(s: int, gens: list[list[int]]) -> list[list[int]]:
     """Generators of the stabilizer of the vertex set ``s`` in the group on
-    m points generated by ``gens``.
+    ``len(gens[0])`` points generated by ``gens``, which ``_children`` calls
+    only for an orbit of size below |Aut|, so with ``gens`` nonempty.
 
     Schreier's lemma (Seress, "Permutation Group Algorithms", 2003): a walk
     of the orbit of s fixes, for each member y, an element u_y mapping s to
@@ -265,7 +264,7 @@ def _stabilizer(s: int, gens: list[list[int]], m: int) -> list[list[int]]:
     replaced by their quotient, which fixes i and every point before it,
     and sifted on.  The filter keeps the inverse of each element it files,
     which generates the same group."""
-    points = range(m)
+    points = range(len(gens[0]))
     members = [v for v in points if s >> v & 1]
     transversal = {s: list(points)}
     inverses: dict[int, list[int]] = {}
@@ -303,18 +302,18 @@ def _all_but(n: int, k: int) -> tuple[int, ...]:
     return tuple(full ^ sum(1 << v for v in out) for out in itertools.combinations(range(n), k))
 
 
-def _misses(cn: tuple[int, ...], n: int, k: int, ok=_identifying_ok) -> bool:
-    """Whether a code that the accept-only kernel ``ok`` accepts misses k of the n vertices."""
-    return any(ok(cn, c) for c in _all_but(n, k))
+def _misses(cn: tuple[int, ...], k: int, ok=_identifying_ok) -> bool:
+    """Whether a code that the accept-only kernel ``ok`` accepts misses k vertices of ``cn``."""
+    return any(ok(cn, c) for c in _all_but(len(cn), k))
 
 
-def _gamma_id_level(cn: tuple[int, ...], n: int, ok=_identifying_ok) -> int:
+def _gamma_id_level(cn: tuple[int, ...], ok=_identifying_ok) -> int:
     """-1: a code misses two vertices; 0: exactly one; 1: none (needs all).
     Supersets of codes are codes, so the two sizes place the minimum
     relative to n - 1."""
-    if _misses(cn, n, 2, ok):
+    if _misses(cn, 2, ok):
         return -1
-    return 0 if _misses(cn, n, 1, ok) else 1
+    return 0 if _misses(cn, 1, ok) else 1
 
 
 def _scan(
@@ -344,7 +343,7 @@ def _scan(
         report.graphs_checked += weight
         if found:
             rep = _canon(cn)[0]
-            edges = [list(e) for e in Graph._from_masks(n, rep).edges()]
+            edges = [list(e) for e in Graph._from_masks(rep).edges()]
             entry = {"n": n, "edge_mask": _edge_mask(rep), "edges": edges, "labelings": weight}
             report.counterexamples += ({**entry, **extra} for extra in check(n, rep, 0))
     report.counterexamples.sort(key=lambda c: (c["n"], c["edge_mask"]))
@@ -363,12 +362,12 @@ def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanRep
 
     def check(n, cn, weight):
         per_n[n] += weight
-        level = _gamma_id_level(cn, n)
+        level = _gamma_id_level(cn)
         if level == 1:
             details["graphs_needing_all_vertices"] += weight
         if level == 0:
             details["extremal_per_n"][n] += weight
-        result = _classify_masks(cn, n)
+        result = _classify_masks(cn)
         if result.is_extremal == (level == 0):
             return []
         return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
@@ -384,7 +383,7 @@ def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:
         max_degree = max(b.bit_count() for b in cn) - 1
         if max_degree > n - 3:
             return None
-        return [] if _misses(cn, n, 2) else [{"max_degree": max_degree}]
+        return [] if _misses(cn, 2) else [{"max_degree": max_degree}]
 
     return _scan("cor13", max_n, force, check, connected=True, twin_free=True)
 
@@ -395,7 +394,7 @@ def scan_regular_odd(max_n: int = 7, force: bool = False) -> ScanReport:
     details = {"extremal_seen": 0}
 
     def check(n, cn, weight):
-        if _gamma_id_level(cn, n) != 0:
+        if _gamma_id_level(cn) != 0:
             return []
         details["extremal_seen"] += weight
         degrees = [b.bit_count() - 1 for b in cn]
@@ -463,7 +462,7 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
         gamma_id = solve._solve(cn, "identifying")[0]
         if not (gamma_s <= gamma_id <= gamma_s + 1):
             found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
-        holders = codes._holders(codes.membership_graph(Graph._from_masks(n, cn)))
+        holders = codes._holders(codes.membership_graph(Graph._from_masks(cn)))
         if holders != list(cn):
             u = next(u for u in range(n) if holders[u] != cn[u])
             found.append({"reason": "bridge", "vertex": u})
@@ -479,7 +478,7 @@ def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
     details = {"extremal_seen": 0}
 
     def check(n, cn, weight):
-        extremal = _gamma_id_level(cn, n, _locating_dominating_ok) == 0
+        extremal = _gamma_id_level(cn, _locating_dominating_ok) == 0
         degrees = sorted(b.bit_count() - 1 for b in cn)
         is_complete = degrees[0] == n - 1
         is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
@@ -500,7 +499,7 @@ def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanRe
         delta = max(b.bit_count() for b in cn) - 1
         if delta < 3:
             return None
-        if _misses(cn, n, n // delta):  # n - n // D = ceil(n - n/D), n an integer
+        if _misses(cn, n // delta):  # n - n // D = ceil(n - n/D), n an integer
             return []
         exact = solve._solve(cn, "identifying")[0]
         return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]

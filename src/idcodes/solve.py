@@ -66,10 +66,11 @@ def forced_vertices(g: Graph, radius: int = 1) -> frozenset[int]:
     r-separating set (and hence every r-identifying code).
     """
     _check_radius(radius)
-    return frozenset(_bit_indices(_constraints(_balls(g, radius), g.n, "separating")[1]))
+    return frozenset(_bit_indices(_constraints(_balls(g, radius), "separating")[1]))
 
 
-def _lower_bound(kind: str, balls: list[int], n: int) -> int:
+def _lower_bound(kind: str, balls: list[int]) -> int:
+    n = len(balls)
     if n == 0:
         return 0
     if kind == "identifying":
@@ -89,7 +90,7 @@ def _lower_bound(kind: str, balls: list[int], n: int) -> int:
     return -(-n // delta)
 
 
-def _constraints(balls: list[int], n: int, kind: str) -> tuple[list[int], int]:
+def _constraints(balls: list[int], kind: str) -> tuple[list[int], int]:
     """The hitting-set form of ``kind``: returns (masks, forced), where a
     set containing ``forced`` is a valid code exactly when it meets every
     mask.
@@ -110,12 +111,12 @@ def _constraints(balls: list[int], n: int, kind: str) -> tuple[list[int], int]:
     test; other containing masks stay, since finding them costs more than
     it saves.
     """
+    n = len(balls)
     cons = set()
     forced = 0
     if kind != "dominating":
         ld = kind == "locating-dominating"
-        for x in range(n):
-            bx = balls[x]
+        for x, bx in enumerate(balls):
             for y in range(x + 1, n):
                 by = balls[y]
                 if not ld:
@@ -375,7 +376,7 @@ def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:
     reads only the minimum never walks.
     """
     n = len(balls)
-    cons, forced = _constraints(balls, n, kind)
+    cons, forced = _constraints(balls, kind)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
     split = None
@@ -387,7 +388,7 @@ def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:
             if state[0] is None:
                 break
         split = (balls, *state, empty_extra)
-    for size in range(max(base, _lower_bound(kind, balls, n)), n + 1):
+    for size in range(max(base, _lower_bound(kind, balls)), n + 1):
         witness = _has_hitting_set(cons, free, size - base, split)
         if witness is not None:
             return size, forced, _hitting_sets(cons, free, forced, size - base, witness, split)
@@ -425,7 +426,7 @@ def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterato
     minimum, forced, sets = _solve(balls, kind)
     example = next(sets)
     n, base = g.n, forced.bit_count()
-    start = max(base, _lower_bound(kind, balls, n))
+    start = max(base, _lower_bound(kind, balls))
     free = ((1 << n) - 1) & ~forced
     positions = [i for i, v in enumerate(_bit_indices(free)) if example >> v & 1]
     skipped = sum(comb(n - base, s - base) for s in range(start, minimum))

@@ -381,7 +381,7 @@ def test_removable_vertex_matches_naive_oracle():
     rng = random.Random(7)
     graphs = [g for n in range(1, 6) for g in brute.labeled_graphs(n)]
     for _, _, cn in _sweep(6, 6):
-        g = graph_from_edge_mask(6, canonical_form(Graph._from_masks(6, cn)))
+        g = graph_from_edge_mask(6, canonical_form(Graph._from_masks(cn)))
         perm = list(range(6))
         rng.shuffle(perm)
         graphs.append(Graph(6, [(perm[u], perm[v]) for u, v in g.edges()]))

@@ -276,7 +276,7 @@ def test_mask_level_entry_matches_classify_extremal():
     count = 0
     for n, emask, _ in brute.labeled_sweep(2, 6, connected=True, twin_free=True):
         g = graph_from_edge_mask(n, emask)
-        assert _classify_masks(g._cn, n) == classify_extremal(g)
+        assert _classify_masks(g._cn) == classify_extremal(g)
         count += 1
     assert count == 3 + 19 + 462 + 18268
 

@@ -35,10 +35,11 @@ def test_dominating_examples():
 
 
 def test_separates_examples():
-    # the certificate kernel restricted to the one pair (x, y)
+    # whether the code-restricted unit balls of x and y differ
     def separates(g, code, x, y):
         c = sum(1 << v for v in code)
-        return codes._certify("separating", 1, graph._balls(g, 1), c, False, (x, y)).valid
+        balls = graph._balls(g, 1)
+        return balls[x] & c != balls[y] & c
 
     for k in range(2, 5):
         g = band_graph(k)
@@ -128,21 +129,31 @@ def test_radius_two_matches_naive_oracle():
 
 
 def test_invalid_witness_reverifies():
+    # small random codes on 400 seeded graphs of 1 to 8 vertices, every kind
+    # at radius 1 and 2: each certificate is the oracle's verdict and
+    # witness, and the discriminating check on the membership graph agrees
+    # with the separating one at radius 1; each kind's valid verdict and
+    # each witness type it can fail with occur, ten combinations in all
     rng = random.Random(19)
-    for _ in range(60):
-        n = rng.randrange(2, 8)
+    seen = set()
+    for _ in range(400):
+        n = rng.randrange(1, 9)
         g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
-        code = [v for v in range(n) if rng.random() < 0.4]
-        cert = check_code(g, code, "identifying")
-        if cert.valid:
-            continue
-        if cert.witness_vertex is not None:
-            assert brute.naive_ball(g, cert.witness_vertex, 1) & set(code) == set()
-        else:
-            x, y = cert.witness_pair
-            bx = brute.naive_ball(g, x, 1) & set(code)
-            by = brute.naive_ball(g, y, 1) & set(code)
-            assert bx == by == cert.witness_signature
+        code = {v for v in range(n) if rng.random() < 0.4}
+        for r in (1, 2):
+            sigs = brute.naive_signatures(g, code, r)
+            for kind in KINDS:
+                cert = check_code(g, code, kind, r).to_dict()
+                valid = brute.signatures_ok(kind, sigs, code)
+                witness = None if valid else brute.naive_witness(kind, sigs, code)
+                assert cert == {"kind": kind, "radius": r, "valid": valid, "witness": witness}
+                seen.add((kind, valid, witness and next(iter(witness))))
+        separating = check_code(g, code, "separating").to_dict()
+        discriminating = is_discriminating(membership_graph(g), code).to_dict()
+        assert discriminating == {**separating, "kind": "discriminating"}
+    failures = [("dominating", "undominated"), ("separating", "pair")]
+    failures += [(k, w) for k in ("identifying", "locating-dominating") for w in ("undominated", "pair")]
+    assert seen == {(k, True, None) for k in KINDS} | {(k, False, w) for k, w in failures}
 
 
 def test_witness_pair_is_lexicographically_first():
@@ -211,7 +222,7 @@ def test_discriminating_bridge_exhaustive_small():
     # vertices, twins included, through the public checkers: the scan
     # settles the bridge by an identity of masks, this checks the verdicts
     for n, _, cn in _sweep(1, 6):
-        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(n, cn)))
+        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(cn)))
         bg = membership_graph(g)
         for cmask in range(1 << n):
             code = [v for v in range(n) if cmask >> v & 1]
@@ -277,6 +288,6 @@ def test_complement_kernel_agrees_with_certify():
         removed = sum(1 << v for v in rng.sample(range(n), rng.randrange(0, min(n, 4) + 1)))
         ok = codes._complement_identifies(balls, index, removed)
         code = ((1 << n) - 1) ^ removed
-        assert ok == codes._certify("identifying", radius, balls, code, True, range(n)).valid
+        assert ok == codes._certify("identifying", radius, balls, code).valid
         outcomes["twins" if len(index) != n else "identifies" if ok else "fails"] += 1
     assert min(outcomes.values()) >= 1000, outcomes

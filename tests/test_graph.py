@@ -45,6 +45,16 @@ def ball(g, x, r):
     return set(graph._bit_indices(graph._reach(g._cn, 1 << x, radius=r)))
 
 
+def naive_components(g):
+    """Components of g by dict BFS, each from its least vertex, in order."""
+    adj, components, placed = brute.adjacency(g), [], set()
+    for x in range(g.n):
+        if x not in placed:
+            components.append(brute.adjacency_ball(adj, x, -1))
+            placed |= components[-1]
+    return components
+
+
 def distances(g, x):
     """Distance from x to each vertex, None where unreachable: the least
     radius whose ball holds it."""
@@ -105,7 +115,7 @@ def test_max_degree_agrees_across_construction_routes():
                 degree[v] += 1
             expected = max(degree, default=0)
             repeated = Graph(n, edges + [(v, u) for u, v in edges] + edges[::3])
-            masked = Graph._from_masks(n, Graph(n, edges)._cn)
+            masked = Graph._from_masks(Graph(n, edges)._cn)
             assert masked._adj is None
             routes = [Graph(n, edges), repeated, masked]
             assert [g.max_degree() for g in routes] == [expected] * 3, (n, p)
@@ -159,9 +169,9 @@ def test_reach_matches_naive_bfs_on_wide_masks():
     # a pop that took the wrong bit or left one behind would show: a ring of
     # cubic blobs, a sparse graph threaded by a path through shuffled labels
     # (both connected), and two sparse graphs with many components; radius 0
-    # to 6 and unbounded, one-vertex and multi-vertex seeds, and seeds inside
-    # a ``within`` mask (the component path) against the dict BFS on the
-    # adjacency restricted to that mask
+    # to 6 and unbounded, one-vertex and multi-vertex seeds, against the dict
+    # BFS, and the component masks against the dict BFS's components of the
+    # whole graph, in order of least vertex
     rng = random.Random(3510)
     order = rng.sample(range(2000), 2000)
     threaded = Graph(2000, random_sparse_graph(2, 2000, 3).edges() + list(zip(order, order[1:])))
@@ -170,9 +180,6 @@ def test_reach_matches_naive_bfs_on_wide_masks():
     assert [is_connected(g) for g in graphs] == [True, True, False, False]
     for g in graphs:
         adj = brute.adjacency(g)
-        kept = set(rng.sample(range(g.n), g.n // 2))
-        inside = {v: adj[v] & kept for v in kept}
-        within = sum(1 << v for v in kept)
         for r in [*range(7), -1]:
             for size in (1, 1, 2, 5, 40):
                 seeds = rng.sample(range(g.n), size)
@@ -180,15 +187,19 @@ def test_reach_matches_naive_bfs_on_wide_masks():
                 assert set(graph._bit_indices(got)) == set().union(
                     *(brute.adjacency_ball(adj, x, r) for x in seeds)
                 )
-                seeds = rng.sample(sorted(kept), size)
-                got = graph._reach(g._cn, sum(1 << x for x in seeds), within, r)
-                assert set(graph._bit_indices(got)) == set().union(
-                    *(brute.adjacency_ball(inside, x, r) for x in seeds)
-                )
-        components = {frozenset(brute.adjacency_ball(inside, x, -1)) for x in kept}
-        masks = graph._component_masks(g._cn, within)
-        assert {frozenset(graph._bit_indices(m)) for m in masks} == components
-        assert len(masks) == len(components) and masks == sorted(masks, key=lambda m: m & -m)
+        masks = graph._component_masks(g._cn)
+        assert [set(graph._bit_indices(m)) for m in masks] == naive_components(g)
+
+
+def test_components_and_connectivity_match_naive_bfs_on_every_small_graph():
+    # every labeled graph on at most 5 vertices, the empty graph and those
+    # with isolated vertices included: the component masks in order of
+    # least vertex, and is_connected exactly when there is at most one
+    for n in range(6):
+        for g in brute.labeled_graphs(n):
+            components = naive_components(g)
+            assert [set(graph._bit_indices(m)) for m in graph._component_masks(g._cn)] == components
+            assert is_connected(g) == (len(components) <= 1)
 
 
 def test_ball_symmetric_difference():
@@ -404,7 +415,7 @@ def test_both_construction_routes_give_equal_graphs():
         pairs = list(itertools.combinations(range(n), 2))
         for h in (
             Graph(n, [(v, u) for u, v in edges] + edges),
-            Graph._from_masks(n, g._cn),
+            Graph._from_masks(g._cn),
             graph_from_edge_mask(n, graph._edge_mask(g._cn)),
             induced_subgraph(g, range(n)),
             complement(complement(g)),
@@ -548,7 +559,7 @@ def test_canonical_form_is_the_scan_edge_mask():
         emask = graph._edge_mask(rep)
         assert rep == graph_from_edge_mask(n, emask)._cn
         assert canonical_form(graph_from_edge_mask(n, emask)) == emask
-        assert canonical_form(Graph._from_masks(n, cn)) == emask
+        assert canonical_form(Graph._from_masks(cn)) == emask
 
 
 def test_isomorphism():
@@ -685,7 +696,7 @@ def test_canonical_certificate_ignores_labels():
         assert graph._canon(h._cn)[::2] == (cert, order)
         # the certificate is the relabeled graph itself, n closed masks
         assert len(cert) == n and all(m >> n == 0 for m in cert)
-        assert brute.backtrack_isomorphism(g, Graph._from_masks(n, cert)) is not None
+        assert brute.backtrack_isomorphism(g, Graph._from_masks(cert)) is not None
         # and compares as the masks packed into one integer, vertex 0's the
         # most significant
         other = earlier.setdefault(n, cert)

@@ -48,8 +48,8 @@ def _naive_twin_free(g) -> bool:
 def _named(n: int, cn) -> int:
     """The edge mask of the class of a graph the sweep yields: its
     canonical form, checked to be that of its canonical labelling."""
-    emask = canonical_form(Graph._from_masks(n, cn))
-    assert graph_from_edge_mask(n, emask) == Graph._from_masks(n, graph._canon(cn)[0])
+    emask = canonical_form(Graph._from_masks(cn))
+    assert graph_from_edge_mask(n, emask) == Graph._from_masks(graph._canon(cn)[0])
     return emask
 
 
@@ -99,7 +99,7 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
     for n, weight, cn in _sweep(1, 8):
         classes[n] += 1
         labeled[n] += weight
-        emask = canonical_form(Graph._from_masks(n, cn))
+        emask = canonical_form(Graph._from_masks(cn))
         names.add((n, emask))
         g = graph_from_edge_mask(n, emask)
         connected[n] += _naive_connected(g)
@@ -124,7 +124,7 @@ def test_automorphism_orders_match_brute_force():
     # every class on at most six vertices: weight = n!/|Aut|, with |Aut|
     # counted over all vertex permutations
     for n, weight, cn in _sweep(1, 6):
-        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(n, cn)))
+        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(cn)))
         assert weight * brute.automorphism_count(g) == math.factorial(n)
 
 
@@ -154,7 +154,7 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
         for s in range(1 << n):
             child = (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
             if _orbit_test(child):
-                passing.add(canonical_form(Graph._from_masks(n + 1, child)))
+                passing.add(canonical_form(Graph._from_masks(child)))
         for last in (False, True):
             kept = []
             for child, child_order, child_gens in scans._children(cn, order, gens, last):
@@ -164,7 +164,7 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
                 assert child_order == graph._canon(child)[2]
                 assert child_gens is not None or last
                 alone += child_gens is None
-                kept.append(canonical_form(Graph._from_masks(n + 1, child)))
+                kept.append(canonical_form(Graph._from_masks(child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
     assert alone > 0
 
@@ -179,7 +179,7 @@ def test_unlabeled_children_have_brute_force_orders():
         _, _, order, gens = graph._canon(cn)
         for child, child_order, child_gens in scans._children(cn, order, gens, True):
             if child_gens is None:
-                g = Graph._from_masks(n + 1, child)
+                g = Graph._from_masks(child)
                 assert child_order == brute.automorphism_count(g)
                 adj = brute.adjacency(g)
                 twinned += any(adj[v] - {n} == adj[n] - {v} for v in range(n))
@@ -198,7 +198,7 @@ def test_leaf_filter_drops_only_the_leaves_the_filters_refuse(connected, twin_fr
             (child, child_order, child_gens)
             for child, child_order, child_gens in scans._children(cn, order, gens, True)
             if (not twin_free or len(set(child)) == n + 1)
-            and (not connected or scans._reach(child, child[0], full) == full)
+            and (not connected or scans._reach(child, child[0]) == full)
         ]
         assert list(scans._children(cn, order, gens, True, connected, twin_free)) == unfiltered
 
@@ -234,7 +234,7 @@ def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypa
                 assert sorted(g) == list(range(n))
                 assert all(child[g[v]] == sum(1 << g[u] for u in range(n) if child[v] >> u & 1) for v in range(n))
             assert len(_closure(child_gens, n)) == child_order
-            assert child_order == brute.automorphism_count(Graph._from_masks(n, child))
+            assert child_order == brute.automorphism_count(Graph._from_masks(child))
     assert settled > 0
 
 
@@ -257,14 +257,14 @@ def test_stabilizer_generates_the_set_stabilizer():
     # that fix the set, listed by brute force; the Sims filter must sift an
     # element that meets a kept one, not drop it: (0 1) and (0 1)(2 3) both
     # move 0 to 1 first, and together generate a group of order 4
-    assert len(_closure(scans._stabilizer(0, [[1, 0, 2, 3], [1, 0, 3, 2]], 4), 4)) == 4
+    assert len(_closure(scans._stabilizer(0, [[1, 0, 2, 3], [1, 0, 3, 2]]), 4)) == 4
     rng = random.Random(7)
     for _ in range(24):
         m = rng.randrange(1, 7)
         gens = [rng.sample(range(m), m) for _ in range(rng.randrange(1, 4))]
         group = _closure(gens, m)
         for s in range(1 << m):
-            kept = scans._stabilizer(s, gens, m)
+            kept = scans._stabilizer(s, gens)
             assert len(kept) <= m * (m - 1) // 2
             fixing = {p for p in group if sum(1 << p[v] for v in range(m) if s >> v & 1) == s}
             assert _closure(kept, m) == fixing
@@ -327,7 +327,7 @@ def test_counterexamples_name_the_canonical_representative(monkeypatch):
 def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch):
     # a brute-force level that never calls a graph extremal disagrees with
     # the classifier on every extremal graph; each class is reported once
-    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn, n: 1)
+    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn: 1)
     first = scan_extremal_classification(4).to_dict()["counterexamples"]
     assert first == scan_extremal_classification(4).to_dict()["counterexamples"]
     assert first == sorted(first, key=lambda c: (c["n"], c["edge_mask"]))
@@ -351,7 +351,7 @@ def _every_class_failing() -> tuple[dict, list[dict]]:
 
     def check(n, cn, weight):
         if weight:
-            seen[n, canonical_form(Graph._from_masks(n, cn))] = weight
+            seen[n, canonical_form(Graph._from_masks(cn))] = weight
         return [{"tag": 1}]
 
     return seen, _scan("x", 6, False, check).counterexamples
@@ -471,14 +471,14 @@ def test_regular_odd_scan_small():
 
 def test_regular_odd_scan_does_not_ask_the_classifier(monkeypatch):
     # Remark 1 is checked by its definition, independently of the thm12 classifier
-    def refuse(cn, n):
+    def refuse(cn):
         raise AssertionError("remark1 must not call the classifier")
 
     monkeypatch.setattr(scans, "_classify_masks", refuse)
     assert scan_regular_odd(6).ok
     # a level that calls every class extremal: the one regular class on at
     # most five vertices that is not complete minus a matching is C5
-    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn, n: 0)
+    monkeypatch.setattr(scans, "_gamma_id_level", lambda cn: 0)
     regular = [c for c in scan_regular_odd(5).counterexamples if c["reason"] == "regular"]
     assert [(c["n"], c["degree"], c["labelings"]) for c in regular] == [(5, 2, 12)]
 
@@ -520,7 +520,7 @@ def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
 
     monkeypatch.setattr(codes, "_holders", flipped)
     report = scan_gamma_chain(4)
-    classes = [(n, canonical_form(Graph._from_masks(n, cn))) for n, _, cn in _sweep(1, 4, twin_free=True)]
+    classes = [(n, canonical_form(Graph._from_masks(cn))) for n, _, cn in _sweep(1, 4, twin_free=True)]
     entries = report.counterexamples
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(classes)
     assert all(c["reason"] == "bridge" and c["vertex"] == c["n"] // 2 for c in entries)
@@ -555,7 +555,7 @@ def test_gamma_chain_chain_entry(monkeypatch, capsys):
     monkeypatch.setattr(solve, "_solve", skewed)
     entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")
     assert [(c["n"], c["edge_mask"]) for c in entries] == sorted(
-        (n, canonical_form(Graph._from_masks(n, cn))) for n, _, cn in _sweep(4, 4, twin_free=True)
+        (n, canonical_form(Graph._from_masks(cn))) for n, _, cn in _sweep(4, 4, twin_free=True)
     )
     for c in entries:
         g = graph_from_edge_mask(c["n"], c["edge_mask"])
@@ -593,7 +593,7 @@ def test_locating_dominating_entry(monkeypatch, capsys):
 def test_conjecture_entry_carries_the_exact_minimum(monkeypatch, capsys):
     # no code within the bound: every connected twin-free graph of maximum
     # degree at least 3 is an entry, with its exact identifying minimum
-    monkeypatch.setattr(scans, "_misses", lambda cn, n, k, ok=None: False)
+    monkeypatch.setattr(scans, "_misses", lambda cn, k, ok=None: False)
     report = scan_conjectured_degree_bound(5)
     entries = _failed_scan(capsys, report, "conjecture")
     assert len(entries) > 1
@@ -653,6 +653,6 @@ def test_reports_and_class_representatives_are_pinned():
     for max_n, expected in pinned.items():
         reports = {name: scan(max_n).to_dict() for name, scan in scans.THEOREM_SCANS.items()}
         assert digest(json.dumps(reports, sort_keys=True)) == expected
-    names = sorted((n, canonical_form(Graph._from_masks(n, cn)), w) for n, w, cn in _sweep(1, 7))
+    names = sorted((n, canonical_form(Graph._from_masks(cn)), w) for n, w, cn in _sweep(1, 7))
     assert len(names) == 1252
     assert digest(repr(names)) == "3adb22fc22bb852945dcc440cf5b5fefb78f84110e0e72f8cfca00bffcce6024"

@@ -403,7 +403,7 @@ def test_redundant_masks_never_change_the_search():
             for kind in KINDS:
                 if kind in ("identifying", "separating") and len(set(balls)) < n:
                     continue
-                cons, forced = _constraints(balls, n, kind)
+                cons, forced = _constraints(balls, kind)
                 # a stable sort keeps the plain masks in their order: the
                 # greedy packing and the mask branched on depend on the order
                 # of equal-size masks
@@ -414,7 +414,7 @@ def test_redundant_masks_never_change_the_search():
                 free_mask = sum(1 << v for v in free)
                 base = n - len(free)
                 minimum = solve_minimum(g, kind, r).minimum
-                start = max(base, _lower_bound(kind, balls, n))
+                start = max(base, _lower_bound(kind, balls))
                 for size in range(start, min(minimum + 1, n) + 1):
                     expected = [
                         forced | sum(1 << v for v in combo)
@@ -445,7 +445,7 @@ def test_proof_verdict_matches_brute_force():
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                cons, forced = _constraints(balls, n, kind)
+                cons, forced = _constraints(balls, kind)
                 base = forced.bit_count()
                 sizes = set()
                 valid = set()
@@ -586,7 +586,7 @@ def test_search_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for (kind, split_cut), expected in pinned.items():
-        cons, forced = _constraints(balls, n, kind)
+        cons, forced = _constraints(balls, kind)
         minimum = solve_minimum(g, kind).minimum
         split = _solver_split(balls, kind, forced) if split_cut else None
         free = ((1 << n) - 1) & ~forced
@@ -635,9 +635,9 @@ def test_proof_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for kind, expected in PINNED_PROOF_NODES[name].items():
-        cons, forced = _constraints(balls, n, kind)
+        cons, forced = _constraints(balls, kind)
         base = forced.bit_count()
-        start = max(base, _lower_bound(kind, balls, n))
+        start = max(base, _lower_bound(kind, balls))
         minimum = solve_minimum(g, kind).minimum
         free = ((1 << n) - 1) & ~forced
         split = _solver_split(balls, kind, forced)
@@ -660,7 +660,7 @@ def test_no_proof_node_below_the_root_has_one_vertex_left():
         g = build()
         n, balls = g.n, list(g._cn)
         for kind in KINDS:
-            cons, forced = _constraints(balls, n, kind)
+            cons, forced = _constraints(balls, kind)
             free = ((1 << n) - 1) & ~forced
             solver_split = _solver_split(balls, kind, forced)
             for split in (None, solver_split) if solver_split else (None,):
@@ -718,7 +718,7 @@ def test_walk_from_the_witness_finds_the_least_code():
                         if twins and kind in ("identifying", "separating"):
                             continue
                         minimum, forced, sets = solve._solve(balls, kind)
-                        cons, _ = _constraints(balls, n, kind)
+                        cons, _ = _constraints(balls, kind)
                         free = ((1 << n) - 1) & ~forced
                         k = minimum - forced.bit_count()
                         least = _first_hitting_set(cons, free, k)
@@ -753,7 +753,7 @@ def test_walk_calls_pinned(kind, monkeypatch):
     monkeypatch.setattr(solve, "_has_hitting_set", counted)
     minimum, forced, sets = solve._solve(balls, kind)
     base = forced.bit_count()
-    start = max(base, _lower_bound(kind, balls, g.n))
+    start = max(base, _lower_bound(kind, balls))
     # one proof per size tried, and none yet from the walk
     assert [args[2] for args in calls] == list(range(start - base, minimum - base + 1))
     proofs = len(calls)
@@ -1080,7 +1080,7 @@ def test_lower_bound_matches_brute_force():
         g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2])
         balls = [brute.naive_ball(g, x, 1) for x in range(n)]
         for kind in ("identifying", "separating", "dominating", "locating-dominating"):
-            assert _lower_bound(kind, list(g._cn), n) == brute._lower_bound(kind, balls, n), (kind, n)
+            assert _lower_bound(kind, list(g._cn)) == brute._lower_bound(kind, balls, n), (kind, n)
 
 
 def test_zero_and_one_vertex_graphs():
