@@ -158,12 +158,8 @@ def code_from_independent_set(
     """
     _check_radius(radius)
     members = sorted(set(chosen))
-    for v in members:
-        g._check_vertex(v)
+    later = g._mask(members)
     spread = 3 * radius + 1
-    later = 0
-    for v in members:
-        later |= 1 << v
     for u in members:
         later ^= 1 << u
         close = _reach(g._cn, 1 << u, radius=spread - 1) & later

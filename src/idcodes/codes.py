@@ -59,16 +59,6 @@ class CodeCertificate:
         }
 
 
-def _code_mask(g: Graph, code: Iterable[int]) -> int:
-    n = g.n
-    m = 0
-    for v in code:
-        if not 0 <= v < n:
-            g._check_vertex(v)  # raises with the package's message
-        m |= 1 << v
-    return m
-
-
 def _certify(kind: str, radius: int, balls: list[int], c: int) -> CodeCertificate:
     """Verdict from the code-restricted balls ``b & c`` as a code of
     ``kind`` (one of ``KINDS``, or discriminating), which fixes the rule.
@@ -173,8 +163,7 @@ def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> Cod
     if kind not in KINDS:
         raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(KINDS)}")
     _check_radius(radius)
-    c = _code_mask(g, code)
-    return _certify(kind, radius, _balls(g, radius), c)
+    return _certify(kind, radius, _balls(g, radius), g._mask(code))
 
 
 def _require_identifying_on(balls: list[int], c: int, radius: int, failure: str) -> None:

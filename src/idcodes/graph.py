@@ -130,6 +130,19 @@ class Graph:
         if not (0 <= v < self.n):
             raise ValueError(f"invalid vertex {v}: range is 0..{self.n - 1}")
 
+    def _mask(self, vertices: Iterable[int]) -> int:
+        """The mask of a caller's vertex set, read in the order given: the
+        first vertex out of range is refused, and duplicates are accepted.
+        The package's one reader of such a set; it lives here because every
+        module that takes one imports ``graph``, never the reverse."""
+        n = self.n
+        m = 0
+        for v in vertices:
+            if not 0 <= v < n:
+                self._check_vertex(v)  # raises with the package's message
+            m |= 1 << v
+        return m
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self._cn == other._cn
 
@@ -279,9 +292,7 @@ def complement(g: Graph) -> Graph:
 def induced_subgraph(g: Graph, keep: Iterable[int]) -> Graph:
     """Subgraph induced by ``keep``; new labels follow sorted old labels."""
     vs = sorted(set(keep))
-    for v in vs:
-        g._check_vertex(v)
-    kept = sum(1 << v for v in vs)
+    kept = g._mask(vs)
     bit = {old: 1 << new for new, old in enumerate(vs)}
     cn = tuple(sum(map(bit.__getitem__, _bit_indices(g._cn[old] & kept))) for old in vs)
     return Graph._from_masks(cn)

@@ -48,7 +48,7 @@ from .graph import (
     _refine,
 )
 
-SCAN_CAP = 8  # every scan's vertex cap; each scan takes seconds at n = 8
+SCAN_CAP = 8  # every scan's vertex cap: n = 9 has 274,668 classes, 22 times n = 8's 12,346
 _LEMMA7_RADII = (1, 2)  # the radii at which the lemma7 scan checks Lemma 7
 
 

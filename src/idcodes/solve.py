@@ -70,24 +70,20 @@ def forced_vertices(g: Graph, radius: int = 1) -> frozenset[int]:
 
 
 def _lower_bound(kind: str, balls: list[int]) -> int:
+    """The counting bound where the search starts: k code vertices give
+    2^k signatures, less the empty one when every vertex must be
+    dominated, and each vertex to be told apart needs its own: all n, or
+    the n - k outside the code for locating-dominating sets.  A dominating
+    set needs n / (largest ball) vertices, rounded up."""
     n = len(balls)
-    if n == 0:
-        return 0
-    if kind == "identifying":
-        # k code vertices give at most 2^k - 1 distinct nonempty signatures
-        return n.bit_length()
-    if kind == "separating":
-        # the empty signature is allowed once, so n <= 2^k
-        return (n - 1).bit_length()
-    if kind == "locating-dominating":
-        # the n - k outside vertices need distinct nonempty signatures
-        k = 0
-        while (1 << k) - 1 < n - k:
-            k += 1
-        return k
-    # dominating: one vertex covers at most max_degree + 1 others
-    delta = max(b.bit_count() for b in balls)
-    return -(-n // delta)
+    if kind == "dominating":
+        return -(-n // max(map(int.bit_count, balls))) if n else 0
+    dominates = kind != "separating"
+    outside = kind == "locating-dominating"
+    k = 0
+    while (1 << k) - dominates < n - outside * k:
+        k += 1
+    return k
 
 
 def _constraints(balls: list[int], kind: str) -> tuple[list[int], int]:
@@ -466,17 +462,15 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     len(base_code) + len(removed).
     """
     removed_set = sorted(set(removed))
-    for v in removed_set:
-        g._check_vertex(v)
+    placed = ((1 << g.n) - 1) ^ g._mask(removed_set)
     _refuse_twins(g._cn, "the host graph has twins {x} and {y}; no identifying code exists")
-    rest = sorted(set(range(g.n)).difference(removed_set))
-    placed = sum(1 << v for v in rest)
+    rest = _bit_indices(placed)
     message = f"removing {removed_set} leaves twins {{x}} and {{y}}"
     _refuse_twins([m & placed for m in g._cn], message, among=rest)
     sub = induced_subgraph(g, rest)
     base_code = list(base_code)
     failure = "base_code is not an identifying code of the reduced graph"
-    codes._require_identifying_on(sub._cn, codes._code_mask(sub, base_code), 1, failure)
+    codes._require_identifying_on(sub._cn, sub._mask(base_code), 1, failure)
 
     current = 0
     for v in base_code:

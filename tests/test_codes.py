@@ -9,6 +9,7 @@ import pytest
 import brute
 from randgraphs import random_bounded_degree_graph, random_sparse_graph
 from idcodes import codes, graph
+from idcodes.bound import code_from_independent_set
 from idcodes.codes import (
     KINDS,
     check_code,
@@ -22,8 +23,16 @@ from idcodes.families import (
     path_graph,
     star_graph,
 )
-from idcodes.graph import Graph, canonical_form, graph_from_edge_mask, power, twin_pairs
+from idcodes.graph import (
+    Graph,
+    canonical_form,
+    graph_from_edge_mask,
+    induced_subgraph,
+    power,
+    twin_pairs,
+)
 from idcodes.scans import _sweep
+from idcodes.solve import extend_code
 
 
 def test_dominating_examples():
@@ -174,6 +183,18 @@ def test_code_out_of_range_rejected():
     for bad in (5, 3, -1):
         with pytest.raises(ValueError, match=rf"^invalid vertex {bad}: range is 0\.\.2$"):
             check_code(path_graph(3), [0, bad], "identifying")
+    # every entry point names the first bad vertex Graph._mask reads: codes
+    # are read as given, the other sets sorted
+    g = path_graph(4)
+    for call, bad, top in (
+        (lambda: check_code(g, [5, -1], "identifying"), 5, 3),
+        (lambda: code_from_independent_set(g, [5, -1]), -1, 3),
+        (lambda: induced_subgraph(g, [9, -2]), -2, 3),
+        (lambda: extend_code(g, [9, -2], []), -2, 3),
+        (lambda: extend_code(g, [3], [7, -1]), 7, 2),
+    ):
+        with pytest.raises(ValueError, match=rf"^invalid vertex {bad}: range is 0\.\.{top}$"):
+            call()
 
 
 def test_check_code_dispatch():

@@ -1081,6 +1081,14 @@ def test_lower_bound_matches_brute_force():
         balls = [brute.naive_ball(g, x, 1) for x in range(n)]
         for kind in ("identifying", "separating", "dominating", "locating-dominating"):
             assert _lower_bound(kind, list(g._cn)) == brute._lower_bound(kind, balls, n), (kind, n)
+    # the bound reads only n and the largest ball, so equal-size synthetic
+    # balls cover every n up to past 2^10; the empty graph needs no vertex
+    for kind in KINDS:
+        assert _lower_bound(kind, []) == 0, kind
+        for size in (1, 2, 3, 7):
+            for n in range(1, 1101):
+                expected = brute._lower_bound(kind, [set(range(size))] * n, n)
+                assert _lower_bound(kind, [(1 << size) - 1] * n) == expected, (kind, size, n)
 
 
 def test_zero_and_one_vertex_graphs():
