@@ -11,6 +11,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import codes
+from .codes import _least_removable
 from .graph import (
     Graph,
     PreconditionError,
@@ -72,34 +73,6 @@ def ball_size_limit(max_degree: int, radius: int) -> int:
     return total
 
 
-def _least_removable(balls: list[int], index: set[int], ball_of_x: int) -> int | None:
-    """Least y in ``ball_of_x`` whose deletion leaves the balls twin-free,
-    that is, for which the code "all vertices but y" separates.
-
-    Callers pass twin-free, symmetric balls and ``index``, the set of them.
-    Two balls that agree off y differ in y alone, and y lies in the one that
-    holds it, whose owner u then lies in B(y).  So y is removable exactly
-    when no u in B(y) has B(u) ^ {y} in the index, and each probe costs
-    |B(y)| lookups instead of a pass over all n balls.  y's own trace is
-    covered too: B(u) - y = B(y) - y for some u != y would make B(u) ^ {y}
-    = B(y) for u in B(y).
-    """
-    m = ball_of_x
-    while m:
-        b = m & -m
-        m ^= b
-        y = b.bit_length() - 1
-        rest = balls[y]
-        while rest:
-            u = rest & -rest
-            rest ^= u
-            if (balls[u.bit_length() - 1] ^ b) in index:
-                break
-        else:
-            return y
-    return None
-
-
 def _twin_free_balls(g: Graph, radius: int) -> tuple[list[int], set[int]]:
     """The radius-r balls and their set, refusing a power with twins."""
     balls = _balls(g, radius)
@@ -121,7 +94,7 @@ def removable_vertex_in_ball(g: Graph, x: int, radius: int = 1) -> int:
     _check_radius(radius)
     g._check_vertex(x)
     balls, index = _twin_free_balls(g, radius)
-    y = _least_removable(balls, index, balls[x])
+    y = _least_removable(balls, index, x)
     if y is None:  # pragma: no cover - impossible for finite twin-free powers
         raise RuntimeError(f"no removable vertex found in the ball of {x}")
     return y
@@ -235,7 +208,7 @@ def constructive_upper_bound(g: Graph, radius: int = 1) -> BoundReport:
     balls, index = _twin_free_balls(g, radius)
     mapped = []
     for x in sorted(independent):
-        y = _least_removable(balls, index, balls[x])
+        y = _least_removable(balls, index, x)
         if y is None:  # pragma: no cover
             raise RuntimeError(f"no removable vertex in the ball of {x}")
         mapped.append(y)

@@ -1,6 +1,6 @@
 """Verification of dominating / separating / identifying / locating-dominating
-codes at any radius, plus the bipartite membership-graph view that connects
-separating sets to discriminating codes."""
+codes at any radius, the removable-vertex probe, and the bipartite
+membership-graph view that connects separating sets to discriminating codes."""
 
 from __future__ import annotations
 
@@ -151,6 +151,34 @@ def _complement_identifies(balls: list[int], index: set[int], removed: int) -> b
             return False
         seen.add(s)
     return True
+
+
+def _least_removable(balls: list[int], index: set[int], x: int) -> int | None:
+    """Least y in B(x) whose deletion leaves the balls twin-free, that is,
+    for which the code "all vertices but y" separates.
+
+    Callers pass twin-free, symmetric balls and ``index``, the set of them.
+    Two balls that agree off y differ in y alone, and y lies in the one that
+    holds it, whose owner u then lies in B(y).  So y is removable exactly
+    when no u in B(y) has B(u) ^ {y} in the index, and each probe costs
+    |B(y)| lookups instead of a pass over all n balls.  y's own trace is
+    covered too: B(u) - y = B(y) - y for some u != y would make B(u) ^ {y}
+    = B(y) for u in B(y).
+    """
+    m = balls[x]
+    while m:
+        b = m & -m
+        m ^= b
+        y = b.bit_length() - 1
+        rest = balls[y]
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            if (balls[u.bit_length() - 1] ^ b) in index:
+                break
+        else:
+            return y
+    return None
 
 
 def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> CodeCertificate:

@@ -33,9 +33,8 @@ from math import factorial
 from typing import Iterator
 
 from . import codes, solve
-from .bound import _least_removable
 from .classify import _classify_masks
-from .codes import _identifying_ok, _locating_dominating_ok
+from .codes import _identifying_ok, _least_removable, _locating_dominating_ok
 from .graph import (
     Graph,
     _bit_indices,
@@ -437,7 +436,7 @@ def scan_removable_vertex(max_n: int = 7, force: bool = False) -> ScanReport:
                 if len(balls) < n:
                     continue
             per_radius[r] += weight
-            stuck = [x for x in range(n) if _least_removable(balls, index, balls[x]) is None]
+            stuck = [x for x in range(n) if _least_removable(balls, index, x) is None]
             found = (found or []) + [{"radius": r, "vertex": x} for x in stuck]
         return found
 

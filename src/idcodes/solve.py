@@ -86,30 +86,32 @@ def _lower_bound(kind: str, balls: list[int]) -> int:
     return k
 
 
-def _constraints(balls: list[int], kind: str) -> tuple[list[int], int]:
-    """The hitting-set form of ``kind``: returns (masks, forced), where a
-    set containing ``forced`` is a valid code exactly when it meets every
-    mask.
+def _constraints(balls: list[int], kind: str) -> tuple[list[int], int, tuple | None]:
+    """The search for ``kind``: returns (masks, forced, split), where a set
+    containing ``forced`` is a valid code exactly when it meets every mask,
+    and ``split`` starts the split cut of ``_has_hitting_set``.
 
     Dominating sets meet every ball B(x), separating sets every
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
     distinct signatures).  For identifying codes and separating sets,
     ``forced`` holds the vertices of the single-vertex masks B(x) Δ B(y),
-    which every valid set contains; for the other kinds it is empty, so
+    which every valid set contains, and ``split`` their signature classes;
+    for the other kinds ``forced`` is empty and ``split`` None, so
     ``explored`` counts the same candidates for them as a plain search.
     Each mask comes once, masks already met by ``forced`` are dropped, and
     the rest are sorted by size, then by value: the greedy packing and the
     choice of the mask to branch on in ``_has_hitting_set`` read the list
-    in order, so no set iteration order may reach them.  A mask containing another changes no
-    step of ``_has_hitting_set``.  A locating-dominating pair mask whose
-    balls meet only in {x, y} contains B(x), so it is skipped by an O(1)
-    test; other containing masks stay, since finding them costs more than
-    it saves.
+    in order, so no set iteration order may reach them.  A mask containing
+    another changes no step of ``_has_hitting_set``.  A locating-dominating
+    pair mask whose balls meet only in {x, y} contains B(x), so it is
+    skipped by an O(1) test; other containing masks stay, since finding
+    them costs more than it saves.
     """
     n = len(balls)
     cons = set()
     forced = 0
+    split = None
     if kind != "dominating":
         ld = kind == "locating-dominating"
         for x, bx in enumerate(balls):
@@ -123,10 +125,17 @@ def _constraints(balls: list[int], kind: str) -> tuple[list[int], int]:
             for c in cons:
                 if not c & (c - 1):  # at most one bit set
                     forced |= c
+            empty_extra = int(kind == "identifying")
+            state = [], (1 << n) - 1
+            for v in _bit_indices(forced):
+                state = _split_classes(*state, balls[v], empty_extra, n)  # n cuts nothing
+                if state[0] is None:
+                    break
+            split = (balls, *state, empty_extra)
     if kind != "separating":
         cons.update(balls)
     masks = sorted(sorted(c for c in cons if not c & forced), key=int.bit_count)
-    return masks, forced
+    return masks, forced, split
 
 
 def _split_classes(
@@ -367,23 +376,14 @@ def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:
     lazily, the least first).
 
     From the counting lower bound up, ``_has_hitting_set`` refutes each
-    size without a code; the first size it cannot refute is the minimum,
-    and the walk from its witness is returned unstarted, so a caller that
-    reads only the minimum never walks.
+    size without a code on the search ``_constraints`` builds; the first
+    size it cannot refute is the minimum, and the walk from its witness is
+    returned unstarted, so a caller that reads only the minimum never walks.
     """
     n = len(balls)
-    cons, forced = _constraints(balls, kind)
+    cons, forced, split = _constraints(balls, kind)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
-    split = None
-    if kind in ("identifying", "separating"):
-        empty_extra = int(kind == "identifying")
-        state = [], (1 << n) - 1
-        for v in _bit_indices(forced):
-            state = _split_classes(*state, balls[v], empty_extra, n)  # n cuts nothing
-            if state[0] is None:
-                break
-        split = (balls, *state, empty_extra)
     for size in range(max(base, _lower_bound(kind, balls)), n + 1):
         witness = _has_hitting_set(cons, free, size - base, split)
         if witness is not None:
@@ -468,13 +468,10 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
     message = f"removing {removed_set} leaves twins {{x}} and {{y}}"
     _refuse_twins([m & placed for m in g._cn], message, among=rest)
     sub = induced_subgraph(g, rest)
-    base_code = list(base_code)
+    code = sub._mask(base_code)
     failure = "base_code is not an identifying code of the reduced graph"
-    codes._require_identifying_on(sub._cn, sub._mask(base_code), 1, failure)
-
-    current = 0
-    for v in base_code:
-        current |= 1 << rest[v]
+    codes._require_identifying_on(sub._cn, code, 1, failure)
+    current = sum(1 << rest[v] for v in _bit_indices(code))
 
     for x in removed_set:
         placed |= 1 << x
@@ -495,8 +492,7 @@ def extend_code(g: Graph, removed: Iterable[int], base_code: Iterable[int]) -> f
         assert separator_pool, "twin-free graph must separate every pair"
         current |= separator_pool & -separator_pool
 
-    result = frozenset(_bit_indices(current))
-    final = codes.check_code(g, result, "identifying")
+    final = codes._certify("identifying", 1, g._cn, current)
     if not final.valid:  # pragma: no cover - guaranteed by construction
         raise RuntimeError(f"extension produced an invalid code: {final.to_dict()}")
-    return result
+    return frozenset(_bit_indices(current))

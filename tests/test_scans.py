@@ -309,8 +309,8 @@ def test_counterexamples_name_the_canonical_representative(monkeypatch):
     # the rule gives on the graph of the reported edge mask itself
     real = scans._least_removable
 
-    def patched(balls, index, ball):
-        return None if ball & 1 else real(balls, index, ball)
+    def patched(balls, index, x):
+        return None if balls[x] & 1 else real(balls, index, x)
 
     monkeypatch.setattr(scans, "_least_removable", patched)
     entries = scan_removable_vertex(5).counterexamples
@@ -321,7 +321,7 @@ def test_counterexamples_name_the_canonical_representative(monkeypatch):
     for (n, emask, r), vertices in stuck.items():
         g = graph_from_edge_mask(n, emask)
         balls = [sum(1 << y for y in brute.naive_ball(g, x, r)) for x in range(n)]
-        assert vertices == [x for x in range(n) if patched(balls, set(balls), balls[x]) is None]
+        assert vertices == [x for x in range(n) if patched(balls, set(balls), x) is None]
 
 
 def test_counterexamples_are_one_entry_per_class_with_its_labelings(monkeypatch):

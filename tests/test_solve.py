@@ -330,15 +330,6 @@ def test_split_need_after_one_vertex():
                     assert _split_need(balls, [w], extra) == expected, (g, r, w, extra)
 
 
-def _solver_split(balls: list[int], kind: str, forced: int):
-    """The ``split`` argument the solver passes for ``kind``: the signature
-    classes of ``forced`` for identifying codes and separating sets."""
-    if kind not in ("identifying", "separating"):
-        return None
-    extra = int(kind == "identifying")
-    return balls, *_fold_split(balls, _bit_indices(forced), extra), extra
-
-
 def _nested_calls(run, *watched):
     """``run()``, and for each watched function, given as (outer, name,
     fields) for the function ``name`` nested in ``outer``, the named locals
@@ -403,13 +394,12 @@ def test_redundant_masks_never_change_the_search():
             for kind in KINDS:
                 if kind in ("identifying", "separating") and len(set(balls)) < n:
                     continue
-                cons, forced = _constraints(balls, kind)
+                cons, forced, split = _constraints(balls, kind)
                 # a stable sort keeps the plain masks in their order: the
                 # greedy packing and the mask branched on depend on the order
                 # of equal-size masks
                 unions = {a | b for a, b in itertools.combinations(cons, 2)}
                 padded = sorted(cons + sorted(unions - set(cons)), key=int.bit_count)
-                split = _solver_split(balls, kind, forced)
                 free = [v for v in range(n) if not forced >> v & 1]
                 free_mask = sum(1 << v for v in free)
                 base = n - len(free)
@@ -445,7 +435,7 @@ def test_proof_verdict_matches_brute_force():
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                cons, forced = _constraints(balls, kind)
+                cons, forced, solver_split = _constraints(balls, kind)
                 base = forced.bit_count()
                 sizes = set()
                 valid = set()
@@ -457,7 +447,6 @@ def test_proof_verdict_matches_brute_force():
                             sizes.add(len(members))
                             valid.add(code)
                 free = ((1 << n) - 1) & ~forced
-                solver_split = _solver_split(balls, kind, forced)
                 splits = (None, solver_split) if solver_split else (None,)
                 for k in range(n - base + 1):
                     for split in splits:
@@ -586,21 +575,22 @@ def test_search_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for (kind, split_cut), expected in pinned.items():
-        cons, forced = _constraints(balls, kind)
+        cons, forced, split = _constraints(balls, kind)
         minimum = solve_minimum(g, kind).minimum
-        split = _solver_split(balls, kind, forced) if split_cut else None
         free = ((1 << n) - 1) & ~forced
-        sets, walk, proofs = _search_trace(cons, free, forced, minimum - forced.bit_count(), split)
+        k = minimum - forced.bit_count()
+        sets, walk, proofs = _search_trace(cons, free, forced, k, split if split_cut else None)
         got = (minimum, len(sets), len(walk), len(proofs))
         assert got == expected, (name, kind, split_cut)
 
 
 # the nodes the order-free proof enters at each size it refutes, from the
 # first size tried to one below the minimum: graph -> {kind: (first size,
-# minimum, nodes per size)}.  The proof runs as the solver runs it, with the
-# split cut for identifying codes and separating sets.  Its verdicts do not
-# show a cut made weaker; these counts do.  They depend on the order of
-# ``_constraints`` (size, then value), which picks the mask branched on.
+# minimum, nodes per size)}.  These are the proofs ``_solve`` runs, traced
+# in place, with the split cut for identifying codes and separating sets.
+# Their verdicts do not show a cut made weaker; these counts do.  They
+# depend on the order of ``_constraints`` (size, then value), which picks
+# the mask branched on.
 PINNED_PROOF_NODES = {
     "band6": {
         "dominating": (2, 2, []),
@@ -630,24 +620,32 @@ PINNED_PROOF_NODES = {
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_PROOF_NODES))
-def test_proof_nodes_pinned(name):
+def test_proof_nodes_pinned(name, monkeypatch):
+    # the proofs ``_solve`` itself runs, one per size it tries, each on the
+    # masks and the split cut ``_constraints`` builds: the split is None
+    # only for dominating and locating-dominating sets, and every proof
+    # but the last refutes its size
     build, _ = PINNED_NODES[name]
-    g = build()
-    n, balls = g.n, list(g._cn)
+    balls = list(build()._cn)
+    calls = []
+
+    def traced(masks, free, k, split):
+        witness, nodes = _proof_trace(masks, free, k, split)
+        calls.append((masks, split, k, witness, len(nodes)))
+        return witness
+
+    monkeypatch.setattr(solve, "_has_hitting_set", traced)
     for kind, expected in PINNED_PROOF_NODES[name].items():
-        cons, forced = _constraints(balls, kind)
-        base = forced.bit_count()
-        start = max(base, _lower_bound(kind, balls))
-        minimum = solve_minimum(g, kind).minimum
-        free = ((1 << n) - 1) & ~forced
-        split = _solver_split(balls, kind, forced)
-        counts = []
-        for size in range(start, minimum):
-            witness, nodes = _proof_trace(cons, free, size - base, split)
-            assert witness is None, (name, kind, size)
-            counts.append(len(nodes))
-        assert _has_hitting_set(cons, free, minimum - base, split) is not None, (name, kind)
-        assert (start, minimum, counts) == expected, (name, kind)
+        cons, forced, split = _constraints(balls, kind)
+        calls.clear()
+        minimum = solve._solve(balls, kind)[0]
+        masks, splits, ks, witnesses, nodes = zip(*calls)
+        assert all(m == cons for m in masks) and all(s == split for s in splits), (name, kind)
+        assert (split is None) == (kind in ("dominating", "locating-dominating")), (name, kind)
+        assert witnesses[:-1] == (None,) * (len(calls) - 1), (name, kind)
+        assert witnesses[-1] is not None, (name, kind)
+        got = (forced.bit_count() + ks[0], minimum, list(nodes[:-1]))
+        assert got == expected, (name, kind)
 
 
 def test_no_proof_node_below_the_root_has_one_vertex_left():
@@ -660,9 +658,8 @@ def test_no_proof_node_below_the_root_has_one_vertex_left():
         g = build()
         n, balls = g.n, list(g._cn)
         for kind in KINDS:
-            cons, forced = _constraints(balls, kind)
+            cons, forced, solver_split = _constraints(balls, kind)
             free = ((1 << n) - 1) & ~forced
-            solver_split = _solver_split(balls, kind, forced)
             for split in (None, solver_split) if solver_split else (None,):
                 for k in range(1, free.bit_count() + 1):
                     nodes = _proof_trace(cons, free, k, split)[1]
@@ -718,7 +715,7 @@ def test_walk_from_the_witness_finds_the_least_code():
                         if twins and kind in ("identifying", "separating"):
                             continue
                         minimum, forced, sets = solve._solve(balls, kind)
-                        cons, _ = _constraints(balls, kind)
+                        cons = _constraints(balls, kind)[0]
                         free = ((1 << n) - 1) & ~forced
                         k = minimum - forced.bit_count()
                         least = _first_hitting_set(cons, free, k)
