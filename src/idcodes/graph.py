@@ -323,8 +323,10 @@ def graph_from_edge_mask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the edge bitmask ``mask``; the inverse of
     ``_edge_mask``, whose layout it reads block by block: u's pairs
     (u, u + 1), ..., (u, n - 1) are the n - 1 - u bits after those of the
-    vertices before it.  A bit at or past position C(n, 2) or a negative
-    mask stands for no pair and raises ``ValueError``."""
+    vertices before it.  A negative n, a bit at or past position C(n, 2) or
+    a negative mask stands for no pair and raises ``ValueError``."""
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     pairs = n * (n - 1) // 2
     if mask < 0 or mask >> pairs:
         raise ValueError(f"an edge mask on {n} vertices must lie in 0..2**{pairs} - 1")

@@ -86,7 +86,9 @@ def _lower_bound(kind: str, balls: list[int]) -> int:
     return k
 
 
-def _constraints(balls: list[int], kind: str) -> tuple[list[int], int, tuple | None]:
+def _constraints(
+    balls: list[int], kind: str
+) -> tuple[list[int], int, tuple[list[int], list[int]] | None]:
     """The search for ``kind``: returns (masks, forced, split), where a set
     containing ``forced`` is a valid code exactly when it meets every mask,
     and ``split`` starts the split cut of ``_has_hitting_set``.
@@ -96,9 +98,13 @@ def _constraints(balls: list[int], kind: str) -> tuple[list[int], int, tuple | N
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
     distinct signatures).  For identifying codes and separating sets,
     ``forced`` holds the vertices of the single-vertex masks B(x) Δ B(y),
-    which every valid set contains, and ``split`` their signature classes;
-    for the other kinds ``forced`` is empty and ``split`` None, so
-    ``explored`` counts the same candidates for them as a plain search.
+    which every valid set contains, and ``split`` is (balls, classes), with
+    the classes ``_split_classes`` keeps after the forced vertices, folded
+    from the one class of every vertex; for identifying codes, which tell
+    every vertex apart from the empty signature too, that class also holds
+    bit n, the empty signature itself.  For the other kinds ``forced`` is
+    empty and ``split`` None, so ``explored`` counts the same candidates
+    for them as a plain search.
     Each mask comes once, masks already met by ``forced`` are dropped, and
     the rest are sorted by size, then by value: the greedy packing and the
     choice of the mask to branch on in ``_has_hitting_set`` read the list
@@ -125,38 +131,34 @@ def _constraints(balls: list[int], kind: str) -> tuple[list[int], int, tuple | N
             for c in cons:
                 if not c & (c - 1):  # at most one bit set
                     forced |= c
-            empty_extra = int(kind == "identifying")
-            state = [], (1 << n) - 1
+            classes = [(2 << n if kind == "identifying" else 1 << n) - 1]
             for v in _bit_indices(forced):
-                state = _split_classes(*state, balls[v], empty_extra, n)  # n cuts nothing
-                if state[0] is None:
+                classes = _split_classes(classes, balls[v], n)  # n cuts nothing
+                if not classes:
                     break
-            split = (balls, *state, empty_extra)
+            split = (balls, classes)
     if kind != "separating":
         cons.update(balls)
     masks = sorted(sorted(c for c in cons if not c & forced), key=int.bit_count)
     return masks, forced, split
 
 
-def _split_classes(
-    classes: list[int], undominated: int, ball: int, empty_extra: int, budget: int
-) -> tuple[list[int] | None, int] | None:
+def _split_classes(classes: list[int], ball: int, budget: int) -> list[int] | None:
     """The signature classes after one more code vertex, or None when they
     need more further code vertices than ``budget``.
 
-    Vertices x with the same signature B(x) ∩ chosen form a class.  Each
-    further code vertex splits a class in at most two, so a class of m
-    vertices needs ⌈log₂ m⌉ more, and the undominated one, whose signature
-    is empty, ⌈log₂(m + empty_extra)⌉: ``empty_extra`` is 1 for identifying
-    codes, whose vertices all need a nonempty signature, and 0 for
-    separating sets.  ``classes`` holds the classes with a nonempty
-    signature and five or more members, ``undominated`` the empty one, and
-    the new vertex, whose ball is ``ball``, splits each by its ball.  A
-    smaller part needs at most two vertices, which no node the search
-    checks (two or more left) falls short of, so it is dropped once its
-    need has counted.  Returns (classes, undominated), with classes None
-    once the largest need is below 3: a class only splits further, so no
-    node below with two or more left can be cut.
+    Vertices x with the same signature B(x) ∩ chosen form a class, and the
+    new vertex, whose ball is ``ball``, splits each in two.  Each further
+    code vertex splits a class in at most two, so a class of m members
+    needs ⌈log₂ m⌉ more.  For identifying codes the class with the empty
+    signature also holds bit n, which lies in no ball and so never leaves
+    it: its m vertices and the empty signature need ⌈log₂(m + 1)⌉.
+    ``classes`` holds the classes of five or more members.  A smaller part
+    needs at most two vertices, which no node the search checks (two or
+    more left) falls short of, so it is dropped once its need has counted.
+    So the list is empty once the largest need is below 3, and since a
+    class only splits further, no node below with two or more left can be
+    cut.
     """
     parts = []
     most = 1
@@ -173,27 +175,16 @@ def _split_classes(
             parts.append(a)
         if m > most:
             most = m
-    a = undominated & ball
-    m = a.bit_count()
-    if m > 4:
-        parts.append(a)
-    if m > most:
-        most = m
-    undominated ^= a
-    m = undominated.bit_count() + empty_extra
-    if m > most:
-        most = m
-    need = (most - 1).bit_length()
-    if need > budget:
+    if (most - 1).bit_length() > budget:
         return None
-    return (parts if need > 2 else None), undominated
+    return parts
 
 
 def _has_hitting_set(
     cons: list[int],
     free: int,
     k: int,
-    split: tuple[list[int], list[int], int, int] | None = None,
+    split: tuple[list[int], list[int]] | None = None,
 ) -> int | None:
     """A subset of ``free`` with at most k vertices that meets every mask in
     ``cons``, as a mask, or None when no k-subset of ``free`` does, for k
@@ -214,18 +205,16 @@ def _has_hitting_set(
     vertex of the branch mask, tried as above, succeeds alone when it meets
     every unmet mask, and otherwise with the least available vertex in every
     mask it misses, when there is one.  So a node with one vertex left is
-    only ever the root, decided the same way.  The split cut runs
-    given ``split`` = (balls, classes, undominated, empty_extra), with the
-    signature classes of the vertices already chosen as in
-    ``_split_classes`` (for identifying codes and separating sets): each
-    child splits its parent's classes by the ball of its new vertex.  A
-    mask that contains an earlier one changes none of these steps, and
-    each cut removes only subtrees without a hitting set.
+    only ever the root, decided the same way.  The split cut runs given
+    ``split`` = (balls, classes), the signature classes of the vertices
+    already chosen as ``_split_classes`` keeps them (for identifying codes
+    and separating sets), and while the list is not empty: each child
+    splits its parent's classes by the ball of its new vertex.  A mask
+    that contains an earlier one changes none of these steps, and each cut
+    removes only subtrees without a hitting set.
     """
 
-    def feasible(
-        unhit: list[int], avail: int, k: int, classes: list[int] | None, undominated: int
-    ) -> int | None:
+    def feasible(unhit: list[int], avail: int, k: int, classes: list[int]) -> int | None:
         if not unhit:
             return 0
         if k == 1:  # only at the root: a node with two left decides in place
@@ -262,29 +251,25 @@ def _has_hitting_set(
                 if last:
                     return low | last & -last
             return None
-        splitting = classes is not None
-        parts, rest_undominated = classes, undominated
+        parts = classes
         while branch:
             low = branch & -branch
             branch ^= low
             avail ^= low
-            if splitting:
-                child = _split_classes(
-                    classes, undominated, balls[low.bit_length() - 1], empty_extra, k - 1
-                )
-                if child is None:
+            if classes:
+                parts = _split_classes(classes, balls[low.bit_length() - 1], k - 1)
+                if parts is None:
                     continue
-                parts, rest_undominated = child
             left = [c for c in unhit if not c & low]
-            found = feasible(left, avail, k - 1, parts, rest_undominated)
+            found = feasible(left, avail, k - 1, parts)
             if found is not None:
                 return found | low
         return None
 
     if k == 0:
         return None if cons else 0
-    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    return feasible(cons, free, k, classes, undominated)
+    balls, classes = split or (None, [])
+    return feasible(cons, free, k, classes)
 
 
 def _hitting_sets(
@@ -293,7 +278,7 @@ def _hitting_sets(
     forced: int,
     k: int,
     witness: int,
-    split: tuple[list[int], list[int], int, int] | None,
+    split: tuple[list[int], list[int]] | None,
 ) -> Iterator[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, as masks in lexicographic order, generated lazily, for k at
@@ -309,12 +294,12 @@ def _hitting_sets(
     extending the prefix by v with the vertices above v still available:
     at v = ``top`` the rest of the witness serves the child, and every
     other v is put to ``_has_hitting_set`` on the masks v leaves unmet, the
-    vertices above v, one vertex less and v's signature split; the child is
-    entered when it succeeds, with the witness it returns.  The walk stops
-    once fewer vertices than the child's budget lie above v (never at
-    ``top``, above which the rest of the witness lies, so the proof's
-    precondition always holds).  With one vertex left, each available
-    vertex in every unmet mask completes a set.
+    vertices above v, one vertex less and the classes v's ball splits the
+    node's into; the child is entered when it succeeds, with the witness it
+    returns.  The walk stops once fewer vertices than the child's budget
+    lie above v (never at ``top``, above which the rest of the witness
+    lies, so the proof's precondition always holds).  With one vertex
+    left, each available vertex in every unmet mask completes a set.
     """
 
     def visit(
@@ -323,8 +308,7 @@ def _hitting_sets(
         avail: int,
         k: int,
         witness: int,
-        classes: list[int] | None,
-        undominated: int,
+        classes: list[int],
     ) -> Iterator[int]:
         if k == 0:
             yield chosen
@@ -342,31 +326,27 @@ def _hitting_sets(
             witness |= rest & -rest
         top = witness & -witness
         # a child with one vertex left is decided exactly, without classes
-        splitting = classes is not None and k > 2
-        parts, rest_undominated = classes, undominated
+        splitting = classes and k > 2
+        parts = classes
         above = avail
         while above.bit_count() >= k:
             v = above & -above
             above ^= v
             if splitting:
-                child = _split_classes(
-                    classes, undominated, balls[v.bit_length() - 1], empty_extra, k - 1
-                )
-                if child is None:  # never top, which lies in a set
+                parts = _split_classes(classes, balls[v.bit_length() - 1], k - 1)
+                if parts is None:  # never top, which lies in a set
                     continue
-                parts, rest_undominated = child
             left = [c for c in unhit if not c & v]
             if v == top:
                 found = witness ^ top
             else:
-                child_split = (balls, parts, rest_undominated, empty_extra)
-                found = _has_hitting_set(left, above, k - 1, child_split)
+                found = _has_hitting_set(left, above, k - 1, (balls, parts))
                 if found is None:
                     continue
-            yield from visit(chosen | v, left, above, k - 1, found, parts, rest_undominated)
+            yield from visit(chosen | v, left, above, k - 1, found, parts)
 
-    balls, classes, undominated, empty_extra = split or (None, None, 0, 0)
-    return visit(forced, cons, free, k, witness, classes, undominated)
+    balls, classes = split or (None, [])
+    return visit(forced, cons, free, k, witness, classes)
 
 
 def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:

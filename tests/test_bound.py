@@ -508,7 +508,7 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     # with the mapping step or the greedy set broken, only the final
     # certification stands between the pipelines and a non-code
     g = path_graph(5)
-    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x: 2)
+    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, x: 2)
     with pytest.raises(PreconditionError) as exc:
         constructive_upper_bound(g)
     cert = check_code(g, {0, 1, 3, 4}, "identifying")
@@ -522,7 +522,7 @@ def test_pipelines_certify_the_code_they_return(monkeypatch):
     # B(0) and B(1) differ in r + 1 alone
     for r in (2, 3):
         g = path_graph(2 * r + 1)
-        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x, y=r + 1: y)
+        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, x, y=r + 1: y)
         with pytest.raises(PreconditionError) as exc:
             constructive_upper_bound(g, r)
         cert = check_code(g, set(range(g.n)) - {r + 1}, "identifying", r)
@@ -572,13 +572,13 @@ def test_pipelines_certify_only_to_name_a_witness(monkeypatch):
         assert calls == [], g
     assert returned > 100
     g = path_graph(5)
-    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x: 2)
+    monkeypatch.setattr(bound, "_least_removable", lambda balls, index, x: 2)
     with pytest.raises(PreconditionError):
         constructive_upper_bound(g)
     assert calls == ["identifying"]
     for r in (2, 3):
         calls.clear()
-        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, ball_of_x, y=r + 1: y)
+        monkeypatch.setattr(bound, "_least_removable", lambda balls, index, x, y=r + 1: y)
         with pytest.raises(PreconditionError):
             constructive_upper_bound(path_graph(2 * r + 1), r)
         assert calls == ["identifying"]

@@ -485,9 +485,13 @@ def test_edge_mask_decoder_matches_the_naive_decoder():
 
 def test_edge_mask_decoder_rejects_bits_outside_the_pairs():
     # C(n, 2) pairs take bits 0..C(n, 2) - 1; a bit past them, or a negative
-    # mask, stands for no pair
+    # mask, stands for no pair; a negative vertex count is refused as
+    # ``Graph`` refuses it, before any bit is read
     for n, m in ((0, 1), (0, -1), (1, 1), (1, 2), (3, 8), (3, 1 << 40), (3, -1), (3, -8)):
         with pytest.raises(ValueError, match="edge mask"):
+            graph_from_edge_mask(n, m)
+    for n, m in ((-1, 0), (-2, 1)):
+        with pytest.raises(ValueError, match="vertex count must be non-negative"):
             graph_from_edge_mask(n, m)
     assert graph_from_edge_mask(0, 0) == Graph(0)
     assert graph_from_edge_mask(1, 0) == Graph(1)

@@ -216,33 +216,44 @@ def _ceil_log2(m: int) -> int:
     return math.ceil(math.log2(m)) if m > 1 else 0
 
 
-def _fold_split(balls: list[int], chosen, empty_extra: int):
+def _fold_split(balls: list[int], chosen, extra: int):
     """``_split_classes`` over the vertices of ``chosen`` in order, from the
-    state before any code vertex (no class of five or more with a nonempty
-    signature, every vertex undominated), at a budget no step falls short
-    of, as the solver folds its forced vertices: (classes, undominated),
-    with classes None once a step drops them."""
-    state = [], (1 << len(balls)) - 1
+    one class of every vertex, which also holds bit n when ``extra`` is 1
+    (identifying codes), at a budget no step falls short of, as
+    ``_constraints`` folds its forced vertices: the classes, stopping once
+    a step leaves none."""
+    n = len(balls)
+    classes = [(1 << n + extra) - 1]
     for v in chosen:
-        state = _split_classes(*state, balls[v], empty_extra, len(balls))
-        if state[0] is None:
+        classes = _split_classes(classes, balls[v], n)
+        if not classes:
             break
-    return state
+    return classes
 
 
-def _split_need(balls: list[int], chosen, empty_extra: int):
+def _split_need(balls: list[int], chosen, extra: int):
     """The least budget at which ``_split_classes`` keeps the last vertex
-    of ``chosen`` as a child of the others, or None when the others have
-    dropped the classes, so no child of theirs is split."""
-    classes, undominated = _fold_split(balls, chosen[:-1], empty_extra)
-    if classes is None:
+    of ``chosen`` as a child of the others, or None when the others leave
+    no class, so no child of theirs is split."""
+    classes = _fold_split(balls, chosen[:-1], extra)
+    if not classes:
         return None
     ball = balls[chosen[-1]]
     return next(
-        b
-        for b in range(len(balls) + 1)
-        if _split_classes(classes, undominated, ball, empty_extra, b) is not None
+        b for b in range(len(balls) + 1) if _split_classes(classes, ball, b) is not None
     )
+
+
+def _signature_classes(ball_sets, chosen, extra: int) -> list[int]:
+    """The vertices grouped directly by signature B(x) ∩ chosen, as masks,
+    with bit n in the group of the empty signature when ``extra`` is 1,
+    that group kept even without a vertex."""
+    n = len(ball_sets)
+    groups: dict[frozenset, int] = {frozenset(): extra << n}
+    for x in range(n):
+        key = frozenset(ball_sets[x] & set(chosen))
+        groups[key] = groups.get(key, 0) | 1 << x
+    return list(groups.values())
 
 
 def test_split_need_never_exceeds_the_least_completion():
@@ -274,27 +285,51 @@ def test_split_need_never_exceeds_the_least_completion():
                         )
                 for code in range(1, 1 << n):
                     chosen = [v for v in range(n) if code >> v & 1]
-                    groups: dict[frozenset, set] = {}
-                    for x in range(n):
-                        groups.setdefault(frozenset(ball_sets[x] & set(chosen)), set()).add(x)
-                    empty = groups.pop(frozenset(), set())
-                    grouped = max(
-                        [_ceil_log2(len(c)) for c in groups.values()]
-                        + [_ceil_log2(len(empty) + extra)]
-                    )
+                    groups = _signature_classes(ball_sets, chosen, extra)
+                    grouped = max(_ceil_log2(c.bit_count()) for c in groups)
                     need = _split_need(balls, chosen, extra)
                     if need is None:
                         assert grouped <= 2, (g, r, kind, chosen)
                         continue
-                    classes, undominated = _fold_split(balls, chosen, extra)
-                    if grouped > 2:
-                        assert undominated == sum(1 << x for x in empty)
-                        expected = [sum(1 << x for x in c) for c in groups.values() if len(c) > 4]
-                        assert sorted(classes) == sorted(expected)
-                    else:
-                        assert classes is None
+                    classes = _fold_split(balls, chosen, extra)
+                    expected = [c for c in groups if c.bit_count() > 4]
+                    assert sorted(classes) == sorted(expected), (g, r, kind, chosen)
+                    assert bool(classes) == (grouped > 2)
                     assert need == grouped if grouped > 2 else need <= grouped
                     assert need <= least[code], (g, r, kind, chosen)
+
+
+def test_constraints_start_the_split_at_the_forced_signature_classes():
+    # the split cut's starting classes, against a direct grouping of the
+    # vertices by their signature on the forced set: the groups of five or
+    # more, with bit n, the empty signature itself, in the empty group for
+    # identifying codes, or with no forced vertex the one group, whatever its
+    # size; dominating and locating-dominating sets get no split
+    for g in _random_graphs(410, 80, 12):
+        n = g.n
+        for r in (1, 2):
+            ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
+            balls = [sum(1 << v for v in b) for b in ball_sets]
+            for kind in KINDS:
+                _, forced, split = _constraints(balls, kind)
+                if kind in ("dominating", "locating-dominating"):
+                    assert split is None, (g, r, kind)
+                    continue
+                assert split[0] is balls, (g, r, kind)
+                extra = int(kind == "identifying")
+                groups = _signature_classes(ball_sets, _bit_indices(forced), extra)
+                expected = [c for c in groups if c.bit_count() > 4 or not forced]
+                assert sorted(split[1]) == sorted(expected), (g, r, kind)
+    # the path on 8 vertices: forced {2, 5} leave the classes {1, 2, 3},
+    # {4, 5, 6} and {0, 7} of the empty signature (with bit 8 for
+    # identifying codes), none of five or more, so the list starts empty
+    balls = list(path_graph(8)._cn)
+    for kind in KINDS:
+        _, forced, split = _constraints(balls, kind)
+        if kind in ("identifying", "separating"):
+            assert (forced, split) == (1 << 2 | 1 << 5, (balls, [])), kind
+        else:
+            assert split is None, kind
 
 
 def test_split_need_after_one_vertex():
