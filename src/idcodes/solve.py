@@ -9,6 +9,7 @@ incremental code extension procedure for vertex additions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from math import comb
 from typing import Iterable, Iterator
@@ -88,7 +89,7 @@ def _lower_bound(kind: str, balls: list[int]) -> int:
 
 def _constraints(
     balls: list[int], kind: str
-) -> tuple[list[int], int, tuple[list[int], list[int]] | None]:
+) -> tuple[list[int], int, tuple[tuple[list[int], tuple[int, ...]], list[int]] | None]:
     """The search for ``kind``: returns (masks, forced, split), where a set
     containing ``forced`` is a valid code exactly when it meets every mask,
     and ``split`` starts the split cut of ``_has_hitting_set``.
@@ -96,86 +97,120 @@ def _constraints(
     Dominating sets meet every ball B(x), separating sets every
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
     ball and every B(x) Δ B(y) ∪ {x, y} (a pair with a code vertex needs no
-    distinct signatures).  For identifying codes and separating sets,
-    ``forced`` holds the vertices of the single-vertex masks B(x) Δ B(y),
-    which every valid set contains, and ``split`` is (balls, classes), with
-    the classes ``_split_classes`` keeps after the forced vertices, folded
-    from the one class of every vertex; for identifying codes, which tell
-    every vertex apart from the empty signature too, that class also holds
-    bit n, the empty signature itself.  For the other kinds ``forced`` is
-    empty and ``split`` None, so ``explored`` counts the same candidates
-    for them as a plain search.
+    distinct signatures).  ``forced`` holds the vertices of the
+    single-vertex pair masks, which every valid set contains; only
+    identifying codes and separating sets have such masks, so for the
+    other kinds ``explored`` counts the same candidates as a plain search.
+    For every kind but dominating sets ``split`` is (tables, classes): the
+    tables ``_split_classes`` reads, and the classes it keeps after the
+    forced vertices, folded from the one class of every vertex, which also
+    holds bit n, the empty signature itself, for identifying codes and
+    locating-dominating sets.  ``split`` is None for dominating sets and
+    once no class is left that could cut, so the smallest graphs, whose
+    one class is that small already, carry none.
     Each mask comes once, masks already met by ``forced`` are dropped, and
     the rest are sorted by size, then by value: the greedy packing and the
     choice of the mask to branch on in ``_has_hitting_set`` read the list
     in order, so no set iteration order may reach them.  A mask containing
-    another changes no step of ``_has_hitting_set``.  A locating-dominating
-    pair mask whose balls meet only in {x, y} contains B(x), so it is
-    skipped by an O(1) test; other containing masks stay, since finding
-    them costs more than it saves.
+    another changes no step of ``_has_hitting_set``.  So one O(1) test
+    skips the pair masks that contain a ball: an identifying one whose
+    balls are disjoint is B(x) ∪ B(y), and a locating-dominating one whose
+    balls meet only in {x, y} contains B(x).  Other containing masks stay,
+    since finding them costs more than it saves.
     """
     n = len(balls)
-    cons = set()
+    ld = kind == "locating-dominating"
+    if kind == "separating":
+        cons = {bx ^ by for x, bx in enumerate(balls) for by in balls[x + 1 :]}
+    elif kind == "identifying":
+        cons = {bx ^ by for x, bx in enumerate(balls) for by in balls[x + 1 :] if bx & by}
+    elif ld:
+        cons = {
+            bx ^ by | 1 << x | 1 << y
+            for x, bx in enumerate(balls)
+            for y, by in enumerate(balls[x + 1 :], x + 1)
+            if bx & by & ~(1 << x | 1 << y)
+        }
+    else:
+        cons = set()
     forced = 0
+    for c in cons:  # the pair masks alone, before the balls join
+        if not c & (c - 1):  # at most one bit set
+            forced |= c
     split = None
     if kind != "dominating":
-        ld = kind == "locating-dominating"
-        for x, bx in enumerate(balls):
-            for y in range(x + 1, n):
-                by = balls[y]
-                if not ld:
-                    cons.add(bx ^ by)
-                elif bx & by & ~(1 << x | 1 << y):
-                    cons.add(bx ^ by | 1 << x | 1 << y)
-        if not ld:  # the pair masks alone, before the balls join
-            for c in cons:
-                if not c & (c - 1):  # at most one bit set
-                    forced |= c
-            classes = [(2 << n if kind == "identifying" else 1 << n) - 1]
+        capacity = _capacity(n, ld)
+        classes = [(1 << n + (kind != "separating")) - 1]
+        if classes[0].bit_count() > capacity[2]:
+            tables = ([b ^ 1 << v for v, b in enumerate(balls)] if ld else balls, capacity)
             for v in _bit_indices(forced):
-                classes = _split_classes(classes, balls[v], n)  # n cuts nothing
+                classes = _split_classes(classes, tables, 1 << v, n)  # n cuts nothing
                 if not classes:
                     break
-            split = (balls, classes)
+            else:
+                split = (tables, classes)
     if kind != "separating":
         cons.update(balls)
-    masks = sorted(sorted(c for c in cons if not c & forced), key=int.bit_count)
-    return masks, forced, split
+    if forced:
+        cons = [c for c in cons if not c & forced]
+    return sorted(sorted(cons), key=int.bit_count), forced, split
 
 
-def _split_classes(classes: list[int], ball: int, budget: int) -> list[int] | None:
+@cache
+def _capacity(n: int, ld: bool) -> tuple[int, ...]:
+    """The most members of one signature class that b further code
+    vertices can tell apart, for each budget b up to n + 2, so that
+    capacity[2], the size of the classes small enough to drop, exists on
+    every graph: each splits a class in at most two, so 2^b, and 2^b + b
+    for locating-dominating sets (``ld``), where up to b members may join
+    the code instead.  Cached per (n, ld): the scans would otherwise build
+    it anew for each of their many tiny graphs."""
+    return tuple((1 << b) + ld * b for b in range(n + 3))
+
+
+def _split_classes(
+    classes: list[int], tables: tuple[list[int], tuple[int, ...]], vertex: int, budget: int
+) -> list[int] | None:
     """The signature classes after one more code vertex, or None when they
     need more further code vertices than ``budget``.
 
     Vertices x with the same signature B(x) ∩ chosen form a class, and the
-    new vertex, whose ball is ``ball``, splits each in two.  Each further
-    code vertex splits a class in at most two, so a class of m members
-    needs ⌈log₂ m⌉ more.  For identifying codes the class with the empty
-    signature also holds bit n, which lies in no ball and so never leaves
-    it: its m vertices and the empty signature need ⌈log₂(m + 1)⌉.
-    ``classes`` holds the classes of five or more members.  A smaller part
-    needs at most two vertices, which no node the search checks (two or
-    more left) falls short of, so it is dropped once its need has counted.
-    So the list is empty once the largest need is below 3, and since a
-    class only splits further, no node below with two or more left can be
-    cut.
+    new vertex, the bit ``vertex``, splits each in two: the members in its
+    ball and the rest.  ``tables`` is (inside, capacity): inside[v] is the
+    ball of v, less v itself for locating-dominating sets, since only the
+    vertices outside such a set need distinct signatures, so a code vertex
+    leaves its class; for the other kinds it stays.  A class needs more
+    than b further code vertices once it has more than capacity[b]
+    members (``_capacity``).  For identifying codes and
+    locating-dominating sets the class with the empty signature also holds
+    bit n, the empty signature itself, which lies in no ball and so never
+    leaves it.  ``classes`` holds the classes of more than capacity[2]
+    members.  A smaller part needs at most two vertices, which no node the
+    search checks (two or more left) falls short of, so it is dropped once
+    its need has counted.  So the list is empty once the largest need is
+    below 3, and since a class only splits further, no node below with two
+    or more left can be cut.
     """
+    inside, capacity = tables
+    small = capacity[2]
+    ball = inside[vertex.bit_length() - 1]
+    outside = ~(ball | vertex)
     parts = []
     most = 1
     for c in classes:
         a = c & ball
         m = a.bit_count()
-        if m > 4:
+        if m > small:
             parts.append(a)
         if m > most:
             most = m
-        a ^= c
+        a = c & outside
         m = a.bit_count()
-        if m > 4:
+        if m > small:
             parts.append(a)
         if m > most:
             most = m
-    if (most - 1).bit_length() > budget:
+    if most > capacity[budget]:
         return None
     return parts
 
@@ -184,7 +219,7 @@ def _has_hitting_set(
     cons: list[int],
     free: int,
     k: int,
-    split: tuple[list[int], list[int]] | None = None,
+    split: tuple[tuple[list[int], tuple[int, ...]], list[int]] | None = None,
 ) -> int | None:
     """A subset of ``free`` with at most k vertices that meets every mask in
     ``cons``, as a mask, or None when no k-subset of ``free`` does, for k
@@ -206,11 +241,10 @@ def _has_hitting_set(
     every unmet mask, and otherwise with the least available vertex in every
     mask it misses, when there is one.  So a node with one vertex left is
     only ever the root, decided the same way.  The split cut runs given
-    ``split`` = (balls, classes), the signature classes of the vertices
-    already chosen as ``_split_classes`` keeps them (for identifying codes
-    and separating sets), and while the list is not empty: each child
-    splits its parent's classes by the ball of its new vertex.  A mask
-    that contains an earlier one changes none of these steps, and each cut
+    ``split`` as ``_constraints`` builds it (for every kind but dominating
+    sets), and while the list of classes is not empty: each child splits
+    its parent's classes by the ball of its new vertex.  A mask that
+    contains an earlier one changes none of these steps, and each cut
     removes only subtrees without a hitting set.
     """
 
@@ -257,7 +291,7 @@ def _has_hitting_set(
             branch ^= low
             avail ^= low
             if classes:
-                parts = _split_classes(classes, balls[low.bit_length() - 1], k - 1)
+                parts = _split_classes(classes, tables, low, k - 1)
                 if parts is None:
                     continue
             left = [c for c in unhit if not c & low]
@@ -268,7 +302,7 @@ def _has_hitting_set(
 
     if k == 0:
         return None if cons else 0
-    balls, classes = split or (None, [])
+    tables, classes = split or (None, [])
     return feasible(cons, free, k, classes)
 
 
@@ -278,7 +312,7 @@ def _hitting_sets(
     forced: int,
     k: int,
     witness: int,
-    split: tuple[list[int], list[int]] | None,
+    split: tuple[tuple[list[int], tuple[int, ...]], list[int]] | None,
 ) -> Iterator[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, as masks in lexicographic order, generated lazily, for k at
@@ -333,20 +367,21 @@ def _hitting_sets(
             v = above & -above
             above ^= v
             if splitting:
-                parts = _split_classes(classes, balls[v.bit_length() - 1], k - 1)
+                parts = _split_classes(classes, tables, v, k - 1)
                 if parts is None:  # never top, which lies in a set
                     continue
             left = [c for c in unhit if not c & v]
             if v == top:
                 found = witness ^ top
             else:
-                found = _has_hitting_set(left, above, k - 1, (balls, parts))
+                found = _has_hitting_set(left, above, k - 1, (tables, parts))
                 if found is None:
                     continue
             yield from visit(chosen | v, left, above, k - 1, found, parts)
 
-    balls, classes = split or (None, [])
-    return visit(forced, cons, free, k, witness, classes)
+    # a generator itself, so a walk no caller reads builds nothing
+    tables, classes = split or (None, [])
+    yield from visit(forced, cons, free, k, witness, classes)
 
 
 def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:

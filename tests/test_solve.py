@@ -212,53 +212,74 @@ def test_enumerate_minimum_sets_matches_ascending_oracle():
             assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
 
 
-def _ceil_log2(m: int) -> int:
-    return math.ceil(math.log2(m)) if m > 1 else 0
+def _need(m: int, kind: str) -> int:
+    """The fewest further code vertices that can tell m members of one
+    signature class apart: the least t with 2^t ≥ m, or 2^t + t ≥ m for
+    locating-dominating sets, where up to t members may join the code."""
+    ld = kind == "locating-dominating"
+    return next(t for t in itertools.count() if (1 << t) + ld * t >= m)
 
 
-def _fold_split(balls: list[int], chosen, extra: int):
+def _split_tables(balls: list[int], kind: str):
+    """The tables ``_split_classes`` reads for ``kind``: each vertex's
+    ball, less the vertex itself for locating-dominating sets, whose code
+    vertices leave their class, and the capacity per budget."""
+    ld = kind == "locating-dominating"
+    return [b & ~(ld << v) for v, b in enumerate(balls)], solve._capacity(len(balls), ld)
+
+
+def _fold_split(balls: list[int], chosen, kind: str):
     """``_split_classes`` over the vertices of ``chosen`` in order, from the
-    one class of every vertex, which also holds bit n when ``extra`` is 1
-    (identifying codes), at a budget no step falls short of, as
+    one class of every vertex, which also holds bit n for identifying codes
+    and locating-dominating sets, at a budget no step falls short of, as
     ``_constraints`` folds its forced vertices: the classes, stopping once
     a step leaves none."""
     n = len(balls)
-    classes = [(1 << n + extra) - 1]
+    tables = _split_tables(balls, kind)
+    classes = [(1 << n + (kind != "separating")) - 1]
     for v in chosen:
-        classes = _split_classes(classes, balls[v], n)
+        classes = _split_classes(classes, tables, 1 << v, n)
         if not classes:
             break
     return classes
 
 
-def _split_need(balls: list[int], chosen, extra: int):
+def _split_need(balls: list[int], chosen, kind: str):
     """The least budget at which ``_split_classes`` keeps the last vertex
     of ``chosen`` as a child of the others, or None when the others leave
     no class, so no child of theirs is split."""
-    classes = _fold_split(balls, chosen[:-1], extra)
+    classes = _fold_split(balls, chosen[:-1], kind)
     if not classes:
         return None
-    ball = balls[chosen[-1]]
+    tables = _split_tables(balls, kind)
+    vertex = 1 << chosen[-1]
     return next(
-        b for b in range(len(balls) + 1) if _split_classes(classes, ball, b) is not None
+        b for b in range(len(balls) + 1) if _split_classes(classes, tables, vertex, b) is not None
     )
 
 
-def _signature_classes(ball_sets, chosen, extra: int) -> list[int]:
+def _signature_classes(ball_sets, chosen, kind: str) -> list[int]:
     """The vertices grouped directly by signature B(x) ∩ chosen, as masks,
-    with bit n in the group of the empty signature when ``extra`` is 1,
-    that group kept even without a vertex."""
+    with bit n in the group of the empty signature for identifying codes
+    and locating-dominating sets, that group kept even without a vertex;
+    for locating-dominating sets the chosen vertices are in no group."""
     n = len(ball_sets)
-    groups: dict[frozenset, int] = {frozenset(): extra << n}
+    groups: dict[frozenset, int] = {frozenset(): (kind != "separating") << n}
     for x in range(n):
+        if kind == "locating-dominating" and x in chosen:
+            continue
         key = frozenset(ball_sets[x] & set(chosen))
         groups[key] = groups.get(key, 0) | 1 << x
     return list(groups.values())
 
 
+SPLIT_KINDS = ("identifying", "separating", "locating-dominating")
+
+
 def test_split_need_never_exceeds_the_least_completion():
     # soundness of the signature-split cut: for every chosen prefix the
-    # classes are those of five or more members in a direct grouping by
+    # classes are those of more than capacity[2] members (4, or 6 for
+    # locating-dominating sets, bit n counted) in a direct grouping by
     # signature while the need is three or more, and dropped below that;
     # the least budget that keeps the last vertex is the grouping's need
     # wherever it could cut a node (three or more), and a budget of the
@@ -271,8 +292,8 @@ def test_split_need_never_exceeds_the_least_completion():
         for r in (1, 2):
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
-            for kind in ("identifying", "separating"):
-                extra = int(kind == "identifying")
+            for kind in SPLIT_KINDS:
+                small = 6 if kind == "locating-dominating" else 4
                 least = [math.inf] * (1 << n)
                 for code in reversed(range(1 << n)):
                     members = {v for v in range(n) if code >> v & 1}
@@ -285,14 +306,14 @@ def test_split_need_never_exceeds_the_least_completion():
                         )
                 for code in range(1, 1 << n):
                     chosen = [v for v in range(n) if code >> v & 1]
-                    groups = _signature_classes(ball_sets, chosen, extra)
-                    grouped = max(_ceil_log2(c.bit_count()) for c in groups)
-                    need = _split_need(balls, chosen, extra)
+                    groups = _signature_classes(ball_sets, chosen, kind)
+                    grouped = max(_need(c.bit_count(), kind) for c in groups)
+                    need = _split_need(balls, chosen, kind)
                     if need is None:
                         assert grouped <= 2, (g, r, kind, chosen)
                         continue
-                    classes = _fold_split(balls, chosen, extra)
-                    expected = [c for c in groups if c.bit_count() > 4]
+                    classes = _fold_split(balls, chosen, kind)
+                    expected = [c for c in groups if c.bit_count() > small]
                     assert sorted(classes) == sorted(expected), (g, r, kind, chosen)
                     assert bool(classes) == (grouped > 2)
                     assert need == grouped if grouped > 2 else need <= grouped
@@ -301,10 +322,13 @@ def test_split_need_never_exceeds_the_least_completion():
 
 def test_constraints_start_the_split_at_the_forced_signature_classes():
     # the split cut's starting classes, against a direct grouping of the
-    # vertices by their signature on the forced set: the groups of five or
-    # more, with bit n, the empty signature itself, in the empty group for
-    # identifying codes, or with no forced vertex the one group, whatever its
-    # size; dominating and locating-dominating sets get no split
+    # vertices by their signature on the forced set: the groups of more
+    # than 4 members (6 for locating-dominating sets), with bit n, the
+    # empty signature itself, in the empty group for identifying codes and
+    # locating-dominating sets, and no split when no group is that large;
+    # the tables beside them are each vertex's ball, less the vertex
+    # itself for locating-dominating sets, and the capacity per budget;
+    # dominating sets get no split
     for g in _random_graphs(410, 80, 12):
         n = g.n
         for r in (1, 2):
@@ -312,57 +336,76 @@ def test_constraints_start_the_split_at_the_forced_signature_classes():
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
                 _, forced, split = _constraints(balls, kind)
-                if kind in ("dominating", "locating-dominating"):
+                ld = kind == "locating-dominating"
+                groups = _signature_classes(ball_sets, _bit_indices(forced), kind)
+                expected = [c for c in groups if c.bit_count() > (6 if ld else 4)]
+                if kind == "dominating" or not expected:
                     assert split is None, (g, r, kind)
                     continue
-                assert split[0] is balls, (g, r, kind)
-                extra = int(kind == "identifying")
-                groups = _signature_classes(ball_sets, _bit_indices(forced), extra)
-                expected = [c for c in groups if c.bit_count() > 4 or not forced]
-                assert sorted(split[1]) == sorted(expected), (g, r, kind)
+                (inside, capacity), classes = split
+                assert inside == [b & ~(ld << v) for v, b in enumerate(balls)], (g, r, kind)
+                assert capacity == tuple((1 << b) + ld * b for b in range(n + 3))
+                assert sorted(classes) == sorted(expected), (g, r, kind)
     # the path on 8 vertices: forced {2, 5} leave the classes {1, 2, 3},
     # {4, 5, 6} and {0, 7} of the empty signature (with bit 8 for
-    # identifying codes), none of five or more, so the list starts empty
+    # identifying codes), none of five or more, so there is no split;
+    # locating-dominating sets force nothing and start from the one class
+    # of all 8 vertices and bit 8
     balls = list(path_graph(8)._cn)
     for kind in KINDS:
         _, forced, split = _constraints(balls, kind)
         if kind in ("identifying", "separating"):
-            assert (forced, split) == (1 << 2 | 1 << 5, (balls, [])), kind
+            assert (forced, split) == (1 << 2 | 1 << 5, None), kind
+        elif kind == "locating-dominating":
+            assert (forced, split[1]) == (0, [(1 << 9) - 1]), kind
         else:
             assert split is None, kind
+    # with nothing forced, the smallest graphs carry no split: the one
+    # class of every vertex (with bit n for identifying codes and
+    # locating-dominating sets) is too small to cut
+    for n, kind in ((3, "identifying"), (4, "separating"), (5, "locating-dominating")):
+        assert _constraints(list(Graph(n)._cn), kind)[1:] == (0, None), (n, kind)
+        assert _constraints(list(Graph(n + 1)._cn), kind)[2] is not None, (n, kind)
 
 
 def test_split_need_after_one_vertex():
     # strength of the signature-split cut: after one code vertex w the
     # classes are B(w) and the undominated rest, so the need is
     # max(⌈log₂|B(w)|⌉, ⌈log₂(|V ∖ B(w)| + 1)⌉) for identifying codes and
-    # max(⌈log₂|B(w)|⌉, ⌈log₂|V ∖ B(w)|⌉) for separating sets.  A cut that
-    # dropped either part of a split would fall short of these.
+    # max(⌈log₂|B(w)|⌉, ⌈log₂|V ∖ B(w)|⌉) for separating sets.  For
+    # locating-dominating sets w leaves B(w), and the need is the larger of
+    # the least t with 2^t + t ≥ |B(w)| − 1 and with 2^t + t ≥
+    # |V ∖ B(w)| + 1.  A cut that dropped either part of a split would fall
+    # short of these.
     hand = [
-        # (graph, chosen, identifying need, separating need)
-        (star_graph(7), [0], 3, 3),  # B(0) is all 8 vertices; none left over
-        (path_graph(7), [1], 3, 2),  # B(1) = {0, 1, 2}; 4 left over: ⌈log₂ 5⌉, ⌈log₂ 4⌉
-        (cycle_graph(8), [0], 3, 3),  # 3 in the ball; 5 left over: ⌈log₂ 6⌉, ⌈log₂ 5⌉
-        (Graph(5), [2], 3, 2),  # B(2) = {2} needs nothing; 4 left over
-        (band_graph(3), [2], 3, 3),  # B(2) = {0, ..., 4}: ⌈log₂ 5⌉; {5} left over: 1, 0
-        (star_graph(3), [1], 2, 1),  # B(1) = {0, 1}: 1; {2, 3} left over: ⌈log₂ 3⌉, 1
+        # (graph, chosen, identifying need, separating need, ld need)
+        (star_graph(7), [0], 3, 3, 3),  # B(0) is all 8 vertices; none left over
+        (path_graph(7), [1], 3, 2, 2),  # B(1) = {0, 1, 2}; 4 left over: ⌈log₂ 5⌉, ⌈log₂ 4⌉
+        (cycle_graph(8), [0], 3, 3, 2),  # 3 in the ball; 5 left over: ⌈log₂ 6⌉, ⌈log₂ 5⌉
+        (Graph(5), [2], 3, 2, 2),  # B(2) = {2} needs nothing; 4 left over
+        (band_graph(3), [2], 3, 3, 2),  # B(2) = {0, ..., 4}: ⌈log₂ 5⌉; {5} left over: 1, 0
+        (star_graph(3), [1], 2, 1, 1),  # B(1) = {0, 1}: 1; {2, 3} left over: ⌈log₂ 3⌉, 1
         # a second vertex splits the class {0, ..., 7} of signature {0}
-        # into {0, 1} and {2, ..., 7}: ⌈log₂ 6⌉
-        (star_graph(7), [0, 1], 3, 3),
+        # into {0, 1} and {2, ..., 7}: ⌈log₂ 6⌉; for ld {1, ..., 7} into
+        # {0, 1} ∖ {1} and {2, ..., 7}, and 2^2 + 2 = 6
+        (star_graph(7), [0, 1], 3, 3, 2),
     ]
-    for g, chosen, need_id, need_sep in hand:
+    for g, chosen, need_id, need_sep, need_ld in hand:
         balls = list(g._cn)
-        assert _split_need(balls, chosen, 1) == need_id, (g, chosen)
-        assert _split_need(balls, chosen, 0) == need_sep, (g, chosen)
+        assert _split_need(balls, chosen, "identifying") == need_id, (g, chosen)
+        assert _split_need(balls, chosen, "separating") == need_sep, (g, chosen)
+        assert _split_need(balls, chosen, "locating-dominating") == need_ld, (g, chosen)
     for g in _random_graphs(407, 30, 12):
         for r in (1, 2):
             ball_sets = [brute.naive_ball(g, x, r) for x in range(g.n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for w in range(g.n):
                 inside, outside = len(ball_sets[w]), g.n - len(ball_sets[w])
-                for extra in (0, 1):
-                    expected = max(_ceil_log2(inside), _ceil_log2(outside + extra))
-                    assert _split_need(balls, [w], extra) == expected, (g, r, w, extra)
+                for kind in SPLIT_KINDS:
+                    ld = kind == "locating-dominating"
+                    extra = kind != "separating"
+                    expected = max(_need(inside - ld, kind), _need(outside + extra, kind))
+                    assert _split_need(balls, [w], kind) == expected, (g, r, w, kind)
 
 
 def _nested_calls(run, *watched):
@@ -456,14 +499,36 @@ def test_redundant_masks_never_change_the_search():
                     assert _search_trace(padded, free_mask, forced, size - base, split) == plain
 
 
+def test_identifying_masks_skip_the_pairs_of_disjoint_balls():
+    # B(x) Δ B(y) of two disjoint balls is B(x) ∪ B(y), which contains the
+    # ball mask B(x), so ``_constraints`` leaves it out: the identifying
+    # masks are the balls and the pair masks of meeting balls, less those
+    # met by the forced vertices, and the minima stay those of brute force
+    skipped = 0
+    for g in _random_graphs(413, 60, 9):
+        n = g.n
+        for r in (1, 2):
+            balls = _balls(g, r)
+            if len(set(balls)) < n:
+                continue
+            cons, forced, _ = _constraints(balls, "identifying")
+            pairs = list(itertools.combinations(balls, 2))
+            meeting = {bx ^ by for bx, by in pairs if bx & by}
+            assert sorted(cons) == sorted(c for c in meeting | set(balls) if not c & forced)
+            skipped += sum(not bx & by for bx, by in pairs)
+            expected = brute.naive_minimum(g, "identifying", r)[0]
+            assert solve_minimum(g, "identifying", r).minimum == expected, (g, r)
+    assert skipped
+
+
 def test_proof_verdict_matches_brute_force():
     # the order-free proof against every subset: for every budget k it
     # returns None exactly when no k-subset of the free vertices completes
     # the forced ones to a valid code, and otherwise a witness of at most k
     # free vertices that meets every mask and completes them to a valid
     # code.  Graphs with twins stay in: their empty masks must refute every
-    # size.  Identifying and separating proofs also run without the split
-    # cut, which checks the other cuts alone.
+    # size.  Every proof with a split cut also runs without it, which
+    # checks the other cuts alone.
     for g in _random_graphs(409, 60, 10):
         n = g.n
         for r in (1, 2):
@@ -551,8 +616,8 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
 # nodes)}.  The walk enters only the prefixes of the sets, so its count is
 # the same with or without the split; the proofs it calls make the cuts.
 # ``explored`` comes from the answer's rank, so only the proof counts see a
-# cut made weaker.  Identifying and separating searches also run without
-# the split, which pins the packing, the branching and the last-vertex step
+# cut made weaker.  Every kind but dominating sets also runs without the
+# split, which pins the packing, the branching and the last-vertex step
 # alone.  The proof counts depend on the order of ``_constraints`` (size,
 # then value).  A proof node with two vertices left decides in place, so
 # they count no node with one vertex left except the root of a budget-1 call.
@@ -565,6 +630,7 @@ PINNED_NODES = {
             ("separating", False): (7, 2, 27, 65),
             ("identifying", True): (7, 2, 27, 62),
             ("identifying", False): (7, 2, 27, 65),
+            ("locating-dominating", True): (6, 35, 284, 245),
             ("locating-dominating", False): (6, 35, 284, 274),
         },
     ),
@@ -576,6 +642,7 @@ PINNED_NODES = {
             ("separating", False): (11, 2, 3, 1),
             ("identifying", True): (11, 2, 3, 1),
             ("identifying", False): (11, 2, 3, 1),
+            ("locating-dominating", True): (6, 222, 1679, 484),
             ("locating-dominating", False): (6, 222, 1679, 484),
         },
     ),
@@ -587,6 +654,7 @@ PINNED_NODES = {
             ("separating", False): (4, 125, 597, 92),
             ("identifying", True): (4, 5, 34, 40),
             ("identifying", False): (4, 5, 34, 47),
+            ("locating-dominating", True): (4, 65, 327, 83),
             ("locating-dominating", False): (4, 65, 327, 83),
         },
     ),
@@ -598,6 +666,7 @@ PINNED_NODES = {
             ("separating", False): (5, 1, 10, 80),
             ("identifying", True): (6, 46, 407, 500),
             ("identifying", False): (6, 46, 407, 562),
+            ("locating-dominating", True): (5, 5, 44, 111),
             ("locating-dominating", False): (5, 5, 44, 127),
         },
     ),
@@ -622,7 +691,7 @@ def test_search_nodes_pinned(name):
 # the nodes the order-free proof enters at each size it refutes, from the
 # first size tried to one below the minimum: graph -> {kind: (first size,
 # minimum, nodes per size)}.  These are the proofs ``_solve`` runs, traced
-# in place, with the split cut for identifying codes and separating sets.
+# in place, with the split cut for every kind but dominating sets.
 # Their verdicts do not show a cut made weaker; these counts do.  They
 # depend on the order of ``_constraints`` (size, then value), which picks
 # the mask branched on.
@@ -631,25 +700,25 @@ PINNED_PROOF_NODES = {
         "dominating": (2, 2, []),
         "separating": (10, 11, [0]),
         "identifying": (10, 11, [0]),
-        "locating-dominating": (4, 6, [12, 31]),
+        "locating-dominating": (4, 6, [11, 31]),
     },
     "cycle14": {
         "dominating": (5, 5, []),
         "separating": (4, 7, [1, 1, 6]),
         "identifying": (4, 7, [1, 1, 3]),
-        "locating-dominating": (4, 6, [4, 22]),
+        "locating-dominating": (4, 6, [1, 11]),
     },
     "gnp16": {
         "dominating": (2, 4, [1, 3]),
         "separating": (4, 5, [1]),
         "identifying": (5, 6, [9]),
-        "locating-dominating": (4, 5, [9]),
+        "locating-dominating": (4, 5, [3]),
     },
     "petersen": {
         "dominating": (3, 3, []),
         "separating": (4, 4, []),
         "identifying": (4, 4, []),
-        "locating-dominating": (3, 4, [5]),
+        "locating-dominating": (3, 4, [1]),
     },
 }
 
@@ -658,8 +727,9 @@ PINNED_PROOF_NODES = {
 def test_proof_nodes_pinned(name, monkeypatch):
     # the proofs ``_solve`` itself runs, one per size it tries, each on the
     # masks and the split cut ``_constraints`` builds: the split is None
-    # only for dominating and locating-dominating sets, and every proof
-    # but the last refutes its size
+    # for dominating sets and never for locating-dominating sets, whose one
+    # starting class has more than 6 members on every pinned graph, and
+    # every proof but the last refutes its size
     build, _ = PINNED_NODES[name]
     balls = list(build()._cn)
     calls = []
@@ -676,7 +746,8 @@ def test_proof_nodes_pinned(name, monkeypatch):
         minimum = solve._solve(balls, kind)[0]
         masks, splits, ks, witnesses, nodes = zip(*calls)
         assert all(m == cons for m in masks) and all(s == split for s in splits), (name, kind)
-        assert (split is None) == (kind in ("dominating", "locating-dominating")), (name, kind)
+        if kind in ("dominating", "locating-dominating"):
+            assert (split is None) == (kind == "dominating"), (name, kind)
         assert witnesses[:-1] == (None,) * (len(calls) - 1), (name, kind)
         assert witnesses[-1] is not None, (name, kind)
         got = (forced.bit_count() + ks[0], minimum, list(nodes[:-1]))
