@@ -179,7 +179,7 @@ def _reach(cn, seen: int, radius: int = -1) -> int:
 
 
 def _balls(g: Graph, r: int) -> list[int]:
-    """Closed radius-r ball masks of every vertex of g, r >= 0.
+    """Closed radius-r ball masks of every vertex of g, r >= 1 (``_check_radius``).
 
     Built level by level rather than by one BFS per vertex: B_0(x) = {x} and
     B_{k+1}(x) is the union of B_k(u) over u in N[x], so a level costs one
@@ -192,10 +192,6 @@ def _balls(g: Graph, r: int) -> list[int]:
     """
     if r == 1:
         return list(g._cn)
-    if r < 0:
-        raise ValueError("radius must be >= 0")
-    if r == 0:
-        return [1 << x for x in range(g.n)]
     adj = g._adj
     if adj is None:
         adj = g._adj = [_bit_indices(m) for m in g._cn]

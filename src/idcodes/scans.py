@@ -27,6 +27,7 @@ to be empty.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -352,12 +353,8 @@ def _scan(
 def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanReport:
     """Structural recognizer vs brute force on every connected twin-free
     graph: the extremal outcomes must coincide exactly."""
-    per_n = dict.fromkeys(range(2, max_n + 1), 0)
-    details = {
-        "connected_twin_free_per_n": per_n,
-        "extremal_per_n": dict(per_n),
-        "graphs_needing_all_vertices": 0,
-    }
+    per_n, extremal = Counter(), Counter()
+    details = {"graphs_needing_all_vertices": 0}
 
     def check(n, cn, weight):
         per_n[n] += weight
@@ -365,13 +362,17 @@ def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanRep
         if level == 1:
             details["graphs_needing_all_vertices"] += weight
         if level == 0:
-            details["extremal_per_n"][n] += weight
+            extremal[n] += weight
         result = _classify_masks(cn)
         if result.is_extremal == (level == 0):
             return []
         return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
 
-    return _scan("thm12", max_n, force, check, details, connected=True, twin_free=True)
+    report = _scan("thm12", max_n, force, check, details, connected=True, twin_free=True)
+    # one entry per n, built only once _scan has refused a max_n past the cap
+    for key, counts in (("connected_twin_free_per_n", per_n), ("extremal_per_n", extremal)):
+        details[key] = {n: counts[n] for n in range(2, max_n + 1)}
+    return report
 
 
 def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:

@@ -89,7 +89,7 @@ def _lower_bound(kind: str, balls: list[int]) -> int:
 
 def _constraints(
     balls: list[int], kind: str
-) -> tuple[list[int], int, tuple[tuple[list[int], tuple[int, ...]], list[int]] | None]:
+) -> tuple[list[int], int, tuple[tuple[list[int], tuple[int, ...]] | None, list[int]]]:
     """The search for ``kind``: returns (masks, forced, split), where a set
     containing ``forced`` is a valid code exactly when it meets every mask,
     and ``split`` starts the split cut of ``_has_hitting_set``.
@@ -101,13 +101,12 @@ def _constraints(
     single-vertex pair masks, which every valid set contains; only
     identifying codes and separating sets have such masks, so for the
     other kinds ``explored`` counts the same candidates as a plain search.
-    For every kind but dominating sets ``split`` is (tables, classes): the
-    tables ``_split_classes`` reads, and the classes it keeps after the
-    forced vertices, folded from the one class of every vertex, which also
-    holds bit n, the empty signature itself, for identifying codes and
-    locating-dominating sets.  ``split`` is None for dominating sets and
-    once no class is left that could cut, so the smallest graphs, whose
-    one class is that small already, carry none.
+    ``split`` is (tables, classes): the tables ``_split_classes`` reads,
+    and the classes it keeps after the forced vertices, folded from the
+    one class of every vertex, which also holds bit n, the empty signature
+    itself, for identifying codes and locating-dominating sets.  No class
+    is left once none could cut; dominating sets and the smallest graphs,
+    whose one class is that small already, get none and no tables (None).
     Each mask comes once, masks already met by ``forced`` are dropped, and
     the rest are sorted by size, then by value: the greedy packing and the
     choice of the mask to branch on in ``_has_hitting_set`` read the list
@@ -137,23 +136,22 @@ def _constraints(
     for c in cons:  # the pair masks alone, before the balls join
         if not c & (c - 1):  # at most one bit set
             forced |= c
-    split = None
+    tables, classes = None, []
     if kind != "dominating":
         capacity = _capacity(n, ld)
-        classes = [(1 << n + (kind != "separating")) - 1]
-        if classes[0].bit_count() > capacity[2]:
+        start = (1 << n + (kind != "separating")) - 1
+        if start.bit_count() > capacity[2]:
             tables = ([b ^ 1 << v for v, b in enumerate(balls)] if ld else balls, capacity)
+            classes = [start]
             for v in _bit_indices(forced):
                 classes = _split_classes(classes, tables, 1 << v, n)  # n cuts nothing
                 if not classes:
                     break
-            else:
-                split = (tables, classes)
     if kind != "separating":
         cons.update(balls)
     if forced:
         cons = [c for c in cons if not c & forced]
-    return sorted(sorted(cons), key=int.bit_count), forced, split
+    return sorted(sorted(cons), key=int.bit_count), forced, (tables, classes)
 
 
 @cache
@@ -219,7 +217,7 @@ def _has_hitting_set(
     cons: list[int],
     free: int,
     k: int,
-    split: tuple[tuple[list[int], tuple[int, ...]], list[int]] | None = None,
+    split: tuple[tuple[list[int], tuple[int, ...]] | None, list[int]],
 ) -> int | None:
     """A subset of ``free`` with at most k vertices that meets every mask in
     ``cons``, as a mask, or None when no k-subset of ``free`` does, for k
@@ -239,22 +237,18 @@ def _has_hitting_set(
     with two vertices left is decided in place, without a child node: each
     vertex of the branch mask, tried as above, succeeds alone when it meets
     every unmet mask, and otherwise with the least available vertex in every
-    mask it misses, when there is one.  So a node with one vertex left is
-    only ever the root, decided the same way.  The split cut runs given
-    ``split`` as ``_constraints`` builds it (for every kind but dominating
-    sets), and while the list of classes is not empty: each child splits
-    its parent's classes by the ball of its new vertex.  A mask that
-    contains an earlier one changes none of these steps, and each cut
-    removes only subtrees without a hitting set.
+    mask it misses, when there is one.  So every node has two or more
+    vertices left: a call with fewer is decided before any node, by the
+    least available vertex in every mask.  The split cut runs on ``split``
+    as ``_constraints`` builds it, while its list of classes is not empty:
+    each child splits its parent's classes by the ball of its new vertex.
+    A mask that contains an earlier one changes none of these steps, and
+    each cut removes only subtrees without a hitting set.
     """
 
     def feasible(unhit: list[int], avail: int, k: int, classes: list[int]) -> int | None:
         if not unhit:
             return 0
-        if k == 1:  # only at the root: a node with two left decides in place
-            for c in unhit:
-                avail &= c
-            return avail & -avail if avail else None
         used = packed = 0
         fewest, branch = avail.bit_count() + 1, 0
         for c in unhit:
@@ -300,9 +294,13 @@ def _has_hitting_set(
                 return found | low
         return None
 
-    if k == 0:
-        return None if cons else 0
-    tables, classes = split or (None, [])
+    if k < 2:  # no node: the empty set, or one vertex in every mask
+        if not cons:
+            return 0
+        for c in cons:
+            free &= c
+        return free & -free if k and free else None
+    tables, classes = split
     return feasible(cons, free, k, classes)
 
 
@@ -312,7 +310,7 @@ def _hitting_sets(
     forced: int,
     k: int,
     witness: int,
-    split: tuple[tuple[list[int], tuple[int, ...]], list[int]] | None,
+    split: tuple[tuple[list[int], tuple[int, ...]] | None, list[int]],
 ) -> Iterator[int]:
     """``forced`` plus each k-subset of ``free`` that meets every mask in
     ``cons``, as masks in lexicographic order, generated lazily, for k at
@@ -333,7 +331,8 @@ def _hitting_sets(
     returns.  The walk stops once fewer vertices than the child's budget
     lie above v (never at ``top``, above which the rest of the witness
     lies, so the proof's precondition always holds).  With one vertex
-    left, each available vertex in every unmet mask completes a set.
+    left, each available vertex in every unmet mask completes a set; with
+    none, ``forced`` alone is the set, yielded before any node.
     """
 
     def visit(
@@ -344,9 +343,6 @@ def _hitting_sets(
         witness: int,
         classes: list[int],
     ) -> Iterator[int]:
-        if k == 0:
-            yield chosen
-            return
         if k == 1:  # the last vertex must lie in every unmet mask
             for c in unhit:
                 avail &= c
@@ -380,7 +376,10 @@ def _hitting_sets(
             yield from visit(chosen | v, left, above, k - 1, found, parts)
 
     # a generator itself, so a walk no caller reads builds nothing
-    tables, classes = split or (None, [])
+    if k == 0:
+        yield forced
+        return
+    tables, classes = split
     yield from visit(forced, cons, free, k, witness, classes)
 
 

@@ -1,9 +1,11 @@
 """Deterministic pseudo-random test graphs: connected twin-free ones with
 maximum degree between 3 and 5 (near-regular pairings, or rings of cubic
-blobs for a large diameter), and sparse ones under a degree cap."""
+blobs for a large diameter), sparse ones under a degree cap, and connected
+twin-free G(n, p)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from idcodes.graph import Graph, is_connected, is_twin_free
@@ -81,5 +83,15 @@ def random_blob_ring(seed: int, blobs: int, blob_size: int = 24) -> Graph:
             v = (b + 1) % blobs * blob_size + rng.randrange(blob_size)
             edges.add((min(u, v), max(u, v)))
         g = Graph(blobs * blob_size, edges)
+        if is_connected(g) and is_twin_free(g):
+            return g
+
+
+def random_connected_twin_free_gnp(seed: int, n: int, p: float) -> Graph:
+    """G(n, p) with one coin per vertex pair, in lexicographic order, drawn
+    again from the same generator until connected and twin-free."""
+    rng = random.Random(seed)
+    while True:
+        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         if is_connected(g) and is_twin_free(g):
             return g

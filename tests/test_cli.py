@@ -3,13 +3,19 @@ re-verification of emitted reports against the input graph."""
 
 import itertools
 import json
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import brute
-from idcodes import bound, cli, codes, solve
+import idcodes
+from idcodes import bound, cli, codes, scans, solve
 from idcodes.cli import main
 from idcodes.families import band_graph, cycle_graph, petersen_graph, star_graph
 from idcodes.graph import Graph, format_edge_list, parse_edge_list, power
@@ -230,6 +236,25 @@ def test_scan_requires_exactly_one_mode():
 def test_scan_cap_is_usage_error(run):
     code, _, err = run("scan", "--max-n", "9", "--theorem", "thm12")
     assert code == 2 and "cap" in err
+
+
+@pytest.mark.parametrize("theorem", sorted(scans.THEOREM_SCANS))
+def test_scan_refuses_a_huge_max_n_before_building_anything(theorem):
+    # every scan refuses a max_n past its cap before it builds a table sized
+    # by max_n: in a child limited to 1 GB of address space, such a table
+    # would end in "error: out of memory", which exits 2 as well
+    env = {**os.environ, "PYTHONPATH": str(Path(idcodes.__file__).parents[1])}
+    argv = ["scan", "--max-n", "9" * 20, "--theorem", theorem]
+    result = subprocess.run(
+        [sys.executable, "-m", "idcodes.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert result.returncode == 2, result.stderr
+    assert f"scan {theorem!r} is capped at n <= {scans.SCAN_CAP}" in result.stderr
 
 
 _C9 = format_edge_list(cycle_graph(9))

@@ -340,9 +340,10 @@ def test_balls_and_distances_match_naive_bfs_on_random_graphs():
 
 
 def test_ball_builder_and_power_match_naive_bfs():
-    # graph._balls builds level by level; check every level against the
-    # dict-based BFS, on small dense or sparse graphs (connected or not), on
-    # sparse 200-vertex ones whose masks span several machine words, and on
+    # graph._balls builds level by level; check every level from radius 1,
+    # the least any caller passes, against the dict-based BFS, on small
+    # dense or sparse graphs (connected or not), on sparse 200-vertex ones
+    # whose masks span several machine words, and on
     # both construction routes: Graph(n, edges), here also given repeated
     # and reversed edges, fills the closed-neighbour lists, and a graph
     # built from masks gets them from _balls on first use
@@ -366,18 +367,15 @@ def test_ball_builder_and_power_match_naive_bfs():
     assert not all(graph.is_connected(g) for g in graphs)
     for g in graphs:
         adj = brute.adjacency(g)
-        for r in range(7):
+        for r in range(1, 7):
             expected = [brute.adjacency_ball(adj, x, r) for x in range(g.n)]
             assert [set(graph._bit_indices(b)) for b in graph._balls(g, r)] == expected
-            if r:
-                pg = power(g, r)
-                assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
+            pg = power(g, r)
+            assert [set(pg.neighbors(x)) | {x} for x in range(g.n)] == expected
         # each list holds its vertex and the vertex's neighbours, each once
         assert [sorted(ix) for ix in g._adj] == [
             sorted(brute.adjacency_ball(adj, x, 1)) for x in range(g.n)
         ]
-    with pytest.raises(ValueError):
-        graph._balls(Graph(2), -1)
 
 
 def test_both_construction_routes_give_equal_graphs():

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import brute
+from randgraphs import random_connected_twin_free_gnp
 from idcodes import solve
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
 from idcodes.classify import classify_extremal
@@ -325,47 +326,47 @@ def test_constraints_start_the_split_at_the_forced_signature_classes():
     # vertices by their signature on the forced set: the groups of more
     # than 4 members (6 for locating-dominating sets), with bit n, the
     # empty signature itself, in the empty group for identifying codes and
-    # locating-dominating sets, and no split when no group is that large;
-    # the tables beside them are each vertex's ball, less the vertex
+    # locating-dominating sets, and no class when no group is that large;
+    # the tables beside a class are each vertex's ball, less the vertex
     # itself for locating-dominating sets, and the capacity per budget;
-    # dominating sets get no split
+    # dominating sets get no class
     for g in _random_graphs(410, 80, 12):
         n = g.n
         for r in (1, 2):
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                _, forced, split = _constraints(balls, kind)
+                _, forced, (tables, classes) = _constraints(balls, kind)
                 ld = kind == "locating-dominating"
                 groups = _signature_classes(ball_sets, _bit_indices(forced), kind)
                 expected = [c for c in groups if c.bit_count() > (6 if ld else 4)]
-                if kind == "dominating" or not expected:
-                    assert split is None, (g, r, kind)
-                    continue
-                (inside, capacity), classes = split
-                assert inside == [b & ~(ld << v) for v, b in enumerate(balls)], (g, r, kind)
-                assert capacity == tuple((1 << b) + ld * b for b in range(n + 3))
+                if kind == "dominating":
+                    expected = []
                 assert sorted(classes) == sorted(expected), (g, r, kind)
+                if classes:
+                    inside, capacity = tables
+                    assert inside == [b & ~(ld << v) for v, b in enumerate(balls)], (g, r, kind)
+                    assert capacity == tuple((1 << b) + ld * b for b in range(n + 3))
     # the path on 8 vertices: forced {2, 5} leave the classes {1, 2, 3},
     # {4, 5, 6} and {0, 7} of the empty signature (with bit 8 for
-    # identifying codes), none of five or more, so there is no split;
+    # identifying codes), none of five or more, so there is no class;
     # locating-dominating sets force nothing and start from the one class
     # of all 8 vertices and bit 8
     balls = list(path_graph(8)._cn)
     for kind in KINDS:
-        _, forced, split = _constraints(balls, kind)
+        _, forced, (_, classes) = _constraints(balls, kind)
         if kind in ("identifying", "separating"):
-            assert (forced, split) == (1 << 2 | 1 << 5, None), kind
+            assert (forced, classes) == (1 << 2 | 1 << 5, []), kind
         elif kind == "locating-dominating":
-            assert (forced, split[1]) == (0, [(1 << 9) - 1]), kind
+            assert (forced, classes) == (0, [(1 << 9) - 1]), kind
         else:
-            assert split is None, kind
-    # with nothing forced, the smallest graphs carry no split: the one
-    # class of every vertex (with bit n for identifying codes and
-    # locating-dominating sets) is too small to cut
+            assert classes == [], kind
+    # with nothing forced, the smallest graphs carry no class, and build no
+    # tables: the one class of every vertex (with bit n for identifying
+    # codes and locating-dominating sets) is too small to cut
     for n, kind in ((3, "identifying"), (4, "separating"), (5, "locating-dominating")):
-        assert _constraints(list(Graph(n)._cn), kind)[1:] == (0, None), (n, kind)
-        assert _constraints(list(Graph(n + 1)._cn), kind)[2] is not None, (n, kind)
+        assert _constraints(list(Graph(n)._cn), kind)[1:] == (0, (None, [])), (n, kind)
+        assert _constraints(list(Graph(n + 1)._cn), kind)[2][1], (n, kind)
 
 
 def test_split_need_after_one_vertex():
@@ -492,10 +493,12 @@ def test_redundant_masks_never_change_the_search():
                     assert bool(expected) == (size >= minimum)
                     plain = _search_trace(cons, free_mask, forced, size - base, split)
                     assert plain[0] == expected, (g, r, kind, size)
-                    # the walk starts only at a size with a set, and the
-                    # profiler sees the root proof at every nonzero budget
-                    assert bool(plain[1]) == bool(expected)
-                    assert plain[2] or size == base
+                    # the walk enters a node only at a size with a set and
+                    # a budget of one or more, and the profiler sees the
+                    # root proof at every budget of two or more; a walk or
+                    # proof with fewer is decided before any node
+                    assert bool(plain[1]) == (bool(expected) and size > base)
+                    assert bool(plain[2]) == (size - base >= 2), (g, r, kind, size)
                     assert _search_trace(padded, free_mask, forced, size - base, split) == plain
 
 
@@ -527,8 +530,8 @@ def test_proof_verdict_matches_brute_force():
     # the forced ones to a valid code, and otherwise a witness of at most k
     # free vertices that meets every mask and completes them to a valid
     # code.  Graphs with twins stay in: their empty masks must refute every
-    # size.  Every proof with a split cut also runs without it, which
-    # checks the other cuts alone.
+    # size.  Every proof with a split cut also runs without it, on no
+    # class, which checks the other cuts alone.
     for g in _random_graphs(409, 60, 10):
         n = g.n
         for r in (1, 2):
@@ -547,11 +550,11 @@ def test_proof_verdict_matches_brute_force():
                             sizes.add(len(members))
                             valid.add(code)
                 free = ((1 << n) - 1) & ~forced
-                splits = (None, solver_split) if solver_split else (None,)
+                splits = ((None, []), solver_split) if solver_split[1] else ((None, []),)
                 for k in range(n - base + 1):
                     for split in splits:
                         got = _has_hitting_set(cons, free, k, split)
-                        where = (g, r, kind, k, split is None)
+                        where = (g, r, kind, k, split[1] == [])
                         assert (got is None) == (base + k not in sizes), where
                         if got is not None:
                             assert got & ~free == 0 and got.bit_count() <= k, where
@@ -566,14 +569,6 @@ def test_combination_rank_is_the_index_in_combinations_order():
                 assert _combination_rank(list(combo), f) == index
 
 
-def _seeded_connected_twin_free_gnp(n: int, p: float, seed: int) -> Graph:
-    rng = random.Random(seed)
-    while True:
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
-        if is_connected(g) and is_twin_free(g):
-            return g
-
-
 # (kind, graph, edges, minimum, example code, explored), recorded with the
 # ascending-combination search; C20 took it about 1 s and C24 about 15 s
 PINNED_EXPLORED = [
@@ -583,7 +578,7 @@ PINNED_EXPLORED = [
     ("identifying", lambda: cycle_graph(24), 24, 12, list(range(0, 24, 2)), 7_897_465),
     (
         "separating",
-        lambda: _seeded_connected_twin_free_gnp(22, 0.25, 22),
+        lambda: random_connected_twin_free_gnp(22, 22, 0.25),
         58,
         7,
         [0, 1, 3, 6, 7, 8, 11],
@@ -592,7 +587,7 @@ PINNED_EXPLORED = [
     ("locating-dominating", lambda: cycle_graph(20), 20, 8, [0, 2, 5, 7, 10, 12, 15, 17], 158_760),
     (
         "locating-dominating",
-        lambda: _seeded_connected_twin_free_gnp(18, 0.2, 18),
+        lambda: random_connected_twin_free_gnp(18, 18, 0.2),
         30,
         6,
         [1, 4, 6, 9, 12, 15],
@@ -619,55 +614,56 @@ def test_explored_counts_pinned_beyond_oracle_range(kind, build, edges, minimum,
 # cut made weaker.  Every kind but dominating sets also runs without the
 # split, which pins the packing, the branching and the last-vertex step
 # alone.  The proof counts depend on the order of ``_constraints`` (size,
-# then value).  A proof node with two vertices left decides in place, so
-# they count no node with one vertex left except the root of a budget-1 call.
+# then value).  A proof node with two vertices left decides in place, and a
+# call with fewer left is decided before any node, so every node counted
+# has two or more vertices left.
 PINNED_NODES = {
     "cycle14": (
         lambda: cycle_graph(14),
         {
-            ("dominating", False): (5, 14, 101, 131),
-            ("separating", True): (7, 2, 27, 64),
-            ("separating", False): (7, 2, 27, 65),
-            ("identifying", True): (7, 2, 27, 62),
-            ("identifying", False): (7, 2, 27, 65),
-            ("locating-dominating", True): (6, 35, 284, 245),
-            ("locating-dominating", False): (6, 35, 284, 274),
+            ("dominating", False): (5, 14, 101, 89),
+            ("separating", True): (7, 2, 27, 59),
+            ("separating", False): (7, 2, 27, 60),
+            ("identifying", True): (7, 2, 27, 57),
+            ("identifying", False): (7, 2, 27, 60),
+            ("locating-dominating", True): (6, 35, 284, 172),
+            ("locating-dominating", False): (6, 35, 284, 201),
         },
     ),
     "band6": (
         lambda: band_graph(6),
         {
-            ("dominating", False): (2, 36, 79, 11),
-            ("separating", True): (11, 2, 3, 1),
-            ("separating", False): (11, 2, 3, 1),
-            ("identifying", True): (11, 2, 3, 1),
-            ("identifying", False): (11, 2, 3, 1),
-            ("locating-dominating", True): (6, 222, 1679, 484),
-            ("locating-dominating", False): (6, 222, 1679, 484),
+            ("dominating", False): (2, 36, 79, 1),
+            ("separating", True): (11, 2, 3, 0),
+            ("separating", False): (11, 2, 3, 0),
+            ("identifying", True): (11, 2, 3, 0),
+            ("identifying", False): (11, 2, 3, 0),
+            ("locating-dominating", True): (6, 222, 1679, 287),
+            ("locating-dominating", False): (6, 222, 1679, 287),
         },
     ),
     "petersen": (
         petersen_graph,
         {
-            ("dominating", False): (3, 10, 46, 34),
-            ("separating", True): (4, 125, 597, 92),
-            ("separating", False): (4, 125, 597, 92),
-            ("identifying", True): (4, 5, 34, 40),
-            ("identifying", False): (4, 5, 34, 47),
-            ("locating-dominating", True): (4, 65, 327, 83),
-            ("locating-dominating", False): (4, 65, 327, 83),
+            ("dominating", False): (3, 10, 46, 9),
+            ("separating", True): (4, 125, 597, 36),
+            ("separating", False): (4, 125, 597, 36),
+            ("identifying", True): (4, 5, 34, 21),
+            ("identifying", False): (4, 5, 34, 28),
+            ("locating-dominating", True): (4, 65, 327, 33),
+            ("locating-dominating", False): (4, 65, 327, 33),
         },
     ),
     "gnp16": (
-        lambda: _seeded_connected_twin_free_gnp(16, 0.25, 16),
+        lambda: random_connected_twin_free_gnp(16, 16, 0.25),
         {
-            ("dominating", False): (4, 26, 146, 136),
-            ("separating", True): (5, 1, 10, 51),
-            ("separating", False): (5, 1, 10, 80),
-            ("identifying", True): (6, 46, 407, 500),
-            ("identifying", False): (6, 46, 407, 562),
-            ("locating-dominating", True): (5, 5, 44, 111),
-            ("locating-dominating", False): (5, 5, 44, 127),
+            ("dominating", False): (4, 26, 146, 71),
+            ("separating", True): (5, 1, 10, 44),
+            ("separating", False): (5, 1, 10, 73),
+            ("identifying", True): (6, 46, 407, 336),
+            ("identifying", False): (6, 46, 407, 398),
+            ("locating-dominating", True): (5, 5, 44, 87),
+            ("locating-dominating", False): (5, 5, 44, 103),
         },
     ),
 }
@@ -683,7 +679,7 @@ def test_search_nodes_pinned(name):
         minimum = solve_minimum(g, kind).minimum
         free = ((1 << n) - 1) & ~forced
         k = minimum - forced.bit_count()
-        sets, walk, proofs = _search_trace(cons, free, forced, k, split if split_cut else None)
+        sets, walk, proofs = _search_trace(cons, free, forced, k, split if split_cut else (None, []))
         got = (minimum, len(sets), len(walk), len(proofs))
         assert got == expected, (name, kind, split_cut)
 
@@ -726,8 +722,8 @@ PINNED_PROOF_NODES = {
 @pytest.mark.parametrize("name", sorted(PINNED_PROOF_NODES))
 def test_proof_nodes_pinned(name, monkeypatch):
     # the proofs ``_solve`` itself runs, one per size it tries, each on the
-    # masks and the split cut ``_constraints`` builds: the split is None
-    # for dominating sets and never for locating-dominating sets, whose one
+    # masks and the split cut ``_constraints`` builds: it has no class
+    # for dominating sets and one or more for locating-dominating sets, whose one
     # starting class has more than 6 members on every pinned graph, and
     # every proof but the last refutes its size
     build, _ = PINNED_NODES[name]
@@ -747,7 +743,7 @@ def test_proof_nodes_pinned(name, monkeypatch):
         masks, splits, ks, witnesses, nodes = zip(*calls)
         assert all(m == cons for m in masks) and all(s == split for s in splits), (name, kind)
         if kind in ("dominating", "locating-dominating"):
-            assert (split is None) == (kind == "dominating"), (name, kind)
+            assert (split[1] == []) == (kind == "dominating"), (name, kind)
         assert witnesses[:-1] == (None,) * (len(calls) - 1), (name, kind)
         assert witnesses[-1] is not None, (name, kind)
         got = (forced.bit_count() + ks[0], minimum, list(nodes[:-1]))
@@ -756,9 +752,10 @@ def test_proof_nodes_pinned(name, monkeypatch):
 
 def test_no_proof_node_below_the_root_has_one_vertex_left():
     # a node with two vertices left decides each vertex of its branch mask
-    # in place, so the proof recurses only from budgets of 3 or more and a
-    # node with one vertex left is only ever the root of a call; at every
-    # budget, on the pinned graphs, with and without the split cut
+    # in place, so the proof recurses only from budgets of 3 or more, and a
+    # call with fewer than two left is decided before any node: every node
+    # has two or more vertices left, the root's first; at every budget, on
+    # the pinned graphs, with and without the split cut
     below = set()
     for name, (build, _) in sorted(PINNED_NODES.items()):
         g = build()
@@ -766,13 +763,14 @@ def test_no_proof_node_below_the_root_has_one_vertex_left():
         for kind in KINDS:
             cons, forced, solver_split = _constraints(balls, kind)
             free = ((1 << n) - 1) & ~forced
-            for split in (None, solver_split) if solver_split else (None,):
-                for k in range(1, free.bit_count() + 1):
+            for split in ((None, []), solver_split) if solver_split[1] else ((None, []),):
+                for k in range(free.bit_count() + 1):
                     nodes = _proof_trace(cons, free, k, split)[1]
+                    assert bool(nodes) == (k >= 2), (name, kind, k)
                     assert not nodes or nodes[0][1] == k, (name, kind, k)
-                    budgets = {budget for _, budget in nodes[1:]}
-                    assert 1 not in budgets, (name, kind, k, split is None)
-                    below |= budgets
+                    budgets = {budget for _, budget in nodes}
+                    assert min(budgets, default=2) >= 2, (name, kind, k, split[1] == [])
+                    below |= budgets - {k}
     assert 2 in below
 
 
@@ -845,7 +843,7 @@ PINNED_WALK_CALLS = {
 
 @pytest.mark.parametrize("kind", sorted(PINNED_WALK_CALLS))
 def test_walk_calls_pinned(kind, monkeypatch):
-    g = _seeded_connected_twin_free_gnp(22, 0.25, 22)
+    g = random_connected_twin_free_gnp(22, 22, 0.25)
     balls = list(g._cn)
     calls = []
 
