@@ -245,17 +245,15 @@ def is_discriminating(
         if not (0 <= v < n):
             raise ValueError(f"invalid ball node {v}: range is 0..{n - 1}")
         c |= 1 << v
-    return _certify("discriminating", 1, _holders(bg), c)
+    # entries outside 0..n-1 name no source vertex
+    balls = [sum(1 << u for u in ball if 0 <= u < n) for ball in bg.balls]
+    return _certify("discriminating", 1, _holders(balls), c)
 
 
-def _holders(bg: BipartiteMembershipGraph) -> list[int]:
-    """The ball nodes holding each source vertex, as masks over ball-node
-    labels; entries outside 0..n-1 name no source vertex."""
-    n = bg.n
-    holders = [0] * n
-    for v, ball in enumerate(bg.balls):
-        bit = 1 << v
-        for u in ball:
-            if 0 <= u < n:
-                holders[u] |= bit
+def _holders(balls: list[int]) -> list[int]:
+    """The transpose of the membership masks ``balls``: the ball nodes holding each vertex."""
+    holders = [0] * len(balls)
+    for v, ball in enumerate(balls):
+        for u in _bit_indices(ball):
+            holders[u] |= 1 << v
     return holders

@@ -10,24 +10,26 @@ labeling it was generated in.  On every level the new vertex's twin
 class settles most children, which get no canonical labeling, and many
 no refinement, at all; their automorphism groups come from the parent's,
 by Schreier's lemma, and the child's root equitable partition settles
-most of the remaining canonical deletion tests.  A scan supplies only
-its filters, its ``details`` and a check per class.  Every claim a scan checks
-is invariant under relabeling, so each class stands for its n!/|Aut(G)|
-labelings: ``graphs_checked`` and every count in ``details`` are sums of
-these weights, and so count labeled graphs.  Each scan compares a
-structural claim on those graphs against brute-force search, except
-gamma-chain's bridge: an identity of masks settles it.  Reports are
-deterministic: ``_scan`` names a class by its canonical labelling,
-computed only for a class with a counterexample, and reports it as one
-entry with that labelling's edge mask and edges and the class's number of
-``labelings``; the lists are sorted by (n, edge bitmask) and are expected
-to be empty.
+most of the remaining canonical deletion tests.  A scan is one row of
+``_CHECKS``: its filters, a check per class and its ``details``.  Past
+``SCAN_CAP``, ``force`` lets a scan run up to n = 11 and no further.
+Every claim a scan checks is invariant under relabeling, so each class
+stands for its n!/|Aut(G)| labelings: ``graphs_checked`` and every count
+in ``details`` are sums of these weights, and so count labeled graphs.
+Each scan compares a structural claim on those graphs against
+brute-force search, except gamma-chain's bridge, an identity of masks
+read straight off them: ``codes._holders``, which ``is_discriminating``
+shares, transposes them, so it catches an asymmetric mask from the sweep
+or a fault in ``_holders``.  Reports are deterministic: ``_scan`` names
+a class by its canonical labelling, computed only for a class with a
+counterexample, and reports it as one entry with that labelling's edge
+mask and edges and the class's number of ``labelings``; the lists are
+sorted by (n, edge bitmask) and are expected to be empty.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -316,28 +318,29 @@ def _gamma_id_level(cn: tuple[int, ...], ok=_identifying_ok) -> int:
     return 0 if _misses(cn, 1, ok) else 1
 
 
-def _scan(
-    name: str, max_n: int, force: bool, check, details=None, connected=False, twin_free=False
-) -> ScanReport:
-    """The one loop of the seven scans.  ``check(n, cn, weight)`` returns
-    None for a class outside the claim, else the extra fields of each
-    counterexample in it; only classes in the claim are ``graphs_checked``.
-    A class with counterexamples, and only such a class, is named by its
-    canonical labelling and checked again on it with weight 0, so that the
-    entries' vertex fields refer to the reported edge mask; every tally of
-    a check is a sum of weights.
+def _scan(name: str, max_n: int, force: bool) -> ScanReport:
+    """The one loop of the scans, over the row ``_CHECKS[name]``, whose
+    ``check(n, cn, weight, details)`` returns None for a class outside the
+    claim, else the extra fields of each counterexample in it; only classes
+    in the claim are ``graphs_checked``.  A class with counterexamples, and
+    only such a class, is named by its canonical labelling and checked
+    again on it with weight 0, so that the entries' vertex fields refer to
+    the reported edge mask; every tally of a check is a sum of weights.
     Connected sweeps start at 2 vertices, the others at 1."""
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    if max_n > SCAN_CAP and not force:
+    cap = len(_CLASSES) - 1 if force else SCAN_CAP  # force: up to the last n with a class count
+    if max_n > cap:
         classes = f"{_CLASSES[max_n]:,}" if max_n < len(_CLASSES) else f"over {_CLASSES[-1]:,}"
         raise ValueError(
-            f"scan {name!r} is capped at n <= {SCAN_CAP} ({classes} isomorphism classes "
-            f"on {max_n} vertices otherwise); pass force=True / --unsafe-cap to override"
+            f"scan {name!r} is capped at n <= {cap} ({classes} isomorphism classes on {max_n} "
+            "vertices otherwise)" + ("" if force else "; pass force=True / --unsafe-cap to override")
         )
-    report = ScanReport(name, max_n, details=details or {})
+    # the details come after the refusal: thm12's are sized by max_n
+    _, connected, twin_free, check, details = _CHECKS[name]
+    report = ScanReport(name, max_n, details=details(max_n))
     for n, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free):
-        found = check(n, cn, weight)
+        found = check(n, cn, weight, report.details)
         if found is None:
             continue
         report.graphs_checked += weight
@@ -345,7 +348,7 @@ def _scan(
             rep = _canon(cn)[0]
             edges = [list(e) for e in Graph._from_masks(rep).edges()]
             entry = {"n": n, "edge_mask": _edge_mask(rep), "edges": edges, "labelings": weight}
-            report.counterexamples += ({**entry, **extra} for extra in check(n, rep, 0))
+            report.counterexamples += ({**entry, **extra} for extra in check(n, rep, 0, report.details))
     report.counterexamples.sort(key=lambda c: (c["n"], c["edge_mask"]))
     return report
 
@@ -353,61 +356,54 @@ def _scan(
 def scan_extremal_classification(max_n: int = 7, force: bool = False) -> ScanReport:
     """Structural recognizer vs brute force on every connected twin-free
     graph: the extremal outcomes must coincide exactly."""
-    per_n, extremal = Counter(), Counter()
-    details = {"graphs_needing_all_vertices": 0}
+    return _scan("thm12", max_n, force)
 
-    def check(n, cn, weight):
-        per_n[n] += weight
-        level = _gamma_id_level(cn)
-        if level == 1:
-            details["graphs_needing_all_vertices"] += weight
-        if level == 0:
-            extremal[n] += weight
-        result = _classify_masks(cn)
-        if result.is_extremal == (level == 0):
-            return []
-        return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
 
-    report = _scan("thm12", max_n, force, check, details, connected=True, twin_free=True)
-    # one entry per n, built only once _scan has refused a max_n past the cap
-    for key, counts in (("connected_twin_free_per_n", per_n), ("extremal_per_n", extremal)):
-        details[key] = {n: counts[n] for n in range(2, max_n + 1)}
-    return report
+def _check_thm12(n, cn, weight, details):
+    details["connected_twin_free_per_n"][n] += weight
+    level = _gamma_id_level(cn)
+    if level == 1:
+        details["graphs_needing_all_vertices"] += weight
+    if level == 0:
+        details["extremal_per_n"][n] += weight
+    result = _classify_masks(cn)
+    if result.is_extremal == (level == 0):
+        return []
+    return [{"oracle_extremal": level == 0, "classified": result.to_dict()}]
 
 
 def scan_low_degree(max_n: int = 7, force: bool = False) -> ScanReport:
     """Connected twin-free graphs with max degree <= n - 3 must admit an
     identifying code missing two vertices."""
+    return _scan("cor13", max_n, force)
 
-    def check(n, cn, weight):
-        max_degree = max(b.bit_count() for b in cn) - 1
-        if max_degree > n - 3:
-            return None
-        return [] if _misses(cn, 2) else [{"max_degree": max_degree}]
 
-    return _scan("cor13", max_n, force, check, connected=True, twin_free=True)
+def _check_cor13(n, cn, weight, details):
+    max_degree = max(b.bit_count() for b in cn) - 1
+    if max_degree > n - 3:
+        return None
+    return [] if _misses(cn, 2) else [{"max_degree": max_degree}]
 
 
 def scan_regular_odd(max_n: int = 7, force: bool = False) -> ScanReport:
     """Every regular extremal graph is a complete graph minus a perfect
     matching; every odd-order extremal graph has a universal vertex."""
-    details = {"extremal_seen": 0}
+    return _scan("remark1", max_n, force)
 
-    def check(n, cn, weight):
-        if _gamma_id_level(cn) != 0:
-            return []
-        details["extremal_seen"] += weight
-        degrees = [b.bit_count() - 1 for b in cn]
-        found = []
-        # K_n minus a perfect matching is (n - 2)-regular, and an
-        # (n - 2)-regular graph is one: its complement is 1-regular
-        if len(set(degrees)) == 1 and degrees[0] != n - 2:
-            found.append({"reason": "regular", "degree": degrees[0]})
-        if n % 2 == 1 and max(degrees) != n - 1:
-            found.append({"reason": "odd-order", "max_degree": max(degrees)})
-        return found
 
-    return _scan("remark1", max_n, force, check, details, connected=True, twin_free=True)
+def _check_remark1(n, cn, weight, details):
+    if _gamma_id_level(cn) != 0:
+        return []
+    details["extremal_seen"] += weight
+    degrees = [b.bit_count() - 1 for b in cn]
+    found = []
+    # K_n minus a perfect matching is (n - 2)-regular, and an
+    # (n - 2)-regular graph is one: its complement is 1-regular
+    if len(set(degrees)) == 1 and degrees[0] != n - 2:
+        found.append({"reason": "regular", "degree": degrees[0]})
+    if n % 2 == 1 and max(degrees) != n - 1:
+        found.append({"reason": "odd-order", "max_degree": max(degrees)})
+    return found
 
 
 def scan_removable_vertex(max_n: int = 7, force: bool = False) -> ScanReport:
@@ -416,33 +412,31 @@ def scan_removable_vertex(max_n: int = 7, force: bool = False) -> ScanReport:
 
     Only twin-free graphs are swept: twins of G stay twins in every power.
     """
-    per_radius = {r: 0 for r in _LEMMA7_RADII}
+    return _scan("lemma7", max_n, force)
 
-    def check(n, cn, weight):
-        found = None
-        for r in _LEMMA7_RADII:
-            if r == 1:
-                balls, index = cn, set(cn)
-            else:
-                # not graph._balls: stopping at the first repeated ball pays,
-                # since most squares repeat one, and starting from N[v] saves
-                # a BFS level (from v alone, building balls timed ~16% slower)
-                balls, index = [], set()
-                for v in range(n):
-                    b = _reach(cn, cn[v], radius=r - 1)
-                    if b in index:
-                        break
-                    balls.append(b)
-                    index.add(b)
-                if len(balls) < n:
-                    continue
-            per_radius[r] += weight
-            stuck = [x for x in range(n) if _least_removable(balls, index, x) is None]
-            found = (found or []) + [{"radius": r, "vertex": x} for x in stuck]
-        return found
 
-    details = {"radii": list(_LEMMA7_RADII), "per_radius_checked": per_radius}
-    return _scan("lemma7", max_n, force, check, details, twin_free=True)
+def _check_lemma7(n, cn, weight, details):
+    found = None
+    for r in _LEMMA7_RADII:
+        if r == 1:
+            balls, index = cn, set(cn)
+        else:
+            # not graph._balls: stopping at the first repeated ball pays,
+            # since most squares repeat one, and starting from N[v] saves
+            # a BFS level (from v alone, building balls timed ~16% slower)
+            balls, index = [], set()
+            for v in range(n):
+                b = _reach(cn, cn[v], radius=r - 1)
+                if b in index:
+                    break
+                balls.append(b)
+                index.add(b)
+            if len(balls) < n:
+                continue
+        details["per_radius_checked"][r] += weight
+        stuck = [x for x in range(n) if _least_removable(balls, index, x) is None]
+        found = (found or []) + [{"radius": r, "vertex": x} for x in stuck]
+    return found
 
 
 def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
@@ -454,65 +448,73 @@ def scan_gamma_chain(max_n: int = 6, force: bool = False) -> ScanReport:
     balls, and of the ball nodes holding each vertex.  As u is in B(v) iff
     v is in B(u), the lists are equal, so one comparison per class settles
     all 2^n subsets; a mismatch is reported once, at its least vertex."""
-    details = {"bridge_checks": 0}
+    return _scan("gamma-chain", max_n, force)
 
-    def check(n, cn, weight):
-        found = []
-        gamma_s = solve._solve(cn, "separating")[0]
-        gamma_id = solve._solve(cn, "identifying")[0]
-        if not (gamma_s <= gamma_id <= gamma_s + 1):
-            found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
-        holders = codes._holders(codes.membership_graph(Graph._from_masks(cn)))
-        if holders != list(cn):
-            u = next(u for u in range(n) if holders[u] != cn[u])
-            found.append({"reason": "bridge", "vertex": u})
-        details["bridge_checks"] += weight << n
-        return found
 
-    return _scan("gamma-chain", max_n, force, check, details, twin_free=True)
+def _check_gamma_chain(n, cn, weight, details):
+    found = []
+    gamma_s = solve._solve(cn, "separating")[0]
+    gamma_id = solve._solve(cn, "identifying")[0]
+    if not (gamma_s <= gamma_id <= gamma_s + 1):
+        found.append({"reason": "chain", "gamma_s": gamma_s, "gamma_id": gamma_id})
+    holders = codes._holders(cn)
+    if holders != list(cn):
+        u = next(u for u in range(n) if holders[u] != cn[u])
+        found.append({"reason": "bridge", "vertex": u})
+    details["bridge_checks"] += weight << n
+    return found
 
 
 def scan_locating_dominating(max_n: int = 6, force: bool = False) -> ScanReport:
     """A connected graph needs all but one vertex for locating-domination
     exactly when it is a star or a complete graph (n >= 2)."""
-    details = {"extremal_seen": 0}
+    return _scan("ld", max_n, force)
 
-    def check(n, cn, weight):
-        extremal = _gamma_id_level(cn, _locating_dominating_ok) == 0
-        degrees = sorted(b.bit_count() - 1 for b in cn)
-        is_complete = degrees[0] == n - 1
-        is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
-        if extremal:
-            details["extremal_seen"] += weight
-        if extremal == (is_complete or is_star):
-            return []
-        return [{"extremal": extremal, "star": is_star, "complete": is_complete}]
 
-    return _scan("ld", max_n, force, check, details, connected=True)
+def _check_ld(n, cn, weight, details):
+    extremal = _gamma_id_level(cn, _locating_dominating_ok) == 0
+    degrees = sorted(b.bit_count() - 1 for b in cn)
+    is_complete = degrees[0] == n - 1
+    is_star = n >= 3 and degrees == [1] * (n - 1) + [n - 1]
+    if extremal:
+        details["extremal_seen"] += weight
+    if extremal == (is_complete or is_star):
+        return []
+    return [{"extremal": extremal, "star": is_star, "complete": is_complete}]
 
 
 def scan_conjectured_degree_bound(max_n: int = 7, force: bool = False) -> ScanReport:
     """Every connected twin-free graph of max degree D >= 3 admits an
     identifying code of size at most ceil(n - n/D)."""
-
-    def check(n, cn, weight):
-        delta = max(b.bit_count() for b in cn) - 1
-        if delta < 3:
-            return None
-        if _misses(cn, n // delta):  # n - n // D = ceil(n - n/D), n an integer
-            return []
-        exact = solve._solve(cn, "identifying")[0]
-        return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]
-
-    return _scan("conjecture", max_n, force, check, connected=True, twin_free=True)
+    return _scan("conjecture", max_n, force)
 
 
-THEOREM_SCANS = {
-    "thm12": scan_extremal_classification,
-    "cor13": scan_low_degree,
-    "remark1": scan_regular_odd,
-    "lemma7": scan_removable_vertex,
-    "conjecture": scan_conjectured_degree_bound,
-    "ld": scan_locating_dominating,
-    "gamma-chain": scan_gamma_chain,
+def _check_conjecture(n, cn, weight, details):
+    delta = max(b.bit_count() for b in cn) - 1
+    if delta < 3:
+        return None
+    if _misses(cn, n // delta):  # n - n // D = ceil(n - n/D), n an integer
+        return []
+    exact = solve._solve(cn, "identifying")[0]
+    return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]
+
+
+# one row per theorem: (public scan, connected, twin_free, check, details(max_n))
+_CHECKS = {
+    "thm12": (scan_extremal_classification, True, True, _check_thm12, lambda max_n: {
+        "graphs_needing_all_vertices": 0,
+        "connected_twin_free_per_n": dict.fromkeys(range(2, max_n + 1), 0),
+        "extremal_per_n": dict.fromkeys(range(2, max_n + 1), 0),
+    }),
+    "cor13": (scan_low_degree, True, True, _check_cor13, lambda max_n: {}),
+    "remark1": (scan_regular_odd, True, True, _check_remark1, lambda max_n: {"extremal_seen": 0}),
+    "lemma7": (scan_removable_vertex, False, True, _check_lemma7, lambda max_n: {
+        "radii": list(_LEMMA7_RADII),
+        "per_radius_checked": dict.fromkeys(_LEMMA7_RADII, 0),
+    }),
+    "conjecture": (scan_conjectured_degree_bound, True, True, _check_conjecture, lambda max_n: {}),
+    "ld": (scan_locating_dominating, True, False, _check_ld, lambda max_n: {"extremal_seen": 0}),
+    "gamma-chain": (scan_gamma_chain, False, True, _check_gamma_chain, lambda max_n: {"bridge_checks": 0}),
 }
+
+THEOREM_SCANS = {name: row[0] for name, row in _CHECKS.items()}

@@ -87,11 +87,16 @@ def random_blob_ring(seed: int, blobs: int, blob_size: int = 24) -> Graph:
             return g
 
 
+def gnp_edges(rng: random.Random, n: int, p: float) -> list[tuple[int, int]]:
+    """The edges of G(n, p): one coin per vertex pair, in lexicographic order."""
+    return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
 def random_connected_twin_free_gnp(seed: int, n: int, p: float) -> Graph:
     """G(n, p) with one coin per vertex pair, in lexicographic order, drawn
     again from the same generator until connected and twin-free."""
     rng = random.Random(seed)
     while True:
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         if is_connected(g) and is_twin_free(g):
             return g

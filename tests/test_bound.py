@@ -1,7 +1,6 @@
 """Constructive bound machinery: removable vertices, greedy independent
 sets, the code composition and the two degree pipelines."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import brute
-from randgraphs import random_blob_ring, random_bounded_degree_graph, random_sparse_graph
+from randgraphs import gnp_edges, random_blob_ring, random_bounded_degree_graph, random_sparse_graph
 from idcodes import bound
 from idcodes.bound import (
     ball_size_limit,
@@ -452,7 +451,7 @@ def test_code_from_independent_set_matches_per_member_oracle():
     for _ in range(600):
         n = rng.randrange(1, 12)
         p = rng.choice((0.1, 0.2, 0.35, 0.6))
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         chosen = rng.sample(range(n), rng.randrange(0, min(n, 3) + 1))
         cases.append((g, chosen, rng.choice((1, 1, 2, 3))))
     kinds = set()

@@ -1,7 +1,6 @@
 """Command-line surface: every subcommand, exit statuses, determinism, and
 re-verification of emitted reports against the input graph."""
 
-import itertools
 import json
 import os
 import random
@@ -14,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import brute
+from randgraphs import gnp_edges
 import idcodes
 from idcodes import bound, cli, codes, scans, solve
 from idcodes.cli import main
@@ -138,7 +138,7 @@ def test_solve_all_minimum_is_one_solve(run, graph_file, monkeypatch):
     for _ in range(100):
         n = rng.randint(1, 10)
         p = rng.choice((0.2, 0.35, 0.5, 0.65))
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         path = graph_file(g)
         for r in (1, 2):
             sets = brute.naive_all_minimum(g, "separating", r)
@@ -238,14 +238,13 @@ def test_scan_cap_is_usage_error(run):
     assert code == 2 and "cap" in err
 
 
-@pytest.mark.parametrize("theorem", sorted(scans.THEOREM_SCANS))
-def test_scan_refuses_a_huge_max_n_before_building_anything(theorem):
-    # every scan refuses a max_n past its cap before it builds a table sized
-    # by max_n: in a child limited to 1 GB of address space, such a table
-    # would end in "error: out of memory", which exits 2 as well
+def _scan_huge_max_n(theorem: str, *flags: str) -> subprocess.CompletedProcess:
+    """``idcodes scan`` at max_n = 10^20 - 1, in a child limited to 1 GB of
+    address space: a table sized by max_n would end there in "error: out
+    of memory", which exits 2 as well, so callers check the message."""
     env = {**os.environ, "PYTHONPATH": str(Path(idcodes.__file__).parents[1])}
-    argv = ["scan", "--max-n", "9" * 20, "--theorem", theorem]
-    result = subprocess.run(
+    argv = ["scan", "--max-n", "9" * 20, "--theorem", theorem, *flags]
+    return subprocess.run(
         [sys.executable, "-m", "idcodes.cli", *argv],
         capture_output=True,
         text=True,
@@ -253,8 +252,24 @@ def test_scan_refuses_a_huge_max_n_before_building_anything(theorem):
         timeout=30,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
+
+
+@pytest.mark.parametrize("theorem", sorted(scans.THEOREM_SCANS))
+def test_scan_refuses_a_huge_max_n_before_building_anything(theorem):
+    # every scan refuses a max_n past its cap before it builds a table sized
+    # by max_n
+    result = _scan_huge_max_n(theorem)
     assert result.returncode == 2, result.stderr
     assert f"scan {theorem!r} is capped at n <= {scans.SCAN_CAP}" in result.stderr
+
+
+@pytest.mark.parametrize("theorem", sorted(scans.THEOREM_SCANS))
+def test_unsafe_cap_stops_at_eleven_vertices(theorem):
+    # --unsafe-cap lifts the cap only to n = 11, the last class count known,
+    # so a huge max_n is still refused before anything is built
+    result = _scan_huge_max_n(theorem, "--unsafe-cap")
+    assert result.returncode == 2, result.stderr
+    assert f"scan {theorem!r} is capped at n <= 11 " in result.stderr
 
 
 _C9 = format_edge_list(cycle_graph(9))

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import brute
-from randgraphs import random_bounded_degree_graph, random_sparse_graph
+from randgraphs import gnp_edges, random_bounded_degree_graph, random_sparse_graph
 from idcodes import codes, graph
 from idcodes.bound import code_from_independent_set
 from idcodes.codes import (
@@ -93,7 +93,7 @@ def test_radius_transfer_to_power():
     rng = random.Random(7)
     for _ in range(40):
         n = rng.randrange(2, 8)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        g = Graph(n, gnp_edges(rng, n, 0.4))
         r = rng.choice((2, 3))
         code = [v for v in range(n) if rng.random() < 0.5]
         assert (
@@ -106,7 +106,7 @@ def test_monotonicity_under_supersets():
     rng = random.Random(11)
     for _ in range(60):
         n = rng.randrange(2, 8)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        g = Graph(n, gnp_edges(rng, n, 0.5))
         code = {v for v in range(n) if rng.random() < 0.5}
         bigger = code | {v for v in range(n) if rng.random() < 0.5}
         for kind in ("dominating", "separating", "identifying", "locating-dominating"):
@@ -131,7 +131,7 @@ def test_radius_two_matches_naive_oracle():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randrange(2, 7)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.35])
+        g = Graph(n, gnp_edges(rng, n, 0.35))
         code = [v for v in range(n) if rng.random() < 0.5]
         assert check_code(g, code, "identifying", 2).valid == brute.naive_is_identifying(g, code, 2)
         assert check_code(g, code, "dominating", 2).valid == brute.naive_is_dominating(g, code, 2)
@@ -147,7 +147,7 @@ def test_invalid_witness_reverifies():
     seen = set()
     for _ in range(400):
         n = rng.randrange(1, 9)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        g = Graph(n, gnp_edges(rng, n, 0.4))
         code = {v for v in range(n) if rng.random() < 0.4}
         for r in (1, 2):
             sigs = brute.naive_signatures(g, code, r)
@@ -302,7 +302,7 @@ def test_complement_kernel_agrees_with_certify():
     for _ in range(5000):
         n = rng.randrange(1, 15)
         p = rng.choice((0.1, 0.2, 0.3, 0.5))
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         radius = rng.choice((1, 1, 2, 3))
         balls = graph._balls(g, radius)
         index = set(balls)

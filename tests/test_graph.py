@@ -10,7 +10,7 @@ import time
 import pytest
 
 import brute
-from randgraphs import random_blob_ring, random_sparse_graph
+from randgraphs import gnp_edges, random_blob_ring, random_sparse_graph
 from idcodes import cli, graph
 from idcodes.families import (
     band5_square_root,
@@ -108,7 +108,7 @@ def test_max_degree_agrees_across_construction_routes():
     rng = random.Random(1013)
     for n in (0, 1, 2, 5, 9, 70):
         for p in (0.0, 0.2, 0.6, 1.0):
-            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            edges = gnp_edges(rng, n, p)
             degree = [0] * n
             for u, v in edges:  # distinct pairs, so a plain count
                 degree[u] += 1
@@ -294,7 +294,7 @@ def test_induced_subgraph_without_one_vertex_reindexes():
     rng = random.Random(269)
     for _ in range(40):
         n = rng.randrange(1, 12)
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+        edges = gnp_edges(rng, n, 0.4)
         g = Graph(n, edges)
         for x in range(n):
             keep = [v for v in range(n) if v != x]
@@ -332,7 +332,7 @@ def test_balls_and_distances_match_naive_bfs_on_random_graphs():
     for _ in range(40):
         n = rng.randrange(1, 10)
         p = rng.choice((0.15, 0.3, 0.6))
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         for x in range(n):
             for r in range(5):
                 assert ball(g, x, r) == brute.naive_ball(g, x, r)
@@ -352,7 +352,7 @@ def test_ball_builder_and_power_match_naive_bfs():
     for _ in range(30):
         n = rng.randrange(1, 13)
         p = rng.choice((0.1, 0.25, 0.5))
-        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        edges = gnp_edges(rng, n, p)
         listed.append(Graph(n, edges))
         listed.append(Graph(n, edges + [(v, u) for u, v in edges[::2]] + edges[1::3]))
     sparse = [random_sparse_graph(seed, 200, 5) for seed in range(3)]
@@ -399,8 +399,7 @@ def test_both_construction_routes_give_equal_graphs():
         assert h == g and hash(h) == hash(g) and len({g, h}) == 1
 
     rng = random.Random(20)
-    cases = [(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
-             for n in (0, 1, 2, 5, 12)]
+    cases = [(n, gnp_edges(rng, n, 0.4)) for n in (0, 1, 2, 5, 12)]
     cases += [(g.n, g.edges()) for g in (random_sparse_graph(seed, 200, 5) for seed in range(3))]
     path = Graph(3, [(0, 1), (1, 2)])
 
@@ -602,7 +601,7 @@ def test_isomorphism_witness_on_seeded_relabelings():
     for _ in range(40):
         n = rng.randrange(1, 65)
         p = rng.choice((0.1, 0.3, 0.5))
-        cases.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+        cases.append(Graph(n, gnp_edges(rng, n, p)))
     for g in cases:
         perm = list(range(g.n))
         rng.shuffle(perm)
@@ -690,7 +689,7 @@ def test_canonical_certificate_ignores_labels():
     earlier = {}  # n: a certificate seen before on n vertices
     for _ in range(60):
         n = rng.randrange(1, 13)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4])
+        g = Graph(n, gnp_edges(rng, n, 0.4))
         perm = list(range(n))
         rng.shuffle(perm)
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -719,7 +718,7 @@ def test_refinement_matches_naive_colour_refinement():
     for _ in range(300):
         n = rng.randrange(1, 13)
         p = rng.choice((0.2, 0.5, 0.8))
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         adj = brute.adjacency(g)
         colours = list(range(rng.randrange(1, 4)))
         rng.shuffle(colours)
@@ -864,7 +863,7 @@ def test_canonical_forms_past_the_sweep_are_pinned():
     for _ in range(100):
         n = rng.randrange(10, 41)
         p = rng.choice((0.1, 0.3, 0.5, 0.7))
-        graphs.append(Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]))
+        graphs.append(Graph(n, gnp_edges(rng, n, p)))
     forms = [(g.n, canonical_form(g)) for g in graphs]
     digest = hashlib.sha256(repr(forms).encode()).hexdigest()
     assert digest == "880f38dc552ccb623e6ae2611bfb7e10274ddc70d0566639922c843a12b5ffdb"

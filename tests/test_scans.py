@@ -2,6 +2,7 @@
 the labeled one, zero counterexamples, count bookkeeping, kernel agreement with
 the certified checkers, and caps."""
 
+import copy
 import functools
 import hashlib
 import itertools
@@ -14,6 +15,7 @@ from collections import Counter
 import pytest
 
 import brute
+from randgraphs import gnp_edges
 from idcodes import cli, codes, graph, scans, solve
 from idcodes.classify import classify_extremal
 from idcodes.families import complete_graph, star_graph
@@ -349,12 +351,14 @@ def _every_class_failing() -> tuple[dict, list[dict]]:
     vertices, and the weight the check saw for each class name."""
     seen = {}
 
-    def check(n, cn, weight):
+    def check(n, cn, weight, details):
         if weight:
             seen[n, canonical_form(Graph._from_masks(cn))] = weight
         return [{"tag": 1}]
 
-    return seen, _scan("x", 6, False, check).counterexamples
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setitem(scans._CHECKS, "x", (None, False, False, check, lambda max_n: {}))
+        return seen, _scan("x", 6, False).counterexamples
 
 
 def test_scan_entries_name_each_class_by_its_canonical_form():
@@ -393,7 +397,7 @@ def test_kernels_agree_with_certified_checkers():
     rng = random.Random(31)
     for _ in range(80):
         n = rng.randrange(1, 8)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        g = Graph(n, gnp_edges(rng, n, 0.5))
         for radius in (1, 2):
             balls = _balls(g, radius)
             for _ in range(4):
@@ -512,9 +516,9 @@ def test_gamma_chain_bridge_mismatch_is_one_entry_per_class(monkeypatch):
     # bridge must report each twin-free class once, at that least vertex
     real = codes._holders
 
-    def flipped(bg):
-        holders = real(bg)
-        for u in range(bg.n // 2, bg.n):
+    def flipped(balls):
+        holders = real(balls)
+        for u in range(len(balls) // 2, len(balls)):
             holders[u] ^= 1
         return holders
 
@@ -628,6 +632,31 @@ def test_scan_caps_enforced():
     for name, scan in scans.THEOREM_SCANS.items():
         with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= 8 "):
             scan(9)
+
+
+def test_force_overrides_the_cap_up_to_eleven_vertices(monkeypatch):
+    # below a lowered cap, force runs the scan as if there were no cap; past
+    # n = 11, the last class count known, every scan refuses, force or not
+    reports = {name: scan(5).to_dict() for name, scan in scans.THEOREM_SCANS.items()}
+    monkeypatch.setattr(scans, "SCAN_CAP", 4)
+    for name, scan in scans.THEOREM_SCANS.items():
+        with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= 4 .*--unsafe-cap to override"):
+            scan(5)
+        assert scan(5, force=True).to_dict() == reports[name]
+        for force in (False, True):
+            with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= {11 if force else 4} "):
+                scan(12, force=force)
+
+
+def test_checks_leave_details_alone_at_weight_zero():
+    # _scan checks a failing class again on its canonical labelling with
+    # weight 0, which must tally nothing: every count is a sum of weights
+    for name, (_, connected, twin_free, check, make_details) in scans._CHECKS.items():
+        details = make_details(6)
+        for n, _, cn in _sweep(2 if connected else 1, 6, connected, twin_free):
+            before = copy.deepcopy(details)
+            check(n, graph._canon(cn)[0], 0, details)
+            assert details == before, (name, n, cn)
 
 
 def test_scan_report_shape():

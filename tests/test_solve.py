@@ -12,7 +12,7 @@ import sys
 import pytest
 
 import brute
-from randgraphs import random_connected_twin_free_gnp
+from randgraphs import gnp_edges, random_connected_twin_free_gnp
 from idcodes import solve
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
 from idcodes.classify import classify_extremal
@@ -128,7 +128,7 @@ def test_solver_matches_oracle_on_random_5_and_6_vertex_graphs():
     rng = random.Random(23)
     for _ in range(25):
         n = rng.choice((5, 6))
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        g = Graph(n, gnp_edges(rng, n, 0.5))
         for kind in ("dominating", "locating-dominating", "separating", "identifying"):
             expected = brute.naive_minimum(g, kind)
             if expected is None:
@@ -146,7 +146,7 @@ def _random_graphs(seed: int, count: int, max_n: int):
     for _ in range(count):
         n = rng.randint(1, max_n)
         p = rng.choice((0.15, 0.3, 0.5, 0.7))
-        yield Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        yield Graph(n, gnp_edges(rng, n, p))
 
 
 def test_search_matches_ascending_oracle_on_random_graphs():
@@ -189,7 +189,7 @@ def test_search_matches_ascending_oracle_past_a_thousand_subsets():
     largest = 0
     for n in range(13, 17):
         for p in (0.15, 0.25, 0.4):
-            g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+            g = Graph(n, gnp_edges(rng, n, p))
             for r in (1, 2):
                 for kind in KINDS:
                     expected = brute.ascending_search(g, kind, r)
@@ -811,7 +811,7 @@ def test_walk_from_the_witness_finds_the_least_code():
     for n in range(12, 23):
         for p in (0.15, 0.25, 0.4):
             for _ in range(6):
-                g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+                g = Graph(n, gnp_edges(rng, n, p))
                 for r in (1, 2):
                     balls = _balls(g, r)
                     twins = len(set(balls)) < n
@@ -934,7 +934,7 @@ def test_minimum_does_not_move_under_relabelling():
     inputs += [(n, p, (1,)) for n in (26, 30, 34) for p in (0.25, 0.4, 0.55)]
     cases = 0
     for n, p, radii in inputs:
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        g = Graph(n, gnp_edges(rng, n, p))
         perm = list(range(n))
         rng.shuffle(perm)
         h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
@@ -1141,7 +1141,7 @@ def test_extend_code_size_bound_randomized():
     done = 0
     while done < 20:
         n = rng.randrange(4, 8)
-        g = Graph(n, [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.45])
+        g = Graph(n, gnp_edges(rng, n, 0.45))
         if not is_twin_free(g):
             continue
         removed = sorted(rng.sample(range(n), rng.randrange(1, 3)))
@@ -1178,7 +1178,7 @@ def test_extend_code_preconditions():
 def test_lower_bound_matches_brute_force():
     rng = random.Random(64)
     for n in range(1, 65):
-        g = Graph(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.2])
+        g = Graph(n, gnp_edges(rng, n, 0.2))
         balls = [brute.naive_ball(g, x, 1) for x in range(n)]
         for kind in ("identifying", "separating", "dominating", "locating-dominating"):
             assert _lower_bound(kind, list(g._cn)) == brute._lower_bound(kind, balls, n), (kind, n)
