@@ -353,9 +353,10 @@ def _edge_mask(masks: Sequence[int]) -> int:
     return mask
 
 
-def _refine(cn, cells: list[int], todo: list[int]) -> list[int]:
+def _refine(cn, cells: list[int], todo: list[int], mark: int = 0, within: int = 0) -> list[int]:
     """Refine the ordered partition ``cells`` (vertex masks) in place until it
-    is equitable: every vertex of a cell has as many neighbors in each cell.
+    is equitable: every vertex of a cell has as many neighbors in each cell;
+    or, given a vertex bit ``mark``, until the last cell has decided it.
 
     ``todo`` holds the splitter cells still to apply.  A cell splits by its
     vertices' neighbor counts in the splitter, fragments in ascending count
@@ -368,8 +369,19 @@ def _refine(cn, cells: list[int], todo: list[int]) -> list[int]:
     splitter {v}, as every individualization makes, counts 1 on N[v] and 0
     off it, so a cell splits by one mask into its part off N[v], then its
     part on N[v].
+
+    The early exit, off by default: with ``mark`` set, refinement stops
+    before the next splitter once the last cell has lost ``mark``, or still
+    holds it and lies inside ``within``, a set of twins of the marked vertex
+    (equal closed or equal open masks).  The last cell only shrinks, so a
+    lost ``mark`` stays lost; twins keep equal counts in every splitter, so
+    a twin class is never split, and a last cell inside it is already the
+    final one.  Either way the equitable partition's last cell would give
+    the same verdict; otherwise the partition returned is the equitable one.
     """
     while todo:
+        if mark and (not cells[-1] & mark or not cells[-1] & ~within):
+            break
         w = todo.pop()
         i = 0
         if not w & (w - 1):

@@ -9,8 +9,11 @@ filters refuse is never built.  The engine hands each class over in the
 labeling it was generated in.  On every level the new vertex's twin
 class settles most children, which get no canonical labeling, and many
 no refinement, at all; their automorphism groups come from the parent's,
-by Schreier's lemma, and the child's root equitable partition settles
-most of the remaining canonical deletion tests.  A scan is one row of
+by Schreier's lemma, and the child's root refinement settles most of the
+remaining canonical deletion tests.  Each child costs what its decision
+needs: its twin class comes from tables built once per parent, its
+refinement stops once the last cell has decided, and the Schreier walk
+stops at the stabilizer's known order.  A scan is one row of
 ``_CHECKS``: its filters, a check per class and its ``details``.  Past
 ``SCAN_CAP``, ``force`` lets a scan run up to n = 11 and no further.
 Every claim a scan checks is invariant under relabeling, so each class
@@ -162,21 +165,38 @@ def _children(
     every top-degree vertex, before any refinement, or else holds C, then
     that set is orbit(m) and m is kept.  Aut(child) is then generated by
     the transpositions (m v), v in T - {m}, and the stabilizer of m, which
-    is the stabilizer of S in Aut(parent) (``_stabilizer``), so |Aut(child)|
-    = |T| |Aut(parent)| / |orbit of S|.  Otherwise m outside C is rejected,
+    is the stabilizer of S in Aut(parent) (``_stabilizer``, which stops at
+    its known order |Aut(parent)| / |orbit of S|), so |Aut(child)| =
+    |T| |Aut(parent)| / |orbit of S|.  Otherwise m outside C is rejected,
     and any other child is settled by ``_canon``, which starts from the
-    partition already refined."""
+    partition already refined.  The refinement stops as soon as its last
+    cell has lost m or lies inside T (``_refine``'s early exit), so only
+    the children left to ``_canon`` are refined to the end.
+
+    T and the top-degree vertices come from three tables built once per
+    parent, its vertices by closed mask, by open mask and by degree: m's
+    closed twins are the vertices with closed mask S in the parent, its
+    open twins those with open mask S, and a vertex has m's degree |S| in
+    the child when it lies in S with degree |S| - 1, or off S with degree
+    |S|."""
     m = len(cn)
     new = 1 << m
     full = (new << 1) - 1
-    degrees = [x.bit_count() - 1 for x in cn]
-    top_degree = max(degrees)
-    top = sum(1 << u for u, d in enumerate(degrees) if d == top_degree)
+    # the parent's vertices by closed mask, by open mask and by degree
+    closed: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    by_degree = [0] * (m + 1)  # up to |S| = m; for S empty, index -1 reads the empty [m]
+    for u, x in enumerate(cn):
+        b = 1 << u
+        closed[x] = closed.get(x, 0) | b
+        opened[x ^ b] = opened.get(x ^ b, 0) | b
+        by_degree[x.bit_count() - 1] |= b
+    top_degree = max(x.bit_count() for x in cn) - 1
+    top = by_degree[top_degree]
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
     if last and twin_free:
-        masks = set(cn)
-        subsets = [s for s in subsets if s not in masks]
+        subsets = [s for s in subsets if s not in closed]
         for v, x in enumerate(cn):
             for u in range(v):
                 if cn[u] == x:  # S must part the twins u and v
@@ -187,13 +207,11 @@ def _children(
             subsets = [s for s in subsets if s & part]
     for s, size in _orbit_representatives(subsets, gens):
         child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
-        # T: the masks of m's closed twins equal m's, those of its open twins
-        # are S plus their own bit
-        twins = sum(1 << u for u, x in enumerate(child) if x == s | new or x ^ 1 << u == s)
+        twins = new | closed.get(s, 0) | opened.get(s, 0)
         degree = s.bit_count()  # the child's maximum degree, m's
-        settled = twins == sum(1 << u for u, x in enumerate(child) if x.bit_count() == degree + 1)
+        settled = twins == new | by_degree[degree - 1] & s | by_degree[degree] & ~s
         if not settled:
-            cells = _refine(child, [full], [full])
+            cells = _refine(child, [full], [full], new, twins)
             if not cells[-1] & new:
                 continue
             settled = not cells[-1] & ~twins
@@ -201,7 +219,7 @@ def _children(
             child_gens = None
             if not last:
                 # the stabilizer of S, of order |Aut(parent)| / size, and (m v)
-                child_gens = [g + [m] for g in _stabilizer(s, gens)] if size < order else []
+                child_gens = [g + [m] for g in _stabilizer(s, gens, order // size)] if size < order else []
                 for v in _bit_indices(twins ^ new):
                     swap = list(range(m + 1))
                     swap[v], swap[m] = m, v
@@ -252,10 +270,11 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tu
     return reps
 
 
-def _stabilizer(s: int, gens: list[list[int]]) -> list[list[int]]:
-    """Generators of the stabilizer of the vertex set ``s`` in the group on
-    ``len(gens[0])`` points generated by ``gens``, which ``_children`` calls
-    only for an orbit of size below |Aut|, so with ``gens`` nonempty.
+def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
+    """Generators of the stabilizer of the vertex set ``s``, of known order
+    ``order``, in the group on ``len(gens[0])`` points generated by
+    ``gens``, which ``_children`` calls only for an orbit of size below
+    |Aut|, so with ``gens`` nonempty and ``order`` = |Aut| / |orbit of s|.
 
     Schreier's lemma (Seress, "Permutation Group Algorithms", 2003): a walk
     of the orbit of s fixes, for each member y, an element u_y mapping s to
@@ -265,12 +284,23 @@ def _stabilizer(s: int, gens: list[list[int]]) -> list[list[int]]:
     at most C(m, 2) remain: an element that meets a kept one at (i, j) is
     replaced by their quotient, which fixes i and every point before it,
     and sifted on.  The filter keeps the inverse of each element it files,
-    which generates the same group."""
+    which generates the same group.
+
+    The walk stops once the kept elements are known to generate a group of
+    ``order`` elements.  The elements filed at (i, j), for one i, fix every
+    point before i and send i to distinct images j, so the group the kept
+    ones generate, which holds them, has at least the product over i of
+    (1 + their number) elements, and it lies inside the stabilizer.  Once
+    the product reaches ``order`` the two are equal, every later element
+    would sift to the identity, and the rest of the walk would file
+    nothing: the kept set is the one the whole walk keeps."""
     points = range(len(gens[0]))
     members = [v for v in points if s >> v & 1]
     transversal = {s: list(points)}
     inverses: dict[int, list[int]] = {}
     kept: dict[tuple[int, int], list[int]] = {}
+    moved = [1] * len(points)  # 1 + the elements filed at (i, j), over j
+    bound = 1  # the product of ``moved``, at most |<kept>|
     stack = [s]
     while stack:
         u = transversal[stack.pop()]
@@ -292,6 +322,10 @@ def _stabilizer(s: int, gens: list[list[int]]) -> list[list[int]]:
                 filed = kept.get((i, h[i]))
                 if filed is None:
                     kept[i, h[i]] = _permutation(h, points)
+                    bound = bound // moved[i] * (moved[i] + 1)
+                    moved[i] += 1
+                    if bound == order:
+                        return list(kept.values())
                     break
                 h = [filed[x] for x in h]
     return list(kept.values())

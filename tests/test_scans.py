@@ -113,7 +113,7 @@ def test_sweep_class_counts_and_weights_to_eight_vertices():
 
 def test_sweep_streams_classes_depth_first():
     # the walk holds no level of classes: the first classes on nine
-    # vertices (274,668 in all, about 15 s to generate) arrive at once,
+    # vertices (274,668 in all, about 6 s to generate) arrive at once,
     # each isomorphic to its canonical representative
     start = time.process_time()
     first = list(itertools.islice(_sweep(9, 9), 100))
@@ -256,20 +256,70 @@ def _closure(gens, n: int) -> set[tuple[int, ...]]:
 
 def test_stabilizer_generates_the_set_stabilizer():
     # seeded groups on up to six points, against the elements of the group
-    # that fix the set, listed by brute force; the Sims filter must sift an
-    # element that meets a kept one, not drop it: (0 1) and (0 1)(2 3) both
-    # move 0 to 1 first, and together generate a group of order 4
-    assert len(_closure(scans._stabilizer(0, [[1, 0, 2, 3], [1, 0, 3, 2]]), 4)) == 4
+    # that fix the set, listed by brute force and given as the known order;
+    # the Sims filter must sift an element that meets a kept one, not drop
+    # it: (0 1) and (0 1)(2 3) both move 0 to 1 first, and together
+    # generate a group of order 4
+    assert len(_closure(scans._stabilizer(0, [[1, 0, 2, 3], [1, 0, 3, 2]], 4), 4)) == 4
     rng = random.Random(7)
     for _ in range(24):
         m = rng.randrange(1, 7)
         gens = [rng.sample(range(m), m) for _ in range(rng.randrange(1, 4))]
         group = _closure(gens, m)
         for s in range(1 << m):
-            kept = scans._stabilizer(s, gens)
-            assert len(kept) <= m * (m - 1) // 2
             fixing = {p for p in group if sum(1 << p[v] for v in range(m) if s >> v & 1) == s}
+            kept = scans._stabilizer(s, gens, len(fixing))
+            assert len(kept) <= m * (m - 1) // 2
             assert _closure(kept, m) == fixing
+
+
+def test_stopped_stabilizer_walk_keeps_every_generator():
+    # the deletion tree to seven vertices, built with inner children only:
+    # stopping the Schreier walk at the stabilizer's order files no fewer
+    # elements, so the generators the 7-vertex classes carry total what the
+    # whole walk keeps (2076; _canon finds 1776 for the same classes)
+    total = 0
+    stack = [((1,), 1, [])]
+    while stack:
+        cn, order, gens = stack.pop()
+        if len(cn) == 7:
+            total += len(gens)
+            continue
+        stack.extend(scans._children(cn, order, gens, False))
+    assert total == 2076
+
+
+def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
+    # every child _children refines, from every class on at most six
+    # vertices, as an inner and as a last level: the root refinement that
+    # stops once its last cell has decided gives the verdict of the full
+    # equitable partition (reject: the last cell misses the new vertex;
+    # settle: it lies inside the new vertex's twin class; label: neither,
+    # and then the two partitions _canon would start from are equal)
+    real = scans._refine
+    verdicts = Counter()
+
+    def verdict(cells, mark, within):
+        if not cells[-1] & mark:
+            return "reject"
+        return "label" if cells[-1] & ~within else "settle"
+
+    def refine(cn, cells, todo, mark=0, within=0):
+        assert mark == 1 << len(cn) - 1 and within & mark
+        full = real(cn, cells[:], todo[:])
+        stopped = real(cn, cells, todo, mark, within)
+        verdicts[verdict(stopped, mark, within)] += 1
+        assert verdict(stopped, mark, within) == verdict(full, mark, within)
+        assert verdict(full, mark, within) != "label" or stopped == full
+        return stopped
+
+    monkeypatch.setattr(scans, "_refine", refine)
+    for _, _, cn in _sweep(1, 6):
+        _, _, order, gens = graph._canon(cn)
+        for last in (False, True):
+            for _ in scans._children(cn, order, gens, last):
+                pass
+    assert set(verdicts) == {"reject", "settle", "label"}
 
 
 def _calls(monkeypatch, *args) -> dict[str, Counter]:
@@ -281,9 +331,9 @@ def _calls(monkeypatch, *args) -> dict[str, Counter]:
         calls["canon"][len(cn)] += 1
         return real_canon(cn, cells)
 
-    def refine(cn, cells, todo):
+    def refine(cn, cells, todo, *stop):
         calls["refine"][len(cn)] += 1
-        return real_refine(cn, cells, todo)
+        return real_refine(cn, cells, todo, *stop)
 
     monkeypatch.setattr(scans, "_canon", canon)
     monkeypatch.setattr(scans, "_refine", refine)
@@ -685,3 +735,23 @@ def test_reports_and_class_representatives_are_pinned():
     names = sorted((n, canonical_form(Graph._from_masks(cn)), w) for n, w, cn in _sweep(1, 7))
     assert len(names) == 1252
     assert digest(repr(names)) == "3adb22fc22bb852945dcc440cf5b5fefb78f84110e0e72f8cfca00bffcce6024"
+
+
+@pytest.mark.parametrize(
+    "connected,twin_free,expected",
+    [
+        (False, False, "07b4cbc94f43c174a1a28bc131a1db929af1582e20b429bc55cd7d15f4d9d5e1"),
+        (True, True, "68b52b355e990c73e6e572b60a6cf2b548d9f8035407c5ac35324c3e87943f5a"),
+        (False, True, "97de5991f9c819ece8ca03f62f40f2264f505d9c7918b2518b0b5e6f6bcd7dfa"),
+        (True, False, "77b8a9922009cfe63213bbb2d06760c88304203ef3ebd8b2919b8baa4a51e7a1"),
+    ],
+)
+def test_sweep_stream_is_pinned_in_generation_order(connected, twin_free, expected):
+    # byte identity of the (n, weight, cn) stream as it is yielded, against
+    # digests of the reference implementation: unlike the sorted canonical
+    # forms above, these see each class's representative labeling and the
+    # order of the walk
+    h = hashlib.sha256()
+    for item in _sweep(1, 7, connected, twin_free):
+        h.update(repr(item).encode())
+    assert h.hexdigest() == expected
