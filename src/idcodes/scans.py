@@ -197,11 +197,11 @@ def _children(
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
     if last and twin_free:
         subsets = [s for s in subsets if s not in closed]
-        for v, x in enumerate(cn):
-            for u in range(v):
-                if cn[u] == x:  # S must part the twins u and v
-                    pair = 1 << u | 1 << v
-                    subsets = [s for s in subsets if 0 < s & pair < pair]
+        for twins in closed.values():  # S must part every pair of closed twins
+            if twins.bit_count() > 2:  # no S parts all three pairs of three
+                subsets = []
+            elif twins.bit_count() == 2:
+                subsets = [s for s in subsets if 0 < s & twins < twins]
     if last and connected:
         for part in _component_masks(cn):
             subsets = [s for s in subsets if s & part]
@@ -241,8 +241,6 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tu
     children that twins settle on an inner level need one, and
     ``_stabilizer`` walks their sets' orbits again, which measured faster
     than recording a Schreier tree for every orbit here."""
-    if not gens:
-        return [(s, 1) for s in subsets]
     images = []
     for g in gens:
         table = [0] * (1 << len(g))
@@ -297,7 +295,6 @@ def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
     points = range(len(gens[0]))
     members = [v for v in points if s >> v & 1]
     transversal = {s: list(points)}
-    inverses: dict[int, list[int]] = {}
     kept: dict[tuple[int, int], list[int]] = {}
     moved = [1] * len(points)  # 1 + the elements filed at (i, j), over j
     bound = 1  # the product of ``moved``, at most |<kept>|
@@ -311,9 +308,7 @@ def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
                 transversal[z] = w
                 stack.append(z)
                 continue
-            back = inverses.get(z)
-            if back is None:
-                back = inverses[z] = _permutation(transversal[z], points)
+            back = _permutation(transversal[z], points)
             h = [back[x] for x in w]
             while True:
                 i = next((v for v in points if h[v] != v), None)

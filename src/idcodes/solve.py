@@ -8,6 +8,7 @@ incremental code extension procedure for vertex additions."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -33,13 +34,14 @@ class SolveReport:
     """Result of an exact minimization.
 
     ``example_code`` is the lexicographically least valid set of minimum
-    size (the first the walk yields); ``forced`` lies inside
-    every valid set of this kind; ``explored`` is the number of candidates
-    the ascending-size lexicographic order over supersets of ``forced``,
-    starting at the counting lower bound, reaches up to and including the
-    answer.  ``_solve_graph`` computes it from the answer's rank, not from
-    the nodes the search visits, so the empty graph's one candidate counts
-    too; callers of ``_solve`` that read only the minimum never rank.
+    size (the first the walk yields); ``forced`` lies inside every valid
+    set of this kind; ``explored`` is the number of candidates the
+    ascending-size lexicographic order over supersets of ``forced``,
+    starting at the counting lower bound that ``_constraints`` returns as
+    ``start``, reaches up to and including the answer.  ``_solve_graph``
+    computes it from the answer's rank, not from the nodes the search
+    visits, so the empty graph's one candidate counts too; callers of
+    ``_solve`` that read only the minimum never rank.
     """
 
     kind: str
@@ -70,29 +72,13 @@ def forced_vertices(g: Graph, radius: int = 1) -> frozenset[int]:
     return frozenset(_bit_indices(_constraints(_balls(g, radius), "separating")[1]))
 
 
-def _lower_bound(kind: str, balls: list[int]) -> int:
-    """The counting bound where the search starts: k code vertices give
-    2^k signatures, less the empty one when every vertex must be
-    dominated, and each vertex to be told apart needs its own: all n, or
-    the n - k outside the code for locating-dominating sets.  A dominating
-    set needs n / (largest ball) vertices, rounded up."""
-    n = len(balls)
-    if kind == "dominating":
-        return -(-n // max(map(int.bit_count, balls))) if n else 0
-    dominates = kind != "separating"
-    outside = kind == "locating-dominating"
-    k = 0
-    while (1 << k) - dominates < n - outside * k:
-        k += 1
-    return k
-
-
 def _constraints(
     balls: list[int], kind: str
-) -> tuple[list[int], int, tuple[tuple[list[int], tuple[int, ...]] | None, list[int]]]:
-    """The search for ``kind``: returns (masks, forced, split), where a set
-    containing ``forced`` is a valid code exactly when it meets every mask,
-    and ``split`` starts the split cut of ``_has_hitting_set``.
+) -> tuple[list[int], int, int, tuple[tuple[list[int], tuple[int, ...]] | None, list[int]]]:
+    """The search for ``kind``: returns (masks, forced, start, split), where
+    a set containing ``forced`` is a valid code exactly when it meets every
+    mask, no valid code has fewer than ``start`` vertices, and ``split``
+    starts the split cut of ``_has_hitting_set``.
 
     Dominating sets meet every ball B(x), separating sets every
     B(x) Δ B(y), identifying codes both, and locating-dominating sets every
@@ -101,12 +87,16 @@ def _constraints(
     single-vertex pair masks, which every valid set contains; only
     identifying codes and separating sets have such masks, so for the
     other kinds ``explored`` counts the same candidates as a plain search.
-    ``split`` is (tables, classes): the tables ``_split_classes`` reads,
-    and the classes it keeps after the forced vertices, folded from the
-    one class of every vertex, which also holds bit n, the empty signature
-    itself, for identifying codes and locating-dominating sets.  No class
-    is left once none could cut; dominating sets and the smallest graphs,
-    whose one class is that small already, get none and no tables (None).
+    ``start`` is the larger of |forced| and a counting bound: a dominating
+    set needs n / (largest ball) vertices, rounded up, and for the other
+    kinds the one class of every vertex needs the least b whose capacity
+    (``_capacity``) holds it, the test ``_split_classes`` applies to every
+    class.  ``split`` is (tables, classes): the tables ``_split_classes``
+    reads, and the classes it keeps after the forced vertices, folded from
+    that one class, which also holds bit n, the empty signature itself,
+    for identifying codes and locating-dominating sets.  No class is left
+    once none could cut; dominating sets and the smallest graphs, whose one
+    class is that small already, get none and no tables (None).
     Each mask comes once, masks already met by ``forced`` are dropped, and
     the rest are sorted by size, then by value: the greedy packing and the
     choice of the mask to branch on in ``_has_hitting_set`` read the list
@@ -137,12 +127,15 @@ def _constraints(
         if not c & (c - 1):  # at most one bit set
             forced |= c
     tables, classes = None, []
-    if kind != "dominating":
+    if kind == "dominating":
+        start = -(-n // max(map(int.bit_count, balls))) if n else 0
+    else:
         capacity = _capacity(n, ld)
-        start = (1 << n + (kind != "separating")) - 1
-        if start.bit_count() > capacity[2]:
+        root = (1 << n + (kind != "separating")) - 1
+        start = bisect_left(capacity, root.bit_count())
+        if start > 2:  # the root class has more than capacity[2] members
             tables = ([b ^ 1 << v for v, b in enumerate(balls)] if ld else balls, capacity)
-            classes = [start]
+            classes = [root]
             for v in _bit_indices(forced):
                 classes = _split_classes(classes, tables, 1 << v, n)  # n cuts nothing
                 if not classes:
@@ -151,18 +144,21 @@ def _constraints(
         cons.update(balls)
     if forced:
         cons = [c for c in cons if not c & forced]
-    return sorted(sorted(cons), key=int.bit_count), forced, (tables, classes)
+    start = max(start, forced.bit_count())
+    return sorted(sorted(cons), key=int.bit_count), forced, start, (tables, classes)
 
 
 @cache
 def _capacity(n: int, ld: bool) -> tuple[int, ...]:
     """The most members of one signature class that b further code
-    vertices can tell apart, for each budget b up to n + 2, so that
-    capacity[2], the size of the classes small enough to drop, exists on
-    every graph: each splits a class in at most two, so 2^b, and 2^b + b
-    for locating-dominating sets (``ld``), where up to b members may join
-    the code instead.  Cached per (n, ld): the scans would otherwise build
-    it anew for each of their many tiny graphs."""
+    vertices can tell apart, for each budget b up to n + 2: each splits a
+    class in at most two, so 2^b, and 2^b + b for locating-dominating sets
+    (``ld``), where up to b members may join the code instead.  The table
+    runs that far so that capacity[2], the size of the classes small
+    enough to drop, exists on every graph, and some budget holds the one
+    class of all n vertices and bit n, where ``_constraints`` reads the
+    first size.  Cached per (n, ld): the scans would otherwise build it
+    anew for each of their many tiny graphs."""
     return tuple((1 << b) + ld * b for b in range(n + 3))
 
 
@@ -383,25 +379,26 @@ def _hitting_sets(
     yield from visit(forced, cons, free, k, witness, classes)
 
 
-def _solve(balls: list[int], kind: str) -> tuple[int, int, Iterator[int]]:
+def _solve(balls: list[int], kind: str) -> tuple[int, int, int, Iterator[int]]:
     """Exact minimum of ``kind`` on the radius-r ``balls`` of a graph,
     twin-free for identifying codes and separating sets; returns (minimum,
-    forced, the minimum codes as masks in lexicographic order, generated
-    lazily, the least first).
+    forced, start, the minimum codes as masks in lexicographic order,
+    generated lazily, the least first).
 
-    From the counting lower bound up, ``_has_hitting_set`` refutes each
-    size without a code on the search ``_constraints`` builds; the first
-    size it cannot refute is the minimum, and the walk from its witness is
-    returned unstarted, so a caller that reads only the minimum never walks.
+    From ``start``, the counting lower bound, up, ``_has_hitting_set``
+    refutes each size without a code on the search ``_constraints`` builds;
+    the first size it cannot refute is the minimum, and the walk from its
+    witness is returned unstarted, so a caller that reads only the minimum
+    never walks.
     """
     n = len(balls)
-    cons, forced, split = _constraints(balls, kind)
+    cons, forced, start, split = _constraints(balls, kind)
     free = ((1 << n) - 1) & ~forced
     base = forced.bit_count()
-    for size in range(max(base, _lower_bound(kind, balls)), n + 1):
+    for size in range(start, n + 1):
         witness = _has_hitting_set(cons, free, size - base, split)
         if witness is not None:
-            return size, forced, _hitting_sets(cons, free, forced, size - base, witness, split)
+            return size, forced, start, _hitting_sets(cons, free, forced, size - base, witness, split)
     raise RuntimeError("exhausted all subsets without a valid code")  # pragma: no cover
 
 
@@ -433,10 +430,9 @@ def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterato
             f"no {kind} set exists at radius {radius}: vertices {{x}} and {{y}} "
             f"have identical radius-{radius} balls",
         )
-    minimum, forced, sets = _solve(balls, kind)
+    minimum, forced, start, sets = _solve(balls, kind)
     example = next(sets)
     n, base = g.n, forced.bit_count()
-    start = max(base, _lower_bound(kind, balls))
     free = ((1 << n) - 1) & ~forced
     positions = [i for i, v in enumerate(_bit_indices(free)) if example >> v & 1]
     skipped = sum(comb(n - base, s - base) for s in range(start, minimum))

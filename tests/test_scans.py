@@ -603,8 +603,8 @@ def test_gamma_chain_chain_entry(monkeypatch, capsys):
     real = solve._solve
 
     def skewed(balls, kind):
-        size, forced, sets = real(balls, kind)
-        return size + 2 * (kind == "identifying" and len(balls) == 4), forced, sets
+        size, forced, start, sets = real(balls, kind)
+        return size + 2 * (kind == "identifying" and len(balls) == 4), forced, start, sets
 
     monkeypatch.setattr(solve, "_solve", skewed)
     entries = _failed_scan(capsys, scan_gamma_chain(4), "gamma-chain")

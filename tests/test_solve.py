@@ -44,7 +44,6 @@ from idcodes.solve import (
     _constraints,
     _has_hitting_set,
     _hitting_sets,
-    _lower_bound,
     _split_classes,
     enumerate_minimum_separating_sets,
     extend_code,
@@ -336,7 +335,7 @@ def test_constraints_start_the_split_at_the_forced_signature_classes():
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                _, forced, (tables, classes) = _constraints(balls, kind)
+                _, forced, _, (tables, classes) = _constraints(balls, kind)
                 ld = kind == "locating-dominating"
                 groups = _signature_classes(ball_sets, _bit_indices(forced), kind)
                 expected = [c for c in groups if c.bit_count() > (6 if ld else 4)]
@@ -354,7 +353,7 @@ def test_constraints_start_the_split_at_the_forced_signature_classes():
     # of all 8 vertices and bit 8
     balls = list(path_graph(8)._cn)
     for kind in KINDS:
-        _, forced, (_, classes) = _constraints(balls, kind)
+        _, forced, _, (_, classes) = _constraints(balls, kind)
         if kind in ("identifying", "separating"):
             assert (forced, classes) == (1 << 2 | 1 << 5, []), kind
         elif kind == "locating-dominating":
@@ -363,10 +362,13 @@ def test_constraints_start_the_split_at_the_forced_signature_classes():
             assert classes == [], kind
     # with nothing forced, the smallest graphs carry no class, and build no
     # tables: the one class of every vertex (with bit n for identifying
-    # codes and locating-dominating sets) is too small to cut
+    # codes and locating-dominating sets) is too small to cut, so two
+    # vertices could tell it apart, and the search starts at size 2; one
+    # vertex more, and the class needs three and is carried
     for n, kind in ((3, "identifying"), (4, "separating"), (5, "locating-dominating")):
-        assert _constraints(list(Graph(n)._cn), kind)[1:] == (0, (None, [])), (n, kind)
-        assert _constraints(list(Graph(n + 1)._cn), kind)[2][1], (n, kind)
+        assert _constraints(list(Graph(n)._cn), kind)[1:] == (0, 2, (None, [])), (n, kind)
+        _, forced, start, (_, classes) = _constraints(list(Graph(n + 1)._cn), kind)
+        assert (forced, start) == (0, 3) and classes, (n, kind)
 
 
 def test_split_need_after_one_vertex():
@@ -473,7 +475,7 @@ def test_redundant_masks_never_change_the_search():
             for kind in KINDS:
                 if kind in ("identifying", "separating") and len(set(balls)) < n:
                     continue
-                cons, forced, split = _constraints(balls, kind)
+                cons, forced, start, split = _constraints(balls, kind)
                 # a stable sort keeps the plain masks in their order: the
                 # greedy packing and the mask branched on depend on the order
                 # of equal-size masks
@@ -483,7 +485,6 @@ def test_redundant_masks_never_change_the_search():
                 free_mask = sum(1 << v for v in free)
                 base = n - len(free)
                 minimum = solve_minimum(g, kind, r).minimum
-                start = max(base, _lower_bound(kind, balls))
                 for size in range(start, min(minimum + 1, n) + 1):
                     expected = [
                         forced | sum(1 << v for v in combo)
@@ -514,7 +515,7 @@ def test_identifying_masks_skip_the_pairs_of_disjoint_balls():
             balls = _balls(g, r)
             if len(set(balls)) < n:
                 continue
-            cons, forced, _ = _constraints(balls, "identifying")
+            cons, forced, _, _ = _constraints(balls, "identifying")
             pairs = list(itertools.combinations(balls, 2))
             meeting = {bx ^ by for bx, by in pairs if bx & by}
             assert sorted(cons) == sorted(c for c in meeting | set(balls) if not c & forced)
@@ -538,7 +539,7 @@ def test_proof_verdict_matches_brute_force():
             ball_sets = [brute.naive_ball(g, x, r) for x in range(n)]
             balls = [sum(1 << v for v in b) for b in ball_sets]
             for kind in KINDS:
-                cons, forced, solver_split = _constraints(balls, kind)
+                cons, forced, _, solver_split = _constraints(balls, kind)
                 base = forced.bit_count()
                 sizes = set()
                 valid = set()
@@ -675,7 +676,7 @@ def test_search_nodes_pinned(name):
     g = build()
     n, balls = g.n, list(g._cn)
     for (kind, split_cut), expected in pinned.items():
-        cons, forced, split = _constraints(balls, kind)
+        cons, forced, _, split = _constraints(balls, kind)
         minimum = solve_minimum(g, kind).minimum
         free = ((1 << n) - 1) & ~forced
         k = minimum - forced.bit_count()
@@ -737,7 +738,7 @@ def test_proof_nodes_pinned(name, monkeypatch):
 
     monkeypatch.setattr(solve, "_has_hitting_set", traced)
     for kind, expected in PINNED_PROOF_NODES[name].items():
-        cons, forced, split = _constraints(balls, kind)
+        cons, forced, _, split = _constraints(balls, kind)
         calls.clear()
         minimum = solve._solve(balls, kind)[0]
         masks, splits, ks, witnesses, nodes = zip(*calls)
@@ -761,7 +762,7 @@ def test_no_proof_node_below_the_root_has_one_vertex_left():
         g = build()
         n, balls = g.n, list(g._cn)
         for kind in KINDS:
-            cons, forced, solver_split = _constraints(balls, kind)
+            cons, forced, _, solver_split = _constraints(balls, kind)
             free = ((1 << n) - 1) & ~forced
             for split in ((None, []), solver_split) if solver_split[1] else ((None, []),):
                 for k in range(free.bit_count() + 1):
@@ -818,7 +819,7 @@ def test_walk_from_the_witness_finds_the_least_code():
                     for kind in KINDS:
                         if twins and kind in ("identifying", "separating"):
                             continue
-                        minimum, forced, sets = solve._solve(balls, kind)
+                        minimum, forced, _, sets = solve._solve(balls, kind)
                         cons = _constraints(balls, kind)[0]
                         free = ((1 << n) - 1) & ~forced
                         k = minimum - forced.bit_count()
@@ -852,9 +853,10 @@ def test_walk_calls_pinned(kind, monkeypatch):
         return _has_hitting_set(*args)
 
     monkeypatch.setattr(solve, "_has_hitting_set", counted)
-    minimum, forced, sets = solve._solve(balls, kind)
+    minimum, forced, start, sets = solve._solve(balls, kind)
     base = forced.bit_count()
-    start = max(base, _lower_bound(kind, balls))
+    ball_sets = [brute.naive_ball(g, x, 1) for x in range(g.n)]
+    assert start == max(base, brute._lower_bound(kind, ball_sets, g.n)), kind
     # one proof per size tried, and none yet from the walk
     assert [args[2] for args in calls] == list(range(start - base, minimum - base + 1))
     proofs = len(calls)
@@ -1176,20 +1178,43 @@ def test_extend_code_preconditions():
 
 
 def test_lower_bound_matches_brute_force():
+    # the size the search starts at, ``_constraints``' start, is the larger
+    # of the forced vertices and the brute-force counting bound; on band
+    # graphs the forced vertices outnumber the bound
     rng = random.Random(64)
-    for n in range(1, 65):
-        g = Graph(n, gnp_edges(rng, n, 0.2))
+    graphs = [Graph(n, gnp_edges(rng, n, 0.2)) for n in range(1, 65)]
+    for g in graphs + [band_graph(k) for k in range(2, 7)]:
+        n = g.n
         balls = [brute.naive_ball(g, x, 1) for x in range(n)]
-        for kind in ("identifying", "separating", "dominating", "locating-dominating"):
-            assert _lower_bound(kind, list(g._cn)) == brute._lower_bound(kind, balls, n), (kind, n)
-    # the bound reads only n and the largest ball, so equal-size synthetic
-    # balls cover every n up to past 2^10; the empty graph needs no vertex
+        for kind in KINDS:
+            _, forced, start, _ = _constraints(list(g._cn), kind)
+            expected = max(forced.bit_count(), brute._lower_bound(kind, balls, n))
+            assert start == expected, (kind, n)
+    # the empty graph needs no vertex; for dominating sets the bound reads
+    # only n and the largest ball, so equal-size synthetic balls cover
+    # every n up to past 2^10
     for kind in KINDS:
-        assert _lower_bound(kind, []) == 0, kind
-        for size in (1, 2, 3, 7):
-            for n in range(1, 1101):
-                expected = brute._lower_bound(kind, [set(range(size))] * n, n)
-                assert _lower_bound(kind, [(1 << size) - 1] * n) == expected, (kind, size, n)
+        assert _constraints([], kind)[2] == 0, kind
+    for size in (1, 2, 3, 7):
+        for n in range(1, 1101):
+            expected = brute._lower_bound("dominating", [set(range(size))] * n, n)
+            assert _constraints([(1 << size) - 1] * n, "dominating")[2] == expected, (size, n)
+    # for the other kinds, with nothing forced, it reads n alone and steps
+    # at n = 2^b (identifying), 2^b + 1 (separating) and 2^b + b
+    # (locating-dominating): every n within 2 of a step up to past 2^10,
+    # on inputs with few pair masks, equal balls for identifying codes and
+    # separating sets, and the edgeless graph for locating-dominating sets
+    near = {p + d for b in range(11) for p in (2**b, 2**b + 1, 2**b + b) for d in range(-2, 3)}
+    for n in sorted(m for m in near if m > 0):
+        equal, edgeless = [7] * n, list(Graph(n)._cn)
+        for kind, balls in (
+            ("identifying", equal),
+            ("separating", equal),
+            ("locating-dominating", edgeless),
+        ):
+            _, forced, start, _ = _constraints(balls, kind)
+            expected = brute._lower_bound(kind, [set(_bit_indices(b)) for b in balls], n)
+            assert (forced, start) == (0, expected), (kind, n)
 
 
 def test_zero_and_one_vertex_graphs():
