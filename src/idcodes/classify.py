@@ -14,6 +14,9 @@ JOIN_FAMILY = "join-family"
 JOIN_FAMILY_UNIVERSAL = "join-family-universal"
 NOT_EXTREMAL = "not-extremal"
 
+# the family variant that rebuilds each extremal outcome
+_VARIANT = {STAR: "star", JOIN_FAMILY: "join", JOIN_FAMILY_UNIVERSAL: "join+u"}
+
 
 @dataclass(frozen=True)
 class ClassificationResult:
@@ -35,13 +38,9 @@ class ClassificationResult:
 
     def family_spec(self) -> FamilySpec | None:
         """Spec reconstructing a graph isomorphic to the classified input."""
-        if self.outcome == STAR:
-            return FamilySpec("star", (self.star_t,))
-        if self.outcome == JOIN_FAMILY:
-            return FamilySpec("join", self.factors)
-        if self.outcome == JOIN_FAMILY_UNIVERSAL:
-            return FamilySpec("join+u", self.factors)
-        return None
+        variant = _VARIANT.get(self.outcome)
+        params = self.factors if self.star_t is None else (self.star_t,)
+        return FamilySpec(variant, params) if variant else None
 
     def to_dict(self) -> dict:
         spec = self.family_spec()

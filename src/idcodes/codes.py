@@ -22,6 +22,11 @@ from .graph import (
 KINDS = ("dominating", "separating", "identifying", "locating-dominating")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(KINDS)}")
+
+
 @dataclass(frozen=True)
 class CodeCertificate:
     """Verdict of a code check.
@@ -188,8 +193,7 @@ def check_code(g: Graph, code: Iterable[int], kind: str, radius: int = 1) -> Cod
     codes separate every pair, locating-dominating sets every pair outside
     the code.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(KINDS)}")
+    _check_kind(kind)
     _check_radius(radius)
     return _certify(kind, radius, _balls(g, radius), g._mask(code))
 

@@ -7,17 +7,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from typing import Callable, NamedTuple
 
 from .graph import INPUT_VERTEX_CAP, Graph, _ints, join
-
-VARIANTS = ("A", "star", "join", "join+u", "KminusM")
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A named family member: variant tag plus integer parameters.
 
-    Variants (matching the CLI ``--family`` grammar):
+    Variants (matching the CLI ``--family`` grammar, one row of ``VARIANTS`` each):
       A:<k>            band graph of order k
       star:<t>         star with t >= 2 leaves
       join:<k1>,...    join of band graphs of the listed orders
@@ -29,38 +28,22 @@ class FamilySpec:
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        row = VARIANTS.get(self.variant)
+        if row is None:
             raise ValueError(f"unknown family variant {self.variant!r}")
         p = self.params
-        if self.variant == "A":
-            if len(p) != 1 or p[0] < 1:
-                raise ValueError("band graph order must be a single integer >= 1")
-        elif self.variant == "star":
-            if len(p) != 1 or p[0] < 2:
-                raise ValueError("star leaf count must be a single integer >= 2")
-        elif self.variant in ("join", "join+u"):
-            if not p or any(k < 1 for k in p):
-                raise ValueError("join factor list must be non-empty with entries >= 1")
-        elif len(p) != 1 or p[0] < 2:
-            raise ValueError("complete-minus-matching order must be >= 2")
+        if not p or (len(p) > 1 and not row.listed) or min(p) < row.least:
+            raise ValueError(row.refusal)
 
     @property
     def order(self) -> int:
         """Vertex count of the member, known without building it."""
-        if self.variant == "A":
-            return 2 * self.params[0]
-        if self.variant == "star":
-            return self.params[0] + 1
-        if self.variant in ("join", "join+u"):
-            return 2 * sum(self.params) + (self.variant == "join+u")
-        return self.params[0]
+        row = VARIANTS[self.variant]
+        return row.scale * sum(self.params) + row.extra
 
     def spec_string(self) -> str:
-        if self.variant == "join":
-            return "join:" + ",".join(map(str, self.params))
-        if self.variant == "join+u":
-            return "join:" + ",".join(map(str, self.params)) + "+u"
-        return f"{self.variant}:{self.params[0]}"
+        head, plus, suffix = self.variant.partition("+")
+        return f"{head}:{','.join(map(str, self.params))}{plus}{suffix}"
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -72,12 +55,11 @@ def parse_family_spec(text: str) -> FamilySpec:
     head, sep, tail = text.partition(":")
     if not sep or not tail:
         raise ValueError(f"malformed family spec {text!r}")
-    if head not in VARIANTS or head == "join+u":
+    if head not in VARIANTS or head.endswith("+u"):
         raise ValueError(f"unknown family variant {head!r}")
-    variant = head
-    if head == "join" and tail.endswith("+u"):
-        variant, tail = "join+u", tail[:-2]
-    spec = FamilySpec(variant, tuple(_ints(tail.split(","), "family parameter {tok!r} is not an integer")))
+    if tail.endswith("+u") and head + "+u" in VARIANTS:
+        head, tail = head + "+u", tail[:-2]
+    spec = FamilySpec(head, tuple(_ints(tail.split(","), "family parameter {tok!r} is not an integer")))
     if spec.order > INPUT_VERTEX_CAP:
         raise ValueError(f"family member has {spec.order} vertices; the limit is {INPUT_VERTEX_CAP}")
     return spec
@@ -129,16 +111,30 @@ def complete_minus_matching(n: int) -> Graph:
     return join_family_plus_universal([1] * ((n - 1) // 2))
 
 
+class _Row(NamedTuple):
+    build: Callable[..., Graph]  # from the parameter list when listed, else from its one entry
+    listed: bool  # takes a list of parameters, not exactly one
+    least: int  # the least parameter
+    refusal: str  # the message for parameters that break those two rules
+    scale: int  # the vertex count is scale * (sum of the parameters) + extra
+    extra: int
+
+
+_FACTORS = "join factor list must be non-empty with entries >= 1"
+
+# the family grammar, one row per variant; "join:<...>+u" names the row "join+u"
+VARIANTS = {
+    "A": _Row(band_graph, False, 1, "band graph order must be a single integer >= 1", 2, 0),
+    "star": _Row(star_graph, False, 2, "star leaf count must be a single integer >= 2", 1, 1),
+    "join": _Row(join_family, True, 1, _FACTORS, 2, 0),
+    "join+u": _Row(join_family_plus_universal, True, 1, _FACTORS, 2, 1),
+    "KminusM": _Row(complete_minus_matching, False, 2, "complete-minus-matching order must be >= 2", 1, 0),
+}
+
+
 def make_family(spec: FamilySpec) -> Graph:
-    if spec.variant == "A":
-        return band_graph(spec.params[0])
-    if spec.variant == "star":
-        return star_graph(spec.params[0])
-    if spec.variant == "join":
-        return join_family(spec.params)
-    if spec.variant == "join+u":
-        return join_family_plus_universal(spec.params)
-    return complete_minus_matching(spec.params[0])
+    row = VARIANTS[spec.variant]
+    return row.build(spec.params if row.listed else spec.params[0])
 
 
 def band5_square_root() -> Graph:

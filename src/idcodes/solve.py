@@ -166,7 +166,8 @@ def _split_classes(
     classes: list[int], tables: tuple[list[int], tuple[int, ...]], vertex: int, budget: int
 ) -> list[int] | None:
     """The signature classes after one more code vertex, or None when they
-    need more further code vertices than ``budget``.
+    need more further code vertices than ``budget``, decided at the first
+    part that is too large.
 
     Vertices x with the same signature B(x) ∩ chosen form a class, and the
     new vertex, the bit ``vertex``, splits each in two: the members in its
@@ -189,23 +190,21 @@ def _split_classes(
     small = capacity[2]
     ball = inside[vertex.bit_length() - 1]
     outside = ~(ball | vertex)
+    limit = capacity[budget]
     parts = []
-    most = 1
     for c in classes:
         a = c & ball
         m = a.bit_count()
+        if m > limit:
+            return None
         if m > small:
             parts.append(a)
-        if m > most:
-            most = m
         a = c & outside
         m = a.bit_count()
+        if m > limit:
+            return None
         if m > small:
             parts.append(a)
-        if m > most:
-            most = m
-    if most > capacity[budget]:
-        return None
     return parts
 
 
@@ -415,8 +414,7 @@ def _solve_graph(g: Graph, kind: str, radius: int) -> tuple[SolveReport, Iterato
     makes; returns the report and the minimum codes as sorted vertex
     lists, in lexicographic order, generated lazily, the example first.
     ``explored`` is ranked here, where it is reported."""
-    if kind not in codes.KINDS:
-        raise ValueError(f"unknown code kind {kind!r}; expected one of {sorted(codes.KINDS)}")
+    codes._check_kind(kind)
     if g.n > SOLVE_VERTEX_CAP:
         raise PreconditionError(
             f"exact solving is limited to n <= {SOLVE_VERTEX_CAP}; "

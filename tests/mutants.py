@@ -1,0 +1,127 @@
+"""A standing mutation suite: each row breaks one cut, certifier or table
+entry of the package on purpose and names the tests that must catch it.
+
+For each row the script copies ``src/`` to a temporary directory, checks
+that the row's old text occurs exactly once in its file, applies the edit
+and runs the named tests with ``-x`` against the copy.  It prints one line
+per mutant and exits 1 when a mutant survives or a row has gone stale: its
+old text is not found exactly once, or its tests do not run.  A stale row
+is updated to the code it guards, not dropped; a survivor is a finding
+about the tests.  Run it from anywhere, with pytest installed:
+
+    python tests/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/idcodes, exact old text, new text, tests that must fail)
+MUTANTS = [
+    (
+        "packing cut one past the budget",
+        "solve.py",
+        "if packed > k:",
+        "if packed > k + 1:",
+        ["tests/test_solve.py"],
+    ),
+    (
+        "empty-mask cut removed",
+        "solve.py",
+        "if not r:\n                return None",
+        "if not r:\n                continue",
+        ["tests/test_solve.py"],
+    ),
+    (
+        "leaf step's last & low test inverted",
+        "solve.py",
+        "if last & low:",
+        "if not last & low:",
+        ["tests/test_solve.py"],
+    ),
+    (
+        "split cut reads capacity[budget + 1]",
+        "solve.py",
+        "limit = capacity[budget]",
+        "limit = capacity[budget + 1]",
+        ["tests/test_solve.py"],
+    ),
+    (
+        "capacity without + ld * b",
+        "solve.py",
+        "(1 << b) + ld * b",
+        "(1 << b)",
+        ["tests/test_solve.py"],
+    ),
+    (
+        "complement certificate without s in index",
+        "codes.py",
+        "if not s or s in index or s in seen:",
+        "if not s or s in seen:",
+        ["tests/test_codes.py", "tests/test_bound.py"],
+    ),
+    (
+        "removable-vertex probe with | for ^",
+        "codes.py",
+        "(balls[u.bit_length() - 1] ^ b) in index",
+        "(balls[u.bit_length() - 1] | b) in index",
+        ["tests/test_codes.py", "tests/test_bound.py"],
+    ),
+    (
+        "join+u vertex count without its + 1",
+        "families.py",
+        '"join+u": _Row(join_family_plus_universal, True, 1, _FACTORS, 2, 1)',
+        '"join+u": _Row(join_family_plus_universal, True, 1, _FACTORS, 2, 0)',
+        ["tests/test_families.py::test_family_spec_above_vertex_cap_is_rejected_before_building"],
+    ),
+]
+
+
+def run(file: str, old: str, new: str, tests: list[str], scratch: Path) -> str:
+    """The verdict on one row: killed, survived, or why the row is stale."""
+    src = scratch / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(ROOT / "src", src)
+    path = src / "idcodes" / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        return f"stale: the old text occurs {text.count(old)} times in {file}"
+    path.write_text(text.replace(old, new))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command += ["-o", f"pythonpath={src}", *tests]
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    # pytest exits 1 when a test fails; 0 lets the mutant live, and any
+    # other status means the named tests did not run as written
+    if result.returncode == 1:
+        failures = [line for line in result.stdout.splitlines() if line.startswith("FAILED ")]
+        return "killed by " + (failures[0].split()[1] if failures else "an error")
+    if result.returncode == 0:
+        return "survived"
+    return f"stale: pytest exited {result.returncode}\n{result.stdout[-2000:]}"
+
+
+def main() -> int:
+    failed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, *row in MUTANTS:
+            start = time.perf_counter()
+            verdict, _, detail = run(*row, Path(scratch)).partition("\n")
+            print(f"{time.perf_counter() - start:6.1f} s  {name}: {verdict}", flush=True)
+            if not verdict.startswith("killed"):
+                failed += 1
+                print(detail, flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

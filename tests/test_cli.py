@@ -399,13 +399,14 @@ def test_integer_flags_are_read_strictly(capsys, graph_file, flag, value):
 
 def test_out_of_memory_is_a_usage_error(run, monkeypatch):
     # one line and exit 2, as for any input the machine cannot hold; the
-    # builder raises at once, so the test allocates nothing
-    import idcodes.families
+    # builder in the variant's row raises at once, so the test allocates
+    # nothing
+    from idcodes.families import VARIANTS
 
     def exhausted(k):
         raise MemoryError
 
-    monkeypatch.setattr(idcodes.families, "band_graph", exhausted)
+    monkeypatch.setitem(VARIANTS, "A", VARIANTS["A"]._replace(build=exhausted))
     assert run("generate", "--family", "A:3000") == (2, "", "error: out of memory\n")
 
 

@@ -1,6 +1,8 @@
 """Family generators: band graphs, stars, join families, complete-minus-
 matching, the square-root fixture, and their structural guarantees."""
 
+import re
+
 import pytest
 
 import brute
@@ -77,22 +79,26 @@ def test_complete_minus_matching():
 
 
 def test_family_spec_validation_and_round_trip():
-    for text in ["A:3", "star:4", "join:1,2", "join:2,2+u", "KminusM:6"]:
+    # each variant at its least parameter, one above it and one larger, a
+    # three-factor join among them: the spec string parses back to the
+    # spec, and the vertex count known before building is the member's
+    for text in [
+        *("A:1", "A:2", "A:3"),
+        *("star:2", "star:3", "star:4"),
+        *("join:1", "join:2", "join:1,2", "join:1,2,3"),
+        *("join:1+u", "join:2+u", "join:2,2+u"),
+        *("KminusM:2", "KminusM:3", "KminusM:6"),
+    ]:
         spec = parse_family_spec(text)
         assert spec.spec_string() == text
-        make_family(spec)
-    with pytest.raises(ValueError):
-        parse_family_spec("A:0")
-    with pytest.raises(ValueError):
-        parse_family_spec("star:1")
+        assert parse_family_spec(spec.spec_string()) == spec
+        assert spec.order == make_family(spec).n
     with pytest.raises(ValueError):
         parse_family_spec("banana:3")
     with pytest.raises(ValueError):
         parse_family_spec("join:")
     with pytest.raises(ValueError):
         FamilySpec("join", ())
-    with pytest.raises(ValueError):
-        FamilySpec("KminusM", (1,))
     with pytest.raises(ValueError, match="^unknown family variant 'bogus'$"):
         FamilySpec("bogus", (1,))
     # the generators refuse on their own, without a spec
@@ -102,6 +108,23 @@ def test_family_spec_validation_and_round_trip():
         join_family([])
     with pytest.raises(ValueError, match="^complete-minus-matching needs n >= 2$"):
         complete_minus_matching(1)
+
+
+@pytest.mark.parametrize(
+    "text, variant, below, message",
+    [
+        ("A:0", "A", 0, "band graph order must be a single integer >= 1"),
+        ("star:1", "star", 1, "star leaf count must be a single integer >= 2"),
+        ("join:0", "join", 0, "join factor list must be non-empty with entries >= 1"),
+        ("join:0+u", "join+u", 0, "join factor list must be non-empty with entries >= 1"),
+        ("KminusM:1", "KminusM", 1, "complete-minus-matching order must be >= 2"),
+    ],
+)
+def test_family_refusal_one_below_the_least_parameter(text, variant, below, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_family_spec(text)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FamilySpec(variant, (below,))
 
 
 def test_family_spec_above_vertex_cap_is_rejected_before_building(monkeypatch):
