@@ -32,6 +32,9 @@ class FamilySpec:
         if row is None:
             raise ValueError(f"unknown family variant {self.variant!r}")
         p = self.params
+        for x in p:  # exactly int: a bool would print as True, a float give a float order
+            if type(x) is not int:
+                raise ValueError(f"family parameter {x!r} is not an integer")
         if not p or (len(p) > 1 and not row.listed) or min(p) < row.least:
             raise ValueError(row.refusal)
 

@@ -4,18 +4,20 @@ All seven scans run one loop, ``_scan``, over one engine, ``_sweep``: one
 graph of every isomorphism class up to a vertex cap, generated by
 canonical deletion in a depth-first walk that keeps no record of the
 classes already seen, and filtered inside the engine to the connected
-and/or twin-free classes a scan asks for: on the last level, a leaf the
-filters refuse is never built.  The engine hands each class over in the
-labeling it was generated in.  On every level the new vertex's twin
-class settles most children, which get no canonical labeling, and many
-no refinement, at all; their automorphism groups come from the parent's,
-by Schreier's lemma, and the child's root refinement settles most of the
-remaining canonical deletion tests.  Each child costs what its decision
-needs: its twin class comes from tables built once per parent, its
-refinement stops once the last cell has decided, and the Schreier walk
-stops at the stabilizer's known order.  A scan is one row of
-``_CHECKS``: its filters, a check per class and its ``details``.  Past
-``SCAN_CAP``, ``force`` lets a scan run up to n = 11 and no further.
+and/or twin-free classes, up to a maximum degree, that a scan asks for:
+a child with no such class at it or below it is never built.  The
+engine hands each class over in the labeling it was generated in.  On
+every level the new vertex's twin class settles most children, which get
+no canonical labeling, and many no refinement, at all; their
+automorphism groups come from the parent's, by Schreier's lemma, and the
+child's root refinement settles most of the remaining canonical deletion
+tests.  Each child costs what its decision needs: its twin class comes
+from tables built once per parent, its refinement stops once the last
+cell has decided, and the Schreier walk stops at the stabilizer's known
+order.  A scan is one row of ``_CHECKS``: its filters, a check per class
+and its ``details``; cor13 sweeps only the classes of maximum degree at
+most max_n - 3.  Past ``SCAN_CAP``, ``force`` lets a scan run up to
+n = 11 and no further.
 Every claim a scan checks is invariant under relabeling, so each class
 stands for its n!/|Aut(G)| labelings: ``graphs_checked`` and every count
 in ``details`` are sums of these weights, and so count labeled graphs.
@@ -85,10 +87,15 @@ _CLASSES = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168, 1018997864)
 
 
 def _sweep(
-    first_n: int, max_n: int, connected: bool = False, twin_free: bool = False
+    first_n: int,
+    max_n: int,
+    connected: bool = False,
+    twin_free: bool = False,
+    max_degree: int | None = None,
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Yield (n, weight, cn) once per isomorphism class of graphs on
-    first_n..max_n vertices that passes the requested filters.
+    first_n..max_n vertices that passes the requested filters, and with
+    ``max_degree`` given, only the classes of maximum degree at most it.
 
     The one sweep engine of the scans.  ``cn`` holds the closed-neighborhood
     masks of one graph of the class, the masks the walk itself keeps, in
@@ -106,18 +113,21 @@ def _sweep(
     tree, so no set of classes seen is kept: the walk is depth first, and
     only the pending children of the nodes on the current path, each a
     few masks and generators of Aut, are alive.  Cheap tests come first
-    (see ``_children``): the leaves the filters refuse are never built,
-    the twin class of the new vertex settles most children without a
-    canonical labeling, often before any refinement, and the child's root
-    equitable partition settles most of the rest.  The filters are applied
-    here only to the inner levels the walk yields.
+    (see ``_children``): a child with no class the sweep yields below it
+    is never built, the twin class of the new vertex settles most children
+    without a canonical labeling, often before any refinement, and the
+    child's root equitable partition settles most of the rest.  Deleting
+    a vertex raises no degree, so the parent of a class of maximum degree
+    at most D is one too, and the degree bound prunes the tree exactly.
+    The connected and twin-free filters are applied here only to the inner
+    levels the walk yields.
     """
     stack = [((1,), 1, [])]  # the one-vertex graph: masks, |Aut|, generators
     while stack:
         cn, order, gens = stack.pop()
         n = len(cn)
         if n < max_n:
-            stack.extend(_children(cn, order, gens, n + 1 == max_n, connected, twin_free))
+            stack.extend(_children(cn, order, gens, max_n - n - 1, connected, twin_free, max_degree))
             full = (1 << n) - 1
             if twin_free and len(set(cn)) != n:
                 continue
@@ -131,27 +141,38 @@ def _children(
     cn: tuple[int, ...],
     order: int,
     gens: list[list[int]],
-    last: bool,
+    left: int,
     connected: bool = False,
     twin_free: bool = False,
+    max_degree: int | None = None,
 ) -> Iterator[tuple[tuple[int, ...], int, list[list[int]] | None]]:
     """The children in the canonical deletion tree of the graph with closed
     masks ``cn``, |Aut| ``order`` and Aut generators ``gens``, as (closed
-    masks, |Aut|, gens); ``last``: the children are leaves of the walk, and
-    their generators, never used, may be None, and only the leaves that are
-    ``connected`` and/or ``twin_free``, as asked, are built.
+    masks, |Aut|, gens), with ``left`` levels of the walk below them; at
+    ``left`` 0 they are leaves, and their generators, never used, may be
+    None.  Only the children with a class below them, or at them, that is
+    ``connected`` and/or ``twin_free`` and of maximum degree at most
+    ``max_degree``, as asked, are built.
 
     A new vertex m joins one vertex set S per orbit of Aut(parent), only
     when it has the child's maximum degree; the child is kept when m lies
     in the Aut(child) orbit of its canonical deletion vertex.
 
-    The leaf filter: on the last level, S is dropped before the orbits are
-    formed when the leaf would fail a filter.  The leaf is twin-free when S
-    is no parent's closed mask (else m has a closed twin) and holds exactly
-    one vertex of every pair of closed twins of the parent (the only pairs
-    S can part); it is connected when S meets every parent component.
-    Both tests are invariant under Aut(parent), so the kept sets are a
-    union of orbits, with the same representatives and orbit sizes.
+    The filters drop S before the orbits are formed, one rule each:
+    - degree, on every level: m has the child's maximum degree |S|, so the
+      child's is at most D when |S| <= D (and then S holds no parent
+      vertex of degree D, which would make |S| more than D);
+    - twins, on every level: each vertex added later parts a class of
+      closed twins in two at most, so the walk below can make the child
+      twin-free only when no class of it has more than 2^left vertices.
+      A parent class P splits into P & S and P - S, and m joins P when S
+      is P's closed mask; at ``left`` 0 this says that S is no parent's
+      closed mask and holds exactly one vertex of every pair of closed
+      twins, and that no three parent vertices are closed twins;
+    - connected, on the last level only, since one more vertex can join
+      every component: S meets every parent component.
+    Each rule is invariant under Aut(parent), so the kept sets are a union
+    of orbits, with the same representatives and orbit sizes.
 
     Twins settle most children without a labeling (the cheap invariant
     first: McKay, 1998).  Let T be m with its closed twins (equal closed
@@ -195,14 +216,18 @@ def _children(
     top = by_degree[top_degree]
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
-    if last and twin_free:
-        subsets = [s for s in subsets if s not in closed]
-        for twins in closed.values():  # S must part every pair of closed twins
-            if twins.bit_count() > 2:  # no S parts all three pairs of three
-                subsets = []
-            elif twins.bit_count() == 2:
-                subsets = [s for s in subsets if 0 < s & twins < twins]
-    if last and connected:
+    if max_degree is not None:
+        subsets = [s for s in subsets if s.bit_count() <= max_degree]
+    if twin_free:
+        cap = 1 << left  # the most closed twins that the levels left can part
+        joined = {x for x, twins in closed.items() if twins.bit_count() >= cap}
+        if joined:  # m would make one of these classes too large
+            subsets = [s for s in subsets if s not in joined]
+        for twins in closed.values():
+            size = twins.bit_count()
+            if size > cap:  # both parts at most cap
+                subsets = [s for s in subsets if size - cap <= (s & twins).bit_count() <= cap]
+    if not left and connected:
         for part in _component_masks(cn):
             subsets = [s for s in subsets if s & part]
     for s, size in _orbit_representatives(subsets, gens):
@@ -217,7 +242,7 @@ def _children(
             settled = not cells[-1] & ~twins
         if settled:
             child_gens = None
-            if not last:
+            if left:
                 # the stabilizer of S, of order |Aut(parent)| / size, and (m v)
                 child_gens = [g + [m] for g in _stabilizer(s, gens, order // size)] if size < order else []
                 for v in _bit_indices(twins ^ new):
@@ -236,17 +261,22 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tu
     the vertex sets ``subsets`` (closed under the group), as a mask, with
     the orbit's size; each generator lists the images of all the points.
 
-    On the last level ``subsets`` holds only the sets the leaf filter
-    keeps, a union of orbits.  The walk records no transversal: only the
-    children that twins settle on an inner level need one, and
-    ``_stabilizer`` walks their sets' orbits again, which measured faster
-    than recording a Schreier tree for every orbit here."""
+    ``subsets`` holds only the sets the filters of ``_children`` keep, a
+    union of orbits.  Each generator maps sets through a table of the
+    images of all 2^m sets, built by doubling: the sets holding point v
+    are the sets below v with v's image added, one list comprehension per
+    point.  The one mapping path serves every sweep: mapping each kept set
+    directly, without the tables, measured slower on the unbounded sweep.
+    The walk records no transversal: only the children that twins settle
+    on an inner level need one, and ``_stabilizer`` walks their sets'
+    orbits again, which measured faster than recording a Schreier tree for
+    every orbit here."""
     images = []
     for g in gens:
-        table = [0] * (1 << len(g))
-        for s in range(1, len(table)):
-            low = s & -s
-            table[s] = table[s ^ low] | 1 << g[low.bit_length() - 1]
+        table = [0]
+        for v in g:
+            image = 1 << v
+            table += [x | image for x in table]
         images.append(table)
     reached = set()
     reps = []
@@ -366,9 +396,10 @@ def _scan(name: str, max_n: int, force: bool) -> ScanReport:
             "vertices otherwise)" + ("" if force else "; pass force=True / --unsafe-cap to override")
         )
     # the details come after the refusal: thm12's are sized by max_n
-    _, connected, twin_free, check, details = _CHECKS[name]
+    _, connected, twin_free, degree, check, details = _CHECKS[name]
     report = ScanReport(name, max_n, details=details(max_n))
-    for n, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free):
+    max_degree = degree(max_n) if degree else None
+    for n, weight, cn in _sweep(2 if connected else 1, max_n, connected, twin_free, max_degree):
         found = check(n, cn, weight, report.details)
         if found is None:
             continue
@@ -528,22 +559,25 @@ def _check_conjecture(n, cn, weight, details):
     return [{"max_degree": delta, "bound": n - n // delta, "gamma_id": exact}]
 
 
-# one row per theorem: (public scan, connected, twin_free, check, details(max_n))
+# one row per theorem: (public scan, connected, twin_free, the sweep's degree
+# bound as max_degree(max_n) or None, check, details(max_n))
 _CHECKS = {
-    "thm12": (scan_extremal_classification, True, True, _check_thm12, lambda max_n: {
+    "thm12": (scan_extremal_classification, True, True, None, _check_thm12, lambda max_n: {
         "graphs_needing_all_vertices": 0,
         "connected_twin_free_per_n": dict.fromkeys(range(2, max_n + 1), 0),
         "extremal_per_n": dict.fromkeys(range(2, max_n + 1), 0),
     }),
-    "cor13": (scan_low_degree, True, True, _check_cor13, lambda max_n: {}),
-    "remark1": (scan_regular_odd, True, True, _check_remark1, lambda max_n: {"extremal_seen": 0}),
-    "lemma7": (scan_removable_vertex, False, True, _check_lemma7, lambda max_n: {
+    # a class on n vertices is in cor13's claim when its maximum degree is
+    # at most n - 3, so at most max_n - 3
+    "cor13": (scan_low_degree, True, True, lambda max_n: max_n - 3, _check_cor13, lambda max_n: {}),
+    "remark1": (scan_regular_odd, True, True, None, _check_remark1, lambda max_n: {"extremal_seen": 0}),
+    "lemma7": (scan_removable_vertex, False, True, None, _check_lemma7, lambda max_n: {
         "radii": list(_LEMMA7_RADII),
         "per_radius_checked": dict.fromkeys(_LEMMA7_RADII, 0),
     }),
-    "conjecture": (scan_conjectured_degree_bound, True, True, _check_conjecture, lambda max_n: {}),
-    "ld": (scan_locating_dominating, True, False, _check_ld, lambda max_n: {"extremal_seen": 0}),
-    "gamma-chain": (scan_gamma_chain, False, True, _check_gamma_chain, lambda max_n: {"bridge_checks": 0}),
+    "conjecture": (scan_conjectured_degree_bound, True, True, None, _check_conjecture, lambda max_n: {}),
+    "ld": (scan_locating_dominating, True, False, None, _check_ld, lambda max_n: {"extremal_seen": 0}),
+    "gamma-chain": (scan_gamma_chain, False, True, None, _check_gamma_chain, lambda max_n: {"bridge_checks": 0}),
 }
 
 THEOREM_SCANS = {name: row[0] for name, row in _CHECKS.items()}

@@ -82,6 +82,27 @@ MUTANTS = [
         '"join+u": _Row(join_family_plus_universal, True, 1, _FACTORS, 2, 0)',
         ["tests/test_families.py::test_family_spec_above_vertex_cap_is_rejected_before_building"],
     ),
+    (
+        "degree filter one above the bound",
+        "scans.py",
+        "s.bit_count() <= max_degree]",
+        "s.bit_count() <= max_degree + 1]",
+        ["tests/test_scans.py::test_degree_bounded_sweep_is_the_sweep_filtered_by_degree"],
+    ),
+    (
+        "twin rule accepting a class of 2^left + 1",
+        "scans.py",
+        "cap = 1 << left",
+        "cap = (1 << left) + 1",
+        ["tests/test_scans.py::test_sweep_stream_is_pinned_in_generation_order"],
+    ),
+    (
+        "orbit image tables dropping the image of point 0",
+        "scans.py",
+        "image = 1 << v\n",
+        "image = 1 << v if v else 0\n",
+        ["tests/test_scans.py::test_sweep_stream_is_pinned_in_generation_order"],
+    ),
 ]
 
 

@@ -127,6 +127,16 @@ def test_family_refusal_one_below_the_least_parameter(text, variant, below, mess
         FamilySpec(variant, (below,))
 
 
+@pytest.mark.parametrize("variant,params", [("A", (2.5,)), ("A", (True,)), ("join", (1, 2.0)), ("star", ("3",))])
+def test_family_spec_refuses_parameters_that_are_not_integers(variant, params):
+    # a library caller's float or bool is refused by the spec itself, not by
+    # the builder later (2.5 gave order 5.0 and a TypeError in band_graph)
+    # nor taken as an integer (True printed as A:True and built A_1)
+    bad = next(x for x in params if type(x) is not int)
+    with pytest.raises(ValueError, match=f"^family parameter {re.escape(repr(bad))} is not an integer$"):
+        FamilySpec(variant, params)
+
+
 def test_family_spec_above_vertex_cap_is_rejected_before_building(monkeypatch):
     import idcodes.families
     import idcodes.graph

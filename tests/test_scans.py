@@ -144,11 +144,12 @@ def _orbit_test(child: tuple[int, ...]) -> bool:
 
 def test_root_partition_settles_children_as_the_orbit_test_does():
     # every child _children builds from every class on at most six
-    # vertices, as an inner and as a last level, against the orbit test on
-    # every vertex set the new vertex may join: a kept child passes it and
-    # has _canon's |Aut|, and the kept children name each class that
-    # passes it once, so no child the root partition rejects is one the
-    # test keeps; on the last level some children are kept unlabeled
+    # vertices, as an inner (one level left below it) and as a last level
+    # (none left), against the orbit test on every vertex set the new
+    # vertex may join: a kept child passes it and has _canon's |Aut|, and
+    # the kept children name each class that passes it once, so no child
+    # the root partition rejects is one the test keeps; on the last level
+    # some children are kept unlabeled
     alone = 0
     for n, _, cn in _sweep(1, 6):
         _, _, order, gens = graph._canon(cn)
@@ -157,14 +158,14 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
             child = (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
             if _orbit_test(child):
                 passing.add(canonical_form(Graph._from_masks(child)))
-        for last in (False, True):
+        for left in (1, 0):
             kept = []
-            for child, child_order, child_gens in scans._children(cn, order, gens, last):
+            for child, child_order, child_gens in scans._children(cn, order, gens, left):
                 s = child[n] ^ 1 << n
                 assert child == (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
                 assert _orbit_test(child)
                 assert child_order == graph._canon(child)[2]
-                assert child_gens is not None or last
+                assert child_gens is not None or not left
                 alone += child_gens is None
                 kept.append(canonical_form(Graph._from_masks(child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
@@ -179,7 +180,7 @@ def test_unlabeled_children_have_brute_force_orders():
     twinned = 0
     for n, _, cn in _sweep(1, 5):
         _, _, order, gens = graph._canon(cn)
-        for child, child_order, child_gens in scans._children(cn, order, gens, True):
+        for child, child_order, child_gens in scans._children(cn, order, gens, 0):
             if child_gens is None:
                 g = Graph._from_masks(child)
                 assert child_order == brute.automorphism_count(g)
@@ -198,11 +199,50 @@ def test_leaf_filter_drops_only_the_leaves_the_filters_refuse(connected, twin_fr
         full = (1 << n + 1) - 1
         unfiltered = [
             (child, child_order, child_gens)
-            for child, child_order, child_gens in scans._children(cn, order, gens, True)
+            for child, child_order, child_gens in scans._children(cn, order, gens, 0)
             if (not twin_free or len(set(child)) == n + 1)
             and (not connected or scans._reach(child, child[0]) == full)
         ]
-        assert list(scans._children(cn, order, gens, True, connected, twin_free)) == unfiltered
+        assert list(scans._children(cn, order, gens, 0, connected, twin_free)) == unfiltered
+
+
+def _max_degree(cn) -> int:
+    return max(x.bit_count() for x in cn) - 1
+
+
+@pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
+def test_degree_bounded_sweep_is_the_sweep_filtered_by_degree(connected, twin_free):
+    # the (n, weight, cn) stream, in the order it is yielded, of the sweep
+    # bounded to maximum degree D is the unbounded stream less the classes
+    # above D: every D on up to seven vertices, and two on eight
+    for max_n, bounds in ((7, range(7)), (8, (3, 5))):
+        unbounded = list(_sweep(1, max_n, connected, twin_free))
+        for d in bounds:
+            bounded = list(_sweep(1, max_n, connected, twin_free, max_degree=d))
+            assert bounded == [item for item in unbounded if _max_degree(item[2]) <= d], (max_n, d)
+
+
+def test_connected_cubic_classes():
+    # OEIS A002851: the connected 3-regular graphs on 4, 6, 8 and 10 vertices
+    cubic = Counter(
+        n for n, _, cn in _sweep(4, 10, connected=True, max_degree=3) if all(x.bit_count() == 4 for x in cn)
+    )
+    assert cubic == {4: 1, 6: 2, 8: 5, 10: 19}
+
+
+def test_classes_of_degree_at_most_two_are_unions_of_paths_and_cycles():
+    # a graph of maximum degree at most 2 is a multiset of components, each
+    # a path (one on every order) or a cycle (one on every order from 3),
+    # so the class counts are the Euler transform of 1, 1, 2, 2, 2, ...
+    top = 12
+    components = [0, 1, 1] + [2] * (top - 2)
+    weighted = [sum(d * components[d] for d in range(1, k + 1) if k % d == 0) for k in range(top + 1)]
+    expected = [1]
+    for n in range(1, top + 1):
+        expected.append(sum(weighted[k] * expected[n - k] for k in range(1, n + 1)) // n)
+    counts = Counter(n for n, _, _ in _sweep(1, top, max_degree=2))
+    assert [counts[n] for n in range(1, top + 1)] == expected[1:]
+    assert expected[12] == 232
 
 
 def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypatch):
@@ -225,7 +265,7 @@ def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypa
         cn, order, gens = stack.pop()
         if len(cn) == 6:
             continue
-        for child, child_order, child_gens in scans._children(cn, order, gens, False):
+        for child, child_order, child_gens in scans._children(cn, order, gens, 1):
             stack.append((child, child_order, child_gens))
             if child in labeled:
                 continue
@@ -285,17 +325,18 @@ def test_stopped_stabilizer_walk_keeps_every_generator():
         if len(cn) == 7:
             total += len(gens)
             continue
-        stack.extend(scans._children(cn, order, gens, False))
+        stack.extend(scans._children(cn, order, gens, 1))
     assert total == 2076
 
 
 def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
     # every child _children refines, from every class on at most six
-    # vertices, as an inner and as a last level: the root refinement that
-    # stops once its last cell has decided gives the verdict of the full
-    # equitable partition (reject: the last cell misses the new vertex;
-    # settle: it lies inside the new vertex's twin class; label: neither,
-    # and then the two partitions _canon would start from are equal)
+    # vertices, with one level and with none left below it: the root
+    # refinement that stops once its last cell has decided gives the
+    # verdict of the full equitable partition (reject: the last cell
+    # misses the new vertex; settle: it lies inside the new vertex's twin
+    # class; label: neither, and then the two partitions _canon would
+    # start from are equal)
     real = scans._refine
     verdicts = Counter()
 
@@ -316,8 +357,8 @@ def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
     monkeypatch.setattr(scans, "_refine", refine)
     for _, _, cn in _sweep(1, 6):
         _, _, order, gens = graph._canon(cn)
-        for last in (False, True):
-            for _ in scans._children(cn, order, gens, last):
+        for left in (1, 0):
+            for _ in scans._children(cn, order, gens, left):
                 pass
     assert set(verdicts) == {"reject", "settle", "label"}
 
@@ -342,8 +383,12 @@ def _calls(monkeypatch, *args) -> dict[str, Counter]:
 
 
 def test_last_level_labelings_are_pinned(monkeypatch):
-    # size 7 is the last level, where the leaf filter drops the leaves that
-    # connected twin-free sweeps refuse; on every level twins of the new
+    # size 7 is the last level, where the filters drop the leaves that
+    # connected twin-free sweeps refuse; on size 6 the twin rule drops the
+    # children with three closed twins, which one more vertex cannot part
+    # into single vertices (one canon call and seven refinements fewer
+    # than a leaf filter alone), and a degree bound
+    # drops children on every level; on every level twins of the new
     # vertex settle most children, so a size below 4 needs no call at all
     calls = _calls(monkeypatch, 1, 7)
     assert calls["classes"] == 1252
@@ -351,8 +396,12 @@ def test_last_level_labelings_are_pinned(monkeypatch):
     assert calls["refine"] == {4: 3, 5: 12, 6: 87, 7: 754}
     calls = _calls(monkeypatch, 2, 7, True, True)
     assert calls["classes"] == 583
-    assert calls["canon"] == {4: 3, 5: 6, 6: 37, 7: 82}
-    assert calls["refine"] == {4: 3, 5: 12, 6: 87, 7: 424}
+    assert calls["canon"] == {4: 3, 5: 6, 6: 36, 7: 82}
+    assert calls["refine"] == {4: 3, 5: 12, 6: 80, 7: 424}
+    calls = _calls(monkeypatch, 2, 7, True, True, 4)
+    assert calls["classes"] == 307
+    assert calls["canon"] == {4: 3, 5: 6, 6: 36, 7: 56}
+    assert calls["refine"] == {4: 3, 5: 12, 6: 80, 7: 328}
 
 
 def test_counterexamples_name_the_canonical_representative(monkeypatch):
@@ -407,7 +456,7 @@ def _every_class_failing() -> tuple[dict, list[dict]]:
         return [{"tag": 1}]
 
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setitem(scans._CHECKS, "x", (None, False, False, check, lambda max_n: {}))
+        monkeypatch.setitem(scans._CHECKS, "x", (None, False, False, None, check, lambda max_n: {}))
         return seen, _scan("x", 6, False).counterexamples
 
 
@@ -701,7 +750,7 @@ def test_force_overrides_the_cap_up_to_eleven_vertices(monkeypatch):
 def test_checks_leave_details_alone_at_weight_zero():
     # _scan checks a failing class again on its canonical labelling with
     # weight 0, which must tally nothing: every count is a sum of weights
-    for name, (_, connected, twin_free, check, make_details) in scans._CHECKS.items():
+    for name, (_, connected, twin_free, _, check, make_details) in scans._CHECKS.items():
         details = make_details(6)
         for n, _, cn in _sweep(2 if connected else 1, 6, connected, twin_free):
             before = copy.deepcopy(details)
