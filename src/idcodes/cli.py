@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--unsafe-cap",
         action="store_true",
         help=f"override the scans' vertex cap (n <= {scans.SCAN_CAP}); a scan visits every "
-        f"isomorphism class ({scans._CLASSES[9]:,} graphs on 9 vertices, {scans._CLASSES[10]:,} on 10)",
+        f"isomorphism class ({scans._CLASSES[10]:,} graphs on 10 vertices, {scans._CLASSES[11]:,} on 11)",
     )
     p.set_defaults(func=_cmd_scan)
 

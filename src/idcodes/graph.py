@@ -452,7 +452,7 @@ def _permutation(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _orbit(mask: int, gens: list[list[int]]) -> int:
     """The union of the orbits of the vertices of ``mask`` under the group
     generated by ``gens`` (each the list of vertex images), as a mask."""
-    frontier = mask if gens else 0
+    frontier = mask
     while frontier:
         images = 0
         for v in _bit_indices(frontier):

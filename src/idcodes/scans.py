@@ -2,22 +2,19 @@
 
 All seven scans run one loop, ``_scan``, over one engine, ``_sweep``: one
 graph of every isomorphism class up to a vertex cap, generated by
-canonical deletion in a depth-first walk that keeps no record of the
-classes already seen, and filtered inside the engine to the connected
-and/or twin-free classes, up to a maximum degree, that a scan asks for:
-a child with no such class at it or below it is never built.  The
-engine hands each class over in the labeling it was generated in.  On
-every level the new vertex's twin class settles most children, which get
-no canonical labeling, and many no refinement, at all; their
-automorphism groups come from the parent's, by Schreier's lemma, and the
-child's root refinement settles most of the remaining canonical deletion
-tests.  Each child costs what its decision needs: its twin class comes
-from tables built once per parent, its refinement stops once the last
-cell has decided, and the Schreier walk stops at the stabilizer's known
-order.  A scan is one row of ``_CHECKS``: its filters, a check per class
-and its ``details``; cor13 sweeps only the classes of maximum degree at
-most max_n - 3.  Past ``SCAN_CAP``, ``force`` lets a scan run up to
-n = 11 and no further.
+canonical deletion in a depth-first walk from the empty graph that keeps
+no record of the classes already seen, and filtered inside the engine to
+the connected and/or twin-free classes, up to a maximum degree, that a
+scan asks for: a child with no such class at it or below it is never
+built.  The engine hands each class over in the labeling it was
+generated in.  On every level the new vertex's twin class settles most
+children, which get no canonical labeling, and many no refinement, at
+all; their automorphism groups come from the parent's, by Schreier's
+lemma, and the child's root refinement settles most of the remaining
+canonical deletion tests.  A scan is one row of ``_CHECKS``: its
+filters, a check per class and its ``details``; cor13 sweeps only the
+classes of maximum degree at most max_n - 3.  Past ``SCAN_CAP``,
+``force`` lets a scan run up to n = 11 and no further.
 Every claim a scan checks is invariant under relabeling, so each class
 stands for its n!/|Aut(G)| labelings: ``graphs_checked`` and every count
 in ``details`` are sums of these weights, and so count labeled graphs.
@@ -55,7 +52,7 @@ from .graph import (
     _refine,
 )
 
-SCAN_CAP = 8  # every scan's vertex cap: n = 9 has 274,668 classes, 22 times n = 8's 12,346
+SCAN_CAP = 9  # every scan's vertex cap: the seven take 47 s at n = 9, thm12 280 s at n = 10
 _LEMMA7_RADII = (1, 2)  # the radii at which the lemma7 scan checks Lemma 7
 
 
@@ -78,7 +75,7 @@ class ScanReport:
             "graphs_checked": self.graphs_checked,
             "ok": self.ok,
             "counterexamples": self.counterexamples,
-            "details": {str(k): v for k, v in self.details.items()},
+            "details": dict(self.details),
         }
 
 
@@ -94,17 +91,15 @@ def _sweep(
     max_degree: int | None = None,
 ) -> Iterator[tuple[int, int, tuple[int, ...]]]:
     """Yield (n, weight, cn) once per isomorphism class of graphs on
-    first_n..max_n vertices that passes the requested filters, and with
-    ``max_degree`` given, only the classes of maximum degree at most it.
+    first_n..max_n vertices, first_n >= 1, that passes the requested
+    filters, and with ``max_degree`` given, only the classes of maximum
+    degree at most it.
 
     The one sweep engine of the scans.  ``cn`` holds the closed-neighborhood
     masks of one graph of the class, the masks the walk itself keeps, in
-    the labeling it was generated in, not a canonical one; ``_scan`` names
-    the class by its canonical labelling, computed only for a class with a
-    counterexample.
-    ``weight`` = n!/|Aut(G)| is the number of labeled graphs in the class,
-    so a count over labeled graphs is the sum of the weights of the classes
-    it holds.
+    the labeling it was generated in, not a canonical one.  ``weight`` =
+    n!/|Aut(G)| is the number of labeled graphs in the class, so a count
+    over labeled graphs is the sum of the weights of the classes it holds.
 
     The classes form a tree (McKay, "Isomorph-free exhaustive generation",
     1998): a graph's parent is the graph left after deleting its canonical
@@ -119,19 +114,22 @@ def _sweep(
     child's root equitable partition settles most of the rest.  Deleting
     a vertex raises no degree, so the parent of a class of maximum degree
     at most D is one too, and the degree bound prunes the tree exactly.
-    The connected and twin-free filters are applied here only to the inner
-    levels the walk yields.
+    The root is the empty graph, whose one child, the one-vertex graph,
+    ``_children`` builds and filters like any other, so every class
+    yielded passed the filters asked for.  The connected and twin-free
+    filters are applied here only to the inner levels the walk yields.
     """
-    stack = [((1,), 1, [])]  # the one-vertex graph: masks, |Aut|, generators
+    stack = [((), 1, [])]  # the empty graph: masks, |Aut|, generators
     while stack:
         cn, order, gens = stack.pop()
         n = len(cn)
         if n < max_n:
             stack.extend(_children(cn, order, gens, max_n - n - 1, connected, twin_free, max_degree))
-            full = (1 << n) - 1
+            if n < first_n:  # the empty graph among them, with no vertex 0 to reach from
+                continue
             if twin_free and len(set(cn)) != n:
                 continue
-            if connected and _reach(cn, cn[0]) != full:
+            if connected and _reach(cn, cn[0]) != (1 << n) - 1:
                 continue
         if n >= first_n:
             yield n, factorial(n) // order, cn
@@ -156,7 +154,9 @@ def _children(
 
     A new vertex m joins one vertex set S per orbit of Aut(parent), only
     when it has the child's maximum degree; the child is kept when m lies
-    in the Aut(child) orbit of its canonical deletion vertex.
+    in the Aut(child) orbit of its canonical deletion vertex.  The root,
+    the empty graph, has one child, the one-vertex graph (S empty), which
+    the filters and then its twin class {m} settle like any other.
 
     The filters drop S before the orbits are formed, one rule each:
     - degree, on every level: m has the child's maximum degree |S|, so the
@@ -212,7 +212,7 @@ def _children(
         closed[x] = closed.get(x, 0) | b
         opened[x ^ b] = opened.get(x ^ b, 0) | b
         by_degree[x.bit_count() - 1] |= b
-    top_degree = max(x.bit_count() for x in cn) - 1
+    top_degree = max(map(int.bit_count, cn)) - 1 if cn else -1  # -1: the empty graph, the root
     top = by_degree[top_degree]
     # the new vertex, of degree |S|, must have the child's maximum degree
     subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]

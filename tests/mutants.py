@@ -103,6 +103,43 @@ MUTANTS = [
         "image = 1 << v if v else 0\n",
         ["tests/test_scans.py::test_sweep_stream_is_pinned_in_generation_order"],
     ),
+    (
+        "sweep rooted at the one-vertex graph again",
+        "scans.py",
+        "stack = [((), 1, [])]",
+        "stack = [((1,), 1, [])]",
+        ["tests/test_scans.py::test_sweep_root_is_the_empty_graph"],
+    ),
+    (
+        "ball builder one level short",
+        "graph.py",
+        "for _ in range(r - 1):",
+        "for _ in range(r - 2):",
+        ["tests/test_graph.py::test_ball_builder_and_power_match_naive_bfs"],
+    ),
+    (
+        # with one splitter left the exit would be an equivalent mutant: from
+        # the unit partition, the last splitter pending never splits a cell
+        "refinement's early exit taken with two splitters left",
+        "graph.py",
+        "if mark and (not cells[-1] & mark or not cells[-1] & ~within):",
+        "if mark and (not cells[-1] & mark or not cells[-1] & ~within or len(todo) == 2 < len(cells)):",
+        ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        "locating-dominating certifier comparing pairs inside the code",
+        "codes.py",
+        "_bit_indices(~c & (1 << len(sigs)) - 1)",
+        "_bit_indices((1 << len(sigs)) - 1)",
+        ["tests/test_codes.py"],
+    ),
+    (
+        "Theorem 14 greedy spacing 5r",
+        "bound.py",
+        "spacing = 5 * radius + 1",
+        "spacing = 5 * radius",
+        ["tests/test_bound.py"],
+    ),
 ]
 
 

@@ -234,7 +234,7 @@ def test_scan_requires_exactly_one_mode():
 
 
 def test_scan_cap_is_usage_error(run):
-    code, _, err = run("scan", "--max-n", "9", "--theorem", "thm12")
+    code, _, err = run("scan", "--max-n", "10", "--theorem", "thm12")
     assert code == 2 and "cap" in err
 
 

@@ -705,6 +705,29 @@ def test_canonical_certificate_ignores_labels():
         assert (cert < other, cert == other) == (packed[0] < packed[1], packed[0] == packed[1])
 
 
+def test_orbit_is_the_union_of_the_orbits_of_the_mask():
+    # the trivial group, given by no generators, fixes every mask; seeded
+    # groups on up to six points send a mask to the union of its images
+    # under every element, listed by closing the generators
+    for mask in (0, 1, 0b1011, (1 << 9) - 1):
+        assert graph._orbit(mask, []) == mask
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        gens = [rng.sample(range(n), n) for _ in range(rng.randint(1, 2))]
+        group, frontier = {tuple(range(n))}, [tuple(range(n))]
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = tuple(g[x] for x in p)
+                if q not in group:
+                    group.add(q)
+                    frontier.append(q)
+        mask = rng.randrange(1 << n)
+        expected = sum(1 << v for v in range(n) if any(p[u] == v for p in group for u in range(n) if mask >> u & 1))
+        assert graph._orbit(mask, gens) == expected, (gens, mask)
+
+
 def test_refinement_matches_naive_colour_refinement():
     # _refine from a random ordered partition, with every cell a splitter,
     # and _individualize after it, on seeded graphs of up to 12 vertices:

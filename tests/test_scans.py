@@ -245,9 +245,28 @@ def test_classes_of_degree_at_most_two_are_unions_of_paths_and_cycles():
     assert expected[12] == 232
 
 
+def test_sweep_root_is_the_empty_graph():
+    # the one-vertex graph is the empty graph's one child, built and
+    # filtered like any other: no degree bound below 0 admits it, the
+    # edgeless graphs are the classes of maximum degree 0, and it passes the
+    # connected and twin-free filters alone, on the last level or above it
+    assert list(_sweep(1, 3, max_degree=-1)) == []
+    edgeless = [(n, 1, tuple(1 << v for v in range(n))) for n in range(1, 7)]
+    assert sorted(_sweep(1, 6, max_degree=0)) == edgeless
+    for connected, twin_free in itertools.product((False, True), repeat=2):
+        assert list(_sweep(1, 1, connected, twin_free)) == [(1, 1, (1,))]
+        assert [item for item in _sweep(1, 3, connected, twin_free) if item[0] == 1] == [(1, 1, (1,))]
+        assert list(_sweep(2, 1, connected, twin_free)) == []
+        for left in range(3):
+            children = list(scans._children((), 1, [], left, connected, twin_free))
+            assert children == [((1,), 1, [] if left else None)]
+    assert list(scans._children((), 1, [], 2, max_degree=-1)) == []
+
+
 def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypatch):
-    # the deletion tree to six vertices, built with inner children only, so
-    # that every class on at most five vertices is a parent: each child kept
+    # the deletion tree to six vertices from the empty graph, built with
+    # inner children only, so that every class on at most five vertices is
+    # a parent: each child kept
     # without a labeling gets generators that are automorphisms of it, at
     # most C(n, 2) of them, and they generate a group of its order, which
     # is |Aut| counted over all vertex permutations
@@ -260,7 +279,7 @@ def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypa
 
     monkeypatch.setattr(scans, "_canon", canon)
     settled = 0
-    stack = [((1,), 1, [])]
+    stack = [((), 1, [])]
     while stack:
         cn, order, gens = stack.pop()
         if len(cn) == 6:
@@ -729,8 +748,8 @@ def test_conjecture_scan_small():
 def test_scan_caps_enforced():
     # one cap for all seven scans; the refusal is raised before any sweep
     for name, scan in scans.THEOREM_SCANS.items():
-        with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= 8 "):
-            scan(9)
+        with pytest.raises(ValueError, match=f"scan {name!r} is capped at n <= 9 "):
+            scan(10)
 
 
 def test_force_overrides_the_cap_up_to_eleven_vertices(monkeypatch):
