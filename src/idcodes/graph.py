@@ -370,19 +370,29 @@ def _refine(cn, cells: list[int], todo: list[int], mark: int = 0, within: int = 
     off it, so a cell splits by one mask into its part off N[v], then its
     part on N[v].
 
-    The early exit, off by default: with ``mark`` set, refinement stops
-    before the next splitter once the last cell has lost ``mark``, or still
-    holds it and lies inside ``within``, a set of twins of the marked vertex
-    (equal closed or equal open masks).  The last cell only shrinks, so a
-    lost ``mark`` stays lost; twins keep equal counts in every splitter, so
-    a twin class is never split, and a last cell inside it is already the
-    final one.  Either way the equitable partition's last cell would give
-    the same verdict; otherwise the partition returned is the equitable one.
+    The early exit, off by default, is for a root refinement started from
+    the degree partition with every class pending, the state after the
+    whole vertex set has been applied to the unit partition.  With ``mark``
+    set, each splitter splits the last cell first, and refinement stops
+    once the last cell has lost ``mark``, or still holds it and lies inside
+    ``within``, a set of twins of the marked vertex (equal closed or equal
+    open masks).  The last cell only shrinks, so a lost ``mark`` stays
+    lost; twins keep equal counts in every splitter, so a twin class is
+    never split, and a last cell inside it is already the final one.
+    Either way the equitable partition's last cell would give the same
+    verdict.  One splitter splits each cell on its own, and the last cell's
+    fragments are queued last, so when the last cell does not decide, the
+    pass and the queue are those of the plain loop, and the partition
+    returned is the equitable one.
     """
     while todo:
-        if mark and (not cells[-1] & mark or not cells[-1] & ~within):
-            break
         w = todo.pop()
+        if mark:
+            x = cells.pop()
+            last = _split(cn, x, w) or [x]
+            if not last[-1] & mark or not last[-1] & ~within:
+                cells += last
+                break
         i = 0
         if not w & (w - 1):
             near = cn[w.bit_length() - 1]
@@ -396,25 +406,47 @@ def _refine(cn, cells: list[int], todo: list[int], mark: int = 0, within: int = 
                     i += 2
                     continue
                 i += 1
-            continue
-        while i < len(cells):
-            x = cells[i]
-            if x & (x - 1):
-                groups: dict[int, int] = {}
-                rest = x
-                while rest:
-                    b = rest & -rest
-                    rest ^= b
-                    c = (cn[b.bit_length() - 1] & w).bit_count()
-                    groups[c] = groups.get(c, 0) | b
-                if len(groups) > 1:
-                    parts = [groups[c] for c in sorted(groups)]
-                    cells[i : i + 1] = parts
-                    i += len(parts)
-                    todo.extend(parts)
-                    continue
-            i += 1
+        else:
+            while i < len(cells):
+                x = cells[i]
+                if x & (x - 1):
+                    groups: dict[int, int] = {}
+                    rest = x
+                    while rest:
+                        b = rest & -rest
+                        rest ^= b
+                        c = (cn[b.bit_length() - 1] & w).bit_count()
+                        groups[c] = groups.get(c, 0) | b
+                    if len(groups) > 1:
+                        parts = [groups[c] for c in sorted(groups)]
+                        cells[i : i + 1] = parts
+                        i += len(parts)
+                        todo.extend(parts)
+                        continue
+                i += 1
+        if mark:
+            cells += last
+            if len(last) > 1:
+                todo.extend(last)
     return cells
+
+
+def _split(cn, x: int, w: int) -> list[int] | None:
+    """The parts of the cell ``x`` by its vertices' neighbor counts in the
+    splitter ``w``, as ``_refine`` splits it, or None when it does not
+    split.  ``_refine`` splits its last cell through it in the early-exit
+    mode; the other cells are split inline, which measured faster."""
+    if not w & (w - 1):
+        hit = x & cn[w.bit_length() - 1]
+        return [x ^ hit, hit] if hit and hit != x else None
+    groups: dict[int, int] = {}
+    rest = x
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        c = (cn[b.bit_length() - 1] & w).bit_count()
+        groups[c] = groups.get(c, 0) | b
+    return [groups[c] for c in sorted(groups)] if len(groups) > 1 else None
 
 
 def _individualize(cn, cells: list[int], t: int, b: int) -> list[int]:

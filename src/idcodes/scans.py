@@ -10,7 +10,8 @@ built.  The engine hands each class over in the labeling it was
 generated in.  On every level the new vertex's twin class settles most
 children, which get no canonical labeling, and many no refinement, at
 all; their automorphism groups come from the parent's, by Schreier's
-lemma, and the child's root refinement settles most of the remaining
+lemma, and the child's root refinement, started at its degree classes
+and stopped once its last cell decides, settles most of the remaining
 canonical deletion tests.  A scan is one row of ``_CHECKS``: its
 filters, a check per class and its ``details``; cor13 sweeps only the
 classes of maximum degree at most max_n - 3.  Past ``SCAN_CAP``,
@@ -52,7 +53,7 @@ from .graph import (
     _refine,
 )
 
-SCAN_CAP = 9  # every scan's vertex cap: the seven take 47 s at n = 9, thm12 280 s at n = 10
+SCAN_CAP = 9  # every scan's vertex cap: the seven take 43 s at n = 9, thm12 about 290 s at n = 10
 _LEMMA7_RADII = (1, 2)  # the radii at which the lemma7 scan checks Lemma 7
 
 
@@ -172,7 +173,11 @@ def _children(
     - connected, on the last level only, since one more vertex can join
       every component: S meets every parent component.
     Each rule is invariant under Aut(parent), so the kept sets are a union
-    of orbits, with the same representatives and orbit sizes.
+    of orbits, with the same representatives and orbit sizes.  The sets S
+    are drawn from a table of the subsets grouped by size
+    (``_subsets_by_size``), so the degree rule and the degree bound keep
+    whole sizes without counting the bits of all 2^m sets; the kept list is
+    sorted, so ``_orbit_representatives`` meets each orbit at its least set.
 
     Twins settle most children without a labeling (the cheap invariant
     first: McKay, 1998).  Let T be m with its closed twins (equal closed
@@ -190,9 +195,21 @@ def _children(
     its known order |Aut(parent)| / |orbit of S|), so |Aut(child)| =
     |T| |Aut(parent)| / |orbit of S|.  Otherwise m outside C is rejected,
     and any other child is settled by ``_canon``, which starts from the
-    partition already refined.  The refinement stops as soon as its last
-    cell has lost m or lies inside T (``_refine``'s early exit), so only
-    the children left to ``_canon`` are refined to the end.
+    partition already refined.
+
+    That root refinement does only the work its verdict needs
+    (``_refine``'s early exit):
+    - it starts at the child's degree classes, ascending and all pending
+      (none pending for one class), read from the parent's degree table:
+      that is the unit partition once its first splitter, the whole vertex
+      set, has split it, and the top class is the set the twin test built.
+      The exit could not fire before that splitter, since T, smaller than
+      the top class here, does not hold the whole vertex set;
+    - each splitter splits the last cell first, and the refinement stops
+      as soon as that cell has lost m or lies inside T: a splitter splits
+      every cell on its own, so the other cells cannot change the verdict.
+    So only the children left to ``_canon`` are refined to the end, and
+    ``_canon`` starts from the unit partition's equitable refinement.
 
     T and the top-degree vertices come from three tables built once per
     parent, its vertices by closed mask, by open mask and by degree: m's
@@ -202,11 +219,10 @@ def _children(
     |S|."""
     m = len(cn)
     new = 1 << m
-    full = (new << 1) - 1
     # the parent's vertices by closed mask, by open mask and by degree
     closed: dict[int, int] = {}
     opened: dict[int, int] = {}
-    by_degree = [0] * (m + 1)  # up to |S| = m; for S empty, index -1 reads the empty [m]
+    by_degree = [0] * (m + 1)  # up to |S| = m; no parent vertex has degree m, so index -1 reads nothing
     for u, x in enumerate(cn):
         b = 1 << u
         closed[x] = closed.get(x, 0) | b
@@ -214,10 +230,14 @@ def _children(
         by_degree[x.bit_count() - 1] |= b
     top_degree = max(map(int.bit_count, cn)) - 1 if cn else -1  # -1: the empty graph, the root
     top = by_degree[top_degree]
-    # the new vertex, of degree |S|, must have the child's maximum degree
-    subsets = [s for s in range(1 << m) if s.bit_count() >= top_degree + (s & top > 0)]
-    if max_degree is not None:
-        subsets = [s for s in subsets if s.bit_count() <= max_degree]
+    # the new vertex, of degree |S|, must have the child's maximum degree:
+    # |S| above the top degree, or equal to it with S off the top vertices
+    high = m if max_degree is None else min(m, max_degree)
+    sizes = _subsets_by_size(m)
+    subsets = [s for s in sizes[top_degree] if not s & top] if 0 <= top_degree <= high else []
+    for size in range(top_degree + 1, high + 1):
+        subsets += sizes[size]
+    subsets.sort()
     if twin_free:
         cap = 1 << left  # the most closed twins that the levels left can part
         joined = {x for x, twins in closed.items() if twins.bit_count() >= cap}
@@ -234,9 +254,12 @@ def _children(
         child = (*[x | new if s >> u & 1 else x for u, x in enumerate(cn)], s | new)
         twins = new | closed.get(s, 0) | opened.get(s, 0)
         degree = s.bit_count()  # the child's maximum degree, m's
-        settled = twins == new | by_degree[degree - 1] & s | by_degree[degree] & ~s
+        top_class = new | by_degree[degree - 1] & s | by_degree[degree] & ~s  # the child's top-degree vertices
+        settled = twins == top_class
         if not settled:
-            cells = _refine(child, [full], [full], new, twins)
+            cells = [c for d in range(degree) if (c := by_degree[d] & ~s | by_degree[d - 1] & s)]
+            cells.append(top_class)
+            cells = _refine(child, cells, cells[:] if len(cells) > 1 else [], new, twins)
             if not cells[-1] & new:
                 continue
             settled = not cells[-1] & ~twins
@@ -323,8 +346,10 @@ def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
     would sift to the identity, and the rest of the walk would file
     nothing: the kept set is the one the whole walk keeps."""
     points = range(len(gens[0]))
+    identity = list(points)
+    bits = [1 << v for v in points]
     members = [v for v in points if s >> v & 1]
-    transversal = {s: list(points)}
+    transversal = {s: identity}
     kept: dict[tuple[int, int], list[int]] = {}
     moved = [1] * len(points)  # 1 + the elements filed at (i, j), over j
     bound = 1  # the product of ``moved``, at most |<kept>|
@@ -333,17 +358,19 @@ def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
         u = transversal[stack.pop()]
         for g in gens:
             w = [g[x] for x in u]  # g u_y, which maps s to g(y)
-            z = sum(1 << w[v] for v in members)
+            z = 0
+            for v in members:
+                z |= bits[w[v]]
             if z not in transversal:
                 transversal[z] = w
                 stack.append(z)
                 continue
             back = _permutation(transversal[z], points)
             h = [back[x] for x in w]
-            while True:
-                i = next((v for v in points if h[v] != v), None)
-                if i is None:
-                    break
+            while h != identity:
+                i = 0
+                while h[i] == i:
+                    i += 1
                 filed = kept.get((i, h[i]))
                 if filed is None:
                     kept[i, h[i]] = _permutation(h, points)
@@ -354,6 +381,16 @@ def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
                     break
                 h = [filed[x] for x in h]
     return list(kept.values())
+
+
+@lru_cache(maxsize=None)
+def _subsets_by_size(m: int) -> tuple[tuple[int, ...], ...]:
+    """Masks of all subsets of m points, grouped by size: entry k lists the
+    k-sets in ascending order."""
+    table: list[list[int]] = [[] for _ in range(m + 1)]
+    for s in range(1 << m):
+        table[s.bit_count()].append(s)
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)

@@ -85,9 +85,16 @@ MUTANTS = [
     (
         "degree filter one above the bound",
         "scans.py",
-        "s.bit_count() <= max_degree]",
-        "s.bit_count() <= max_degree + 1]",
+        "min(m, max_degree)",
+        "min(m, max_degree + 1)",
         ["tests/test_scans.py::test_degree_bounded_sweep_is_the_sweep_filtered_by_degree"],
+    ),
+    (
+        "size table stopping one size short of the bound",
+        "scans.py",
+        "range(top_degree + 1, high + 1)",
+        "range(top_degree + 1, high)",
+        ["tests/test_scans.py::test_sweep_stream_is_pinned_in_generation_order"],
     ),
     (
         "twin rule accepting a class of 2^left + 1",
@@ -118,13 +125,63 @@ MUTANTS = [
         ["tests/test_graph.py::test_ball_builder_and_power_match_naive_bfs"],
     ),
     (
-        # with one splitter left the exit would be an equivalent mutant: from
-        # the unit partition, the last splitter pending never splits a cell
+        # before the pop, with one splitter left, the exit would be an
+        # equivalent mutant: from the degree classes the last pending
+        # splitter never splits a cell
         "refinement's early exit taken with two splitters left",
         "graph.py",
-        "if mark and (not cells[-1] & mark or not cells[-1] & ~within):",
-        "if mark and (not cells[-1] & mark or not cells[-1] & ~within or len(todo) == 2 < len(cells)):",
+        "if not last[-1] & mark or not last[-1] & ~within:",
+        "if not last[-1] & mark or not last[-1] & ~within or len(todo) == 1:",
         ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        "last-cell-first test keeping the lowest-count fragment",
+        "graph.py",
+        "if not last[-1] & mark or not last[-1] & ~within:",
+        "if not last[0] & mark or not last[0] & ~within:",
+        ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        "degree partition built in descending order",
+        "scans.py",
+        "for d in range(degree) if",
+        "for d in reversed(range(degree)) if",
+        ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        "degree partition with the new vertex outside the top class",
+        "scans.py",
+        "cells.append(top_class)",
+        "cells += [new, top_class ^ new]",
+        ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        "canonical labelling's back-jump one level too far",
+        "graph.py",
+        "                shared += 1\n            return shared\n",
+        "                shared += 1\n            return shared - 1\n",
+        ["tests/test_graph.py"],
+    ),
+    (
+        "dominating certifier skipping the domination test",
+        "codes.py",
+        'kind not in ("separating", "discriminating")',
+        'kind not in ("separating", "discriminating", "dominating")',
+        ["tests/test_codes.py"],
+    ),
+    (
+        "separating certifier demanding domination",
+        "codes.py",
+        'kind not in ("separating", "discriminating")',
+        'kind not in ("discriminating",)',
+        ["tests/test_codes.py"],
+    ),
+    (
+        "split need off by one: a class of capacity[budget] members cut",
+        "solve.py",
+        "if m > limit:\n            return None\n        if m > small:\n            parts.append(a)\n        a = c & outside",
+        "if m >= limit:\n            return None\n        if m > small:\n            parts.append(a)\n        a = c & outside",
+        ["tests/test_solve.py"],
     ),
     (
         "locating-dominating certifier comparing pairs inside the code",

@@ -772,6 +772,47 @@ def test_refinement_matches_naive_colour_refinement():
             assert set(map(frozenset, parts)) == brute.equitable_partition(g, sets(before))
 
 
+def test_root_refinement_from_the_degree_classes_decides_as_the_unit_partition():
+    # _refine's early-exit mode on seeded graphs of up to 12 vertices, as
+    # the sweep runs it: started at the degree classes, ascending and all
+    # pending, marking each vertex v of maximum degree whose twins (equal
+    # closed or open masks) are not all of that degree, with those twins as
+    # ``within``.  Its last cell gives the verdict of the unit partition's
+    # equitable refinement, which it returns whenever it does not stop
+    # early.  The degree classes are what the whole vertex set splits the
+    # unit partition into, and no cell of the equitable partition splits
+    # another
+    rng = random.Random(73)
+
+    def verdict(cells, v, within):
+        if not cells[-1] >> v & 1:
+            return "reject"
+        return "label" if cells[-1] & ~within else "settle"
+
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        cn = Graph(n, gnp_edges(rng, n, rng.choice((0.2, 0.5, 0.8))))._cn
+        full = (1 << n) - 1
+        equitable = graph._refine(cn, [full], [full])
+        by_degree = {}
+        for v, x in enumerate(cn):
+            by_degree[x.bit_count()] = by_degree.get(x.bit_count(), 0) | 1 << v
+        classes = [by_degree[d] for d in sorted(by_degree)]
+        assert graph._split(cn, full, full) == (classes if len(classes) > 1 else None)
+        assert all(graph._split(cn, x, w) is None for x in equitable for w in equitable)
+        for v in graph._bit_indices(classes[-1]):
+            within = sum(1 << u for u in range(n) if cn[u] == cn[v] or cn[u] ^ 1 << u == cn[v] ^ 1 << v)
+            if within == classes[-1]:
+                continue
+            stopped = graph._refine(cn, classes[:], classes[:] if len(classes) > 1 else [], 1 << v, within)
+            found = verdict(stopped, v, within)
+            seen.add(found)
+            assert found == verdict(equitable, v, within), (cn, v)
+            assert found != "label" or stopped == equitable, (cn, v)
+    assert seen == {"reject", "settle", "label"}
+
+
 def _cayley_z4z4(steps):
     # the Cayley graph of Z4 x Z4 whose steps are ``steps`` and their negatives
     return Graph(16, [(4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)

@@ -350,12 +350,15 @@ def test_stopped_stabilizer_walk_keeps_every_generator():
 
 def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
     # every child _children refines, from every class on at most six
-    # vertices, with one level and with none left below it: the root
-    # refinement that stops once its last cell has decided gives the
-    # verdict of the full equitable partition (reject: the last cell
-    # misses the new vertex; settle: it lies inside the new vertex's twin
-    # class; label: neither, and then the two partitions _canon would
-    # start from are equal)
+    # vertices, with one level and with none left below it, for the four
+    # filter pairs and a degree bound: the root refinement starts at the
+    # child's degree classes, ascending and all pending (none with one
+    # class), the unit partition after its first splitter, the whole
+    # vertex set; stopped once its last cell has decided, it gives the
+    # verdict of the unit partition's equitable refinement (reject: the
+    # last cell misses the new vertex; settle: it lies inside the new
+    # vertex's twin class; label: neither, and then the partition _canon
+    # starts from is that refinement)
     real = scans._refine
     verdicts = Counter()
 
@@ -365,21 +368,41 @@ def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
         return "label" if cells[-1] & ~within else "settle"
 
     def refine(cn, cells, todo, mark=0, within=0):
-        assert mark == 1 << len(cn) - 1 and within & mark
-        full = real(cn, cells[:], todo[:])
+        n = len(cn)
+        assert mark == 1 << n - 1 and within & mark
+        classes = {}
+        for v, x in enumerate(cn):
+            classes[x.bit_count()] = classes.get(x.bit_count(), 0) | 1 << v
+        degree_partition = [classes[d] for d in sorted(classes)]
+        assert cells == degree_partition and todo == (cells if len(cells) > 1 else [])
+        equitable = real(cn, [(1 << n) - 1], [(1 << n) - 1])
         stopped = real(cn, cells, todo, mark, within)
         verdicts[verdict(stopped, mark, within)] += 1
-        assert verdict(stopped, mark, within) == verdict(full, mark, within)
-        assert verdict(full, mark, within) != "label" or stopped == full
+        assert verdict(stopped, mark, within) == verdict(equitable, mark, within)
+        assert verdict(equitable, mark, within) != "label" or stopped == equitable
         return stopped
 
     monkeypatch.setattr(scans, "_refine", refine)
-    for _, _, cn in _sweep(1, 6):
-        _, _, order, gens = graph._canon(cn)
-        for left in (1, 0):
-            for _ in scans._children(cn, order, gens, left):
-                pass
+    parents = [(cn, *graph._canon(cn)[2:]) for _, _, cn in _sweep(1, 6)]
+    filters = [(connected, twin_free, None) for connected, twin_free in itertools.product((False, True), repeat=2)]
+    for connected, twin_free, max_degree in filters + [(False, False, 4)]:
+        for cn, order, gens in parents:
+            for left in (1, 0):
+                for _ in scans._children(cn, order, gens, left, connected, twin_free, max_degree):
+                    pass
     assert set(verdicts) == {"reject", "settle", "label"}
+
+
+def test_subsets_by_size_list_every_subset_once():
+    # the candidate sets of the new vertex, on up to ten points: each
+    # subset once, in the row of its size, ascending within the row
+    for m in range(11):
+        table = scans._subsets_by_size(m)
+        assert len(table) == m + 1
+        for size, row in enumerate(table):
+            assert all(s.bit_count() == size for s in row)
+            assert list(row) == sorted(row) and len(row) == math.comb(m, size)
+        assert sorted(itertools.chain(*table)) == list(range(1 << m))
 
 
 def _calls(monkeypatch, *args) -> dict[str, Counter]:
