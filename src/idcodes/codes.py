@@ -98,9 +98,9 @@ def _certify(kind: str, radius: int, balls: list[int], c: int) -> CodeCertificat
 # Three accept paths over the same signatures, each where it measured faster
 # (CPython 3.11, best of runs).  The scans test many small subsets that
 # mostly fail, and this early-exit loop wins there: 21.6 vs 51.4 ms
-# identifying and 48.2 vs 76.8 ms locating-dominating over every
-# ``scans._all_but`` subset missing one or two vertices of every graph on
-# 2 to 7 vertices.  ``_certify`` builds all signatures in one
+# identifying and 48.2 vs 76.8 ms locating-dominating over every code
+# that ``scans._misses`` tests, missing one or two vertices, of every graph
+# on 2 to 7 vertices.  ``_certify`` builds all signatures in one
 # comprehension, which wins on large valid codes: 0.81 vs 1.32 ms on a
 # 1991-vertex code of a 2000-vertex graph.  The bound pipelines remove a
 # spaced set from twin-free balls they have already hashed, and

@@ -32,7 +32,6 @@ sorted by (n, edge bitmask) and are expected to be empty.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
@@ -393,16 +392,10 @@ def _subsets_by_size(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
-@lru_cache(maxsize=None)
-def _all_but(n: int, k: int) -> tuple[int, ...]:
-    """Masks of all n vertices but k, the left-out k-sets in combination order."""
-    full = (1 << n) - 1
-    return tuple(full ^ sum(1 << v for v in out) for out in itertools.combinations(range(n), k))
-
-
 def _misses(cn: tuple[int, ...], k: int, ok=_identifying_ok) -> bool:
     """Whether a code that the accept-only kernel ``ok`` accepts misses k vertices of ``cn``."""
-    return any(ok(cn, c) for c in _all_but(len(cn), k))
+    full = (1 << len(cn)) - 1
+    return any(ok(cn, full ^ s) for s in _subsets_by_size(len(cn))[k])
 
 
 def _gamma_id_level(cn: tuple[int, ...], ok=_identifying_ok) -> int:

@@ -399,3 +399,14 @@ def labeled_sweep(first_n: int, max_n: int, connected: bool = False, twin_free: 
                 if seen != full:
                     continue
             yield n, i ^ (i >> 1), cn
+
+
+def partitions(total: int, largest: int | None = None):
+    """Yield the partitions of ``total`` into parts of at most ``largest``
+    (any size when None), each as a tuple in non-increasing order."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - first, first):
+            yield (first, *rest)

@@ -197,6 +197,47 @@ MUTANTS = [
         "spacing = 5 * radius",
         ["tests/test_bound.py"],
     ),
+    (
+        "scans' identifying kernel accepting an empty signature",
+        "codes.py",
+        "if not s or s in seen:",
+        "if s in seen:",
+        [
+            "tests/test_scans.py::test_kernels_agree_with_certified_checkers",
+            "tests/test_scans.py::test_misses_matches_the_oracle_minimum",
+        ],
+    ),
+    (
+        "scans' locating-dominating kernel comparing code vertices too",
+        "codes.py",
+        "if not c >> v & 1:",
+        "if True:",
+        [
+            "tests/test_scans.py::test_kernels_agree_with_certified_checkers",
+            "tests/test_scans.py::test_misses_matches_the_oracle_minimum",
+        ],
+    ),
+    (
+        "_misses reading the subsets one size short",
+        "scans.py",
+        "_subsets_by_size(len(cn))[k]",
+        "_subsets_by_size(len(cn))[k - 1]",
+        ["tests/test_scans.py::test_misses_matches_the_oracle_minimum"],
+    ),
+    (
+        "stabilizer walk stopping at half its known order",
+        "scans.py",
+        "if bound == order:",
+        "if 2 * bound >= order:",
+        ["tests/test_scans.py::test_stopped_stabilizer_walk_keeps_every_generator"],
+    ),
+    (
+        "band rebuild's window one position wider",
+        "classify.py",
+        "window = below[min(i + k, size)]",
+        "window = below[min(i + k + 1, size)]",
+        ["tests/test_classify.py::test_recognize_band_graph_round_trip"],
+    ),
 ]
 
 

@@ -194,20 +194,11 @@ def test_band_degree_sequence_impostor_beyond_twelve_vertices():
     assert solve_minimum(g, "identifying").minimum == 9
 
 
-def partitions(total, largest=None):
-    largest = total if largest is None else largest
-    if total == 0:
-        yield ()
-    for first in range(min(total, largest), 0, -1):
-        for rest in partitions(total - first, first):
-            yield (first,) + rest
-
-
 def family_members(n_range):
     """(spec, outcome, factors, star_t) for family members with n in range."""
     for n in n_range:
         suffix, outcome = ("+u", JOIN_FAMILY_UNIVERSAL) if n % 2 else ("", JOIN_FAMILY)
-        for ks in partitions(n // 2):
+        for ks in brute.partitions(n // 2):
             yield "join:" + ",".join(map(str, ks)) + suffix, outcome, tuple(sorted(ks)), None
         yield f"star:{n - 1}", STAR, (), n - 1
         yield f"KminusM:{n}", outcome, (1,) * (n // 2), None

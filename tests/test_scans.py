@@ -548,6 +548,28 @@ def test_kernels_agree_with_certified_checkers():
                     assert ok(balls, c) == codes.check_code(g, subset, kind, radius).valid
 
 
+def test_misses_matches_the_oracle_minimum():
+    # _misses(cn, k, ok): some code that ok accepts misses k vertices, that
+    # is, the oracle's minimum exists and is at most n - k; every class on
+    # up to 6 vertices, twins and disconnected ones included, and every k
+    # from 0 to n, where the scans reach k >= 3 only in the conjecture's
+    # report; each kernel answers both ways for k below 3 and from 3 up
+    kernels = {
+        "identifying": codes._identifying_ok,
+        "locating-dominating": codes._locating_dominating_ok,
+    }
+    seen = set()
+    for n, _, cn in _sweep(1, 6):
+        g = Graph._from_masks(cn)
+        for kind, ok in kernels.items():
+            found = brute.naive_minimum(g, kind)
+            for k in range(n + 1):
+                expected = found is not None and found[0] <= n - k
+                assert scans._misses(cn, k, ok) == expected, (cn, kind, k)
+                seen.add((kind, k >= 3, expected))
+    assert seen == {(kind, far, hit) for kind in kernels for far in (False, True) for hit in (False, True)}
+
+
 def test_extremal_scan_small():
     report = scan_extremal_classification(5)
     assert report.ok
@@ -559,17 +581,6 @@ def test_extremal_scan_small():
     assert report.details["graphs_needing_all_vertices"] == 0
 
 
-def _partitions(m: int, largest: int = 0):
-    """The partitions of m into parts of at most ``largest`` (any size when
-    0), parts in non-increasing order."""
-    if m == 0:
-        yield ()
-        return
-    for k in range(min(m, largest or m), 0, -1):
-        for rest in _partitions(m - k, k):
-            yield (k, *rest)
-
-
 def test_extremal_census_matches_theorem_12():
     # Theorem 12: the extremal connected twin-free graphs are the stars
     # K_{1,n-1} (n labelings; for n = 3 the star is the join below) and the
@@ -579,7 +590,7 @@ def test_extremal_census_matches_theorem_12():
     # n! / prod_k 2^(m_k) m_k! labelings, m_k the multiplicity of k in p
     def closed_form(n: int) -> int:
         total = n if n >= 4 else 0
-        for p in _partitions(n // 2):
+        for p in brute.partitions(n // 2):
             if n % 2 == 0 and p == (1,):
                 continue
             aut = math.prod(2**m * math.factorial(m) for m in Counter(p).values())
