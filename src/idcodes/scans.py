@@ -10,11 +10,13 @@ built.  The engine hands each class over in the labeling it was
 generated in.  On every level the new vertex's twin class settles most
 children, which get no canonical labeling, and many no refinement, at
 all; their automorphism groups come from the parent's, by Schreier's
-lemma, and the child's root refinement, started at its degree classes
-and stopped once its last cell decides, settles most of the remaining
-canonical deletion tests.  A scan is one row of ``_CHECKS``: its
-filters, a check per class and its ``details``; cor13 sweeps only the
-classes of maximum degree at most max_n - 3.  Past ``SCAN_CAP``,
+lemma.  The child's root refinement, started at its degree classes and
+stopped once its last cell decides, decides most of the others, and a
+search for automorphisms mapping the new vertex across that cell keeps
+nearly every child left, so few children reach a canonical labeling.
+A scan is one row of ``_CHECKS``: its filters, a check per class and
+its ``details``; cor13 sweeps only the classes of maximum degree at
+most max_n - 3.  Past ``SCAN_CAP``,
 ``force`` lets a scan run up to n = 11 and no further.
 Every claim a scan checks is invariant under relabeling, so each class
 stands for its n!/|Aut(G)| labelings: ``graphs_checked`` and every count
@@ -45,14 +47,16 @@ from .graph import (
     _bit_indices,
     _canon,
     _component_masks,
+    _descend,
     _edge_mask,
+    _equivalent_leaf,
     _orbit,
     _permutation,
     _reach,
     _refine,
 )
 
-SCAN_CAP = 9  # every scan's vertex cap: the seven take 43 s at n = 9, thm12 about 290 s at n = 10
+SCAN_CAP = 9  # every scan's vertex cap: the seven take 56 s at n = 9 on a shared 2-core host, thm12 about 300 s at n = 10
 _LEMMA7_RADII = (1, 2)  # the radii at which the lemma7 scan checks Lemma 7
 
 
@@ -110,10 +114,12 @@ def _sweep(
     few masks and generators of Aut, are alive.  Cheap tests come first
     (see ``_children``): a child with no class the sweep yields below it
     is never built, the twin class of the new vertex settles most children
-    without a canonical labeling, often before any refinement, and the
-    child's root equitable partition settles most of the rest.  Deleting
-    a vertex raises no degree, so the parent of a class of maximum degree
-    at most D is one too, and the degree bound prunes the tree exactly.
+    without a canonical labeling, often before any refinement, the
+    child's root equitable partition settles most of the rest, and a
+    search for automorphisms across its last cell nearly all the others.
+    Deleting a vertex raises no degree, so the parent of a class of
+    maximum degree at most D is one too, and the degree bound prunes the
+    tree exactly.
     The root is the empty graph, whose one child, the one-vertex graph,
     ``_children`` builds and filters like any other, so every class
     yielded passed the filters asked for.  The connected and twin-free
@@ -188,13 +194,26 @@ def _children(
     child's root equitable partition: a union of Aut(child) orbits inside
     the union of orbits that the top-degree vertices form.  When T holds
     every top-degree vertex, before any refinement, or else holds C, then
-    that set is orbit(m) and m is kept.  Aut(child) is then generated by
-    the transpositions (m v), v in T - {m}, and the stabilizer of m, which
-    is the stabilizer of S in Aut(parent) (``_stabilizer``, which stops at
-    its known order |Aut(parent)| / |orbit of S|), so |Aut(child)| =
-    |T| |Aut(parent)| / |orbit of S|.  Otherwise m outside C is rejected,
-    and any other child is settled by ``_canon``, which starts from the
-    partition already refined.
+    that set is C = T = orbit(m) and m is kept.  Otherwise m outside C is
+    rejected, and for m in C the orbit proof below tries to show that C is
+    one orbit, so that m is kept; only a child it fails on is settled by
+    ``_canon``, which starts from the partition already refined.
+
+    The orbit proof shows orbit(m) = C.  The orbit holds T, and it grows
+    by closure under the maps found and, with levels left below, the
+    generators of the stabilizer of m.  For each v in C not yet reached,
+    ``_equivalent_leaf`` searches below v for a leaf with the certificate
+    of the one leaf ``_descend`` reaches from m (m individualized in C,
+    then the least vertex of the first non-singleton cell on each level),
+    and the two leaves give an automorphism mapping m to v.  The
+    stabilizer of m is the stabilizer of S in Aut(parent) (``_stabilizer``,
+    which stops at its known order |Aut(parent)| / |orbit of S|), so
+    |Aut(child)| = |C| |Aut(parent)| / |orbit of S|, and Aut(child) is
+    generated by the stabilizer's generators, the maps found and, when T
+    holds more than m, one transposition (m v), v in T - {m}: the
+    stabilizer holds every permutation of T - {m}.  The twin settlement is the case C = T, which
+    needs no map.  The group is ``_canon``'s, so the orbits the walk forms
+    below the child are the same.
 
     That root refinement does only the work its verdict needs
     (``_refine``'s early exit):
@@ -207,8 +226,9 @@ def _children(
     - each splitter splits the last cell first, and the refinement stops
       as soon as that cell has lost m or lies inside T: a splitter splits
       every cell on its own, so the other cells cannot change the verdict.
-    So only the children left to ``_canon`` are refined to the end, and
-    ``_canon`` starts from the unit partition's equitable refinement.
+    So only the children left to the orbit proof are refined to the end,
+    and the proof and ``_canon`` start from the unit partition's equitable
+    refinement.
 
     T and the top-degree vertices come from three tables built once per
     parent, its vertices by closed mask, by open mask and by degree: m's
@@ -254,24 +274,38 @@ def _children(
         twins = new | closed.get(s, 0) | opened.get(s, 0)
         degree = s.bit_count()  # the child's maximum degree, m's
         top_class = new | by_degree[degree - 1] & s | by_degree[degree] & ~s  # the child's top-degree vertices
-        settled = twins == top_class
-        if not settled:
+        last = top_class  # C, once the twin test or the refinement has decided
+        if twins != top_class:
             cells = [c for d in range(degree) if (c := by_degree[d] & ~s | by_degree[d - 1] & s)]
             cells.append(top_class)
             cells = _refine(child, cells, cells[:] if len(cells) > 1 else [], new, twins)
-            if not cells[-1] & new:
+            last = cells[-1]
+            if not last & new:
                 continue
-            settled = not cells[-1] & ~twins
-        if settled:
+        # the stabilizer of m, which is that of S, of order |Aut(parent)| / size
+        fixing = [g + [m] for g in _stabilizer(s, gens, order // size)] if left and size < order else []
+        found = []
+        reached = twins  # inside orbit(m), itself inside C
+        if last != twins:
+            counts, cert, lab = _descend(child, cells, len(cells) - 1, new)
+            for v in _bit_indices(last ^ twins):
+                if reached >> v & 1:
+                    continue
+                image = _equivalent_leaf(child, cells, len(cells) - 1, 1 << v, counts, cert)
+                if image is None:
+                    break
+                found.append(_permutation(lab, image))
+                reached = _orbit(reached, found + fixing)
+        if reached == last:
             child_gens = None
             if left:
-                # the stabilizer of S, of order |Aut(parent)| / size, and (m v)
-                child_gens = [g + [m] for g in _stabilizer(s, gens, order // size)] if size < order else []
-                for v in _bit_indices(twins ^ new):
+                child_gens = fixing + found
+                if twins != new:
+                    v = (twins & -twins).bit_length() - 1
                     swap = list(range(m + 1))
                     swap[v], swap[m] = m, v
                     child_gens.append(swap)
-            yield child, twins.bit_count() * (order // size), child_gens
+            yield child, last.bit_count() * (order // size), child_gens
             continue
         _, lab, child_order, child_gens = _canon(child, cells)
         if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:

@@ -325,12 +325,25 @@ def equitable_partition(g, cells) -> set[frozenset[int]]:
 
 
 def automorphism_count(g) -> int:
-    edges = {frozenset(e) for e in g.edges()}
-    count = 0
-    for perm in itertools.permutations(range(g.n)):
-        if {frozenset((perm[u], perm[v])) for u, v in edges} == edges:
-            count += 1
-    return count
+    """The vertex permutations of g that preserve adjacency, counted by
+    mapping vertices 0, 1, ... in turn to every unused image that keeps
+    adjacency with each vertex mapped before it; a full map is then one of
+    them, and each one's prefixes all pass, so each is counted once."""
+    adj = adjacency(g)
+    image: list[int] = []
+
+    def extend(v: int) -> int:
+        if v == g.n:
+            return 1
+        count = 0
+        for w in range(g.n):
+            if w not in image and all((u in adj[v]) == (image[u] in adj[w]) for u in range(v)):
+                image.append(w)
+                count += extend(v + 1)
+                image.pop()
+        return count
+
+    return extend(0)
 
 
 def backtrack_isomorphism(g1, g2) -> list[int] | None:

@@ -232,6 +232,27 @@ MUTANTS = [
         ["tests/test_scans.py::test_stopped_stabilizer_walk_keeps_every_generator"],
     ),
     (
+        "orbit proof accepting the first leaf below v",
+        "graph.py",
+        "return lab if _relabel(cn, lab) == cert else None",
+        "return lab",
+        ["tests/test_graph.py::test_equivalent_leaf_is_found_exactly_below_the_orbit"],
+    ),
+    (
+        "orbit proof's |Aut| read from the twin class, not the last cell",
+        "scans.py",
+        "yield child, last.bit_count() * (order // size), child_gens",
+        "yield child, twins.bit_count() * (order // size), child_gens",
+        ["tests/test_scans.py::test_orbit_proof_settles_children_with_their_automorphism_groups"],
+    ),
+    (
+        "orbit proof's closure ignoring the maps found",
+        "scans.py",
+        "reached = _orbit(reached, found + fixing)",
+        "reached = _orbit(reached, fixing)",
+        ["tests/test_scans.py::test_last_level_labelings_are_pinned"],
+    ),
+    (
         "band rebuild's window one position wider",
         "classify.py",
         "window = below[min(i + k, size)]",

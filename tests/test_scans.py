@@ -189,6 +189,65 @@ def test_unlabeled_children_have_brute_force_orders():
     assert twinned > 0
 
 
+def test_orbit_proof_settles_children_with_their_automorphism_groups(monkeypatch):
+    # every child whose last cell C the orbit proof shows to be one orbit,
+    # from every class on at most six vertices, with one level and with none
+    # left below it: it passes the orbit test, its |Aut| is _canon's and the
+    # brute-force count, and with a level left its generators are
+    # automorphisms generating a group of that order
+    proved, labeled = set(), set()
+    real_descend, real_canon = scans._descend, scans._canon
+
+    def descend(cn, *rest):
+        proved.add(cn)
+        return real_descend(cn, *rest)
+
+    def canon(cn, cells=None):
+        labeled.add(cn)
+        return real_canon(cn, cells)
+
+    parents = [(cn, *graph._canon(cn)[2:]) for _, _, cn in _sweep(1, 6)]
+    monkeypatch.setattr(scans, "_descend", descend)
+    monkeypatch.setattr(scans, "_canon", canon)
+    settled = Counter()
+    for left in (1, 0):
+        for cn, order, gens in parents:
+            for child, child_order, child_gens in scans._children(cn, order, gens, left):
+                if child not in proved or child in labeled:
+                    continue
+                settled[left, len(child)] += 1
+                n = len(child)
+                assert _orbit_test(child)
+                assert child_order == graph._canon(child)[2] == brute.automorphism_count(Graph._from_masks(child))
+                if not left:
+                    continue
+                for g in child_gens:
+                    assert sorted(g) == list(range(n))
+                    assert all(child[g[v]] == sum(1 << g[u] for u in range(n) if child[v] >> u & 1) for v in range(n))
+                assert len(_closure(child_gens, n)) == child_order
+    assert settled == {(left, n): count for left in (1, 0) for n, count in ((4, 3), (5, 6), (6, 37), (7, 140))}
+
+
+def test_orbit_proof_leaves_a_last_cell_of_two_orbits_to_canon(monkeypatch):
+    # the complement of C4 + K3, 4-regular, so its root partition is one
+    # cell: the new vertex 6 lies in the orbit {4, 5, 6}, and {0, 1, 2, 3}
+    # is the other, which no automorphism maps 6 into; the proof finds no
+    # map, _canon labels the child and rejects it, as it does one other
+    # child on seven vertices (C3 + C4)
+    child = (117, 122, 117, 122, 31, 47, 79)
+    parent = tuple(x & ~(1 << 6) for x in child[:6])
+    _, _, order, gens = graph._canon(parent)
+    full = (1 << 7) - 1
+    assert graph._refine(child, [full], [full]) == [full]
+    child_gens = graph._canon(child)[3]
+    assert graph._orbit(1 << 6, child_gens) == 0b1110000 and graph._orbit(1, child_gens) == 0b0001111
+    labeled = []
+    real = scans._canon
+    monkeypatch.setattr(scans, "_canon", lambda cn, cells=None: labeled.append(cn) or real(cn, cells))
+    kept = [kid for kid, _, _ in scans._children(parent, order, gens, 0)]
+    assert labeled == [child] and child not in kept
+
+
 @pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
 def test_leaf_filter_drops_only_the_leaves_the_filters_refuse(connected, twin_free):
     # every class on at most six vertices: the filtered last level is the
@@ -332,20 +391,26 @@ def test_stabilizer_generates_the_set_stabilizer():
             assert _closure(kept, m) == fixing
 
 
-def test_stopped_stabilizer_walk_keeps_every_generator():
+def test_stopped_stabilizer_walk_keeps_every_generator(monkeypatch):
     # the deletion tree to seven vertices, built with inner children only:
     # stopping the Schreier walk at the stabilizer's order files no fewer
-    # elements, so the generators the 7-vertex classes carry total what the
-    # whole walk keeps (2076; _canon finds 1776 for the same classes)
-    total = 0
-    stack = [((1,), 1, [])]
-    while stack:
-        cn, order, gens = stack.pop()
-        if len(cn) == 7:
-            total += len(gens)
-            continue
-        stack.extend(scans._children(cn, order, gens, 1))
-    assert total == 2076
+    # elements, so every class carries the generators, in the same order,
+    # that the whole walk gives it (no bound reaches an infinite order)
+    def carried():
+        gens_of = {}
+        stack = [((), 1, [])]
+        while stack:
+            cn, order, gens = stack.pop()
+            gens_of[cn] = gens
+            if len(cn) < 7:
+                stack.extend(scans._children(cn, order, gens, 1))
+        return gens_of
+
+    stopped = carried()
+    real = scans._stabilizer
+    monkeypatch.setattr(scans, "_stabilizer", lambda s, gens, order: real(s, gens, math.inf))
+    assert carried() == stopped
+    assert sum(len(stopped[cn]) for cn in stopped if len(cn) == 7) > 0
 
 
 def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
@@ -406,19 +471,25 @@ def test_subsets_by_size_list_every_subset_once():
 
 
 def _calls(monkeypatch, *args) -> dict[str, Counter]:
-    """_canon and root _refine calls per child size in ``_sweep(*args)``."""
-    calls = {"canon": Counter(), "refine": Counter()}
-    real_canon, real_refine = scans._canon, scans._refine
+    """_canon, orbit proof (``_descend``) and root _refine calls per child
+    size in ``_sweep(*args)``."""
+    calls = {"canon": Counter(), "proof": Counter(), "refine": Counter()}
+    real_canon, real_descend, real_refine = scans._canon, scans._descend, scans._refine
 
     def canon(cn, cells=None):
         calls["canon"][len(cn)] += 1
         return real_canon(cn, cells)
+
+    def descend(cn, *rest):
+        calls["proof"][len(cn)] += 1
+        return real_descend(cn, *rest)
 
     def refine(cn, cells, todo, *stop):
         calls["refine"][len(cn)] += 1
         return real_refine(cn, cells, todo, *stop)
 
     monkeypatch.setattr(scans, "_canon", canon)
+    monkeypatch.setattr(scans, "_descend", descend)
     monkeypatch.setattr(scans, "_refine", refine)
     calls["classes"] = sum(1 for _ in _sweep(*args))
     return calls
@@ -428,21 +499,27 @@ def test_last_level_labelings_are_pinned(monkeypatch):
     # size 7 is the last level, where the filters drop the leaves that
     # connected twin-free sweeps refuse; on size 6 the twin rule drops the
     # children with three closed twins, which one more vertex cannot part
-    # into single vertices (one canon call and seven refinements fewer
-    # than a leaf filter alone), and a degree bound
-    # drops children on every level; on every level twins of the new
-    # vertex settle most children, so a size below 4 needs no call at all
+    # into single vertices (one orbit proof and seven refinements fewer
+    # than a leaf filter alone), and a degree bound drops children on every
+    # level; on every level twins of the new vertex settle most children, so
+    # a size below 4 needs no refinement at all; the orbit proof settles
+    # every child the refinement leaves open but four on seven vertices,
+    # none twin-free, whose last cell holds two orbits: _canon labels them,
+    # rejects two and keeps two
     calls = _calls(monkeypatch, 1, 7)
     assert calls["classes"] == 1252
-    assert calls["canon"] == {4: 3, 5: 6, 6: 37, 7: 144}
+    assert calls["canon"] == {7: 4}
+    assert calls["proof"] == {4: 3, 5: 6, 6: 37, 7: 144}
     assert calls["refine"] == {4: 3, 5: 12, 6: 87, 7: 754}
     calls = _calls(monkeypatch, 2, 7, True, True)
     assert calls["classes"] == 583
-    assert calls["canon"] == {4: 3, 5: 6, 6: 36, 7: 82}
+    assert calls["canon"] == {}
+    assert calls["proof"] == {4: 3, 5: 6, 6: 36, 7: 82}
     assert calls["refine"] == {4: 3, 5: 12, 6: 80, 7: 424}
     calls = _calls(monkeypatch, 2, 7, True, True, 4)
     assert calls["classes"] == 307
-    assert calls["canon"] == {4: 3, 5: 6, 6: 36, 7: 56}
+    assert calls["canon"] == {}
+    assert calls["proof"] == {4: 3, 5: 6, 6: 36, 7: 56}
     assert calls["refine"] == {4: 3, 5: 12, 6: 80, 7: 328}
 
 
