@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 import brute
+import sweepcheck
 from randgraphs import gnp_edges
 from idcodes import cli, codes, graph, scans, solve
 from idcodes.classify import classify_extremal
@@ -24,6 +25,8 @@ from idcodes.graph import (
     _balls,
     canonical_form,
     graph_from_edge_mask,
+    is_connected,
+    is_twin_free,
 )
 from idcodes.scans import (
     ScanReport,
@@ -87,28 +90,51 @@ def test_sweep_yields_each_class_once_with_its_labeled_count(connected, twin_fre
 
 
 def test_sweep_class_counts_and_weights_to_eight_vertices():
-    # OEIS A000088 (all graphs) and A001349 (connected graphs); the
-    # weights of each order add up to the 2^C(n,2) labeled graphs, and
-    # those of the connected sweep to the connected labeled graphs (A001187)
+    # OEIS A000088 (all graphs) and A001349 (connected graphs), counted
+    # order-free by _canon certificate; the weights of each order add up
+    # to the 2^C(n,2) labeled graphs, and those of the connected sweep to
+    # the connected labeled graphs (A001187)
     kept, kept_labeled = Counter(), Counter()
     for n, weight, _ in _sweep(1, 8, connected=True):
         kept[n] += 1
         kept_labeled[n] += weight
     assert [kept[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
     assert [kept_labeled[n] for n in range(1, 9)] == [1, 1, 4, 38, 728, 26704, 1866256, 251548592]
-    classes, connected, labeled = Counter(), Counter(), Counter()
-    names = set()
-    for n, weight, cn in _sweep(1, 8):
-        classes[n] += 1
-        labeled[n] += weight
-        emask = canonical_form(Graph._from_masks(cn))
-        names.add((n, emask))
-        g = graph_from_edge_mask(n, emask)
-        connected[n] += _naive_connected(g)
-    assert [classes[n] for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
-    assert len(names) == sum(classes.values())
+    every = _classes_to_eight()
+    assert [len(every[n]) for n in range(1, 9)] == [1, 2, 4, 11, 34, 156, 1044, 12346]
+    connected = Counter(n for n, certs in every.items() for cert in certs if _naive_connected(Graph._from_masks(cert)))
     assert [connected[n] for n in range(1, 9)] == [1, 1, 2, 6, 21, 112, 853, 11117]
-    assert all(labeled[n] == 2 ** (n * (n - 1) // 2) for n in range(1, 9))
+
+
+@functools.lru_cache(maxsize=None)
+def _classes_to_eight() -> dict[int, list[tuple[int, ...]]]:
+    """The unfiltered sweep to eight vertices, checked order-free by
+    ``sweepcheck.check_classes``: its certificates per n."""
+    return sweepcheck.check_classes(_sweep(1, 8))
+
+
+@pytest.mark.parametrize("connected,twin_free", [(False, False), (True, True), (False, True), (True, False)])
+def test_sweep_is_checked_order_free_to_eight_vertices(connected, twin_free):
+    # every filter pair the scans use, plus none, whatever the order and
+    # labelings the classes arrive in: one item per class and each weight
+    # n!/|Aut| (sweepcheck), the filtered classes exactly those of the
+    # unfiltered sweep that pass the filters, read off the certificates,
+    # and the weights of 50 seeded classes on eight vertices against the
+    # brute-force automorphism count
+    every = _classes_to_eight()
+    assert sorted(every) == list(range(1, 9))
+    stream = list(_sweep(1, 8, connected, twin_free))
+    got = sweepcheck.check_classes(stream, connected, twin_free)
+    expected = {}
+    for n, certs in every.items():
+        g = [Graph._from_masks(cert) for cert in certs]
+        kept = [cert for cert, h in zip(certs, g) if (not connected or is_connected(h)) and (not twin_free or is_twin_free(h))]
+        if kept:
+            expected[n] = kept
+    assert got == expected
+    sample = random.Random(8).sample([item for item in stream if item[0] == 8], 50)
+    for n, weight, cn in sample:
+        assert weight * brute.automorphism_count(Graph._from_masks(cn)) == math.factorial(n)
 
 
 def test_sweep_streams_classes_depth_first():
