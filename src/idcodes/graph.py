@@ -581,56 +581,26 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[tuple[int, ...], list[in
     return cert, leaves[cert][0], order, gens
 
 
-def _descend(cn, cells: list[int], t: int, b: int) -> tuple[list[int], tuple[int, ...], list[int]]:
+def _descend(cn, cells: list[int], t: int, b: int) -> tuple[tuple[int, ...], list[int]]:
     """The first leaf below the equitable partition ``cells`` once the
     vertex bit ``b`` of cell ``t`` is individualized: each level below
     individualizes the least vertex of the first non-singleton cell, as
-    ``_canon``'s first path does.  Returns the number of cells at each
-    depth, the leaf's certificate (``_relabel``) and its labeling."""
-    counts = []
+    ``_canon``'s first path does.  Returns the leaf's certificate
+    (``_relabel``) and its labeling.
+
+    Two such leaves, below u and below v of cell ``t``, with equal
+    certificates give the automorphism ``_permutation(lab_u, lab_v)``,
+    which takes u to v: the two leaves relabel the graph alike, and each
+    individualized vertex sits where cell ``t`` started, since refinement
+    splits cells in place.  Unequal certificates prove nothing: another
+    leaf below v may still match."""
     while True:
         cells = _individualize(cn, cells, t, b)
-        counts.append(len(cells))
         if len(cells) == len(cn):
             lab = [c.bit_length() - 1 for c in cells]
-            return counts, _relabel(cn, lab), lab
+            return _relabel(cn, lab), lab
         t = next(i for i, c in enumerate(cells) if c & (c - 1))
         b = cells[t] & -cells[t]
-
-
-def _equivalent_leaf(cn, cells: list[int], t: int, b: int, counts: list[int], cert, depth: int = 0) -> list[int] | None:
-    """The labeling of the first leaf with certificate ``cert`` below the
-    equitable partition ``cells`` once the vertex bit ``b`` of cell ``t``
-    is individualized, or None.  The search is depth first, trying every
-    vertex of the first non-singleton cell in ascending order, and drops a
-    node whose number of cells is not ``counts[depth]``: a leaf an
-    automorphism maps from ``_descend``'s has the same count at each depth.
-    No automorphism prunes it, so with no such leaf it walks the whole
-    subtree, which can take exponential time: about 45 s below a vertex of
-    the 4x4 rook's graph in its disjoint union with the Shrikhande graph.
-    ``scans._children`` calls it on graphs of at most 11 vertices.
-
-    With ``counts``, ``cert`` and the labeling ``lab`` from
-    ``_descend(cn, cells, t, u)``, a labeling ``image`` found gives the
-    automorphism ``_permutation(lab, image)``, which takes u to the vertex
-    of ``b``: the two leaves relabel the graph alike, and each
-    individualized vertex sits where cell ``t`` started, since refinement
-    splits cells in place."""
-    cells = _individualize(cn, cells, t, b)
-    if len(cells) != counts[depth]:
-        return None
-    if len(cells) == len(cn):
-        lab = [c.bit_length() - 1 for c in cells]
-        return lab if _relabel(cn, lab) == cert else None
-    t = next(i for i, c in enumerate(cells) if c & (c - 1))
-    rest = cells[t]
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        lab = _equivalent_leaf(cn, cells, t, b, counts, cert, depth + 1)
-        if lab is not None:
-            return lab
-    return None
 
 
 def _labeling(g: Graph) -> tuple[tuple[int, ...], list[int]]:

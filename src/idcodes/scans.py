@@ -11,9 +11,10 @@ generated in.  On every level the new vertex's twin class settles most
 children, which get no canonical labeling, and many no refinement, at
 all; their automorphism groups come from the parent's, by Schreier's
 lemma.  The child's root refinement, started at its degree classes and
-stopped once its last cell decides, decides most of the others, and a
-search for automorphisms mapping the new vertex across that cell keeps
-nearly every child left, so few children reach a canonical labeling.
+stopped once its last cell decides, decides most of the others, and
+automorphisms mapping the new vertex across that cell, read off the
+first leaf below each of its vertices, keep nearly every child left, so
+few children reach a canonical labeling.
 A scan is one row of ``_CHECKS``: its filters, a check per class and
 its ``details``; cor13 sweeps only the classes of maximum degree at
 most max_n - 3.  Past ``SCAN_CAP``,
@@ -49,7 +50,6 @@ from .graph import (
     _component_masks,
     _descend,
     _edge_mask,
-    _equivalent_leaf,
     _orbit,
     _permutation,
     _reach,
@@ -115,8 +115,9 @@ def _sweep(
     (see ``_children``): a child with no class the sweep yields below it
     is never built, the twin class of the new vertex settles most children
     without a canonical labeling, often before any refinement, the
-    child's root equitable partition settles most of the rest, and a
-    search for automorphisms across its last cell nearly all the others.
+    child's root equitable partition settles most of the rest, and
+    automorphisms read off first leaves across its last cell nearly all
+    the others.
     Deleting a vertex raises no degree, so the parent of a class of
     maximum degree at most D is one too, and the degree bound prunes the
     tree exactly.
@@ -202,10 +203,16 @@ def _children(
     The orbit proof shows orbit(m) = C.  The orbit holds T, and it grows
     by closure under the maps found and, with levels left below, the
     generators of the stabilizer of m.  For each v in C not yet reached,
-    ``_equivalent_leaf`` searches below v for a leaf with the certificate
-    of the one leaf ``_descend`` reaches from m (m individualized in C,
+    ``_descend`` reaches the first leaf below v (v individualized in C,
     then the least vertex of the first non-singleton cell on each level),
-    and the two leaves give an automorphism mapping m to v.  The
+    and when its certificate is that of the first leaf below m, the two
+    leaves give an automorphism mapping m to v.  When it is not, the
+    proof ends and ``_canon`` settles the child, so a proof costs at most
+    |C| descents.  A leaf deeper below v might still match, but a search
+    for one that no automorphism prunes can walk the whole subtree (about
+    45 s below a vertex of the union of the 4x4 rook's and Shrikhande
+    graphs), and over the unfiltered sweep to nine vertices such a search
+    found no leaf that the first one did not.  The
     stabilizer of m is the stabilizer of S in Aut(parent) (``_stabilizer``,
     which stops at its known order |Aut(parent)| / |orbit of S|), so
     |Aut(child)| = |C| |Aut(parent)| / |orbit of S|, and Aut(child) is
@@ -287,12 +294,12 @@ def _children(
         found = []
         reached = twins  # inside orbit(m), itself inside C
         if last != twins:
-            counts, cert, lab = _descend(child, cells, len(cells) - 1, new)
+            cert, lab = _descend(child, cells, len(cells) - 1, new)
             for v in _bit_indices(last ^ twins):
                 if reached >> v & 1:
                     continue
-                image = _equivalent_leaf(child, cells, len(cells) - 1, 1 << v, counts, cert)
-                if image is None:
+                image_cert, image = _descend(child, cells, len(cells) - 1, 1 << v)
+                if image_cert != cert:
                     break
                 found.append(_permutation(lab, image))
                 reached = _orbit(reached, found + fixing)

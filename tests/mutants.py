@@ -233,10 +233,17 @@ MUTANTS = [
     ),
     (
         "orbit proof accepting the first leaf below v",
-        "graph.py",
-        "return lab if _relabel(cn, lab) == cert else None",
-        "return lab",
-        ["tests/test_graph.py::test_equivalent_leaf_is_found_exactly_below_the_orbit"],
+        "scans.py",
+        "if image_cert != cert:",
+        "if False:",
+        ["tests/test_scans.py::test_orbit_proof_settles_children_with_their_automorphism_groups"],
+    ),
+    (
+        "canonical labelling's verdict ignored: a child outside the deletion orbit kept",
+        "scans.py",
+        "if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:",
+        "if True:",
+        ["tests/test_scans.py::test_sweep_is_checked_order_free_to_eight_vertices"],
     ),
     (
         "orbit proof's |Aut| read from the twin class, not the last cell",

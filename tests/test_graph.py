@@ -915,33 +915,43 @@ def test_hard_instances_told_apart():
         assert find_isomorphism(g1, g2) is None and find_isomorphism(g2, g1) is None
 
 
-def test_equivalent_leaf_is_found_exactly_below_the_orbit():
+def test_first_path_maps_are_automorphisms_inside_the_orbit():
     # for every vertex v of the last cell of the root partition, against
-    # the orbits of _canon's generators: a leaf with the certificate of the
-    # first leaf below its least vertex u is found below v exactly when v
-    # lies in u's orbit, and the two labelings then give an automorphism
-    # mapping u to v; all these graphs are regular, so the cell is every
-    # vertex, and C3 + C4 and its complement split it into two orbits
+    # the orbits of _canon's generators: when the first leaf below v has
+    # the certificate of the first leaf below the cell's least vertex u,
+    # the two labelings give an automorphism mapping u to v, so no v
+    # outside u's orbit is claimed; all these graphs are regular, so the
+    # cell is every vertex, and C3 + C4, its complement and the union of
+    # the 4x4 rook's and Shrikhande graphs, in either order, split it into
+    # two orbits; the descents on each graph take well under a second,
+    # where a search through every leaf below a rook vertex of the union
+    # took about 45 s
     c3c4 = _disjoint(cycle_graph(3), cycle_graph(4))
     graphs = [c3c4, complement(c3c4), petersen_graph(), _paley(13), SHRIKHANDE]
+    graphs += [_cfi(K4_EDGES, True), _cfi(K33_EDGES, False)]
+    graphs += [_disjoint(ROOK_4X4, SHRIKHANDE), _disjoint(SHRIKHANDE, ROOK_4X4)]
     split = 0
-    for g in graphs + [_cfi(K4_EDGES, True), _cfi(K33_EDGES, False)]:
+    for g in graphs:
         cn, n = g._cn, g.n
         cells = graph._refine(cn, [(1 << n) - 1], [(1 << n) - 1])
         t = len(cells) - 1
         u = cells[t] & -cells[t]
-        counts, cert, lab = graph._descend(cn, cells, t, u)
         orbit = graph._orbit(u, graph._canon(cn)[3])
         split += orbit != cells[t]
         edges = set(g.edges())
+        start = time.process_time()
+        cert, lab = graph._descend(cn, cells, t, u)
+        claimed = 0
         for v in graph._bit_indices(cells[t]):
-            image = graph._equivalent_leaf(cn, cells, t, 1 << v, counts, cert)
-            assert (image is not None) == bool(orbit >> v & 1), (g, v)
-            if image is not None:
+            image_cert, image = graph._descend(cn, cells, t, 1 << v)
+            if image_cert == cert:
                 p = graph._permutation(lab, image)
                 assert p[u.bit_length() - 1] == v
                 assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
-    assert split >= 2
+                claimed |= 1 << v
+        assert time.process_time() - start < 0.5
+        assert claimed & ~orbit == 0, g
+    assert split >= 4
 
 
 def test_canonical_forms_past_the_sweep_are_pinned():

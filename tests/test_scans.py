@@ -125,13 +125,13 @@ def test_sweep_is_checked_order_free_to_eight_vertices(connected, twin_free):
     assert sorted(every) == list(range(1, 9))
     stream = list(_sweep(1, 8, connected, twin_free))
     got = sweepcheck.check_classes(stream, connected, twin_free)
-    expected = {}
-    for n, certs in every.items():
-        g = [Graph._from_masks(cert) for cert in certs]
-        kept = [cert for cert, h in zip(certs, g) if (not connected or is_connected(h)) and (not twin_free or is_twin_free(h))]
-        if kept:
-            expected[n] = kept
-    assert got == expected
+
+    def passes(cert):
+        g = Graph._from_masks(cert)
+        return (not connected or is_connected(g)) and (not twin_free or is_twin_free(g))
+
+    expected = {n: [cert for cert in certs if passes(cert)] for n, certs in every.items()}
+    assert got == {n: certs for n, certs in expected.items() if certs}
     sample = random.Random(8).sample([item for item in stream if item[0] == 8], 50)
     for n, weight, cn in sample:
         assert weight * brute.automorphism_count(Graph._from_masks(cn)) == math.factorial(n)
@@ -497,8 +497,9 @@ def test_subsets_by_size_list_every_subset_once():
 
 
 def _calls(monkeypatch, *args) -> dict[str, Counter]:
-    """_canon, orbit proof (``_descend``) and root _refine calls per child
-    size in ``_sweep(*args)``."""
+    """_canon, orbit proof and root _refine calls per child size in
+    ``_sweep(*args)``; a proof is counted once, at its ``_descend`` from
+    the new vertex, the last."""
     calls = {"canon": Counter(), "proof": Counter(), "refine": Counter()}
     real_canon, real_descend, real_refine = scans._canon, scans._descend, scans._refine
 
@@ -506,9 +507,10 @@ def _calls(monkeypatch, *args) -> dict[str, Counter]:
         calls["canon"][len(cn)] += 1
         return real_canon(cn, cells)
 
-    def descend(cn, *rest):
-        calls["proof"][len(cn)] += 1
-        return real_descend(cn, *rest)
+    def descend(cn, cells, t, b):
+        if b == 1 << len(cn) - 1:
+            calls["proof"][len(cn)] += 1
+        return real_descend(cn, cells, t, b)
 
     def refine(cn, cells, todo, *stop):
         calls["refine"][len(cn)] += 1
