@@ -358,95 +358,72 @@ def _refine(cn, cells: list[int], todo: list[int], mark: int = 0, within: int = 
     is equitable: every vertex of a cell has as many neighbors in each cell;
     or, given a vertex bit ``mark``, until the last cell has decided it.
 
-    ``todo`` holds the splitter cells still to apply.  A cell splits by its
-    vertices' neighbor counts in the splitter, fragments in ascending count
-    order at the cell's place, so the result depends on cell positions and
-    counts alone and commutes with relabeling.  The counts are read from
-    the closed-neighborhood masks ``cn``, and that splits exactly as open
-    counts would: every splitter was once a cell and cells only split, so a
-    cell being split lies inside the splitter or misses it, and each of its
-    vertices' own bit adds the same 1 or 0 to its count.  A one-vertex
-    splitter {v}, as every individualization makes, counts 1 on N[v] and 0
-    off it, so a cell splits by one mask into its part off N[v], then its
-    part on N[v].
+    ``todo`` holds the splitter cells still to apply, the last one first.
+    Each splitter makes one pass over the cells, from the last to the
+    first: a cell splits by its vertices' neighbor counts in the splitter,
+    fragments in ascending count order at the cell's place, queued where
+    ``todo`` ended when the pass began, so ahead of the fragments of the
+    cells after it and in cell order.  The result depends on cell positions
+    and counts alone and commutes with relabeling.  The counts are read
+    from the closed-neighborhood masks ``cn``, and that splits exactly as
+    open counts would: every splitter was once a cell and cells only split,
+    so a cell being split lies inside the splitter or misses it, and each
+    of its vertices' own bit adds the same 1 or 0 to its count.  A
+    one-vertex splitter {v}, as every individualization makes, counts 1 on
+    N[v] and 0 off it, so a cell splits by one mask into its part off N[v],
+    then its part on N[v].
 
     The early exit, off by default, is for a root refinement started from
     the degree partition with every class pending, the state after the
     whole vertex set has been applied to the unit partition.  With ``mark``
-    set, each splitter splits the last cell first, and refinement stops
-    once the last cell has lost ``mark``, or still holds it and lies inside
+    set, refinement stops once the last cell, the first one each pass
+    visits, has lost ``mark``, or still holds it and lies inside
     ``within``, a set of twins of the marked vertex (equal closed or equal
     open masks).  The last cell only shrinks, so a lost ``mark`` stays
     lost; twins keep equal counts in every splitter, so a twin class is
     never split, and a last cell inside it is already the final one.
     Either way the equitable partition's last cell would give the same
-    verdict.  One splitter splits each cell on its own, and the last cell's
-    fragments are queued last, so when the last cell does not decide, the
-    pass and the queue are those of the plain loop, and the partition
-    returned is the equitable one.
+    verdict, and when it does not decide, refinement goes on as without
+    ``mark`` and returns the equitable partition.
     """
     while todo:
         w = todo.pop()
-        if mark:
-            x = cells.pop()
-            last = _split(cn, x, w) or [x]
-            if not last[-1] & mark or not last[-1] & ~within:
-                cells += last
+        base = len(todo)
+        i = len(cells)
+        stop = mark  # until the last cell, visited first, has been tested
+        while True:
+            if not w & (w - 1):
+                near = cn[w.bit_length() - 1]
+                while i:
+                    i -= 1
+                    x = cells[i]
+                    hit = x & near
+                    if hit and hit != x:
+                        cells[i : i + 1] = todo[base:base] = [x ^ hit, hit]
+                    if stop:
+                        break
+            else:
+                while i:
+                    i -= 1
+                    x = cells[i]
+                    if x & (x - 1):
+                        groups: dict[int, int] = {}
+                        rest = x
+                        while rest:
+                            b = rest & -rest
+                            rest ^= b
+                            c = (cn[b.bit_length() - 1] & w).bit_count()
+                            groups[c] = groups.get(c, 0) | b
+                        if len(groups) > 1:
+                            cells[i : i + 1] = todo[base:base] = [groups[c] for c in sorted(groups)]
+                    if stop:
+                        break
+            if not stop:
                 break
-        i = 0
-        if not w & (w - 1):
-            near = cn[w.bit_length() - 1]
-            while i < len(cells):
-                x = cells[i]
-                hit = x & near
-                if hit and hit != x:
-                    parts = [x ^ hit, hit]
-                    cells[i : i + 1] = parts
-                    todo.extend(parts)
-                    i += 2
-                    continue
-                i += 1
-        else:
-            while i < len(cells):
-                x = cells[i]
-                if x & (x - 1):
-                    groups: dict[int, int] = {}
-                    rest = x
-                    while rest:
-                        b = rest & -rest
-                        rest ^= b
-                        c = (cn[b.bit_length() - 1] & w).bit_count()
-                        groups[c] = groups.get(c, 0) | b
-                    if len(groups) > 1:
-                        parts = [groups[c] for c in sorted(groups)]
-                        cells[i : i + 1] = parts
-                        i += len(parts)
-                        todo.extend(parts)
-                        continue
-                i += 1
-        if mark:
-            cells += last
-            if len(last) > 1:
-                todo.extend(last)
+            if not cells[-1] & mark or not cells[-1] & ~within:
+                return cells
+            stop = 0
     return cells
-
-
-def _split(cn, x: int, w: int) -> list[int] | None:
-    """The parts of the cell ``x`` by its vertices' neighbor counts in the
-    splitter ``w``, as ``_refine`` splits it, or None when it does not
-    split.  ``_refine`` splits its last cell through it in the early-exit
-    mode; the other cells are split inline, which measured faster."""
-    if not w & (w - 1):
-        hit = x & cn[w.bit_length() - 1]
-        return [x ^ hit, hit] if hit and hit != x else None
-    groups: dict[int, int] = {}
-    rest = x
-    while rest:
-        b = rest & -rest
-        rest ^= b
-        c = (cn[b.bit_length() - 1] & w).bit_count()
-        groups[c] = groups.get(c, 0) | b
-    return [groups[c] for c in sorted(groups)] if len(groups) > 1 else None
 
 
 def _individualize(cn, cells: list[int], t: int, b: int) -> list[int]:
@@ -495,7 +472,7 @@ def _orbit(mask: int, gens: list[list[int]]) -> int:
     return mask
 
 
-def _canon(cn, cells: list[int] | None = None) -> tuple[tuple[int, ...], list[int], int, list[list[int]]]:
+def _canon(cn) -> tuple[tuple[int, ...], list[int], int, list[list[int]]]:
     """Canonical labeling of the graph with closed-neighborhood masks ``cn``
     by colour refinement and individualization (McKay & Piperno, "Practical
     graph isomorphism II", 2014), with automorphism pruning.
@@ -514,10 +491,9 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[tuple[int, ...], list[in
     The search tree individualizes each vertex of the first non-singleton
     cell in turn; its leaves are labelings and the certificate is the
     largest over them; its root is the equitable refinement of the unit
-    partition, or ``cells`` when a caller has already computed that
-    refinement.  One depth-first search walks it, children in
-    ascending vertex order, so its first descent, the first path, takes the
-    least vertex each time.  Each leaf's relabeled graph goes into a table;
+    partition.  One depth-first search walks it, children in ascending
+    vertex order, so its first descent, the first path, takes the least
+    vertex each time.  Each leaf's relabeled graph goes into a table;
     a leaf whose relabeled graph is already there gives an automorphism,
     and the search jumps back to the deepest node its path shares with the
     earlier leaf's: the subtree it leaves is an image of one already
@@ -574,9 +550,7 @@ def _canon(cn, cells: list[int] | None = None) -> tuple[tuple[int, ...], list[in
             order *= _orbit(cells[t] & -cells[t], fixing).bit_count()
         return depth
 
-    if cells is None:
-        cells = _refine(cn, [(1 << n) - 1], [(1 << n) - 1]) if n else []
-    search(cells, [])
+    search(_refine(cn, [(1 << n) - 1], [(1 << n) - 1]) if n else [], [])
     cert = max(leaves)
     return cert, leaves[cert][0], order, gens
 

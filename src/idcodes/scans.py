@@ -198,7 +198,7 @@ def _children(
     that set is C = T = orbit(m) and m is kept.  Otherwise m outside C is
     rejected, and for m in C the orbit proof below tries to show that C is
     one orbit, so that m is kept; only a child it fails on is settled by
-    ``_canon``, which starts from the partition already refined.
+    ``_canon``.
 
     The orbit proof shows orbit(m) = C.  The orbit holds T, and it grows
     by closure under the maps found and, with levels left below, the
@@ -230,12 +230,12 @@ def _children(
       set, has split it, and the top class is the set the twin test built.
       The exit could not fire before that splitter, since T, smaller than
       the top class here, does not hold the whole vertex set;
-    - each splitter splits the last cell first, and the refinement stops
-      as soon as that cell has lost m or lies inside T: a splitter splits
-      every cell on its own, so the other cells cannot change the verdict.
+    - each splitter's pass visits the last cell first, and the refinement
+      stops as soon as that cell has lost m or lies inside T: a splitter
+      splits every cell on its own, so the other cells cannot change the
+      verdict.
     So only the children left to the orbit proof are refined to the end,
-    and the proof and ``_canon`` start from the unit partition's equitable
-    refinement.
+    and the proof starts from the unit partition's equitable refinement.
 
     T and the top-degree vertices come from three tables built once per
     parent, its vertices by closed mask, by open mask and by degree: m's
@@ -314,7 +314,7 @@ def _children(
                     child_gens.append(swap)
             yield child, last.bit_count() * (order // size), child_gens
             continue
-        _, lab, child_order, child_gens = _canon(child, cells)
+        _, lab, child_order, child_gens = _canon(child)
         if lab[-1] == m or _orbit(1 << lab[-1], child_gens) >> m & 1:
             yield child, child_order, child_gens
 

@@ -324,6 +324,31 @@ def equitable_partition(g, cells) -> set[frozenset[int]]:
     return {frozenset(c) for c in classes.values()}
 
 
+def ordered_refinement(g, cells, todo) -> list[set[int]]:
+    """The ordered partition ``cells`` (vertex sets) refined with the
+    splitters ``todo`` pending, by the order contract of ``graph._refine``:
+    pop the last splitter, split every cell by its vertices' neighbour
+    counts in it into fragments in ascending count order at the cell's
+    place, queue the fragments of the cells that split in cell order, and
+    stop when no splitter is left."""
+    adj = adjacency(g)
+    cells = [set(c) for c in cells]
+    todo = [set(w) for w in todo]
+    while todo:
+        w = todo.pop()
+        out = []
+        for x in cells:
+            by_count: dict[int, set[int]] = {}
+            for v in x:
+                by_count.setdefault(len(adj[v] & w), set()).add(v)
+            parts = [by_count[c] for c in sorted(by_count)]
+            out += parts
+            if len(parts) > 1:
+                todo += parts
+        cells = out
+    return cells
+
+
 def automorphism_count(g) -> int:
     """The vertex permutations of g that preserve adjacency, counted by
     mapping vertices 0, 1, ... in turn to every unused image that keeps

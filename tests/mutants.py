@@ -127,19 +127,30 @@ MUTANTS = [
     (
         # before the pop, with one splitter left, the exit would be an
         # equivalent mutant: from the degree classes the last pending
-        # splitter never splits a cell
+        # splitter never splits a cell; ``base`` is the queue's length after
+        # the pop
         "refinement's early exit taken with two splitters left",
         "graph.py",
-        "if not last[-1] & mark or not last[-1] & ~within:",
-        "if not last[-1] & mark or not last[-1] & ~within or len(todo) == 1:",
+        "if not cells[-1] & mark or not cells[-1] & ~within:",
+        "if not cells[-1] & mark or not cells[-1] & ~within or base == 1:",
         ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
     ),
     (
+        # cells[i] is the first fragment of the last cell, visited first
         "last-cell-first test keeping the lowest-count fragment",
         "graph.py",
-        "if not last[-1] & mark or not last[-1] & ~within:",
-        "if not last[0] & mark or not last[0] & ~within:",
+        "if not cells[-1] & mark or not cells[-1] & ~within:",
+        "if not cells[i] & mark or not cells[i] & ~within:",
         ["tests/test_scans.py::test_stopped_refinement_decides_as_the_equitable_partition"],
+    ),
+    (
+        # a slice past the end appends: each split cell's fragments are
+        # queued after those of the cells after it, visited before it
+        "refinement queueing a pass's fragments in visiting order",
+        "graph.py",
+        "base = len(todo)",
+        "base = 1 << 62",
+        ["tests/test_graph.py::test_refinement_matches_naive_colour_refinement"],
     ),
     (
         "degree partition built in descending order",

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -732,13 +733,18 @@ def test_refinement_matches_naive_colour_refinement():
     # _refine from a random ordered partition, with every cell a splitter,
     # and _individualize after it, on seeded graphs of up to 12 vertices:
     # each result is equitable, equals the naive fixpoint as a set
-    # partition, and relabeling the input relabels the ordered result
+    # partition and the naive ordered refinement as an ordered list, and
+    # relabeling the input relabels the ordered result.  The early-exit
+    # mode, marking a vertex of the result's last cell with no twins or its
+    # twins as ``within``, returns the same ordered list whenever it does
+    # not stop, which without twins is always
     rng = random.Random(71)
 
     def sets(cells):
         return [set(graph._bit_indices(c)) for c in cells]
 
-    for _ in range(300):
+    exits = Counter()
+    for trial in range(300):
         n = rng.randrange(1, 13)
         p = rng.choice((0.2, 0.5, 0.8))
         g = Graph(n, gnp_edges(rng, n, p))
@@ -757,6 +763,14 @@ def test_refinement_matches_naive_colour_refinement():
 
         cells = graph._refine(g._cn, start[:], start[:])
         assert graph._refine(h._cn, image(start), image(start)) == image(cells)
+        assert sets(cells) == brute.ordered_refinement(g, sets(start), sets(start))
+        v = graph._bit_indices(cells[-1])[trial % cells[-1].bit_count()]
+        twins = sum(1 << u for u in range(n) if g._cn[u] == g._cn[v] or g._cn[u] ^ 1 << u == g._cn[v] ^ 1 << v)
+        for within in (0, twins):
+            stopped = graph._refine(g._cn, start[:], start[:], 1 << v, within)
+            if stopped[-1] >> v & 1 and stopped[-1] & ~within:
+                assert stopped == cells
+                exits["ran", within > 0] += 1
         steps = [(start, cells)]
         splittable = [t for t, c in enumerate(cells) if c & (c - 1)]
         if splittable:
@@ -764,12 +778,15 @@ def test_refinement_matches_naive_colour_refinement():
             b = 1 << rng.choice(graph._bit_indices(cells[t]))
             split = graph._individualize(g._cn, cells, t, b)
             assert graph._individualize(h._cn, image(cells), t, image([b])[0]) == image(split)
-            steps.append((cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :], split))
+            before = cells[:t] + [b, cells[t] ^ b] + cells[t + 1 :]
+            assert sets(split) == brute.ordered_refinement(g, sets(before), [{b.bit_length() - 1}])
+            steps.append((before, split))
         for before, after in steps:
             parts = sets(after)
             assert sorted(v for x in parts for v in x) == list(range(n))
             assert all(len({len(adj[v] & y) for v in x}) == 1 for x in parts for y in parts)
             assert set(map(frozenset, parts)) == brute.equitable_partition(g, sets(before))
+    assert exits["ran", False] == 300 and exits["ran", True] > 0, exits
 
 
 def test_root_refinement_from_the_degree_classes_decides_as_the_unit_partition():
@@ -779,9 +796,9 @@ def test_root_refinement_from_the_degree_classes_decides_as_the_unit_partition()
     # closed or open masks) are not all of that degree, with those twins as
     # ``within``.  Its last cell gives the verdict of the unit partition's
     # equitable refinement, which it returns whenever it does not stop
-    # early.  The degree classes are what the whole vertex set splits the
-    # unit partition into, and no cell of the equitable partition splits
-    # another
+    # early.  The degree classes, all pending, refine to the unit
+    # partition's equitable refinement, and no cell of that refinement
+    # splits another
     rng = random.Random(73)
 
     def verdict(cells, v, within):
@@ -799,8 +816,8 @@ def test_root_refinement_from_the_degree_classes_decides_as_the_unit_partition()
         for v, x in enumerate(cn):
             by_degree[x.bit_count()] = by_degree.get(x.bit_count(), 0) | 1 << v
         classes = [by_degree[d] for d in sorted(by_degree)]
-        assert graph._split(cn, full, full) == (classes if len(classes) > 1 else None)
-        assert all(graph._split(cn, x, w) is None for x in equitable for w in equitable)
+        assert graph._refine(cn, classes[:], classes[:] if len(classes) > 1 else []) == equitable
+        assert graph._refine(cn, equitable[:], equitable[:]) == equitable
         for v in graph._bit_indices(classes[-1]):
             within = sum(1 << u for u in range(n) if cn[u] == cn[v] or cn[u] ^ 1 << u == cn[v] ^ 1 << v)
             if within == classes[-1]:

@@ -228,9 +228,9 @@ def test_orbit_proof_settles_children_with_their_automorphism_groups(monkeypatch
         proved.add(cn)
         return real_descend(cn, *rest)
 
-    def canon(cn, cells=None):
+    def canon(cn):
         labeled.add(cn)
-        return real_canon(cn, cells)
+        return real_canon(cn)
 
     parents = [(cn, *graph._canon(cn)[2:]) for _, _, cn in _sweep(1, 6)]
     monkeypatch.setattr(scans, "_descend", descend)
@@ -269,7 +269,7 @@ def test_orbit_proof_leaves_a_last_cell_of_two_orbits_to_canon(monkeypatch):
     assert graph._orbit(1 << 6, child_gens) == 0b1110000 and graph._orbit(1, child_gens) == 0b0001111
     labeled = []
     real = scans._canon
-    monkeypatch.setattr(scans, "_canon", lambda cn, cells=None: labeled.append(cn) or real(cn, cells))
+    monkeypatch.setattr(scans, "_canon", lambda cn: labeled.append(cn) or real(cn))
     kept = [kid for kid, _, _ in scans._children(parent, order, gens, 0)]
     assert labeled == [child] and child not in kept
 
@@ -358,9 +358,9 @@ def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypa
     labeled = set()
     real = scans._canon
 
-    def canon(cn, cells=None):
+    def canon(cn):
         labeled.add(cn)
-        return real(cn, cells)
+        return real(cn)
 
     monkeypatch.setattr(scans, "_canon", canon)
     settled = 0
@@ -448,8 +448,8 @@ def test_stopped_refinement_decides_as_the_equitable_partition(monkeypatch):
     # vertex set; stopped once its last cell has decided, it gives the
     # verdict of the unit partition's equitable refinement (reject: the
     # last cell misses the new vertex; settle: it lies inside the new
-    # vertex's twin class; label: neither, and then the partition _canon
-    # starts from is that refinement)
+    # vertex's twin class; label: neither, and then the partition the orbit
+    # proof starts from is that refinement)
     real = scans._refine
     verdicts = Counter()
 
@@ -503,9 +503,9 @@ def _calls(monkeypatch, *args) -> dict[str, Counter]:
     calls = {"canon": Counter(), "proof": Counter(), "refine": Counter()}
     real_canon, real_descend, real_refine = scans._canon, scans._descend, scans._refine
 
-    def canon(cn, cells=None):
+    def canon(cn):
         calls["canon"][len(cn)] += 1
-        return real_canon(cn, cells)
+        return real_canon(cn)
 
     def descend(cn, cells, t, b):
         if b == 1 << len(cn) - 1:
