@@ -385,8 +385,13 @@ def _refine(cn, cells: list[int], todo: list[int], mark: int = 0, within: int = 
     Either way the equitable partition's last cell would give the same
     verdict, and when it does not decide, refinement goes on as without
     ``mark`` and returns the equitable partition.
+
+    Refinement returns as soon as every cell is a singleton, whatever is
+    still pending: no splitter splits a singleton, so the rest of the queue
+    would leave the partition as it is.
     """
-    while todo:
+    n = len(cn)
+    while todo and len(cells) < n:
         w = todo.pop()
         base = len(todo)
         i = len(cells)
@@ -555,26 +560,45 @@ def _canon(cn) -> tuple[tuple[int, ...], list[int], int, list[list[int]]]:
     return cert, leaves[cert][0], order, gens
 
 
-def _descend(cn, cells: list[int], t: int, b: int) -> tuple[tuple[int, ...], list[int]]:
-    """The first leaf below the equitable partition ``cells`` once the
-    vertex bit ``b`` of cell ``t`` is individualized: each level below
-    individualizes the least vertex of the first non-singleton cell, as
-    ``_canon``'s first path does.  Returns the leaf's certificate
-    (``_relabel``) and its labeling.
+def _descend(cn, cells: list[int], t: int, b: int) -> list[int]:
+    """The labeling of the first leaf below the equitable partition
+    ``cells`` once the vertex bit ``b`` of cell ``t`` is individualized:
+    each level below individualizes the least vertex of the first
+    non-singleton cell, as ``_canon``'s first path does.
 
-    Two such leaves, below u and below v of cell ``t``, with equal
-    certificates give the automorphism ``_permutation(lab_u, lab_v)``,
-    which takes u to v: the two leaves relabel the graph alike, and each
-    individualized vertex sits where cell ``t`` started, since refinement
-    splits cells in place.  Unequal certificates prove nothing: another
-    leaf below v may still match."""
+    Two such labelings, below u and below v of cell ``t``, give the
+    permutation ``_permutation(lab_u, lab_v)``, which takes u to v, since
+    each individualized vertex sits where cell ``t`` started (refinement
+    splits cells in place).  It is an automorphism (``_is_automorphism``)
+    exactly when the two leaves relabel the graph alike.  When it is not,
+    that proves nothing: another leaf below v may still match."""
     while True:
         cells = _individualize(cn, cells, t, b)
         if len(cells) == len(cn):
-            lab = [c.bit_length() - 1 for c in cells]
-            return _relabel(cn, lab), lab
+            return [c.bit_length() - 1 for c in cells]
         t = next(i for i, c in enumerate(cells) if c & (c - 1))
         b = cells[t] & -cells[t]
+
+
+def _is_automorphism(cn, p: Sequence[int]) -> bool:
+    """Whether the vertex permutation ``p`` (the list of images) maps the
+    graph with closed masks ``cn`` onto itself: p(N[u]) = N[p(u)] for every
+    u, which holds exactly when ``_relabel(cn, lab)`` equals
+    ``_relabel(cn, [p[v] for v in lab])`` for a labeling ``lab``.
+
+    Each edge is tested once, from its lower end, and the test stops at
+    the first edge whose image is not an edge.  That suffices: p maps the
+    edges one to one, so when every image is an edge, the images are all
+    the edges, as many as there are."""
+    for u, x in enumerate(cn):
+        near = cn[p[u]]
+        rest = x >> u + 1 << u + 1  # u's neighbors above u
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if not near >> p[b.bit_length() - 1] & 1:
+                return False
+    return True
 
 
 def _labeling(g: Graph) -> tuple[tuple[int, ...], list[int]]:

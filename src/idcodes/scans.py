@@ -50,6 +50,7 @@ from .graph import (
     _component_masks,
     _descend,
     _edge_mask,
+    _is_automorphism,
     _orbit,
     _permutation,
     _reach,
@@ -204,21 +205,25 @@ def _children(
     by closure under the maps found and, with levels left below, the
     generators of the stabilizer of m.  For each v in C not yet reached,
     ``_descend`` reaches the first leaf below v (v individualized in C,
-    then the least vertex of the first non-singleton cell on each level),
-    and when its certificate is that of the first leaf below m, the two
-    leaves give an automorphism mapping m to v.  When it is not, the
-    proof ends and ``_canon`` settles the child, so a proof costs at most
-    |C| descents.  A leaf deeper below v might still match, but a search
-    for one that no automorphism prunes can walk the whole subtree (about
-    45 s below a vertex of the union of the 4x4 rook's and Shrikhande
-    graphs), and over the unfiltered sweep to nine vertices such a search
-    found no leaf that the first one did not.  The
-    stabilizer of m is the stabilizer of S in Aut(parent) (``_stabilizer``,
-    which stops at its known order |Aut(parent)| / |orbit of S|), so
-    |Aut(child)| = |C| |Aut(parent)| / |orbit of S|, and Aut(child) is
-    generated by the stabilizer's generators, the maps found and, when T
-    holds more than m, one transposition (m v), v in T - {m}: the
-    stabilizer holds every permutation of T - {m}.  The twin settlement is the case C = T, which
+    then the least vertex of the first non-singleton cell on each level).
+    The labelings of that leaf and of the first leaf below m give a
+    permutation mapping m to v, and when ``_is_automorphism`` accepts it,
+    which holds exactly when the two leaves relabel the child alike, it
+    joins the maps found.  When it does not, the proof ends and ``_canon``
+    settles the child, so a proof costs at most |C| descents.  A leaf
+    deeper below v might still match, but a search for one that no
+    automorphism prunes can walk the whole subtree (about 45 s below a
+    vertex of the union of the 4x4 rook's and Shrikhande graphs), and over
+    the unfiltered sweep to nine vertices such a search found no leaf that
+    the first one did not.  The stabilizer of m is the stabilizer of S in
+    Aut(parent), so |Aut(child)| = |C| |Aut(parent)| / |orbit of S|.  When
+    S is its own orbit, every generator of Aut(parent) fixes it and the
+    stabilizer is the whole group, generated by the parent's generators;
+    otherwise ``_stabilizer`` walks the orbit of S, stopping at the known
+    order |Aut(parent)| / |orbit of S|.  Aut(child) is generated by the
+    stabilizer's generators, the maps found and, when T holds more than
+    m, one transposition (m v), v in T - {m}: the stabilizer holds every
+    permutation of T - {m}.  The twin settlement is the case C = T, which
     needs no map.  The group is ``_canon``'s, so the orbits the walk forms
     below the child are the same.
 
@@ -289,19 +294,22 @@ def _children(
             last = cells[-1]
             if not last & new:
                 continue
-        # the stabilizer of m, which is that of S, of order |Aut(parent)| / size
-        fixing = [g + [m] for g in _stabilizer(s, gens, order // size)] if left and size < order else []
+        # the stabilizer of m, which is that of S, of order |Aut(parent)| / size:
+        # all of Aut(parent) when S is fixed
+        fixing = []
+        if left and size < order:
+            fixing = [g + [m] for g in (gens if size == 1 else _stabilizer(s, gens, order // size))]
         found = []
         reached = twins  # inside orbit(m), itself inside C
         if last != twins:
-            cert, lab = _descend(child, cells, len(cells) - 1, new)
+            lab = _descend(child, cells, len(cells) - 1, new)
             for v in _bit_indices(last ^ twins):
                 if reached >> v & 1:
                     continue
-                image_cert, image = _descend(child, cells, len(cells) - 1, 1 << v)
-                if image_cert != cert:
+                p = _permutation(lab, _descend(child, cells, len(cells) - 1, 1 << v))
+                if not _is_automorphism(child, p):
                     break
-                found.append(_permutation(lab, image))
+                found.append(p)
                 reached = _orbit(reached, found + fixing)
         if reached == last:
             child_gens = None
@@ -330,10 +338,10 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tu
     are the sets below v with v's image added, one list comprehension per
     point.  The one mapping path serves every sweep: mapping each kept set
     directly, without the tables, measured slower on the unbounded sweep.
-    The walk records no transversal: only the children that twins settle
-    on an inner level need one, and ``_stabilizer`` walks their sets'
-    orbits again, which measured faster than recording a Schreier tree for
-    every orbit here."""
+    The walk records no transversal: only the children settled without
+    ``_canon`` on an inner level need one, and only when their set is not
+    its own orbit; ``_stabilizer`` walks those sets' orbits again, which
+    measured faster than recording a Schreier tree for every orbit here."""
     images = []
     for g in gens:
         table = [0]
@@ -364,8 +372,9 @@ def _orbit_representatives(subsets: list[int], gens: list[list[int]]) -> list[tu
 def _stabilizer(s: int, gens: list[list[int]], order: int) -> list[list[int]]:
     """Generators of the stabilizer of the vertex set ``s``, of known order
     ``order``, in the group on ``len(gens[0])`` points generated by
-    ``gens``, which ``_children`` calls only for an orbit of size below
-    |Aut|, so with ``gens`` nonempty and ``order`` = |Aut| / |orbit of s|.
+    ``gens``, which ``_children`` calls only for an orbit of more than one
+    set and of size below |Aut|, so with ``gens`` nonempty and ``order`` =
+    |Aut| / |orbit of s|.
 
     Schreier's lemma (Seress, "Permutation Group Algorithms", 2003): a walk
     of the orbit of s fixes, for each member y, an element u_y mapping s to

@@ -245,9 +245,23 @@ MUTANTS = [
     (
         "orbit proof accepting the first leaf below v",
         "scans.py",
-        "if image_cert != cert:",
+        "if not _is_automorphism(child, p):",
         "if False:",
         ["tests/test_scans.py::test_orbit_proof_settles_children_with_their_automorphism_groups"],
+    ),
+    (
+        "fixed-set shortcut widened to orbits of size 2",
+        "scans.py",
+        "gens if size == 1 else",
+        "gens if size <= 2 else",
+        ["tests/test_scans.py::test_root_partition_settles_children_as_the_orbit_test_does"],
+    ),
+    (
+        "automorphism test comparing degrees only",
+        "graph.py",
+        "        rest = x >> u + 1 << u + 1  # u's neighbors above u\n",
+        "        rest = 0\n        if near.bit_count() != x.bit_count():\n            return False\n",
+        ["tests/test_graph.py::test_first_path_maps_are_automorphisms_inside_the_orbit"],
     ),
     (
         "canonical labelling's verdict ignored: a child outside the deletion orbit kept",

@@ -934,20 +934,22 @@ def test_hard_instances_told_apart():
 
 def test_first_path_maps_are_automorphisms_inside_the_orbit():
     # for every vertex v of the last cell of the root partition, against
-    # the orbits of _canon's generators: when the first leaf below v has
-    # the certificate of the first leaf below the cell's least vertex u,
-    # the two labelings give an automorphism mapping u to v, so no v
+    # the orbits of _canon's generators: the first leaves below v and below
+    # the cell's least vertex u give a permutation mapping u to v, which
+    # _is_automorphism accepts exactly when the two leaves relabel the
+    # graph alike and when it maps the edge set onto itself, so no v
     # outside u's orbit is claimed; all these graphs are regular, so the
     # cell is every vertex, and C3 + C4, its complement and the union of
     # the 4x4 rook's and Shrikhande graphs, in either order, split it into
-    # two orbits; the descents on each graph take well under a second,
-    # where a search through every leaf below a rook vertex of the union
-    # took about 45 s
+    # two orbits, and C3 + C4 and the unions give both verdicts; the
+    # descents on each graph take well under a second, where a search
+    # through every leaf below a rook vertex of the union took about 45 s
     c3c4 = _disjoint(cycle_graph(3), cycle_graph(4))
     graphs = [c3c4, complement(c3c4), petersen_graph(), _paley(13), SHRIKHANDE]
     graphs += [_cfi(K4_EDGES, True), _cfi(K33_EDGES, False)]
     graphs += [_disjoint(ROOK_4X4, SHRIKHANDE), _disjoint(SHRIKHANDE, ROOK_4X4)]
     split = 0
+    mixed = []
     for g in graphs:
         cn, n = g._cn, g.n
         cells = graph._refine(cn, [(1 << n) - 1], [(1 << n) - 1])
@@ -957,18 +959,26 @@ def test_first_path_maps_are_automorphisms_inside_the_orbit():
         split += orbit != cells[t]
         edges = set(g.edges())
         start = time.process_time()
-        cert, lab = graph._descend(cn, cells, t, u)
+        lab = graph._descend(cn, cells, t, u)
+        cert = graph._relabel(cn, lab)
         claimed = 0
+        verdicts = set()
         for v in graph._bit_indices(cells[t]):
-            image_cert, image = graph._descend(cn, cells, t, 1 << v)
-            if image_cert == cert:
-                p = graph._permutation(lab, image)
-                assert p[u.bit_length() - 1] == v
-                assert {tuple(sorted((p[a], p[b]))) for a, b in edges} == edges
+            image = graph._descend(cn, cells, t, 1 << v)
+            p = graph._permutation(lab, image)
+            assert p[u.bit_length() - 1] == v
+            verdict = graph._is_automorphism(cn, p)
+            assert verdict == (graph._relabel(cn, image) == cert)
+            assert verdict == ({tuple(sorted((p[a], p[b]))) for a, b in edges} == edges)
+            verdicts.add(verdict)
+            if verdict:
                 claimed |= 1 << v
         assert time.process_time() - start < 0.5
         assert claimed & ~orbit == 0, g
+        if len(verdicts) == 2:
+            mixed.append(g)
     assert split >= 4
+    assert mixed[0] == c3c4 and mixed[-2:] == graphs[-2:]
 
 
 def test_canonical_forms_past_the_sweep_are_pinned():

@@ -175,7 +175,10 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
     # vertex may join: a kept child passes it and has _canon's |Aut|, and
     # the kept children name each class that passes it once, so no child
     # the root partition rejects is one the test keeps; on the last level
-    # some children are kept unlabeled
+    # some children are kept unlabeled, and with a level left every kept
+    # child's generators, however it was settled (twins, the orbit proof,
+    # a fixed set's whole parent group or _canon), are automorphisms
+    # generating a group of that order
     alone = 0
     for n, _, cn in _sweep(1, 6):
         _, _, order, gens = graph._canon(cn)
@@ -193,6 +196,12 @@ def test_root_partition_settles_children_as_the_orbit_test_does():
                 assert child_order == graph._canon(child)[2]
                 assert child_gens is not None or not left
                 alone += child_gens is None
+                if left:
+                    k = n + 1
+                    for g in child_gens:
+                        assert sorted(g) == list(range(k))
+                        assert all(child[g[v]] == sum(1 << g[u] for u in range(k) if child[v] >> u & 1) for v in range(k))
+                    assert len(_closure(child_gens, k)) == child_order
                 kept.append(canonical_form(Graph._from_masks(child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
     assert alone > 0
