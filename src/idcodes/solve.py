@@ -350,14 +350,12 @@ def _hitting_sets(
             rest = avail & ~witness
             witness |= rest & -rest
         top = witness & -witness
-        # a child with one vertex left is decided exactly, without classes
-        splitting = classes and k > 2
         parts = classes
         above = avail
         while above.bit_count() >= k:
             v = above & -above
             above ^= v
-            if splitting:
+            if classes:
                 parts = _split_classes(classes, tables, v, k - 1)
                 if parts is None:  # never top, which lies in a set
                     continue

@@ -247,14 +247,14 @@ MUTANTS = [
         "scans.py",
         "if not _is_automorphism(child, p):",
         "if False:",
-        ["tests/test_scans.py::test_orbit_proof_settles_children_with_their_automorphism_groups"],
+        ["tests/test_scans.py::test_every_kept_child_passes_the_orbit_test_with_its_automorphism_group"],
     ),
     (
         "fixed-set shortcut widened to orbits of size 2",
         "scans.py",
         "gens if size == 1 else",
         "gens if size <= 2 else",
-        ["tests/test_scans.py::test_root_partition_settles_children_as_the_orbit_test_does"],
+        ["tests/test_scans.py::test_every_kept_child_passes_the_orbit_test_with_its_automorphism_group"],
     ),
     (
         "automorphism test comparing degrees only",
@@ -275,7 +275,7 @@ MUTANTS = [
         "scans.py",
         "yield child, last.bit_count() * (order // size), child_gens",
         "yield child, twins.bit_count() * (order // size), child_gens",
-        ["tests/test_scans.py::test_orbit_proof_settles_children_with_their_automorphism_groups"],
+        ["tests/test_scans.py::test_every_kept_child_passes_the_orbit_test_with_its_automorphism_group"],
     ),
     (
         "orbit proof's closure ignoring the maps found",

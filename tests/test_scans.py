@@ -148,14 +148,6 @@ def test_sweep_streams_classes_depth_first():
     assert len({_named(n, cn) for n, _, cn in first}) == 100
 
 
-def test_automorphism_orders_match_brute_force():
-    # every class on at most six vertices: weight = n!/|Aut|, with |Aut|
-    # counted over all vertex permutations
-    for n, weight, cn in _sweep(1, 6):
-        g = graph_from_edge_mask(n, canonical_form(Graph._from_masks(cn)))
-        assert weight * brute.automorphism_count(g) == math.factorial(n)
-
-
 def _orbit_test(child: tuple[int, ...]) -> bool:
     """Canonical deletion decided by the full labeling of the closed masks
     ``child``: the new vertex m, the last, has the maximum degree and lies
@@ -168,99 +160,61 @@ def _orbit_test(child: tuple[int, ...]) -> bool:
     return child[m].bit_count() == top and (last == m or graph._orbit(1 << last, gens) >> m & 1 == 1)
 
 
-def test_root_partition_settles_children_as_the_orbit_test_does():
-    # every child _children builds from every class on at most six
-    # vertices, as an inner (one level left below it) and as a last level
-    # (none left), against the orbit test on every vertex set the new
-    # vertex may join: a kept child passes it and has _canon's |Aut|, and
-    # the kept children name each class that passes it once, so no child
-    # the root partition rejects is one the test keeps; on the last level
-    # some children are kept unlabeled, and with a level left every kept
-    # child's generators, however it was settled (twins, the orbit proof,
-    # a fixed set's whole parent group or _canon), are automorphisms
-    # generating a group of that order
-    alone = 0
-    for n, _, cn in _sweep(1, 6):
-        _, _, order, gens = graph._canon(cn)
-        passing = set()
-        for s in range(1 << n):
-            child = (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
-            if _orbit_test(child):
-                passing.add(canonical_form(Graph._from_masks(child)))
+def test_every_kept_child_passes_the_orbit_test_with_its_automorphism_group(monkeypatch):
+    # every child _children keeps from every class on at most six
+    # vertices, with one level left below it and with none, whatever
+    # settled it (twins, the orbit proof, a fixed set's whole parent
+    # group or _canon); the parents carry the generators the deletion
+    # tree gives them, as in the sweep, each checked here as a kept
+    # child one level up. A kept child is its parent plus one vertex
+    # joined to one set, passes the orbit test and has _canon's |Aut|,
+    # which is the count over all vertex permutations; with a level left
+    # its generators are automorphisms generating a group of that order,
+    # at most C(n, 2) of them unless _canon labelled it. The kept
+    # children name once each class that passes the orbit test on some
+    # set the new vertex may join, so no child the root partition
+    # rejects is one the test keeps. The orbit proof settles 3, 6, 37
+    # and 140 children on 4 to 7 vertices on either level, and some
+    # leaves are kept without generators, some of them through a new
+    # vertex with a twin, whose orbit is its twin class
+    parents, stack = [], [((), 1, [])]
+    while stack:
+        parent = stack.pop()
+        parents.append(parent)
+        if len(parent[0]) < 6:
+            stack.extend(scans._children(*parent, 1))
+    proved, labeled = set(), set()
+    real_descend, real_canon = scans._descend, scans._canon
+    monkeypatch.setattr(scans, "_descend", lambda cn, *rest: proved.add(cn) or real_descend(cn, *rest))
+    monkeypatch.setattr(scans, "_canon", lambda cn: labeled.add(cn) or real_canon(cn))
+    settled, alone, twinned = Counter(), 0, 0
+    for cn, order, gens in parents:
+        n = len(cn)
+        joined = {s: (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n) for s in range(1 << n)}
+        passing = {canonical_form(Graph._from_masks(child)) for child in joined.values() if _orbit_test(child)}
         for left in (1, 0):
             kept = []
             for child, child_order, child_gens in scans._children(cn, order, gens, left):
-                s = child[n] ^ 1 << n
-                assert child == (*[x | 1 << n if s >> u & 1 else x for u, x in enumerate(cn)], s | 1 << n)
+                assert child == joined[child[n] ^ 1 << n]
                 assert _orbit_test(child)
-                assert child_order == graph._canon(child)[2]
-                assert child_gens is not None or not left
-                alone += child_gens is None
+                assert child_order == graph._canon(child)[2] == brute.automorphism_count(Graph._from_masks(child))
+                if child in proved and child not in labeled:
+                    settled[left, n + 1] += 1
                 if left:
                     k = n + 1
+                    assert child in labeled or len(child_gens) <= k * (k - 1) // 2
                     for g in child_gens:
                         assert sorted(g) == list(range(k))
                         assert all(child[g[v]] == sum(1 << g[u] for u in range(k) if child[v] >> u & 1) for v in range(k))
                     assert len(_closure(child_gens, k)) == child_order
+                elif child_gens is None:
+                    alone += 1
+                    adj = brute.adjacency(Graph._from_masks(child))
+                    twinned += any(adj[v] - {n} == adj[n] - {v} for v in range(n))
                 kept.append(canonical_form(Graph._from_masks(child)))
             assert len(kept) == len(set(kept)) and set(kept) == passing
-    assert alone > 0
-
-
-def test_unlabeled_children_have_brute_force_orders():
-    # every last-level child kept without a labeling, from every class on
-    # at most five vertices: |Aut| counted over all vertex permutations;
-    # some are settled through a new vertex with a twin, whose orbit is its
-    # twin class, not {m}
-    twinned = 0
-    for n, _, cn in _sweep(1, 5):
-        _, _, order, gens = graph._canon(cn)
-        for child, child_order, child_gens in scans._children(cn, order, gens, 0):
-            if child_gens is None:
-                g = Graph._from_masks(child)
-                assert child_order == brute.automorphism_count(g)
-                adj = brute.adjacency(g)
-                twinned += any(adj[v] - {n} == adj[n] - {v} for v in range(n))
-    assert twinned > 0
-
-
-def test_orbit_proof_settles_children_with_their_automorphism_groups(monkeypatch):
-    # every child whose last cell C the orbit proof shows to be one orbit,
-    # from every class on at most six vertices, with one level and with none
-    # left below it: it passes the orbit test, its |Aut| is _canon's and the
-    # brute-force count, and with a level left its generators are
-    # automorphisms generating a group of that order
-    proved, labeled = set(), set()
-    real_descend, real_canon = scans._descend, scans._canon
-
-    def descend(cn, *rest):
-        proved.add(cn)
-        return real_descend(cn, *rest)
-
-    def canon(cn):
-        labeled.add(cn)
-        return real_canon(cn)
-
-    parents = [(cn, *graph._canon(cn)[2:]) for _, _, cn in _sweep(1, 6)]
-    monkeypatch.setattr(scans, "_descend", descend)
-    monkeypatch.setattr(scans, "_canon", canon)
-    settled = Counter()
-    for left in (1, 0):
-        for cn, order, gens in parents:
-            for child, child_order, child_gens in scans._children(cn, order, gens, left):
-                if child not in proved or child in labeled:
-                    continue
-                settled[left, len(child)] += 1
-                n = len(child)
-                assert _orbit_test(child)
-                assert child_order == graph._canon(child)[2] == brute.automorphism_count(Graph._from_masks(child))
-                if not left:
-                    continue
-                for g in child_gens:
-                    assert sorted(g) == list(range(n))
-                    assert all(child[g[v]] == sum(1 << g[u] for u in range(n) if child[v] >> u & 1) for v in range(n))
-                assert len(_closure(child_gens, n)) == child_order
     assert settled == {(left, n): count for left in (1, 0) for n, count in ((4, 3), (5, 6), (6, 37), (7, 140))}
+    assert alone > twinned > 0
 
 
 def test_orbit_proof_leaves_a_last_cell_of_two_orbits_to_canon(monkeypatch):
@@ -355,42 +309,6 @@ def test_sweep_root_is_the_empty_graph():
             children = list(scans._children((), 1, [], left, connected, twin_free))
             assert children == [((1,), 1, [] if left else None)]
     assert list(scans._children((), 1, [], 2, max_degree=-1)) == []
-
-
-def test_inner_children_settled_by_twins_have_their_automorphism_groups(monkeypatch):
-    # the deletion tree to six vertices from the empty graph, built with
-    # inner children only, so that every class on at most five vertices is
-    # a parent: each child kept
-    # without a labeling gets generators that are automorphisms of it, at
-    # most C(n, 2) of them, and they generate a group of its order, which
-    # is |Aut| counted over all vertex permutations
-    labeled = set()
-    real = scans._canon
-
-    def canon(cn):
-        labeled.add(cn)
-        return real(cn)
-
-    monkeypatch.setattr(scans, "_canon", canon)
-    settled = 0
-    stack = [((), 1, [])]
-    while stack:
-        cn, order, gens = stack.pop()
-        if len(cn) == 6:
-            continue
-        for child, child_order, child_gens in scans._children(cn, order, gens, 1):
-            stack.append((child, child_order, child_gens))
-            if child in labeled:
-                continue
-            settled += 1
-            n = len(child)
-            assert len(child_gens) <= n * (n - 1) // 2
-            for g in child_gens:
-                assert sorted(g) == list(range(n))
-                assert all(child[g[v]] == sum(1 << g[u] for u in range(n) if child[v] >> u & 1) for v in range(n))
-            assert len(_closure(child_gens, n)) == child_order
-            assert child_order == brute.automorphism_count(Graph._from_masks(child))
-    assert settled > 0
 
 
 def _closure(gens, n: int) -> set[tuple[int, ...]]:
@@ -891,6 +809,22 @@ def test_conjecture_scan_small():
     report = scan_conjectured_degree_bound(5)
     assert report.ok
     assert report.graphs_checked == sum(d >= 3 for _, d in _labeled_max_degrees(2, 5))
+
+
+def test_degree_bound_is_attained_at_maximum_degrees_three_and_four():
+    # the connected twin-free classes of maximum degree exactly D: none
+    # needs more than ceil(n - n/D) = n - n // D code vertices, and those
+    # needing exactly that many number, per n, as below: none at n = 5 or 8
+    # for D = 3, none at 7 or 9 for D = 4
+    for d, max_n, attaining in ((3, 10, {4: 1, 6: 8, 7: 2, 9: 19, 10: 3}), (4, 9, {5: 3, 6: 3, 8: 7})):
+        found = Counter()
+        for n, _, cn in _sweep(4, max_n, True, True, d):
+            if _max_degree(cn) == d:
+                gamma = solve._solve(cn, "identifying")[0]
+                assert gamma <= n - n // d, cn
+                if gamma == n - n // d:
+                    found[n] += 1
+        assert found == attaining, d
 
 
 def test_scan_caps_enforced():

@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -38,7 +39,7 @@ from idcodes.graph import (
     join,
     twin_pairs,
 )
-from idcodes.scans import scan_gamma_chain
+from idcodes.scans import _gamma_id_level, _sweep, scan_gamma_chain
 from idcodes.solve import (
     _combination_rank,
     _constraints,
@@ -1090,23 +1091,20 @@ def test_twins_created_by_deletions_involve_the_deleted_vertex():
 
 
 def test_extremal_graphs_keep_a_removable_extremal_vertex():
-    # connected graphs needing n-1 code vertices (other than the two-leaf
-    # star) contain a vertex whose deletion stays connected and extremal
-    for n in range(3, 7):
-        for g in filter(lambda h: is_twin_free(h) and is_connected(h), brute.labeled_graphs(n)):
-            if solve_minimum(g, "identifying").minimum != g.n - 1:
-                continue
-            if g.n == 3 and sorted(g.degrees()) == [1, 1, 2]:
-                continue  # the two-leaf star itself
-            found = False
-            for x in range(g.n):
-                gx = induced_subgraph(g, set(range(g.n)) - {x})
-                if not is_connected(gx) or not is_twin_free(gx):
-                    continue
-                if solve_minimum(gx, "identifying").minimum == gx.n - 1:
-                    found = True
-                    break
-            assert found, f"no removable extremal vertex in {g}"
+    # Theorem 12's deletion property, class by class: every connected
+    # twin-free graph on 4 to 8 vertices that needs n - 1 code vertices has
+    # a vertex whose deletion leaves a connected, twin-free graph needing
+    # n - 2; the two-leaf star, the one such graph on three vertices, has none
+    extremal = Counter()
+    for n, _, cn in _sweep(3, 8, True, True):
+        if _gamma_id_level(cn) != 0:
+            continue
+        extremal[n] += 1
+        g = Graph._from_masks(cn)
+        rests = (induced_subgraph(g, set(range(n)) - {x}) for x in range(n))
+        removable = any(is_connected(h) and is_twin_free(h) and _gamma_id_level(h._cn) == 0 for h in rests)
+        assert removable == (n > 3), cn
+    assert extremal == {3: 1, 4: 3, 5: 3, 6: 4, 7: 4, 8: 6}
 
 
 def test_twin_free_graphs_with_an_edge_never_need_all_vertices():
