@@ -291,6 +291,28 @@ MUTANTS = [
         "window = below[min(i + k + 1, size)]",
         ["tests/test_classify.py::test_recognize_band_graph_round_trip"],
     ),
+    (
+        # the walk then loses every set that ends in the last k vertices
+        "minimum-set walk stopping with k vertices left above",
+        "solve.py",
+        "while above.bit_count() >= k:",
+        "while above.bit_count() > k:",
+        ["tests/test_solve.py::test_solver_matches_brute_force"],
+    ),
+    (
+        "certificate naming the last undominated vertex",
+        "codes.py",
+        "witness_vertex=sigs.index(0)",
+        "witness_vertex=len(sigs) - 1 - sigs[::-1].index(0)",
+        ["tests/test_codes.py::test_certificates_match_brute_force"],
+    ),
+    (
+        "BFS one level short",
+        "graph.py",
+        "while frontier and radius:",
+        "while frontier and radius > 1:",
+        ["tests/test_graph.py::test_balls_and_distances_match_naive_bfs"],
+    ),
 ]
 
 

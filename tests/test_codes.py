@@ -1,5 +1,6 @@
-"""Code-variant verification: certificates, witnesses, the membership-graph
-bridge, and agreement with the naive set-based oracle."""
+"""Code-variant verification: certificates and witnesses, one table-driven
+comparison of every certificate with the naive set-based oracle, and the
+membership-graph bridge."""
 
 import itertools
 import random
@@ -109,60 +110,77 @@ def test_monotonicity_under_supersets():
         g = Graph(n, gnp_edges(rng, n, 0.5))
         code = {v for v in range(n) if rng.random() < 0.5}
         bigger = code | {v for v in range(n) if rng.random() < 0.5}
-        for kind in ("dominating", "separating", "identifying", "locating-dominating"):
+        for kind in KINDS:
             if check_code(g, code, kind).valid:
                 assert check_code(g, bigger, kind).valid
 
 
-def test_all_kinds_match_naive_oracle_exhaustively():
-    for g in brute.labeled_graphs(4):
-        for size in range(5):
-            for combo in itertools.combinations(range(4), size):
-                assert check_code(g, combo, "dominating").valid == brute.naive_is_dominating(g, combo)
-                assert check_code(g, combo, "separating").valid == brute.naive_is_separating(g, combo)
-                assert check_code(g, combo, "identifying").valid == brute.naive_is_identifying(g, combo)
-                assert (
-                    check_code(g, combo, "locating-dominating").valid
-                    == brute.naive_is_locating_dominating(g, combo)
-                )
+def _random_codes(seed: int, count: int, sizes: tuple[int, int], p: float, q: float):
+    """Seeded (graph, code) pairs: n in ``range(*sizes)``, an edge per pair
+    with probability p, then each vertex in the code with probability q."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randrange(*sizes)
+        g = Graph(n, gnp_edges(rng, n, p))
+        yield g, {v for v in range(n) if rng.random() < q}
 
 
-def test_radius_two_matches_naive_oracle():
-    rng = random.Random(3)
-    for _ in range(30):
-        n = rng.randrange(2, 7)
-        g = Graph(n, gnp_edges(rng, n, 0.35))
-        code = [v for v in range(n) if rng.random() < 0.5]
-        assert check_code(g, code, "identifying", 2).valid == brute.naive_is_identifying(g, code, 2)
-        assert check_code(g, code, "dominating", 2).valid == brute.naive_is_dominating(g, code, 2)
+def _near_complete_codes(seed: int, graphs):
+    """V minus a few vertices, or minus a whole ball, at radius 1 to 3."""
+    rng = random.Random(seed)
+    for g, r, k in itertools.product(graphs, (1, 2, 3), (0, 1, 2, 3, -1)):
+        removed = brute.naive_ball(g, rng.randrange(g.n), 1) if k < 0 else set(rng.sample(range(g.n), k))
+        yield g, r, set(range(g.n)) - removed
 
 
-def test_invalid_witness_reverifies():
-    # small random codes on 400 seeded graphs of 1 to 8 vertices, every kind
-    # at radius 1 and 2: each certificate is the oracle's verdict and
-    # witness, and the discriminating check on the membership graph agrees
-    # with the separating one at radius 1; each kind's valid verdict and
-    # each witness type it can fail with occur, ten combinations in all
-    rng = random.Random(19)
-    seen = set()
-    for _ in range(400):
-        n = rng.randrange(1, 9)
-        g = Graph(n, gnp_edges(rng, n, 0.4))
-        code = {v for v in range(n) if rng.random() < 0.4}
-        for r in (1, 2):
+# each kind's valid verdict and each witness type it can fail with
+OUTCOMES = {(k, True, None) for k in KINDS} | {
+    (k, False, w)
+    for k in KINDS
+    for w in ("undominated", "pair")
+    if (k, w) not in {("separating", "undominated"), ("dominating", "pair")}
+}
+
+
+def test_certificates_match_brute_force():
+    # each row is (cases, outcomes): every case (graph, radius, code) is
+    # certified as every kind the outcomes name, and each certificate must
+    # be the oracle's verdict and witness; at radius 1 the discriminating
+    # check on the membership graph must agree with the separating one.  A
+    # row shows exactly its outcomes (kind, valid, witness type)
+    large = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
+    large += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
+    rows = [
+        # every code of every labeled graph on 4 vertices
+        (
+            ((g, 1, c) for g in brute.labeled_graphs(4) for k in range(5) for c in itertools.combinations(range(4), k)),
+            OUTCOMES,
+        ),
+        (
+            ((g, 2, code) for g, code in _random_codes(3, 30, (2, 7), 0.35, 0.5)),
+            {o for o in OUTCOMES if o[0] in ("identifying", "dominating")},
+        ),
+        # small random codes on 400 graphs of 1 to 8 vertices
+        (((g, r, code) for g, code in _random_codes(19, 400, (1, 9), 0.4, 0.4) for r in (1, 2)), OUTCOMES),
+        # graphs of up to 300 vertices: the valid verdicts come from the
+        # signature fast path, the invalid ones from the witness search; no
+        # two vertices outside such a code share a signature
+        (_near_complete_codes(1005, large), OUTCOMES - {("locating-dominating", False, "pair")}),
+    ]
+    for cases, outcomes in rows:
+        seen = set()
+        for g, r, code in cases:
             sigs = brute.naive_signatures(g, code, r)
-            for kind in KINDS:
-                cert = check_code(g, code, kind, r).to_dict()
+            for kind in sorted({k for k, _, _ in outcomes}):
                 valid = brute.signatures_ok(kind, sigs, code)
                 witness = None if valid else brute.naive_witness(kind, sigs, code)
-                assert cert == {"kind": kind, "radius": r, "valid": valid, "witness": witness}
+                cert = {"kind": kind, "radius": r, "valid": valid, "witness": witness}
+                assert check_code(g, code, kind, r).to_dict() == cert, (g, r, kind, sorted(code))
+                if kind == "separating" and r == 1:
+                    discriminating = is_discriminating(membership_graph(g), code).to_dict()
+                    assert discriminating == {**cert, "kind": "discriminating"}, (g, sorted(code))
                 seen.add((kind, valid, witness and next(iter(witness))))
-        separating = check_code(g, code, "separating").to_dict()
-        discriminating = is_discriminating(membership_graph(g), code).to_dict()
-        assert discriminating == {**separating, "kind": "discriminating"}
-    failures = [("dominating", "undominated"), ("separating", "pair")]
-    failures += [(k, w) for k in ("identifying", "locating-dominating") for w in ("undominated", "pair")]
-    assert seen == {(k, True, None) for k in KINDS} | {(k, False, w) for k, w in failures}
+        assert seen == outcomes
 
 
 def test_witness_pair_is_lexicographically_first():
@@ -261,36 +279,6 @@ def test_certificate_serialization():
     }
     ok = check_code(band_graph(2), [0, 1, 2], "identifying").to_dict()
     assert ok["valid"] is True and ok["witness"] is None
-
-
-def test_certificates_match_oracle_on_large_near_complete_codes():
-    # V minus a few vertices, or minus a whole ball, on graphs of up to 300
-    # vertices: the valid verdicts come from the signature fast path, the
-    # invalid ones from the witness search, and both must match the oracle
-    rng = random.Random(1005)
-    graphs = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
-    graphs += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
-    verdicts = set()
-    for g in graphs:
-        for r in (1, 2, 3):
-            for k in (0, 1, 2, 3, -1):
-                if k < 0:
-                    removed = brute.naive_ball(g, rng.randrange(g.n), 1)
-                else:
-                    removed = set(rng.sample(range(g.n), k))
-                code = set(range(g.n)) - removed
-                sigs = brute.naive_signatures(g, code, r)
-                for kind in KINDS:
-                    cert = check_code(g, code, kind, r)
-                    valid = brute.signatures_ok(kind, sigs, code)
-                    assert cert.to_dict() == {
-                        "kind": kind,
-                        "radius": r,
-                        "valid": valid,
-                        "witness": None if valid else brute.naive_witness(kind, sigs, code),
-                    }, (g.n, r, kind, sorted(removed))
-                    verdicts.add((kind, valid))
-    assert verdicts == {(kind, v) for kind in KINDS for v in (True, False)}
 
 
 def test_complement_kernel_agrees_with_certify():

@@ -1,5 +1,6 @@
-"""Core graph model: balls, powers, twins, join, complement, enumeration,
-isomorphism and the edge-list format."""
+"""Core graph model: balls and distances (one table-driven comparison of
+the one BFS with the dict-based oracle), powers, twins, join, complement,
+enumeration, isomorphism and the edge-list format."""
 
 import hashlib
 import itertools
@@ -133,11 +134,27 @@ def test_closed_ball_band_graphs():
     assert ball(band_graph(3), 2, 1) == {0, 1, 2, 3, 4}
 
 
-def test_closed_ball_matches_naive_bfs():
-    for g in [band_graph(3), cycle_graph(7), star_graph(4), band5_square_root()]:
-        for r in range(4):
+def test_balls_and_distances_match_naive_bfs():
+    # each row is (graphs, radii): every ball of the rows' radii, and every
+    # distance, which checks that each BFS step adds exactly the vertices
+    # one step further away, against the dict-based BFS oracle
+    rng = random.Random(2010)
+    rows = [
+        ([band_graph(3), cycle_graph(7), star_graph(4), band5_square_root()], range(4)),
+        # every labeled graph on at most 5 vertices
+        ((g for n in range(6) for g in brute.labeled_graphs(n)), range(4)),
+        # sparse and dense, connected and not
+        (
+            [Graph(n := rng.randrange(1, 10), gnp_edges(rng, n, rng.choice((0.15, 0.3, 0.6)))) for _ in range(40)],
+            range(5),
+        ),
+    ]
+    for graphs, radii in rows:
+        for g in graphs:
             for x in range(g.n):
-                assert ball(g, x, r) == brute.naive_ball(g, x, r)
+                for r in radii:
+                    assert ball(g, x, r) == brute.naive_ball(g, x, r), (g, x, r)
+                assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(g.n)], (g, x)
 
 
 def test_vertex_queries_reject_bad_vertex():
@@ -146,23 +163,6 @@ def test_vertex_queries_reject_bad_vertex():
     for query in queries:
         with pytest.raises(ValueError, match=r"^invalid vertex 7: range is 0\.\.3$"):
             query(7)
-
-
-def test_reach_balls_match_naive_bfs_on_every_small_graph():
-    # every labeled graph on at most 5 vertices, radii 0 to 3
-    for n in range(6):
-        for g in brute.labeled_graphs(n):
-            for x in range(n):
-                for r in range(4):
-                    assert ball(g, x, r) == brute.naive_ball(g, x, r)
-
-
-def test_reach_levels_match_naive_distances_on_every_small_graph():
-    # each BFS step adds exactly the vertices one step further away
-    for n in range(6):
-        for g in brute.labeled_graphs(n):
-            for x in range(n):
-                assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
 
 
 def test_reach_matches_naive_bfs_on_wide_masks():
@@ -325,19 +325,6 @@ def test_connectivity():
 def test_distances():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     assert distances(g, 0) == [0, 1, 2, None, None]
-
-
-def test_balls_and_distances_match_naive_bfs_on_random_graphs():
-    # sparse and dense, connected and not, against the dict-based BFS oracle
-    rng = random.Random(2010)
-    for _ in range(40):
-        n = rng.randrange(1, 10)
-        p = rng.choice((0.15, 0.3, 0.6))
-        g = Graph(n, gnp_edges(rng, n, p))
-        for x in range(n):
-            for r in range(5):
-                assert ball(g, x, r) == brute.naive_ball(g, x, r)
-            assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(n)]
 
 
 def test_ball_builder_and_power_match_naive_bfs():

@@ -1,8 +1,8 @@
-"""Exact solvers: frozen minima, forced-vertex pruning, full agreement with
-the naive all-subsets oracle and the ascending-combination oracle (answers
-and ``explored`` counts), the order-free proof's verdicts against every
-subset, pinned counts and closed forms beyond the oracles' range,
-minimum-set enumeration and code extension."""
+"""Exact solvers: frozen minima, forced-vertex pruning, one table-driven
+comparison with the naive all-subsets oracle and the ascending-combination
+oracle (minima, least codes, ``explored`` counts and every minimum set),
+the order-free proof's verdicts against every subset, pinned counts and
+closed forms beyond the oracles' range, and code extension."""
 
 import itertools
 import math
@@ -17,7 +17,7 @@ from randgraphs import gnp_edges, random_connected_twin_free_gnp
 from idcodes import solve
 from idcodes.bound import constructive_upper_bound, regular_constructive_bound
 from idcodes.classify import classify_extremal
-from idcodes.codes import check_code
+from idcodes.codes import KINDS, check_code
 from idcodes.families import (
     band_graph,
     complete_graph,
@@ -80,15 +80,6 @@ def test_min_identifying_report_contract():
     assert r.explored >= 1
 
 
-def test_example_code_is_lexicographically_least():
-    for g in [path_graph(5), cycle_graph(5), star_graph(3), band_graph(2)]:
-        report = solve_minimum(g, "identifying")
-        best = min(
-            (sorted(c) for c in brute.naive_all_minimum(g, "identifying")),
-        )
-        assert sorted(report.example_code) == best
-
-
 def test_separating_values():
     one = band_graph(1)  # two isolated vertices
     assert solve_minimum(one, "separating").minimum == 1
@@ -104,43 +95,6 @@ def test_locating_dominating_and_dominating():
     assert solve_minimum(complete_graph(4), "locating-dominating").minimum == 3
 
 
-def test_all_kinds_match_naive_oracle_exhaustively():
-    for g in brute.labeled_graphs(4):
-        twin_free = is_twin_free(g)
-        for kind in ("dominating", "locating-dominating"):
-            expected = brute.naive_minimum(g, kind)
-            assert solve_minimum(g, kind).minimum == expected[0]
-        for kind in ("separating", "identifying"):
-            expected = brute.naive_minimum(g, kind)
-            if twin_free:
-                report = solve_minimum(g, kind)
-                assert report.minimum == expected[0]
-                assert sorted(report.example_code) == sorted(
-                    min(brute.naive_all_minimum(g, kind), key=sorted)
-                )
-            else:
-                assert expected is None
-                with pytest.raises(TwinsError):
-                    solve_minimum(g, kind)
-
-
-def test_solver_matches_oracle_on_random_5_and_6_vertex_graphs():
-    rng = random.Random(23)
-    for _ in range(25):
-        n = rng.choice((5, 6))
-        g = Graph(n, gnp_edges(rng, n, 0.5))
-        for kind in ("dominating", "locating-dominating", "separating", "identifying"):
-            expected = brute.naive_minimum(g, kind)
-            if expected is None:
-                with pytest.raises(TwinsError):
-                    solve_minimum(g, kind)
-            else:
-                assert solve_minimum(g, kind).minimum == expected[0]
-
-
-KINDS = ("dominating", "separating", "identifying", "locating-dominating")
-
-
 def _random_graphs(seed: int, count: int, max_n: int):
     rng = random.Random(seed)
     for _ in range(count):
@@ -149,68 +103,55 @@ def _random_graphs(seed: int, count: int, max_n: int):
         yield Graph(n, gnp_edges(rng, n, p))
 
 
-def test_search_matches_ascending_oracle_on_random_graphs():
-    # same size, same lexicographically least code, same explored count
-    for g in _random_graphs(404, 90, 12):
-        for r in (1, 2):
-            for kind in KINDS:
-                expected = brute.ascending_search(g, kind, r)
-                if expected is None:
-                    with pytest.raises(TwinsError):
-                        solve_minimum(g, kind, r)
-                    continue
-                report = solve_minimum(g, kind, r)
-                got = (report.minimum, set(report.example_code), report.explored)
-                assert got == expected[:3], (g, kind, r)
-
-
-def test_proof_at_every_size_keeps_the_answers():
-    # the order-free proof decides every size, however few its candidate
-    # subsets; the answers, the least codes, the explored counts and the
-    # enumerated sets must stay those of the ascending oracle
-    for g in _random_graphs(410, 30, 12):
-        for r in (1, 2):
-            for kind in KINDS:
-                expected = brute.ascending_search(g, kind, r)
-                if expected is None:
-                    continue
-                report = solve_minimum(g, kind, r)
-                got = (report.minimum, set(report.example_code), report.explored)
-                assert got == expected[:3], (g, kind, r)
-                if kind == "separating":
-                    assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
-
-
-def test_search_matches_ascending_oracle_past_a_thousand_subsets():
-    # the same agreement, with every minimum set, on graphs large enough
-    # that some of the sizes the solver decides have 1000 or more candidate
-    # subsets, so no threshold on the size of a search can hide from it
-    rng = random.Random(412)
+def test_solver_matches_brute_force():
+    # each row is (graphs, radii, kinds, oracle): the naive oracle tries
+    # every subset from size 0, the ascending one every superset of the
+    # forced vertices from the counting bound and also counts ``explored``;
+    # "every" is the ascending oracle against every minimum set that
+    # _solve_graph lists.  A row's minimum, lexicographically least code and
+    # separating sets must be the oracle's, and no code at all a TwinsError
+    rng, grid = random.Random(23), random.Random(412)
+    rows = [
+        ([path_graph(5), cycle_graph(5), star_graph(3), band_graph(2)], (1,), ("identifying",), "naive"),
+        (brute.labeled_graphs(4), (1,), KINDS, "naive"),
+        ([Graph(n := rng.choice((5, 6)), gnp_edges(rng, n, 0.5)) for _ in range(25)], (1,), KINDS, "naive"),
+        # the square of the 4-path is complete, so radius 2 has no code there
+        ([path_graph(6), path_graph(4)], (2,), ("identifying",), "naive"),
+        (_random_graphs(404, 90, 12), (1, 2), KINDS, "ascending"),
+        # the order-free proof decides every size, however few its
+        # candidate subsets
+        (_random_graphs(410, 30, 12), (1, 2), KINDS, "ascending"),
+        (_random_graphs(405, 60, 12), (1, 2), ("separating",), "ascending"),
+        # graphs large enough that some of the sizes the solver decides have
+        # 1000 or more candidate subsets, so no threshold on the size of a
+        # search can hide from it
+        ([Graph(n, gnp_edges(grid, n, p)) for n in range(13, 17) for p in (0.15, 0.25, 0.4)], (1, 2), KINDS, "every"),
+    ]
     largest = 0
-    for n in range(13, 17):
-        for p in (0.15, 0.25, 0.4):
-            g = Graph(n, gnp_edges(rng, n, p))
-            for r in (1, 2):
-                for kind in KINDS:
-                    expected = brute.ascending_search(g, kind, r)
-                    if expected is None:
-                        continue
-                    report, sets = solve._solve_graph(g, kind, r)
-                    got = (report.minimum, next(sets), report.explored)
-                    assert got == (expected[0], sorted(expected[1]), expected[2]), (g, kind, r)
-                    assert list(sets) == [sorted(c) for c in expected[3][1:]]
-                    base = len(report.forced)
-                    largest = max(largest, math.comb(n - base, report.minimum - base))
-    assert largest >= 1000
-
-
-def test_enumerate_minimum_sets_matches_ascending_oracle():
-    for g in _random_graphs(405, 60, 12):
-        for r in (1, 2):
-            expected = brute.ascending_search(g, "separating", r)
-            if expected is None:
+    for graphs, radii, kinds, oracle in rows:
+        for g, r, kind in itertools.product(graphs, radii, kinds):
+            if oracle == "naive":
+                every = brute.naive_all_minimum(g, kind, r)
+                expected = every and (len(every[0]), every[0], None, every)
+            else:
+                expected = brute.ascending_search(g, kind, r)
+            if not expected:
+                with pytest.raises(TwinsError):
+                    solve_minimum(g, kind, r)
                 continue
-            assert enumerate_minimum_separating_sets(g, r) == expected[3], (g, r)
+            size, least, explored, every = expected
+            if oracle == "every":
+                report, sets = solve._solve_graph(g, kind, r)
+                assert list(sets) == [sorted(c) for c in every], (g, kind, r)
+                base = len(report.forced)
+                largest = max(largest, math.comb(g.n - base, size - base))
+            else:
+                report = solve_minimum(g, kind, r)
+                if kind == "separating":
+                    assert enumerate_minimum_separating_sets(g, r) == every, (g, r)
+            assert (report.minimum, set(report.example_code)) == (size, least), (g, kind, r)
+            assert explored in (None, report.explored), (g, kind, r)
+    assert largest >= 1000
 
 
 def _need(m: int, kind: str) -> int:
@@ -953,15 +894,6 @@ def test_minimum_does_not_move_under_relabelling():
     assert cases == 386 + 36
 
 
-def test_radius_two_solving():
-    g = path_graph(6)
-    expected = brute.naive_minimum(g, "identifying", 2)
-    assert solve_minimum(g, "identifying", 2).minimum == expected[0]
-    # the square of the 4-path is complete, so radius 2 has no code there
-    with pytest.raises(TwinsError):
-        solve_minimum(path_graph(4), "identifying", 2)
-
-
 def test_twins_error_carries_pair():
     with pytest.raises(TwinsError) as exc:
         solve_minimum(complete_graph(3), "identifying")
@@ -1056,12 +988,6 @@ def test_enumerate_minimum_separating_sets():
     assert enumerate_minimum_separating_sets(star_graph(2)) == [frozenset({1, 2})]
 
 
-def test_enumerate_minimum_sets_matches_naive():
-    for g in filter(is_twin_free, brute.labeled_graphs(4)):
-        expected = sorted((frozenset(s) for s in brute.naive_all_minimum(g, "separating")), key=sorted)
-        assert enumerate_minimum_separating_sets(g) == expected
-
-
 def test_chain_inequality_small():
     for g in filter(is_twin_free, brute.labeled_graphs(5)):
         s = solve_minimum(g, "separating").minimum
@@ -1084,10 +1010,9 @@ def test_twins_created_by_deletions_involve_the_deleted_vertex():
             keep_v = [u for u in range(g.n) if u != v]  # new label i is keep_v[i]
             for a, b in twin_pairs(induced_subgraph(g, keep_v)):
                 x = keep_v[a]
-                for drop in (x,):
-                    keep_x = [u for u in range(g.n) if u != drop]
-                    for c, d in twin_pairs(induced_subgraph(g, keep_x)):
-                        assert v in (keep_x[c], keep_x[d])
+                keep_x = [u for u in range(g.n) if u != x]
+                for c, d in twin_pairs(induced_subgraph(g, keep_x)):
+                    assert v in (keep_x[c], keep_x[d])
 
 
 def test_extremal_graphs_keep_a_removable_extremal_vertex():
@@ -1218,7 +1143,7 @@ def test_lower_bound_matches_brute_force():
 def test_zero_and_one_vertex_graphs():
     # the empty graph goes through the one search: it tests one candidate,
     # the empty set, which is the answer, as Graph(1)'s separating solve does
-    for kind in ("identifying", "separating", "dominating", "locating-dominating"):
+    for kind in KINDS:
         report = solve_minimum(Graph(0), kind)
         assert report.to_dict() == {
             "kind": kind,
