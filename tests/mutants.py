@@ -297,21 +297,21 @@ MUTANTS = [
         "solve.py",
         "while above.bit_count() >= k:",
         "while above.bit_count() > k:",
-        ["tests/test_solve.py::test_solver_matches_brute_force"],
+        ["tests/test_solve.py::test_search_matches_ascending_oracle_past_a_thousand_subsets"],
     ),
     (
         "certificate naming the last undominated vertex",
         "codes.py",
         "witness_vertex=sigs.index(0)",
         "witness_vertex=len(sigs) - 1 - sigs[::-1].index(0)",
-        ["tests/test_codes.py::test_certificates_match_brute_force"],
+        ["tests/test_codes.py::test_invalid_witness_reverifies"],
     ),
     (
         "BFS one level short",
         "graph.py",
         "while frontier and radius:",
         "while frontier and radius > 1:",
-        ["tests/test_graph.py::test_balls_and_distances_match_naive_bfs"],
+        ["tests/test_graph.py::test_reach_balls_match_naive_bfs_on_every_small_graph"],
     ),
 ]
 

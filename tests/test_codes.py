@@ -142,45 +142,53 @@ OUTCOMES = {(k, True, None) for k in KINDS} | {
 }
 
 
-def test_certificates_match_brute_force():
-    # each row is (cases, outcomes): every case (graph, radius, code) is
-    # certified as every kind the outcomes name, and each certificate must
-    # be the oracle's verdict and witness; at radius 1 the discriminating
-    # check on the membership graph must agree with the separating one.  A
-    # row shows exactly its outcomes (kind, valid, witness type)
-    large = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
-    large += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
-    rows = [
-        # every code of every labeled graph on 4 vertices
-        (
-            ((g, 1, c) for g in brute.labeled_graphs(4) for k in range(5) for c in itertools.combinations(range(4), k)),
-            OUTCOMES,
-        ),
-        (
-            ((g, 2, code) for g, code in _random_codes(3, 30, (2, 7), 0.35, 0.5)),
-            {o for o in OUTCOMES if o[0] in ("identifying", "dominating")},
-        ),
-        # small random codes on 400 graphs of 1 to 8 vertices
-        (((g, r, code) for g, code in _random_codes(19, 400, (1, 9), 0.4, 0.4) for r in (1, 2)), OUTCOMES),
-        # graphs of up to 300 vertices: the valid verdicts come from the
-        # signature fast path, the invalid ones from the witness search; no
-        # two vertices outside such a code share a signature
-        (_near_complete_codes(1005, large), OUTCOMES - {("locating-dominating", False, "pair")}),
-    ]
-    for cases, outcomes in rows:
-        seen = set()
-        for g, r, code in cases:
-            sigs = brute.naive_signatures(g, code, r)
-            for kind in sorted({k for k, _, _ in outcomes}):
-                valid = brute.signatures_ok(kind, sigs, code)
-                witness = None if valid else brute.naive_witness(kind, sigs, code)
-                cert = {"kind": kind, "radius": r, "valid": valid, "witness": witness}
-                assert check_code(g, code, kind, r).to_dict() == cert, (g, r, kind, sorted(code))
-                if kind == "separating" and r == 1:
-                    discriminating = is_discriminating(membership_graph(g), code).to_dict()
-                    assert discriminating == {**cert, "kind": "discriminating"}, (g, sorted(code))
-                seen.add((kind, valid, witness and next(iter(witness))))
-        assert seen == outcomes
+def _check_certificates(cases, outcomes) -> None:
+    """Check one row (cases, outcomes) of the certifier's oracle table.
+
+    Every case (graph, radius, code) is certified as every kind the outcomes
+    name, and each certificate must be the oracle's verdict and witness; at
+    radius 1 the discriminating check on the membership graph must agree
+    with the separating one.  The row shows exactly its outcomes (kind,
+    valid, witness type)."""
+    seen = set()
+    for g, r, code in cases:
+        sigs = brute.naive_signatures(g, code, r)
+        for kind in sorted({k for k, _, _ in outcomes}):
+            valid = brute.signatures_ok(kind, sigs, code)
+            witness = None if valid else brute.naive_witness(kind, sigs, code)
+            cert = {"kind": kind, "radius": r, "valid": valid, "witness": witness}
+            assert check_code(g, code, kind, r).to_dict() == cert, (g, r, kind, sorted(code))
+            if kind == "separating" and r == 1:
+                discriminating = is_discriminating(membership_graph(g), code).to_dict()
+                assert discriminating == {**cert, "kind": "discriminating"}, (g, sorted(code))
+            seen.add((kind, valid, witness and next(iter(witness))))
+    assert seen == outcomes
+
+
+def test_all_kinds_match_naive_oracle_exhaustively():
+    # every code of every labeled graph on 4 vertices
+    codes = [c for k in range(5) for c in itertools.combinations(range(4), k)]
+    _check_certificates(((g, 1, c) for g in brute.labeled_graphs(4) for c in codes), OUTCOMES)
+
+
+def test_radius_two_matches_naive_oracle():
+    cases = ((g, 2, code) for g, code in _random_codes(3, 30, (2, 7), 0.35, 0.5))
+    _check_certificates(cases, {o for o in OUTCOMES if o[0] in ("identifying", "dominating")})
+
+
+def test_invalid_witness_reverifies():
+    # small random codes on 400 graphs of 1 to 8 vertices
+    cases = ((g, r, code) for g, code in _random_codes(19, 400, (1, 9), 0.4, 0.4) for r in (1, 2))
+    _check_certificates(cases, OUTCOMES)
+
+
+def test_certificates_match_oracle_on_large_near_complete_codes():
+    # graphs of up to 300 vertices: the valid verdicts come from the
+    # signature fast path, the invalid ones from the witness search; no two
+    # vertices outside such a code share a signature
+    graphs = [random_bounded_degree_graph(seed, 150, 300) for seed in range(3)]
+    graphs += [random_sparse_graph(seed, 300, 4) for seed in range(2)]
+    _check_certificates(_near_complete_codes(1005, graphs), OUTCOMES - {("locating-dominating", False, "pair")})
 
 
 def test_witness_pair_is_lexicographically_first():

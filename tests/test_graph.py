@@ -134,27 +134,37 @@ def test_closed_ball_band_graphs():
     assert ball(band_graph(3), 2, 1) == {0, 1, 2, 3, 4}
 
 
-def test_balls_and_distances_match_naive_bfs():
-    # each row is (graphs, radii): every ball of the rows' radii, and every
-    # distance, which checks that each BFS step adds exactly the vertices
-    # one step further away, against the dict-based BFS oracle
+def _check_balls(graphs, radii) -> None:
+    """Check one row (graphs, radii) of the BFS's oracle table: every ball
+    of the row's radii, and every distance, which checks that each BFS step
+    adds exactly the vertices one step further away, against the dict-based
+    BFS oracle."""
+    for g in graphs:
+        for x in range(g.n):
+            for r in radii:
+                assert ball(g, x, r) == brute.naive_ball(g, x, r), (g, x, r)
+            assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(g.n)], (g, x)
+
+
+def test_closed_ball_matches_naive_bfs():
+    _check_balls([band_graph(3), cycle_graph(7), star_graph(4), band5_square_root()], range(4))
+
+
+def test_reach_balls_match_naive_bfs_on_every_small_graph():
+    # every labeled graph on at most 5 vertices, radii 0 to 3
+    _check_balls((g for n in range(6) for g in brute.labeled_graphs(n)), range(4))
+
+
+def test_reach_levels_match_naive_distances_on_every_small_graph():
+    # the same graphs' distances alone
+    _check_balls((g for n in range(6) for g in brute.labeled_graphs(n)), ())
+
+
+def test_balls_and_distances_match_naive_bfs_on_random_graphs():
+    # sparse and dense, connected and not
     rng = random.Random(2010)
-    rows = [
-        ([band_graph(3), cycle_graph(7), star_graph(4), band5_square_root()], range(4)),
-        # every labeled graph on at most 5 vertices
-        ((g for n in range(6) for g in brute.labeled_graphs(n)), range(4)),
-        # sparse and dense, connected and not
-        (
-            [Graph(n := rng.randrange(1, 10), gnp_edges(rng, n, rng.choice((0.15, 0.3, 0.6)))) for _ in range(40)],
-            range(5),
-        ),
-    ]
-    for graphs, radii in rows:
-        for g in graphs:
-            for x in range(g.n):
-                for r in radii:
-                    assert ball(g, x, r) == brute.naive_ball(g, x, r), (g, x, r)
-                assert distances(g, x) == [brute.naive_distance(g, x, y) for y in range(g.n)], (g, x)
+    graphs = [Graph(n := rng.randrange(1, 10), gnp_edges(rng, n, rng.choice((0.15, 0.3, 0.6)))) for _ in range(40)]
+    _check_balls(graphs, range(5))
 
 
 def test_vertex_queries_reject_bad_vertex():

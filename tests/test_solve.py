@@ -103,55 +103,86 @@ def _random_graphs(seed: int, count: int, max_n: int):
         yield Graph(n, gnp_edges(rng, n, p))
 
 
-def test_solver_matches_brute_force():
-    # each row is (graphs, radii, kinds, oracle): the naive oracle tries
-    # every subset from size 0, the ascending one every superset of the
-    # forced vertices from the counting bound and also counts ``explored``;
-    # "every" is the ascending oracle against every minimum set that
-    # _solve_graph lists.  A row's minimum, lexicographically least code and
-    # separating sets must be the oracle's, and no code at all a TwinsError
-    rng, grid = random.Random(23), random.Random(412)
-    rows = [
-        ([path_graph(5), cycle_graph(5), star_graph(3), band_graph(2)], (1,), ("identifying",), "naive"),
-        (brute.labeled_graphs(4), (1,), KINDS, "naive"),
-        ([Graph(n := rng.choice((5, 6)), gnp_edges(rng, n, 0.5)) for _ in range(25)], (1,), KINDS, "naive"),
-        # the square of the 4-path is complete, so radius 2 has no code there
-        ([path_graph(6), path_graph(4)], (2,), ("identifying",), "naive"),
-        (_random_graphs(404, 90, 12), (1, 2), KINDS, "ascending"),
-        # the order-free proof decides every size, however few its
-        # candidate subsets
-        (_random_graphs(410, 30, 12), (1, 2), KINDS, "ascending"),
-        (_random_graphs(405, 60, 12), (1, 2), ("separating",), "ascending"),
-        # graphs large enough that some of the sizes the solver decides have
-        # 1000 or more candidate subsets, so no threshold on the size of a
-        # search can hide from it
-        ([Graph(n, gnp_edges(grid, n, p)) for n in range(13, 17) for p in (0.15, 0.25, 0.4)], (1, 2), KINDS, "every"),
-    ]
+def _check_solver(graphs, radii, kinds, oracle: str) -> int:
+    """Check one row (graphs, radii, kinds, oracle) of the solver's oracle
+    table, and return the most candidate subsets of any size decided.
+
+    The "naive" oracle tries every subset from size 0; the "ascending" one
+    every superset of the forced vertices from the counting bound, and also
+    counts ``explored``; "every" is the ascending oracle against every
+    minimum set that ``_solve_graph`` lists.  The minimum, the
+    lexicographically least code and the separating sets must be the
+    oracle's, and a graph with no code at all must raise TwinsError."""
     largest = 0
-    for graphs, radii, kinds, oracle in rows:
-        for g, r, kind in itertools.product(graphs, radii, kinds):
-            if oracle == "naive":
-                every = brute.naive_all_minimum(g, kind, r)
-                expected = every and (len(every[0]), every[0], None, every)
-            else:
-                expected = brute.ascending_search(g, kind, r)
-            if not expected:
-                with pytest.raises(TwinsError):
-                    solve_minimum(g, kind, r)
-                continue
-            size, least, explored, every = expected
-            if oracle == "every":
-                report, sets = solve._solve_graph(g, kind, r)
-                assert list(sets) == [sorted(c) for c in every], (g, kind, r)
-                base = len(report.forced)
-                largest = max(largest, math.comb(g.n - base, size - base))
-            else:
-                report = solve_minimum(g, kind, r)
-                if kind == "separating":
-                    assert enumerate_minimum_separating_sets(g, r) == every, (g, r)
-            assert (report.minimum, set(report.example_code)) == (size, least), (g, kind, r)
-            assert explored in (None, report.explored), (g, kind, r)
-    assert largest >= 1000
+    for g, r, kind in itertools.product(graphs, radii, kinds):
+        if oracle == "naive":
+            every = brute.naive_all_minimum(g, kind, r)
+            expected = every and (len(every[0]), every[0], None, every)
+        else:
+            expected = brute.ascending_search(g, kind, r)
+        if not expected:
+            with pytest.raises(TwinsError):
+                solve_minimum(g, kind, r)
+            continue
+        size, least, explored, every = expected
+        if oracle == "every":
+            report, sets = solve._solve_graph(g, kind, r)
+            assert list(sets) == [sorted(c) for c in every], (g, kind, r)
+            base = len(report.forced)
+            largest = max(largest, math.comb(g.n - base, size - base))
+        else:
+            report = solve_minimum(g, kind, r)
+            if kind == "separating":
+                assert enumerate_minimum_separating_sets(g, r) == every, (g, r)
+        assert (report.minimum, set(report.example_code)) == (size, least), (g, kind, r)
+        assert explored in (None, report.explored), (g, kind, r)
+    return largest
+
+
+def test_example_code_is_lexicographically_least():
+    _check_solver([path_graph(5), cycle_graph(5), star_graph(3), band_graph(2)], (1,), ("identifying",), "naive")
+
+
+def test_all_kinds_match_naive_oracle_exhaustively():
+    _check_solver(brute.labeled_graphs(4), (1,), KINDS, "naive")
+
+
+def test_solver_matches_oracle_on_random_5_and_6_vertex_graphs():
+    rng = random.Random(23)
+    graphs = [Graph(n := rng.choice((5, 6)), gnp_edges(rng, n, 0.5)) for _ in range(25)]
+    _check_solver(graphs, (1,), KINDS, "naive")
+
+
+def test_radius_two_solving():
+    # the square of the 4-path is complete, so radius 2 has no code there
+    _check_solver([path_graph(6), path_graph(4)], (2,), ("identifying",), "naive")
+
+
+def test_enumerate_minimum_sets_matches_naive():
+    _check_solver(filter(is_twin_free, brute.labeled_graphs(4)), (1,), ("separating",), "naive")
+
+
+def test_search_matches_ascending_oracle_on_random_graphs():
+    _check_solver(_random_graphs(404, 90, 12), (1, 2), KINDS, "ascending")
+
+
+def test_proof_at_every_size_keeps_the_answers():
+    # the order-free proof decides every size, however few its candidate
+    # subsets
+    _check_solver(_random_graphs(410, 30, 12), (1, 2), KINDS, "ascending")
+
+
+def test_enumerate_minimum_sets_matches_ascending_oracle():
+    _check_solver(_random_graphs(405, 60, 12), (1, 2), ("separating",), "ascending")
+
+
+def test_search_matches_ascending_oracle_past_a_thousand_subsets():
+    # graphs large enough that some of the sizes the solver decides have
+    # 1000 or more candidate subsets, so no threshold on the size of a
+    # search can hide from it
+    rng = random.Random(412)
+    graphs = [Graph(n, gnp_edges(rng, n, p)) for n in range(13, 17) for p in (0.15, 0.25, 0.4)]
+    assert _check_solver(graphs, (1, 2), KINDS, "every") >= 1000
 
 
 def _need(m: int, kind: str) -> int:
